@@ -132,6 +132,67 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestExecuteColdTraceAllocs is the cold counterpart of the warm pins
+// above: on a trace whose destinations never repeat, every packet misses
+// both tiers, and the microflow tier heap-allocates an entry per fill.
+// Once the admission rule has the tiers bypassed only the sampled 1/16
+// of keys still fill, so the all-miss path allocates at most 1/16 + ε
+// per packet, single-packet and batched.
+func TestExecuteColdTraceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("filter generation is not short")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc regression measured without -race")
+	}
+	const (
+		burnIn = 40 << 10 // the tiers start armed; bypass comes inside this many packets
+		chunk  = 4096
+		runs   = 4
+	)
+	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
+	p := buildBackendPipeline(t, "", []openflow.FieldID{openflow.FieldIPv4Dst}, f.FlowEntries())
+	p.SetWorkers(1)
+	trace := traffic.LPMTrace(f, burnIn+(runs+1)*chunk, 0.9, 1)
+	for _, batched := range []bool{false, true} {
+		name := "execute"
+		if batched {
+			name = "batch"
+		}
+		t.Run(name, func(t *testing.T) {
+			p.SetCacheSize(4096) // fresh tiers, armed
+			p.SetMegaflowSize(2048)
+			p.Refresh()
+			hs := make([]*openflow.Header, chunk)
+			var res []core.Result
+			next := 0
+			run := func(n int) {
+				if batched {
+					for j := 0; j < n; j++ {
+						hs[j] = &trace[next+j]
+					}
+					res = p.ExecuteBatchInto(hs[:n], res)
+				} else {
+					for j := 0; j < n; j++ {
+						p.Execute(&trace[next+j])
+					}
+				}
+				next += n
+			}
+			for next < burnIn {
+				run(chunk)
+			}
+			if cs, ms := p.CacheStats(), p.MegaflowStats(); cs.Armed || ms.Armed {
+				t.Fatalf("tiers still armed after %d all-miss packets: %+v %+v", burnIn, cs, ms)
+			}
+			perPacket := testing.AllocsPerRun(runs, func() { run(chunk) }) / chunk
+			if perPacket > 1.0/16+0.01 {
+				t.Errorf("%.4f allocs/packet on an all-miss trace through bypassed tiers, want <= 1/16", perPacket)
+			}
+		})
+	}
+}
+
 // TestTrieLookupAllZeroAlloc covers the trie walk feeding the
 // crossproduct stage.
 func TestTrieLookupAllZeroAlloc(t *testing.T) {

@@ -143,26 +143,6 @@ func BenchmarkExtBaselineSweep(b *testing.B) {
 	benchExperiment(b, "ext-baseline-sweep", nil)
 }
 
-// BenchmarkFlowCacheExecute measures the cached fast path against the
-// repetitive traffic flow caching targets (paper related work, ref [7]).
-func BenchmarkFlowCacheExecute(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.BuildMAC(f, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := core.NewFlowCache(p, 4096)
-	trace := traffic.MACTrace(f, 512, 0.9, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := trace[i%len(trace)]
-		cache.Execute(&h)
-	}
-}
-
 // BenchmarkUpdateFileReplay measures the concrete update-file replay path
 // (Section V.B) for a mid-sized MAC filter.
 func BenchmarkUpdateFileReplay(b *testing.B) {
@@ -396,7 +376,7 @@ func BenchmarkPipelineExecuteACL(b *testing.B) {
 // to the named backend (an explicit pin errors on an unservable shape,
 // so a benchmark can never silently measure the fallback scheme) and
 // loads it with the given rules.
-func buildBackendPipeline(b *testing.B, kind string, fields []openflow.FieldID, entries []openflow.FlowEntry) *core.Pipeline {
+func buildBackendPipeline(b testing.TB, kind string, fields []openflow.FieldID, entries []openflow.FlowEntry) *core.Pipeline {
 	b.Helper()
 	p := core.NewPipeline()
 	t, err := p.AddTable(core.TableConfig{ID: 0, Fields: fields, Backend: kind})

@@ -250,6 +250,7 @@ func run() error {
 					}
 					log.Printf("switchd: memory: %d bits total (%.3f Mbit)%s",
 						ms.TotalBits, float64(ms.TotalBits)/1e6, b.String())
+					logCacheTiers(pipeline)
 				}
 			}
 		}()
@@ -268,6 +269,7 @@ func run() error {
 		if err != nil {
 			log.Printf("switchd: drain window expired, connections force-closed: %v", err)
 		}
+		logCacheTiers(pipeline)
 		tc := pipeline.TxCounters()
 		log.Printf("switchd: control plane served %d transactions (%d flow-mod commands, %d rejected)",
 			tc.Txs, tc.Commands, tc.Rejected)
@@ -284,6 +286,24 @@ func run() error {
 		log.Printf("switchd: wire layer: %d connections accepted, %d dead peers dropped, %d handler panics recovered",
 			sc.Accepted, sc.DeadPeers, sc.Panics)
 		return <-errCh
+	}
+}
+
+// logCacheTiers logs each enabled cache tier's counters and whether the
+// admission rule currently has it armed or bypassed.
+func logCacheTiers(p *core.Pipeline) {
+	tier := func(name string, hits, misses, bypassed uint64, armed bool) {
+		state := "armed"
+		if !armed {
+			state = "bypassed"
+		}
+		log.Printf("switchd: %s: %d hits, %d misses (%d bypassed), %s", name, hits, misses, bypassed, state)
+	}
+	if st := p.CacheStats(); st.Entries > 0 {
+		tier("microflow cache", st.Hits, st.Misses, st.Bypassed, st.Armed)
+	}
+	if st := p.MegaflowStats(); st.Entries > 0 {
+		tier("megaflow tier", st.Hits, st.Misses, st.Bypassed, st.Armed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ofmtl_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ofmtl/internal/core"
@@ -140,16 +141,21 @@ func TestFlowCacheSpeedupIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewFlowCache(p, 256)
+	p.SetMegaflowSize(0) // the microflow tier alone, whatever $OFMTL_MEGAFLOW says
+	p.SetCacheSize(256)
 	flows := traffic.MACTrace(mac, 128, 0.9, 3)
+	want := make([]core.Result, len(flows))
 	for round := 0; round < 40; round++ {
 		for i := range flows {
 			h := flows[i]
-			cache.Execute(&h)
+			if res := p.Execute(&h); round == 0 {
+				want[i] = res
+			} else if !reflect.DeepEqual(res, want[i]) {
+				t.Fatalf("round %d flow %d: cached %+v, walked %+v", round, i, res, want[i])
+			}
 		}
 	}
-	hits, misses, _ := cache.Stats()
-	if hits < misses*10 {
-		t.Errorf("cache ineffective on repetitive trace: %d hits, %d misses", hits, misses)
+	if st := p.CacheStats(); st.Hits < st.Misses*10 {
+		t.Errorf("cache ineffective on repetitive trace: %+v", st)
 	}
 }

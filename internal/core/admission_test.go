@@ -1,0 +1,299 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"ofmtl/internal/filterset"
+	"ofmtl/internal/openflow"
+	"ofmtl/internal/traffic"
+)
+
+// admissionPipeline builds a one-table LPM pipeline over f with the given
+// tier sizes (0 = tier off), whatever $OFMTL_MEGAFLOW says.
+func admissionPipeline(t testing.TB, f *filterset.LPMFilter, micro, mega int) *Pipeline {
+	t.Helper()
+	p := NewPipeline()
+	tab, err := p.AddTable(TableConfig{
+		ID:     0,
+		Fields: []openflow.FieldID{openflow.FieldIPv4Dst},
+		Miss:   MissPolicy{Kind: MissController},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := f.FlowEntries()
+	for i := range entries {
+		if err := tab.Insert(&entries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.SetCacheSize(micro)
+	p.SetMegaflowSize(mega)
+	p.Refresh()
+	return p
+}
+
+// The phase-change trace: destinations that never repeat (both tiers
+// thrash), then admissionHot flows round-robin (both tiers would hit
+// nearly always), then fresh destinations again.
+const (
+	admissionPhase = 48 << 10
+	admissionHot   = 1 << 10
+	// admissionReact is the packet count within which a tier must have
+	// changed state after a phase change: one sampled window that
+	// straddles the change, one clean one (16·admitWindow packets each,
+	// give or take the sample's luck), and a batch of slack.
+	admissionReact = 40 << 10
+)
+
+func admissionTrace(f *filterset.LPMFilter) []openflow.Header {
+	trace := traffic.LPMTrace(f, admissionPhase, 0.9, 1)
+	hot := traffic.LPMTrace(f, admissionHot, 0.9, 2)
+	for i := 0; i < admissionPhase; i++ {
+		trace = append(trace, hot[i%len(hot)])
+	}
+	return append(trace, traffic.LPMTrace(f, admissionPhase, 0.9, 3)...)
+}
+
+// TestAdmissionPhaseChange drives thrash → locality → thrash through each
+// tier alone and both together, one packet at a time and in 4-worker
+// batches: every result must equal the cache-less walk's, each tier must
+// go bypassed and come back within admissionReact packets of the phase
+// change that calls for it, and the counters must keep their meaning.
+func TestAdmissionPhaseChange(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
+	trace := admissionTrace(f)
+	ref := admissionPipeline(t, f, 0, 0)
+	want := make([]Result, len(trace))
+	for i := range trace {
+		h := trace[i]
+		want[i] = ref.Execute(&h)
+	}
+	const batch = 256
+	p := admissionPipeline(t, f, 0, 0)
+	p.SetWorkers(4)
+	for _, tc := range []struct {
+		name        string
+		micro, mega int
+	}{{"microflow", 4096, 0}, {"megaflow", 0, 2048}, {"both", 4096, 2048}} {
+		for _, batched := range []bool{false, true} {
+			name := tc.name + "/execute"
+			if batched {
+				name = tc.name + "/batch4"
+			}
+			t.Run(name, func(t *testing.T) {
+				p.SetCacheSize(tc.micro) // fresh tiers, armed
+				p.SetMegaflowSize(tc.mega)
+				// flips[i] is the packet count at which the watched tier's
+				// i-th state change was seen: bypass, re-arm, bypass.
+				var flips []int
+				armed := true
+				hs := make([]openflow.Header, batch)
+				ptrs := make([]*openflow.Header, batch)
+				var res []Result
+				for at := 0; at < len(trace); at += batch {
+					copy(hs, trace[at:at+batch])
+					if batched {
+						for i := range hs {
+							ptrs[i] = &hs[i]
+						}
+						res = p.ExecuteBatchInto(ptrs, res)
+					} else {
+						res = res[:0]
+						for i := range hs {
+							res = append(res, p.Execute(&hs[i]))
+						}
+					}
+					for i := range res {
+						if !sameResult(res[i], want[at+i]) {
+							t.Fatalf("packet %d: got %+v, cache-less walk says %+v", at+i, res[i], want[at+i])
+						}
+					}
+					now := p.CacheStats().Armed
+					if tc.micro == 0 {
+						now = p.MegaflowStats().Armed
+					}
+					if now != armed {
+						armed = now
+						flips = append(flips, at+batch)
+					}
+				}
+				if len(flips) != 3 {
+					t.Fatalf("watched tier changed state at packets %v, want bypass, re-arm, bypass", flips)
+				}
+				for i, at := range flips {
+					if late := at - i*admissionPhase; late > admissionReact {
+						t.Errorf("state change %d came %d packets into its phase, want within %d", i, late, admissionReact)
+					}
+				}
+				cs, ms := p.CacheStats(), p.MegaflowStats()
+				reachMega := uint64(len(trace))
+				if tc.micro > 0 {
+					reachMega = cs.Misses
+					if cs.Hits+cs.Misses != uint64(len(trace)) || cs.Bypassed == 0 || cs.Bypassed >= cs.Misses {
+						t.Errorf("microflow counters after %d packets: %+v", len(trace), cs)
+					}
+				}
+				if tc.mega > 0 && (ms.Hits+ms.Misses != reachMega || ms.Bypassed == 0 || ms.Bypassed >= ms.Misses) {
+					t.Errorf("megaflow counters with %d packets reaching the tier: %+v", reachMega, ms)
+				}
+			})
+		}
+	}
+}
+
+// window feeds the sample cell one verdict window at the given hit share
+// (in eighths) and evaluates.
+func (a *admission) window(eighths uint64) {
+	a.ctr[0].hits.Add(admitWindow * eighths / 8)
+	a.ctr[0].misses.Add(admitWindow * (8 - eighths) / 8)
+	a.evaluate()
+}
+
+// TestAdmissionHysteresis pins the rule's two thresholds on the bare
+// state machine.
+func TestAdmissionHysteresis(t *testing.T) {
+	var a admission
+	step := func(eighths uint64, wantBypassed bool, why string) {
+		t.Helper()
+		a.window(eighths)
+		if got := a.bypassed.Load(); got != wantBypassed {
+			t.Fatalf("%s: bypassed = %v after a window at %d/8 hits", why, got, eighths)
+		}
+	}
+	step(3, false, "an armed tier between the thresholds stays armed")
+	step(2, false, "1/4 is not under 1/4")
+	step(1, true, "under 1/4 bypasses")
+	step(3, true, "a bypassed tier between the thresholds stays bypassed")
+	step(4, false, "1/2 re-arms")
+	step(0, true, "thrash bypasses")
+	a.ctr[0].misses.Add(admitWindow / 2)
+	if a.evaluate(); !a.bypassed.Load() {
+		t.Fatal("half a window of lookups issued a verdict")
+	}
+	step(8, false, "locality re-arms")
+}
+
+// TestAdmissionCyclingSetStaysBypassed cycles a working set eight times
+// the microflow tier's capacity: the sampled keys own 1/16 of the slots,
+// so they thrash exactly as the whole tier would and never look resident
+// — one bypass, no re-arm.
+func TestAdmissionCyclingSetStaysBypassed(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 2000, filterset.DefaultSeed)
+	p := admissionPipeline(t, f, 4096, 0)
+	trace := traffic.LPMTrace(f, 32<<10, 0.9, 1)
+	flips := 0
+	for pass := 0; pass < 6; pass++ {
+		for i := range trace {
+			h := trace[i]
+			p.Execute(&h)
+			if i%256 == 255 && p.CacheStats().Armed != (flips%2 == 0) {
+				flips++
+			}
+		}
+	}
+	if st := p.CacheStats(); flips != 1 || st.Armed {
+		t.Errorf("microflow tier changed state %d times over 6 passes, want one bypass: %+v", flips, st)
+	}
+}
+
+// TestAdmissionCommitsDoNotFlap runs a high-locality trace with a commit
+// — a wholesale microflow invalidation — every other pass over the hot
+// flows, which halves the tier's hit share: above the bypass threshold,
+// so the tier must stay armed throughout.
+func TestAdmissionCommitsDoNotFlap(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 2000, filterset.DefaultSeed)
+	p := admissionPipeline(t, f, 4096, 0)
+	hot := traffic.LPMTrace(f, admissionHot, 0.9, 2)
+	extra := f.FlowEntries()[0]
+	extra.Priority += 100
+	const passes = 128 // 8 verdict windows
+	for pass := 0; pass < passes; pass++ {
+		if pass%2 == 0 {
+			var err error
+			if pass%4 == 0 {
+				err = p.Insert(0, &extra)
+			} else {
+				err = p.Remove(0, &extra)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range hot {
+			h := hot[i]
+			p.Execute(&h)
+		}
+		if st := p.CacheStats(); !st.Armed || st.Bypassed != 0 {
+			t.Fatalf("pass %d: commits flapped the microflow tier: %+v", pass, st)
+		}
+	}
+	st := p.CacheStats()
+	if share := float64(st.Hits) / float64(st.Hits+st.Misses); share < 0.45 || share > 0.55 {
+		t.Errorf("hit share %.2f: the trace no longer sits between the thresholds (%+v)", share, st)
+	}
+}
+
+// TestBypassedMegaflowTakesNoLock holds the megaflow tier's install lock
+// while unsampled packets run through the bypassed tier: they must
+// neither probe nor install, so they must not wait for it.
+func TestBypassedMegaflowTakesNoLock(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
+	p := admissionPipeline(t, f, 0, 2048)
+	trace := traffic.LPMTrace(f, admissionReact+1024, 0.9, 1)
+	for i := 0; i < admissionReact; i++ {
+		h := trace[i]
+		p.Execute(&h)
+	}
+	if st := p.MegaflowStats(); st.Armed {
+		t.Fatalf("megaflow tier still armed after %d all-new destinations: %+v", admissionReact, st)
+	}
+	m := p.mega.Load()
+	m.mu.Lock()
+	done := make(chan int)
+	go func() {
+		n := 0
+		for _, h := range trace[admissionReact:] {
+			var k flowKey
+			packFlowKey(&k, &h)
+			if megaflowCell(k.fingerprint()) != 0 {
+				p.Execute(&h)
+				n++
+			}
+		}
+		done <- n
+	}()
+	select {
+	case n := <-done:
+		if n < 512 {
+			t.Errorf("only %d unsampled packets in the tail of the trace", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("unsampled packets through a bypassed megaflow tier blocked on its lock")
+	}
+	m.mu.Unlock()
+}
+
+// TestUncachedExecuteChargesShardZero is the regression for a stale
+// pooled scratch: with both tiers off, Execute charges latency samples
+// (like flow counters) to shard 0, whatever shard the scratch's previous,
+// cached, user left in it.
+func TestUncachedExecuteChargesShardZero(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 200, filterset.DefaultSeed)
+	p := admissionPipeline(t, f, 512, 0)
+	trace := traffic.LPMTrace(f, 256, 0.9, 1)
+	for i := range trace { // leaves every fingerprint's shard in pooled scratches
+		h := trace[i]
+		p.Execute(&h)
+	}
+	p.SetCacheSize(0)
+	before := p.lat.shards[0].tick.Load()
+	for i := range trace {
+		h := trace[i]
+		p.Execute(&h)
+	}
+	if got := p.lat.shards[0].tick.Load() - before; got != uint32(len(trace)) {
+		t.Errorf("%d of %d uncached walks ticked latency shard 0", got, len(trace))
+	}
+}

@@ -303,13 +303,7 @@ func (p *Pipeline) regrowStepLocked() {
 // totals are diagnostics, not accounting.
 func (p *Pipeline) replaceFlowCacheLocked(old *flowCache, entries int) {
 	nc := newFlowCacheTable(entries)
-	var hits, misses uint64
-	for i := range old.shards {
-		hits += old.shards[i].hits.Load()
-		misses += old.shards[i].misses.Load()
-	}
-	nc.shards[0].hits.Store(hits)
-	nc.shards[0].misses.Store(misses)
+	nc.adm.carry(&old.adm)
 	p.cache.Store(nc)
 }
 
@@ -318,12 +312,6 @@ func (p *Pipeline) replaceFlowCacheLocked(old *flowCache, entries int) {
 // regions re-learn on their next traced miss.
 func (p *Pipeline) replaceMegaflowLocked(old *megaflowCache, entries int) {
 	nm := newMegaflowCache(entries)
-	var hits, misses uint64
-	for i := range old.shards {
-		hits += old.shards[i].hits.Load()
-		misses += old.shards[i].misses.Load()
-	}
-	nm.shards[0].hits.Store(hits)
-	nm.shards[0].misses.Store(misses)
+	nm.adm.carry(&old.adm)
 	p.mega.Store(nm)
 }

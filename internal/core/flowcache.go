@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"ofmtl/internal/openflow"
@@ -94,24 +95,21 @@ type flowCacheEntry struct {
 // flowCacheProbe bounds the linear probe window within a shard.
 const flowCacheProbe = 4
 
-// flowCacheShards is the shard count (power of two). Shards spread both
-// the slot arrays and the hit/miss counters, so concurrent workers do
-// not contend on one counter cache line.
+// flowCacheShards is the number of slot arrays the fingerprint's low
+// bits spread keys over (power of two).
 const flowCacheShards = 8
-
-// flowCacheShard is one independent slice of the cache.
-type flowCacheShard struct {
-	slots  []atomic.Pointer[flowCacheEntry]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	_      [48]byte // keep neighbouring shards' counters off this line
-}
 
 // flowCache is the sharded exact-match microflow cache.
 type flowCache struct {
 	slotMask uint64
-	entries  int
-	shards   [flowCacheShards]flowCacheShard
+	// cellShift brings the top four bits of a key's home slot index to the
+	// bottom of its fingerprint: the key's admission cell (ladder.go), so
+	// the sampled 1/16 of keys live in the first 1/16 of every shard's
+	// slots.
+	cellShift uint8
+	entries   int
+	slots     [flowCacheShards][]atomic.Pointer[flowCacheEntry]
+	adm       admission
 }
 
 // flowCacheCapacity returns the actual capacity a cache sized for the
@@ -131,27 +129,25 @@ func flowCacheCapacity(entries int) int {
 // entries (rounded up to a power of two per shard, minimum 64).
 func newFlowCacheTable(entries int) *flowCache {
 	n := flowCacheCapacity(entries) / flowCacheShards
-	c := &flowCache{slotMask: uint64(n - 1), entries: n * flowCacheShards}
-	for i := range c.shards {
-		c.shards[i].slots = make([]atomic.Pointer[flowCacheEntry], n)
+	c := &flowCache{slotMask: uint64(n - 1), cellShift: uint8(3 + bits.Len(uint(n-1)) - 4), entries: n * flowCacheShards}
+	for i := range c.slots {
+		c.slots[i] = make([]atomic.Pointer[flowCacheEntry], n)
 	}
 	return c
 }
 
-// shardOf selects the shard for a fingerprint.
-func (c *flowCache) shardOf(fp uint64) *flowCacheShard {
-	return &c.shards[fp&(flowCacheShards-1)]
-}
+// cell returns the admission cell of the key with this fingerprint.
+func (c *flowCache) cell(fp uint64) uint64 { return fp >> c.cellShift & (admitCells - 1) }
 
 // lookup returns the cached entry for (key, ver), if present. The
 // entry is immutable; callers read its Result and counter attribution
 // in place. The hit/miss counters are left to the caller, so batch
 // workers can accumulate them locally and flush once per batch.
 func (c *flowCache) lookup(fp uint64, key *flowKey, ver uint64) (*flowCacheEntry, bool) {
-	sh := c.shardOf(fp)
+	slots := c.slots[fp&(flowCacheShards-1)]
 	base := fp >> 3
 	for i := uint64(0); i < flowCacheProbe; i++ {
-		e := sh.slots[(base+i)&c.slotMask].Load()
+		e := slots[(base+i)&c.slotMask].Load()
 		if e != nil && e.ver == ver && e.key == *key {
 			return e, true
 		}
@@ -165,18 +161,18 @@ func (c *flowCache) lookup(fp uint64, key *flowKey, ver uint64) (*flowCacheEntry
 // replacement within the set). Fills race benignly: the losing entry is
 // simply re-learned on a later miss.
 func (c *flowCache) store(fp uint64, key *flowKey, ver uint64, res Result, refs *[ctrRefMax]uint32, nrefs int) {
-	sh := c.shardOf(fp)
+	slots := c.slots[fp&(flowCacheShards-1)]
 	base := fp >> 3
-	victim := &sh.slots[base&c.slotMask]
+	victim := &slots[base&c.slotMask]
 	for i := uint64(0); i < flowCacheProbe; i++ {
-		slot := &sh.slots[(base+i)&c.slotMask]
+		slot := &slots[(base+i)&c.slotMask]
 		e := slot.Load()
 		if e == nil || e.ver != ver {
-			victim = slot
+			victim = slot // empty or stale, our own stale-version entry included
 			break
 		}
 		if e.key == *key {
-			victim = slot // refresh our own (stale-version) entry in place
+			victim = slot // a racing fill of this key at this version: overwrite it
 			break
 		}
 	}
@@ -187,23 +183,16 @@ func (c *flowCache) store(fp uint64, key *flowKey, ver uint64, res Result, refs 
 	victim.Store(ne)
 }
 
-// addStats folds locally-accumulated counters into a shard. Batch
-// workers call this once per batch instead of once per packet.
-func (c *flowCache) addStats(fp uint64, hits, misses uint64) {
-	sh := c.shardOf(fp)
-	if hits > 0 {
-		sh.hits.Add(hits)
-	}
-	if misses > 0 {
-		sh.misses.Add(misses)
-	}
-}
-
 // CacheStats reports the microflow cache's effectiveness and size.
+// Hits+Misses is every packet that reached the tier's rung of the
+// ladder; Bypassed is how many of the Misses never probed because the
+// admission rule had the tier bypassed (see ladder.go).
 type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int // configured capacity (0 = cache disabled)
+	Hits     uint64
+	Misses   uint64
+	Bypassed uint64
+	Entries  int  // configured capacity (0 = cache disabled)
+	Armed    bool // false while bypassed (or disabled)
 }
 
 // SetCacheSize installs a microflow cache of about the given number of
@@ -231,10 +220,7 @@ func (p *Pipeline) CacheStats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	st := CacheStats{Entries: c.entries}
-	for i := range c.shards {
-		st.Hits += c.shards[i].hits.Load()
-		st.Misses += c.shards[i].misses.Load()
-	}
+	st := CacheStats{Entries: c.entries, Armed: !c.adm.bypassed.Load()}
+	st.Hits, st.Misses, st.Bypassed = c.adm.totals()
 	return st
 }

@@ -1,0 +1,294 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"ofmtl/internal/openflow"
+)
+
+// This file holds the one tier ladder every lookup climbs — microflow
+// probe, megaflow probe, multi-table walk, installs on the way back —
+// and the admission rule that decides, per tier, whether a packet
+// touches the tier at all.
+//
+// Admission. A cache tier pays for itself on traffic with hit share h iff
+//
+//	probe + (1−h)·install < h·walk   ⇔   h > (probe+install)/(walk+install)
+//
+// and what the terms cost depends on whether the tier is working. On the
+// PR 12 ledger a thrashing tier (lpm256k_uniform: slots and per-miss
+// entries are DRAM and GC traffic) pays probe+install ≈ 900–1050 ns
+// around a 1350 ns walk, break-even h ≈ 0.45; a resident one (proto_zipf)
+// pays ≈ 30 + 100 ns around a 900 ns walk, break-even h ≈ 0.13. So a tier
+// is bypassed when its hit share falls under 1/4 (below that it loses
+// ≥ 500 ns/pkt when thrashing and wins ≤ 100 when resident) and re-armed
+// when the share clears 1/2 (above every measured break-even); the 2×
+// band between is the hysteresis that keeps a wholesale invalidation —
+// one commit empties the microflow tier — from flapping it.
+//
+// A bypassed tier is skipped: no probe, no install, and with the megaflow
+// tier skipped the walk runs untraced. The exception is the sample: keys
+// in a fixed 1/16 slice of hash space use the tier whatever its state,
+// and the verdicts are read off their hit share alone. Sampling hash
+// space rather than every 16th packet keeps a flow wholly inside or
+// wholly outside the sample, so the sample sees the locality the whole
+// tier would; and because the sample never stops using the tier, its
+// entries are warm across state changes — a re-armed tier is not judged
+// on the compulsory misses of the other 15/16.
+//
+// Mechanics: each tier's counters are spread over 16 cells and a key
+// counts on the cell its hash selects, so the sample is simply cell 0.
+// The microflow cell is the top four bits of the key's home slot index
+// (flowCache.cell): sampled keys compete for their own 1/16 of the slots
+// in either state, which makes the sample a scale model of the tier. The
+// megaflow tier is sampled by exact key (the fingerprint's top four
+// bits), not by region — regions are unknown before the walk. Misses are
+// the clock — bypassed packets count as misses, so it ticks in either
+// state: a cell's miss counter crossing a multiple of admitCheck
+// evaluates, and a verdict needs admitWindow sampled lookups since the
+// last one. Hits trigger nothing.
+//
+// Known limit: a bypassed tier re-arms only on what the sample sees.
+// Traffic that collapses onto a few heavy keys, none of them sampled,
+// leaves it bypassed until the mix changes.
+const (
+	admitCells       = 16                       // counter cells per tier; cell 0, 1/16 of hash space, is the sample
+	admitWindow      = 1024                     // sampled lookups per verdict
+	admitCheck       = admitWindow / admitCells // a cell's misses between evaluations
+	admitBypassBelow = 4                        // bypass when hits·4 < lookups
+	admitRearmAt     = 2                        // re-arm when hits·2 ≥ lookups
+)
+
+// tierCounters is one padded cell of a tier's counters. bypassed counts
+// the misses that never probed.
+type tierCounters struct {
+	hits, misses, bypassed atomic.Uint64
+	_                      [40]byte
+}
+
+// tierCount is a plain count of the same three events.
+type tierCount struct{ hits, misses, bypassed uint64 }
+
+// tierDelta is a batch worker's private share of a tier's counters,
+// folded into the tier once per batch: [0] the sample cell's, [1] every
+// other cell's.
+type tierDelta [2]tierCount
+
+// admission is a tier's counters and its armed/bypassed state.
+type admission struct {
+	ctr      [admitCells]tierCounters
+	bypassed atomic.Bool
+
+	mu                 sync.Mutex // one evaluation at a time; losers of TryLock skip
+	baseHits, baseSeen uint64     // the sample's totals at the last verdict
+}
+
+// use reports whether a packet whose key counts on cell touches the tier.
+func (a *admission) use(cell uint64) bool { return !a.bypassed.Load() || cell == 0 }
+
+// hit counts a hit: on the key's cell, or on a batch worker's delta.
+func (a *admission) hit(cell uint64, local *tierDelta) {
+	if local != nil {
+		local[min(cell, 1)].hits++
+		return
+	}
+	a.ctr[cell].hits.Add(1)
+}
+
+// miss counts a packet the tier did not serve; probed is false when the
+// tier was bypassed for it.
+func (a *admission) miss(cell uint64, local *tierDelta, probed bool) {
+	var bypassed uint64
+	if !probed {
+		bypassed = 1
+	}
+	if local != nil {
+		l := &local[min(cell, 1)]
+		l.misses++
+		l.bypassed += bypassed
+		return
+	}
+	a.add(cell, tierCount{misses: 1, bypassed: bypassed})
+}
+
+// add folds counts into a cell and runs the clock.
+func (a *admission) add(cell uint64, d tierCount) {
+	c := &a.ctr[cell]
+	if d.hits > 0 {
+		c.hits.Add(d.hits)
+	}
+	if d.bypassed > 0 {
+		c.bypassed.Add(d.bypassed)
+	}
+	if d.misses > 0 {
+		if n := c.misses.Add(d.misses); n/admitCheck != (n-d.misses)/admitCheck {
+			a.evaluate()
+		}
+	}
+}
+
+// flush folds a batch worker's delta into the sample cell and one of the
+// others.
+func (a *admission) flush(worker int, d *tierDelta) {
+	a.add(0, d[0])
+	a.add(1+uint64(worker)%(admitCells-1), d[1])
+	*d = tierDelta{}
+}
+
+// totals sums the counters across cells.
+func (a *admission) totals() (hits, misses, bypassed uint64) {
+	for i := range a.ctr {
+		hits += a.ctr[i].hits.Load()
+		misses += a.ctr[i].misses.Load()
+		bypassed += a.ctr[i].bypassed.Load()
+	}
+	return hits, misses, bypassed
+}
+
+// carry seeds a replacement tier's counters with old's totals (on an
+// unsampled cell: the new tier's sample starts empty, like its slots).
+func (a *admission) carry(old *admission) {
+	hits, misses, bypassed := old.totals()
+	a.ctr[1].hits.Store(hits)
+	a.ctr[1].misses.Store(misses)
+	a.ctr[1].bypassed.Store(bypassed)
+}
+
+// evaluate issues a verdict once the sample has seen a window of lookups
+// since the last one.
+func (a *admission) evaluate() {
+	if !a.mu.TryLock() {
+		return
+	}
+	defer a.mu.Unlock()
+	hits := a.ctr[0].hits.Load()
+	seen := hits + a.ctr[0].misses.Load()
+	got, n := hits-a.baseHits, seen-a.baseSeen
+	if n < admitWindow {
+		return
+	}
+	if a.bypassed.Load() {
+		a.bypassed.Store(got*admitRearmAt < n)
+	} else {
+		a.bypassed.Store(got*admitBypassBelow < n)
+	}
+	a.baseHits, a.baseSeen = hits, seen
+}
+
+// ladder is the lookup state one packet — or one whole batch — runs
+// against: a snapshot, the two optional cache tiers in front of it, and
+// the flow directory that counts what matched.
+type ladder struct {
+	s *snapshot
+	c *flowCache
+	m *megaflowCache
+	d *flowDir
+}
+
+// exec classifies one header into *res (in place: a Result is a cache
+// line, and a hit should copy it once): microflow probe, megaflow probe,
+// walk. A batch worker passes its context — own scratch, own counter
+// shard, tier counters kept locally until the batch ends.
+// Pipeline.Execute passes nil: scratch comes from the pool, and tier and
+// flow counters land on the shard the key's fingerprint selects. (Flows
+// spread across the padded counter lines, but one elephant flow hammered
+// from many cores concentrates on one; spreading that needs per-worker
+// state — at scale, use ExecuteBatch.)
+//
+// Both tiers key on the header as it arrived: the key is packed before
+// the walk, and mid-walk mutations apply to the forwarded copy. A
+// megaflow hit does not back-fill the microflow tier: all-new-flow
+// traffic, the regime the megaflow tier exists for, would churn the
+// exact-match slots without ever re-hitting them.
+func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
+	if h == nil {
+		// Nothing to classify: the miss path, as on an empty pipeline.
+		*res = Result{SentToController: true}
+		return
+	}
+	c, m := l.c, l.m
+	if c == nil && m == nil {
+		var shard uint32
+		if ctx != nil {
+			shard = ctx.shard
+		}
+		*res = l.walk(h, ctx, shard, nil, 0, false, false)
+		return
+	}
+	var k flowKey
+	packFlowKey(&k, h)
+	fp := k.fingerprint()
+	shard := uint32(fp) & (ctrShards - 1)
+	var cst, mst *tierDelta
+	if ctx != nil {
+		shard, cst, mst = ctx.shard, &ctx.cst, &ctx.mst
+	}
+	useC, useM := false, false
+	if c != nil {
+		cell := c.cell(fp)
+		if useC = c.adm.use(cell); useC {
+			if e, ok := c.lookup(fp, &k, l.s.version); ok {
+				c.adm.hit(cell, cst)
+				if l.d != nil && e.nrefs > 0 {
+					l.d.touch(shard, &e.refs, int(e.nrefs), h.PktLen)
+				}
+				*res = e.res
+				return
+			}
+		}
+		c.adm.miss(cell, cst, useC)
+	}
+	if m != nil {
+		cell := megaflowCell(fp)
+		if useM = m.adm.use(cell); useM {
+			var refs [ctrRefMax]uint32
+			if r, nrefs, ok := m.lookup(&k, l.s.version, &refs); ok {
+				m.adm.hit(cell, mst)
+				if l.d != nil && nrefs > 0 {
+					l.d.touch(shard, &refs, nrefs, h.PktLen)
+				}
+				*res = r
+				return
+			}
+		}
+		m.adm.miss(cell, mst, useM)
+	}
+	*res = l.walk(h, ctx, shard, &k, fp, useC, useM)
+}
+
+// walk is the ladder's last rung: the multi-table walk, traced only when
+// the megaflow tier wants the outcome (fillM), then flow counters and the
+// installs into whichever tiers this packet used. A walk that matched
+// more rules than a cached attribution can carry installs nowhere:
+// serving it from a cache would silently stop counting the overflow.
+func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey, fp uint64, fillC, fillM bool) Result {
+	var sc *execScratch
+	if ctx != nil {
+		sc = &ctx.sc
+	} else {
+		sc = execScratchPool.Get().(*execScratch)
+	}
+	sc.latShard = shard
+	var res Result
+	if fillM {
+		res = l.s.executeTracedScratch(h, sc)
+	} else {
+		res = l.s.executeScratch(h, sc)
+	}
+	if l.d != nil && sc.nrefs > 0 {
+		l.d.touch(shard, &sc.refs, sc.nrefs, h.PktLen)
+	}
+	if !sc.refOverflow {
+		if fillM {
+			l.m.install(k, &sc.tr, sc.rewritten, l.s.version, l.s.intern.internResult(res), &sc.refs, sc.nrefs)
+		}
+		if fillC {
+			l.c.store(fp, k, l.s.version, res, &sc.refs, sc.nrefs)
+		}
+	}
+	if ctx == nil {
+		execScratchPool.Put(sc)
+	}
+	return res
+}

@@ -100,15 +100,6 @@ func maskedFingerprint(k *flowKey, mask *flowMask) uint64 {
 	return internMix(h)
 }
 
-// megaflowShard is one padded hit/miss counter line (the tier's
-// counters are sharded exactly like the microflow cache's, so batch
-// workers flushing stats do not contend on one line).
-type megaflowShard struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	_      [48]byte
-}
-
 // megaflowCache is the masked-tier cache.
 type megaflowCache struct {
 	// mu serialises installs, tuple creation and commit sweeps; lookups
@@ -117,7 +108,7 @@ type megaflowCache struct {
 	tuples   atomic.Pointer[[]*megaflowTuple]
 	perTuple int // slots per tuple (power of two)
 	entries  int // configured capacity across tuples
-	shards   [flowCacheShards]megaflowShard
+	adm      admission
 }
 
 // megaflowCapacity returns the actual capacity a tier sized for the
@@ -144,21 +135,9 @@ func newMegaflowCache(entries int) *megaflowCache {
 	return &megaflowCache{perTuple: n, entries: n}
 }
 
-// shardOf selects the counter shard for a fingerprint.
-func (m *megaflowCache) shardOf(fp uint64) *megaflowShard {
-	return &m.shards[fp&(flowCacheShards-1)]
-}
-
-// addStats folds locally-accumulated counters into a shard.
-func (m *megaflowCache) addStats(fp uint64, hits, misses uint64) {
-	sh := m.shardOf(fp)
-	if hits > 0 {
-		sh.hits.Add(hits)
-	}
-	if misses > 0 {
-		sh.misses.Add(misses)
-	}
-}
+// megaflowCell returns the admission cell of the key with this (unmasked)
+// fingerprint: its top four bits.
+func megaflowCell(fp uint64) uint64 { return fp >> 60 }
 
 // lookup probes every tuple with the key masked by the tuple's mask and
 // returns the first valid entry's Result, copying the entry's counter
@@ -349,12 +328,15 @@ func (m *megaflowCache) invalidateAll() {
 	}
 }
 
-// MegaflowStats reports the megaflow cache's effectiveness and shape.
+// MegaflowStats reports the megaflow cache's effectiveness and shape;
+// Bypassed and Armed read as in CacheStats.
 type MegaflowStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int // configured capacity (0 = tier disabled)
-	Masks   int // distinct masks (tuples) cached
+	Hits     uint64
+	Misses   uint64
+	Bypassed uint64
+	Entries  int  // configured capacity (0 = tier disabled)
+	Masks    int  // distinct masks (tuples) cached
+	Armed    bool // false while bypassed (or disabled)
 }
 
 // SetMegaflowSize installs a megaflow (wildcard) cache tier of about the
@@ -381,11 +363,8 @@ func (p *Pipeline) MegaflowStats() MegaflowStats {
 	if m == nil {
 		return MegaflowStats{}
 	}
-	st := MegaflowStats{Entries: m.entries}
-	for i := range m.shards {
-		st.Hits += m.shards[i].hits.Load()
-		st.Misses += m.shards[i].misses.Load()
-	}
+	st := MegaflowStats{Entries: m.entries, Armed: !m.adm.bypassed.Load()}
+	st.Hits, st.Misses, st.Bypassed = m.adm.totals()
 	if tuples := m.tuples.Load(); tuples != nil {
 		st.Masks = len(*tuples)
 	}

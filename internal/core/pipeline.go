@@ -412,89 +412,9 @@ func (as *actionSet) clear() {
 // Execute is lock-free against concurrent Execute and ExecuteBatch calls:
 // it loads the current snapshot and classifies against its immutable
 // table clones. Distinct goroutines must pass distinct headers.
-func (p *Pipeline) Execute(h *openflow.Header) Result {
-	if h == nil {
-		return Result{SentToController: true}
-	}
-	s := p.loadSnapshot()
-	c := p.cache.Load()
-	m := p.mega.Load()
-	d := p.dir
-	if c == nil && m == nil {
-		sc := execScratchPool.Get().(*execScratch)
-		res := s.executeScratch(h, sc)
-		if d != nil && sc.nrefs > 0 {
-			d.touch(0, &sc.refs, sc.nrefs, h.PktLen)
-		}
-		execScratchPool.Put(sc)
-		return res
-	}
-	// The key is packed before the walk: mid-walk mutations apply to the
-	// forwarded copy, and both cache tiers key on the original header.
-	var k flowKey
-	packFlowKey(&k, h)
-	fp := k.fingerprint()
-	// The single-packet path charges flow counters on the fingerprint's
-	// shard. Flows spread across the padded counter lines, but one
-	// elephant flow hammered from many cores concentrates on one line;
-	// spreading THAT needs per-worker state, which only the batch path
-	// has (execCtx) — at scale, use ExecuteBatch.
-	shard := uint32(fp) & (ctrShards - 1)
-	if c != nil {
-		sh := c.shardOf(fp)
-		if e, ok := c.lookup(fp, &k, s.version); ok {
-			sh.hits.Add(1)
-			if d != nil && e.nrefs > 0 {
-				d.touch(shard, &e.refs, int(e.nrefs), h.PktLen)
-			}
-			return e.res
-		}
-		sh.misses.Add(1)
-	}
-	if m != nil {
-		msh := m.shardOf(fp)
-		var mrefs [ctrRefMax]uint32
-		if res, nrefs, ok := m.lookup(&k, s.version, &mrefs); ok {
-			// A megaflow hit does NOT back-fill the microflow tier:
-			// all-new-flow traffic (the regime this tier exists for)
-			// would churn the exact-match slots without ever re-hitting
-			// them, and the microflow fill path allocates.
-			msh.hits.Add(1)
-			if d != nil && nrefs > 0 {
-				d.touch(shard, &mrefs, nrefs, h.PktLen)
-			}
-			return res
-		}
-		msh.misses.Add(1)
-		sc := execScratchPool.Get().(*execScratch)
-		sc.latShard = shard
-		res := s.executeTracedScratch(h, sc)
-		rp := s.intern.internResult(res)
-		if d != nil && sc.nrefs > 0 {
-			d.touch(shard, &sc.refs, sc.nrefs, h.PktLen)
-		}
-		// A walk that matched more rules than a cached attribution can
-		// carry skips both installs: serving it from a cache would
-		// silently stop counting the overflowed rules.
-		if !sc.refOverflow {
-			m.install(&k, &sc.tr, sc.rewritten, s.version, rp, &sc.refs, sc.nrefs)
-			if c != nil {
-				c.store(fp, &k, s.version, res, &sc.refs, sc.nrefs)
-			}
-		}
-		execScratchPool.Put(sc)
-		return res
-	}
-	sc := execScratchPool.Get().(*execScratch)
-	sc.latShard = shard
-	res := s.executeScratch(h, sc)
-	if d != nil && sc.nrefs > 0 {
-		d.touch(shard, &sc.refs, sc.nrefs, h.PktLen)
-	}
-	if !sc.refOverflow {
-		c.store(fp, &k, s.version, res, &sc.refs, sc.nrefs)
-	}
-	execScratchPool.Put(sc)
+func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
+	l := ladder{s: p.loadSnapshot(), c: p.cache.Load(), m: p.mega.Load(), d: p.dir}
+	l.exec(h, nil, &res)
 	return res
 }
 

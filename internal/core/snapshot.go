@@ -89,15 +89,6 @@ func (s *snapshot) fresh(p *Pipeline) bool {
 	return true
 }
 
-// execute classifies one header against the snapshot's immutable clones,
-// drawing scratch from the shared pool (single-packet path).
-func (s *snapshot) execute(h *openflow.Header) Result {
-	sc := execScratchPool.Get().(*execScratch)
-	res := s.executeScratch(h, sc)
-	execScratchPool.Put(sc)
-	return res
-}
-
 // executeScratch classifies one header using caller-owned scratch. Batch
 // workers pass their per-worker context's scratch, so the batch hot path
 // touches no shared pool at all.
@@ -135,19 +126,6 @@ func (s *snapshot) executeTracedScratch(h *openflow.Header, sc *execScratch) Res
 	res.TablesVisited = s.intern.internPath(sc.visited)
 	res.Outputs = s.intern.internOutputs(sc.outs)
 	return res
-}
-
-// executeTraced runs one traced walk with pooled scratch, returning the
-// outcome, its canonical interned pointer, and the traced (mask,
-// rewritten) pair copied out of the scratch before it is repooled.
-func (s *snapshot) executeTraced(h *openflow.Header) (res Result, rp *Result, mask flowMask, rewritten uint64) {
-	sc := execScratchPool.Get().(*execScratch)
-	res = s.executeTracedScratch(h, sc)
-	mask = sc.tr
-	rewritten = sc.rewritten
-	execScratchPool.Put(sc)
-	rp = s.intern.internResult(res)
-	return res, rp, mask, rewritten
 }
 
 // loadSnapshot returns a snapshot reflecting every completed mutation.
@@ -245,11 +223,9 @@ const batchChunk = 32
 // never share a context, so the batch hot path performs no pool traffic
 // and no per-packet atomic writes beyond the claimed-cursor advances.
 type execCtx struct {
-	sc      execScratch
-	hits    uint64
-	misses  uint64
-	mhits   uint64 // megaflow-tier hits
-	mmisses uint64 // megaflow-tier misses
+	sc  execScratch
+	cst tierDelta // microflow-tier counters
+	mst tierDelta // megaflow-tier counters
 	// shard is the lifecycle counter shard this worker charges; workers
 	// map to distinct shards, so per-flow counting in a batch is
 	// single-writer per (shard, flow) cell.
@@ -269,10 +245,7 @@ type padCursor struct {
 // contexts. States are pooled; the slices grow to the largest worker
 // count seen and are reused, so steady-state batches allocate nothing.
 type batchState struct {
-	s       *snapshot
-	c       *flowCache
-	m       *megaflowCache
-	d       *flowDir
+	ladder
 	hs      []*openflow.Header
 	res     []Result
 	workers int
@@ -351,17 +324,14 @@ func batchWorker(jobs chan batchJob) {
 func (bs *batchState) work(w int) {
 	ctx := &bs.ctxs[w]
 	ctx.shard = uint32(w)
-	ctx.sc.latShard = uint32(w)
 	for v := 0; v < bs.workers; v++ {
 		bs.drain((w+v)%bs.workers, ctx)
 	}
-	if bs.c != nil && (ctx.hits != 0 || ctx.misses != 0) {
-		bs.c.addStats(uint64(w), ctx.hits, ctx.misses)
-		ctx.hits, ctx.misses = 0, 0
+	if bs.c != nil {
+		bs.c.adm.flush(w, &ctx.cst)
 	}
-	if bs.m != nil && (ctx.mhits != 0 || ctx.mmisses != 0) {
-		bs.m.addStats(uint64(w), ctx.mhits, ctx.mmisses)
-		ctx.mhits, ctx.mmisses = 0, 0
+	if bs.m != nil {
+		bs.m.adm.flush(w, &ctx.mst)
 	}
 }
 
@@ -389,72 +359,8 @@ func (bs *batchState) drain(v int, ctx *execCtx) {
 			end = hi
 		}
 		for i := start; i < end; i++ {
-			bs.res[i] = bs.execOne(bs.hs[i], ctx)
+			bs.exec(bs.hs[i], ctx, &bs.res[i])
 		}
-	}
-}
-
-// execOne classifies one header through the tiered path: microflow
-// cache probe first, megaflow (masked) probe second, full multi-table
-// walk on a double miss — the batch mirror of Pipeline.Execute.
-func (bs *batchState) execOne(h *openflow.Header, ctx *execCtx) Result {
-	if h == nil {
-		// A nil header carries nothing to classify; model it as the
-		// miss path (packet to controller), as an empty pipeline does.
-		return Result{SentToController: true}
-	}
-	if bs.c == nil && bs.m == nil {
-		res := bs.s.executeScratch(h, &ctx.sc)
-		bs.touchWalked(ctx, h)
-		return res
-	}
-	var k flowKey
-	packFlowKey(&k, h)
-	fp := k.fingerprint()
-	if bs.c != nil {
-		if e, ok := bs.c.lookup(fp, &k, bs.s.version); ok {
-			ctx.hits++
-			if bs.d != nil && e.nrefs > 0 {
-				bs.d.touch(ctx.shard, &e.refs, int(e.nrefs), h.PktLen)
-			}
-			return e.res
-		}
-		ctx.misses++
-	}
-	if bs.m != nil {
-		var mrefs [ctrRefMax]uint32
-		if res, nrefs, ok := bs.m.lookup(&k, bs.s.version, &mrefs); ok {
-			ctx.mhits++
-			if bs.d != nil && nrefs > 0 {
-				bs.d.touch(ctx.shard, &mrefs, nrefs, h.PktLen)
-			}
-			return res
-		}
-		ctx.mmisses++
-		res := bs.s.executeTracedScratch(h, &ctx.sc)
-		rp := bs.s.intern.internResult(res)
-		bs.touchWalked(ctx, h)
-		if !ctx.sc.refOverflow {
-			bs.m.install(&k, &ctx.sc.tr, ctx.sc.rewritten, bs.s.version, rp, &ctx.sc.refs, ctx.sc.nrefs)
-			if bs.c != nil {
-				bs.c.store(fp, &k, bs.s.version, res, &ctx.sc.refs, ctx.sc.nrefs)
-			}
-		}
-		return res
-	}
-	res := bs.s.executeScratch(h, &ctx.sc)
-	bs.touchWalked(ctx, h)
-	if !ctx.sc.refOverflow {
-		bs.c.store(fp, &k, bs.s.version, res, &ctx.sc.refs, ctx.sc.nrefs)
-	}
-	return res
-}
-
-// touchWalked charges the packet to the flows the walk just matched
-// (recorded in the worker's scratch), on the worker's counter shard.
-func (bs *batchState) touchWalked(ctx *execCtx, h *openflow.Header) {
-	if bs.d != nil && ctx.sc.nrefs > 0 {
-		bs.d.touch(ctx.shard, &ctx.sc.refs, ctx.sc.nrefs, h.PktLen)
 	}
 }
 
@@ -503,10 +409,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 
 	bs := batchStatePool.Get().(*batchState)
 	bs.size(workers)
-	bs.s = p.loadSnapshot()
-	bs.c = p.cache.Load()
-	bs.m = p.mega.Load()
-	bs.d = p.dir
+	bs.ladder = ladder{s: p.loadSnapshot(), c: p.cache.Load(), m: p.mega.Load(), d: p.dir}
 	bs.hs = hs
 	bs.res = res
 	bs.workers = workers
@@ -523,7 +426,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 	bs.work(0) // the caller is worker 0
 	bs.wg.Wait()
 
-	bs.s, bs.c, bs.m, bs.d, bs.hs, bs.res = nil, nil, nil, nil, nil, nil
+	bs.ladder, bs.hs, bs.res = ladder{}, nil, nil
 	batchStatePool.Put(bs)
 	return res
 }

@@ -30,6 +30,9 @@ type Client struct {
 
 	removed      []FlowRemovedMsg
 	removedArena openflow.EntryArena
+
+	replies []PacketReply // SendPackets' reply buffer
+	ports   []uint32      // and the arena its Outputs point into
 }
 
 // DialOptions tunes a client connection. The zero value means no
@@ -197,9 +200,9 @@ func (c *Client) SendPacket(h *openflow.Header) (*PacketReply, error) {
 
 // SendPackets injects a batch of packet headers in one round trip; the
 // switch classifies them in parallel through the pipeline's batch path
-// and returns one reply per header, in order. The encode and read
+// and returns one reply per header, in order. The encode, read and reply
 // buffers are reused across calls, so steady-state batch injection does
-// not re-allocate the wire frames.
+// not allocate: the replies are valid until the next call on this Client.
 func (c *Client) SendPackets(hs []*openflow.Header) ([]PacketReply, error) {
 	c.out = BeginFrame(c.out)
 	c.out = AppendPacketBatch(c.out, hs)
@@ -213,7 +216,13 @@ func (c *Client) SendPackets(hs []*openflow.Header) ([]PacketReply, error) {
 	if msg.Type != MsgPacketBatchReply {
 		return nil, fmt.Errorf("ofproto: expected %s, got %s", MsgPacketBatchReply, msg.Type)
 	}
-	return DecodePacketBatchReply(msg.Payload)
+	rs, ports, err := DecodePacketBatchReplyInto(msg.Payload, c.replies, c.ports)
+	c.ports = ports
+	if err != nil {
+		return nil, err
+	}
+	c.replies = rs
+	return rs, nil
 }
 
 // Stats fetches the switch status report.

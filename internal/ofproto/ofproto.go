@@ -597,34 +597,61 @@ func EncodePacketBatchReply(rs []PacketReply) []byte {
 	return AppendPacketBatchReply(nil, rs)
 }
 
-// DecodePacketBatchReply parses the per-packet pipeline results.
+// DecodePacketBatchReply parses the per-packet pipeline results into
+// fresh buffers.
 func DecodePacketBatchReply(payload []byte) ([]PacketReply, error) {
+	rs, _, err := DecodePacketBatchReplyInto(payload, nil, nil)
+	return rs, err
+}
+
+// DecodePacketBatchReplyInto parses the per-packet pipeline results into
+// caller-owned buffers: rs and ports keep their capacity across calls and
+// every reply's Outputs is a window of the returned ports arena, so a
+// steady-state decode allocates nothing. The replies are valid until the
+// buffers are passed in again.
+func DecodePacketBatchReplyInto(payload []byte, rs []PacketReply, ports []uint32) ([]PacketReply, []uint32, error) {
 	if len(payload) < 2 {
-		return nil, fmt.Errorf("ofproto: packet-batch-reply payload of %d bytes", len(payload))
+		return nil, ports, fmt.Errorf("ofproto: packet-batch-reply payload of %d bytes", len(payload))
 	}
 	count := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
-	rs := make([]PacketReply, 0, count)
+	// A result is 3 bytes plus 4 per port, so the payload length bounds both
+	// buffers: sized once here, the arena never moves under the windows.
+	if len(rest) < 3*count {
+		return nil, ports, fmt.Errorf("ofproto: packet-batch-reply of %d bytes cannot hold %d results", len(payload), count)
+	}
+	total := (len(rest) - 3*count) / 4
+	if cap(rs) < count {
+		rs = make([]PacketReply, 0, count)
+	}
+	if cap(ports) < total {
+		ports = make([]uint32, 0, total)
+	}
+	rs, ports = rs[:0], ports[:0]
 	for i := 0; i < count; i++ {
 		if len(rest) < 3 {
-			return nil, fmt.Errorf("ofproto: packet-batch-reply truncated at result %d", i)
+			return nil, ports, fmt.Errorf("ofproto: packet-batch-reply truncated at result %d", i)
 		}
 		r := PacketReply{Flags: rest[0]}
 		n := int(binary.BigEndian.Uint16(rest[1:]))
 		rest = rest[3:]
 		if len(rest) < 4*n {
-			return nil, fmt.Errorf("ofproto: packet-batch-reply result %d wants %d ports, has %d bytes", i, n, len(rest))
+			return nil, ports, fmt.Errorf("ofproto: packet-batch-reply result %d wants %d ports, has %d bytes", i, n, len(rest))
 		}
-		for j := 0; j < n; j++ {
-			r.Outputs = append(r.Outputs, binary.BigEndian.Uint32(rest[4*j:]))
+		if n > 0 {
+			start := len(ports)
+			for j := 0; j < n; j++ {
+				ports = append(ports, binary.BigEndian.Uint32(rest[4*j:]))
+			}
+			r.Outputs = ports[start:len(ports):len(ports)]
 		}
 		rest = rest[4*n:]
 		rs = append(rs, r)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("ofproto: packet-batch-reply has %d trailing bytes", len(rest))
+		return nil, ports, fmt.Errorf("ofproto: packet-batch-reply has %d trailing bytes", len(rest))
 	}
-	return rs, nil
+	return rs, ports, nil
 }
 
 // EncodeStats serialises a stats report.

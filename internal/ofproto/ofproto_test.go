@@ -122,6 +122,47 @@ func TestPacketReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPacketBatchReplyInto pins the client-owned decode: round trip,
+// buffers reused without allocating, reply windows that cannot grow into
+// each other, and malformed payloads rejected rather than overrunning
+// the pre-sized arena.
+func TestPacketBatchReplyInto(t *testing.T) {
+	want := []PacketReply{
+		{Flags: ReplyMatched, Outputs: []uint32{1, 2, 77}},
+		{Flags: ReplyToController},
+		{Flags: ReplyMatched, Outputs: []uint32{9}},
+	}
+	payload := EncodePacketBatchReply(want)
+	if got, err := DecodePacketBatchReply(payload); err != nil || !reflect.DeepEqual(want, got) {
+		t.Fatalf("fresh decode: %+v, %v; want %+v", got, err, want)
+	}
+	rs, ports, err := DecodePacketBatchReplyInto(payload, nil, nil)
+	if err != nil || !reflect.DeepEqual(want, rs) {
+		t.Fatalf("decode into nil buffers: %+v, %v; want %+v", rs, err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		rs, ports, err = DecodePacketBatchReplyInto(payload, rs, ports)
+	}); n != 0 || err != nil || !reflect.DeepEqual(want, rs) {
+		t.Errorf("decode into reused buffers: %v allocs, %+v, %v", n, rs, err)
+	}
+	_ = append(rs[0].Outputs, 1234)
+	if rs[2].Outputs[0] != 9 {
+		t.Errorf("appending to one reply's outputs overwrote the next: %+v", rs)
+	}
+	for name, bad := range map[string][]byte{
+		"empty":          nil,
+		"truncated":      payload[:len(payload)-1],
+		"trailing":       append(append([]byte(nil), payload...), 0),
+		"count too high": append([]byte{0xFF, 0xFF}, payload[2:]...),
+		"one byte short": {0, 1, ReplyToController, 0},
+		"ports too high": {0, 1, ReplyMatched, 0xFF, 0xFF, 0, 0, 0, 1},
+	} {
+		if got, _, err := DecodePacketBatchReplyInto(bad, rs, ports); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, got)
+		}
+	}
+}
+
 func TestStatsRoundTrip(t *testing.T) {
 	s := &Stats{
 		Tables:     []TableStats{{ID: 0, Rules: 10, Field: "VLAN ID"}},

@@ -2,6 +2,7 @@ package ofproto
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -232,13 +233,15 @@ func TestPacketBatchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The batch and single-packet paths must agree.
+	// The batch and single-packet paths must agree. (The batch replies are
+	// the client's buffer, only good until its next call: copy first.)
+	first := PacketReply{Flags: replies[0].Flags, Outputs: append([]uint32(nil), replies[0].Outputs...)}
 	single, err := c.SendPacket(&openflow.Header{VLANID: mac.Rules[0].VLAN, EthDst: mac.Rules[0].EthDst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Flags != replies[0].Flags || len(single.Outputs) != len(replies[0].Outputs) {
-		t.Errorf("single %+v and batch %+v disagree", single, replies[0])
+	if !reflect.DeepEqual(*single, first) {
+		t.Errorf("single %+v and batch %+v disagree", single, first)
 	}
 }
 
