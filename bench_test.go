@@ -2,9 +2,7 @@ package ofmtl_test
 
 import (
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
@@ -361,17 +359,6 @@ func BenchmarkPipelineExecuteRoute(b *testing.B) {
 	benchPipeline(b, p, traffic.RouteTrace(f, 4096, 0.9, 1))
 }
 
-// BenchmarkPipelineExecuteACL measures the 5-field single-table
-// decomposition (all three matching methods at once).
-func BenchmarkPipelineExecuteACL(b *testing.B) {
-	f := filterset.GenerateACL("bench", 1000, filterset.DefaultSeed)
-	p, err := core.BuildACL(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPipeline(b, p, traffic.ACLTrace(f, 4096, 0.8, 1))
-}
-
 // buildBackendPipeline builds a single-table pipeline explicitly pinned
 // to the named backend (an explicit pin errors on an unservable shape,
 // so a benchmark can never silently measure the fallback scheme) and
@@ -578,182 +565,6 @@ func BenchmarkPipelineExecuteBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchBatch(b, p, traffic.MACTrace(f, 4096, 0.9, 1))
-}
-
-// BenchmarkPipelineExecuteBatchZipf measures the batch path on a
-// Zipf-skewed trace with the microflow cache enabled — the regime the
-// two-tier fast path is designed for: the hot flows are absorbed by the
-// exact-match tier and only cold flows pay the multi-table walk.
-func BenchmarkPipelineExecuteBatchZipf(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.BuildMAC(f, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.SetCacheSize(1 << 16)
-	defer p.SetCacheSize(0)
-	benchBatch(b, p, traffic.MACTraceZipf(f, 1024, 8192, 0.9, 1.1, 1))
-}
-
-// BenchmarkPipelineExecuteMACZipf compares the same Zipf-skewed MAC
-// workload with the microflow cache on and off: "cached" is dominated by
-// exact-match fast-path hits, "walk" pays the full multi-table lookup
-// for every packet. The ratio is the fast path's headline win.
-func BenchmarkPipelineExecuteMACZipf(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := traffic.MACTraceZipf(f, 1024, 8192, 0.9, 1.1, 1)
-	for _, mode := range []string{"walk", "cached"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := core.BuildMAC(f, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode == "cached" {
-				p.SetCacheSize(1 << 16)
-			}
-			p.Refresh()
-			h := new(openflow.Header) // hoisted: see benchPipeline
-			// Warm the cache outside the timed region, so the
-			// steady-state hit path is what gets measured.
-			for i := 0; i < len(trace); i++ {
-				*h = trace[i]
-				p.Execute(h)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				*h = trace[i%len(trace)]
-				p.Execute(h)
-			}
-			if mode == "cached" {
-				st := p.CacheStats()
-				if total := st.Hits + st.Misses; total > 0 {
-					b.ReportMetric(float64(st.Hits)/float64(total)*100, "hit%")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMegaflowSubnetZipf is the megaflow tier's headline workload:
-// a Zipf-of-subnets routing trace where every packet is a brand-new flow
-// (fresh host bits and source address), so an exact-match microflow
-// cache never hits and every packet either pays the full LPM walk
-// ("walk") or one masked megaflow probe ("megaflow"). The ratio is the
-// wildcard tier's win; the acceptance floor is 5x.
-func BenchmarkMegaflowSubnetZipf(b *testing.B) {
-	f, err := filterset.GenerateRoute("coza", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := traffic.SubnetZipf(f, 8192, 1.1, 1)
-	for _, mode := range []string{"walk", "megaflow"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := core.BuildRoute(f, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode == "megaflow" {
-				p.SetMegaflowSize(1 << 14)
-			} else {
-				p.SetMegaflowSize(0)
-			}
-			p.Refresh()
-			h := new(openflow.Header) // hoisted: see benchPipeline
-			// Warm outside the timed region: install every subnet's
-			// megaflow and intern every distinct Result.
-			for i := 0; i < len(trace); i++ {
-				*h = trace[i]
-				p.Execute(h)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				*h = trace[i%len(trace)]
-				p.Execute(h)
-			}
-			if mode == "megaflow" {
-				st := p.MegaflowStats()
-				if total := st.Hits + st.Misses; total > 0 {
-					b.ReportMetric(float64(st.Hits)/float64(total)*100, "hit%")
-				}
-				b.ReportMetric(float64(st.Masks), "masks")
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineLookupUnderChurn measures parallel lookups while a
-// writer concurrently toggles a flow entry — the lookup-under-update mix
-// the RCU snapshot design targets. Updates arrive every ~100µs, a hot
-// control-plane rate; readers keep running lock-free on the last
-// published snapshot and only the first lookup after each update pays
-// the re-clone.
-func BenchmarkPipelineLookupUnderChurn(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.BuildMAC(f, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := traffic.MACTrace(f, 4096, 0.9, 1)
-	p.Refresh()
-
-	toggled := &openflow.FlowEntry{
-		Priority: 5,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(f.Rules[0].VLAN)),
-			openflow.Exact(openflow.FieldEthDst, 0x00FFEEDDCCBB),
-		},
-		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(99))},
-	}
-	stop := make(chan struct{})
-	var churnErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := p.Insert(1, toggled); err != nil {
-				churnErr = err
-				return
-			}
-			time.Sleep(50 * time.Microsecond)
-			if err := p.Remove(1, toggled); err != nil {
-				churnErr = err
-				return
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			h := trace[i%len(trace)]
-			p.Execute(&h)
-			i++
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	if churnErr != nil {
-		b.Fatal(churnErr)
-	}
 }
 
 // BenchmarkUpdatePlans measures update-file construction for the largest

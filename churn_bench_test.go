@@ -1,9 +1,7 @@
 package ofmtl_test
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
@@ -12,11 +10,10 @@ import (
 	"ofmtl/internal/traffic"
 )
 
-// Flow-mod churn benchmarks: the control-plane axis the transactional API
-// opens. BenchmarkFlowModChurn measures committed commands per second
-// through batched transactions; the under-lookup variants measure how
-// rule churn and packet lookups interfere; the decode benchmark pins the
-// wire path's allocation behaviour.
+// Flow-mod churn benchmarks with no equivalent in bench/ (whose
+// route_churn workload and wire_flowmods_per_s metric gate plain churn):
+// commits under an armed memory budget, lookups on a fully degraded
+// switch, and the wire decode path's allocation contract.
 
 // churnPool renders an ACL rule pool for toggling.
 func churnPool(b *testing.B, n int) (*core.Pipeline, []openflow.FlowEntry) {
@@ -30,149 +27,12 @@ func churnPool(b *testing.B, n int) (*core.Pipeline, []openflow.FlowEntry) {
 	return p, f.FlowEntries()
 }
 
-// BenchmarkFlowModChurn measures sustained flow-mod throughput: b.N
-// commands (alternating strict deletes and re-adds over a 1000-rule ACL
-// table) committed in 256-command transactions. ns/op is the per-command
-// cost including validation, rule-store resolution and the data-plane
-// structure updates.
-func BenchmarkFlowModChurn(b *testing.B) {
-	p, pool := churnPool(b, 1000)
-	live := make([]bool, len(pool))
-	for i := range live {
-		live[i] = true
-	}
-	const batch = 256
-	b.ResetTimer()
-	var tx *core.Tx
-	for i := 0; i < b.N; i++ {
-		if tx == nil {
-			tx = p.Begin()
-		}
-		idx := i % len(pool)
-		e := &pool[idx]
-		if live[idx] {
-			tx.DeleteStrict(0, e.Priority, e.Matches...)
-		} else {
-			tx.Add(0, e)
-		}
-		live[idx] = !live[idx]
-		if tx.Commands() == batch || i == b.N-1 {
-			if _, err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			tx = nil
-		}
-	}
-	b.StopTimer()
-	elapsed := b.Elapsed()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "cmds/s")
-	}
-}
-
-// BenchmarkFlowModChurnSingleOps is the per-command baseline: the same
-// toggle stream submitted as single-command transactions (the legacy
-// Insert/Remove wrappers). The gap to BenchmarkFlowModChurn is the
-// batching win on the mutation path itself; under concurrent lookups the
-// gap widens further, because every single-op commit also forces its own
-// snapshot re-clone (see BenchmarkPipelineLookupUnderBatchedChurn).
-func BenchmarkFlowModChurnSingleOps(b *testing.B) {
-	p, pool := churnPool(b, 1000)
-	live := make([]bool, len(pool))
-	for i := range live {
-		live[i] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i % len(pool)
-		e := &pool[idx]
-		var err error
-		if live[idx] {
-			err = p.Remove(0, e)
-		} else {
-			err = p.Insert(0, e)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		live[idx] = !live[idx]
-	}
-}
-
-// BenchmarkPipelineLookupUnderBatchedChurn measures parallel lookups
-// while a writer commits 256-command transactions as fast as it can —
-// the sustained-churn regime. Each commit invalidates the snapshot once,
-// so readers pay one re-clone per 256 commands instead of one per
-// command; the lookup throughput should sit near the churn-free numbers.
-func BenchmarkPipelineLookupUnderBatchedChurn(b *testing.B) {
-	f := filterset.GenerateACL("churnbench", 1000, filterset.DefaultSeed)
-	p, err := core.BuildACL(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := f.FlowEntries()
-	trace := traffic.ACLTrace(f, 4096, 0.8, 1)
-	p.Refresh()
-
-	stop := make(chan struct{})
-	var churnErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		live := make([]bool, len(pool))
-		for i := range live {
-			live[i] = true
-		}
-		for i := 0; ; {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tx := p.Begin()
-			for k := 0; k < 256; k++ {
-				idx := i % len(pool)
-				e := &pool[idx]
-				if live[idx] {
-					tx.DeleteStrict(0, e.Priority, e.Matches...)
-				} else {
-					tx.Add(0, e)
-				}
-				live[idx] = !live[idx]
-				i++
-			}
-			if _, err := tx.Commit(); err != nil {
-				churnErr = err
-				return
-			}
-			// Sustained but not saturating: leave the write lock free for
-			// the snapshot re-clones the readers trigger.
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			h := trace[i%len(trace)]
-			p.Execute(&h)
-			i++
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	if churnErr != nil {
-		b.Fatal(churnErr)
-	}
-}
-
-// BenchmarkFlowModChurnBudgeted is BenchmarkFlowModChurn with a memory
-// budget armed (at 2x usage, so every commit passes admission and the
-// pressure controller stays inert). The delta to the unbudgeted run is
-// the pure cost of budget admission checks on the commit path — the
-// acceptance bar is <= 5% overhead.
+// BenchmarkFlowModChurnBudgeted measures committed commands per second
+// through 256-command transactions toggling an ACL rule pool, with a
+// memory budget armed (at 2x usage, so every commit passes admission and
+// the pressure controller stays inert). Clearing the budget gives the
+// unbudgeted figure; the delta is the pure cost of budget admission
+// checks on the commit path — the acceptance bar is <= 5% overhead.
 func BenchmarkFlowModChurnBudgeted(b *testing.B) {
 	p, pool := churnPool(b, 1000)
 	p.SetMemoryBudget(2 * p.MemoryStats().TotalBits)
@@ -250,37 +110,6 @@ func BenchmarkLookupUnderPressure(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// churnWireBatch encodes a 256-command flow-mod batch for decode
-// benchmarks.
-func churnWireBatch(b *testing.B) []byte {
-	b.Helper()
-	f := filterset.GenerateACL("wire", 256, filterset.DefaultSeed)
-	var fms []ofproto.FlowMod
-	for _, e := range f.FlowEntries() {
-		fms = append(fms, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: e})
-	}
-	return ofproto.EncodeFlowModBatch(fms)
-}
-
-// BenchmarkFlowModBatchDecode measures the switch-side wire decode of a
-// 256-command batch through the arena decoder. Steady state must be 0
-// allocs/op: the command slice and entry arena grow once to the batch's
-// working set and are reused for every later batch.
-func BenchmarkFlowModBatchDecode(b *testing.B) {
-	payload := churnWireBatch(b)
-	var fms []ofproto.FlowMod
-	var ar openflow.EntryArena
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		fms, err = ofproto.DecodeFlowModBatchArena(payload, fms, &ar)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // TestFlowModBatchDecodeZeroAlloc enforces the decode path's allocation

@@ -44,11 +44,12 @@
 // Packet lookups execute lock-free against the pipeline's RCU-style
 // snapshot, so concurrent controller connections classify in parallel;
 // -workers bounds the per-batch fan-out of packet-batch messages. Two
-// cache tiers front the multi-table walk: a microflow cache (-cache,
-// entries) absorbs exact flow repeats, and a megaflow wildcard cache
-// (-megaflow, entries) absorbs whole regions — each walk traces the
-// header bits it consulted and installs its outcome under that mask, so
-// new flows agreeing on the consulted bits skip the walk entirely. Both
+// tiers of one flow cache front the multi-table walk: the microflow tier
+// (-cache, entries) is its exact-match tuple and absorbs exact flow
+// repeats, and the megaflow tier (-megaflow, entries) holds its masked
+// tuples and absorbs whole regions — each walk traces the header bits it
+// consulted and installs its outcome under that mask, so new flows
+// agreeing on the consulted bits skip the walk entirely. Both
 // tiers' hit/miss counters are reported through the stats and
 // cache-stats messages (ofctl stats / ofctl cache).
 //
@@ -170,9 +171,9 @@ func run() error {
 	}
 	log.Printf("switchd: lock-free snapshot lookups, batch fan-out %d workers", effective)
 	if st := pipeline.CacheStats(); st.Entries > 0 {
-		log.Printf("switchd: microflow cache: %d entries, generation-invalidated", st.Entries)
+		log.Printf("switchd: microflow tier: %d exact-match slots, preallocated and filled in place, valid for one snapshot version", st.Entries)
 	} else {
-		log.Printf("switchd: microflow cache disabled")
+		log.Printf("switchd: microflow tier disabled")
 	}
 	if st := pipeline.MegaflowStats(); st.Entries > 0 {
 		log.Printf("switchd: megaflow tier: %d entries, traced-mask wildcard caching", st.Entries)

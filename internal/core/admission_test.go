@@ -235,44 +235,51 @@ func TestAdmissionCommitsDoNotFlap(t *testing.T) {
 	}
 }
 
-// TestBypassedMegaflowTakesNoLock holds the megaflow tier's install lock
-// while unsampled packets run through the bypassed tier: they must
-// neither probe nor install, so they must not wait for it.
+// TestBypassedMegaflowTakesNoLock holds a tier's install lock while
+// unsampled packets run through the bypassed tier — the megaflow tier,
+// and its exact twin: they must neither probe nor install, so they must
+// not wait for it.
 func TestBypassedMegaflowTakesNoLock(t *testing.T) {
 	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
-	p := admissionPipeline(t, f, 0, 2048)
 	trace := traffic.LPMTrace(f, admissionReact+1024, 0.9, 1)
-	for i := 0; i < admissionReact; i++ {
-		h := trace[i]
-		p.Execute(&h)
-	}
-	if st := p.MegaflowStats(); st.Armed {
-		t.Fatalf("megaflow tier still armed after %d all-new destinations: %+v", admissionReact, st)
-	}
-	m := p.mega.Load()
-	m.mu.Lock()
-	done := make(chan int)
-	go func() {
-		n := 0
-		for _, h := range trace[admissionReact:] {
-			var k flowKey
-			packFlowKey(&k, &h)
-			if megaflowCell(k.fingerprint()) != 0 {
+	for tier, name := range [numTiers]string{tierExact: "microflow", tierMasked: "megaflow"} {
+		t.Run(name, func(t *testing.T) {
+			sizes := [numTiers]int{}
+			sizes[tier] = 2048
+			p := admissionPipeline(t, f, sizes[tierExact], sizes[tierMasked])
+			for i := 0; i < admissionReact; i++ {
+				h := trace[i]
 				p.Execute(&h)
-				n++
 			}
-		}
-		done <- n
-	}()
-	select {
-	case n := <-done:
-		if n < 512 {
-			t.Errorf("only %d unsampled packets in the tail of the trace", n)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("unsampled packets through a bypassed megaflow tier blocked on its lock")
+			c := p.tiers[tier].Load()
+			if !c.adm.bypassed.Load() {
+				t.Fatalf("tier still armed after %d all-new destinations", admissionReact)
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			done := make(chan int)
+			go func() {
+				n := 0
+				for _, h := range trace[admissionReact:] {
+					var k flowKey
+					packFlowKey(&k, &h)
+					if c.cell(k.fingerprint()) != 0 {
+						p.Execute(&h)
+						n++
+					}
+				}
+				done <- n
+			}()
+			select {
+			case n := <-done:
+				if n < 512 {
+					t.Errorf("only %d unsampled packets in the tail of the trace", n)
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("unsampled packets through a bypassed tier blocked on its lock")
+			}
+		})
 	}
-	m.mu.Unlock()
 }
 
 // TestUncachedExecuteChargesShardZero is the regression for a stale

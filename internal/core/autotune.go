@@ -590,7 +590,7 @@ func (p *Pipeline) calibrateLocked() {
 		start := time.Now()
 		for i := 0; i < probeLookups; i++ {
 			h.IPv4Dst = uint32(i%probeRules) << 8
-			b.Lookup(&h)
+			b.Lookup(&h, nil)
 		}
 		elapsed := time.Since(start)
 		p.tuneModel.Calibrate(kind, float64(elapsed.Nanoseconds())/probeLookups, ref)

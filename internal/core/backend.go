@@ -130,14 +130,13 @@ type Backend interface {
 	// Lookup classifies one packet header, returning the winning entry's
 	// instructions and priority. Ties on priority resolve to the earliest
 	// installed entry. Lookup must be safe for concurrent callers on an
-	// immutable (cloned) backend.
-	Lookup(h *openflow.Header) (MatchResult, bool)
-	// LookupTraced is Lookup plus consulted-bits accounting for the
-	// megaflow tier: it must mark in tr every header bit whose value
-	// could change the lookup's outcome, so that any header agreeing with
-	// h on the marked bits is guaranteed the identical MatchResult.
-	// Over-marking is safe; under-marking caches wrong results.
-	LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool)
+	// immutable (cloned) backend. A non-nil tr asks for consulted-bits
+	// accounting for the megaflow tier: the backend must mark in tr every
+	// header bit whose value could change the lookup's outcome, so that
+	// any header agreeing with h on the marked bits is guaranteed the
+	// identical MatchResult. Over-marking is safe; under-marking caches
+	// wrong results.
+	Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool)
 	// Clone returns a deep copy sharing no mutable state with the
 	// original (immutable instruction slices are shared).
 	Clone() Backend

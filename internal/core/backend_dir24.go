@@ -589,8 +589,15 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 // --- Backend lookup --------------------------------------------------
 
 // Lookup implements Backend: one direct-array read, plus one spill read
-// for slots covered by >/24 prefixes. O(1) and allocation-free.
-func (b *dir24Backend) Lookup(h *openflow.Header) (MatchResult, bool) {
+// for slots covered by >/24 prefixes. O(1) and allocation-free. The
+// direct read consults exactly the top 24 bits of the field — two headers
+// agreeing on them land on the same slot and, when it is direct, the same
+// outcome. A spilled slot additionally consults the low byte, so the full
+// 32 bits are marked.
+func (b *dir24Backend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+	if tr != nil {
+		tr.orField(b.field, 24)
+	}
 	addr := uint32(h.Get(b.field).Lo)
 	idx := addr >> 8
 	var ref uint32
@@ -598,29 +605,9 @@ func (b *dir24Backend) Lookup(h *openflow.Header) (MatchResult, bool) {
 		ref = c[idx&(dir24ChunkSlots-1)]
 	}
 	if ref&dir24SpillFlag != 0 {
-		ref = b.spill[ref&^dir24SpillFlag].entries[addr&0xFF]
-	}
-	if ref == 0 {
-		return MatchResult{}, false
-	}
-	ent := b.arena[(ref-1)>>dir24ChunkShift][(ref-1)&(dir24ChunkSlots-1)]
-	return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true
-}
-
-// LookupTraced implements Backend. The direct read consults exactly the
-// top 24 bits of the field — two headers agreeing on them land on the
-// same slot and, when it is direct, the same outcome. A spilled slot
-// additionally consults the low byte, so the full 32 bits are marked.
-func (b *dir24Backend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	tr.orField(b.field, 24)
-	addr := uint32(h.Get(b.field).Lo)
-	idx := addr >> 8
-	var ref uint32
-	if c := b.tbl[idx>>dir24ChunkShift]; c != nil {
-		ref = c[idx&(dir24ChunkSlots-1)]
-	}
-	if ref&dir24SpillFlag != 0 {
-		tr.orFieldFull(b.field)
+		if tr != nil {
+			tr.orFieldFull(b.field)
+		}
 		ref = b.spill[ref&^dir24SpillFlag].entries[addr&0xFF]
 	}
 	if ref == 0 {

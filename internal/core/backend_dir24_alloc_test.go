@@ -44,7 +44,7 @@ func dir24AllocBackend(t testing.TB) *dir24Backend {
 }
 
 // TestDIR24LookupZeroAlloc is the hot-path regression gate: dir24
-// Lookup and LookupTraced must not allocate, on the one-read direct
+// Lookup, traced or not, must not allocate, on the one-read direct
 // path and the two-read spill path alike.
 func TestDIR24LookupZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -66,13 +66,13 @@ func TestDIR24LookupZeroAlloc(t *testing.T) {
 	}
 	measure("Lookup", func() {
 		h.IPv4Dst = dsts[i%len(dsts)]
-		b.Lookup(h)
+		b.Lookup(h, nil)
 		i++
 	})
-	measure("LookupTraced", func() {
+	measure("Lookup traced", func() {
 		h.IPv4Dst = dsts[i%len(dsts)]
 		tr.reset()
-		b.LookupTraced(h, &tr)
+		b.Lookup(h, &tr)
 		i++
 	})
 }
@@ -130,7 +130,7 @@ func TestDIR24TracedBits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var tr flowMask
-		_, ok := b.LookupTraced(&openflow.Header{IPv4Dst: tc.dst}, &tr)
+		_, ok := b.Lookup(&openflow.Header{IPv4Dst: tc.dst}, &tr)
 		if ok != tc.hit {
 			t.Errorf("%s: matched=%v, want %v", tc.name, ok, tc.hit)
 		}
@@ -138,8 +138,8 @@ func TestDIR24TracedBits(t *testing.T) {
 			t.Errorf("%s: consulted mask %x, want %x", tc.name, tr, tc.want)
 		}
 		// The traced and untraced paths agree on the outcome.
-		if _, plain := b.Lookup(&openflow.Header{IPv4Dst: tc.dst}); plain != ok {
-			t.Errorf("%s: Lookup=%v, LookupTraced=%v", tc.name, plain, ok)
+		if _, plain := b.Lookup(&openflow.Header{IPv4Dst: tc.dst}, nil); plain != ok {
+			t.Errorf("%s: Lookup untraced=%v, traced=%v", tc.name, plain, ok)
 		}
 	}
 }

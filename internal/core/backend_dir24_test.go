@@ -427,7 +427,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 	wantOK := make([]bool, 0, 256)
 	for i := 0; i < 256; i++ {
 		h := randomHeader(rng, live)
-		res, ok := snap.Lookup(h)
+		res, ok := snap.Lookup(h, nil)
 		probes = append(probes, h)
 		want = append(want, res)
 		wantOK = append(wantOK, ok)
@@ -444,7 +444,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 		}
 	}
 	for i, h := range probes {
-		res, ok := snap.Lookup(h)
+		res, ok := snap.Lookup(h, nil)
 		if ok != wantOK[i] || !reflect.DeepEqual(res, want[i]) {
 			t.Fatalf("probe %d drifted after source churn: got %+v ok=%v, want %+v ok=%v", i, res, ok, want[i], wantOK[i])
 		}

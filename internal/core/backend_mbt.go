@@ -183,31 +183,17 @@ func (b *mbtBackend) Remove(e *openflow.FlowEntry) error {
 // constrained dimensions. The combination-key hash is maintained
 // incrementally: each odometer step re-hashes only the dimension it
 // changed.
-func (b *mbtBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
-	return b.lookupInner(h, nil)
-}
-
-// LookupTraced implements Backend. The only stage that consults the
-// header is the per-field search loop (the combination enumeration and
-// action-table stages operate on labels alone), so delegating the
-// tracing to each field searcher's SearchTraced captures every consulted
-// bit: identical traced bits yield identical per-field candidate sets
-// and therefore an identical winning combination.
-func (b *mbtBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	return b.lookupInner(h, tr)
-}
-
-func (b *mbtBackend) lookupInner(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+//
+// The only stage that consults the header is the per-field search loop
+// (the combination enumeration and action-table stages operate on labels
+// alone), so handing tr to each field searcher captures every consulted
+// bit: identical traced bits yield identical per-field candidate sets and
+// therefore an identical winning combination.
+func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
 	sc := b.scratch.Get().(*classifyScratch)
 	defer b.scratch.Put(sc)
-	if tr != nil {
-		for i, s := range b.searchers {
-			sc.cands[i] = s.SearchTraced(h, sc.cands[i][:0], tr)
-		}
-	} else {
-		for i, s := range b.searchers {
-			sc.cands[i] = s.Search(h, sc.cands[i][:0])
-		}
+	for i, s := range b.searchers {
+		sc.cands[i] = s.Search(h, sc.cands[i][:0], tr)
 	}
 
 	plan := b.plan

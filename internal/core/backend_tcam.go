@@ -129,24 +129,17 @@ func (b *tcamBackend) Remove(e *openflow.FlowEntry) error {
 }
 
 // Lookup implements Backend: the rows are priority-ordered, so the first
-// matching row is the winner (the TCAM priority encoder).
-func (b *tcamBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
+// matching row is the winner (the TCAM priority encoder). A linear TCAM
+// scan consults the care bits of every row up to and including the
+// winning row: a packet agreeing with h on all those bits misses the same
+// higher-priority rows and hits the same winner (or, on a total miss,
+// misses every row).
+func (b *tcamBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
 	for _, ent := range b.entries {
-		if ent.entry.MatchesHeader(h) {
-			return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true
-		}
-	}
-	return MatchResult{}, false
-}
-
-// LookupTraced implements Backend. A linear TCAM scan consults the care
-// bits of every row up to and including the winning row: a packet
-// agreeing with h on all those bits misses the same higher-priority rows
-// and hits the same winner (or, on a total miss, misses every row).
-func (b *tcamBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	for _, ent := range b.entries {
-		for i := range ent.entry.Matches {
-			tr.traceMatch(&ent.entry.Matches[i])
+		if tr != nil {
+			for i := range ent.entry.Matches {
+				tr.traceMatch(&ent.entry.Matches[i])
+			}
 		}
 		if ent.entry.MatchesHeader(h) {
 			return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true

@@ -291,7 +291,10 @@ func tssBetter(best, cand *tssEntry) bool {
 // Lookup implements Backend: probe every tuple's hash table with the
 // header masked to the tuple's shape, then scan the spill list, keeping
 // the best (priority, installation order) entry.
-func (b *tssBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
+func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+	if tr != nil {
+		b.trace(tr)
+	}
 	sc := b.scratch.Get().(*tssScratch)
 	var best *tssEntry
 	for _, tp := range b.order {
@@ -319,13 +322,13 @@ func (b *tssBackend) Lookup(h *openflow.Header) (MatchResult, bool) {
 	return MatchResult{Instructions: best.entry.Instructions, Priority: best.entry.Priority, Ref: best.entry.Ref}, true
 }
 
-// LookupTraced implements Backend. Every probed tuple consults exactly
-// its shape's masked bits (the probe key), whether the bucket hits or
-// misses, so each non-empty tuple contributes its shape mask. The spill
+// trace marks the bits any lookup consults. Every probed tuple consults
+// exactly its shape's masked bits (the probe key), whether the bucket hits
+// or misses, so each non-empty tuple contributes its shape mask. The spill
 // scan may test any entry's full match, so every spill entry's care bits
 // are traced unconditionally (conservative: tssBetter can skip a test,
 // but identical traced bits imply the identical skip decisions).
-func (b *tssBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+func (b *tssBackend) trace(tr *flowMask) {
 	for _, tp := range b.order {
 		if tp.n == 0 {
 			continue
@@ -341,7 +344,6 @@ func (b *tssBackend) LookupTraced(h *openflow.Header, tr *flowMask) (MatchResult
 			tr.traceMatch(&ent.entry.Matches[i])
 		}
 	}
-	return b.Lookup(h)
 }
 
 // Clone implements Backend. Entries are immutable once installed, so the

@@ -34,14 +34,6 @@ import (
 // themselves re-learn on their next miss, exactly as an operator
 // resize behaves.
 
-// Cache-tier floors the pressure controller never shrinks below: the
-// megaflow tier's minimum tuple array and the microflow cache's
-// minimum total (64 slots per shard x 8 shards).
-const (
-	megaflowFloorEntries  = 64
-	microflowFloorEntries = 64 * flowCacheShards
-)
-
 // BudgetError reports a transaction rejected by admission control: the
 // commit would have grown memory past a configured budget. It
 // identifies the violated limit (one table's, or the process-wide
@@ -244,48 +236,34 @@ func (p *Pipeline) adjustPressureLocked() {
 	}
 }
 
-// shrinkStepLocked sheds one halving of cache capacity: the megaflow
-// tier first (regions re-learn cheaply and the tier fronts only traced
-// walks), then the microflow cache, each down to its floor. With both
-// tiers at their floors there is nothing left to shed — admission
-// control is the remaining backstop.
-func (p *Pipeline) shrinkStepLocked() {
-	if m := p.mega.Load(); m != nil && m.entries > megaflowFloorEntries {
-		p.replaceMegaflowLocked(m, m.entries/2)
-		p.pressShrinks.Add(1)
-		p.pressSteps.Add(1)
-		return
-	}
-	if c := p.cache.Load(); c != nil && c.entries > microflowFloorEntries {
-		p.replaceFlowCacheLocked(c, c.entries/2)
-		p.pressShrinks.Add(1)
-		p.pressSteps.Add(1)
-	}
-}
+// shrinkOrder is the order tiers shed capacity in: the masked tier first
+// (regions re-learn cheaply and the tier fronts only traced walks), then
+// the exact tier. Capacity is restored in the reverse order.
+var shrinkOrder = [numTiers]int{tierMasked, tierExact}
 
-// regrowStepLocked restores one halving in the reverse order of
-// shrinkStepLocked — microflow back to its configured size first, then
-// the megaflow tier.
-func (p *Pipeline) regrowStepLocked() {
-	if c := p.cache.Load(); c != nil {
-		if target := flowCacheCapacity(p.cacheTarget); c.entries < target {
-			next := c.entries * 2
-			if next > target {
-				next = target
-			}
-			p.replaceFlowCacheLocked(c, next)
-			p.pressRegrows.Add(1)
-			p.pressSteps.Add(^uint64(0))
+// shrinkStepLocked sheds one halving of cache capacity from the first
+// tier in shrinkOrder still above its floor. With both tiers at their
+// floors there is nothing left to shed — admission control is the
+// remaining backstop.
+func (p *Pipeline) shrinkStepLocked() {
+	for _, tier := range shrinkOrder {
+		if c := p.tiers[tier].Load(); c != nil && c.entries > tierFloor[tier] {
+			p.resizeTierLocked(tier, c, c.entries/2)
+			p.pressShrinks.Add(1)
+			p.pressSteps.Add(1)
 			return
 		}
 	}
-	if m := p.mega.Load(); m != nil {
-		if target := megaflowCapacity(p.megaTarget); m.entries < target {
-			next := m.entries * 2
-			if next > target {
-				next = target
-			}
-			p.replaceMegaflowLocked(m, next)
+}
+
+// regrowStepLocked restores one halving, toward the configured size, to
+// the last tier in shrinkOrder still below it.
+func (p *Pipeline) regrowStepLocked() {
+	for i := numTiers - 1; i >= 0; i-- {
+		tier := shrinkOrder[i]
+		target := tierCapacity(tier, p.tierTarget[tier])
+		if c := p.tiers[tier].Load(); c != nil && c.entries < target {
+			p.resizeTierLocked(tier, c, min(c.entries*2, target))
 			p.pressRegrows.Add(1)
 			p.pressSteps.Add(^uint64(0))
 			return
@@ -296,22 +274,13 @@ func (p *Pipeline) regrowStepLocked() {
 	p.pressSteps.Store(0)
 }
 
-// replaceFlowCacheLocked swaps in a microflow cache of the given
-// capacity, carrying the accumulated hit/miss totals so CacheStats
-// stays monotonic across pressure resizes. Counters added to the old
-// cache after the carry are lost — an acceptable stats race, as the
-// totals are diagnostics, not accounting.
-func (p *Pipeline) replaceFlowCacheLocked(old *flowCache, entries int) {
-	nc := newFlowCacheTable(entries)
+// resizeTierLocked swaps in a tier of the given capacity, carrying the
+// accumulated hit/miss totals so the cache-stats surfaces stay monotonic
+// across pressure resizes. Counters added to the old tier after the carry
+// are lost — an acceptable stats race, as the totals are diagnostics, not
+// accounting. Entries re-learn on their next miss.
+func (p *Pipeline) resizeTierLocked(tier int, old *flowCache, entries int) {
+	nc := newFlowCache(tier, entries)
 	nc.adm.carry(&old.adm)
-	p.cache.Store(nc)
-}
-
-// replaceMegaflowLocked swaps in a megaflow tier of the given capacity,
-// carrying the hit/miss totals like replaceFlowCacheLocked. Cached
-// regions re-learn on their next traced miss.
-func (p *Pipeline) replaceMegaflowLocked(old *megaflowCache, entries int) {
-	nm := newMegaflowCache(entries)
-	nm.adm.carry(&old.adm)
-	p.mega.Store(nm)
+	p.tiers[tier].Store(nc)
 }

@@ -354,6 +354,79 @@ func TestMicroflowCacheEvictionAndSizing(t *testing.T) {
 	}
 }
 
+// TestMicroflowCacheCollidingFillsNeverTear hammers one probe window of
+// the exact tier: more colliding keys than the window holds, executed from
+// several goroutines at once, so every slot of the window is continuously
+// overwritten in place while others read it. Whatever a reader gets — a
+// hit on a slot mid-rewrite included — must be that header's own outcome.
+func TestMicroflowCacheCollidingFillsNeverTear(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 2000, filterset.DefaultSeed)
+	ref := admissionPipeline(t, f, 0, 0)
+	p := admissionPipeline(t, f, microflowFloorEntries, 0)
+	c := p.tiers[tierExact].Load()
+
+	// Bucket fresh destinations by home slot and keep the fullest bucket
+	// outside the admission sample: its keys all start probing at one
+	// slot, and no verdict ever bypasses them.
+	byHome := make(map[uint64][]openflow.Header)
+	var home uint64
+	for _, h := range traffic.LPMTrace(f, 32<<10, 0.9, 7) {
+		var k flowKey
+		packFlowKey(&k, &h)
+		fp := k.fingerprint()
+		if c.cell(fp) == 0 {
+			continue
+		}
+		slot := fp & uint64(c.entries-1)
+		byHome[slot] = append(byHome[slot], h)
+		if len(byHome[slot]) > len(byHome[home]) {
+			home = slot
+		}
+	}
+	keys := byHome[home]
+	if len(keys) < 2*cacheProbe {
+		t.Fatalf("fullest home slot has %d keys, want >= %d", len(keys), 2*cacheProbe)
+	}
+	want := make([]Result, len(keys))
+	outcomes := make(map[uint32]bool)
+	for i := range keys {
+		h := keys[i]
+		want[i] = ref.Execute(&h)
+		if len(want[i].Outputs) > 0 {
+			outcomes[want[i].Outputs[0]] = true
+		}
+	}
+	if len(outcomes) < 2 {
+		t.Fatalf("colliding keys share one outcome (%v): a torn read could not show", outcomes)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(g) + 1)
+			for n := 0; n < 20000; n++ {
+				// Mostly a small hot subset (hits between the evictions),
+				// sometimes anything from the bucket.
+				i := rng.Intn(cacheProbe + 1)
+				if n%4 == 0 {
+					i = rng.Intn(len(keys))
+				}
+				h := keys[i]
+				if got := p.Execute(&h); !sameResult(got, want[i]) {
+					t.Errorf("goroutine %d, key %d: got %+v, cache-less walk says %+v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := p.CacheStats(); st.Hits == 0 || st.Misses < uint64(len(keys)) || st.Bypassed != 0 {
+		t.Errorf("the window was not both hit and refilled: %+v", st)
+	}
+}
+
 // TestFlowKeyDistinguishesEveryField pins the cache key packing: two
 // headers differing in any single field — including bits beyond a
 // field's nominal width, which the wire codec does not mask — must pack

@@ -7,8 +7,8 @@ import (
 	"ofmtl/internal/openflow"
 )
 
-// This file holds the one tier ladder every lookup climbs — microflow
-// probe, megaflow probe, multi-table walk, installs on the way back —
+// This file holds the one tier ladder every lookup climbs — a probe per
+// flow-cache tier, the multi-table walk, fills on the way back —
 // and the admission rule that decides, per tier, whether a packet
 // touches the tier at all.
 //
@@ -39,11 +39,11 @@ import (
 //
 // Mechanics: each tier's counters are spread over 16 cells and a key
 // counts on the cell its hash selects, so the sample is simply cell 0.
-// The microflow cell is the top four bits of the key's home slot index
+// The exact tier's cell is the top four bits of the key's home slot index
 // (flowCache.cell): sampled keys compete for their own 1/16 of the slots
 // in either state, which makes the sample a scale model of the tier. The
-// megaflow tier is sampled by exact key (the fingerprint's top four
-// bits), not by region — regions are unknown before the walk. Misses are
+// masked tier is sampled by exact key (the fingerprint's top four bits),
+// not by region — regions are unknown before the walk. Misses are
 // the clock — bypassed packets count as misses, so it ticks in either
 // state: a cell's miss counter crossing a multiple of admitCheck
 // evaluates, and a verdict needs admitWindow sampled lookups since the
@@ -177,19 +177,19 @@ func (a *admission) evaluate() {
 }
 
 // ladder is the lookup state one packet — or one whole batch — runs
-// against: a snapshot, the two optional cache tiers in front of it, and
-// the flow directory that counts what matched.
+// against: a snapshot, the optional cache tiers in front of it in probe
+// order (exact, masked; nil = off), and the flow directory that counts
+// what matched.
 type ladder struct {
-	s *snapshot
-	c *flowCache
-	m *megaflowCache
-	d *flowDir
+	s     *snapshot
+	tiers [numTiers]*flowCache
+	d     *flowDir
 }
 
 // exec classifies one header into *res (in place: a Result is a cache
-// line, and a hit should copy it once): microflow probe, megaflow probe,
-// walk. A batch worker passes its context — own scratch, own counter
-// shard, tier counters kept locally until the batch ends.
+// line, and a hit copies it once): one rung per tier — probe, count,
+// serve — then the walk. A batch worker passes its context — own scratch,
+// own counter shard, tier counters kept locally until the batch ends.
 // Pipeline.Execute passes nil: scratch comes from the pool, and tier and
 // flow counters land on the shard the key's fingerprint selects. (Flows
 // spread across the padded counter lines, but one elephant flow hammered
@@ -198,8 +198,8 @@ type ladder struct {
 //
 // Both tiers key on the header as it arrived: the key is packed before
 // the walk, and mid-walk mutations apply to the forwarded copy. A
-// megaflow hit does not back-fill the microflow tier: all-new-flow
-// traffic, the regime the megaflow tier exists for, would churn the
+// masked-tier hit does not back-fill the exact tier: all-new-flow
+// traffic, the regime the masked tier exists for, would churn the
 // exact-match slots without ever re-hitting them.
 func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 	if h == nil {
@@ -207,62 +207,53 @@ func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 		*res = Result{SentToController: true}
 		return
 	}
-	c, m := l.c, l.m
-	if c == nil && m == nil {
-		var shard uint32
-		if ctx != nil {
-			shard = ctx.shard
-		}
-		*res = l.walk(h, ctx, shard, nil, 0, false, false)
+	var shard uint32
+	if ctx != nil {
+		shard = ctx.shard
+	}
+	if l.tiers[tierExact] == nil && l.tiers[tierMasked] == nil {
+		*res = l.walk(h, ctx, shard, nil, 0, [numTiers]bool{})
 		return
 	}
 	var k flowKey
 	packFlowKey(&k, h)
 	fp := k.fingerprint()
-	shard := uint32(fp) & (ctrShards - 1)
-	var cst, mst *tierDelta
-	if ctx != nil {
-		shard, cst, mst = ctx.shard, &ctx.cst, &ctx.mst
+	if ctx == nil {
+		shard = uint32(fp) & (ctrShards - 1)
 	}
-	useC, useM := false, false
-	if c != nil {
-		cell := c.cell(fp)
-		if useC = c.adm.use(cell); useC {
-			if e, ok := c.lookup(fp, &k, l.s.version); ok {
-				c.adm.hit(cell, cst)
-				if l.d != nil && e.nrefs > 0 {
-					l.d.touch(shard, &e.refs, int(e.nrefs), h.PktLen)
-				}
-				*res = e.res
-				return
-			}
+	var use [numTiers]bool
+	var refs [ctrRefMax]uint32
+	for i, c := range l.tiers {
+		if c == nil {
+			continue
 		}
-		c.adm.miss(cell, cst, useC)
-	}
-	if m != nil {
-		cell := megaflowCell(fp)
-		if useM = m.adm.use(cell); useM {
-			var refs [ctrRefMax]uint32
-			if r, nrefs, ok := m.lookup(&k, l.s.version, &refs); ok {
-				m.adm.hit(cell, mst)
+		var local *tierDelta
+		if ctx != nil {
+			local = &ctx.tiers[i]
+		}
+		cell := c.cell(fp)
+		if use[i] = c.adm.use(cell); use[i] {
+			if rp, nrefs := c.lookup(&k, fp, l.s.version, &refs); rp != nil {
+				c.adm.hit(cell, local)
 				if l.d != nil && nrefs > 0 {
 					l.d.touch(shard, &refs, nrefs, h.PktLen)
 				}
-				*res = r
+				*res = *rp
 				return
 			}
 		}
-		m.adm.miss(cell, mst, useM)
+		c.adm.miss(cell, local, use[i])
 	}
-	*res = l.walk(h, ctx, shard, &k, fp, useC, useM)
+	*res = l.walk(h, ctx, shard, &k, fp, use)
 }
 
 // walk is the ladder's last rung: the multi-table walk, traced only when
-// the megaflow tier wants the outcome (fillM), then flow counters and the
-// installs into whichever tiers this packet used. A walk that matched
-// more rules than a cached attribution can carry installs nowhere:
-// serving it from a cache would silently stop counting the overflow.
-func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey, fp uint64, fillC, fillM bool) Result {
+// the masked tier wants the outcome, then flow counters and the fills into
+// whichever tiers this packet used — the exact tier under the full mask,
+// the masked tier under the walk's consulted bits. A walk that matched
+// more rules than a cached attribution can carry fills nowhere: serving it
+// from a cache would silently stop counting the overflow.
+func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey, fp uint64, fill [numTiers]bool) Result {
 	var sc *execScratch
 	if ctx != nil {
 		sc = &ctx.sc
@@ -270,21 +261,17 @@ func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey
 		sc = execScratchPool.Get().(*execScratch)
 	}
 	sc.latShard = shard
-	var res Result
-	if fillM {
-		res = l.s.executeTracedScratch(h, sc)
-	} else {
-		res = l.s.executeScratch(h, sc)
-	}
+	res := l.s.executeScratch(h, sc, fill[tierMasked])
 	if l.d != nil && sc.nrefs > 0 {
 		l.d.touch(shard, &sc.refs, sc.nrefs, h.PktLen)
 	}
-	if !sc.refOverflow {
-		if fillM {
-			l.m.install(k, &sc.tr, sc.rewritten, l.s.version, l.s.intern.internResult(res), &sc.refs, sc.nrefs)
-		}
-		if fillC {
-			l.c.store(fp, k, l.s.version, res, &sc.refs, sc.nrefs)
+	if !sc.refOverflow && fill != [numTiers]bool{} {
+		rp := l.s.intern.internResult(res)
+		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
+		for i, c := range l.tiers {
+			if fill[i] {
+				c.install(k, fp, masks[i], sc.rewritten, l.s.version, rp, &sc.refs, sc.nrefs)
+			}
 		}
 	}
 	if ctx == nil {

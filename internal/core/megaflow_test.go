@@ -305,11 +305,41 @@ func TestExecuteMegaflowZeroAlloc(t *testing.T) {
 	// Install path: evict everything before each packet so every Execute
 	// runs a traced walk and republishes. invalidateAll only flips
 	// atomics; the interned results and tuples are already allocated.
-	m := p.mega.Load()
+	m := p.tiers[tierMasked].Load()
 	measure("megaflow install", func() {
 		m.invalidateAll()
 		*h = trace[i%len(trace)]
 		p.Execute(h)
 		i++
 	})
+
+	// The exact tier is the same structure filled the same way: with both
+	// tiers on and emptied before each packet, every Execute misses both,
+	// walks, and publishes into both in place.
+	p.SetCacheSize(1 << 10)
+	c := p.tiers[tierExact].Load()
+	fills := p.CacheStats().Misses
+	measure("fill of both tiers", func() {
+		c.invalidateAll()
+		m.invalidateAll()
+		*h = trace[i%len(trace)]
+		p.Execute(h)
+		i++
+	})
+	if st := p.CacheStats(); st.Misses == fills || st.Hits != 0 {
+		t.Fatalf("fill measurement did not miss the exact tier every time: %+v", st)
+	}
+}
+
+// invalidateAll evicts every cached entry (tuples and counters are kept).
+// The data plane never needs it — version mismatches already dead-end
+// stale entries.
+func (c *flowCache) invalidateAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, tp := range *c.tuples.Load() {
+		for i := range tp.slots {
+			tp.slots[i].restamp(0)
+		}
+	}
 }

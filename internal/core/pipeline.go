@@ -48,19 +48,18 @@ type Pipeline struct {
 	// structGen counts table-set changes (AddTable); snapshots record it
 	// to detect structural staleness.
 	structGen atomic.Uint64
-	// snapVersion numbers published snapshots; microflow cache entries
-	// are valid only for the exact version they were filled at, so a
-	// rebuild invalidates the whole cache without flush traffic.
+	// snapVersion numbers published snapshots; a flow-cache entry is valid
+	// only for the version stamped on it, so a rebuild invalidates the whole
+	// exact tier without flush traffic.
 	snapVersion atomic.Uint64
 	// snap is the published immutable lookup state; nil until the first
 	// lookup.
 	snap atomic.Pointer[snapshot]
-	// cache is the optional exact-match microflow fast path in front of
-	// the multi-table walk; nil when disabled (see flowcache.go).
-	cache atomic.Pointer[flowCache]
-	// mega is the optional masked (wildcard) megaflow tier between the
-	// microflow cache and the walk; nil when disabled (see megaflow.go).
-	mega atomic.Pointer[megaflowCache]
+	// tiers are the optional flow-cache tiers in front of the multi-table
+	// walk, in probe order: tierExact, the microflow tier, and tierMasked,
+	// the megaflow tier — two instances of one structure (flowcache.go);
+	// nil when disabled.
+	tiers [numTiers]atomic.Pointer[flowCache]
 	// workers bounds ExecuteBatch fan-out; 0 selects GOMAXPROCS.
 	workers atomic.Int64
 	// batch parks the persistent ExecuteBatch worker goroutines.
@@ -78,8 +77,7 @@ type Pipeline struct {
 	// controller regrows toward (guarded by mu) and its lock-free
 	// telemetry counters — lifetime shrink and regrow steps, and the
 	// current degradation depth.
-	cacheTarget  int
-	megaTarget   int
+	tierTarget   [numTiers]int
 	pressShrinks atomic.Uint64
 	pressRegrows atomic.Uint64
 	pressSteps   atomic.Uint64
@@ -413,7 +411,7 @@ func (as *actionSet) clear() {
 // it loads the current snapshot and classifies against its immutable
 // table clones. Distinct goroutines must pass distinct headers.
 func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
-	l := ladder{s: p.loadSnapshot(), c: p.cache.Load(), m: p.mega.Load(), d: p.dir}
+	l := ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
 	l.exec(h, nil, &res)
 	return res
 }
@@ -429,6 +427,10 @@ func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 // the walk structure itself.
 func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupView, h *openflow.Header, sc *execScratch, res *Result) {
 	as := &sc.as
+	var tr *flowMask
+	if sc.traced {
+		tr = &sc.tr
+	}
 	cur := order[0]
 	for steps := 0; steps <= len(order); steps++ {
 		t := byID[cur]
@@ -437,23 +439,16 @@ func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupVie
 			return
 		}
 		sc.visited = append(sc.visited, cur)
-		var m MatchResult
-		var matched bool
+		// A sampled walk (autotune latency signal) times each
+		// classification. The common path never reaches the clock — sc.lat
+		// is non-nil for one walk in latSampleEvery.
+		var start time.Time
 		if sc.lat != nil {
-			// A sampled walk (autotune latency signal): time each
-			// classification. The common path never reaches the clock —
-			// sc.lat is non-nil for one walk in latSampleEvery.
-			start := time.Now()
-			if sc.traced {
-				m, matched = t.ClassifyTraced(h, &sc.tr)
-			} else {
-				m, matched = t.Classify(h)
-			}
+			start = time.Now()
+		}
+		m, matched := t.backend.Lookup(h, tr)
+		if sc.lat != nil {
 			sc.lat.record(sc.latShard, cur, uint64(time.Since(start)))
-		} else if sc.traced {
-			m, matched = t.ClassifyTraced(h, &sc.tr)
-		} else {
-			m, matched = t.Classify(h)
 		}
 		if !matched {
 			switch t.cfg.Miss.Kind {

@@ -243,22 +243,14 @@ func (s *PrefixFieldSearcher) Remove(m openflow.Match) error {
 
 // Search implements FieldSearcher. It walks every partition trie once,
 // then enumerates partition-label combinations in descending total prefix
-// length, appending the field label of each stored combination.
-func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate) []Candidate {
-	return s.searchInner(h, dst, nil)
-}
-
-// SearchTraced implements FieldSearcher. Each partition trie reports the
-// key bits its descent indexed on; two headers agreeing on those bits per
-// partition produce identical per-partition match sets and therefore an
-// identical candidate set (the combination stage consults labels only).
-// The per-partition consumed counts are folded into one conservative
-// field prefix: the deepest partition reached pins the prefix length.
-func (s *PrefixFieldSearcher) SearchTraced(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	return s.searchInner(h, dst, tr)
-}
-
-func (s *PrefixFieldSearcher) searchInner(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
+// length, appending the field label of each stored combination. When
+// traced, each partition trie reports the key bits its descent indexed on;
+// two headers agreeing on those bits per partition produce identical
+// per-partition match sets and therefore an identical candidate set (the
+// combination stage consults labels only). The per-partition consumed
+// counts are folded into one conservative field prefix: the deepest
+// partition reached pins the prefix length.
+func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
 	v := h.Get(s.field)
 	sc := s.scratch.Get().(*prefixScratch)
 

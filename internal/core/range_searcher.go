@@ -131,24 +131,19 @@ func (s *RangeFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher.
-func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate) []Candidate {
+// Search implements FieldSearcher. Elementary-interval search compares
+// the value against stored boundaries, so with any interval present every
+// field bit can move the value across a boundary; the whole field is
+// consulted. An empty table consults nothing.
+func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
+	if tr != nil && s.table.Segments() > 0 {
+		tr.orFieldFull(s.field)
+	}
 	v := h.Get(s.field).Lo
 	for _, lab := range s.table.LookupAll(v) {
 		dst = append(dst, Candidate{Label: lab, Specificity: s.specs[lab]})
 	}
 	return dst
-}
-
-// SearchTraced implements FieldSearcher. Elementary-interval search
-// compares the value against stored boundaries, so with any interval
-// present every field bit can move the value across a boundary; the
-// whole field is consulted. An empty table consults nothing.
-func (s *RangeFieldSearcher) SearchTraced(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	if s.table.Segments() > 0 {
-		tr.orFieldFull(s.field)
-	}
-	return s.Search(h, dst)
 }
 
 // LabelBits implements FieldSearcher.

@@ -50,14 +50,13 @@ type FieldSearcher interface {
 	// Remove releases one reference to the constraint's value.
 	Remove(m openflow.Match) error
 	// Search appends the labels of every stored unique value matching the
-	// header to dst, most specific first.
-	Search(h *openflow.Header, dst []Candidate) []Candidate
-	// SearchTraced is Search plus consulted-bits accounting: it marks in
-	// tr every header bit whose value could change the candidate set (the
-	// megaflow mask-correctness invariant). Implementations must be
-	// conservative — over-marking shrinks cached regions, under-marking
-	// caches wrong results.
-	SearchTraced(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate
+	// header to dst, most specific first. A non-nil tr asks for
+	// consulted-bits accounting: the searcher marks in it every header bit
+	// whose value could change the candidate set (the megaflow
+	// mask-correctness invariant). Implementations must be conservative —
+	// over-marking shrinks cached regions, under-marking caches wrong
+	// results.
+	Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate
 	// LabelBits returns the width needed to encode this field's label
 	// space (sized by its high-water mark).
 	LabelBits() int
@@ -204,24 +203,19 @@ func (s *ExactFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher.
-func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate) []Candidate {
+// Search implements FieldSearcher. A populated LUT discriminates on
+// every bit of the field (any bit flip can move the header onto or off a
+// stored value); an empty LUT returns the same empty candidate set for
+// all headers and consults nothing.
+func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
+	if tr != nil && s.table.Len() > 0 {
+		tr.orFieldFull(s.field)
+	}
 	v := h.Get(s.field)
 	if lab := s.table.Lookup(v.Lo); lab != label.NoLabel {
 		dst = append(dst, Candidate{Label: lab, Specificity: s.width})
 	}
 	return dst
-}
-
-// SearchTraced implements FieldSearcher. A populated LUT discriminates on
-// every bit of the field (any bit flip can move the header onto or off a
-// stored value); an empty LUT returns the same empty candidate set for
-// all headers and consults nothing.
-func (s *ExactFieldSearcher) SearchTraced(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	if s.table.Len() > 0 {
-		tr.orFieldFull(s.field)
-	}
-	return s.Search(h, dst)
 }
 
 // LabelBits implements FieldSearcher.

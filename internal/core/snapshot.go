@@ -21,9 +21,9 @@ import (
 // costs one clone, not one per update.
 //
 // Every snapshot additionally carries a version from a monotonic
-// counter. The microflow cache (flowcache.go) keys its entries on that
+// counter. The flow cache (flowcache.go) stamps its entries with that
 // version, so a rule update — which forces a new snapshot — implicitly
-// invalidates every cached fast-path result without any flush traffic.
+// invalidates every exact-tier entry without any flush traffic.
 
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
@@ -91,32 +91,19 @@ func (s *snapshot) fresh(p *Pipeline) bool {
 
 // executeScratch classifies one header using caller-owned scratch. Batch
 // workers pass their per-worker context's scratch, so the batch hot path
-// touches no shared pool at all.
-func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch) Result {
-	var res Result
-	if len(s.order) == 0 {
-		res.SentToController = true
-		return res
-	}
-	sc.reset()
-	sc.armLatSample(s)
-	executeWalk(s.order, &s.byID, s.groups, h, sc, &res)
-	res.TablesVisited = s.intern.internPath(sc.visited)
-	res.Outputs = s.intern.internOutputs(sc.outs)
-	return res
-}
-
-// executeTracedScratch is executeScratch with consulted-bits tracing
-// enabled: after it returns, sc.tr holds the union of header bits any
+// touches no shared pool at all. With traced set, consulted-bits tracing
+// is on: after it returns, sc.tr holds the union of header bits any
 // lookup layer consulted and sc.rewritten the fields mutated mid-walk —
 // together the megaflow entry the outcome may be installed under. An
 // empty pipeline legitimately leaves the mask all-zero: the outcome
 // (controller miss) is the same for every packet.
-func (s *snapshot) executeTracedScratch(h *openflow.Header, sc *execScratch) Result {
+func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch, traced bool) Result {
 	var res Result
 	sc.reset()
-	sc.traced = true
-	sc.tr.reset()
+	if traced {
+		sc.traced = true
+		sc.tr.reset()
+	}
 	if len(s.order) == 0 {
 		res.SentToController = true
 		return res
@@ -223,9 +210,8 @@ const batchChunk = 32
 // never share a context, so the batch hot path performs no pool traffic
 // and no per-packet atomic writes beyond the claimed-cursor advances.
 type execCtx struct {
-	sc  execScratch
-	cst tierDelta // microflow-tier counters
-	mst tierDelta // megaflow-tier counters
+	sc    execScratch
+	tiers [numTiers]tierDelta // per-tier cache counters
 	// shard is the lifecycle counter shard this worker charges; workers
 	// map to distinct shards, so per-flow counting in a batch is
 	// single-writer per (shard, flow) cell.
@@ -327,11 +313,10 @@ func (bs *batchState) work(w int) {
 	for v := 0; v < bs.workers; v++ {
 		bs.drain((w+v)%bs.workers, ctx)
 	}
-	if bs.c != nil {
-		bs.c.adm.flush(w, &ctx.cst)
-	}
-	if bs.m != nil {
-		bs.m.adm.flush(w, &ctx.mst)
+	for i, c := range bs.tiers {
+		if c != nil {
+			c.adm.flush(w, &ctx.tiers[i])
+		}
 	}
 }
 
@@ -409,7 +394,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 
 	bs := batchStatePool.Get().(*batchState)
 	bs.size(workers)
-	bs.ladder = ladder{s: p.loadSnapshot(), c: p.cache.Load(), m: p.mega.Load(), d: p.dir}
+	bs.ladder = ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
 	bs.hs = hs
 	bs.res = res
 	bs.workers = workers

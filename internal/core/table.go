@@ -364,14 +364,7 @@ type MatchResult struct {
 // resolve to the earliest installed entry, whichever backend serves the
 // table.
 func (t *LookupTable) Classify(h *openflow.Header) (MatchResult, bool) {
-	return t.backend.Lookup(h)
-}
-
-// ClassifyTraced is Classify plus consulted-bits accounting: the backend
-// marks in tr every header bit that could change the classification (the
-// megaflow tier's mask-correctness invariant).
-func (t *LookupTable) ClassifyTraced(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	return t.backend.LookupTraced(h, tr)
+	return t.backend.Lookup(h, nil)
 }
 
 // Generation returns the table's mutation counter. Each successful Insert

@@ -298,7 +298,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 	// space and every cached (mask, key) region it can affect is evicted;
 	// untouched regions are re-stamped to the new version so they keep
 	// serving hits across the commit.
-	if m := p.mega.Load(); m != nil && len(undo) > 0 {
+	if m := p.tiers[tierMasked].Load(); m != nil && len(undo) > 0 {
 		var prevVer uint64
 		if s := p.snap.Load(); s != nil {
 			prevVer = s.version

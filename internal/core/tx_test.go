@@ -62,7 +62,7 @@ func TestTxCommitPublishesOneSnapshot(t *testing.T) {
 	// commit rebuilds eagerly for the precise-invalidation sweep — still
 	// exactly one bump, just at commit time instead of first lookup.
 	wantAtCommit := v0
-	if p.mega.Load() != nil {
+	if p.tiers[tierMasked].Load() != nil {
 		wantAtCommit = v0 + 1
 	}
 	if got := p.SnapshotVersion(); got != wantAtCommit {

@@ -40,7 +40,7 @@ const (
 	// SiteCommit fires inside Tx.Commit after the apply loop, before
 	// the transaction is counted committed (the rollback path runs).
 	SiteCommit = "commit"
-	// SiteCacheInstall fires at megaflow cache installs.
+	// SiteCacheInstall fires at flow-cache installs (either tier).
 	SiteCacheInstall = "cache-install"
 	// SiteAccept fires in the server accept loop, per accepted
 	// connection (an injected error closes that connection).
