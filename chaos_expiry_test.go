@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ofmtl/internal/core"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/failpoint"
 	"ofmtl/internal/openflow"
 )
@@ -18,6 +19,7 @@ import (
 // rules, caches, counters and lifecycle accounting consistent. Run
 // with -tags failpoint (and ideally -race).
 func TestChaosExpirySweepRollback(t *testing.T) {
+	cow.SealForTest(t)
 	p := core.NewPipeline()
 	if _, err := p.AddTable(core.TableConfig{
 		ID:     0,

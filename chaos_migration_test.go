@@ -27,6 +27,7 @@ import (
 
 	"ofmtl/internal/core"
 	"ofmtl/internal/core/autotune"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/failpoint"
 	"ofmtl/internal/openflow"
 )
@@ -63,6 +64,7 @@ func migrationPipeline(t *testing.T, n int) *core.Pipeline {
 // and requires every failed attempt to be invisible; see the file
 // comment for the invariants.
 func TestChaosMigrationRollback(t *testing.T) {
+	cow.SealForTest(t)
 	const rules = 1024
 	p := migrationPipeline(t, rules)
 	p.SetAutotunePolicy(autotune.Policy{})

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"ofmtl/internal/core"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/failpoint"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/ofproto"
@@ -187,6 +188,7 @@ func chaosReconn(addr string) *ofproto.ReconnClient {
 // TestChaosBudgetNeverExceeded is the headline chaos run; see the file
 // comment for the invariants.
 func TestChaosBudgetNeverExceeded(t *testing.T) {
+	cow.SealForTest(t)
 	const (
 		workers      = 4
 		vlansPerWkr  = 12

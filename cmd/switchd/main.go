@@ -181,7 +181,7 @@ func run() error {
 		log.Printf("switchd: megaflow tier disabled")
 	}
 	// Publish the initial snapshot now so the first packet doesn't pay
-	// for the clone.
+	// for it.
 	pipeline.Refresh()
 	if *expiry > 0 {
 		// Background expiry sweeper: each tick batches every expired

@@ -7,6 +7,7 @@ import (
 
 	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/traffic"
@@ -20,6 +21,7 @@ import (
 // concurrently from several goroutines so the run also exercises the
 // snapshot engine under the race detector (CI runs the suite with -race).
 func TestDifferentialACLvsLinear(t *testing.T) {
+	cow.SealForTest(t)
 	seeds := []uint64{1, 7, 42}
 	sizes := []int{50, 200, 700}
 	for si, seed := range seeds {
@@ -122,6 +124,7 @@ func TestDifferentialACLvsLinear(t *testing.T) {
 // engine must keep agreeing with a linear scan over the rules currently
 // installed.
 func TestDifferentialACLUnderChurn(t *testing.T) {
+	cow.SealForTest(t)
 	f := filterset.GenerateACL("churn", 120, 5)
 	entries := f.FlowEntries()
 	p, err := core.BuildACL(f)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 )
 
@@ -12,23 +13,37 @@ import (
 // reference counted — the action-table analogue of the label method — so
 // the MAC-learning application's thousands of rules resolve to at most one
 // row per (output port) combination.
+//
+// Lookups read the rows only, a paged array shared with the views Publish
+// returns; reference counts, the dedup index and the freelist are control
+// state. Referencing or dereferencing a row that stays live writes no
+// page.
 type ActionTable struct {
-	entries []actionEntry
-	free    []uint32
-	byKey   map[string]uint32
-	live    int
-	peak    int
+	rows cow.Array[actionRow]
+	live int
+	peak int
+
+	ctl *actionControl // nil in a published view
 }
 
-type actionEntry struct {
+// actionRow is one row as lookups see it.
+type actionRow struct {
 	instrs []openflow.Instruction
-	key    string
-	refs   int
+	live   bool
+}
+
+// actionControl is the state only updates touch: per-row reference counts
+// and dedup keys (indexed like rows), the key index and the freelist.
+type actionControl struct {
+	refs  []int
+	keys  []string
+	free  []uint32
+	byKey map[string]uint32
 }
 
 // NewActionTable returns an empty action table.
 func NewActionTable() *ActionTable {
-	return &ActionTable{byKey: make(map[string]uint32)}
+	return &ActionTable{ctl: &actionControl{byKey: make(map[string]uint32)}}
 }
 
 // instrKey serialises an instruction list into a map key using the wire
@@ -40,21 +55,23 @@ func instrKey(instrs []openflow.Instruction) string {
 
 // Add stores (or references) an instruction set and returns its index.
 func (t *ActionTable) Add(instrs []openflow.Instruction) uint32 {
+	c := t.ctl
 	key := instrKey(instrs)
-	if idx, ok := t.byKey[key]; ok {
-		t.entries[idx].refs++
+	if idx, ok := c.byKey[key]; ok {
+		c.refs[idx]++
 		return idx
 	}
 	var idx uint32
-	if n := len(t.free); n > 0 {
-		idx = t.free[n-1]
-		t.free = t.free[:n-1]
-		t.entries[idx] = actionEntry{instrs: instrs, key: key, refs: 1}
+	if n := len(c.free); n > 0 {
+		idx = c.free[n-1]
+		c.free = c.free[:n-1]
+		c.refs[idx], c.keys[idx] = 1, key
 	} else {
-		idx = uint32(len(t.entries))
-		t.entries = append(t.entries, actionEntry{instrs: instrs, key: key, refs: 1})
+		idx = uint32(len(c.refs))
+		c.refs, c.keys = append(c.refs, 1), append(c.keys, key)
 	}
-	t.byKey[key] = idx
+	*t.rows.Mut(int(idx)) = actionRow{instrs: instrs, live: true}
+	c.byKey[key] = idx
 	t.live++
 	if t.live > t.peak {
 		t.peak = t.live
@@ -64,54 +81,43 @@ func (t *ActionTable) Add(instrs []openflow.Instruction) uint32 {
 
 // Find returns the index of an instruction set without referencing it.
 func (t *ActionTable) Find(instrs []openflow.Instruction) (uint32, bool) {
-	idx, ok := t.byKey[instrKey(instrs)]
+	idx, ok := t.ctl.byKey[instrKey(instrs)]
 	return idx, ok
 }
 
 // Get returns the instruction set at idx.
 func (t *ActionTable) Get(idx uint32) ([]openflow.Instruction, error) {
-	if int(idx) >= len(t.entries) || t.entries[idx].refs == 0 {
+	r := t.rows.Get(int(idx))
+	if !r.live {
 		return nil, fmt.Errorf("core: action index %d not live", idx)
 	}
-	return t.entries[idx].instrs, nil
+	return r.instrs, nil
 }
 
 // Release dereferences the entry at idx, freeing the row when its last
 // reference disappears.
 func (t *ActionTable) Release(idx uint32) error {
-	if int(idx) >= len(t.entries) || t.entries[idx].refs == 0 {
+	c := t.ctl
+	if int(idx) >= len(c.refs) || c.refs[idx] == 0 {
 		return fmt.Errorf("core: release of dead action index %d", idx)
 	}
-	e := &t.entries[idx]
-	e.refs--
-	if e.refs > 0 {
+	c.refs[idx]--
+	if c.refs[idx] > 0 {
 		return nil
 	}
-	delete(t.byKey, e.key)
-	e.instrs = nil
-	e.key = ""
-	t.free = append(t.free, idx)
+	delete(c.byKey, c.keys[idx])
+	c.keys[idx] = ""
+	*t.rows.Mut(int(idx)) = actionRow{}
+	c.free = append(c.free, idx)
 	t.live--
 	return nil
 }
 
-// Clone returns a deep copy of the action table. Instruction slices are
-// shared with the original — they are immutable once installed — but all
-// bookkeeping state is copied, so either side can mutate independently.
-func (t *ActionTable) Clone() *ActionTable {
-	c := &ActionTable{
-		entries: append([]actionEntry(nil), t.entries...),
-		byKey:   make(map[string]uint32, len(t.byKey)),
-		live:    t.live,
-		peak:    t.peak,
-	}
-	if len(t.free) > 0 {
-		c.free = append([]uint32(nil), t.free...)
-	}
-	for k, v := range t.byKey {
-		c.byKey[k] = v
-	}
-	return c
+// Publish returns an immutable view of the table as it stands: the rows,
+// shared page by page, and the counters the memory model reads. Later
+// updates to t never show in it.
+func (t *ActionTable) Publish() *ActionTable {
+	return &ActionTable{rows: t.rows.Publish(), live: t.live, peak: t.peak}
 }
 
 // Len returns the number of live rows.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ofmtl/internal/core/autotune"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -432,6 +433,7 @@ func storeDump(p *Pipeline) []string {
 // lookup, and finally the canonical rule stores must be identical —
 // however many live migrations the auto table performed along the way.
 func TestAutoBackendChurnDifferential(t *testing.T) {
+	cow.SealForTest(t)
 	rng := xrand.New(1012)
 	mk := func(kind string) *Pipeline {
 		p := NewPipeline()

@@ -21,9 +21,9 @@ import (
 // reproduced on a live switch.
 //
 // A Backend owns a table's data-plane state: it installs and uninstalls
-// canonical flow entries, classifies packet headers, deep-clones itself
-// for the pipeline's RCU snapshots, and continuously accounts the
-// modelled memory its structures occupy. The LookupTable keeps everything
+// canonical flow entries, classifies packet headers, publishes immutable
+// views of itself for the pipeline's RCU snapshots, and continuously
+// accounts the modelled memory its structures occupy. The LookupTable keeps everything
 // scheme-independent — configuration, the control-plane rule store the
 // transactional API resolves against, generation counters and the
 // published memory-stats pointer — and delegates the rest.
@@ -114,8 +114,8 @@ func BackendSupportsFields(kind string, fields []openflow.FieldID) bool {
 // Backend is one table's lookup scheme: the data-plane structures behind
 // a LookupTable. Implementations are not safe for concurrent mutation —
 // the pipeline serialises Insert/Remove under its write lock — but a
-// Clone must serve any number of concurrent Lookup calls while the
-// original keeps taking updates (the RCU snapshot contract).
+// published view must serve any number of concurrent Lookup calls while
+// the original keeps taking updates (the RCU snapshot contract).
 type Backend interface {
 	// Kind returns the backend's registered kind name.
 	Kind() string
@@ -129,17 +129,21 @@ type Backend interface {
 	Remove(e *openflow.FlowEntry) error
 	// Lookup classifies one packet header, returning the winning entry's
 	// instructions and priority. Ties on priority resolve to the earliest
-	// installed entry. Lookup must be safe for concurrent callers on an
-	// immutable (cloned) backend. A non-nil tr asks for consulted-bits
+	// installed entry. Lookup must be safe for concurrent callers on a
+	// published view. A non-nil tr asks for consulted-bits
 	// accounting for the megaflow tier: the backend must mark in tr every
 	// header bit whose value could change the lookup's outcome, so that
 	// any header agreeing with h on the marked bits is guaranteed the
 	// identical MatchResult. Over-marking is safe; under-marking caches
 	// wrong results.
 	Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool)
-	// Clone returns a deep copy sharing no mutable state with the
-	// original (immutable instruction slices are shared).
-	Clone() Backend
+	// Publish returns an immutable view of the backend as it stands,
+	// serving Lookup, Stats and AddMemory; later updates to the original
+	// never show in it. What it costs is the backend's business — mbt and
+	// dir24 share their storage page by page with the view and copy what
+	// a later write touches, tss and lineartcam copy one pointer per rule
+	// — but calling Insert or Remove on a view is a bug and may panic.
+	Publish() Backend
 	// Stats returns the modelled memory breakdown — the incremental
 	// counters behind the pipeline's lock-free MemoryStats (byte totals
 	// via BackendStats.TotalBytes). It must be cheap (no structure

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/memmodel"
 	"ofmtl/internal/openflow"
 )
@@ -32,38 +33,59 @@ import (
 // prefix. (The repo's workloads encode LPM as priority=prefix length,
 // so priority order subsumes longest-prefix order when callers want it.)
 //
-// Cloning is chunked copy-on-write: the 2^24 slot array is 4096 chunks
-// of 4096 slots, and a Clone copies only the chunk-pointer directory
-// (32 KiB) while both sides mark every chunk shared; the first writer of
-// a chunk copies those 16 KiB privately. Spill chunks and the entry
-// arena follow the same protocol, so a Tx commit never copies the full
-// 64 MiB array and published snapshots stay immutable under churn.
+// Publishing shares pages (internal/cow): the 2^24 slot array, the spill
+// chunks and the entry arena are paged arrays, a published view copies
+// their page directories (32 KiB for the slot array, when it changed)
+// and the first write to a page after a publish copies that page
+// privately. A Tx commit therefore never copies the 64 MiB array and
+// published snapshots stay immutable under churn. The prefix buckets,
+// freelists and per-chunk long-prefix counts are control state: only
+// updates read them, views do not carry them.
 type dir24Backend struct {
 	cfg   TableConfig
 	field openflow.FieldID
 
-	// tbl is the 2^24-slot direct table as 4096 lazily allocated chunks;
-	// a nil chunk is all-empty. Slot encoding: 0 = no entry,
-	// dir24SpillFlag|spillIndex = spilled slot, else entry ref (arena
-	// index + 1).
-	tbl       []*dir24TblChunk
-	tblShared []bool
+	// tbl is the 2^24-slot direct table; a nil page is all-empty. Slot
+	// encoding: 0 = no entry, dir24SpillFlag|spillIndex = spilled slot,
+	// else entry ref (arena index + 1). The paged element is a group of
+	// four slots, so a page holds 4096 slots (16 KiB) and the directory
+	// 4096 pointers: 32 KiB, small enough to stay in the first-level
+	// cache under random lookups (one slot per element makes it 128 KiB
+	// and a million-route lookup 14 % slower).
+	tbl cow.Array[dir24Group]
 
 	// spill holds the 256-entry chunks of slots covered by /25../32
-	// prefixes; spillFree recycles freed indices so slot-stored spill
-	// pointers stay dense.
-	spill       []*dir24Spill
-	spillShared []bool
-	spillFree   []uint32
-	liveSpills  int
+	// prefixes: chunk i is elements [i<<8, (i+1)<<8), so slot-stored spill
+	// pointers stay dense as freed indices are recycled.
+	spill      cow.Array[uint32]
+	liveSpills int
 
-	// arena resolves entry refs to installed entries; refs are recycled
-	// through arenaFree, and chunks follow the same copy-on-write
-	// protocol as tbl so recycling never mutates memory a clone reads.
-	arena       []*dir24EntryChunk
-	arenaShared []bool
-	arenaFree   []uint32
-	arenaNext   uint32
+	// arena resolves entry refs to installed entries.
+	arena cow.Array[*dir24Entry]
+
+	rules int
+
+	// Incremental memory accounting so Stats is O(1): the direct array
+	// is a constant bill, spillBits tracks live spill chunks, actionBits
+	// one modelled action row per rule.
+	spillBits  uint64
+	actionBits uint64
+
+	ctl *dir24Control // nil in a published view
+}
+
+// dir24Control is the state only updates touch.
+type dir24Control struct {
+	// spillLongs[i] counts the live /25..32 entries covering spill chunk
+	// i's slot; when it reaches zero the chunk is freed and the slot
+	// reverts to a direct ref. spillFree recycles freed chunk indices.
+	spillLongs []int32
+	spillFree  []uint32
+
+	// Entry refs are recycled through arenaFree; arenaNext is the next
+	// never-used arena index.
+	arenaFree []uint32
+	arenaNext uint32
 
 	// buckets is the control-plane index keyed by (plen, prefix value):
 	// every installed entry, in installation order. Removals recompute
@@ -71,13 +93,6 @@ type dir24Backend struct {
 	buckets map[uint64][]*dir24Entry
 
 	nextSeq uint64
-	rules   int
-
-	// Incremental memory accounting so Stats is O(1): the direct array
-	// is a constant bill, spillBits tracks live spill chunks, actionBits
-	// one modelled action row per rule.
-	spillBits  uint64
-	actionBits uint64
 }
 
 const (
@@ -87,30 +102,22 @@ const (
 	dir24SlotBits = 32
 	// dir24Slots is the direct table's depth: one slot per /24.
 	dir24Slots = 1 << 24
-	// dir24ChunkShift sizes the copy-on-write granularity: 4096 slots
-	// (16 KiB) per chunk, 4096 chunks.
-	dir24ChunkShift = 12
-	dir24ChunkSlots = 1 << dir24ChunkShift
-	dir24NumChunks  = dir24Slots / dir24ChunkSlots
 	// dir24SpillSlots is the second-level fan-out: one entry per low
-	// byte of the address.
-	dir24SpillSlots = 256
+	// byte of the address. A chunk never straddles a cow page.
+	dir24SpillShift = 8
+	dir24SpillSlots = 1 << dir24SpillShift
 	// dir24SpillFlag marks a slot whose value is a spill-chunk index
 	// rather than an entry ref.
 	dir24SpillFlag = uint32(1) << 31
 )
 
-type dir24TblChunk [dir24ChunkSlots]uint32
+// dir24Group is the direct table's paged element: four adjacent slots.
+type dir24Group [1 << dir24GroupShift]uint32
 
-type dir24EntryChunk [dir24ChunkSlots]*dir24Entry
-
-// dir24Spill is one spilled slot's 256-entry table. longs counts the
-// live /25..32 entries covering the slot; when it reaches zero the chunk
-// is freed and the slot reverts to a direct ref.
-type dir24Spill struct {
-	entries [dir24SpillSlots]uint32
-	longs   int
-}
+const (
+	dir24GroupShift = 2
+	dir24GroupMask  = 1<<dir24GroupShift - 1
+)
 
 // dir24Entry is one installed rule: the canonical entry, its prefix
 // interpretation, its installation sequence (the priority tie-breaker)
@@ -141,13 +148,7 @@ func newDIR24Backend(cfg TableConfig) (*dir24Backend, error) {
 		}
 		return nil, fmt.Errorf("core: table %d: backend dir24 requires exactly one 32-bit longest-prefix-match field (e.g. ipv4-dst), got %v", cfg.ID, names)
 	}
-	return &dir24Backend{
-		cfg:       cfg,
-		field:     cfg.Fields[0],
-		tbl:       make([]*dir24TblChunk, dir24NumChunks),
-		tblShared: make([]bool, dir24NumChunks),
-		buckets:   make(map[uint64][]*dir24Entry),
-	}, nil
+	return newDIR24BackendAuto(cfg, cfg.Fields[0]), nil
 }
 
 // newDIR24BackendAuto builds a DIR-24-8 backend serving the designated
@@ -159,13 +160,13 @@ func newDIR24Backend(cfg TableConfig) (*dir24Backend, error) {
 // exact. The advisor migrates the table off dir24 (inline, before the
 // insert lands) the moment a wider rule arrives.
 func newDIR24BackendAuto(cfg TableConfig, field openflow.FieldID) *dir24Backend {
-	return &dir24Backend{
-		cfg:       cfg,
-		field:     field,
-		tbl:       make([]*dir24TblChunk, dir24NumChunks),
-		tblShared: make([]bool, dir24NumChunks),
-		buckets:   make(map[uint64][]*dir24Entry),
+	b := &dir24Backend{
+		cfg:   cfg,
+		field: field,
+		ctl:   &dir24Control{buckets: make(map[uint64][]*dir24Entry)},
 	}
+	b.tbl.Grow(dir24Slots >> dir24GroupShift)
+	return b
 }
 
 // Kind implements Backend.
@@ -215,70 +216,41 @@ func dir24Better(best, cand *dir24Entry) bool {
 	return cand.seq < best.seq
 }
 
-// --- copy-on-write accessors -----------------------------------------
-
-// tblChunkForWrite returns the chunk holding slot range ci, privately
-// owned: nil chunks are allocated, shared chunks copied first.
-func (b *dir24Backend) tblChunkForWrite(ci uint32) *dir24TblChunk {
-	c := b.tbl[ci]
-	if c == nil {
-		c = new(dir24TblChunk)
-		b.tbl[ci] = c
-		b.tblShared[ci] = false
-		return c
-	}
-	if b.tblShared[ci] {
-		cp := new(dir24TblChunk)
-		*cp = *c
-		b.tbl[ci] = cp
-		b.tblShared[ci] = false
-		return cp
-	}
-	return c
-}
+// --- paged-array accessors -------------------------------------------
 
 // slotGet reads one direct-table slot.
 func (b *dir24Backend) slotGet(idx uint32) uint32 {
-	c := b.tbl[idx>>dir24ChunkShift]
-	if c == nil {
-		return 0
-	}
-	return c[idx&(dir24ChunkSlots-1)]
+	return b.tbl.Get(int(idx >> dir24GroupShift))[idx&dir24GroupMask]
 }
 
-// slotSet writes one direct-table slot through the COW protocol.
+// slotSet writes one direct-table slot.
 func (b *dir24Backend) slotSet(idx, v uint32) {
-	b.tblChunkForWrite(idx >> dir24ChunkShift)[idx&(dir24ChunkSlots-1)] = v
+	b.tbl.Mut(int(idx >> dir24GroupShift))[idx&dir24GroupMask] = v
 }
 
-// spillForWrite returns spill chunk si privately owned.
-func (b *dir24Backend) spillForWrite(si uint32) *dir24Spill {
-	sp := b.spill[si]
-	if b.spillShared[si] {
-		cp := new(dir24Spill)
-		*cp = *sp
-		b.spill[si] = cp
-		b.spillShared[si] = false
-		return cp
-	}
-	return sp
+// spillRead returns spill chunk si for reading.
+func (b *dir24Backend) spillRead(si uint32) []uint32 {
+	return b.spill.Span(int(si)<<dir24SpillShift, dir24SpillSlots)
 }
 
-// allocSpill claims a spill index, recycling freed ones. The fresh
-// chunk replaces whatever pointer sat at a recycled index, so clones
-// still referencing the old chunk are untouched.
+// spillForWrite returns spill chunk si for writing.
+func (b *dir24Backend) spillForWrite(si uint32) []uint32 {
+	return b.spill.MutSpan(int(si)<<dir24SpillShift, dir24SpillSlots)
+}
+
+// allocSpill claims a zeroed spill chunk, recycling freed indices.
 func (b *dir24Backend) allocSpill() uint32 {
-	sp := new(dir24Spill)
-	if n := len(b.spillFree); n > 0 {
-		si := b.spillFree[n-1]
-		b.spillFree = b.spillFree[:n-1]
-		b.spill[si] = sp
-		b.spillShared[si] = false
-		return si
+	c := b.ctl
+	var si uint32
+	if n := len(c.spillFree); n > 0 {
+		si = c.spillFree[n-1]
+		c.spillFree = c.spillFree[:n-1]
+	} else {
+		si = uint32(len(c.spillLongs))
+		c.spillLongs = append(c.spillLongs, 0)
 	}
-	b.spill = append(b.spill, sp)
-	b.spillShared = append(b.spillShared, false)
-	return uint32(len(b.spill) - 1)
+	clear(b.spillForWrite(si))
+	return si
 }
 
 // entryOf resolves a slot ref (0 = none).
@@ -286,7 +258,7 @@ func (b *dir24Backend) entryOf(ref uint32) *dir24Entry {
 	if ref == 0 {
 		return nil
 	}
-	return b.arena[(ref-1)>>dir24ChunkShift][(ref-1)&(dir24ChunkSlots-1)]
+	return b.arena.Get(int(ref - 1))
 }
 
 // dir24Ref maps an entry (possibly nil) to its slot encoding.
@@ -297,49 +269,25 @@ func dir24Ref(ent *dir24Entry) uint32 {
 	return ent.ref
 }
 
-// arenaChunkForWrite returns arena chunk ci privately owned.
-func (b *dir24Backend) arenaChunkForWrite(ci uint32) *dir24EntryChunk {
-	c := b.arena[ci]
-	if c == nil {
-		c = new(dir24EntryChunk)
-		b.arena[ci] = c
-		b.arenaShared[ci] = false
-		return c
-	}
-	if b.arenaShared[ci] {
-		cp := new(dir24EntryChunk)
-		*cp = *c
-		b.arena[ci] = cp
-		b.arenaShared[ci] = false
-		return cp
-	}
-	return c
-}
-
 // allocEntry places ent in the arena and assigns its ref.
 func (b *dir24Backend) allocEntry(ent *dir24Entry) {
+	c := b.ctl
 	var idx uint32
-	if n := len(b.arenaFree); n > 0 {
-		idx = b.arenaFree[n-1]
-		b.arenaFree = b.arenaFree[:n-1]
+	if n := len(c.arenaFree); n > 0 {
+		idx = c.arenaFree[n-1]
+		c.arenaFree = c.arenaFree[:n-1]
 	} else {
-		idx = b.arenaNext
-		b.arenaNext++
+		idx = c.arenaNext
+		c.arenaNext++
 	}
-	ci := idx >> dir24ChunkShift
-	for int(ci) >= len(b.arena) {
-		b.arena = append(b.arena, nil)
-		b.arenaShared = append(b.arenaShared, false)
-	}
-	b.arenaChunkForWrite(ci)[idx&(dir24ChunkSlots-1)] = ent
+	*b.arena.Mut(int(idx)) = ent
 	ent.ref = idx + 1
 }
 
 // freeEntry recycles a ref after every slot referencing it was rewritten.
 func (b *dir24Backend) freeEntry(ref uint32) {
-	idx := ref - 1
-	b.arenaChunkForWrite(idx >> dir24ChunkShift)[idx&(dir24ChunkSlots-1)] = nil
-	b.arenaFree = append(b.arenaFree, idx)
+	*b.arena.Mut(int(ref - 1)) = nil
+	b.ctl.arenaFree = append(b.ctl.arenaFree, ref-1)
 }
 
 // --- winner recomputation --------------------------------------------
@@ -350,7 +298,7 @@ func (b *dir24Backend) freeEntry(ref uint32) {
 func (b *dir24Backend) bestFor(addr uint32) *dir24Entry {
 	var best *dir24Entry
 	for plen := 0; plen <= 32; plen++ {
-		for _, ent := range b.buckets[dir24BucketKey(addr&dir24Mask(plen), plen)] {
+		for _, ent := range b.ctl.buckets[dir24BucketKey(addr&dir24Mask(plen), plen)] {
 			if dir24Better(best, ent) {
 				best = ent
 			}
@@ -366,7 +314,7 @@ func (b *dir24Backend) bestShort(idx uint32) *dir24Entry {
 	addr := idx << 8
 	var best *dir24Entry
 	for plen := 0; plen <= 24; plen++ {
-		for _, ent := range b.buckets[dir24BucketKey(addr&dir24Mask(plen), plen)] {
+		for _, ent := range b.ctl.buckets[dir24BucketKey(addr&dir24Mask(plen), plen)] {
 			if dir24Better(best, ent) {
 				best = ent
 			}
@@ -393,15 +341,15 @@ func (b *dir24Backend) paint(o *dir24Entry, lo, hi uint32) {
 		for idx := olo; idx <= ohi; idx++ {
 			v := b.slotGet(idx)
 			if v&dir24SpillFlag != 0 {
-				sp := b.spill[v&^dir24SpillFlag]
-				var w *dir24Spill
-				for a := range sp.entries {
-					if dir24Better(b.entryOf(sp.entries[a]), o) {
+				// The chunk is made writable only if the entry wins somewhere.
+				sp := b.spillRead(v &^ dir24SpillFlag)
+				var w []uint32
+				for a := range sp {
+					if dir24Better(b.entryOf(sp[a]), o) {
 						if w == nil {
 							w = b.spillForWrite(v &^ dir24SpillFlag)
-							sp = w
 						}
-						w.entries[a] = o.ref
+						w[a] = o.ref
 					}
 				}
 			} else if dir24Better(b.entryOf(v), o) {
@@ -419,31 +367,31 @@ func (b *dir24Backend) paint(o *dir24Entry, lo, hi uint32) {
 	aLo := o.val & 0xFF
 	aHi := aLo + (uint32(1)<<(32-uint(o.plen)) - 1)
 	for a := aLo; a <= aHi; a++ {
-		if dir24Better(b.entryOf(sp.entries[a]), o) {
-			sp.entries[a] = o.ref
+		if dir24Better(b.entryOf(sp[a]), o) {
+			sp[a] = o.ref
 		}
 	}
 }
 
 // ensureSpill converts a direct slot to a spilled one (seeding every
-// sub-entry with the current direct winner) or returns the existing
-// chunk writable.
-func (b *dir24Backend) ensureSpill(idx uint32) *dir24Spill {
+// sub-entry with the current direct winner) or finds its existing chunk,
+// and returns the chunk's index and the chunk writable.
+func (b *dir24Backend) ensureSpill(idx uint32) (uint32, []uint32) {
 	v := b.slotGet(idx)
 	if v&dir24SpillFlag != 0 {
-		return b.spillForWrite(v &^ dir24SpillFlag)
+		return v &^ dir24SpillFlag, b.spillForWrite(v &^ dir24SpillFlag)
 	}
 	si := b.allocSpill()
-	sp := b.spill[si]
+	sp := b.spillForWrite(si)
 	if v != 0 {
-		for a := range sp.entries {
-			sp.entries[a] = v
+		for a := range sp {
+			sp[a] = v
 		}
 	}
 	b.slotSet(idx, dir24SpillFlag|si)
 	b.liveSpills++
 	b.spillBits += dir24SpillSlots * dir24SlotBits
-	return sp
+	return si, sp
 }
 
 // --- Backend mutation ------------------------------------------------
@@ -456,10 +404,10 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
 		return err
 	}
 	val, plen := b.prefixOf(e)
-	ent := &dir24Entry{seq: b.nextSeq, val: val, plen: plen, entry: *e}
+	ent := &dir24Entry{seq: b.ctl.nextSeq, val: val, plen: plen, entry: *e}
 	b.allocEntry(ent)
 	key := dir24BucketKey(val, plen)
-	b.buckets[key] = append(b.buckets[key], ent)
+	b.ctl.buckets[key] = append(b.ctl.buckets[key], ent)
 
 	if plen <= 24 {
 		lo := val >> 8
@@ -468,9 +416,9 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
 			v := b.slotGet(idx)
 			if v&dir24SpillFlag != 0 {
 				sp := b.spillForWrite(v &^ dir24SpillFlag)
-				for a := range sp.entries {
-					if dir24Better(b.entryOf(sp.entries[a]), ent) {
-						sp.entries[a] = ent.ref
+				for a := range sp {
+					if dir24Better(b.entryOf(sp[a]), ent) {
+						sp[a] = ent.ref
 					}
 				}
 			} else if dir24Better(b.entryOf(v), ent) {
@@ -478,18 +426,18 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
 			}
 		}
 	} else {
-		sp := b.ensureSpill(val >> 8)
+		si, sp := b.ensureSpill(val >> 8)
 		aLo := val & 0xFF
 		aHi := aLo + (uint32(1)<<(32-uint(plen)) - 1)
 		for a := aLo; a <= aHi; a++ {
-			if dir24Better(b.entryOf(sp.entries[a]), ent) {
-				sp.entries[a] = ent.ref
+			if dir24Better(b.entryOf(sp[a]), ent) {
+				sp[a] = ent.ref
 			}
 		}
-		sp.longs++
+		b.ctl.spillLongs[si]++
 	}
 
-	b.nextSeq++
+	b.ctl.nextSeq++
 	b.rules++
 	b.actionBits += memmodel.ActionEntryBits
 	return nil
@@ -501,7 +449,7 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
 func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 	val, plen := b.prefixOf(e)
 	key := dir24BucketKey(val, plen)
-	bucket := b.buckets[key]
+	bucket := b.ctl.buckets[key]
 	// Buckets append on insert, so the first identity match is the
 	// earliest installed.
 	found := -1
@@ -517,9 +465,9 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 	ent := bucket[found]
 	bucket = append(bucket[:found], bucket[found+1:]...)
 	if len(bucket) == 0 {
-		delete(b.buckets, key)
+		delete(b.ctl.buckets, key)
 	} else {
-		b.buckets[key] = bucket
+		b.ctl.buckets[key] = bucket
 	}
 
 	if plen <= 24 {
@@ -536,23 +484,22 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 			v := b.slotGet(idx)
 			if v&dir24SpillFlag != 0 {
 				si := v &^ dir24SpillFlag
-				sp := b.spill[si]
-				var w *dir24Spill
-				for a := uint32(0); a < dir24SpillSlots; a++ {
-					if sp.entries[a] != ent.ref {
+				sp := b.spillRead(si)
+				var w []uint32
+				for a := range sp {
+					if sp[a] != ent.ref {
 						continue
 					}
 					if w == nil {
 						w = b.spillForWrite(si)
-						sp = w
 					}
-					w.entries[a] = 0
+					w[a] = 0
 				}
 			} else if v == ent.ref {
 				b.slotSet(idx, 0)
 			}
 		}
-		for _, bucket := range b.buckets {
+		for _, bucket := range b.ctl.buckets {
 			for _, o := range bucket {
 				b.paint(o, lo, hi)
 			}
@@ -564,17 +511,17 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 		aLo := val & 0xFF
 		aHi := aLo + (uint32(1)<<(32-uint(plen)) - 1)
 		for a := aLo; a <= aHi; a++ {
-			if sp.entries[a] == ent.ref {
-				sp.entries[a] = dir24Ref(b.bestFor(idx<<8 | a))
+			if sp[a] == ent.ref {
+				sp[a] = dir24Ref(b.bestFor(idx<<8 | a))
 			}
 		}
-		sp.longs--
-		if sp.longs == 0 {
+		b.ctl.spillLongs[si]--
+		if b.ctl.spillLongs[si] == 0 {
 			// Last long prefix gone: the slot collapses back to a direct
 			// ref and the chunk is recycled, so the accounting (and the
 			// drift test's from-scratch replay) sees the spill disappear.
 			b.slotSet(idx, dir24Ref(b.bestShort(idx)))
-			b.spillFree = append(b.spillFree, si)
+			b.ctl.spillFree = append(b.ctl.spillFree, si)
 			b.liveSpills--
 			b.spillBits -= dir24SpillSlots * dir24SlotBits
 		}
@@ -601,61 +548,41 @@ func (b *dir24Backend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bo
 	addr := uint32(h.Get(b.field).Lo)
 	idx := addr >> 8
 	var ref uint32
-	if c := b.tbl[idx>>dir24ChunkShift]; c != nil {
-		ref = c[idx&(dir24ChunkSlots-1)]
+	if pg := b.tbl.Dir[idx>>(cow.PageShift+dir24GroupShift)]; pg != nil {
+		ref = pg[idx>>dir24GroupShift&cow.PageMask][idx&dir24GroupMask]
 	}
 	if ref&dir24SpillFlag != 0 {
 		if tr != nil {
 			tr.orFieldFull(b.field)
 		}
-		ref = b.spill[ref&^dir24SpillFlag].entries[addr&0xFF]
+		i := (ref&^dir24SpillFlag)<<dir24SpillShift | addr&0xFF
+		ref = b.spill.Dir[i>>cow.PageShift][i&cow.PageMask]
 	}
 	if ref == 0 {
 		return MatchResult{}, false
 	}
-	ent := b.arena[(ref-1)>>dir24ChunkShift][(ref-1)&(dir24ChunkSlots-1)]
+	ent := b.arena.Dir[(ref-1)>>cow.PageShift][(ref-1)&cow.PageMask]
 	return MatchResult{Instructions: ent.entry.Instructions, Priority: ent.entry.Priority, Ref: ent.entry.Ref}, true
 }
 
 // --- Backend snapshotting and accounting ------------------------------
 
-// Clone implements Backend: copy the chunk directories and mark every
-// chunk shared on both sides; whichever side writes a chunk first copies
-// it. Entries are immutable once installed and shared outright. The
-// control-plane buckets are deep-copied (slice per key) so the clone is
-// a fully independent backend, per the Backend contract.
-func (b *dir24Backend) Clone() Backend {
-	markShared := func(flags []bool) []bool {
-		cp := make([]bool, len(flags))
-		for i := range flags {
-			flags[i] = true
-			cp[i] = true
-		}
-		return cp
-	}
-	c := &dir24Backend{
+// Publish implements Backend: the three paged arrays as views sharing
+// every page (a write on the live side copies its page first), the
+// accounting by value. Entries are immutable once installed and shared
+// outright.
+func (b *dir24Backend) Publish() Backend {
+	return &dir24Backend{
 		cfg:        b.cfg,
 		field:      b.field,
+		tbl:        b.tbl.Publish(),
+		spill:      b.spill.Publish(),
 		liveSpills: b.liveSpills,
-		arenaNext:  b.arenaNext,
-		nextSeq:    b.nextSeq,
+		arena:      b.arena.Publish(),
 		rules:      b.rules,
 		spillBits:  b.spillBits,
 		actionBits: b.actionBits,
 	}
-	c.tbl = append([]*dir24TblChunk(nil), b.tbl...)
-	c.tblShared = markShared(b.tblShared)
-	c.spill = append([]*dir24Spill(nil), b.spill...)
-	c.spillShared = markShared(b.spillShared)
-	c.spillFree = append([]uint32(nil), b.spillFree...)
-	c.arena = append([]*dir24EntryChunk(nil), b.arena...)
-	c.arenaShared = markShared(b.arenaShared)
-	c.arenaFree = append([]uint32(nil), b.arenaFree...)
-	c.buckets = make(map[uint64][]*dir24Entry, len(b.buckets))
-	for k, v := range b.buckets {
-		c.buckets[k] = append([]*dir24Entry(nil), v...)
-	}
-	return c
 }
 
 // Stats implements Backend. The direct array is billed at its full

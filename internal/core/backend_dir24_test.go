@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/cow"
+	"ofmtl/internal/memmodel"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -400,12 +403,15 @@ func TestDIR24SpillLifecycle(t *testing.T) {
 	}
 }
 
-// TestDIR24CloneIsolation pins the chunked copy-on-write contract
-// deterministically (the racing version is
-// TestBackendCloneIsolationUnderChurn): a clone taken mid-history keeps
-// classifying the capture-time rule set while the original churns on,
-// in both the direct-array and spill paths.
+// TestDIR24CloneIsolation (the name predates views) pins the page-sharing
+// contract deterministically (the racing version is
+// TestBackendCloneIsolationUnderChurn): a view published mid-history
+// keeps classifying the capture-time rule set while the live backend
+// churns on, in both the direct-array and spill paths; the live backend
+// is unaffected by the view being dropped; and no published page is ever
+// written (the seals).
 func TestDIR24CloneIsolation(t *testing.T) {
+	cow.SealForTest(t)
 	cfg := lpmTableConfig()
 	cfg.Backend = BackendDIR24
 	b, err := newDIR24Backend(cfg)
@@ -421,7 +427,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 		}
 		live = append(live, e)
 	}
-	snap := b.Clone()
+	snap := b.Publish()
 	var probes []*openflow.Header
 	want := make([]MatchResult, 0, 256)
 	wantOK := make([]bool, 0, 256)
@@ -432,21 +438,46 @@ func TestDIR24CloneIsolation(t *testing.T) {
 		want = append(want, res)
 		wantOK = append(wantOK, ok)
 	}
-	// Churn the original hard: remove everything, insert a fresh set.
-	for _, e := range live {
+	// Churn the live side hard, publishing as a pipeline would: remove
+	// everything, insert a fresh set.
+	for i, e := range live {
 		if err := b.Remove(e); err != nil {
 			t.Fatal(err)
 		}
+		if i%40 == 0 {
+			b.Publish()
+		}
 	}
+	var fresh []*openflow.FlowEntry
 	for i := 0; i < 200; i++ {
-		if err := b.Insert(randomLPMEntry(rng, 1+rng.Intn(6))); err != nil {
+		e := randomLPMEntry(rng, 1+rng.Intn(6))
+		if err := b.Insert(e); err != nil {
 			t.Fatal(err)
 		}
+		fresh = append(fresh, e)
 	}
 	for i, h := range probes {
 		res, ok := snap.Lookup(h, nil)
 		if ok != wantOK[i] || !reflect.DeepEqual(res, want[i]) {
 			t.Fatalf("probe %d drifted after source churn: got %+v ok=%v, want %+v ok=%v", i, res, ok, want[i], wantOK[i])
+		}
+	}
+	if got, want := snap.Stats().ActionBits, uint64(len(live)*memmodel.ActionEntryBits); got != want {
+		t.Fatalf("view accounting drifted: %d action bits, want %d", got, want)
+	}
+	// Drop the view: the live backend still answers for the fresh set.
+	snap = nil
+	runtime.GC()
+	var ref ReferenceClassifier
+	for _, e := range fresh {
+		ref.Insert(e)
+	}
+	for i := 0; i < 256; i++ {
+		h := randomHeader(rng, fresh)
+		got, ok := b.Lookup(h, nil)
+		wantEntry, wantOK := ref.Classify(h)
+		if ok != wantOK || (ok && (got.Priority != wantEntry.Priority || !reflect.DeepEqual(got.Instructions, wantEntry.Instructions))) {
+			t.Fatalf("live lookup after dropping the view: got %+v ok=%v, want %+v ok=%v", got, ok, wantEntry, wantOK)
 		}
 	}
 }

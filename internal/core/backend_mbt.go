@@ -30,14 +30,14 @@ type mbtBackend struct {
 	patterns map[uint32]int
 
 	// plan is the compiled classify recipe derived from patterns. It is
-	// recompiled after every successful mutation and shared (read-only)
-	// with snapshot clones, so the Lookup hot path never walks the
-	// patterns map.
+	// recompiled whenever the set of live patterns changes and shared
+	// (read-only) with published views, so the Lookup hot path never
+	// walks the patterns map.
 	plan *classifyPlan
 
 	// scratch pools per-call Lookup buffers, keeping the hot path
-	// allocation-free while allowing concurrent readers on an immutable
-	// backend clone.
+	// allocation-free while allowing concurrent readers; views share the
+	// live backend's pool.
 	scratch *sync.Pool
 }
 
@@ -389,26 +389,23 @@ func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 	return MatchResult{Instructions: instrs, Priority: best.Priority, Ref: best.Ref}, true
 }
 
-// Clone implements Backend.
-func (b *mbtBackend) Clone() Backend {
-	c := &mbtBackend{
+// Publish implements Backend: every searcher, the combination store and
+// the action table as views sharing the live pages. The wildcard-pattern
+// counts are control state and stay behind; the compiled plan is
+// immutable and shared.
+func (b *mbtBackend) Publish() Backend {
+	v := &mbtBackend{
 		cfg:       b.cfg,
 		searchers: make([]FieldSearcher, len(b.searchers)),
-		combos:    b.combos.Clone(),
-		actions:   b.actions.Clone(),
-		patterns:  make(map[uint32]int, len(b.patterns)),
-		// The compiled plan is immutable after compilation, so the clone
-		// shares it; the clone's own mutations recompile a fresh one.
-		plan:    b.plan,
-		scratch: newClassifyScratchPool(len(b.cfg.Fields)),
+		combos:    b.combos.Publish(),
+		actions:   b.actions.Publish(),
+		plan:      b.plan,
+		scratch:   b.scratch,
 	}
 	for i, s := range b.searchers {
-		c.searchers[i] = s.Clone()
+		v.searchers[i] = s.Publish()
 	}
-	for p, n := range b.patterns {
-		c.patterns[p] = n
-	}
-	return c
+	return v
 }
 
 // indexWidth is the bit width of one index-calculation row: the per-field

@@ -148,9 +148,10 @@ func (b *tcamBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, boo
 	return MatchResult{}, false
 }
 
-// Clone implements Backend. Entries are immutable once installed, so the
-// clone shares them and copies only the ordered array.
-func (b *tcamBackend) Clone() Backend {
+// Publish implements Backend. Entries are immutable once installed, so
+// the view shares them and copies only the ordered array: one pointer per
+// rule, the O(rules) publish the paged backends no longer pay.
+func (b *tcamBackend) Publish() Backend {
 	c := &tcamBackend{
 		cfg:     b.cfg,
 		fields:  b.fields,

@@ -346,9 +346,10 @@ func (b *tssBackend) trace(tr *flowMask) {
 	}
 }
 
-// Clone implements Backend. Entries are immutable once installed, so the
-// clone shares them and deep-copies only the containers.
-func (b *tssBackend) Clone() Backend {
+// Publish implements Backend. Entries are immutable once installed, so
+// the view shares them and copies the containers: one pointer per rule,
+// the O(rules) publish the paged backends no longer pay.
+func (b *tssBackend) Publish() Backend {
 	c := &tssBackend{
 		cfg:        b.cfg,
 		fields:     b.fields,

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -17,6 +18,7 @@ import (
 // The shape-restricted dir24 runs the same differential over prefix
 // tables in TestDIR24MatchesGenericBackends.
 func TestBackendsMatchReference(t *testing.T) {
+	cow.SealForTest(t)
 	rng := xrand.New(5015)
 	kinds := kindsSupporting(aclTableConfig().Fields)
 	tables := make(map[string]*LookupTable, len(kinds))
@@ -91,6 +93,7 @@ func TestBackendsMatchReference(t *testing.T) {
 // delete — so the backends agree not only on classification but on how
 // flow-mod semantics resolve against them.
 func TestBackendsMatchUnderTx(t *testing.T) {
+	cow.SealForTest(t)
 	rng := xrand.New(777)
 	kinds := kindsSupporting(aclTableConfig().Fields)
 	pipes := make(map[string]*Pipeline, len(kinds))
@@ -164,6 +167,7 @@ func TestBackendsMatchUnderTx(t *testing.T) {
 // snapshots while a writer commits transactions. Any mutable state shared
 // between a clone and its source surfaces as a race or a torn lookup.
 func TestBackendCloneIsolationUnderChurn(t *testing.T) {
+	cow.SealForTest(t)
 	for _, kind := range BackendKinds() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {

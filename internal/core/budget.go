@@ -69,7 +69,7 @@ func (p *Pipeline) SetMemoryBudget(bits uint64) {
 	// Dirty the snapshot so SnapshotMemoryStats picks the figure up on
 	// its next load; an eagerly-rebuilt (megaflow-tier) snapshot would
 	// otherwise stay fresh and keep serving the old budget. The rebuild
-	// reuses every table clone — only the embedded stats are reread.
+	// reuses every table view — only the embedded stats are reread.
 	p.structGen.Add(1)
 	p.adjustPressureLocked()
 	p.mu.Unlock()
@@ -99,7 +99,7 @@ func (p *Pipeline) SetTableBudget(id openflow.TableID, bits uint64) error {
 	}
 	t.budgetBits = bits
 	t.publishStats()
-	// Dirty the snapshot too (see SetMemoryBudget): the table clones are
+	// Dirty the snapshot too (see SetMemoryBudget): the table views are
 	// all reusable, but the embedded per-table stats must be reread.
 	p.structGen.Add(1)
 	return nil

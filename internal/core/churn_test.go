@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -16,6 +17,7 @@ import (
 // equivalence against the reference classifier throughout — the
 // incremental-update correctness the paper's update analysis presumes.
 func TestRouteTableChurn(t *testing.T) {
+	cow.SealForTest(t)
 	rng := xrand.New(31415)
 	tbl, err := NewLookupTable(TableConfig{
 		ID:     0,
@@ -132,6 +134,7 @@ func TestRouteTableChurn(t *testing.T) {
 // batch must observe one snapshot, so identical probes placed at both
 // ends of the batch must agree even while the entry is being toggled.
 func TestConcurrentSnapshotChurn(t *testing.T) {
+	cow.SealForTest(t)
 	p := NewPipeline()
 	if _, err := p.AddTable(TableConfig{
 		ID:     0,

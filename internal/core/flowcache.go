@@ -43,7 +43,7 @@ import (
 // (megaflow.go). Stale slots are overwritten in place by later fills.
 //
 // The cache stores classification outcomes, not provisioned lookup
-// memory: like the snapshot clones, it models the second port of a
+// memory: like the snapshot views, it models the second port of a
 // dual-ported memory and does not enter the Table III/IV accounting of
 // MemoryReport.
 

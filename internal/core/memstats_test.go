@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -189,6 +190,7 @@ func TestMemoryStatsLockFree(t *testing.T) {
 // be internally consistent — the total equal to the sum of its tables —
 // and never regress to an empty table list.
 func TestMemoryStatsUnderChurn(t *testing.T) {
+	cow.SealForTest(t)
 	for _, kind := range BackendKinds() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {

@@ -23,8 +23,9 @@ import (
 // Execute and ExecuteBatch while others call Insert, Remove and AddTable.
 // Lookups run lock-free against an immutable copy-on-write snapshot
 // published through an atomic pointer (RCU style); mutations serialise on
-// an internal write lock and invalidate the snapshot, which is re-cloned
-// lazily on the next lookup, so bursts of updates pay for one clone.
+// an internal write lock and invalidate the snapshot, which is
+// republished lazily on the next lookup, so bursts of updates pay for one
+// publish.
 // Direct mutation of a *LookupTable obtained from AddTable or Table is
 // permitted only while no concurrent lookups run (e.g. during the
 // single-threaded build phase); the snapshot engine detects those
@@ -271,7 +272,7 @@ func (p *Pipeline) TxCounters() TxCounters {
 // SnapshotVersion returns the version of the most recently published
 // lookup snapshot. Versions increase by exactly one per rebuild, so the
 // difference across a window counts how often the lookup state was
-// re-cloned — a whole committed transaction accounts for at most one.
+// republished — a whole committed transaction accounts for at most one.
 func (p *Pipeline) SnapshotVersion() uint64 { return p.snapVersion.Load() }
 
 // Rules returns the total number of installed flow entries.
@@ -409,7 +410,7 @@ func (as *actionSet) clear() {
 //
 // Execute is lock-free against concurrent Execute and ExecuteBatch calls:
 // it loads the current snapshot and classifies against its immutable
-// table clones. Distinct goroutines must pass distinct headers.
+// table views. Distinct goroutines must pass distinct headers.
 func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 	l := ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
 	l.exec(h, nil, &res)
@@ -417,7 +418,7 @@ func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 }
 
 // executeWalk performs the table walk and action-set run over a
-// snapshot's dense clone index, recording the visited tables and egress
+// snapshot's dense view index, recording the visited tables and egress
 // ports in the scratch buffers. With sc.traced set it additionally
 // accumulates the consulted-bits mask (sc.tr) and the rewritten-fields
 // bitmask (sc.rewritten) the megaflow tier installs against. Every
@@ -567,18 +568,18 @@ func applyInstructions(h *openflow.Header, sc *execScratch, instrs []openflow.In
 // MemoryReport assembles the full-system memory report: every backend
 // memory across all tables — the quantity behind the paper's "5 Mb of
 // total memory" for the 4-table prototype. The report covers the mutable
-// tables; published snapshot clones model the second port of a
+// tables; published snapshot views model the second port of a
 // dual-ported memory, not extra provisioned capacity.
 //
-// The walk runs over the RCU snapshot's immutable clones, not the live
+// The walk runs over the RCU snapshot's immutable views, not the live
 // tables, so assembling the (potentially large) component list holds no
 // lock. A stale snapshot is refreshed first — briefly under the write
-// lock, the same clone the next lookup would otherwise pay for — but the
-// component assembly itself never serialises against commits. Clones
-// preserve every population statistic and high-water mark the cost model
+// lock, the same publish the next lookup would otherwise pay for — but
+// the component assembly itself never serialises against commits. Views
+// carry every population statistic and high-water mark the cost model
 // reads, so the report is identical to a locked walk of the live tables.
 // For frequent polling under churn, MemoryStats is the cheap surface: it
-// reads the published counters and never clones anything.
+// reads the published counters and never publishes anything.
 func (p *Pipeline) MemoryReport() *memmodel.SystemReport {
 	s := p.loadSnapshot()
 	var r memmodel.SystemReport

@@ -12,9 +12,9 @@ import (
 // re-hashing of unchanged key dimensions.
 //
 // The mutable table keeps the live wildcard-pattern map (patterns in
-// LookupTable); every successful Insert/Remove recompiles the plan, and
-// clone() shares the compiled plan pointer with the immutable snapshot
-// clones — plans are read-only after compilation.
+// the mbt backend); an Insert or Remove that changes the set of live
+// patterns recompiles the plan, and published views share the compiled
+// plan pointer — plans are read-only after compilation.
 
 // planPattern is one live wildcard pattern, pre-decoded into the list of
 // constrained dimensions so the enumeration loop never scans pattern bits.

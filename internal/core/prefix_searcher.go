@@ -327,21 +327,23 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 	return dst
 }
 
-// Clone implements FieldSearcher.
-func (s *PrefixFieldSearcher) Clone() FieldSearcher {
-	c := &PrefixFieldSearcher{
+// Publish implements FieldSearcher: the partition tries and the
+// combination table as views, the label allocators as their counters,
+// the scratch pool shared.
+func (s *PrefixFieldSearcher) Publish() FieldSearcher {
+	v := &PrefixFieldSearcher{
 		field:   s.field,
 		width:   s.width,
 		nparts:  s.nparts,
 		parts:   make([]partition, s.nparts),
-		fields:  s.fields.Clone(),
-		combos:  s.combos.Clone(),
-		scratch: newPrefixScratchPool(s.nparts),
+		fields:  s.fields.Counters(),
+		combos:  s.combos.Publish(),
+		scratch: s.scratch,
 	}
 	for i, p := range s.parts {
-		c.parts[i] = partition{alloc: p.alloc.Clone(), trie: p.trie.Clone()}
+		v.parts[i] = partition{alloc: p.alloc.Counters(), trie: p.trie.Publish()}
 	}
-	return c
+	return v
 }
 
 // LabelBits implements FieldSearcher.

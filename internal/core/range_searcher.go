@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/label"
@@ -25,7 +26,10 @@ type RangeFieldSearcher struct {
 	// instead of resolving the label back to its range through a map.
 	// Entries for freed labels go stale harmlessly: the allocator recycles
 	// a label only when a new range claims it, which rewrites the entry.
-	specs []int
+	// A view may still hold the label's old range, so the write goes to a
+	// copy when the array has been published (specsShared).
+	specs       []int
+	specsShared bool
 }
 
 type rangeKey struct {
@@ -77,6 +81,9 @@ func (s *RangeFieldSearcher) Insert(m openflow.Match) (label.Label, error) {
 		if err := s.table.Insert(k.lo, k.hi, lab); err != nil {
 			_, _ = s.alloc.Release(k)
 			return 0, fmt.Errorf("core: inserting range into %s: %w", s.field, err)
+		}
+		if s.specsShared {
+			s.specs, s.specsShared = slices.Clone(s.specs), false
 		}
 		for int(lab) >= len(s.specs) {
 			s.specs = append(s.specs, 0)
@@ -165,14 +172,17 @@ func (s *RangeFieldSearcher) MemoryBits() int {
 	return s.table.Segments() * (s.width + s.LabelBits())
 }
 
-// Clone implements FieldSearcher.
-func (s *RangeFieldSearcher) Clone() FieldSearcher {
+// Publish implements FieldSearcher: the elementary intervals and the
+// specificity array are shared (both are replaced, never rewritten, once
+// published), the label allocator is reduced to its counters.
+func (s *RangeFieldSearcher) Publish() FieldSearcher {
+	s.specsShared = true
 	return &RangeFieldSearcher{
 		field: s.field,
 		width: s.width,
-		table: *s.table.Clone(),
-		alloc: s.alloc.Clone(),
-		specs: append([]int(nil), s.specs...),
+		table: *s.table.Publish(),
+		alloc: s.alloc.Counters(),
+		specs: s.specs,
 	}
 }
 

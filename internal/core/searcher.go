@@ -66,10 +66,12 @@ type FieldSearcher interface {
 	// components sum to, computed without materialising component names
 	// or slices — the per-commit memory-accounting fast path.
 	MemoryBits() int
-	// Clone returns a deep copy sharing no mutable state with the
-	// original, so the copy can serve concurrent Search calls while the
-	// original keeps taking updates (the pipeline's snapshot mechanism).
-	Clone() FieldSearcher
+	// Publish returns an immutable view of the searcher as it stands: it
+	// serves any number of concurrent Search calls and the accounting
+	// methods while the original keeps taking updates, and shares the
+	// original's lookup storage page by page (the pipeline's snapshot
+	// mechanism). Updating a view is a bug and panics.
+	Publish() FieldSearcher
 }
 
 // Interface compliance.
@@ -234,9 +236,9 @@ func (s *ExactFieldSearcher) MemoryBits() int {
 	return c.Buckets * c.Ways * c.BitsPerEntry
 }
 
-// Clone implements FieldSearcher.
-func (s *ExactFieldSearcher) Clone() FieldSearcher {
-	return &ExactFieldSearcher{field: s.field, width: s.width, table: s.table.Clone()}
+// Publish implements FieldSearcher.
+func (s *ExactFieldSearcher) Publish() FieldSearcher {
+	return &ExactFieldSearcher{field: s.field, width: s.width, table: s.table.Publish()}
 }
 
 func (s *ExactFieldSearcher) saveAccounting() searcherCheckpoint {

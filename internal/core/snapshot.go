@@ -10,15 +10,23 @@ import (
 
 // This file implements the pipeline's RCU-style concurrency engine.
 //
-// The lookup state is published as an immutable snapshot: a set of deep
-// table clones behind an atomic pointer. Readers (Execute, ExecuteBatch)
-// load the pointer and classify lock-free against whatever snapshot they
-// loaded — a reader that raced a concurrent update simply observes the
-// state from just before or just after it, never a half-applied one.
-// Writers mutate the live tables under the pipeline write lock and bump
-// per-table generation counters; the snapshot is re-cloned lazily on the
-// first lookup that observes a stale generation, so a burst of updates
-// costs one clone, not one per update.
+// The lookup state is published as an immutable snapshot: one view per
+// table behind an atomic pointer. Readers (Execute, ExecuteBatch) load the
+// pointer and classify lock-free against whatever snapshot they loaded —
+// a reader that raced a concurrent update simply observes the state from
+// just before or just after it, never a half-applied one. Writers mutate
+// the live tables under the pipeline write lock and bump per-table
+// generation counters; the snapshot is republished lazily on the first
+// lookup that observes a stale generation, so a burst of updates costs
+// one publish, not one per update.
+//
+// A view is not a copy. The mbt and dir24 backends keep their lookup
+// state in pages (internal/cow) that the live table and its views share:
+// publishing copies page directories, and the live side copies a page the
+// first time it writes it after a publish. The invariant readers rely on
+// — a published view's pages are never written again — is checked by the
+// page seals in the differential, churn and chaos suites and by
+// TestSnapshotLinearizability.
 //
 // Every snapshot additionally carries a version from a monotonic
 // counter. The flow cache (flowcache.go) stamps its entries with that
@@ -35,7 +43,7 @@ type snapshot struct {
 	version uint64
 	order   []openflow.TableID
 	tables  map[openflow.TableID]*snapTable
-	// byID indexes the clones densely by table identifier, so the walk's
+	// byID indexes the views densely by table identifier, so the walk's
 	// goto-table hops cost an array load instead of a map probe.
 	byID [256]*LookupTable
 	// srcs/gens mirror tables in pipeline order for the freshness check:
@@ -66,11 +74,11 @@ type snapshot struct {
 	mem MemoryStats
 }
 
-// snapTable binds a live table to the frozen clone taken from it.
+// snapTable binds a live table to the view published from it.
 type snapTable struct {
-	src   *LookupTable // the mutable table the clone was taken from
-	gen   uint64       // src's generation at clone time
-	clone *LookupTable // immutable; serves concurrent Classify calls
+	src  *LookupTable // the mutable table the view was published from
+	gen  uint64       // src's generation at publish time
+	view *LookupTable // immutable; serves concurrent Classify calls
 }
 
 // fresh reports whether the snapshot still reflects the live tables.
@@ -117,8 +125,8 @@ func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch, traced bo
 
 // loadSnapshot returns a snapshot reflecting every completed mutation.
 // The fast path is a single atomic load plus one generation comparison
-// per table; the slow path (first lookup after an update) re-clones the
-// stale tables under the write lock, reusing the clones of unchanged
+// per table; the slow path (first lookup after an update) republishes
+// the stale tables under the write lock, reusing the views of unchanged
 // ones.
 func (p *Pipeline) loadSnapshot() *snapshot {
 	if s := p.snap.Load(); s != nil && s.fresh(p) {
@@ -134,8 +142,8 @@ func (p *Pipeline) loadSnapshot() *snapshot {
 	return p.rebuildSnapshotLocked()
 }
 
-// rebuildSnapshotLocked clones the stale tables and publishes a new
-// snapshot under the already-held write lock, bumping the version
+// rebuildSnapshotLocked publishes the stale tables and a new snapshot
+// of them under the already-held write lock, bumping the version
 // counter exactly once. Callers: loadSnapshot's slow path, and
 // Tx.Commit's eager rebuild when the megaflow tier is enabled (the
 // precise-invalidation sweep needs the new version before the commit
@@ -163,11 +171,11 @@ func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
 				continue
 			}
 		}
-		ns.tables[id] = &snapTable{src: t, gen: gen, clone: t.clone()}
+		ns.tables[id] = &snapTable{src: t, gen: gen, view: t.publish()}
 	}
 	for _, id := range ns.order {
 		st := ns.tables[id]
-		ns.byID[id] = st.clone
+		ns.byID[id] = st.view
 		ns.srcs = append(ns.srcs, st.src)
 		ns.gens = append(ns.gens, st.gen)
 		tm := st.src.stats.Load()
@@ -419,7 +427,7 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 // Refresh forces the snapshot to be rebuilt on the next lookup. It is
 // never required for correctness — staleness is detected through the
 // generation counters — but lets callers that mutated tables directly
-// move the clone cost off the lookup path.
+// move the publish off the lookup path.
 func (p *Pipeline) Refresh() {
 	p.loadSnapshot()
 }

@@ -58,13 +58,13 @@ type LookupTable struct {
 
 	// store holds the canonical copies of the installed flow entries —
 	// the control-plane view the transactional API resolves match-based
-	// (non-strict) modify and delete commands against. Snapshot clones do
+	// (non-strict) modify and delete commands against. Published views do
 	// not carry it: they serve Classify only.
 	store ruleStore
 
 	// gen counts successful mutations. The pipeline's snapshot engine
-	// compares it against the generation a published clone was taken at to
-	// decide whether the clone is still current.
+	// compares it against the generation a view was published at to decide
+	// whether the view is still current.
 	gen atomic.Uint64
 
 	// stats is the table's published memory accounting, republished after
@@ -369,31 +369,27 @@ func (t *LookupTable) Classify(h *openflow.Header) (MatchResult, bool) {
 
 // Generation returns the table's mutation counter. Each successful Insert
 // or Remove advances it; the pipeline snapshot engine uses it to detect
-// stale clones.
+// stale views.
 func (t *LookupTable) Generation() uint64 { return t.gen.Load() }
 
-// clone returns a deep copy of the table. The copy shares no mutable
-// state with the original (instruction slices, which are immutable once
-// installed, are shared), so it can serve concurrent Classify calls while
-// the original keeps taking updates. The clone's generation counter
-// restarts at zero; the snapshot engine records the source generation
-// separately.
-func (t *LookupTable) clone() *LookupTable {
-	cfg := t.cfg
-	cfg.Fields = append([]openflow.FieldID(nil), t.cfg.Fields...)
+// publish returns the table as a snapshot serves it: the configuration
+// and an immutable view of the backend (see Backend.Publish), so it can
+// serve concurrent Classify calls while the original keeps taking
+// updates. Its generation counter restarts at zero; the snapshot engine
+// records the source generation separately.
+func (t *LookupTable) publish() *LookupTable {
 	c := &LookupTable{
-		cfg:        cfg,
-		backend:    t.backend.Clone(),
+		cfg:        t.cfg,
+		backend:    t.backend.Publish(),
 		rules:      t.rules,
-		fieldsView: cfg.Fields,
+		fieldsView: t.fieldsView,
 		budgetBits: t.budgetBits,
 	}
-	// The rule store is deliberately not copied: clones exist to serve
-	// Classify inside published snapshots and take no mutations, so
-	// copying the control-plane rule list would only tax every snapshot
-	// rebuild. The published stats pointer is shared for the same reason:
-	// stats readers always go through the live table, so recomputing the
-	// accounting for the clone would be dead work on the rebuild path.
+	// The rule store is deliberately left behind: a published table
+	// serves Classify inside a snapshot and takes no mutations. The
+	// published stats pointer is shared: stats readers always go through
+	// the live table, so recomputing the accounting here would be dead
+	// work on the rebuild path.
 	c.stats.Store(t.stats.Load())
 	return c
 }

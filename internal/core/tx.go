@@ -14,7 +14,7 @@ import (
 // DeleteStrict commands and Commit validates and applies them all under
 // one hold of the write lock. Readers observe either the pre-commit or
 // the post-commit state — never an intermediate one — because lookups
-// run against the RCU snapshot, which is re-cloned at most once after the
+// run against the RCU snapshot, which is republished at most once after the
 // commit completes. A 256-command commit therefore publishes exactly one
 // snapshot and invalidates the microflow cache exactly once, where 256
 // single-entry mutations interleaved with lookups could publish 256.
@@ -197,7 +197,7 @@ type undoOp struct {
 // Commit validates and applies the transaction atomically: either every
 // command applies and Commit returns what changed, or none do and Commit
 // returns the first error. Lookups racing the commit observe the
-// pre-commit snapshot until the commit completes, then re-clone once —
+// pre-commit snapshot until the commit completes, then republish once —
 // one snapshot publish and one microflow-cache generation bump per
 // commit, regardless of how many commands it carried.
 //

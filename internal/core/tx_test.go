@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 )
 
@@ -334,6 +335,7 @@ func TestTxAtomicValidationFailure(t *testing.T) {
 // during application (a range-field prefix is rejected by the searcher,
 // not the validator) rolls back every previously applied command.
 func TestTxAtomicApplyRollback(t *testing.T) {
+	cow.SealForTest(t)
 	p := aclTxTable(t)
 	if _, err := p.Begin().Add(0, txEntry(1, 0, 1, openflow.Exact(openflow.FieldIPv4Dst, 3))).Commit(); err != nil {
 		t.Fatal(err)
@@ -386,6 +388,7 @@ func TestTxCommitTwice(t *testing.T) {
 // exactly one of the two states — matched with the old output or matched
 // with the new one, never a miss and never a blend. Run with -race.
 func TestTxSnapshotIsolationUnderRace(t *testing.T) {
+	cow.SealForTest(t)
 	p := aclTxTable(t)
 	m := openflow.Prefix(openflow.FieldIPv4Dst, 0x0A000000, 8)
 	a := txEntry(5, 0, 1, m)

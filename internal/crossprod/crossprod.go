@@ -20,11 +20,23 @@
 // provisions. Tables of at most two dimensions (every table the two-field
 // pipeline decomposition produces) pack the whole key into one uint64 and
 // compare slots with a single word comparison. Lookups never allocate.
+//
+// Sharing. A slot is pointer-free: the winning binding sits inline in the
+// slot and further bindings chain through a paged overflow arena, so a
+// successful probe reads its answer from the slot it matched. Slots, the
+// key arena and the overflow arena are paged (internal/cow) and shared
+// between the live table and the views Publish returns; the control bytes
+// stay one flat array — a probe that misses reads nothing else — and are
+// the one part a publish copies whole (1 byte per slot, when they
+// changed). Tombstone counts, sequence numbers and the overflow freelist
+// are control state: behind one pointer, never copied, absent from views.
 package crossprod
 
 import (
 	"fmt"
+	"slices"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 )
 
@@ -39,11 +51,18 @@ type Binding struct {
 	Ref      uint32 // lifecycle slot of the owning flow (counter attribution)
 }
 
+// binding is one stored binding. A key's bindings are ordered by
+// descending priority, then insertion: the first is inline in the key's
+// slot, the rest follow through next in Table.over.
 type binding struct {
 	Binding
 	seq  uint64 // insertion order, for deterministic tie-breaking
-	refs int
+	refs int32
+	next int32 // overflow record holding the next binding, or noNext
 }
+
+// noNext ends a binding chain.
+const noNext = int32(-1)
 
 // Control bytes of the open-addressed table. A full slot stores
 // ctrlFull | the top 7 bits of its bucket hash, so a probe walking the
@@ -61,31 +80,32 @@ func ctrlOf(bucketHash uint64) uint8 { return ctrlFull | uint8(bucketHash>>57) }
 // xslot is one open-addressed bucket. hk caches the packed uint64 key for
 // tables of ≤2 dimensions and the full key hash otherwise, so most probe
 // comparisons are a single word compare; wider keys confirm against the
-// key arena.
+// key arena. head is the key's winning binding.
 type xslot struct {
-	hk       uint64
-	bindings []binding
+	hk   uint64
+	head binding
 }
 
 // Table is a combination store over a fixed number of dimensions.
 // Create one with New. Lookups are safe for concurrent use with each
 // other (they only read); mutations require external serialisation and
-// must not run concurrently with lookups — the pipeline's copy-on-write
-// snapshots arrange exactly that split.
+// must not run concurrently with lookups on the same Table — concurrent
+// readers use a view from Publish, which mutations never touch.
 type Table struct {
+	// What every probe reads comes first, within one cache line.
+	ctrl  []uint8 // per-slot control byte: empty, tombstone, or full+hash7
+	mask  uint64  // len(ctrl) - 1; len(ctrl) is a power of two
+	used  int     // live keys
+	slots cow.Array[xslot]
+
 	dims   int
 	packed bool // dims <= 2: keys packed into xslot.hk, no arena
+	// kshift spaces the key arena: slot i's key starts at i<<kshift, a
+	// power-of-two stride so that no key straddles a page.
+	kshift uint
+	keys   cow.Array[label.Label] // unpacked tables only
+	over   cow.Array[binding]     // bindings beyond each slot's head
 
-	ctrl  []uint8 // per-slot control byte: empty, tombstone, or full+hash7
-	slots []xslot
-	// keys is the key arena for unpacked tables: slot i's key occupies
-	// keys[i*dims : (i+1)*dims].
-	keys []label.Label
-	mask uint64 // len(slots) - 1; len(slots) is a power of two
-
-	used    int // live keys
-	tombs   int // tombstones awaiting the next rehash
-	nextSeq uint64
 	// bindingCount counts live distinct bindings (not references).
 	bindingCount int
 	// peakKeys tracks the high-water mark of distinct keys, used by the
@@ -100,6 +120,30 @@ type Table struct {
 	// accelerator only: the flat key store above remains the source of
 	// truth (and of the memory-model accounting).
 	pairs *Table
+
+	ctl *control // nil in a published view
+}
+
+// control is the state only updates touch. A published view has none.
+type control struct {
+	tombs   int // tombstones awaiting the next rehash
+	nextSeq uint64
+	// freeOver stacks recycled overflow records; nover counts the records
+	// ever allocated.
+	freeOver []int32
+	nover    int
+	// ctrlPub is the flat copy of ctrl the last view took, nil once a
+	// control byte changed; view is that view, nil once anything did.
+	ctrlPub []uint8
+	view    *Table
+}
+
+func newTable(dims int) *Table {
+	t := &Table{dims: dims, packed: dims <= 2, ctl: new(control)}
+	for 1<<t.kshift < dims {
+		t.kshift++
+	}
+	return t
 }
 
 // New returns a table combining `dims` labels per key.
@@ -107,9 +151,9 @@ func New(dims int) (*Table, error) {
 	if dims <= 0 {
 		return nil, fmt.Errorf("crossprod: dimension count %d out of range", dims)
 	}
-	t := &Table{dims: dims, packed: dims <= 2}
+	t := newTable(dims)
 	if !t.packed {
-		t.pairs = &Table{dims: 2, packed: true}
+		t.pairs = newTable(2)
 	}
 	return t, nil
 }
@@ -197,7 +241,7 @@ func (t *Table) hkOf(key []label.Label) uint64 {
 
 // keyAt returns slot i's key from the arena (unpacked tables only).
 func (t *Table) keyAt(i int) []label.Label {
-	return t.keys[i*t.dims : (i+1)*t.dims]
+	return t.keys.Span(i<<t.kshift, t.dims)
 }
 
 // keysEqual compares key against slot i's stored key.
@@ -224,46 +268,47 @@ func (t *Table) findSlot(hk uint64, key []label.Label) int {
 		if c == ctrlEmpty {
 			return -1
 		}
-		if c == want {
-			sl := &t.slots[i]
-			if sl.hk == hk && (t.packed || t.keysEqual(int(i), key)) {
-				return int(i)
-			}
+		if c == want && t.slots.Get(int(i)).hk == hk && (t.packed || t.keysEqual(int(i), key)) {
+			return int(i)
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
+// setCtrl writes one control byte.
+func (t *Table) setCtrl(i int, c uint8) {
+	t.ctrl[i] = c
+	t.ctl.ctrlPub = nil
+}
+
 // grow rehashes into a table of at least minSlots buckets, dropping
-// tombstones.
+// tombstones. The new arrays are fresh; views keep the old ones.
 func (t *Table) grow(minSlots int) {
 	n := 8
 	for n < minSlots {
 		n <<= 1
 	}
-	oldCtrl, old := t.ctrl, t.slots
+	oldCtrl, oldSlots, oldKeys := t.ctrl, t.slots, t.keys
 	t.ctrl = make([]uint8, n)
-	t.slots = make([]xslot, n)
+	t.slots, t.keys = cow.Array[xslot]{}, cow.Array[label.Label]{}
+	t.slots.Grow(n)
 	t.mask = uint64(n - 1)
-	t.tombs = 0
-	var oldKeys []label.Label
-	if !t.packed {
-		oldKeys = t.keys
-		t.keys = make([]label.Label, n*t.dims)
-	}
-	for oi := range old {
-		if oldCtrl[oi]&ctrlFull == 0 {
+	t.ctl.tombs = 0
+	t.ctl.ctrlPub = nil
+	for oi, c := range oldCtrl {
+		if c&ctrlFull == 0 {
 			continue
 		}
-		bh := t.bucketHash(old[oi].hk)
+		sl := oldSlots.Get(oi)
+		bh := t.bucketHash(sl.hk)
 		i := bh & t.mask
 		for t.ctrl[i] != ctrlEmpty {
 			i = (i + 1) & t.mask
 		}
 		t.ctrl[i] = ctrlOf(bh)
-		t.slots[i] = old[oi]
+		*t.slots.Mut(int(i)) = sl
 		if !t.packed {
-			copy(t.keyAt(int(i)), oldKeys[oi*t.dims:(oi+1)*t.dims])
+			copy(t.keys.MutSpan(int(i)<<t.kshift, t.dims), oldKeys.Span(oi<<t.kshift, t.dims))
 		}
 	}
 }
@@ -274,7 +319,7 @@ func (t *Table) claimSlot(hk uint64) int {
 	// Keep the load factor (live + tombstones) at or below 1/2, trading a
 	// little memory for short miss probes — the index-calculation stage
 	// probes mostly-absent candidate combinations.
-	if (t.used+t.tombs+1)*2 > len(t.slots) {
+	if (t.used+t.ctl.tombs+1)*2 > len(t.ctrl) {
 		t.grow((t.used + 1) * 4)
 	}
 	i := t.bucketHash(hk) & t.mask
@@ -282,6 +327,21 @@ func (t *Table) claimSlot(hk uint64) int {
 		i = (i + 1) & t.mask
 	}
 	return int(i)
+}
+
+// allocOver stores b in a fresh (or recycled) overflow record.
+func (t *Table) allocOver(b binding) int32 {
+	c := t.ctl
+	var idx int32
+	if n := len(c.freeOver); n > 0 {
+		idx = c.freeOver[n-1]
+		c.freeOver = c.freeOver[:n-1]
+	} else {
+		idx = int32(c.nover)
+		c.nover++
+	}
+	*t.over.Mut(int(idx)) = b
+	return idx
 }
 
 // Insert adds (or references) the binding under the combination key.
@@ -295,49 +355,63 @@ func (t *Table) Insert(key []label.Label, b Binding) error {
 		// construction).
 		_ = t.pairs.Insert(key[:2], Binding{})
 	}
+	t.ctl.view = nil
 	hk := t.hkOf(key)
 	si := t.findSlot(hk, key)
 	if si < 0 {
 		si = t.claimSlot(hk)
 		if t.ctrl[si] == ctrlTomb {
-			t.tombs--
+			t.ctl.tombs--
 		}
-		t.ctrl[si] = ctrlOf(t.bucketHash(hk))
-		sl := &t.slots[si]
-		sl.hk = hk
-		sl.bindings = sl.bindings[:0]
+		t.setCtrl(si, ctrlOf(t.bucketHash(hk)))
+		*t.slots.Mut(si) = xslot{hk: hk, head: binding{Binding: b, seq: t.ctl.nextSeq, refs: 1, next: noNext}}
 		if !t.packed {
-			copy(t.keyAt(si), key)
+			copy(t.keys.MutSpan(si<<t.kshift, t.dims), key)
 		}
+		t.ctl.nextSeq++
+		t.bindingCount++
 		t.used++
 		if t.used > t.peakKeys {
 			t.peakKeys = t.used
 		}
+		return nil
 	}
-	sl := &t.slots[si]
-	list := sl.bindings
-	for i := range list {
-		if list[i].Binding == b {
-			list[i].refs++
+	// The key exists: reference an equal binding, or splice a new one in,
+	// keeping the chain sorted by descending priority, ascending seq, so
+	// the head is the winning rule for this combination. The chain is
+	// walked read-only; only the records that change are made writable.
+	head := t.slots.Get(si).head
+	if head.Binding == b {
+		t.slots.Mut(si).head.refs++
+		return nil
+	}
+	after := noNext // last overflow record not outranked by b; noNext is the head
+	for cur := head.next; cur != noNext; {
+		o := t.over.Get(int(cur))
+		if o.Binding == b {
+			t.over.Mut(int(cur)).refs++
 			return nil
 		}
-	}
-	nb := binding{Binding: b, seq: t.nextSeq, refs: 1}
-	t.nextSeq++
-	// Keep the list sorted by descending priority, ascending seq, so the
-	// head is the winning rule for this combination.
-	pos := len(list)
-	for i := range list {
-		if list[i].Priority < b.Priority {
-			pos = i
-			break
+		if o.Priority >= b.Priority {
+			after = cur
 		}
+		cur = o.next
 	}
-	list = append(list, binding{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = nb
-	sl.bindings = list
+	nb := binding{Binding: b, seq: t.ctl.nextSeq, refs: 1}
+	t.ctl.nextSeq++
 	t.bindingCount++
+	switch mhead := &t.slots.Mut(si).head; {
+	case head.Priority < b.Priority:
+		nb.next = t.allocOver(head)
+		*mhead = nb
+	case after == noNext:
+		nb.next = head.next
+		mhead.next = t.allocOver(nb)
+	default:
+		prev := t.over.Mut(int(after))
+		nb.next = prev.next
+		prev.next = t.allocOver(nb)
+	}
 	return nil
 }
 
@@ -351,32 +425,55 @@ func (t *Table) Remove(key []label.Label, b Binding) error {
 	if si < 0 {
 		return fmt.Errorf("crossprod: remove of absent combination %v", key)
 	}
-	sl := &t.slots[si]
-	list := sl.bindings
-	for i := range list {
-		if list[i].Binding != b {
-			continue
+	// Locate the binding before touching anything: a remove of an absent
+	// binding must leave the table (and its pages) as they were.
+	head := t.slots.Get(si).head
+	at, prevAt := noNext, noNext // overflow records of the binding and its predecessor; head is noNext
+	found := head.Binding == b
+	for cur := head.next; !found && cur != noNext; {
+		o := t.over.Get(int(cur))
+		if o.Binding == b {
+			at, found = cur, true
+			break
 		}
-		if t.pairs != nil {
-			_ = t.pairs.Remove(key[:2], Binding{})
-		}
-		list[i].refs--
-		if list[i].refs > 0 {
+		prevAt, cur = cur, o.next
+	}
+	if !found {
+		return fmt.Errorf("crossprod: remove of absent binding %+v under %v", b, key)
+	}
+	if t.pairs != nil {
+		_ = t.pairs.Remove(key[:2], Binding{})
+	}
+	t.ctl.view = nil
+	if at == noNext {
+		mhead := &t.slots.Mut(si).head
+		if mhead.refs--; mhead.refs > 0 {
 			return nil
 		}
-		list = append(list[:i], list[i+1:]...)
 		t.bindingCount--
-		if len(list) == 0 {
-			t.ctrl[si] = ctrlTomb
-			sl.bindings = nil
+		if mhead.next == noNext {
+			t.setCtrl(si, ctrlTomb)
 			t.used--
-			t.tombs++
-		} else {
-			sl.bindings = list
+			t.ctl.tombs++
+			return nil
 		}
+		// The next binding in line moves up into the slot.
+		t.ctl.freeOver = append(t.ctl.freeOver, mhead.next)
+		*mhead = t.over.Get(int(mhead.next))
 		return nil
 	}
-	return fmt.Errorf("crossprod: remove of absent binding %+v under %v", b, key)
+	m := t.over.Mut(int(at))
+	if m.refs--; m.refs > 0 {
+		return nil
+	}
+	t.bindingCount--
+	if prevAt == noNext {
+		t.slots.Mut(si).head.next = m.next
+	} else {
+		t.over.Mut(int(prevAt)).next = m.next
+	}
+	t.ctl.freeOver = append(t.ctl.freeOver, at)
+	return nil
 }
 
 // HasPair reports whether any stored key carries the labels (l0, l1) in
@@ -390,9 +487,18 @@ func (t *Table) HasPair(l0, l1 label.Label) bool {
 	if p.used == 0 {
 		return false
 	}
-	pk := uint64(uint32(l0)) | uint64(uint32(l1))<<32
-	_, _, ok := p.lookupHK(pk, nil)
+	_, _, ok := p.lookupHK(uint64(uint32(l0))|uint64(uint32(l1))<<32, nil)
 	return ok
+}
+
+// LookupPacked is Lookup on a table of ≤2 dimensions with the key already
+// packed into one word: dimension 0 in the low half, dimension 1 above.
+func (t *Table) LookupPacked(pk uint64) (Binding, bool) {
+	if !t.packed || t.used == 0 {
+		return Binding{}, false
+	}
+	b, _, ok := t.lookupHK(pk, nil)
+	return b, ok
 }
 
 // Lookup returns the best (highest-priority, earliest-inserted) binding
@@ -427,6 +533,8 @@ func (t *Table) LookupSeqHash(key []label.Label, h uint64) (Binding, uint64, boo
 	return t.lookupHK(h, key)
 }
 
+// lookupHK probes for the key. The miss path reads the flat control bytes
+// only; a page directory is consulted after a control byte matched.
 func (t *Table) lookupHK(hk uint64, key []label.Label) (Binding, uint64, bool) {
 	bh := t.bucketHash(hk)
 	want := ctrlOf(bh)
@@ -438,47 +546,46 @@ func (t *Table) lookupHK(hk uint64, key []label.Label) (Binding, uint64, bool) {
 			return Binding{}, 0, false
 		}
 		if c == want {
-			sl := &t.slots[i&mask]
-			if sl.hk == hk && (t.packed || t.keysEqual(int(i&mask), key)) {
-				if len(sl.bindings) == 0 {
-					return Binding{}, 0, false
-				}
-				return sl.bindings[0].Binding, sl.bindings[0].seq, true
+			j := i & mask
+			sl := &t.slots.Dir[j>>cow.PageShift][j&cow.PageMask]
+			if sl.hk == hk && (t.packed || t.keysEqual(int(j), key)) {
+				return sl.head.Binding, sl.head.seq, true
 			}
 		}
 		i++
 	}
 }
 
-// Clone returns a deep copy of the table sharing no state with the
-// original.
-func (t *Table) Clone() *Table {
-	c := &Table{
-		dims:         t.dims,
-		packed:       t.packed,
-		mask:         t.mask,
-		used:         t.used,
-		tombs:        t.tombs,
-		nextSeq:      t.nextSeq,
-		bindingCount: t.bindingCount,
-		peakKeys:     t.peakKeys,
-	}
-	if len(t.slots) > 0 {
-		c.ctrl = append([]uint8(nil), t.ctrl...)
-		c.slots = append([]xslot(nil), t.slots...)
-		for i := range c.slots {
-			if len(c.slots[i].bindings) > 0 {
-				c.slots[i].bindings = append([]binding(nil), c.slots[i].bindings...)
-			}
+// Publish returns an immutable view of the table as it stands, sharing
+// every slot, key and overflow page with t; the control bytes are copied
+// flat when they changed since the previous view. Later updates to t
+// never show in the view, and the same view is returned until the next
+// update. Safe for concurrent lookups; mutating a view panics.
+func (t *Table) Publish() *Table {
+	c := t.ctl
+	if c.view == nil {
+		if c.ctrlPub == nil {
+			c.ctrlPub = slices.Clone(t.ctrl)
 		}
+		v := &Table{
+			dims:         t.dims,
+			packed:       t.packed,
+			kshift:       t.kshift,
+			ctrl:         c.ctrlPub,
+			slots:        t.slots.Publish(),
+			keys:         t.keys.Publish(),
+			over:         t.over.Publish(),
+			mask:         t.mask,
+			used:         t.used,
+			bindingCount: t.bindingCount,
+			peakKeys:     t.peakKeys,
+		}
+		if t.pairs != nil {
+			v.pairs = t.pairs.Publish()
+		}
+		c.view = v
 	}
-	if len(t.keys) > 0 {
-		c.keys = append([]label.Label(nil), t.keys...)
-	}
-	if t.pairs != nil {
-		c.pairs = t.pairs.Clone()
-	}
-	return c
+	return c.view
 }
 
 // Keys returns the number of distinct combination keys stored.
@@ -496,6 +603,7 @@ func (t *Table) RestorePeakKeys(peak int) {
 		peak = t.used
 	}
 	t.peakKeys = peak
+	t.ctl.view = nil
 }
 
 // Bindings returns the number of distinct live bindings.

@@ -3,6 +3,7 @@ package crossprod
 import (
 	"testing"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 	"ofmtl/internal/xrand"
 )
@@ -204,5 +205,84 @@ func TestTableInvariants(t *testing.T) {
 	}
 	if tbl.Keys() != len(liveKeys) {
 		t.Errorf("Keys = %d, want %d", tbl.Keys(), len(liveKeys))
+	}
+}
+
+// Property: a published view keeps answering for the bindings it was
+// published with — heads, insertion sequences, the pair combiner — through
+// any later inserts, removals and rehashes of the live table, on a packed
+// table and on a wide one whose keys live in the arena; and no published
+// page is written (the seals).
+func TestPublishedViewsAreUnaffectedByLaterWrites(t *testing.T) {
+	cow.SealForTest(t)
+	for _, dims := range []int{2, 5} {
+		rng := xrand.New(uint64(dims))
+		tbl := MustNew(dims)
+		type answer struct {
+			b   Binding
+			seq uint64
+			ok  bool
+		}
+		type published struct {
+			view *Table
+			keys [][]label.Label
+			want []answer
+			keyN int
+		}
+		type entry struct {
+			key []label.Label
+			b   Binding
+		}
+		var live []entry
+		var views []published
+		randKey := func() []label.Label {
+			k := make([]label.Label, dims)
+			for d := range k {
+				k[d] = label.Label(rng.Intn(12))
+			}
+			return k
+		}
+		for step := 0; step < 6000; step++ {
+			if rng.Float64() < 0.6 || len(live) == 0 {
+				e := entry{key: randKey(), b: Binding{Priority: rng.Intn(6), Payload: uint32(rng.Intn(4))}}
+				if err := tbl.Insert(e.key, e.b); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, e)
+			} else {
+				k := rng.Intn(len(live))
+				if err := tbl.Remove(live[k].key, live[k].b); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:k], live[k+1:]...)
+			}
+			if step%500 == 499 {
+				p := published{view: tbl.Publish(), keyN: tbl.Keys()}
+				if tbl.Publish() != p.view {
+					t.Fatal("an unchanged table published a second view")
+				}
+				for i := 0; i < 200; i++ {
+					key := randKey()
+					b, seq, ok := tbl.LookupSeq(key)
+					p.keys = append(p.keys, key)
+					p.want = append(p.want, answer{b, seq, ok})
+				}
+				views = append(views, p)
+			}
+		}
+		for vi, p := range views {
+			if p.view.Keys() != p.keyN {
+				t.Fatalf("dims %d, view %d: Keys = %d, want %d", dims, vi, p.view.Keys(), p.keyN)
+			}
+			for i, key := range p.keys {
+				b, seq, ok := p.view.LookupSeq(key)
+				if (answer{b, seq, ok}) != p.want[i] {
+					t.Fatalf("dims %d, view %d, key %v: %+v/%d/%v, want %+v", dims, vi, key, b, seq, ok, p.want[i])
+				}
+				if ok && !p.view.HasPair(key[0], key[1]) {
+					t.Fatalf("dims %d, view %d: pair combiner lost %v", dims, vi, key[:2])
+				}
+			}
+		}
 	}
 }

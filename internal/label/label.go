@@ -26,15 +26,19 @@ const NoLabel = Label(0xFFFFFFFF)
 
 // Allocator assigns labels to unique values of one field (or field
 // partition). The zero value is ready to use.
+//
+// An allocator is control state: only rule updates consult it. Published
+// lookup views carry Counters, the three numbers the memory model reads.
 type Allocator[K comparable] struct {
-	byValue map[K]*binding[K]
+	byValue map[K]binding
 	byLabel map[Label]K
 	free    []Label // freed labels available for reuse (LIFO)
 	next    Label   // next never-used label
+	live    int     // live bindings
 	peak    int     // high-water mark of live bindings
 }
 
-type binding[K comparable] struct {
+type binding struct {
 	label Label
 	refs  int
 }
@@ -42,14 +46,14 @@ type binding[K comparable] struct {
 // NewAllocator returns an empty allocator.
 func NewAllocator[K comparable]() *Allocator[K] {
 	return &Allocator[K]{
-		byValue: make(map[K]*binding[K]),
+		byValue: make(map[K]binding),
 		byLabel: make(map[Label]K),
 	}
 }
 
 func (a *Allocator[K]) lazyInit() {
 	if a.byValue == nil {
-		a.byValue = make(map[K]*binding[K])
+		a.byValue = make(map[K]binding)
 		a.byLabel = make(map[Label]K)
 	}
 }
@@ -62,6 +66,7 @@ func (a *Allocator[K]) Acquire(v K) (Label, bool) {
 	a.lazyInit()
 	if b, ok := a.byValue[v]; ok {
 		b.refs++
+		a.byValue[v] = b
 		return b.label, false
 	}
 	var l Label
@@ -72,10 +77,10 @@ func (a *Allocator[K]) Acquire(v K) (Label, bool) {
 		l = a.next
 		a.next++
 	}
-	a.byValue[v] = &binding[K]{label: l, refs: 1}
+	a.byValue[v] = binding{label: l, refs: 1}
 	a.byLabel[l] = v
-	if live := len(a.byValue); live > a.peak {
-		a.peak = live
+	if a.live++; a.live > a.peak {
+		a.peak = a.live
 	}
 	return l, true
 }
@@ -91,35 +96,21 @@ func (a *Allocator[K]) Release(v K) (bool, error) {
 	}
 	b.refs--
 	if b.refs > 0 {
+		a.byValue[v] = b
 		return false, nil
 	}
 	delete(a.byValue, v)
 	delete(a.byLabel, b.label)
 	a.free = append(a.free, b.label)
+	a.live--
 	return true, nil
 }
 
-// Clone returns a deep copy of the allocator. The copy shares no state
-// with the original, so one side can mutate while the other serves
-// lookups — the property the pipeline's copy-on-write snapshots rely on.
-func (a *Allocator[K]) Clone() *Allocator[K] {
-	c := &Allocator[K]{
-		byValue: make(map[K]*binding[K], len(a.byValue)),
-		byLabel: make(map[Label]K, len(a.byLabel)),
-		next:    a.next,
-		peak:    a.peak,
-	}
-	if len(a.free) > 0 {
-		c.free = append([]Label(nil), a.free...)
-	}
-	for v, b := range a.byValue {
-		nb := *b
-		c.byValue[v] = &nb
-	}
-	for l, v := range a.byLabel {
-		c.byLabel[l] = v
-	}
-	return c
+// Counters returns an allocator holding a's counters — Len, Peak and
+// LabelSpace — and no bindings: what a published lookup view keeps of an
+// allocator, so the memory model reads views and live structures alike.
+func (a *Allocator[K]) Counters() *Allocator[K] {
+	return &Allocator[K]{next: a.next, live: a.live, peak: a.peak}
 }
 
 // Lookup returns the label bound to v, or NoLabel if v is unknown.
@@ -145,7 +136,7 @@ func (a *Allocator[K]) Refs(v K) int {
 }
 
 // Len returns the number of live unique values.
-func (a *Allocator[K]) Len() int { return len(a.byValue) }
+func (a *Allocator[K]) Len() int { return a.live }
 
 // Peak returns the high-water mark of live unique values, which sizes the
 // label field width in the hardware memory model.
@@ -157,8 +148,8 @@ func (a *Allocator[K]) Peak() int { return a.peak }
 // modelled label width) before being undone, and the reject path restores
 // the accounting captured before the transaction applied.
 func (a *Allocator[K]) RestorePeak(peak int) {
-	if live := len(a.byValue); peak < live {
-		peak = live
+	if peak < a.live {
+		peak = a.live
 	}
 	a.peak = peak
 }

@@ -4,12 +4,19 @@
 // label method (Section IV.B); the hardware memory model counts buckets of
 // fixed associativity, so the table also tracks bucket occupancy and
 // overflow as a synthesised LUT would experience them.
+//
+// The value→label index lookups read is a packed open-addressed table
+// (crossprod's two-dimension kind, the 64-bit value as its key), so a
+// published view shares it page by page; the reference-counting label
+// allocator and the bucket-occupancy model are control state that only
+// updates touch.
 package lut
 
 import (
 	"fmt"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/crossprod"
 	"ofmtl/internal/label"
 )
 
@@ -18,14 +25,24 @@ import (
 const DefaultWays = 4
 
 // LUT is an exact-match lookup table over values of a fixed bit width.
-// Create one with New.
+// Create one with New. A LUT returned by Publish is an immutable view:
+// it serves Lookup and the accounting getters only.
 type LUT struct {
 	keyBits int
 	ways    int
-	alloc   *label.Allocator[uint64]
+	// index maps each stored value to its label: the lookup state.
+	index *crossprod.Table
+	// alloc is the reference-counting label allocator; a view holds its
+	// counters only.
+	alloc *label.Allocator[uint64]
 
-	buckets   int // power of two
-	occupancy map[uint32]int
+	buckets   int            // power of two
+	occupancy map[uint32]int // nil in a view
+}
+
+// indexKey splits a value into the index's two key dimensions.
+func indexKey(key uint64) [2]label.Label {
+	return [2]label.Label{label.Label(key), label.Label(key >> 32)}
 }
 
 // New returns a LUT for keyBits-wide values (1..64) with the given bucket
@@ -43,6 +60,7 @@ func New(keyBits, ways int) (*LUT, error) {
 	return &LUT{
 		keyBits:   keyBits,
 		ways:      ways,
+		index:     crossprod.MustNew(2),
 		alloc:     label.NewAllocator[uint64](),
 		buckets:   16,
 		occupancy: make(map[uint32]int),
@@ -67,6 +85,11 @@ func (l *LUT) Insert(key uint64) (label.Label, bool, error) {
 	}
 	lab, isNew := l.alloc.Acquire(key)
 	if isNew {
+		k := indexKey(key)
+		if err := l.index.Insert(k[:], crossprod.Binding{Payload: uint32(lab)}); err != nil {
+			_, _ = l.alloc.Release(key)
+			return 0, false, fmt.Errorf("lut: %w", err)
+		}
 		if (l.alloc.Len()+1)*4 > l.buckets*l.ways*3 { // load factor 0.75
 			l.grow()
 		}
@@ -78,11 +101,16 @@ func (l *LUT) Insert(key uint64) (label.Label, bool, error) {
 // Remove releases one reference to key; the key's storage is reclaimed when
 // its last reference disappears.
 func (l *LUT) Remove(key uint64) (bool, error) {
+	lab := l.alloc.Lookup(key)
 	removed, err := l.alloc.Release(key)
 	if err != nil {
 		return false, fmt.Errorf("lut: %w", err)
 	}
 	if removed {
+		k := indexKey(key)
+		if err := l.index.Remove(k[:], crossprod.Binding{Payload: uint32(lab)}); err != nil {
+			return false, fmt.Errorf("lut: %w", err)
+		}
 		h := l.hash(key)
 		l.occupancy[h]--
 		if l.occupancy[h] == 0 {
@@ -93,7 +121,12 @@ func (l *LUT) Remove(key uint64) (bool, error) {
 }
 
 // Lookup returns the label stored for key, or label.NoLabel when absent.
-func (l *LUT) Lookup(key uint64) label.Label { return l.alloc.Lookup(key) }
+func (l *LUT) Lookup(key uint64) label.Label {
+	if b, ok := l.index.LookupPacked(key); ok {
+		return label.Label(b.Payload)
+	}
+	return label.NoLabel
+}
 
 func (l *LUT) fits(key uint64) bool {
 	return l.keyBits >= 64 || key <= bitops.LowMask64(l.keyBits)
@@ -110,19 +143,16 @@ func (l *LUT) grow() {
 	}
 }
 
-// Clone returns a deep copy of the LUT sharing no state with the
-// original.
-func (l *LUT) Clone() *LUT {
-	occ := make(map[uint32]int, len(l.occupancy))
-	for h, n := range l.occupancy {
-		occ[h] = n
-	}
+// Publish returns an immutable view of the LUT as it stands: the index
+// shared page by page, the geometry and label counters by value. Later
+// updates to l never show in it.
+func (l *LUT) Publish() *LUT {
 	return &LUT{
-		keyBits:   l.keyBits,
-		ways:      l.ways,
-		alloc:     l.alloc.Clone(),
-		buckets:   l.buckets,
-		occupancy: occ,
+		keyBits: l.keyBits,
+		ways:    l.ways,
+		index:   l.index.Publish(),
+		alloc:   l.alloc.Counters(),
+		buckets: l.buckets,
 	}
 }
 

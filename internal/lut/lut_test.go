@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 	"ofmtl/internal/xrand"
 )
@@ -191,5 +192,47 @@ func TestPeakTracksHighWater(t *testing.T) {
 	}
 	if l.Len() != 109 || l.Peak() != 209 {
 		t.Errorf("Len=%d Peak=%d, want 109/209", l.Len(), l.Peak())
+	}
+}
+
+// A published view keeps its labels and counters through later inserts,
+// removals and growth of the live LUT.
+func TestPublishedViewIsUnaffectedByLaterWrites(t *testing.T) {
+	cow.SealForTest(t)
+	l, err := New(32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]label.Label{}
+	for k := uint64(0); k < 300; k++ {
+		lab, _, err := l.Insert(k * 7919)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k*7919] = lab
+	}
+	view := l.Publish()
+	n, peak, buckets := view.Len(), view.Peak(), view.Buckets()
+	for k := uint64(0); k < 300; k += 2 {
+		if _, err := l.Remove(k * 7919); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1000); k < 3000; k++ { // recycles the freed labels, grows the index
+		if _, _, err := l.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Publish()
+	for k, lab := range want {
+		if got := view.Lookup(k); got != lab {
+			t.Fatalf("view: key %d → label %d, want %d", k, got, lab)
+		}
+	}
+	if got := view.Lookup(1000); got != label.NoLabel {
+		t.Fatalf("view sees a key inserted after it was published (label %d)", got)
+	}
+	if view.Len() != n || view.Peak() != peak || view.Buckets() != buckets {
+		t.Fatalf("view counters moved: %d/%d/%d, want %d/%d/%d", view.Len(), view.Peak(), view.Buckets(), n, peak, buckets)
 	}
 }

@@ -1,16 +1,19 @@
 package mbt
 
 import (
+	"runtime"
 	"testing"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 	"ofmtl/internal/xrand"
 )
 
 // Tests for the edge paths of the dense (index-addressed) trie layout:
 // node recycling through the freelists, overflow-chain maintenance for
-// multi-entry slots, and clone independence of the flat arenas.
+// multi-entry slots, and the independence of published views from the
+// live trie's paged arenas.
 
 // insEntry is one scripted insertion of TestSpilledSlotOrdering.
 type insEntry struct {
@@ -98,7 +101,7 @@ func TestDeletePrunesNodesAndRecycles(t *testing.T) {
 	if tr.StoredNodes() != 32+2*32+2*64 {
 		t.Fatalf("StoredNodes = %d, want %d", tr.StoredNodes(), 32+2*32+2*64)
 	}
-	arenaLen := len(tr.levels[2].slots)
+	arenaLen := tr.levels[2].nslots
 
 	if err := tr.Delete(0xFFFF, 16, 2); err != nil {
 		t.Fatal(err)
@@ -106,9 +109,9 @@ func TestDeletePrunesNodesAndRecycles(t *testing.T) {
 	if tr.StoredNodes() != 32+32+64 {
 		t.Fatalf("after delete StoredNodes = %d, want %d", tr.StoredNodes(), 32+32+64)
 	}
-	if len(tr.levels[1].freeNodes) != 1 || len(tr.levels[2].freeNodes) != 1 {
+	if len(tr.ctl.levels[1].freeNodes) != 1 || len(tr.ctl.levels[2].freeNodes) != 1 {
 		t.Fatalf("freed nodes not on freelists: L2 %v L3 %v",
-			tr.levels[1].freeNodes, tr.levels[2].freeNodes)
+			tr.ctl.levels[1].freeNodes, tr.ctl.levels[2].freeNodes)
 	}
 
 	// Re-inserting a different branch must recycle the freed blocks, not
@@ -116,8 +119,8 @@ func TestDeletePrunesNodesAndRecycles(t *testing.T) {
 	if err := tr.Insert(0x8000, 16, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.levels[2].slots) != arenaLen {
-		t.Fatalf("arena grew on recycle: %d slots, want %d", len(tr.levels[2].slots), arenaLen)
+	if tr.levels[2].nslots != arenaLen {
+		t.Fatalf("arena grew on recycle: %d slots, want %d", tr.levels[2].nslots, arenaLen)
 	}
 	if lab, plen, ok := tr.Lookup(0x8000); !ok || lab != 3 || plen != 16 {
 		t.Fatalf("recycled-node lookup = %d/%d/%v", lab, plen, ok)
@@ -129,10 +132,13 @@ func TestDeletePrunesNodesAndRecycles(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence mutates the original after cloning and asserts
-// the clone's contents, statistics and overflow chains are untouched —
-// the property the pipeline's copy-on-write snapshots rely on.
+// TestCloneIndependence (the name predates views) pins what the
+// pipeline's published snapshots rely on: a view is unaffected by later
+// writes to the live trie — contents, statistics and overflow chains —
+// and the live trie is unaffected by dropping the view. The page seals
+// check the stronger invariant underneath: no published page is written.
 func TestCloneIndependence(t *testing.T) {
+	cow.SealForTest(t)
 	rng := xrand.New(99)
 	tr := MustNew(Config16())
 	type pfx struct {
@@ -154,10 +160,13 @@ func TestCloneIndependence(t *testing.T) {
 		}
 		live = append(live, pfx{v, plen, label.Label(i)})
 	}
-	clone := tr.Clone()
-	wantStats := clone.Stats()
+	view := tr.Publish()
+	if tr.Publish() != view {
+		t.Fatal("an unchanged trie published a second view")
+	}
+	wantStats := view.Stats()
 
-	// Snapshot the clone's expected answers before mutating the original.
+	// Record the view's answers before mutating the live trie.
 	keys := make([]uint64, 500)
 	type ans struct {
 		lab  label.Label
@@ -167,16 +176,20 @@ func TestCloneIndependence(t *testing.T) {
 	want := make([]ans, len(keys))
 	for i := range keys {
 		keys[i] = rng.Uint64() & 0xFFFF
-		lab, plen, ok := clone.Lookup(keys[i])
+		lab, plen, ok := view.Lookup(keys[i])
 		want[i] = ans{lab, plen, ok}
 	}
 
-	// Mutate the original heavily: delete half, insert replacements.
+	// Mutate the live trie heavily: delete half, insert replacements,
+	// publishing further views along the way.
 	for i, p := range live {
 		if i%2 == 0 {
 			if err := tr.Delete(p.v, p.plen, p.lab); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if i%50 == 0 {
+			tr.Publish()
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -184,27 +197,57 @@ func TestCloneIndependence(t *testing.T) {
 		v := rng.Uint64() & bitops.Mask64(plen, 16)
 		_ = tr.Insert(v, plen, label.Label(10000+i))
 	}
+	if tr.Publish() == view {
+		t.Fatal("a changed trie republished its old view")
+	}
 
 	for i, k := range keys {
-		lab, plen, ok := clone.Lookup(k)
+		lab, plen, ok := view.Lookup(k)
 		if ok != want[i].ok || lab != want[i].lab || plen != want[i].plen {
-			t.Fatalf("clone answer changed for key %#x: got %d/%d/%v want %d/%d/%v",
+			t.Fatalf("view answer changed for key %#x: got %d/%d/%v want %d/%d/%v",
 				k, lab, plen, ok, want[i].lab, want[i].plen, want[i].ok)
 		}
 	}
-	got := clone.Stats()
+	got := view.Stats()
 	for i := range wantStats {
 		if got[i] != wantStats[i] {
-			t.Fatalf("clone stats changed: level %d got %+v want %+v", i+1, got[i], wantStats[i])
+			t.Fatalf("view stats changed: level %d got %+v want %+v", i+1, got[i], wantStats[i])
 		}
 	}
-	// And the mutated original must still satisfy its own invariants.
+	if err := cow.VerifySeals(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drop every view and keep writing: the live trie must still satisfy
+	// its own invariants and answer for what it holds.
+	view = nil
+	runtime.GC()
+	for i := 0; i < 100; i++ {
+		plen := rng.Intn(17)
+		v := rng.Uint64() & bitops.Mask64(plen, 16)
+		_ = tr.Insert(v, plen, label.Label(20000+i))
+	}
 	gotO := tr.Stats()
 	wantO := recount(tr)
 	for i := range wantO {
 		if gotO[i] != wantO[i] {
-			t.Fatalf("original stats diverged from recount at level %d: %+v vs %+v",
+			t.Fatalf("live stats diverged from recount at level %d: %+v vs %+v",
 				i+1, gotO[i], wantO[i])
 		}
+	}
+	for i, p := range live {
+		if i%2 == 0 {
+			continue
+		}
+		found := false
+		for _, m := range tr.LookupAll(p.v, nil) {
+			found = found || (m.Label == p.lab && m.Plen == p.plen)
+		}
+		if !found {
+			t.Fatalf("live trie lost %#x/%d after its views were dropped", p.v, p.plen)
+		}
+	}
+	if err := cow.VerifySeals(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -25,14 +25,14 @@ func recount(t *Trie) []LevelStats {
 		lv := &t.levels[lvl]
 		base := int(id) << uint(lv.stride)
 		for i := 0; i < 1<<uint(lv.stride); i++ {
-			sl := &lv.slots[base+i]
+			sl := lv.slots.Get(base + i)
 			if !sl.empty() {
 				out[lvl].OccupiedSlots++
 			}
 			out[lvl].Entries += int(sl.cnt)
 			// Cross-check cnt against the actual chain length.
 			chain := 0
-			for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
+			for cur := sl.over; cur != noIndex; cur = t.over.Get(int(cur)).next {
 				chain++
 			}
 			if want := int(sl.cnt) - 1; sl.cnt > 0 && chain != want {

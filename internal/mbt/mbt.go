@@ -25,6 +25,14 @@
 // three array indexes with no hashing and no pointer chasing on the
 // one-entry fast path.
 //
+// Sharing. The arenas are paged (internal/cow): Publish returns an
+// immutable view — the page directories plus the population counters the
+// memory model reads — that shares every page with the live trie, and the
+// live trie copies a page the first time it writes it after a publish.
+// What only updates touch (node freelists, per-node occupancy, the
+// overflow freelist) is control state: it lives behind one pointer, is
+// never copied and is absent from views.
+//
 // Terminology used throughout (see the package notes below for the calibration
 // rationale):
 //
@@ -37,7 +45,9 @@ package mbt
 
 import (
 	"fmt"
+	"slices"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 )
 
@@ -108,26 +118,44 @@ type overEntry struct {
 	next int32
 }
 
-// level is one trie level: its geometry (precomputed in New so lookups do
-// no per-call stride arithmetic) and its dense slot arena.
+// level is the lookup state of one trie level: its geometry (precomputed
+// in New so lookups do no per-call stride arithmetic), its paged slot
+// arena and the population counters the memory model reads.
 type level struct {
 	stride int
 	shift  uint   // key >> shift isolates this level's chunk (before masking)
 	mask   uint32 // (1 << stride) - 1
 	before int    // key bits consumed by earlier levels
 
-	// slots is the level's node arena: node i occupies
-	// slots[i<<stride : (i+1)<<stride]. Freed node blocks are recycled
-	// through freeNodes rather than compacted, so node indexes stay stable.
-	slots     []slot
-	freeNodes []int32
-	// occ[i] counts the occupied slots of node i, so Delete can prune a
-	// node the moment its last slot empties without rescanning the block.
-	occ []int32
+	// slots is the level's node arena: node i occupies slots
+	// [i<<stride, (i+1)<<stride) of the nslots allocated so far. Freed
+	// node blocks are recycled through the control state's freelist
+	// rather than compacted, so node indexes stay stable.
+	slots  cow.Array[slot]
+	nslots int
 
 	nodes         int
 	occupiedSlots int
 	entries       int
+}
+
+// levelControl is the update-only state of one level.
+type levelControl struct {
+	freeNodes []int32
+	// occ[i] counts the occupied slots of node i, so Delete can prune a
+	// node the moment its last slot empties without rescanning the block.
+	occ []int32
+}
+
+// control is the state only updates touch. A published view has none.
+type control struct {
+	levels []levelControl
+	// freeOver stacks recycled overflow records; nover counts the records
+	// ever allocated.
+	freeOver []int32
+	nover    int
+	// view caches the last published view until the next mutation.
+	view *Trie
 }
 
 // LevelStats reports the per-level memory population of the trie.
@@ -141,19 +169,19 @@ type LevelStats struct {
 }
 
 // Trie is a multi-bit trie with controlled prefix expansion. Create one
-// with New; the zero value is not usable.
+// with New; the zero value is not usable. A Trie returned by Publish is an
+// immutable view: lookups and statistics work on it, mutating it panics.
 type Trie struct {
 	cfg    Config
 	levels []level
 
 	// over is the overflow arena holding every entry beyond a slot's
-	// inline head; freeOver chains recycled records.
-	over     []overEntry
-	freeOver int32
+	// inline head.
+	over cow.Array[overEntry]
 
 	// levelOf and beforeOf map a prefix length to the level it expands at
 	// and the key bits consumed before that level (precomputed so the
-	// update path does no per-call stride walking).
+	// update path does no per-call stride walking). Immutable after New.
 	levelOf  []int8
 	beforeOf []int8
 
@@ -161,6 +189,8 @@ type Trie struct {
 	// trie's lifetime (including expansion copies); it drives the update
 	// cost model.
 	entryInserts uint64
+
+	ctl *control // nil in a published view
 }
 
 // New creates a trie from cfg.
@@ -171,9 +201,9 @@ func New(cfg Config) (*Trie, error) {
 	t := &Trie{
 		cfg:      cfg,
 		levels:   make([]level, len(cfg.Strides)),
-		freeOver: noIndex,
 		levelOf:  make([]int8, cfg.Width+1),
 		beforeOf: make([]int8, cfg.Width+1),
+		ctl:      &control{levels: make([]levelControl, len(cfg.Strides))},
 	}
 	shift := cfg.Width
 	cum := 0
@@ -193,9 +223,7 @@ func New(cfg Config) (*Trie, error) {
 		t.beforeOf[plen] = int8(before)
 	}
 	// The root array always exists: node 0 of level 1.
-	t.levels[0].slots = emptySlots(make([]slot, 1<<uint(cfg.Strides[0])))
-	t.levels[0].occ = []int32{0}
-	t.levels[0].nodes = 1
+	t.allocNode(0)
 	return t, nil
 }
 
@@ -210,15 +238,6 @@ func levelIndexOf(strides []int, plen int) (lvl, before int) {
 		cum += s
 	}
 	return len(strides) - 1, cum - strides[len(strides)-1]
-}
-
-// emptySlots initialises (or re-initialises) a slot block to the empty
-// state and returns it.
-func emptySlots(s []slot) []slot {
-	for i := range s {
-		s[i] = slot{child: noIndex, over: noIndex}
-	}
-	return s
 }
 
 // MustNew is New for known-good configurations; it panics on invalid
@@ -240,55 +259,71 @@ func (t *Trie) chunk(key uint64, lvl int) uint32 {
 	return uint32(key>>lv.shift) & lv.mask
 }
 
-// allocNode allocates (or recycles) a node block at level lvl and returns
-// its index.
+// allocNode allocates (or recycles) a node block at level lvl, empties its
+// slots and returns its index.
 func (t *Trie) allocNode(lvl int) int32 {
-	lv := &t.levels[lvl]
+	lv, lc := &t.levels[lvl], &t.ctl.levels[lvl]
 	lv.nodes++
-	if n := len(lv.freeNodes); n > 0 {
-		id := lv.freeNodes[n-1]
-		lv.freeNodes = lv.freeNodes[:n-1]
-		base := int(id) << uint(lv.stride)
-		emptySlots(lv.slots[base : base+(1<<uint(lv.stride))])
-		lv.occ[id] = 0
-		return id
+	var id int32
+	if n := len(lc.freeNodes); n > 0 {
+		id = lc.freeNodes[n-1]
+		lc.freeNodes = lc.freeNodes[:n-1]
+		lc.occ[id] = 0
+	} else {
+		id = int32(lv.nslots >> uint(lv.stride))
+		lv.nslots += 1 << uint(lv.stride)
+		lc.occ = append(lc.occ, 0)
 	}
-	id := int32(len(lv.slots) >> uint(lv.stride))
-	lv.slots = append(lv.slots, emptySlots(make([]slot, 1<<uint(lv.stride)))...)
-	lv.occ = append(lv.occ, 0)
+	base := int(id) << uint(lv.stride)
+	for i := base; i < base+(1<<uint(lv.stride)); i++ {
+		*lv.slots.Mut(i) = slot{child: noIndex, over: noIndex}
+	}
 	return id
 }
 
 // freeNode returns a node block to level lvl's freelist.
 func (t *Trie) freeNode(lvl int, id int32) {
-	lv := &t.levels[lvl]
-	lv.freeNodes = append(lv.freeNodes, id)
-	lv.nodes--
+	lc := &t.ctl.levels[lvl]
+	lc.freeNodes = append(lc.freeNodes, id)
+	t.levels[lvl].nodes--
 }
 
-// slotAt returns the slot idx of node id at level lvl.
-func (t *Trie) slotAt(lvl int, id int32, idx uint32) *slot {
-	lv := &t.levels[lvl]
-	return &lv.slots[(int(id)<<uint(lv.stride))+int(idx)]
+// slotIndex returns the arena index of slot idx of node id at level lvl.
+func (t *Trie) slotIndex(lvl int, id int32, idx uint32) int {
+	return int(id)<<uint(t.levels[lvl].stride) + int(idx)
+}
+
+// slotAt reads slot idx of node id at level lvl.
+func (t *Trie) slotAt(lvl int, id int32, idx uint32) slot {
+	return t.levels[lvl].slots.Get(t.slotIndex(lvl, id, idx))
+}
+
+// slotMut returns slot idx of node id at level lvl for writing.
+func (t *Trie) slotMut(lvl int, id int32, idx uint32) *slot {
+	return t.levels[lvl].slots.Mut(t.slotIndex(lvl, id, idx))
 }
 
 // allocOver allocates (or recycles) an overflow record holding e with the
 // given successor and returns its index.
 func (t *Trie) allocOver(e slotEntry, next int32) int32 {
-	if t.freeOver != noIndex {
-		idx := t.freeOver
-		t.freeOver = t.over[idx].next
-		t.over[idx] = overEntry{e: e, next: next}
-		return idx
+	c := t.ctl
+	var idx int32
+	if n := len(c.freeOver); n > 0 {
+		idx = c.freeOver[n-1]
+		c.freeOver = c.freeOver[:n-1]
+	} else {
+		idx = int32(c.nover)
+		c.nover++
 	}
-	t.over = append(t.over, overEntry{e: e, next: next})
-	return int32(len(t.over) - 1)
+	*t.over.Mut(int(idx)) = overEntry{e: e, next: next}
+	return idx
 }
 
-// freeOverAt recycles overflow record idx.
+// freeOverAt recycles overflow record idx. The record itself is left as
+// it is — views may still chain through it — and is overwritten when
+// reallocated.
 func (t *Trie) freeOverAt(idx int32) {
-	t.over[idx] = overEntry{next: t.freeOver}
-	t.freeOver = idx
+	t.ctl.freeOver = append(t.ctl.freeOver, idx)
 }
 
 // Insert adds the prefix value/plen with the given label. value is given in
@@ -300,6 +335,7 @@ func (t *Trie) Insert(value uint64, plen int, lab label.Label) error {
 	if plen < 0 || plen > t.cfg.Width {
 		return fmt.Errorf("mbt: prefix length %d out of range (0..%d)", plen, t.cfg.Width)
 	}
+	t.ctl.view = nil
 	lvl := int(t.levelOf[plen])
 	before := int(t.beforeOf[plen])
 
@@ -307,9 +343,9 @@ func (t *Trie) Insert(value uint64, plen int, lab label.Label) error {
 	for i := 0; i < lvl; i++ {
 		sl := t.slotAt(i, node, t.chunk(value, i))
 		if sl.child == noIndex {
-			wasEmpty := sl.empty()
 			sl.child = t.allocNode(i + 1)
-			if wasEmpty {
+			t.slotMut(i, node, t.chunk(value, i)).child = sl.child
+			if sl.cnt == 0 {
 				t.markOccupied(i, node)
 			}
 		}
@@ -334,24 +370,22 @@ func (t *Trie) Insert(value uint64, plen int, lab label.Label) error {
 // markOccupied records the empty→occupied transition of one slot of node
 // id at level lvl.
 func (t *Trie) markOccupied(lvl int, id int32) {
-	lv := &t.levels[lvl]
-	lv.occupiedSlots++
-	lv.occ[id]++
+	t.levels[lvl].occupiedSlots++
+	t.ctl.levels[lvl].occ[id]++
 }
 
 // markVacated records the occupied→empty transition of one slot of node
 // id at level lvl.
 func (t *Trie) markVacated(lvl int, id int32) {
-	lv := &t.levels[lvl]
-	lv.occupiedSlots--
-	lv.occ[id]--
+	t.levels[lvl].occupiedSlots--
+	t.ctl.levels[lvl].occ[id]--
 }
 
 // insertEntry adds e to slot idx of node id at level lvl, keeping the
 // slot's entries sorted by descending prefix length; equal lengths keep
 // insertion order (stable), so lookups prefer the longest prefix.
 func (t *Trie) insertEntry(lvl int, id int32, idx uint32, e slotEntry) {
-	sl := t.slotAt(lvl, id, idx)
+	sl := t.slotMut(lvl, id, idx)
 	if sl.empty() {
 		t.markOccupied(lvl, id)
 	}
@@ -368,15 +402,18 @@ func (t *Trie) insertEntry(lvl int, id int32, idx uint32, e slotEntry) {
 		// equal lengths keep insertion order) and splice e in.
 		prev := noIndex
 		cur := sl.over
-		for cur != noIndex && t.over[cur].e.plen >= e.plen {
-			prev = cur
-			cur = t.over[cur].next
+		for cur != noIndex {
+			o := t.over.Get(int(cur))
+			if o.e.plen < e.plen {
+				break
+			}
+			prev, cur = cur, o.next
 		}
 		rec := t.allocOver(e, cur)
 		if prev == noIndex {
 			sl.over = rec
 		} else {
-			t.over[prev].next = rec
+			t.over.Mut(int(prev)).next = rec
 		}
 	}
 	sl.cnt++
@@ -385,17 +422,19 @@ func (t *Trie) insertEntry(lvl int, id int32, idx uint32, e slotEntry) {
 }
 
 // slotContains reports whether the slot holds an entry equal to e.
-func (t *Trie) slotContains(sl *slot, e slotEntry) bool {
+func (t *Trie) slotContains(sl slot, e slotEntry) bool {
 	if sl.cnt == 0 {
 		return false
 	}
 	if sl.head == e {
 		return true
 	}
-	for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
-		if t.over[cur].e == e {
+	for cur := sl.over; cur != noIndex; {
+		o := t.over.Get(int(cur))
+		if o.e == e {
 			return true
 		}
+		cur = o.next
 	}
 	return false
 }
@@ -403,27 +442,28 @@ func (t *Trie) slotContains(sl *slot, e slotEntry) bool {
 // removeEntry removes the first occurrence of e from slot idx of node id
 // at level lvl. The entry must be present.
 func (t *Trie) removeEntry(lvl int, id int32, idx uint32, e slotEntry) {
-	sl := t.slotAt(lvl, id, idx)
+	sl := t.slotMut(lvl, id, idx)
 	if sl.head == e {
 		if sl.over != noIndex {
 			next := sl.over
-			sl.head = t.over[next].e
-			sl.over = t.over[next].next
+			o := t.over.Get(int(next))
+			sl.head, sl.over = o.e, o.next
 			t.freeOverAt(next)
 		}
 	} else {
 		prev := noIndex
-		for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
-			if t.over[cur].e == e {
+		for cur := sl.over; cur != noIndex; {
+			o := t.over.Get(int(cur))
+			if o.e == e {
 				if prev == noIndex {
-					sl.over = t.over[cur].next
+					sl.over = o.next
 				} else {
-					t.over[prev].next = t.over[cur].next
+					t.over.Mut(int(prev)).next = o.next
 				}
 				t.freeOverAt(cur)
 				break
 			}
-			prev = cur
+			prev, cur = cur, o.next
 		}
 	}
 	sl.cnt--
@@ -440,6 +480,7 @@ func (t *Trie) Delete(value uint64, plen int, lab label.Label) error {
 	if plen < 0 || plen > t.cfg.Width {
 		return fmt.Errorf("mbt: prefix length %d out of range (0..%d)", plen, t.cfg.Width)
 	}
+	t.ctl.view = nil
 	lvl := int(t.levelOf[plen])
 	before := int(t.beforeOf[plen])
 
@@ -482,11 +523,11 @@ func (t *Trie) Delete(value uint64, plen int, lab label.Label) error {
 	// Prune empty child nodes bottom-up along the walk path.
 	for i := lvl; i >= 1; i-- {
 		child := path[i]
-		if t.levels[i].occ[child] != 0 {
+		if t.ctl.levels[i].occ[child] != 0 {
 			break
 		}
 		parent := path[i-1]
-		sl := t.slotAt(i-1, parent, t.chunk(value, i-1))
+		sl := t.slotMut(i-1, parent, t.chunk(value, i-1))
 		sl.child = noIndex
 		t.freeNode(i, child)
 		if sl.empty() {
@@ -496,32 +537,28 @@ func (t *Trie) Delete(value uint64, plen int, lab label.Label) error {
 	return nil
 }
 
-// Clone returns a deep copy of the trie sharing no state with the
-// original. Because the trie is index-addressed, cloning is a flat copy of
-// the level arenas — no structural walk.
-func (t *Trie) Clone() *Trie {
-	cfg := t.cfg
-	cfg.Strides = append([]int(nil), t.cfg.Strides...)
-	c := &Trie{
-		cfg:          cfg,
-		levels:       append([]level(nil), t.levels...),
-		freeOver:     t.freeOver,
-		levelOf:      t.levelOf, // immutable after New
-		beforeOf:     t.beforeOf,
-		entryInserts: t.entryInserts,
-	}
-	if len(t.over) > 0 {
-		c.over = append([]overEntry(nil), t.over...)
-	}
-	for i := range c.levels {
-		lv := &c.levels[i]
-		lv.slots = append([]slot(nil), lv.slots...)
-		lv.occ = append([]int32(nil), lv.occ...)
-		if len(lv.freeNodes) > 0 {
-			lv.freeNodes = append([]int32(nil), lv.freeNodes...)
+// Publish returns an immutable view of the trie as it stands: the level
+// geometry and counters by value, every arena page shared. Later updates
+// to t never show in the view — they copy the pages they write — and the
+// same view is returned until the next update. Safe for concurrent
+// lookups; mutating a view panics.
+func (t *Trie) Publish() *Trie {
+	c := t.ctl
+	if c.view == nil {
+		v := &Trie{
+			cfg:          t.cfg,
+			levels:       slices.Clone(t.levels),
+			over:         t.over.Publish(),
+			levelOf:      t.levelOf,
+			beforeOf:     t.beforeOf,
+			entryInserts: t.entryInserts,
 		}
+		for i := range v.levels {
+			v.levels[i].slots = t.levels[i].slots.Publish()
+		}
+		c.view = v
 	}
-	return c
+	return c.view
 }
 
 // Lookup returns the label of the longest prefix matching key, together
@@ -530,7 +567,8 @@ func (t *Trie) Lookup(key uint64) (lab label.Label, plen int, ok bool) {
 	node := int32(0)
 	for l := range t.levels {
 		lv := &t.levels[l]
-		sl := &lv.slots[(int(node)<<uint(lv.stride))+int(uint32(key>>lv.shift)&lv.mask)]
+		i := int(node)<<uint(lv.stride) + int(uint32(key>>lv.shift)&lv.mask)
+		sl := &lv.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
 		if sl.cnt > 0 {
 			// The head is the longest entry and deeper levels always hold
 			// strictly longer prefixes, so overwrite the best match.
@@ -556,32 +594,7 @@ type MatchedEntry struct {
 // collects complete match sets without backtracking — the property the
 // crossproduct index-calculation stage relies on.
 func (t *Trie) LookupAll(key uint64, dst []MatchedEntry) []MatchedEntry {
-	start := len(dst)
-	node := int32(0)
-	for l := range t.levels {
-		lv := &t.levels[l]
-		sl := &lv.slots[(int(node)<<uint(lv.stride))+int(uint32(key>>lv.shift)&lv.mask)]
-		if sl.cnt > 0 {
-			dst = append(dst, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
-			for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
-				e := &t.over[cur].e
-				dst = append(dst, MatchedEntry{Label: e.label, Plen: int(e.plen)})
-			}
-		}
-		if sl.child == noIndex {
-			break
-		}
-		node = sl.child
-	}
-	// Slots were visited shallow-to-deep, so the region is roughly
-	// ascending in plen; an insertion sort into descending order is cheap
-	// (the region holds at most one entry per prefix length).
-	region := dst[start:]
-	for i := 1; i < len(region); i++ {
-		for j := i; j > 0 && region[j-1].Plen < region[j].Plen; j-- {
-			region[j-1], region[j] = region[j], region[j-1]
-		}
-	}
+	dst, _ = t.LookupAllTraced(key, dst)
 	return dst
 }
 
@@ -597,12 +610,14 @@ func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEnt
 	for l := range t.levels {
 		lv := &t.levels[l]
 		consumed = lv.before + lv.stride
-		sl := &lv.slots[(int(node)<<uint(lv.stride))+int(uint32(key>>lv.shift)&lv.mask)]
+		i := int(node)<<uint(lv.stride) + int(uint32(key>>lv.shift)&lv.mask)
+		sl := &lv.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
 		if sl.cnt > 0 {
 			dst = append(dst, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
-			for cur := sl.over; cur != noIndex; cur = t.over[cur].next {
-				e := &t.over[cur].e
-				dst = append(dst, MatchedEntry{Label: e.label, Plen: int(e.plen)})
+			for cur := sl.over; cur != noIndex; {
+				o := &t.over.Dir[cur>>cow.PageShift][cur&cow.PageMask]
+				dst = append(dst, MatchedEntry{Label: o.e.label, Plen: int(o.e.plen)})
+				cur = o.next
 			}
 		}
 		if sl.child == noIndex {
@@ -610,6 +625,9 @@ func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEnt
 		}
 		node = sl.child
 	}
+	// Slots were visited shallow-to-deep, so the region is roughly
+	// ascending in plen; an insertion sort into descending order is cheap
+	// (the region holds at most one entry per prefix length).
 	region := dst[start:]
 	for i := 1; i < len(region); i++ {
 		for j := i; j > 0 && region[j-1].Plen < region[j].Plen; j-- {

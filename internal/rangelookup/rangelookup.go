@@ -29,7 +29,10 @@ type segment struct {
 }
 
 // Table is a range-matching table over keys of up to 64 bits. The zero
-// value is an empty, usable table.
+// value is an empty, usable table. The stored ranges are control state;
+// lookups read only the elementary intervals projected from them, which
+// are rebuilt into a fresh slice after every change and never written
+// again — so a published view shares them.
 type Table struct {
 	entries []rangeEntry
 	nextSeq int
@@ -91,23 +94,14 @@ func (t *Table) LookupAll(key uint64) []label.Label {
 	return t.segments[idx].labs
 }
 
-// Clone returns a deep copy of the table with the elementary intervals
-// precomputed, so lookups on the clone never mutate it (LookupAll's lazy
-// rebuild would otherwise race between concurrent readers).
-func (t *Table) Clone() *Table {
+// Publish returns an immutable view of the table as it stands: the
+// elementary intervals, precomputed and shared, without the ranges they
+// came from. Lookups on the view never rebuild (LookupAll's lazy rebuild
+// would otherwise race between concurrent readers), and later updates to
+// t never show in it.
+func (t *Table) Publish() *Table {
 	t.rebuild()
-	c := &Table{nextSeq: t.nextSeq}
-	if len(t.entries) > 0 {
-		c.entries = append([]rangeEntry(nil), t.entries...)
-	}
-	c.segments = make([]segment, len(t.segments))
-	for i, s := range t.segments {
-		c.segments[i] = segment{start: s.start}
-		if len(s.labs) > 0 {
-			c.segments[i].labs = append([]label.Label(nil), s.labs...)
-		}
-	}
-	return c
+	return &Table{segments: t.segments}
 }
 
 // Len returns the number of stored ranges.
@@ -131,7 +125,8 @@ func (t *Table) rebuild() {
 		return
 	}
 	t.dirty = false
-	t.segments = t.segments[:0]
+	// A fresh slice every time: views share the previous one.
+	t.segments = make([]segment, 0, len(t.segments))
 	if len(t.entries) == 0 {
 		return
 	}

@@ -187,3 +187,46 @@ func width(entries [][3]uint64, lab label.Label) uint64 {
 	}
 	return ^uint64(0)
 }
+
+// A published view shares the elementary intervals it was published with:
+// later inserts and removals rebuild into a fresh slice and never show.
+func TestPublishedViewIsUnaffectedByLaterWrites(t *testing.T) {
+	var tbl Table
+	for i := uint64(0); i < 50; i++ {
+		if err := tbl.Insert(i*100, i*100+150, label.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := tbl.Publish()
+	segs := view.Segments()
+	var want [][]label.Label
+	for key := uint64(0); key < 5200; key += 13 {
+		want = append(want, append([]label.Label(nil), view.LookupAll(key)...))
+	}
+	for i := uint64(0); i < 50; i += 2 {
+		if err := tbl.Remove(i*100, i*100+150, label.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Insert(0, 6000, 99); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Segments() // rebuilds the live table
+	if view.Segments() != segs {
+		t.Fatalf("view has %d segments, was published with %d", view.Segments(), segs)
+	}
+	for i, key := 0, uint64(0); key < 5200; i, key = i+1, key+13 {
+		got := view.LookupAll(key)
+		if len(got) != len(want[i]) {
+			t.Fatalf("view, key %d: %v, want %v", key, got, want[i])
+		}
+		for j := range got {
+			if got[j] != want[i][j] {
+				t.Fatalf("view, key %d: %v, want %v", key, got, want[i])
+			}
+		}
+	}
+	if labs := tbl.LookupAll(10); len(labs) != 1 || labs[0] != 99 {
+		t.Fatalf("live table after the writes: %v, want [99]", labs)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/core"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
@@ -22,6 +23,7 @@ import (
 // transactional resolution provably performs exactly the primitive
 // operations the linear semantics dictate, in the same order.
 func TestDifferentialTxVsSingleOps(t *testing.T) {
+	cow.SealForTest(t)
 	for _, seed := range []uint64{3, 17, 99} {
 		t.Run("", func(t *testing.T) {
 			runTxDifferential(t, seed)
@@ -414,6 +416,7 @@ func (rs *refStore) classify(h *openflow.Header) (*openflow.FlowEntry, bool) {
 // delete", the two operation histories are identical and the final
 // memory reports must be byte-identical.
 func TestDifferentialExpiryVsExplicitDeletes(t *testing.T) {
+	cow.SealForTest(t)
 	for _, seed := range []uint64{5, 23} {
 		t.Run("", func(t *testing.T) {
 			pool := filterset.GenerateACL("expirydiff", 100, seed).FlowEntries()
