@@ -257,11 +257,11 @@ func BenchmarkCrossprodLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyPlan measures one plan-compiled Classify call on the
-// ACL table (five fields, three matching methods): the candidate-product
-// odometer, the pair-combiner pruning and the incremental key hashing,
+// BenchmarkClassifyACL measures one Classify call on the ACL table (five
+// fields, three matching methods): the field searches and the depth-first
+// candidate walk with its prefix-stage pruning and running key hash,
 // without the surrounding pipeline walk.
-func BenchmarkClassifyPlan(b *testing.B) {
+func BenchmarkClassifyACL(b *testing.B) {
 	f := filterset.GenerateACL("bench", 1000, filterset.DefaultSeed)
 	p, err := core.BuildACL(f)
 	if err != nil {

@@ -23,17 +23,14 @@ type mbtBackend struct {
 	combos    *crossprod.Table
 	actions   *ActionTable
 
-	// patterns tracks the live wildcard patterns: bit i set means field i
-	// is constrained. The index calculation enumerates candidate
-	// combinations per live pattern instead of the full candidate product
-	// — the aggregation-pruning idea of the DCFL lineage.
-	patterns map[uint32]int
-
-	// plan is the compiled classify recipe derived from patterns. It is
-	// recompiled whenever the set of live patterns changes and shared
-	// (read-only) with published views, so the Lookup hot path never
-	// walks the patterns map.
-	plan *classifyPlan
+	// wild has bit d set while some live rule leaves field d
+	// unconstrained, so the candidate walk tries Wildcard at dimension d
+	// too. wildCount holds the per-dimension rule counts behind it:
+	// control state, nil in a published view. wildHash[d] is
+	// DimHash(d, Wildcard), immutable and shared with views.
+	wild      uint32
+	wildCount []int
+	wildHash  []uint64
 
 	// scratch pools per-call Lookup buffers, keeping the hot path
 	// allocation-free while allowing concurrent readers; views share the
@@ -42,14 +39,13 @@ type mbtBackend struct {
 }
 
 // classifyScratch carries one Lookup call's working buffers: the
-// per-field candidate sets, the combination key under composition and the
-// odometer positions of the candidate enumeration.
+// per-field candidate sets and the combination key under composition.
 type classifyScratch struct {
 	cands [][]Candidate
 	key   []label.Label
 	// chash memoises each candidate's dimension-hash contribution
-	// (crossprod.DimHash), computed once per Lookup call so odometer
-	// steps update the key hash with two XORs instead of re-hashing.
+	// (crossprod.DimHash), computed once per Lookup call so each step of
+	// the walk extends the running key hash with one XOR.
 	chash [][]uint64
 }
 
@@ -70,11 +66,12 @@ func newMBTBackend(cfg TableConfig) (*mbtBackend, error) {
 		searchers: make([]FieldSearcher, 0, len(cfg.Fields)),
 		combos:    crossprod.MustNew(len(cfg.Fields)),
 		actions:   NewActionTable(),
-		patterns:  make(map[uint32]int),
+		wildCount: make([]int, len(cfg.Fields)),
+		wildHash:  make([]uint64, len(cfg.Fields)),
 		scratch:   newClassifyScratchPool(len(cfg.Fields)),
 	}
-	b.plan = compilePlan(len(cfg.Fields), b.patterns)
-	for _, f := range cfg.Fields {
+	for d, f := range cfg.Fields {
+		b.wildHash[d] = crossprod.DimHash(d, Wildcard)
 		s, err := NewFieldSearcher(f)
 		if err != nil {
 			return nil, fmt.Errorf("core: table %d: %w", cfg.ID, err)
@@ -121,24 +118,24 @@ func (b *mbtBackend) Insert(e *openflow.FlowEntry) error {
 		}
 		return fmt.Errorf("core: table %d insert: %w", b.cfg.ID, err)
 	}
-	p := patternOf(key)
-	b.patterns[p]++
-	if b.patterns[p] == 1 {
-		b.plan = compilePlan(len(b.cfg.Fields), b.patterns)
-	}
+	b.countWildcards(key, 1)
 	return nil
 }
 
-// patternOf computes the wildcard pattern of a combination key: bit i set
-// when dimension i carries a real label.
-func patternOf(key []label.Label) uint32 {
-	var p uint32
-	for i, l := range key {
+// countWildcards adds delta to the wildcard count of every dimension key
+// leaves unconstrained, keeping wild in step with the counts.
+func (b *mbtBackend) countWildcards(key []label.Label, delta int) {
+	for d, l := range key {
 		if l != Wildcard {
-			p |= 1 << uint(i)
+			continue
+		}
+		b.wildCount[d] += delta
+		if b.wildCount[d] > 0 {
+			b.wild |= 1 << uint(d)
+		} else {
+			b.wild &^= 1 << uint(d)
 		}
 	}
-	return p
 }
 
 // Remove implements Backend.
@@ -166,216 +163,110 @@ func (b *mbtBackend) Remove(e *openflow.FlowEntry) error {
 	if err := b.actions.Release(actionIdx); err != nil {
 		return fmt.Errorf("core: table %d remove: %w", b.cfg.ID, err)
 	}
-	p := patternOf(key)
-	b.patterns[p]--
-	if b.patterns[p] == 0 {
-		delete(b.patterns, p)
-		b.plan = compilePlan(len(b.cfg.Fields), b.patterns)
-	}
+	b.countWildcards(key, -1)
 	return nil
 }
 
 // Lookup implements Backend: run the parallel field searches and the
 // index calculation for one packet header, returning the winning flow
-// entry's instructions. Candidate combinations are enumerated per live
-// wildcard pattern (so fields a pattern leaves unconstrained contribute
-// no fan-out) by an iterative odometer over the compiled plan's
-// constrained dimensions. The combination-key hash is maintained
-// incrementally: each odometer step re-hashes only the dimension it
-// changed.
+// entry's instructions.
+//
+// The index calculation is one depth-first walk over dimensions 0…nf−1
+// (an explicit position stack: no recursion, no closures). At each
+// dimension it tries that field's candidates, plus Wildcard when some
+// live rule leaves the field unconstrained; it extends a prefix only
+// while the combination store's stage of that length holds it
+// (HasPrefix, lengths 2…nf−1), and probes full keys at the last
+// dimension — the progressive combining of the paper's Fig. 1, which
+// discards every key below an absent prefix. The key hash is carried
+// down the walk: each step folds in one memoised candidate contribution.
+// Tables of ≤2 dimensions have no stage to consult; their walk is the
+// plain candidate product, probed with packed keys.
 //
 // The only stage that consults the header is the per-field search loop
-// (the combination enumeration and action-table stages operate on labels
+// (the combination walk and action-table stages operate on labels
 // alone), so handing tr to each field searcher captures every consulted
 // bit: identical traced bits yield identical per-field candidate sets and
 // therefore an identical winning combination.
 func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
 	sc := b.scratch.Get().(*classifyScratch)
 	defer b.scratch.Put(sc)
-	for i, s := range b.searchers {
-		sc.cands[i] = s.Search(h, sc.cands[i][:0], tr)
-	}
-
-	plan := b.plan
 	nf := len(sc.key)
-	if plan.useHash {
-		// Memoise each candidate's dimension-hash contribution once, so
-		// every odometer step below re-hashes only the dimension that
-		// changed — and does so with two XORs.
-		for d := 0; d < nf; d++ {
+	hashed := nf > 2
+	viable := true
+	for d, s := range b.searchers {
+		c := s.Search(h, sc.cands[d][:0], tr)
+		wild := b.wild&(1<<uint(d)) != 0
+		if hashed {
 			ch := sc.chash[d][:0]
-			for _, c := range sc.cands[d] {
-				ch = append(ch, crossprod.DimHash(d, c.Label))
+			for _, x := range c {
+				ch = append(ch, crossprod.DimHash(d, x.Label))
+			}
+			if wild {
+				ch = append(ch, b.wildHash[d])
 			}
 			sc.chash[d] = ch
 		}
+		if wild {
+			c = append(c, Candidate{Label: Wildcard})
+		}
+		sc.cands[d] = c
+		viable = viable && len(c) > 0
 	}
-	best := crossprod.Binding{Priority: 0}
-	var bestSeq uint64
-	found := false
+	if !viable {
+		// Some dimension offers no label at all: no key can match.
+		return MatchResult{}, false
+	}
+
+	// The position stack (tables cap fields at 32): pos[d] is the
+	// candidate tried at depth d, hs[d] the hash of key[:d].
+	var pos [32]int
+	var hs [32]uint64
+	cl, ch := sc.cands, sc.chash
 	key := sc.key
 	combos := b.combos
-	// Enumeration state, gathered per pattern into stack-local arrays so
-	// the loops below run on registers and L1 instead of chasing the
-	// scratch struct. Tables cap fields at 32. Declared outside the
-	// pattern loop so the arrays are zeroed once per call, not per
-	// pattern; every in-use entry is rewritten during gathering.
-	var cl [32][]Candidate
-	var ch [32][]uint64
-	var pos [32]int
-	for pi := range plan.pats {
-		pat := &plan.pats[pi]
-		nd := len(pat.dims)
-
-		// Gather the pattern's candidate lists and their memoised hash
-		// contributions. A pattern requiring a constrained field with no
-		// candidate cannot match; skip it without enumerating.
-		rowHash := pat.wildHash
-		viable := true
-		for k, d := range pat.dims {
-			c := sc.cands[d]
-			if len(c) == 0 {
-				viable = false
-				break
-			}
-			cl[k] = c
-			pos[k] = 0
-			if plan.useHash {
-				ch[k] = sc.chash[d]
-				rowHash ^= ch[k][0]
-			}
-		}
-		if !viable {
-			continue
-		}
-
-		// Compose the pattern's first key: the most specific candidate in
-		// every constrained dimension, wildcard elsewhere. The wildcard
-		// dimensions' hash contribution is precompiled into the plan;
-		// rowHash already folds in candidate 0 of every constrained one.
-		for d := 0; d < nf; d++ {
-			key[d] = Wildcard
-		}
-		for k, d := range pat.dims {
-			key[d] = cl[k][0].Label
-		}
-
-		if nd == 0 {
-			// All-wildcard pattern: a single catch-all combination.
-			if b2, seq, ok := combos.LookupSeqHash(key, rowHash); ok {
-				if !found || b2.Priority > best.Priority || (b2.Priority == best.Priority && seq < bestSeq) {
-					best, bestSeq, found = b2, seq, true
+	last := nf - 1
+	var best crossprod.Binding
+	var bestSeq uint64
+	found := false
+	d := 0
+	for {
+		if d == last {
+			// Probe every full key under the current prefix.
+			h0, lch := hs[d], ch[d]
+			for i, c := range cl[d] {
+				key[d] = c.Label
+				var hk uint64
+				if hashed {
+					hk = h0 ^ lch[i]
 				}
+				if b2, seq, ok := combos.LookupSeqHash(key, hk); ok {
+					if !found || b2.Priority > best.Priority || (b2.Priority == best.Priority && seq < bestSeq) {
+						best, bestSeq, found = b2, seq, true
+					}
+				}
+			}
+		} else if p := pos[d]; p < len(cl[d]) {
+			key[d] = cl[d][p].Label
+			var hk uint64
+			if hashed {
+				hk = hs[d] ^ ch[d][p]
+			}
+			if d == 0 || combos.HasPrefix(key[:d+1], hk) {
+				hs[d+1] = hk
+				d++
+				pos[d] = 0
+			} else {
+				pos[d]++
 			}
 			continue
 		}
-
-		// Enumerate the candidate product in two nested odometers. The
-		// head dimensions (those covered by the combination store's
-		// pair-combiner stage) advance in the outer loop: each head
-		// combination is vetted with one packed HasPair probe, and a pair
-		// present in no stored key discards its entire tail product. The
-		// last tail dimension is swept by the innermost loop; rowHash
-		// tracks the key hash with every post-head dimension at candidate
-		// 0, so each step re-hashes only the dimension it changed.
-		nhead := pat.nhead
-		ntail := nd - nhead
-		var inner int
-		var icl []Candidate
-		var ich []uint64
-		if ntail > 0 {
-			inner = int(pat.dims[nd-1])
-			icl = cl[nd-1]
-			ich = ch[nd-1]
+		// Depth d is exhausted: back up and try the next candidate there.
+		if d == 0 {
+			break
 		}
-		for {
-			if !plan.useHash || combos.HasPair(key[0], key[1]) {
-				switch {
-				case ntail == 0:
-					if b2, seq, ok := combos.LookupSeqHash(key, rowHash); ok {
-						if !found || b2.Priority > best.Priority || (b2.Priority == best.Priority && seq < bestSeq) {
-							best, bestSeq, found = b2, seq, true
-						}
-					}
-				default:
-					var ich0 uint64
-					if plan.useHash {
-						ich0 = rowHash ^ ich[0]
-					}
-					for {
-						for p := range icl {
-							key[inner] = icl[p].Label
-							var h64 uint64
-							if plan.useHash {
-								h64 = ich0 ^ ich[p]
-							}
-							if b2, seq, ok := combos.LookupSeqHash(key, h64); ok {
-								if !found || b2.Priority > best.Priority || (b2.Priority == best.Priority && seq < bestSeq) {
-									best, bestSeq, found = b2, seq, true
-								}
-							}
-						}
-						// Advance the tail's outer dimensions; exhausted
-						// ones reset (restoring key, hash and position)
-						// and carry left, so the tail state is back at
-						// candidate 0 when the sweep completes.
-						k := nd - 2
-						for k >= nhead {
-							d := int(pat.dims[k])
-							p := pos[k] + 1
-							if p < len(cl[k]) {
-								if plan.useHash {
-									delta := ch[k][p-1] ^ ch[k][p]
-									rowHash ^= delta
-									ich0 ^= delta
-								}
-								pos[k] = p
-								key[d] = cl[k][p].Label
-								break
-							}
-							if pos[k] != 0 {
-								if plan.useHash {
-									delta := ch[k][pos[k]] ^ ch[k][0]
-									rowHash ^= delta
-									ich0 ^= delta
-								}
-								pos[k] = 0
-								key[d] = cl[k][0].Label
-							}
-							k--
-						}
-						if k < nhead {
-							break
-						}
-					}
-				}
-			}
-			// Advance the head odometer.
-			k := nhead - 1
-			for k >= 0 {
-				d := int(pat.dims[k])
-				p := pos[k] + 1
-				if p < len(cl[k]) {
-					if plan.useHash {
-						rowHash ^= ch[k][p-1] ^ ch[k][p]
-					}
-					pos[k] = p
-					key[d] = cl[k][p].Label
-					break
-				}
-				if pos[k] != 0 {
-					if plan.useHash {
-						rowHash ^= ch[k][pos[k]] ^ ch[k][0]
-					}
-					pos[k] = 0
-					key[d] = cl[k][0].Label
-				}
-				k--
-			}
-			if k < 0 {
-				break
-			}
-		}
+		d--
+		pos[d]++
 	}
 	if !found {
 		return MatchResult{}, false
@@ -390,16 +281,17 @@ func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 }
 
 // Publish implements Backend: every searcher, the combination store and
-// the action table as views sharing the live pages. The wildcard-pattern
-// counts are control state and stay behind; the compiled plan is
-// immutable and shared.
+// the action table as views sharing the live pages, and the wildcard mask
+// by value. The per-dimension wildcard counts are control state and stay
+// behind.
 func (b *mbtBackend) Publish() Backend {
 	v := &mbtBackend{
 		cfg:       b.cfg,
 		searchers: make([]FieldSearcher, len(b.searchers)),
 		combos:    b.combos.Publish(),
 		actions:   b.actions.Publish(),
-		plan:      b.plan,
+		wild:      b.wild,
+		wildHash:  b.wildHash,
 		scratch:   b.scratch,
 	}
 	for i, s := range b.searchers {

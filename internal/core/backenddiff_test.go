@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"ofmtl/internal/bitops"
 	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
@@ -85,6 +88,156 @@ func TestBackendsMatchReference(t *testing.T) {
 	}
 	if len(live) == 0 {
 		t.Fatal("degenerate churn: nothing left installed")
+	}
+}
+
+// TestWildcardShapesMatchReference checks the mbt candidate walk where
+// wildcards sit: randomized 3–6-field tables in random field order, every
+// dimension left open by some rule, a catch-all, overlapping values that
+// share label prefixes and low-cardinality priorities (ties), classified
+// against tss and the brute-force reference, live and through a published
+// view. Churn removes every rule that leaves one dimension open — its
+// wildcard count falls to zero, so the walk stops offering Wildcard
+// there — probes, and re-adds them.
+func TestWildcardShapesMatchReference(t *testing.T) {
+	cow.SealForTest(t)
+	pool := []openflow.FieldID{
+		openflow.FieldIPv4Src, openflow.FieldIPv4Dst, openflow.FieldSrcPort,
+		openflow.FieldDstPort, openflow.FieldIPProto, openflow.FieldVLANID,
+	}
+	for round := 0; round < 8; round++ {
+		rng := xrand.New(uint64(9000 + round))
+		fields := slices.Clone(pool)
+		rng.Shuffle(len(fields), func(i, j int) { fields[i], fields[j] = fields[j], fields[i] })
+		fields = fields[:3+round%4]
+		match := func(f openflow.FieldID) openflow.Match {
+			switch f {
+			case openflow.FieldIPv4Src, openflow.FieldIPv4Dst:
+				plen := []int{8, 16, 24, 32}[rng.Intn(4)]
+				v := uint64(0x0A010203 + rng.Intn(2)<<16)
+				return openflow.Prefix(f, v&bitops.Mask64(plen, 32), plen)
+			case openflow.FieldSrcPort, openflow.FieldDstPort:
+				lo := uint64([]int{0, 80, 1024}[rng.Intn(3)])
+				return openflow.Range(f, lo, lo+uint64(rng.Intn(3))*512)
+			case openflow.FieldIPProto:
+				return openflow.Exact(f, uint64([]int{6, 17}[rng.Intn(2)]))
+			default:
+				return openflow.Exact(f, uint64(1+rng.Intn(3)))
+			}
+		}
+		// open[d] leaves field d unconstrained.
+		entry := func(open []bool) *openflow.FlowEntry {
+			e := &openflow.FlowEntry{Priority: 1 + rng.Intn(4)}
+			for d, f := range fields {
+				if !open[d] {
+					e.Matches = append(e.Matches, match(f))
+				}
+			}
+			e.Instructions = []openflow.Instruction{openflow.WriteActions(openflow.Output(uint32(1 + rng.Intn(64))))}
+			return e
+		}
+
+		kinds := []string{BackendMBT, BackendTSS}
+		tables := make([]*LookupTable, len(kinds))
+		for i, k := range kinds {
+			tbl, err := NewLookupTable(TableConfig{ID: 0, Fields: fields, Backend: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables[i] = tbl
+		}
+		mbt := tables[0].backend.(*mbtBackend)
+		ref := &ReferenceClassifier{}
+		var live []*openflow.FlowEntry
+		add := func(e *openflow.FlowEntry) {
+			for _, l := range live {
+				if l.Priority == e.Priority && reflect.DeepEqual(l.Matches, e.Matches) {
+					return // an add-replace, which the reference does not model
+				}
+			}
+			for _, tbl := range tables {
+				if err := tbl.Insert(e); err != nil {
+					t.Fatalf("round %d: insert %v: %v", round, e, err)
+				}
+			}
+			ref.Insert(e)
+			live = append(live, e)
+		}
+		remove := func(i int) {
+			e := live[i]
+			for _, tbl := range tables {
+				if err := tbl.Remove(e); err != nil {
+					t.Fatalf("round %d: remove %v: %v", round, e, err)
+				}
+			}
+			if !ref.Remove(e) {
+				t.Fatalf("round %d: reference lost %v", round, e)
+			}
+			live = slices.Delete(live, i, i+1)
+		}
+		// Probes go to both live tables and to a view of the mbt one
+		// published now.
+		probe := func(when string) {
+			lookups := append(slices.Clone(tables), tables[0].publish())
+			names := append(slices.Clone(kinds), BackendMBT+" view")
+			for n := 0; n < 64; n++ {
+				h := randomHeader(rng, live)
+				want, wok := ref.Classify(h)
+				for i, tbl := range lookups {
+					got, ok := tbl.Classify(h)
+					if ok != wok || ok && (got.Priority != want.Priority || !reflect.DeepEqual(got.Instructions, want.Instructions)) {
+						t.Fatalf("round %d (fields %v), %s: %s = %+v/%v, reference %+v/%v (header %+v)",
+							round, fields, when, names[i], got, ok, want, wok, h)
+					}
+				}
+			}
+		}
+		isOpen := func(e *openflow.FlowEntry, d int) bool {
+			_, ok := e.Match(fields[d])
+			return !ok
+		}
+
+		add(entry(make([]bool, len(fields)))) // fully constrained
+		for d := range fields {
+			open := make([]bool, len(fields))
+			open[d] = true
+			add(entry(open))
+		}
+		add(entry(slices.Repeat([]bool{true}, len(fields)))) // catch-all
+		for step := 0; step < 300; step++ {
+			if rng.Float64() < 0.65 || len(live) == 0 {
+				open := make([]bool, len(fields))
+				for d := range open {
+					open[d] = rng.Float64() < 0.3
+				}
+				add(entry(open))
+			} else {
+				remove(rng.Intn(len(live)))
+			}
+			probe(fmt.Sprintf("step %d", step))
+			if step%50 != 49 {
+				continue
+			}
+			d := rng.Intn(len(fields))
+			var gone []*openflow.FlowEntry
+			for i := len(live) - 1; i >= 0; i-- {
+				if isOpen(live[i], d) {
+					gone = append(gone, live[i])
+					remove(i)
+				}
+			}
+			if mbt.wildCount[d] != 0 || mbt.wild&(1<<d) != 0 {
+				t.Fatalf("round %d: dimension %d still counts %d wildcards after its last open rule left", round, d, mbt.wildCount[d])
+			}
+			probe(fmt.Sprintf("step %d, dimension %d closed", step, d))
+			for _, e := range gone {
+				add(e)
+			}
+			if len(gone) > 0 && (mbt.wildCount[d] == 0 || mbt.wild&(1<<d) == 0) {
+				t.Fatalf("round %d: dimension %d counts no wildcard after %d open rules returned", round, d, len(gone))
+			}
+			probe(fmt.Sprintf("step %d, dimension %d reopened", step, d))
+		}
 	}
 }
 

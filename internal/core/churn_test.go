@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,9 +116,9 @@ func TestRouteTableChurn(t *testing.T) {
 		}
 	}
 	b := mbtOf(t, tbl)
-	if tbl.Rules() != 0 || b.combos.Keys() != 0 || b.actions.Len() != 0 || len(b.patterns) != 0 {
-		t.Errorf("residue after drain: rules=%d combos=%d actions=%d patterns=%d",
-			tbl.Rules(), b.combos.Keys(), b.actions.Len(), len(b.patterns))
+	if tbl.Rules() != 0 || b.combos.Keys() != 0 || b.actions.Len() != 0 || b.wild != 0 || slices.ContainsFunc(b.wildCount, func(n int) bool { return n != 0 }) {
+		t.Errorf("residue after drain: rules=%d combos=%d actions=%d wildCount=%v wild=%b",
+			tbl.Rules(), b.combos.Keys(), b.actions.Len(), b.wildCount, b.wild)
 	}
 }
 

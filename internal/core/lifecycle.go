@@ -288,8 +288,10 @@ func (d *flowDir) free(ref uint32) {
 
 // touch counts one packet against every attributed flow: one clock
 // load, then per ref an increment pair and a coarse last-seen store on
-// the caller's shard. Zero refs (no attribution) are skipped. The fast
-// path allocates nothing.
+// the caller's shard. The last-seen second is stored only when it
+// differs — an atomic store is a locked instruction, and within one
+// clock second it would rewrite the same value. Zero refs (no
+// attribution) are skipped. The fast path allocates nothing.
 func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pktLen uint32) {
 	now := d.clock.Load()
 	bytes := uint64(pktLen)
@@ -305,7 +307,9 @@ func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pktLen uin
 		c := s.cell(ref - 1)
 		c.pkts.Add(1)
 		c.bytes.Add(bytes)
-		c.last.Store(now)
+		if c.last.Load() != now {
+			c.last.Store(now)
+		}
 	}
 }
 

@@ -183,6 +183,62 @@ func TestSweepPublishesOneSnapshot(t *testing.T) {
 	}
 }
 
+// TestLastSeenFollowsClockBothWays moves the lifecycle clock forwards,
+// backwards and forwards again, with several packets per second: the
+// last-seen second follows the clock each time (including down), repeats
+// within a second still count, and IdleAge and the idle deadline are
+// measured from the last second stored.
+func TestLastSeenFollowsClockBothWays(t *testing.T) {
+	p := lifecyclePipeline(t)
+	t0 := p.LifecycleClock()
+	e := lifecycleEntry(1, 10, 1)
+	e.IdleTimeout = 5
+	mustInsert(t, p, e)
+
+	flow := func() FlowStats {
+		t.Helper()
+		var fs []FlowStats
+		p.VisitFlows(-1, 0, 0, 0, 0, func(s *FlowStats) bool {
+			fs = append(fs, *s)
+			return true
+		})
+		if len(fs) != 1 {
+			t.Fatalf("%d flows, want 1", len(fs))
+		}
+		return fs[0]
+	}
+	pkts := uint64(0)
+	for _, st := range []struct {
+		hitAt, readAt int64
+		idleAge       uint32
+	}{
+		{10, 12, 2},
+		{3, 6, 3}, // the clock went back: so does the last-seen second
+		{8, 8, 0},
+	} {
+		p.SetLifecycleClock(t0 + st.hitAt)
+		for i := 0; i < 3; i++ {
+			if !p.Execute(srcHeader(1, 100)).Matched {
+				t.Fatal("probe missed")
+			}
+			pkts++
+		}
+		p.SetLifecycleClock(t0 + st.readAt)
+		if fs := flow(); fs.IdleAge != st.idleAge || fs.Packets != pkts {
+			t.Fatalf("hit at t0+%d, read at t0+%d: idle age %d, %d packets; want %d, %d",
+				st.hitAt, st.readAt, fs.IdleAge, fs.Packets, st.idleAge, pkts)
+		}
+	}
+
+	// The idle deadline is the last hit (t0+8) plus 5.
+	if n, err := p.SweepExpired(t0 + 12); err != nil || n != 0 {
+		t.Fatalf("sweep(t0+12) = %d, %v, want 0 expiries", n, err)
+	}
+	if n, err := p.SweepExpired(t0 + 13); err != nil || n != 1 {
+		t.Fatalf("sweep(t0+13) = %d, %v, want 1 expiry", n, err)
+	}
+}
+
 // TestFlowCounters checks per-flow packet/byte accounting end to end:
 // accumulation across Execute and ExecuteBatch, survival across
 // snapshot republish, and the modify-resets-counters rule.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ofmtl/internal/bitops"
@@ -314,17 +315,22 @@ func TestPatternTracking(t *testing.T) {
 	if err := tbl.Insert(wild); err != nil {
 		t.Fatal(err)
 	}
-	if b := mbtOf(t, tbl); len(b.patterns) != 2 {
-		t.Errorf("patterns = %d, want 2 (constrained + all-wild)", len(b.patterns))
+	// Every dimension is left open by the catch-all, src (0) and dport
+	// (3) by it alone.
+	checkWild := func(when string, want []int) {
+		t.Helper()
+		b := mbtOf(t, tbl)
+		if !slices.Equal(b.wildCount, want) || b.wild != 0b11111 {
+			t.Errorf("%s: wildCount = %v, wild = %05b; want %v, 11111", when, b.wildCount, b.wild, want)
+		}
 	}
-	// Removing the constrained rule retires its pattern; the wildcard rule
+	checkWild("after inserts", []int{1, 2, 2, 1, 2})
+	// Removing the constrained rule drops its counts; the wildcard rule
 	// still matches everything.
 	if err := tbl.Remove(full); err != nil {
 		t.Fatal(err)
 	}
-	if b := mbtOf(t, tbl); len(b.patterns) != 1 {
-		t.Errorf("patterns after removal = %d, want 1", len(b.patterns))
-	}
+	checkWild("after removal", []int{1, 1, 1, 1, 1})
 	if m, ok := tbl.Classify(&openflow.Header{IPv4Src: 0x0A010101, DstPort: 80}); !ok || m.Priority != 1 {
 		t.Errorf("wildcard rule should still match: %+v %v", m, ok)
 	}

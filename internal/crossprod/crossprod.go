@@ -13,6 +13,18 @@
 // the last user disappears. This mirrors the storage behaviour the label
 // method is designed to achieve.
 //
+// Prefix stages. The paper combines labels progressively (Fig. 1): a
+// table of dims > 2 also keeps, for every prefix length n with
+// 2 ≤ n < dims, a stage holding the n-label prefixes of its stored keys,
+// referenced once per binding reference under them (see stage). A lookup
+// that walks candidate labels dimension by dimension asks HasPrefix
+// before extending a prefix and so never probes a key below an absent
+// prefix: on the 1000-rule 5-field ACL of the benchmark, 30 probes per
+// lookup (20 stage + 10 full-key) where an odometer over the candidate
+// product per wildcard pattern, with a pair stage only, made 60 (17 +
+// 43). Stages are lookup accelerators: Keys, PeakKeys and Bindings — what
+// the memory model reads — count the full-key store alone.
+//
 // Storage layout. The table is open-addressed: combination keys live in a
 // flat label arena indexed by slot (no per-key heap encoding), and probes
 // hash the raw []label.Label with a per-dimension FNV-1a fold — the
@@ -28,8 +40,11 @@
 // between the live table and the views Publish returns; the control bytes
 // stay one flat array — a probe that misses reads nothing else — and are
 // the one part a publish copies whole (1 byte per slot, when they
-// changed). Tombstone counts, sequence numbers and the overflow freelist
-// are control state: behind one pointer, never copied, absent from views.
+// changed). Stages are published with their table the same way, so a
+// publish of a dims > 2 table copies up to dims−2 more (small)
+// control-byte arrays. Tombstone counts, sequence numbers, the overflow
+// freelist and the stages' reference counts are control state: behind
+// one pointer, never copied, absent from views.
 package crossprod
 
 import (
@@ -112,14 +127,15 @@ type Table struct {
 	// memory model to provision the combination memory.
 	peakKeys int
 
-	// pairs indexes the (dimension 0, dimension 1) label pairs present
-	// among the stored keys of a >2-dimension table — the first combiner
-	// stage of the paper's progressive index calculation (Fig. 1). The
-	// classify enumeration consults it through HasPair to discard a whole
-	// sub-product of candidate keys with one packed probe. It is a lookup
-	// accelerator only: the flat key store above remains the source of
-	// truth (and of the memory-model accounting).
-	pairs *Table
+	// stages[n-2] holds the n-label prefixes (2 ≤ n < dims) of the stored
+	// keys, each referenced once per binding reference under it — the
+	// combiner stages of the paper's progressive index calculation
+	// (Fig. 1). A candidate walk asks HasPrefix before extending a prefix
+	// and discards every key below an absent one. Stages are lookup
+	// accelerators only: the key store above remains the source of truth
+	// (and of the memory-model accounting). Tables of ≤2 dimensions have
+	// none.
+	stages []*stage
 
 	ctl *control // nil in a published view
 }
@@ -152,8 +168,8 @@ func New(dims int) (*Table, error) {
 		return nil, fmt.Errorf("crossprod: dimension count %d out of range", dims)
 	}
 	t := newTable(dims)
-	if !t.packed {
-		t.pairs = newTable(2)
+	for n := 2; n < dims; n++ {
+		t.stages = append(t.stages, newStage(n))
 	}
 	return t, nil
 }
@@ -178,9 +194,10 @@ const (
 
 // DimHash returns dimension dim's contribution to a combination key's
 // hash: an FNV-1a fold of the label's four bytes seeded with the dimension
-// index. A full key hashes to the XOR of its dimensions' contributions, so
-// callers enumerating candidate keys (the pipeline's index-calculation
-// odometer) can re-hash only the dimension that changed.
+// index. A key — or a prefix of one — hashes to the XOR of its
+// dimensions' contributions, so a caller walking candidate keys dimension
+// by dimension carries one running hash that serves every HasPrefix probe
+// and the final full-key probe.
 func DimHash(dim int, l label.Label) uint64 {
 	h := uint64(fnvOffset64) ^ (uint64(dim)+1)*0x9E3779B97F4A7C15
 	v := uint32(l)
@@ -349,12 +366,7 @@ func (t *Table) Insert(key []label.Label, b Binding) error {
 	if len(key) != t.dims {
 		return fmt.Errorf("crossprod: key has %d dims, table expects %d", len(key), t.dims)
 	}
-	if t.pairs != nil {
-		// Reference the key's leading label pair in the combiner stage;
-		// cannot fail (the pair table's dimension count matches by
-		// construction).
-		_ = t.pairs.Insert(key[:2], Binding{})
-	}
+	t.refStages(key, 1)
 	t.ctl.view = nil
 	hk := t.hkOf(key)
 	si := t.findSlot(hk, key)
@@ -441,9 +453,7 @@ func (t *Table) Remove(key []label.Label, b Binding) error {
 	if !found {
 		return fmt.Errorf("crossprod: remove of absent binding %+v under %v", b, key)
 	}
-	if t.pairs != nil {
-		_ = t.pairs.Remove(key[:2], Binding{})
-	}
+	t.refStages(key, -1)
 	t.ctl.view = nil
 	if at == noNext {
 		mhead := &t.slots.Mut(si).head
@@ -476,19 +486,29 @@ func (t *Table) Remove(key []label.Label, b Binding) error {
 	return nil
 }
 
-// HasPair reports whether any stored key carries the labels (l0, l1) in
-// its first two dimensions. Tables of ≤2 dimensions have no combiner
-// stage and report true (the full probe is equally cheap there).
-func (t *Table) HasPair(l0, l1 label.Label) bool {
-	p := t.pairs
-	if p == nil {
+// HasPrefix reports whether any stored key begins with prefix, for
+// 2 ≤ len(prefix) < Dims(); other lengths have no stage and report true.
+// h is the prefix's hash — the XOR of DimHash over its dimensions, the
+// running hash a candidate walk already holds — and is ignored for a
+// two-label prefix, whose stage packs the pair into one word.
+func (t *Table) HasPrefix(prefix []label.Label, h uint64) bool {
+	n := len(prefix) - 2
+	if n < 0 || n >= len(t.stages) {
 		return true
 	}
-	if p.used == 0 {
-		return false
+	return t.stages[n].has(stageWord(prefix, h))
+}
+
+// refStages adds delta references to key's prefix in every stage.
+func (t *Table) refStages(key []label.Label, delta int32) {
+	if len(t.stages) == 0 {
+		return
 	}
-	_, _, ok := p.lookupHK(uint64(uint32(l0))|uint64(uint32(l1))<<32, nil)
-	return ok
+	h := DimHash(0, key[0])
+	for i, s := range t.stages {
+		h ^= DimHash(i+1, key[i+1])
+		s.ref(stageWord(key[:i+2], h), delta)
+	}
 }
 
 // LookupPacked is Lookup on a table of ≤2 dimensions with the key already
@@ -580,8 +600,9 @@ func (t *Table) Publish() *Table {
 			bindingCount: t.bindingCount,
 			peakKeys:     t.peakKeys,
 		}
-		if t.pairs != nil {
-			v.pairs = t.pairs.Publish()
+		v.stages = make([]*stage, len(t.stages))
+		for i, s := range t.stages {
+			v.stages[i] = s.publish()
 		}
 		c.view = v
 	}

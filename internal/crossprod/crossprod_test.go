@@ -1,6 +1,9 @@
 package crossprod
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"ofmtl/internal/cow"
@@ -208,8 +211,174 @@ func TestTableInvariants(t *testing.T) {
 	}
 }
 
+// liveKey is one stored key with the sum of the reference counts of the
+// bindings under it.
+type liveKey struct {
+	key  []label.Label
+	refs int32
+}
+
+// liveKeys returns every live key of tbl, read from the slots and
+// overflow chains, indexed by its printed form.
+func liveKeys(tbl *Table) map[string]liveKey {
+	out := map[string]liveKey{}
+	for i, c := range tbl.ctrl {
+		if c&ctrlFull == 0 {
+			continue
+		}
+		sl := tbl.slots.Get(i)
+		var key []label.Label
+		if tbl.packed {
+			key = []label.Label{label.Label(uint32(sl.hk))}
+			if tbl.dims == 2 {
+				key = append(key, label.Label(sl.hk>>32))
+			}
+		} else {
+			key = tbl.keyAt(i)
+		}
+		refs := sl.head.refs
+		for cur := sl.head.next; cur != noNext; cur = tbl.over.Get(int(cur)).next {
+			refs += tbl.over.Get(int(cur)).refs
+		}
+		out[fmt.Sprint(key)] = liveKey{key, refs}
+	}
+	return out
+}
+
+// stageRefs returns the words stage s stores with their reference counts.
+func stageRefs(s *stage) map[uint64]int32 {
+	out := map[uint64]int32{}
+	for i, c := range s.ctrl {
+		if c&ctrlFull != 0 {
+			out[s.words.Get(i)] = s.ctl.refs[i]
+		}
+	}
+	return out
+}
+
+// checkStages asserts the stage invariant: a table of dims > 2 has one
+// stage per prefix length n in [2, dims), and stage n holds exactly the
+// words of the distinct n-label prefixes of the live keys (the packed
+// pair for n = 2, the XOR-fold hash beyond), each with a reference count
+// equal to the sum of the binding references under that prefix.
+func checkStages(t *testing.T, tbl *Table) {
+	t.Helper()
+	if want := max(tbl.dims-2, 0); len(tbl.stages) != want {
+		t.Fatalf("%d-dimension table has %d stages, want %d", tbl.dims, len(tbl.stages), want)
+	}
+	keys := liveKeys(tbl)
+	for si, s := range tbl.stages {
+		n := si + 2
+		want := map[uint64]int32{}
+		for _, k := range keys {
+			p := k.key[:n]
+			want[stageWord(p, HashKey(p))] += k.refs
+		}
+		if got := stageRefs(s); !maps.Equal(got, want) || s.used != len(want) {
+			t.Fatalf("stage %d holds %v (%d used), want %v", n, got, s.used, want)
+		}
+	}
+}
+
+// Property: after every step of a random Insert/Remove stream — duplicate
+// bindings, prefixes shared by many keys, wildcard labels, removes of
+// absent keys and of absent bindings under present keys — each stage
+// holds exactly the live prefixes with their reference sums, HasPrefix
+// agrees with them, and a failed remove touches no stage.
+func TestStagesTrackLivePrefixes(t *testing.T) {
+	for _, dims := range []int{1, 2, 3, 4, 6} {
+		rng := xrand.New(uint64(100 + dims))
+		tbl := MustNew(dims)
+		type entry struct {
+			key []label.Label
+			b   Binding
+		}
+		var live []entry
+		randKey := func() []label.Label {
+			k := make([]label.Label, dims)
+			for d := range k {
+				if rng.Float64() < 0.2 {
+					k[d] = Wildcard
+				} else {
+					k[d] = label.Label(rng.Intn(3 + d))
+				}
+			}
+			return k
+		}
+		randBinding := func() Binding {
+			return Binding{Priority: rng.Intn(4), Payload: uint32(rng.Intn(3))}
+		}
+		for step := 0; step < 1500; step++ {
+			stepKey := randKey()
+			switch r := rng.Float64(); {
+			case r < 0.15 && len(live) > 0:
+				// Another reference to a live binding.
+				e := live[rng.Intn(len(live))]
+				stepKey = e.key
+				if err := tbl.Insert(e.key, e.b); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, e)
+			case r < 0.25:
+				// A remove that must fail: an absent key, or a binding the
+				// key does not carry.
+				e := entry{key: stepKey, b: randBinding()}
+				if len(live) > 0 && rng.Float64() < 0.5 {
+					e.key = live[rng.Intn(len(live))].key
+				}
+				if slices.ContainsFunc(live, func(l entry) bool { return slices.Equal(l.key, e.key) && l.b == e.b }) {
+					continue
+				}
+				view := tbl.Publish()
+				var refs []map[uint64]int32
+				for _, s := range tbl.stages {
+					refs = append(refs, stageRefs(s))
+				}
+				if err := tbl.Remove(e.key, e.b); err == nil {
+					t.Fatalf("dims %d step %d: remove of absent %v %+v succeeded", dims, step, e.key, e.b)
+				}
+				if tbl.Publish() != view {
+					t.Fatalf("dims %d step %d: failed remove changed the table", dims, step)
+				}
+				for i, s := range tbl.stages {
+					if !maps.Equal(stageRefs(s), refs[i]) {
+						t.Fatalf("dims %d step %d: failed remove touched stage %d", dims, step, i+2)
+					}
+				}
+			case r < 0.65 || len(live) == 0:
+				e := entry{key: stepKey, b: randBinding()}
+				if err := tbl.Insert(e.key, e.b); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, e)
+			default:
+				k := rng.Intn(len(live))
+				stepKey = live[k].key
+				if err := tbl.Remove(live[k].key, live[k].b); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:k], live[k+1:]...)
+			}
+			checkStages(t, tbl)
+			// Probe the key this step touched and a random one, on the
+			// table and on a view published now.
+			view := tbl.Publish()
+			for _, probe := range [][]label.Label{stepKey, randKey()} {
+				for n := 2; n < dims; n++ {
+					want := slices.ContainsFunc(live, func(l entry) bool { return slices.Equal(l.key[:n], probe[:n]) })
+					for _, tb := range []*Table{tbl, view} {
+						if got := tb.HasPrefix(probe[:n], HashKey(probe[:n])); got != want {
+							t.Fatalf("dims %d step %d: HasPrefix(%v) = %v, want %v (view %v)", dims, step, probe[:n], got, want, tb == view)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: a published view keeps answering for the bindings it was
-// published with — heads, insertion sequences, the pair combiner — through
+// published with — heads, insertion sequences, the prefix stages — through
 // any later inserts, removals and rehashes of the live table, on a packed
 // table and on a wide one whose keys live in the arena; and no published
 // page is written (the seals).
@@ -279,8 +448,10 @@ func TestPublishedViewsAreUnaffectedByLaterWrites(t *testing.T) {
 				if (answer{b, seq, ok}) != p.want[i] {
 					t.Fatalf("dims %d, view %d, key %v: %+v/%d/%v, want %+v", dims, vi, key, b, seq, ok, p.want[i])
 				}
-				if ok && !p.view.HasPair(key[0], key[1]) {
-					t.Fatalf("dims %d, view %d: pair combiner lost %v", dims, vi, key[:2])
+				for n := 2; ok && n < dims; n++ {
+					if !p.view.HasPrefix(key[:n], HashKey(key[:n])) {
+						t.Fatalf("dims %d, view %d: stage %d lost %v", dims, vi, n, key[:n])
+					}
 				}
 			}
 		}
