@@ -237,10 +237,11 @@ func TestChaosBudgetNeverExceeded(t *testing.T) {
 	if _, err := seed.SendFlowMods(population); err != nil {
 		t.Fatalf("provisioning population: %v", err)
 	}
-	ms, err := seed.MemoryStats()
+	seedStats, err := seed.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := seedStats.Memory
 	budget := ms.TotalBits + ms.TotalBits/20 // 5% slack for rogue adds
 	pipeline.SetMemoryBudget(budget)
 	if err := seed.Close(); err != nil {
@@ -288,7 +289,7 @@ func TestChaosBudgetNeverExceeded(t *testing.T) {
 	}()
 
 	// The poller: the budget invariant, checked in-process on a tight
-	// loop and over the wire (the ofctl memory path) on a slower one.
+	// loop and over the wire (the ofctl stats path) on a slower one.
 	var polls, wirePolls atomic.Uint64
 	wg.Add(1)
 	go func() {
@@ -304,8 +305,9 @@ func TestChaosBudgetNeverExceeded(t *testing.T) {
 			polls.Add(1)
 			if time.Since(lastWire) >= 50*time.Millisecond {
 				lastWire = time.Now()
-				wms, err := rc.MemoryStats(ctx)
+				wst, err := rc.Stats(ctx)
 				if err == nil {
+					wms := wst.Memory
 					if wms.TotalBits > budget {
 						t.Errorf("budget exceeded over the wire: %d bits used of %d", wms.TotalBits, budget)
 						return
@@ -465,10 +467,7 @@ func TestChaosBudgetNeverExceeded(t *testing.T) {
 		t.Errorf("after reconcile: table0=%d table1=%d rules, want %d each",
 			st.Tables[0].Rules, st.Tables[1].Rules, wantHosts)
 	}
-	final, err := cl.MemoryStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := st.Memory
 	if final.TotalBits > budget {
 		t.Errorf("final accounting %d bits exceeds budget %d", final.TotalBits, budget)
 	}

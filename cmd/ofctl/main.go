@@ -6,10 +6,7 @@
 // Usage:
 //
 //	ofctl -addr 127.0.0.1:6653 stats
-//	ofctl memory
-//	ofctl cache
-//	ofctl advisor
-//	ofctl advisor -watch 2s
+//	ofctl stats -watch 2s
 //	ofctl add-mac -vlan 10 -mac 00:11:22:33:44:55 -port 3
 //	ofctl del-mac -vlan 10 -mac 00:11:22:33:44:55
 //	ofctl add-route -inport 2 -prefix 10.0.0.0/8 -nexthop 7
@@ -25,27 +22,18 @@
 // one snapshot publish, and a barrier closes the session. A table-options
 // preamble in the file (flowgen -backend emits one) pins the lookup
 // backend each table is expected to run; flow-mods verifies the pins
-// against the switch's live memory stats before replaying, so a workload
+// against the switch's stats report before replaying, so a workload
 // generated for one scheme is not measured against another
 // (-ignore-table-options skips the check).
 //
-// memory reads the switch's live per-table memory accounting — the
-// per-backend byte counters each flow-mod commit republishes — over the
-// memory-stats message. The switch serves it lock-free, so polling is
-// safe under full churn.
-//
-// cache reads both fast-path tiers' counters over the cache-stats
-// message: the microflow (exact-match) cache and the megaflow (wildcard)
-// tier, including the distinct consulted-bits masks the megaflow tier
-// currently holds, and — when the switch runs a memory budget — the
-// pressure controller's shrink/regrow counters. Also served lock-free.
-//
-// advisor reads the backend advisor's per-table report over the
-// advisor-stats message: the incumbent scheme, the live signals the
-// advisor scores from (rule count, mask diversity, ranges, wide rules,
-// sampled lookup latency, published memory bits), every candidate
-// scheme's score, and the migration history. -watch re-polls on an
-// interval, reusing one decode buffer.
+// stats prints the switch report, one message carrying every section
+// the pipeline keeps: per table the match fields, lookup backend, rule
+// count and modelled memory (search / index / action bits) against its
+// budget; the process total, M20K blocks and budget; both cache tiers
+// (hits, misses, bypassed samples, admission state, megaflow masks);
+// the pressure controller; transaction and lifecycle counters; and the
+// backend advisor's per-table signals, candidate scores and migration
+// history. -watch re-polls on an interval.
 //
 // Every request runs under -timeout (dial, reads, writes), so a dead or
 // unreachable switch fails fast with a clear message and a non-zero
@@ -89,7 +77,7 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: ofctl [-addr host:port] [-timeout 10s] <stats|memory|cache|advisor|add-mac|del-mac|add-route|del-route|load|flow-mods|packet> [flags]")
+		return fmt.Errorf("usage: ofctl [-addr host:port] [-timeout 10s] <stats|add-mac|del-mac|add-route|del-route|load|flow-mods|packet> [flags]")
 	}
 
 	client, err := dialSwitch(*addr, *timeout)
@@ -100,13 +88,7 @@ func run(args []string) error {
 
 	switch rest[0] {
 	case "stats":
-		return doStats(client)
-	case "memory":
-		return doMemory(client)
-	case "cache":
-		return doCache(client)
-	case "advisor":
-		return doAdvisor(client, rest[1:])
+		return doStats(client, rest[1:])
 	case "add-mac":
 		return doAddMAC(client, rest[1:])
 	case "del-mac":
@@ -146,195 +128,35 @@ func dialSwitch(addr string, timeout time.Duration) (*ofproto.Client, error) {
 	return client, nil
 }
 
-func doStats(c *ofproto.Client) error {
-	st, err := c.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("tables: %d, total rules: %d\n", len(st.Tables), st.TotalRules)
-	for _, t := range st.Tables {
-		fmt.Printf("  table %d: %6d rules  [%s]\n", t.ID, t.Rules, t.Field)
-	}
-	fmt.Printf("memory: %.2f Mbit (%d bits) in %d M20K blocks\n",
-		float64(st.MemoryBits)/1e6, st.MemoryBits, st.M20KBlocks)
-	if st.MemoryBudgetBits > 0 {
-		fmt.Printf("memory budget: %d bits (%.1f%% used)\n",
-			st.MemoryBudgetBits, float64(st.MemoryBits)/float64(st.MemoryBudgetBits)*100)
-	}
-	if st.PressureShrinks > 0 || st.PressureRegrows > 0 || st.PressureLevel > 0 {
-		fmt.Printf("memory pressure: level %d, %d cache shrinks / %d regrows\n",
-			st.PressureLevel, st.PressureShrinks, st.PressureRegrows)
-	}
-	if st.CacheEntries > 0 {
-		total := st.CacheHits + st.CacheMisses
-		hitPct := 0.0
-		if total > 0 {
-			hitPct = float64(st.CacheHits) / float64(total) * 100
-		}
-		fmt.Printf("microflow cache: %d entries, %d hits / %d misses (%.1f%% hit)\n",
-			st.CacheEntries, st.CacheHits, st.CacheMisses, hitPct)
-	}
-	if st.MegaflowEntries > 0 {
-		total := st.MegaflowHits + st.MegaflowMisses
-		hitPct := 0.0
-		if total > 0 {
-			hitPct = float64(st.MegaflowHits) / float64(total) * 100
-		}
-		fmt.Printf("megaflow tier: %d entries, %d masks, %d hits / %d misses (%.1f%% hit)\n",
-			st.MegaflowEntries, st.MegaflowMasks, st.MegaflowHits, st.MegaflowMisses, hitPct)
-	}
-	if st.Txs > 0 || st.RejectedTxs > 0 {
-		fmt.Printf("control plane: %d transactions, %d flow-mod commands, %d rejected\n",
-			st.Txs, st.FlowModCommands, st.RejectedTxs)
-	}
-	if st.ExpiredIdle > 0 || st.ExpiredHard > 0 || st.Groups > 0 {
-		fmt.Printf("lifecycle: %d idle + %d hard expiries in %d sweeps, %d groups\n",
-			st.ExpiredIdle, st.ExpiredHard, st.ExpirySweeps, st.Groups)
-	}
-	if st.Migrations > 0 || st.MigrationsFailed > 0 {
-		fmt.Printf("backend advisor: %d live migrations, %d rolled back (see ofctl advisor)\n",
-			st.Migrations, st.MigrationsFailed)
-	}
-	return nil
-}
-
-// doCache prints both fast-path tiers' counters: the microflow
-// exact-match cache and the megaflow wildcard tier.
-func doCache(c *ofproto.Client) error {
-	cs, err := c.CacheStats()
-	if err != nil {
-		return err
-	}
-	pct := func(hits, misses uint64) float64 {
-		if hits+misses == 0 {
-			return 0
-		}
-		return float64(hits) / float64(hits+misses) * 100
-	}
-	if cs.MicroEntries > 0 {
-		fmt.Printf("microflow cache: %d entries, %d hits / %d misses (%.1f%% hit)\n",
-			cs.MicroEntries, cs.MicroHits, cs.MicroMisses, pct(cs.MicroHits, cs.MicroMisses))
-	} else {
-		fmt.Println("microflow cache: disabled")
-	}
-	if cs.MegaEntries > 0 {
-		fmt.Printf("megaflow tier: %d entries, %d masks, %d hits / %d misses (%.1f%% hit)\n",
-			cs.MegaEntries, cs.MegaMasks, cs.MegaHits, cs.MegaMisses, pct(cs.MegaHits, cs.MegaMisses))
-	} else {
-		fmt.Println("megaflow tier: disabled")
-	}
-	if cs.PressureShrinks > 0 || cs.PressureRegrows > 0 || cs.PressureLevel > 0 {
-		fmt.Printf("memory pressure: level %d, %d shrinks / %d regrows (megaflow degrades first, then microflow)\n",
-			cs.PressureLevel, cs.PressureShrinks, cs.PressureRegrows)
-	}
-	return nil
-}
-
-// doAdvisor prints the autotune advisor's per-table report: the
-// incumbent backend, the live signals it scores from (rules, mask
-// diversity, ranges, wide rules, sampled lookup latency, published
-// memory bits), every candidate scheme's score, and the migration
-// history. -watch re-polls on an interval; the switch serves the
-// report from one mutex-guarded pass over the pipeline, so polling is
-// safe under churn.
-func doAdvisor(c *ofproto.Client, args []string) error {
-	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
+// doStats prints the switch report once, or on every -watch tick with
+// a blank line between reports.
+func doStats(c *ofproto.Client, args []string) error {
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	watch := fs.Duration("watch", 0, "re-poll and re-print the report on this interval (0 = print once)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *watch <= 0 {
-		rep, err := c.AdvisorStats()
-		if err != nil {
-			return err
-		}
-		printAdvisor(rep)
-		return nil
+	var ticker *time.Ticker
+	if *watch > 0 {
+		ticker = time.NewTicker(*watch)
+		defer ticker.Stop()
 	}
-	// Watch mode reuses one reply value so steady-state polls decode
-	// without allocating, and separates reports with a blank line.
-	var rep ofproto.AdvisorStatsReply
-	first := true
-	ticker := time.NewTicker(*watch)
-	defer ticker.Stop()
-	for {
-		if err := c.AdvisorStatsInto(&rep); err != nil {
+	for first := true; ; first = false {
+		st, err := c.Stats()
+		if err != nil {
 			return err
 		}
 		if !first {
 			fmt.Println()
 		}
-		first = false
-		printAdvisor(&rep)
+		if err := st.WriteText(os.Stdout); err != nil {
+			return err
+		}
+		if ticker == nil {
+			return nil
+		}
 		<-ticker.C
 	}
-}
-
-// printAdvisor renders one advisor report.
-func printAdvisor(rep *ofproto.AdvisorStatsReply) {
-	fmt.Printf("advisor: %d live migrations, %d rolled back, %d tables\n",
-		rep.Migrations, rep.Failed, len(rep.Tables))
-	for i := range rep.Tables {
-		t := &rep.Tables[i]
-		mode := "pinned"
-		if t.Auto {
-			mode = "auto"
-		}
-		fmt.Printf("  table %d [%s, %s] %d rules, %d masks, %d ranges, %d wide",
-			t.Table, t.Incumbent, mode, t.Rules, t.Masks, t.Ranges, t.Wide)
-		if t.EwmaNs > 0 {
-			fmt.Printf(", %.0fns/lookup", t.EwmaNs)
-		}
-		fmt.Printf(", %d bits\n", t.MemBits)
-		if t.Migrations > 0 {
-			fmt.Printf("    migrations: %d (last reason: %s)\n", t.Migrations, t.LastReason)
-		}
-		for j, name := range ofproto.AdvisorSchemes {
-			marker := " "
-			if name == t.Incumbent {
-				marker = "*"
-			}
-			if !t.Eligible[j] {
-				fmt.Printf("    %s %-10s ineligible\n", marker, name)
-				continue
-			}
-			fmt.Printf("    %s %-10s score %.1f\n", marker, name, t.Scores[j])
-		}
-	}
-}
-
-// doMemory prints the switch's live per-table, per-backend memory
-// accounting.
-func doMemory(c *ofproto.Client) error {
-	ms, err := c.MemoryStats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("memory: %d bits (%.3f Mbit, %d bytes) across %d tables\n",
-		ms.TotalBits, float64(ms.TotalBits)/1e6, (ms.TotalBits+7)/8, len(ms.Tables))
-	if ms.BudgetBits > 0 {
-		headroom := int64(ms.BudgetBits) - int64(ms.TotalBits)
-		fmt.Printf("budget: %d bits (%.1f%% used, %d bits headroom)\n",
-			ms.BudgetBits, float64(ms.TotalBits)/float64(ms.BudgetBits)*100, headroom)
-	}
-	// The backend column is as wide as the longest name on display, so
-	// rows stay aligned whatever mix of schemes the switch runs.
-	nameWidth := 0
-	for i := range ms.Tables {
-		if n := len(ms.Tables[i].Backend); n > nameWidth {
-			nameWidth = n
-		}
-	}
-	for i := range ms.Tables {
-		t := &ms.Tables[i]
-		fmt.Printf("  table %d [%-*s] %7d rules  search=%-10d index=%-9d actions=%-8d total=%d bits",
-			t.Table, nameWidth, t.Backend, t.Rules, t.SearchBits, t.IndexBits, t.ActionBits, t.TotalBits())
-		if t.BudgetBits > 0 {
-			fmt.Printf("  budget=%d bits", t.BudgetBits)
-		}
-		fmt.Println()
-	}
-	return nil
 }
 
 func parseMAC(s string) (uint64, error) {
@@ -583,42 +405,25 @@ func doFlowMods(c *ofproto.Client, args []string) error {
 }
 
 // checkTableOptions verifies the workload's table-options pins — lookup
-// backends and memory budgets — against the live switch, via the
-// memory-stats message.
+// backends and memory budgets — against the live switch, in one stats
+// request.
 func checkTableOptions(c *ofproto.Client, opts []flowtext.TableOption) error {
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
-		return fmt.Errorf("fetching table backends: %w", err)
+		return fmt.Errorf("fetching switch stats: %w", err)
 	}
-	byTable := make(map[uint8]*ofproto.TableMemoryStats, len(ms.Tables))
-	for i := range ms.Tables {
-		byTable[ms.Tables[i].Table] = &ms.Tables[i]
-	}
-	var fieldsByTable map[uint8][]openflow.FieldID
-	var advisor *ofproto.AdvisorStatsReply
 	for _, opt := range opts {
-		got, ok := byTable[uint8(opt.Table)]
-		if !ok {
+		got := find(st.Memory.Tables, func(t *core.TableMemory) bool { return t.Table == opt.Table })
+		if got == nil {
 			return fmt.Errorf("table-options: switch has no table %d", opt.Table)
 		}
 		if opt.Backend == "auto" {
 			// An auto pin is satisfied by advisor ownership, not by any
-			// particular concrete scheme — the memory stats report
-			// whichever backend the advisor currently runs, so compare
-			// against the advisor report's auto flag instead.
-			if advisor == nil {
-				if advisor, err = c.AdvisorStats(); err != nil {
-					return fmt.Errorf("fetching advisor report: %w", err)
-				}
-			}
-			isAuto := false
-			for i := range advisor.Tables {
-				if advisor.Tables[i].Table == uint8(opt.Table) {
-					isAuto = advisor.Tables[i].Auto
-					break
-				}
-			}
-			if !isAuto {
+			// particular concrete scheme — the memory section reports
+			// whichever backend the advisor currently runs, so check the
+			// advisor section's auto flag instead.
+			adv := find(st.Advisor.Tables, func(t *core.TableAdvisorStats) bool { return t.Table == opt.Table })
+			if adv == nil || !adv.Auto {
 				return fmt.Errorf("table-options: table %d runs pinned backend %s, workload pins auto (re-run switchd -backend auto, or pass -ignore-table-options)",
 					opt.Table, got.Backend)
 			}
@@ -628,14 +433,10 @@ func checkTableOptions(c *ofproto.Client, opts []flowtext.TableOption) error {
 			// cause, and re-running switchd -backend (the mismatch hint
 			// below) would not fix it — the pipeline falls back to a
 			// generic scheme for unservable shapes.
-			if fieldsByTable == nil {
-				if fieldsByTable, err = tableFields(c); err != nil {
-					return err
-				}
-			}
-			if fs, known := fieldsByTable[uint8(opt.Table)]; known && !core.BackendSupportsFields(opt.Backend, fs) {
+			info := find(st.Tables, func(t *core.TableInfo) bool { return t.ID == opt.Table })
+			if info != nil && !core.BackendSupportsFields(opt.Backend, info.Fields) {
 				return fmt.Errorf("table-options: table %d matches [%s], which backend %s can never serve (dir24 requires exactly one 32-bit longest-prefix-match field, e.g. ipv4-dst); fix the workload's table-options, or pass -ignore-table-options",
-					opt.Table, fieldNames(fs), opt.Backend)
+					opt.Table, fieldNames(info.Fields), opt.Backend)
 			}
 			if got.Backend != opt.Backend {
 				return fmt.Errorf("table-options: table %d runs backend %s, workload pins %s (re-run switchd -backend %s, or pass -ignore-table-options)",
@@ -654,32 +455,14 @@ func checkTableOptions(c *ofproto.Client, opts []flowtext.TableOption) error {
 	return nil
 }
 
-// tableFields fetches the live tables' match-field sets, reversing the
-// stats report's comma-joined display-name encoding through the field
-// registry. Names the registry does not know are skipped rather than
-// failing the whole check: an older ofctl stays usable against a newer
-// switch, at the cost of not shape-checking the unknown field.
-func tableFields(c *ofproto.Client) (map[uint8][]openflow.FieldID, error) {
-	st, err := c.Stats()
-	if err != nil {
-		return nil, fmt.Errorf("fetching table fields: %w", err)
-	}
-	byName := make(map[string]openflow.FieldID)
-	for _, spec := range openflow.AllFields() {
-		byName[spec.Name] = spec.ID
-	}
-	byName[openflow.FieldMetadata.String()] = openflow.FieldMetadata
-	out := make(map[uint8][]openflow.FieldID, len(st.Tables))
-	for _, t := range st.Tables {
-		var fs []openflow.FieldID
-		for _, name := range strings.Split(t.Field, ",") {
-			if id, ok := byName[name]; ok {
-				fs = append(fs, id)
-			}
+// find returns the first element of xs that match accepts, or nil.
+func find[T any](xs []T, match func(*T) bool) *T {
+	for i := range xs {
+		if match(&xs[i]) {
+			return &xs[i]
 		}
-		out[t.ID] = fs
 	}
-	return out, nil
+	return nil
 }
 
 // fieldNames renders a field list for error messages.

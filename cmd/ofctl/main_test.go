@@ -232,8 +232,8 @@ delete-strict 1 prio=1 meta=10 ethdst=00:aa:00:00:00:03
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Txs != 3 || st.FlowModCommands != 6 {
-		t.Errorf("tx stats = %d txs / %d commands, want 3 / 6", st.Txs, st.FlowModCommands)
+	if st.Tx.Txs != 3 || st.Tx.Commands != 6 {
+		t.Errorf("tx stats = %d txs / %d commands, want 3 / 6", st.Tx.Txs, st.Tx.Commands)
 	}
 	// A file with a bad command errors client-side before any send.
 	bad := filepath.Join(t.TempDir(), "bad.txt")
@@ -301,10 +301,10 @@ func TestDIR24TableOptionsShapeEndToEnd(t *testing.T) {
 		t.Errorf("refusal should explain the prefix restriction, got: %v", err)
 	}
 
-	// The memory report renders the mixed-width backend mix (mbt + the
-	// 5-char dir24 name) without erroring.
-	if err := run([]string{"-addr", addr, "memory"}); err != nil {
-		t.Fatalf("memory: %v", err)
+	// The report renders the mixed-width backend mix (mbt + the 5-char
+	// dir24 name) without erroring.
+	if err := run([]string{"-addr", addr, "stats"}); err != nil {
+		t.Fatalf("stats: %v", err)
 	}
 
 	// The dir24 table's stats moved under the replayed inserts.
@@ -313,11 +313,12 @@ func TestDIR24TableOptionsShapeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dirTable *ofproto.TableMemoryStats
+	ms := st.Memory
+	var dirTable *core.TableMemory
 	for i := range ms.Tables {
 		if ms.Tables[i].Table == 2 {
 			dirTable = &ms.Tables[i]
@@ -331,15 +332,21 @@ func TestDIR24TableOptionsShapeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMemoryAndTableOptionsEndToEnd drives the memory subcommand and the
-// flow-mods table-options verification against a live switch running a
-// non-default backend.
+// TestMemoryAndTableOptionsEndToEnd drives the stats subcommand and the
+// flow-mods table-options verification — backend, auto and budget pins —
+// against a live switch running a non-default backend.
 func TestMemoryAndTableOptionsEndToEnd(t *testing.T) {
 	p := core.NewPipeline()
 	if err := p.SetDefaultBackend(core.BackendTSS); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.AddMACTables(p, &filterset.MACFilter{Name: "empty"}, 0, core.MissPolicy{Kind: core.MissController}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.AddTable(core.TableConfig{ID: 2, Fields: []openflow.FieldID{openflow.FieldIPv4Dst}, Backend: core.BackendAuto}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetTableBudget(1, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -355,8 +362,8 @@ func TestMemoryAndTableOptionsEndToEnd(t *testing.T) {
 	}()
 	addr := l.Addr().String()
 
-	if err := run([]string{"-addr", addr, "memory"}); err != nil {
-		t.Fatalf("memory: %v", err)
+	if err := run([]string{"-addr", addr, "stats"}); err != nil {
+		t.Fatalf("stats: %v", err)
 	}
 
 	dir := t.TempDir()
@@ -380,17 +387,38 @@ func TestMemoryAndTableOptionsEndToEnd(t *testing.T) {
 		t.Fatalf("-ignore-table-options should replay anyway: %v", err)
 	}
 
+	// Auto and budget pins: each accepted where the switch matches it,
+	// refused where it does not.
+	for _, pin := range []struct {
+		opts string
+		ok   bool
+	}{
+		{"table-options 2 backend=auto", true},
+		{"table-options 1 backend=auto", false},
+		{"table-options 1 budget=1048576", true},
+		{"table-options 1 budget=1048577", false},
+	} {
+		file := filepath.Join(dir, "pin.txt")
+		if err := os.WriteFile(file, []byte(pin.opts+"\n"+script), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-addr", addr, "flow-mods", "-file", file}); (err == nil) != pin.ok {
+			t.Errorf("%q: flow-mods err = %v, want accepted = %v", pin.opts, err, pin.ok)
+		}
+	}
+
 	// The wire-reported backends reflect the pipeline.
 	c, err := ofproto.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms.Tables) != 2 || ms.Tables[0].Backend != core.BackendTSS || ms.Tables[1].Backend != core.BackendTSS {
+	ms := st.Memory
+	if len(ms.Tables) != 3 || ms.Tables[0].Backend != core.BackendTSS || ms.Tables[1].Backend != core.BackendTSS {
 		t.Errorf("wire backends: %+v", ms.Tables)
 	}
 	if ms.Tables[1].Rules == 0 || ms.TotalBits == 0 {

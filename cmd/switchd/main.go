@@ -1,7 +1,7 @@
 // Command switchd runs a software switch hosting the multiple-table
 // lookup pipeline behind the repository's control protocol. A controller
 // (cmd/ofctl) connects over TCP to install flow entries, inject packets
-// and read memory statistics.
+// and read the switch report.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	switchd -listen :6653 -route coza -megaflow 0  # disable the megaflow wildcard tier
 //	switchd -listen :6653 -backend tss             # tuple-space search in every table
 //	switchd -listen :6653 -backend auto -autotune 5s # advisor-driven live backend migration
-//	switchd -listen :6653 -memlog 30s              # periodic live memory accounting logs
+//	switchd -listen :6653 -memlog 30s              # periodic switch report in the log
 //	switchd -listen :6653 -membudget 40000000      # 40 Mbit process memory budget
 //	switchd -listen :6653 -flow-expiry 500ms       # idle/hard timeout sweep interval
 //	switchd -listen :6653 -read-timeout 30s        # keepalive probe / dead-peer interval
@@ -34,12 +34,10 @@
 // beats the incumbent past a hysteresis margin — the new backend is
 // built off-path from the canonical rule store and swapped at a commit
 // boundary with a single snapshot publish, rolling back on failure. The
-// advisor's view (signals, per-scheme scores, migration history) is
-// served as the advisor-stats message (ofctl advisor).
-// -memlog logs the pipeline's live per-table memory accounting on an
-// interval; the same figures are served over the wire as the
-// memory-stats message (ofctl memory), read from lock-free counters that
-// never serialise against flow-mods or lookups.
+// advisor's view (signals, per-scheme scores, migration history) is a
+// section of the stats report (ofctl stats).
+// -memlog logs the stats report on an interval, through the same
+// printer as ofctl stats; the switch logs it once more on shutdown.
 //
 // Packet lookups execute lock-free against the pipeline's RCU-style
 // snapshot, so concurrent controller connections classify in parallel;
@@ -50,14 +48,14 @@
 // tuples and absorbs whole regions — each walk traces the header bits it
 // consulted and installs its outcome under that mask, so new flows
 // agreeing on the consulted bits skip the walk entirely. Both
-// tiers' hit/miss counters are reported through the stats and
-// cache-stats messages (ofctl stats / ofctl cache).
+// tiers' hit/miss counters are sections of the stats report (ofctl
+// stats).
 //
 // Flow-table mutations arrive as flow-mod transactions: a flow-mod batch
 // message validates and applies atomically, publishing one lookup
 // snapshot and invalidating the microflow cache once per batch however
 // many commands it carries. Transaction counters (committed transactions,
-// commands, rejected transactions) are reported through the stats message
+// commands, rejected transactions) are reported through the stats report
 // and logged on shutdown.
 //
 // -membudget arms a process-wide memory budget in modelled bits: a
@@ -66,7 +64,7 @@
 // OpenFlow-style TABLE_FULL error and committed state is untouched. As
 // usage approaches the budget the cache tiers degrade gracefully
 // (megaflow first, then microflow, re-growing when pressure clears);
-// the transitions are visible in ofctl cache / ofctl stats. Per-table
+// the transitions are visible in ofctl stats. Per-table
 // budgets can additionally be pinned in a -pipeline layout file.
 //
 // -read-timeout arms the wire keepalive: a peer idle at a frame
@@ -223,35 +221,20 @@ func run() error {
 	go func() { errCh <- srv.Serve(l) }()
 
 	if *memlog > 0 {
-		// Periodic memory accounting: the read is lock-free (atomic loads
-		// of the per-table counters every commit republishes), so the
-		// logger never stalls the control or data plane.
+		// Periodic report: the same one ofctl stats prints. Only the
+		// table and advisor sections take the pipeline write lock, and
+		// only briefly.
 		stopLog := make(chan struct{})
 		defer close(stopLog)
 		go func() {
 			ticker := time.NewTicker(*memlog)
 			defer ticker.Stop()
-			var tables []core.TableMemory
 			for {
 				select {
 				case <-stopLog:
 					return
 				case <-ticker.C:
-					ms := pipeline.MemoryStatsInto(tables)
-					tables = ms.Tables
-					var b strings.Builder
-					if ms.BudgetBits > 0 {
-						fmt.Fprintf(&b, " budget=%db", ms.BudgetBits)
-						if press := pipeline.PressureStats(); press.Level > 0 {
-							fmt.Fprintf(&b, " pressure-level=%d", press.Level)
-						}
-					}
-					for _, tm := range ms.Tables {
-						fmt.Fprintf(&b, " table%d[%s]=%db", tm.Table, tm.Backend, tm.TotalBits())
-					}
-					log.Printf("switchd: memory: %d bits total (%.3f Mbit)%s",
-						ms.TotalBits, float64(ms.TotalBits)/1e6, b.String())
-					logCacheTiers(pipeline)
+					logStats(pipeline)
 				}
 			}
 		}()
@@ -270,19 +253,7 @@ func run() error {
 		if err != nil {
 			log.Printf("switchd: drain window expired, connections force-closed: %v", err)
 		}
-		logCacheTiers(pipeline)
-		tc := pipeline.TxCounters()
-		log.Printf("switchd: control plane served %d transactions (%d flow-mod commands, %d rejected)",
-			tc.Txs, tc.Commands, tc.Rejected)
-		lc := pipeline.LifecycleStats()
-		if lc.ExpiredIdle > 0 || lc.ExpiredHard > 0 {
-			log.Printf("switchd: flow lifecycle: %d idle-expired, %d hard-expired over %d sweeps (%d flows live)",
-				lc.ExpiredIdle, lc.ExpiredHard, lc.Sweeps, lc.Flows)
-		}
-		if mg := pipeline.MigrationStats(); mg.Migrations > 0 || mg.Failed > 0 {
-			log.Printf("switchd: backend advisor: %d live migrations completed, %d rolled back",
-				mg.Migrations, mg.Failed)
-		}
+		logStats(pipeline)
 		sc := srv.Counters()
 		log.Printf("switchd: wire layer: %d connections accepted, %d dead peers dropped, %d handler panics recovered",
 			sc.Accepted, sc.DeadPeers, sc.Panics)
@@ -290,21 +261,12 @@ func run() error {
 	}
 }
 
-// logCacheTiers logs each enabled cache tier's counters and whether the
-// admission rule currently has it armed or bypassed.
-func logCacheTiers(p *core.Pipeline) {
-	tier := func(name string, hits, misses, bypassed uint64, armed bool) {
-		state := "armed"
-		if !armed {
-			state = "bypassed"
-		}
-		log.Printf("switchd: %s: %d hits, %d misses (%d bypassed), %s", name, hits, misses, bypassed, state)
-	}
-	if st := p.CacheStats(); st.Entries > 0 {
-		tier("microflow cache", st.Hits, st.Misses, st.Bypassed, st.Armed)
-	}
-	if st := p.MegaflowStats(); st.Entries > 0 {
-		tier("megaflow tier", st.Hits, st.Misses, st.Bypassed, st.Armed)
+// logStats logs the switch report, one log line per report line.
+func logStats(p *core.Pipeline) {
+	var b strings.Builder
+	_ = ofproto.CollectStats(p).WriteText(&b) // a strings.Builder never fails a write
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		log.Printf("switchd: %s", line)
 	}
 }
 

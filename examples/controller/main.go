@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 
 	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
@@ -135,22 +136,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nswitch stats: %d rules, %.1f Kbit modelled memory, %d M20K blocks\n",
-		st.TotalRules, float64(st.MemoryBits)/1000, st.M20KBlocks)
-	for _, tbl := range st.Tables {
-		fmt.Printf("  table %d: %d rules [%s]\n", tbl.ID, tbl.Rules, tbl.Field)
+	fmt.Println("\nswitch report:")
+	if err := st.WriteText(os.Stdout); err != nil {
+		return err
 	}
-	fmt.Printf("control plane: %d transactions, %d flow-mod commands, %d rejected\n",
-		st.Txs, st.FlowModCommands, st.RejectedTxs)
 
 	// Overload demo: freeze the memory budget at exactly the current
 	// usage. The next add would need fresh bits, so the switch rejects
 	// it with an OpenFlow-style TABLE_FULL error — atomically, leaving
 	// committed state untouched.
-	ms, err := client.MemoryStats()
-	if err != nil {
-		return err
-	}
+	ms := st.Memory
 	pipeline.SetMemoryBudget(ms.TotalBits)
 	fmt.Printf("\nmemory budget frozen at current usage: %d bits\n", ms.TotalBits)
 
@@ -200,10 +195,10 @@ func run() error {
 	}
 	fmt.Println("budget raised by 1024 bits; the 4th host now commits")
 
-	ms, err = client.MemoryStats()
-	if err != nil {
+	if st, err = client.Stats(); err != nil {
 		return err
 	}
+	ms = st.Memory
 	fmt.Printf("final memory: %d of %d budgeted bits\n", ms.TotalBits, ms.BudgetBits)
 	return nil
 }

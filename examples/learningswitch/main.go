@@ -141,8 +141,8 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nlearned %d flows: %d misses (round 1), %d hardware forwards (round 2)\n",
-		st.TotalRules, misses, forwards)
-	fmt.Printf("switch memory after learning: %.1f Kbit\n", float64(st.MemoryBits)/1000)
+		st.TotalRules(), misses, forwards)
+	fmt.Printf("switch memory after learning: %.1f Kbit\n", float64(st.Memory.TotalBits)/1000)
 	if misses == 0 || forwards == 0 {
 		return fmt.Errorf("unexpected traffic outcome: %d misses, %d forwards", misses, forwards)
 	}

@@ -150,8 +150,8 @@ func (t *LookupTable) eligibleFor(kind string) bool {
 	return BackendSupportsFields(kind, t.cfg.Fields)
 }
 
-// Migration reason codes, published per table through AdvisorStats and
-// the MsgAdvisorStats wire surface.
+// Migration reason codes, published per table through AdvisorStats (the
+// advisor section of the stats report) by name.
 const (
 	// MigrateReasonNone: the table has never migrated.
 	MigrateReasonNone uint32 = iota
@@ -498,8 +498,8 @@ type TableAdvisorStats struct {
 	Candidates []AdvisorCandidate
 }
 
-// AdvisorStats is the advisor's full report, the backing for the
-// MsgAdvisorStats wire surface and `ofctl advisor`.
+// AdvisorStats is the advisor's full report, carried as the advisor
+// section of the stats report (`ofctl stats`).
 type AdvisorStats struct {
 	Tables     []TableAdvisorStats
 	Migrations uint64

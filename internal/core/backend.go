@@ -151,8 +151,8 @@ type Backend interface {
 	Stats() BackendStats
 	// AddMemory contributes the backend's memories to a system report
 	// under the given component-name prefix. The component total must
-	// equal Stats().TotalBits() exactly — ofctl memory cross-checks the
-	// two surfaces.
+	// equal Stats().TotalBits() exactly — the stats report carries both
+	// (memory section and M20K blocks).
 	AddMemory(r *memmodel.SystemReport, prefix string)
 	// AccountingCheckpoint captures the backend's internal accounting
 	// high-water state (label peaks, provisioned geometry) before a

@@ -598,7 +598,7 @@ func (b *dir24Backend) Stats() BackendStats {
 }
 
 // AddMemory implements Backend; the component totals equal Stats()
-// exactly (ofctl memory cross-checks the two surfaces).
+// exactly (the stats report carries both surfaces).
 func (b *dir24Backend) AddMemory(r *memmodel.SystemReport, prefix string) {
 	r.Add(prefix+"/dir24/tbl24", dir24Slots, dir24SlotBits)
 	r.AddBits(prefix+"/dir24/tbllong", int(b.spillBits))

@@ -30,7 +30,7 @@ import (
 // of budget) it halves one tier — megaflow first, then microflow,
 // each to a floor — and below the low-water mark (75%) it doubles one
 // tier back toward its configured size. Hit/miss totals carry across
-// resizes, so the cache-stats surfaces stay monotonic; the entries
+// resizes, so the reported cache counters stay monotonic; the entries
 // themselves re-learn on their next miss, exactly as an operator
 // resize behaves.
 
@@ -275,7 +275,7 @@ func (p *Pipeline) regrowStepLocked() {
 }
 
 // resizeTierLocked swaps in a tier of the given capacity, carrying the
-// accumulated hit/miss totals so the cache-stats surfaces stay monotonic
+// accumulated hit/miss totals so the reported cache counters stay monotonic
 // across pressure resizes. Counters added to the old tier after the carry
 // are lost — an acceptable stats race, as the totals are diagnostics, not
 // accounting. Entries re-learn on their next miss.

@@ -595,7 +595,7 @@ func (p *Pipeline) MemoryReport() *memmodel.SystemReport {
 // recent mutation republished — it never acquires the pipeline write
 // lock, so it stays readable under full control-plane churn. The same
 // counters are embedded in every published lookup snapshot and exported
-// over the wire as MsgMemoryStats.
+// over the wire as the memory section of the stats report.
 func (p *Pipeline) MemoryStats() MemoryStats {
 	return p.MemoryStatsInto(nil)
 }

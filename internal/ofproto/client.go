@@ -225,57 +225,14 @@ func (c *Client) SendPackets(hs []*openflow.Header) ([]PacketReply, error) {
 	return rs, nil
 }
 
-// Stats fetches the switch status report.
+// Stats fetches the switch report: every section CollectStats
+// assembles, decoded fresh per call.
 func (c *Client) Stats() (*Stats, error) {
 	msg, err := c.roundTrip(MsgStatsRequest, nil, MsgStatsReply)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeStats(msg.Payload)
-}
-
-// MemoryStats fetches the switch's live per-table, per-backend memory
-// accounting. The switch serves it from lock-free counters, so polling
-// it does not perturb concurrent flow-mod or packet traffic.
-func (c *Client) MemoryStats() (*MemoryStatsReply, error) {
-	msg, err := c.roundTrip(MsgMemoryStatsRequest, nil, MsgMemoryStatsReply)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMemoryStatsReply(msg.Payload)
-}
-
-// AdvisorStats fetches the autotune advisor's view of every table: the
-// incumbent backend, the live shape/latency/memory signals, every
-// candidate scheme's score, and the migration history.
-func (c *Client) AdvisorStats() (*AdvisorStatsReply, error) {
-	msg, err := c.roundTrip(MsgAdvisorStatsRequest, nil, MsgAdvisorStatsReply)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeAdvisorStatsReply(msg.Payload)
-}
-
-// AdvisorStatsInto fetches the advisor report into r, reusing its
-// Tables slice so steady-state polls (ofctl advisor -watch) decode
-// without allocating.
-func (c *Client) AdvisorStatsInto(r *AdvisorStatsReply) error {
-	msg, err := c.roundTrip(MsgAdvisorStatsRequest, nil, MsgAdvisorStatsReply)
-	if err != nil {
-		return err
-	}
-	return DecodeAdvisorStatsReplyInto(r, msg.Payload)
-}
-
-// CacheStats fetches the fast-path tiers' hit/miss counters and shapes
-// (microflow exact-match cache and megaflow wildcard tier). Served from
-// lock-free counters on the switch side.
-func (c *Client) CacheStats() (*CacheStatsReply, error) {
-	msg, err := c.roundTrip(MsgCacheStatsRequest, nil, MsgCacheStatsReply)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCacheStatsReply(msg.Payload)
 }
 
 // FlowStats fetches one page of per-flow statistics. Set req.Cursor to
@@ -495,29 +452,6 @@ func (r *ReconnClient) SendPacket(ctx context.Context, h *openflow.Header) (*Pac
 	err := r.do(ctx, func(c *Client) error {
 		var err error
 		reply, err = c.SendPacket(h)
-		return err
-	})
-	return reply, err
-}
-
-// MemoryStats polls the switch memory accounting, reconnecting as
-// needed.
-func (r *ReconnClient) MemoryStats(ctx context.Context) (*MemoryStatsReply, error) {
-	var reply *MemoryStatsReply
-	err := r.do(ctx, func(c *Client) error {
-		var err error
-		reply, err = c.MemoryStats()
-		return err
-	})
-	return reply, err
-}
-
-// CacheStats polls the cache tiers, reconnecting as needed.
-func (r *ReconnClient) CacheStats(ctx context.Context) (*CacheStatsReply, error) {
-	var reply *CacheStatsReply
-	err := r.do(ctx, func(c *Client) error {
-		var err error
-		reply, err = c.CacheStats()
 		return err
 	})
 	return reply, err

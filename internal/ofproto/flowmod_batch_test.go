@@ -261,8 +261,8 @@ func TestFlowModBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Txs != 3 || st.FlowModCommands != 18 || st.RejectedTxs != 0 {
-		t.Fatalf("tx stats = txs %d / commands %d / rejected %d", st.Txs, st.FlowModCommands, st.RejectedTxs)
+	if st.Tx != (core.TxCounters{Txs: 3, Commands: 18}) {
+		t.Fatalf("tx stats = %+v", st.Tx)
 	}
 }
 
@@ -288,7 +288,7 @@ func TestFlowModBatchRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RejectedTxs != 1 || st.Txs != 0 {
+	if st.Tx.Rejected != 1 || st.Tx.Txs != 0 {
 		t.Fatalf("tx stats after rejection = %+v", st)
 	}
 	// The connection survives the error.

@@ -86,10 +86,11 @@ func TestTableFullEndToEnd(t *testing.T) {
 	}
 	// Freeze the budget at current usage: the installed rule stays legal,
 	// any growth is rejected.
-	ms, err := c.MemoryStats()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := st.Memory
 	if err := p.SetTableBudget(0, ms.TotalBits); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,11 @@ func TestTableFullEndToEnd(t *testing.T) {
 	}
 
 	// The connection survives and the budget travels in the stats reply.
-	ms2, err := c.MemoryStats()
+	st, err = c.Stats()
 	if err != nil {
-		t.Fatalf("memory stats after rejection: %v", err)
+		t.Fatalf("stats after rejection: %v", err)
 	}
+	ms2 := st.Memory
 	if ms2.TotalBits != ms.TotalBits {
 		t.Errorf("rejected commits moved accounting: %d -> %d bits", ms.TotalBits, ms2.TotalBits)
 	}
@@ -458,8 +460,8 @@ func TestReconnectReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalRules != 1 {
-		t.Errorf("total rules = %d after reconnect, want 1", st.TotalRules)
+	if st.TotalRules() != 1 {
+		t.Errorf("total rules = %d after reconnect, want 1", st.TotalRules())
 	}
 
 	// A semantic error is not retried: the redial count stays put.

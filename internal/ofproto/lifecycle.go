@@ -11,7 +11,7 @@ import (
 // This file carries the flow-lifecycle wire surface: cursor-paginated
 // flow-stats scrapes, aggregate counters, group-table modification, and
 // the asynchronous flow-removed notification stream. The codecs follow
-// the memory-stats idiom — Append* writers against a caller-owned buffer
+// the packet-batch idiom — Append* writers against a caller-owned buffer
 // and Decode*Into readers that reuse the reply's slices (entries drawn
 // from an EntryArena), so steady-state polling allocates nothing once
 // buffers have grown to the working set.

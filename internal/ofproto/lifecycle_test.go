@@ -325,8 +325,8 @@ func TestEndToEndFlowLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ExpiredHard != 2 || st.ExpirySweeps != 1 || st.Groups != 1 {
-		t.Fatalf("wire stats = hard %d sweeps %d groups %d, want 2 / 1 / 1", st.ExpiredHard, st.ExpirySweeps, st.Groups)
+	if lc := st.Lifecycle; lc.ExpiredHard != 2 || lc.Sweeps != 1 || lc.Groups != 1 {
+		t.Fatalf("wire stats = hard %d sweeps %d groups %d, want 2 / 1 / 1", lc.ExpiredHard, lc.Sweeps, lc.Groups)
 	}
 
 	// Unsubscribe: later expiries stay on the switch.

@@ -12,7 +12,6 @@ package ofproto
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,10 +21,10 @@ import (
 )
 
 // ProtocolVersion is negotiated in Hello. Version 2 added structured
-// error payloads (type/code/text instead of bare text), echo
-// request/reply keepalives, and budget/pressure fields in the
-// memory-stats and cache-stats replies.
-const ProtocolVersion = 2
+// error payloads (type/code/text instead of bare text) and echo
+// request/reply keepalives. Version 3 folded the memory-, cache- and
+// advisor-stats pairs into the one stats report (see Stats).
+const ProtocolVersion = 3
 
 // MaxMessageLen bounds a frame to keep a malformed peer from forcing an
 // arbitrary allocation.
@@ -50,10 +49,12 @@ const (
 	MsgPacketBatchReply
 	MsgFlowModBatch
 	MsgFlowModBatchReply
-	MsgMemoryStatsRequest
-	MsgMemoryStatsReply
-	MsgCacheStatsRequest
-	MsgCacheStatsReply
+	// 15-18 were the memory- and cache-stats pairs, retired into
+	// sections of MsgStatsReply; their numbers stay reserved.
+	_
+	_
+	_
+	_
 	MsgEchoRequest
 	MsgEchoReply
 	MsgFlowStatsRequest
@@ -69,8 +70,9 @@ const (
 	// must drain it inline (like echo requests) rather than treat it as
 	// the answer to a pending request.
 	MsgFlowRemoved
-	MsgAdvisorStatsRequest
-	MsgAdvisorStatsReply
+	// 30-31 were the advisor-stats pair, retired and reserved likewise.
+	_
+	_
 )
 
 // String names the message type.
@@ -104,14 +106,6 @@ func (t MsgType) String() string {
 		return "flow-mod-batch"
 	case MsgFlowModBatchReply:
 		return "flow-mod-batch-reply"
-	case MsgMemoryStatsRequest:
-		return "memory-stats-request"
-	case MsgMemoryStatsReply:
-		return "memory-stats-reply"
-	case MsgCacheStatsRequest:
-		return "cache-stats-request"
-	case MsgCacheStatsReply:
-		return "cache-stats-reply"
 	case MsgEchoRequest:
 		return "echo-request"
 	case MsgEchoReply:
@@ -134,10 +128,6 @@ func (t MsgType) String() string {
 		return "flow-removed-subscribe-reply"
 	case MsgFlowRemoved:
 		return "flow-removed"
-	case MsgAdvisorStatsRequest:
-		return "advisor-stats-request"
-	case MsgAdvisorStatsReply:
-		return "advisor-stats-reply"
 	default:
 		return "unknown"
 	}
@@ -213,52 +203,6 @@ const (
 type PacketReply struct {
 	Flags   uint8
 	Outputs []uint32
-}
-
-// Stats is the switch status report. The cache fields describe the
-// pipeline's microflow fast path: zero entries means the cache is
-// disabled.
-type Stats struct {
-	Tables       []TableStats `json:"tables"`
-	TotalRules   int          `json:"total_rules"`
-	MemoryBits   int          `json:"memory_bits"`
-	M20KBlocks   int          `json:"m20k_blocks"`
-	CacheEntries int          `json:"cache_entries,omitempty"`
-	CacheHits    uint64       `json:"cache_hits,omitempty"`
-	CacheMisses  uint64       `json:"cache_misses,omitempty"`
-	// Megaflow tier: the masked (wildcard) cache fronting the walk.
-	MegaflowEntries int    `json:"megaflow_entries,omitempty"`
-	MegaflowHits    uint64 `json:"megaflow_hits,omitempty"`
-	MegaflowMisses  uint64 `json:"megaflow_misses,omitempty"`
-	MegaflowMasks   int    `json:"megaflow_masks,omitempty"`
-	// Transaction telemetry: committed transactions, the flow-mod
-	// commands they carried, and rejected (rolled-back) transactions.
-	Txs             uint64 `json:"txs,omitempty"`
-	FlowModCommands uint64 `json:"flow_mod_commands,omitempty"`
-	RejectedTxs     uint64 `json:"rejected_txs,omitempty"`
-	// Robustness telemetry: the process memory budget (0 = unlimited)
-	// and the pressure controller's activity against it.
-	MemoryBudgetBits uint64 `json:"memory_budget_bits,omitempty"`
-	PressureShrinks  uint64 `json:"pressure_shrinks,omitempty"`
-	PressureRegrows  uint64 `json:"pressure_regrows,omitempty"`
-	PressureLevel    uint64 `json:"pressure_level,omitempty"`
-	// Flow lifecycle telemetry: flows expired by idle/hard timeouts,
-	// expiry sweep batches committed, and installed group-table entries.
-	ExpiredIdle  uint64 `json:"expired_idle,omitempty"`
-	ExpiredHard  uint64 `json:"expired_hard,omitempty"`
-	ExpirySweeps uint64 `json:"expiry_sweeps,omitempty"`
-	Groups       int    `json:"groups,omitempty"`
-	// Autotune telemetry: completed live backend migrations and aborted
-	// migration attempts (the incumbent kept serving).
-	Migrations       uint64 `json:"migrations,omitempty"`
-	MigrationsFailed uint64 `json:"migrations_failed,omitempty"`
-}
-
-// TableStats describes one pipeline table.
-type TableStats struct {
-	ID    uint8  `json:"id"`
-	Rules int    `json:"rules"`
-	Field string `json:"fields"`
 }
 
 // Message is one decoded frame.
@@ -652,224 +596,6 @@ func DecodePacketBatchReplyInto(payload []byte, rs []PacketReply, ports []uint32
 		return nil, ports, fmt.Errorf("ofproto: packet-batch-reply has %d trailing bytes", len(rest))
 	}
 	return rs, ports, nil
-}
-
-// EncodeStats serialises a stats report.
-func EncodeStats(s *Stats) ([]byte, error) {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("ofproto: encoding stats: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeStats parses a stats report.
-func DecodeStats(payload []byte) (*Stats, error) {
-	var s Stats
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("ofproto: decoding stats: %w", err)
-	}
-	return &s, nil
-}
-
-// TableMemoryStats is one table's live memory accounting as reported by
-// the switch: the lookup backend serving the table, the installed rule
-// count, and the modelled bit breakdown (search structures / index stage
-// / action rows) the backend maintains incrementally.
-type TableMemoryStats struct {
-	Table      uint8
-	Backend    string
-	Rules      uint32
-	SearchBits uint64
-	IndexBits  uint64
-	ActionBits uint64
-	// BudgetBits is the table's configured memory budget in bits
-	// (0 = unlimited).
-	BudgetBits uint64
-}
-
-// TotalBits sums one table's breakdown.
-func (t *TableMemoryStats) TotalBits() uint64 {
-	return t.SearchBits + t.IndexBits + t.ActionBits
-}
-
-// MemoryStatsReply is the switch's answer to a memory-stats request: the
-// per-table breakdowns in pipeline order plus the total. The figures come
-// from the pipeline's lock-free counters, so serving the request never
-// blocks flow-mod transactions or packet lookups.
-type MemoryStatsReply struct {
-	TotalBits uint64
-	// BudgetBits is the process-wide memory budget in bits
-	// (0 = unlimited); admission control rejects commits that would
-	// grow TotalBits past it.
-	BudgetBits uint64
-	Tables     []TableMemoryStats
-}
-
-// Backend kind codes on the wire. Unknown kinds travel as 0 and decode to
-// an empty name, so protocol peers degrade gracefully across versions.
-var backendCodes = map[string]uint8{
-	"mbt":        1,
-	"tss":        2,
-	"lineartcam": 3,
-	"dir24":      4,
-}
-
-var backendNames = map[uint8]string{
-	1: "mbt",
-	2: "tss",
-	3: "lineartcam",
-	4: "dir24",
-}
-
-// memoryStatsRowLen is the fixed wire width of one per-table record:
-// [table u8 | backend u8 | rules u32 | search u64 | index u64 |
-// action u64 | budget u64].
-const memoryStatsRowLen = 1 + 1 + 4 + 8 + 8 + 8 + 8
-
-// memoryStatsHeaderLen is the reply prefix:
-// [total u64 | budget u64 | count u16].
-const memoryStatsHeaderLen = 8 + 8 + 2
-
-// AppendMemoryStatsReply appends the wire form of a memory-stats reply to
-// buf, so per-connection senders can reuse one encode buffer (the
-// zero-allocation path, like the packet and flow-mod batch codecs).
-func AppendMemoryStatsReply(buf []byte, r *MemoryStatsReply) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.TotalBits)
-	buf = binary.BigEndian.AppendUint64(buf, r.BudgetBits)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Tables)))
-	for i := range r.Tables {
-		t := &r.Tables[i]
-		buf = append(buf, t.Table, backendCodes[t.Backend])
-		buf = binary.BigEndian.AppendUint32(buf, t.Rules)
-		buf = binary.BigEndian.AppendUint64(buf, t.SearchBits)
-		buf = binary.BigEndian.AppendUint64(buf, t.IndexBits)
-		buf = binary.BigEndian.AppendUint64(buf, t.ActionBits)
-		buf = binary.BigEndian.AppendUint64(buf, t.BudgetBits)
-	}
-	return buf
-}
-
-// EncodeMemoryStatsReply serialises a memory-stats reply.
-func EncodeMemoryStatsReply(r *MemoryStatsReply) []byte {
-	return AppendMemoryStatsReply(make([]byte, 0, memoryStatsHeaderLen+memoryStatsRowLen*len(r.Tables)), r)
-}
-
-// DecodeMemoryStatsReplyInto parses a memory-stats reply, reusing the
-// reply's Tables slice: once it has grown to the pipeline's table count,
-// steady-state polling decodes allocate nothing (backend names are
-// interned strings, not payload slices).
-func DecodeMemoryStatsReplyInto(r *MemoryStatsReply, payload []byte) error {
-	if len(payload) < memoryStatsHeaderLen {
-		return fmt.Errorf("ofproto: memory-stats payload of %d bytes", len(payload))
-	}
-	r.TotalBits = binary.BigEndian.Uint64(payload)
-	r.BudgetBits = binary.BigEndian.Uint64(payload[8:])
-	count := int(binary.BigEndian.Uint16(payload[16:]))
-	rest := payload[memoryStatsHeaderLen:]
-	if len(rest) != count*memoryStatsRowLen {
-		return fmt.Errorf("ofproto: memory-stats wants %d tables, has %d bytes", count, len(rest))
-	}
-	if cap(r.Tables) < count {
-		r.Tables = make([]TableMemoryStats, count)
-	}
-	r.Tables = r.Tables[:count]
-	for i := 0; i < count; i++ {
-		t := &r.Tables[i]
-		t.Table = rest[0]
-		t.Backend = backendNames[rest[1]]
-		t.Rules = binary.BigEndian.Uint32(rest[2:])
-		t.SearchBits = binary.BigEndian.Uint64(rest[6:])
-		t.IndexBits = binary.BigEndian.Uint64(rest[14:])
-		t.ActionBits = binary.BigEndian.Uint64(rest[22:])
-		t.BudgetBits = binary.BigEndian.Uint64(rest[30:])
-		rest = rest[memoryStatsRowLen:]
-	}
-	return nil
-}
-
-// CacheStatsReply is the switch's answer to a cache-stats request: the
-// two fast-path tiers' hit/miss counters and shapes. Micro* describes
-// the exact-match microflow cache, Mega* the masked megaflow tier
-// (MegaMasks is the distinct consulted-bits masks currently cached).
-// Zero entries means the corresponding tier is disabled.
-type CacheStatsReply struct {
-	MicroHits    uint64
-	MicroMisses  uint64
-	MicroEntries uint64
-	MegaHits     uint64
-	MegaMisses   uint64
-	MegaEntries  uint64
-	MegaMasks    uint64
-	// Pressure-controller activity: shrink and regrow steps taken over
-	// the switch's lifetime, and the current degradation depth (0 =
-	// both tiers at their configured sizes). Entries figures above
-	// reflect any capacity the controller has currently shed.
-	PressureShrinks uint64
-	PressureRegrows uint64
-	PressureLevel   uint64
-}
-
-// cacheStatsLen is the fixed wire width of a cache-stats reply: ten
-// big-endian u64 counters.
-const cacheStatsLen = 10 * 8
-
-// AppendCacheStatsReply appends the wire form of a cache-stats reply to
-// buf, so per-connection senders can reuse one encode buffer.
-func AppendCacheStatsReply(buf []byte, r *CacheStatsReply) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.MicroHits)
-	buf = binary.BigEndian.AppendUint64(buf, r.MicroMisses)
-	buf = binary.BigEndian.AppendUint64(buf, r.MicroEntries)
-	buf = binary.BigEndian.AppendUint64(buf, r.MegaHits)
-	buf = binary.BigEndian.AppendUint64(buf, r.MegaMisses)
-	buf = binary.BigEndian.AppendUint64(buf, r.MegaEntries)
-	buf = binary.BigEndian.AppendUint64(buf, r.MegaMasks)
-	buf = binary.BigEndian.AppendUint64(buf, r.PressureShrinks)
-	buf = binary.BigEndian.AppendUint64(buf, r.PressureRegrows)
-	buf = binary.BigEndian.AppendUint64(buf, r.PressureLevel)
-	return buf
-}
-
-// EncodeCacheStatsReply serialises a cache-stats reply.
-func EncodeCacheStatsReply(r *CacheStatsReply) []byte {
-	return AppendCacheStatsReply(make([]byte, 0, cacheStatsLen), r)
-}
-
-// DecodeCacheStatsReplyInto parses a cache-stats reply into r. The
-// payload is fixed-width; any other length is rejected.
-func DecodeCacheStatsReplyInto(r *CacheStatsReply, payload []byte) error {
-	if len(payload) != cacheStatsLen {
-		return fmt.Errorf("ofproto: cache-stats payload of %d bytes, want %d", len(payload), cacheStatsLen)
-	}
-	r.MicroHits = binary.BigEndian.Uint64(payload)
-	r.MicroMisses = binary.BigEndian.Uint64(payload[8:])
-	r.MicroEntries = binary.BigEndian.Uint64(payload[16:])
-	r.MegaHits = binary.BigEndian.Uint64(payload[24:])
-	r.MegaMisses = binary.BigEndian.Uint64(payload[32:])
-	r.MegaEntries = binary.BigEndian.Uint64(payload[40:])
-	r.MegaMasks = binary.BigEndian.Uint64(payload[48:])
-	r.PressureShrinks = binary.BigEndian.Uint64(payload[56:])
-	r.PressureRegrows = binary.BigEndian.Uint64(payload[64:])
-	r.PressureLevel = binary.BigEndian.Uint64(payload[72:])
-	return nil
-}
-
-// DecodeCacheStatsReply parses a cache-stats reply into a fresh value.
-func DecodeCacheStatsReply(payload []byte) (*CacheStatsReply, error) {
-	r := &CacheStatsReply{}
-	if err := DecodeCacheStatsReplyInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// DecodeMemoryStatsReply parses a memory-stats reply into a fresh value.
-func DecodeMemoryStatsReply(payload []byte) (*MemoryStatsReply, error) {
-	r := &MemoryStatsReply{}
-	if err := DecodeMemoryStatsReplyInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // OpenFlow-style error types and codes carried by MsgError payloads.

@@ -163,29 +163,6 @@ func TestPacketBatchReplyInto(t *testing.T) {
 	}
 }
 
-func TestStatsRoundTrip(t *testing.T) {
-	s := &Stats{
-		Tables:     []TableStats{{ID: 0, Rules: 10, Field: "VLAN ID"}},
-		TotalRules: 10,
-		MemoryBits: 12345,
-		M20KBlocks: 3,
-	}
-	payload, err := EncodeStats(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeStats(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, got) {
-		t.Errorf("stats round trip: %+v != %+v", s, got)
-	}
-	if _, err := DecodeStats([]byte("{")); err == nil {
-		t.Error("malformed stats should fail")
-	}
-}
-
 func TestErrorsAreErrors(t *testing.T) {
 	if !errors.Is(openflow.ErrTruncated, openflow.ErrTruncated) {
 		t.Error("sanity")

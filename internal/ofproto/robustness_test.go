@@ -61,18 +61,98 @@ func TestDialErrorPaths(t *testing.T) {
 	}
 }
 
-func TestMsgTypeStrings(t *testing.T) {
-	names := map[MsgType]string{
-		MsgHello: "hello", MsgError: "error", MsgFlowMod: "flow-mod",
-		MsgFlowModReply: "flow-mod-reply", MsgPacket: "packet",
-		MsgPacketReply: "packet-reply", MsgStatsRequest: "stats-request",
-		MsgStatsReply: "stats-reply", MsgBarrier: "barrier",
-		MsgBarrierReply: "barrier-reply", MsgType(99): "unknown",
-	}
-	for typ, want := range names {
-		if got := typ.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", typ, got, want)
+// surviving pins every message type the protocol speaks to its wire
+// number. The numbers are the protocol: renumbering one (say, by
+// deleting a constant from the iota list instead of leaving a
+// placeholder) breaks every peer of another build.
+var surviving = map[MsgType]struct {
+	num  uint8
+	name string
+}{
+	MsgHello:                     {1, "hello"},
+	MsgError:                     {2, "error"},
+	MsgFlowMod:                   {3, "flow-mod"},
+	MsgFlowModReply:              {4, "flow-mod-reply"},
+	MsgPacket:                    {5, "packet"},
+	MsgPacketReply:               {6, "packet-reply"},
+	MsgStatsRequest:              {7, "stats-request"},
+	MsgStatsReply:                {8, "stats-reply"},
+	MsgBarrier:                   {9, "barrier"},
+	MsgBarrierReply:              {10, "barrier-reply"},
+	MsgPacketBatch:               {11, "packet-batch"},
+	MsgPacketBatchReply:          {12, "packet-batch-reply"},
+	MsgFlowModBatch:              {13, "flow-mod-batch"},
+	MsgFlowModBatchReply:         {14, "flow-mod-batch-reply"},
+	MsgEchoRequest:               {19, "echo-request"},
+	MsgEchoReply:                 {20, "echo-reply"},
+	MsgFlowStatsRequest:          {21, "flow-stats-request"},
+	MsgFlowStatsReply:            {22, "flow-stats-reply"},
+	MsgAggregateStatsRequest:     {23, "aggregate-stats-request"},
+	MsgAggregateStatsReply:       {24, "aggregate-stats-reply"},
+	MsgGroupMod:                  {25, "group-mod"},
+	MsgGroupModReply:             {26, "group-mod-reply"},
+	MsgFlowRemovedSubscribe:      {27, "flow-removed-subscribe"},
+	MsgFlowRemovedSubscribeReply: {28, "flow-removed-subscribe-reply"},
+	MsgFlowRemoved:               {29, "flow-removed"},
+}
+
+// retired are the numbers of the memory-, cache- and advisor-stats
+// pairs, reserved so no later message reuses them.
+var retired = []uint8{15, 16, 17, 18, 30, 31}
+
+func TestMsgTypeNumbersPinned(t *testing.T) {
+	for typ, want := range surviving {
+		if uint8(typ) != want.num {
+			t.Errorf("%s = %d, want %d", want.name, uint8(typ), want.num)
 		}
+	}
+}
+
+func TestMsgTypeStrings(t *testing.T) {
+	for typ, want := range surviving {
+		if got := typ.String(); got != want.name {
+			t.Errorf("%d.String() = %q, want %q", typ, got, want.name)
+		}
+	}
+	for _, n := range append(retired, 0, 99) {
+		if got := MsgType(n).String(); got != "unknown" {
+			t.Errorf("%d.String() = %q, want unknown", n, got)
+		}
+	}
+}
+
+// TestRetiredStatsRequestsRejected sends each retired stats request on
+// a raw connection: the switch must answer a bad-request error, and the
+// same connection must then serve the one stats report.
+func TestRetiredStatsRequestsRejected(t *testing.T) {
+	p := emptyMACPipeline(t)
+	addr, stop := startTestServer(t, p)
+	defer stop()
+	conn := rawDial(t, addr)
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, n := range []uint8{15, 17, 30} {
+		if err := WriteMessage(conn, MsgType(n), nil); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("type %d: reading reply: %v", n, err)
+		}
+		if msg.Type != MsgError {
+			t.Fatalf("type %d answered %s, want error", n, msg.Type)
+		}
+		if se := DecodeError(msg.Payload); se.Type != ErrTypeBadRequest {
+			t.Fatalf("type %d answered error type %d, want bad request", n, se.Type)
+		}
+	}
+	c := &Client{conn: conn}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats after retired requests: %v", err)
+	}
+	if len(st.Tables) != 2 {
+		t.Errorf("stats after retired requests report %d tables, want 2", len(st.Tables))
 	}
 }
 

@@ -337,12 +337,6 @@ type connState struct {
 	// entries on insert, so both are safe to reuse per message.
 	fms     []FlowMod
 	fmArena openflow.EntryArena
-	// Memory-stats buffers: the pipeline-side view and the wire reply,
-	// both reused so stats polling is allocation-free in steady state.
-	memTables []core.TableMemory
-	memReply  MemoryStatsReply
-	// Advisor-stats wire reply, reused across polls.
-	advReply AdvisorStatsReply
 	// Flow-lifecycle state: the reused scrape page, the flow-removed
 	// subscription flag and its drain cursor, and the reused
 	// notification batch buffer.
@@ -438,90 +432,11 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		cs.out = AppendPacketBatchReply(cs.out, cs.replies)
 		return WriteFrame(conn, MsgPacketBatchReply, cs.out)
 	case MsgStatsRequest:
-		stats := s.stats()
-		payload, err := EncodeStats(stats)
+		payload, err := EncodeStats(CollectStats(s.pipeline))
 		if err != nil {
 			return err
 		}
 		return WriteMessage(conn, MsgStatsReply, payload)
-	case MsgMemoryStatsRequest:
-		// The read is lock-free (atomic loads of the published per-table
-		// counters), so a stats poller never serialises against flow-mod
-		// commits or packet batches on other connections.
-		ms := s.pipeline.MemoryStatsInto(cs.memTables)
-		cs.memTables = ms.Tables
-		cs.memReply.TotalBits = ms.TotalBits
-		cs.memReply.BudgetBits = ms.BudgetBits
-		cs.memReply.Tables = cs.memReply.Tables[:0]
-		for _, tm := range ms.Tables {
-			cs.memReply.Tables = append(cs.memReply.Tables, TableMemoryStats{
-				Table:      uint8(tm.Table),
-				Backend:    tm.Backend,
-				Rules:      uint32(tm.Rules),
-				SearchBits: tm.SearchBits,
-				IndexBits:  tm.IndexBits,
-				ActionBits: tm.ActionBits,
-				BudgetBits: tm.BudgetBits,
-			})
-		}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendMemoryStatsReply(cs.out, &cs.memReply)
-		return WriteFrame(conn, MsgMemoryStatsReply, cs.out)
-	case MsgAdvisorStatsRequest:
-		// The advisor report takes the pipeline write lock briefly
-		// (signal refresh folds in fresh latency samples) — a polling
-		// surface, not a hot-path one.
-		as := s.pipeline.AdvisorStats()
-		cs.advReply.Migrations = as.Migrations
-		cs.advReply.Failed = as.Failed
-		cs.advReply.Tables = cs.advReply.Tables[:0]
-		for i := range as.Tables {
-			t := &as.Tables[i]
-			row := AdvisorTableStats{
-				Table:      uint8(t.Table),
-				Auto:       t.Auto,
-				Incumbent:  t.Incumbent,
-				LastReason: t.LastReason,
-				Rules:      uint32(t.Rules),
-				Masks:      clampU16(t.Masks),
-				Ranges:     clampU16(t.Ranges),
-				Wide:       clampU16(t.Wide),
-				EwmaNs:     t.EwmaNs,
-				MemBits:    t.MemBits,
-				Migrations: t.Migrations,
-			}
-			for j, c := range t.Candidates {
-				if j < len(row.Scores) {
-					row.Scores[j] = c.Score
-					row.Eligible[j] = c.Eligible
-				}
-			}
-			cs.advReply.Tables = append(cs.advReply.Tables, row)
-		}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendAdvisorStatsReply(cs.out, &cs.advReply)
-		return WriteFrame(conn, MsgAdvisorStatsReply, cs.out)
-	case MsgCacheStatsRequest:
-		// Both tiers' counters are lock-free atomics; serving this never
-		// serialises against packet or flow-mod traffic.
-		micro := s.pipeline.CacheStats()
-		mega := s.pipeline.MegaflowStats()
-		press := s.pipeline.PressureStats()
-		reply := CacheStatsReply{
-			MicroHits:       micro.Hits,
-			MicroMisses:     micro.Misses,
-			MicroEntries:    uint64(micro.Entries),
-			MegaHits:        mega.Hits,
-			MegaMisses:      mega.Misses,
-			MegaEntries:     uint64(mega.Entries),
-			MegaMasks:       uint64(mega.Masks),
-			PressureShrinks: press.Shrinks,
-			PressureRegrows: press.Regrows,
-			PressureLevel:   press.Level,
-		}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendCacheStatsReply(cs.out, &reply)
-		return WriteFrame(conn, MsgCacheStatsReply, cs.out)
 	case MsgFlowStatsRequest:
 		var req FlowStatsRequest
 		if err := DecodeFlowStatsRequestInto(&req, msg.Payload); err != nil {
@@ -686,63 +601,4 @@ func replyOf(res *core.Result) PacketReply {
 		reply.Flags |= ReplyDropped
 	}
 	return reply
-}
-
-// stats assembles the status report; TableInfos and MemoryReport each
-// take the pipeline's write lock, so the report is safe against
-// concurrent flow-mods from other connections.
-func (s *Server) stats() *Stats {
-	st := &Stats{}
-	for _, info := range s.pipeline.TableInfos() {
-		fields := ""
-		for i, f := range info.Fields {
-			if i > 0 {
-				fields += ","
-			}
-			fields += f.String()
-		}
-		st.Tables = append(st.Tables, TableStats{ID: uint8(info.ID), Rules: info.Rules, Field: fields})
-		st.TotalRules += info.Rules
-	}
-	mem := s.pipeline.MemoryReport()
-	st.MemoryBits = mem.TotalBits
-	st.M20KBlocks = mem.Blocks
-	cache := s.pipeline.CacheStats()
-	st.CacheEntries = cache.Entries
-	st.CacheHits = cache.Hits
-	st.CacheMisses = cache.Misses
-	mega := s.pipeline.MegaflowStats()
-	st.MegaflowEntries = mega.Entries
-	st.MegaflowHits = mega.Hits
-	st.MegaflowMisses = mega.Misses
-	st.MegaflowMasks = mega.Masks
-	tc := s.pipeline.TxCounters()
-	st.Txs = tc.Txs
-	st.FlowModCommands = tc.Commands
-	st.RejectedTxs = tc.Rejected
-	st.MemoryBudgetBits = s.pipeline.MemoryBudget()
-	press := s.pipeline.PressureStats()
-	st.PressureShrinks = press.Shrinks
-	st.PressureRegrows = press.Regrows
-	st.PressureLevel = press.Level
-	lc := s.pipeline.LifecycleStats()
-	st.ExpiredIdle = lc.ExpiredIdle
-	st.ExpiredHard = lc.ExpiredHard
-	st.ExpirySweeps = lc.Sweeps
-	st.Groups = lc.Groups
-	mig := s.pipeline.MigrationStats()
-	st.Migrations = mig.Migrations
-	st.MigrationsFailed = mig.Failed
-	return st
-}
-
-// clampU16 saturates an int into a wire u16 counter.
-func clampU16(v int) uint16 {
-	if v < 0 {
-		return 0
-	}
-	if v > 0xFFFF {
-		return 0xFFFF
-	}
-	return uint16(v)
 }

@@ -108,10 +108,10 @@ func TestEndToEndFlowModAndPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalRules != 2 || len(st.Tables) != 2 {
+	if st.TotalRules() != 2 || len(st.Tables) != 2 {
 		t.Errorf("stats: %+v", st)
 	}
-	if st.MemoryBits <= 0 {
+	if st.Memory.TotalBits == 0 {
 		t.Error("stats memory should be positive")
 	}
 
@@ -386,14 +386,14 @@ func TestCacheStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CacheEntries <= 0 {
-		t.Errorf("stats report %d cache entries, want > 0", st.CacheEntries)
+	if st.Microflow.Entries <= 0 {
+		t.Errorf("stats report %d cache entries, want > 0", st.Microflow.Entries)
 	}
-	if st.CacheHits == 0 {
-		t.Errorf("repeated batches produced no cache hits: %+v", st)
+	if st.Microflow.Hits == 0 {
+		t.Errorf("repeated batches produced no cache hits: %+v", st.Microflow)
 	}
-	if st.CacheMisses == 0 {
-		t.Errorf("first-packet flows should count as misses: %+v", st)
+	if st.Microflow.Misses == 0 {
+		t.Errorf("first-packet flows should count as misses: %+v", st.Microflow)
 	}
 	// A flow-mod through the wire retires cached results.
 	e := &openflow.FlowEntry{
