@@ -237,7 +237,7 @@ func TestStatsPathsServeCachedViews(t *testing.T) {
 	}
 	// A mutation must invalidate the cached view.
 	e := f.FlowEntries()[0]
-	if err := p.Remove(0, &e); err != nil {
+	if _, err := p.Begin().DeleteStrict(0, e.Priority, e.Matches...).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	c := p.TableInfos()

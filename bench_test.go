@@ -236,7 +236,7 @@ func BenchmarkCrossprodLookup(b *testing.B) {
 			for d := range key {
 				key[d] = label.Label(rng.Intn(64))
 			}
-			if err := tbl.Insert(key, crossprod.Binding{Priority: i & 7, Payload: uint32(i)}); err != nil {
+			if err := tbl.Insert(key, crossprod.Binding{Priority: i & 7, Payload: uint32(i)}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -104,9 +104,6 @@ func TestPrototypeIntegration(t *testing.T) {
 	if mem.TotalBits <= 0 {
 		t.Fatal("empty memory report")
 	}
-	if tbl, ok := p.Table(0); ok && tbl.Backend() != core.BackendMBT {
-		t.Skipf("per-field component names exist only under the mbt backend, pipeline runs %s", tbl.Backend())
-	}
 	var sawEth, sawIP bool
 	for _, c := range mem.Components {
 		switch {
@@ -141,7 +138,6 @@ func TestFlowCacheSpeedupIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetMegaflowSize(0) // the microflow tier alone, whatever $OFMTL_MEGAFLOW says
 	p.SetCacheSize(256)
 	flows := traffic.MACTrace(mac, 128, 0.9, 3)
 	want := make([]core.Result, len(flows))

@@ -10,7 +10,7 @@ import (
 )
 
 // admissionPipeline builds a one-table LPM pipeline over f with the given
-// tier sizes (0 = tier off), whatever $OFMTL_MEGAFLOW says.
+// tier sizes (0 = tier off).
 func admissionPipeline(t testing.TB, f *filterset.LPMFilter, micro, mega int) *Pipeline {
 	t.Helper()
 	p := NewPipeline()
@@ -213,9 +213,9 @@ func TestAdmissionCommitsDoNotFlap(t *testing.T) {
 		if pass%2 == 0 {
 			var err error
 			if pass%4 == 0 {
-				err = p.Insert(0, &extra)
+				_, err = p.Begin().Add(0, &extra).Commit()
 			} else {
-				err = p.Remove(0, &extra)
+				_, err = p.Begin().DeleteStrict(0, extra.Priority, extra.Matches...).Commit()
 			}
 			if err != nil {
 				t.Fatal(err)

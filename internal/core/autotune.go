@@ -178,9 +178,9 @@ func MigrateReasonName(r uint32) string {
 
 // allSeqOrdered returns every stored rule in installation order — the
 // canonical replay sequence for rebuilding a backend. Bucket iteration is
-// unordered, so the collected rules are sorted by sequence number;
-// backends break priority ties by insertion order, so replaying in seq
-// order reproduces the exact tie-break behaviour of the incumbent.
+// unordered, so the collected rules are sorted by sequence number; each
+// is replayed with its own sequence, so the rebuilt backend breaks
+// priority ties exactly as the incumbent did.
 func (rs *ruleStore) allSeqOrdered() []*storedRule {
 	out := make([]*storedRule, 0, rs.count)
 	for _, b := range rs.buckets {
@@ -214,7 +214,7 @@ func (t *LookupTable) buildBackendFromStore(kind string) (Backend, error) {
 		if err := failpoint.Inject(failpoint.SiteMigrationBuild); err != nil {
 			return nil, fmt.Errorf("core: table %d: building %s backend: %w", t.cfg.ID, kind, err)
 		}
-		if err := nb.Insert(&sr.entry); err != nil {
+		if err := nb.Insert(&sr.entry, sr.seq); err != nil {
 			return nil, fmt.Errorf("core: table %d: building %s backend: %w", t.cfg.ID, kind, err)
 		}
 	}
@@ -578,7 +578,7 @@ func (p *Pipeline) calibrateLocked() {
 				Priority: 24,
 				Matches:  []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, uint64(i)<<8, 24)},
 			}
-			if err := b.Insert(&e); err != nil {
+			if err := b.Insert(&e, uint64(i)); err != nil {
 				ok = false
 				break
 			}

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ofmtl/internal/core/autotune"
-	"ofmtl/internal/cow"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -411,110 +409,6 @@ func TestAdvisorStatsReport(t *testing.T) {
 	}
 	if rep.Tables[0].Incumbent != BackendDIR24 || rep.Tables[0].LastReason != "score" {
 		t.Fatalf("table 0 row %+v after migration, want dir24 (score)", rep.Tables[0])
-	}
-}
-
-// storeDump renders table 0's canonical rule store in installation
-// order: seq-tagged entry strings, the ground truth a migration replays.
-func storeDump(p *Pipeline) []string {
-	rules := p.tables[0].store.allSeqOrdered()
-	out := make([]string, len(rules))
-	for i, r := range rules {
-		out[i] = fmt.Sprintf("seq=%d prio=%d %s", r.seq, r.entry.Priority, r.entry.String())
-	}
-	return out
-}
-
-// TestAutoBackendChurnDifferential is the subsystem's differential leg:
-// an auto pipeline under a zero-hysteresis advisor (migrating freely
-// between schemes as the signals wobble) is driven through the same
-// randomized flow-mod churn as a pinned pipeline of every concrete
-// backend. After every round the transaction results, every probe
-// lookup, and finally the canonical rule stores must be identical —
-// however many live migrations the auto table performed along the way.
-func TestAutoBackendChurnDifferential(t *testing.T) {
-	cow.SealForTest(t)
-	rng := xrand.New(1012)
-	mk := func(kind string) *Pipeline {
-		p := NewPipeline()
-		cfg := lpmTableConfig()
-		cfg.Backend = kind
-		if _, err := p.AddTable(cfg); err != nil {
-			t.Fatalf("backend %s: %v", kind, err)
-		}
-		return p
-	}
-	auto := mk(BackendAuto)
-	auto.SetAutotunePolicy(autotune.Policy{})
-	kinds := BackendKinds()
-	pinned := make(map[string]*Pipeline, len(kinds))
-	for _, k := range kinds {
-		pinned[k] = mk(k)
-	}
-
-	var pool []*openflow.FlowEntry
-	for i := 0; i < 96; i++ {
-		pool = append(pool, randomLPMEntry(rng, 1+rng.Intn(6)))
-	}
-	migrations := 0
-	for round := 0; round < 60; round++ {
-		var cmds []FlowCmd
-		for n := 0; n < 1+rng.Intn(8); n++ {
-			e := pool[rng.Intn(len(pool))]
-			switch rng.Intn(4) {
-			case 0, 1:
-				cmds = append(cmds, FlowCmd{Op: CmdAdd, Table: 0, Entry: *e})
-			case 2:
-				mod := e.Clone()
-				mod.Instructions = []openflow.Instruction{
-					openflow.WriteActions(openflow.Output(uint32(1 + rng.Intn(64)))),
-				}
-				cmds = append(cmds, FlowCmd{Op: CmdModify, Table: 0, Entry: *mod})
-			default:
-				cmds = append(cmds, FlowCmd{Op: CmdDelete, Table: 0, Entry: openflow.FlowEntry{Matches: e.Matches}})
-			}
-		}
-		apply := func(p *Pipeline) TxResult {
-			tx := p.Begin()
-			for _, c := range cmds {
-				tx.FlowMod(c)
-			}
-			res, err := tx.Commit()
-			if err != nil {
-				t.Fatalf("round %d: commit: %v", round, err)
-			}
-			return res
-		}
-		want := apply(auto)
-		for _, k := range kinds {
-			if got := apply(pinned[k]); got.Counts() != want.Counts() {
-				t.Fatalf("round %d: %s tx result %+v, auto got %+v", round, k, got, want)
-			}
-		}
-		migrations += len(auto.AutotuneOnce())
-
-		for probe := 0; probe < 16; probe++ {
-			h := randomHeader(rng, pool)
-			ha := *h
-			want := auto.Execute(&ha)
-			for _, k := range kinds {
-				hp := *h
-				got := pinned[k].Execute(&hp)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d (incumbent %s): %s result %+v, auto result %+v",
-						round, auto.tables[0].Backend(), k, got, want)
-				}
-			}
-		}
-	}
-	if migrations == 0 {
-		t.Fatal("the zero-hysteresis advisor never migrated; the differential exercised nothing")
-	}
-	// The canonical rule stores agree entry-for-entry: migrations replay
-	// the store, they never rewrite it.
-	want := storeDump(pinned[BackendMBT])
-	if got := storeDump(auto); !reflect.DeepEqual(got, want) {
-		t.Fatalf("auto rule store diverged after %d migrations:\nauto:   %v\npinned: %v", migrations, got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"ofmtl/internal/memmodel"
@@ -61,19 +60,6 @@ const (
 	BackendAuto = "auto"
 )
 
-// EnvBackend is the environment variable naming the default backend for
-// pipelines that do not choose one explicitly (TableConfig.Backend and
-// SetDefaultBackend both override it). It is how the CI backend matrix
-// runs the test suite under every scheme.
-const EnvBackend = "OFMTL_BACKEND"
-
-// EnvMegaflow is the environment variable sizing the megaflow (wildcard)
-// cache tier for pipelines that do not call SetMegaflowSize explicitly: a
-// positive integer enables the tier with that many entries; unset, zero
-// or unparsable values leave it disabled. It is how the CI backend matrix
-// runs the test suite with the tier on and off.
-const EnvMegaflow = "OFMTL_MEGAFLOW"
-
 // BackendKinds returns the recognised concrete backend kind names,
 // sorted. The "auto" pseudo-kind is deliberately absent: it is a
 // selection-surface value, not a scheme a table can report running.
@@ -98,8 +84,8 @@ func ValidBackend(kind string) bool {
 // table with the given field set. The generic schemes (mbt, tss,
 // lineartcam) serve any field set; dir24 requires exactly one 32-bit
 // longest-prefix-match field. Selection surfaces that apply a
-// process-wide default (SetDefaultBackend, $OFMTL_BACKEND, switchd
-// -backend) consult this to fall back to mbt on unsupported tables;
+// process-wide default (SetDefaultBackend, switchd -backend) consult
+// this to fall back to mbt on unsupported tables;
 // an explicit per-table pin skips the check and fails at config time
 // instead.
 // The "auto" pseudo-kind serves any field set: its advisor only ever
@@ -120,16 +106,19 @@ type Backend interface {
 	// Kind returns the backend's registered kind name.
 	Kind() string
 	// Insert installs a canonical flow entry (matches sorted and masked,
-	// instruction slices immutable once installed). A failed insert must
-	// leave the backend unchanged.
-	Insert(e *openflow.FlowEntry) error
+	// instruction slices immutable once installed) with its install
+	// sequence: among equal priorities the lower seq wins. The table
+	// passes its rule store's sequence, so a rule keeps its place through
+	// migrations and rolled-back removals. A failed insert must leave the
+	// backend unchanged.
+	Insert(e *openflow.FlowEntry, seq uint64) error
 	// Remove uninstalls the entry previously installed with the same
 	// canonical matches, priority and instructions; removing an absent
 	// entry is an error and must leave the backend unchanged.
 	Remove(e *openflow.FlowEntry) error
 	// Lookup classifies one packet header, returning the winning entry's
-	// instructions and priority. Ties on priority resolve to the earliest
-	// installed entry. Lookup must be safe for concurrent callers on a
+	// instructions and priority. Ties on priority resolve to the lowest
+	// install sequence. Lookup must be safe for concurrent callers on a
 	// published view. A non-nil tr asks for consulted-bits
 	// accounting for the megaflow tier: the backend must mark in tr every
 	// header bit whose value could change the lookup's outcome, so that
@@ -244,10 +233,6 @@ func newBackend(kind string, cfg TableConfig) (Backend, error) {
 		return nil, fmt.Errorf("core: table %d: unknown backend %q (want %v)", cfg.ID, kind, BackendKinds())
 	}
 }
-
-// defaultBackendFromEnv reads the process-wide backend default. Invalid
-// values are surfaced when the first table is built, not here.
-func defaultBackendFromEnv() string { return os.Getenv(EnvBackend) }
 
 // checkFieldKinds verifies every match uses a kind the field's matching
 // method supports, mirroring the acceptance rules of the mbt searchers so

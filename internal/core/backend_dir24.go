@@ -91,8 +91,6 @@ type dir24Control struct {
 	// every installed entry, in installation order. Removals recompute
 	// displaced winners from it; lookups never touch it.
 	buckets map[uint64][]*dir24Entry
-
-	nextSeq uint64
 }
 
 const (
@@ -399,12 +397,12 @@ func (b *dir24Backend) ensureSpill(idx uint32) (uint32, []uint32) {
 // Insert implements Backend. A /0../24 prefix updates the winner of
 // every covered direct slot (descending into existing spill chunks); a
 // /25../32 prefix spills its one slot and updates the covered sub-range.
-func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
+func (b *dir24Backend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	if err := checkFieldKinds(b.cfg.ID, e); err != nil {
 		return err
 	}
 	val, plen := b.prefixOf(e)
-	ent := &dir24Entry{seq: b.ctl.nextSeq, val: val, plen: plen, entry: *e}
+	ent := &dir24Entry{seq: seq, val: val, plen: plen, entry: *e}
 	b.allocEntry(ent)
 	key := dir24BucketKey(val, plen)
 	b.ctl.buckets[key] = append(b.ctl.buckets[key], ent)
@@ -437,7 +435,6 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry) error {
 		b.ctl.spillLongs[si]++
 	}
 
-	b.ctl.nextSeq++
 	b.rules++
 	b.actionBits += memmodel.ActionEntryBits
 	return nil

@@ -19,7 +19,7 @@ func dir24AllocBackend(t testing.TB) *dir24Backend {
 	}
 	rng := xrand.New(248)
 	for i := 0; i < 512; i++ {
-		if err := b.Insert(randomLPMEntry(rng, 1+rng.Intn(6))); err != nil {
+		if err := b.Insert(randomLPMEntry(rng, 1+rng.Intn(6)), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func dir24AllocBackend(t testing.TB) *dir24Backend {
 			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(2))},
 		},
 	} {
-		if err := b.Insert(e); err != nil {
+		if err := b.Insert(e, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestDIR24TracedBits(t *testing.T) {
 			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(2))},
 		},
 	} {
-		if err := b.Insert(e); err != nil {
+		if err := b.Insert(e, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,91 +59,6 @@ func backendEntry(kind string, rng *xrand.Source, prio int) *openflow.FlowEntry 
 	return randomEntry(rng, prio)
 }
 
-// kindsSupporting filters the registered backends to those able to
-// serve the given field set.
-func kindsSupporting(fields []openflow.FieldID) []string {
-	var kinds []string
-	for _, k := range BackendKinds() {
-		if BackendSupportsFields(k, fields) {
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
-}
-
-// TestDIR24MatchesGenericBackends is the dir24 arm of the cross-scheme
-// differential: over a single-LPM-field table — a shape every scheme
-// serves — dir24 must classify identically to mbt, tss, lineartcam and
-// the brute-force reference across randomized prefix churn. The
-// low-cardinality priorities force ties (earliest-installed wins), and
-// the /25../32 band exercises the spill-chunk path including chunk
-// collapse on remove.
-func TestDIR24MatchesGenericBackends(t *testing.T) {
-	rng := xrand.New(2480)
-	kinds := BackendKinds()
-	tables := make(map[string]*LookupTable, len(kinds))
-	for _, k := range kinds {
-		cfg := lpmTableConfig()
-		cfg.Backend = k
-		tbl, err := NewLookupTable(cfg)
-		if err != nil {
-			t.Fatalf("backend %s: %v", k, err)
-		}
-		tables[k] = tbl
-	}
-	ref := &ReferenceClassifier{}
-	var live []*openflow.FlowEntry
-
-	for step := 0; step < 1500; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			e := randomLPMEntry(rng, 1+rng.Intn(6))
-			for _, k := range kinds {
-				if err := tables[k].Insert(e); err != nil {
-					t.Fatalf("step %d: %s insert: %v", step, k, err)
-				}
-			}
-			ref.Insert(e)
-			live = append(live, e)
-		} else {
-			i := rng.Intn(len(live))
-			e := live[i]
-			for _, k := range kinds {
-				if err := tables[k].Remove(e); err != nil {
-					t.Fatalf("step %d: %s remove: %v", step, k, err)
-				}
-			}
-			if !ref.Remove(e) {
-				t.Fatalf("step %d: reference lost entry %v", step, e)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-
-		for probe := 0; probe < 4; probe++ {
-			h := randomHeader(rng, live)
-			want, wok := ref.Classify(h)
-			for _, k := range kinds {
-				got, ok := tables[k].Classify(h)
-				if ok != wok {
-					t.Fatalf("step %d: %s matched=%v, reference=%v (dst %08x)", step, k, ok, wok, h.IPv4Dst)
-				}
-				if !ok {
-					continue
-				}
-				if got.Priority != want.Priority {
-					t.Fatalf("step %d: %s priority=%d, reference=%d (dst %08x)", step, k, got.Priority, want.Priority, h.IPv4Dst)
-				}
-				if !reflect.DeepEqual(got.Instructions, want.Instructions) {
-					t.Fatalf("step %d: %s instructions=%v, reference=%v", step, k, got.Instructions, want.Instructions)
-				}
-			}
-		}
-	}
-	if tables[BackendDIR24].backend.(*dir24Backend).Spills() == 0 {
-		t.Fatal("degenerate churn: the differential never exercised a spill chunk")
-	}
-}
-
 // TestDIR24LPMWinnerSemantics pins the workload encoding the scheme
 // exists for: priorities equal to prefix lengths make dir24 a
 // longest-prefix matcher, including inside one spilled slot.
@@ -262,77 +177,6 @@ func TestDIR24WildcardAndShortPrefixes(t *testing.T) {
 	}
 }
 
-// TestDIR24TxDifferential drives dir24 and mbt pipelines over the same
-// single-LPM-field table through identical random flow-mod batches —
-// add-replace, non-strict modify/delete, strict delete — and requires
-// byte-identical TxResults and Execute results.
-func TestDIR24TxDifferential(t *testing.T) {
-	rng := xrand.New(8124)
-	kinds := []string{BackendMBT, BackendDIR24}
-	pipes := make(map[string]*Pipeline, len(kinds))
-	for _, k := range kinds {
-		p := NewPipeline()
-		cfg := lpmTableConfig()
-		cfg.Backend = k
-		if _, err := p.AddTable(cfg); err != nil {
-			t.Fatalf("backend %s: %v", k, err)
-		}
-		pipes[k] = p
-	}
-
-	var pool []*openflow.FlowEntry
-	for i := 0; i < 64; i++ {
-		pool = append(pool, randomLPMEntry(rng, 1+rng.Intn(6)))
-	}
-	for round := 0; round < 80; round++ {
-		var cmds []FlowCmd
-		for n := 0; n < 1+rng.Intn(8); n++ {
-			e := pool[rng.Intn(len(pool))]
-			switch rng.Intn(4) {
-			case 0, 1:
-				cmds = append(cmds, FlowCmd{Op: CmdAdd, Table: 0, Entry: *e})
-			case 2:
-				mod := e.Clone()
-				mod.Instructions = []openflow.Instruction{
-					openflow.WriteActions(openflow.Output(uint32(1 + rng.Intn(64)))),
-				}
-				cmds = append(cmds, FlowCmd{Op: CmdModify, Table: 0, Entry: *mod})
-			default:
-				cmds = append(cmds, FlowCmd{Op: CmdDelete, Table: 0, Entry: openflow.FlowEntry{Matches: e.Matches}})
-			}
-		}
-		var want TxResult
-		for i, k := range kinds {
-			tx := pipes[k].Begin()
-			for _, c := range cmds {
-				tx.FlowMod(c)
-			}
-			res, err := tx.Commit()
-			if err != nil {
-				t.Fatalf("round %d: %s commit: %v", round, k, err)
-			}
-			if i == 0 {
-				want = res
-			} else if res.Counts() != want.Counts() {
-				t.Fatalf("round %d: %s tx result %+v, want %+v", round, k, res, want)
-			}
-		}
-		for probe := 0; probe < 16; probe++ {
-			h := randomHeader(rng, pool)
-			var first Result
-			for i, k := range kinds {
-				hc := *h
-				res := pipes[k].Execute(&hc)
-				if i == 0 {
-					first = res
-				} else if !reflect.DeepEqual(res, first) {
-					t.Fatalf("round %d: %s result %+v, %s result %+v", round, k, res, kinds[0], first)
-				}
-			}
-		}
-	}
-}
-
 // TestDIR24SpillLifecycle pins the spill-chunk state machine and its
 // accounting: a slot spills when its first >/24 prefix arrives, the
 // chunk is billed in IndexBits while live, and it collapses back to a
@@ -422,7 +266,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 	var live []*openflow.FlowEntry
 	for i := 0; i < 200; i++ {
 		e := randomLPMEntry(rng, 1+rng.Intn(6))
-		if err := b.Insert(e); err != nil {
+		if err := b.Insert(e, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, e)
@@ -451,7 +295,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 	var fresh []*openflow.FlowEntry
 	for i := 0; i < 200; i++ {
 		e := randomLPMEntry(rng, 1+rng.Intn(6))
-		if err := b.Insert(e); err != nil {
+		if err := b.Insert(e, uint64(200+i)); err != nil {
 			t.Fatal(err)
 		}
 		fresh = append(fresh, e)
@@ -604,75 +448,5 @@ func TestDIR24BudgetRejectsGrowth(t *testing.T) {
 	}
 	if post := p.MemoryStats(); !reflect.DeepEqual(pre, post) {
 		t.Fatalf("MemoryStats changed across a rejected commit:\npre:  %+v\npost: %+v", pre, post)
-	}
-}
-
-// TestDIR24MegaflowDifferential is the dir24 arm of the megaflow
-// correctness contract (the two-table arm runs shapes dir24 cannot
-// serve): with the wildcard tier fronting a single dir24 LPM table, a
-// cached pipeline must return identical results to an uncached
-// reference for every probe across prefix churn. This is what the
-// consulted-bits trace (24-bit index read, full-width spill probe)
-// must get right — an under-marked trace serves wrong cached results
-// here.
-func TestDIR24MegaflowDifferential(t *testing.T) {
-	build := func(mega int) *Pipeline {
-		p := NewPipeline()
-		cfg := lpmTableConfig()
-		cfg.Backend = BackendDIR24
-		if _, err := p.AddTable(cfg); err != nil {
-			t.Fatal(err)
-		}
-		p.SetCacheSize(0)
-		p.SetMegaflowSize(mega)
-		return p
-	}
-	mega, ref := build(1<<10), build(0)
-	rng := xrand.New(6024)
-
-	var live []*openflow.FlowEntry
-	var history []openflow.Header
-	for step := 0; step < 60; step++ {
-		txm, txr := mega.Begin(), ref.Begin()
-		for c := 0; c < 1+rng.Intn(3); c++ {
-			if len(live) == 0 || rng.Float64() < 0.6 {
-				e := randomLPMEntry(rng, 1+rng.Intn(6))
-				txm.Add(0, e)
-				txr.Add(0, e)
-				live = append(live, e)
-			} else {
-				i := rng.Intn(len(live))
-				e := live[i]
-				txm.DeleteStrict(0, e.Priority, e.Matches...)
-				txr.DeleteStrict(0, e.Priority, e.Matches...)
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			}
-		}
-		if _, err := txm.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := txr.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		for probe := 0; probe < 20; probe++ {
-			h := randomHeader(rng, live)
-			h.EthType = 0x0800
-			history = append(history, *h)
-		}
-		if len(history) > 400 {
-			history = history[len(history)-400:]
-		}
-		for i := range history {
-			hm, hr := history[i], history[i]
-			got, want := mega.Execute(&hm), ref.Execute(&hr)
-			if !sameResult(got, want) {
-				t.Fatalf("step %d probe %d: megaflow %+v, reference %+v (dst %08x)",
-					step, i, got, want, history[i].IPv4Dst)
-			}
-		}
-	}
-	if st := mega.MegaflowStats(); st.Hits == 0 {
-		t.Error("differential trace produced no megaflow hits")
 	}
 }

@@ -97,7 +97,7 @@ func (b *mbtBackend) searcher(f openflow.FieldID) (FieldSearcher, bool) {
 // Insert implements Backend: acquire a label per field, bind the
 // combination key, reference the instruction set. A failure on any stage
 // rolls back the stages already applied.
-func (b *mbtBackend) Insert(e *openflow.FlowEntry) error {
+func (b *mbtBackend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	key := make([]label.Label, len(b.searchers))
 	for i, s := range b.searchers {
 		lab, err := s.Insert(matchFor(e, s.Field()))
@@ -111,7 +111,7 @@ func (b *mbtBackend) Insert(e *openflow.FlowEntry) error {
 		key[i] = lab
 	}
 	actionIdx := b.actions.Add(e.Instructions)
-	if err := b.combos.Insert(key, crossprod.Binding{Priority: e.Priority, Payload: actionIdx, Ref: e.Ref}); err != nil {
+	if err := b.combos.Insert(key, crossprod.Binding{Priority: e.Priority, Payload: actionIdx, Ref: e.Ref}, seq); err != nil {
 		_ = b.actions.Release(actionIdx)
 		for _, s := range b.searchers {
 			_ = s.Remove(matchFor(e, s.Field()))

@@ -19,8 +19,7 @@ import (
 type tcamBackend struct {
 	cfg     TableConfig
 	fields  []openflow.FieldID
-	entries []*tcamEntry // priority descending, installation order on ties
-	nextSeq uint64
+	entries []*tcamEntry // priority descending, install sequence on ties
 
 	// rows is the expanded ternary row count (Σ per-entry range
 	// expansions) behind the incremental accounting.
@@ -89,17 +88,16 @@ func expansionOf(e *openflow.FlowEntry) int {
 
 // Insert implements Backend: place the entry at its priority-ordered
 // position — the shift an ordered TCAM update pays for.
-func (b *tcamBackend) Insert(e *openflow.FlowEntry) error {
+func (b *tcamBackend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	if err := checkFieldKinds(b.cfg.ID, e); err != nil {
 		return err
 	}
-	ent := &tcamEntry{seq: b.nextSeq, expanded: expansionOf(e), entry: *e}
-	b.nextSeq++
-	// First index with strictly lower priority: existing equal-priority
-	// entries keep their earlier positions, preserving installation-order
-	// tie-breaks.
+	ent := &tcamEntry{seq: seq, expanded: expansionOf(e), entry: *e}
+	// First index the entry outranks: lower priority, or equal priority
+	// and a later sequence.
 	i := sort.Search(len(b.entries), func(i int) bool {
-		return b.entries[i].entry.Priority < e.Priority
+		o := b.entries[i]
+		return o.entry.Priority < e.Priority || o.entry.Priority == e.Priority && o.seq > seq
 	})
 	b.entries = append(b.entries, nil)
 	copy(b.entries[i+1:], b.entries[i:])
@@ -111,8 +109,7 @@ func (b *tcamBackend) Insert(e *openflow.FlowEntry) error {
 // Remove implements Backend: uninstall the earliest-installed entry with
 // the same canonical identity.
 func (b *tcamBackend) Remove(e *openflow.FlowEntry) error {
-	// The array is ordered by (priority desc, installation asc), so the
-	// first identity match is the earliest installed.
+	// Identities are unique in a table: the first match is the entry.
 	found := -1
 	for i, ent := range b.entries {
 		if entryIdentityEqual(&ent.entry, e) {
@@ -153,10 +150,9 @@ func (b *tcamBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, boo
 // rule, the O(rules) publish the paged backends no longer pay.
 func (b *tcamBackend) Publish() Backend {
 	c := &tcamBackend{
-		cfg:     b.cfg,
-		fields:  b.fields,
-		nextSeq: b.nextSeq,
-		rows:    b.rows,
+		cfg:    b.cfg,
+		fields: b.fields,
+		rows:   b.rows,
 	}
 	if len(b.entries) > 0 {
 		c.entries = append([]*tcamEntry(nil), b.entries...)

@@ -29,8 +29,7 @@ type tssBackend struct {
 	order  []*tssTuple // probe order (creation order, deterministic)
 	spill  []*tssEntry // rules with non-hashable range constraints
 
-	nextSeq uint64
-	rules   int
+	rules int
 
 	// Incremental memory accounting, maintained on every insert/remove so
 	// Stats is O(1). searchBits covers hashed entries and the ternary
@@ -53,8 +52,8 @@ const tssShapeWild = 0xFF
 // tssDirEntryBits-included tuple pointer width.
 const tssEntryRefBits = 32
 
-// tssEntry is one installed rule: the canonical entry plus its
-// installation sequence (the priority tie-breaker).
+// tssEntry is one installed rule: the canonical entry plus its install
+// sequence (the priority tie-breaker).
 type tssEntry struct {
 	seq   uint64
 	entry openflow.FlowEntry
@@ -190,11 +189,11 @@ func (b *tssBackend) dirEntryBits() int {
 }
 
 // Insert implements Backend.
-func (b *tssBackend) Insert(e *openflow.FlowEntry) error {
+func (b *tssBackend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	if err := checkFieldKinds(b.cfg.ID, e); err != nil {
 		return err
 	}
-	ent := &tssEntry{seq: b.nextSeq, entry: *e}
+	ent := &tssEntry{seq: seq, entry: *e}
 	var shapeBuf [32]byte
 	shape, hashable := b.shapeOf(e, shapeBuf[:0])
 	if !hashable {
@@ -217,7 +216,6 @@ func (b *tssBackend) Insert(e *openflow.FlowEntry) error {
 		tp.n++
 		b.searchBits += uint64(tp.keyBits + tssEntryRefBits)
 	}
-	b.nextSeq++
 	b.rules++
 	b.actionBits += memmodel.ActionEntryBits
 	return nil
@@ -355,7 +353,6 @@ func (b *tssBackend) Publish() Backend {
 		fields:     b.fields,
 		tuples:     make(map[string]*tssTuple, len(b.tuples)),
 		order:      make([]*tssTuple, 0, len(b.order)),
-		nextSeq:    b.nextSeq,
 		rules:      b.rules,
 		searchBits: b.searchBits,
 		indexBits:  b.indexBits,
@@ -398,10 +395,18 @@ func (b *tssBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
 // Tuples returns the live tuple count — the probe fan-out of one lookup.
 func (b *tssBackend) Tuples() int { return len(b.tuples) }
 
-// AccountingCheckpoint implements Backend. The tss accounting is fully
-// reversible under Insert/Remove (it counts live structures, no
-// high-water marks), so rejected transactions need nothing restored.
-func (b *tssBackend) AccountingCheckpoint() BackendCheckpoint { return nil }
+// AccountingCheckpoint implements Backend: the tuple count. Entries are
+// counted live, but a tuple persists once created (the provisioned
+// directory), so the tuples a rejected transaction created — empty
+// again after its rollback — are dropped on restore.
+func (b *tssBackend) AccountingCheckpoint() BackendCheckpoint { return len(b.order) }
 
-// RestoreAccounting implements Backend (no-op; see AccountingCheckpoint).
-func (b *tssBackend) RestoreAccounting(BackendCheckpoint) {}
+// RestoreAccounting implements Backend.
+func (b *tssBackend) RestoreAccounting(cp BackendCheckpoint) {
+	n := cp.(int)
+	for _, tp := range b.order[n:] {
+		delete(b.tuples, tp.shape)
+		b.indexBits -= uint64(b.dirEntryBits())
+	}
+	b.order = b.order[:n]
+}

@@ -133,8 +133,7 @@ func (cfg *PipelineConfig) Build() (*Pipeline, error) {
 
 // BuildWithDefault instantiates the configured pipeline with a fallback
 // lookup backend (e.g. a -backend flag): per-table "backend" properties
-// win, then the document's "backend", then the given default, then the
-// process default ($OFMTL_BACKEND or mbt).
+// win, then the document's "backend", then the given default, then mbt.
 func (cfg *PipelineConfig) BuildWithDefault(backend string) (*Pipeline, error) {
 	p := NewPipeline()
 	def := cfg.Backend

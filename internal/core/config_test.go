@@ -42,14 +42,14 @@ func TestParsePipelineConfig(t *testing.T) {
 		t.Errorf("table 3 miss = %+v", t3.Miss())
 	}
 	// The built pipeline actually classifies.
-	if err := p.Insert(0, &openflow.FlowEntry{
+	if _, err := p.Begin().Add(0, &openflow.FlowEntry{
 		Priority: 1,
 		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, 7)},
 		Instructions: []openflow.Instruction{
 			openflow.WriteMetadata(7, ^uint64(0)),
 			openflow.GotoTable(1),
 		},
-	}); err != nil {
+	}).Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,17 +96,17 @@ func TestPrototypeConfigRoundTrip(t *testing.T) {
 		t.Fatalf("prototype tables = %d", got)
 	}
 	// It accepts the builder-generated flows: install one MAC rule pair.
-	if err := p.Insert(0, &openflow.FlowEntry{
+	if _, err := p.Begin().Add(0, &openflow.FlowEntry{
 		Priority: 1,
 		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, 9)},
 		Instructions: []openflow.Instruction{
 			openflow.WriteMetadata(9, ^uint64(0)),
 			openflow.GotoTable(1),
 		},
-	}); err != nil {
+	}).Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(1, &openflow.FlowEntry{
+	if _, err := p.Begin().Add(1, &openflow.FlowEntry{
 		Priority: 1,
 		Matches: []openflow.Match{
 			openflow.Exact(openflow.FieldMetadata, 9),
@@ -115,7 +115,7 @@ func TestPrototypeConfigRoundTrip(t *testing.T) {
 		Instructions: []openflow.Instruction{
 			openflow.WriteActions(openflow.Output(4)),
 		},
-	}); err != nil {
+	}).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	res := p.Execute(&openflow.Header{VLANID: 9, EthDst: 0xDEAD})

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
@@ -51,203 +50,6 @@ func sameResult(a, b Result) bool {
 	return true
 }
 
-// churnEntries builds a deterministic pool of second-table flow entries
-// to insert and remove during the differential churn rounds.
-func churnEntries(n int, f *filterset.MACFilter) []*openflow.FlowEntry {
-	entries := make([]*openflow.FlowEntry, 0, n)
-	for i := 0; i < n; i++ {
-		vlan := f.Rules[i%len(f.Rules)].VLAN
-		entries = append(entries, &openflow.FlowEntry{
-			Priority: 7,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(vlan)),
-				openflow.Exact(openflow.FieldEthDst, 0x00F000000000|uint64(i)),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(uint32(1000 + i))),
-			},
-		})
-	}
-	return entries
-}
-
-// TestMicroflowCacheDifferentialUnderChurn mutates a cached and an
-// uncached pipeline in lockstep and asserts — between every burst — that
-// the cached path (single-packet and batch) agrees with the reference
-// walk for every probe. A cache serving a pre-burst Result after the
-// burst would fail immediately.
-func TestMicroflowCacheDifferentialUnderChurn(t *testing.T) {
-	f, cached, ref := mirroredMACPipelines(t, 1<<12)
-	// A skewed trace, so most probes are cache hits by round two.
-	trace := traffic.ZipfMix(traffic.MACTrace(f, 96, 0.9, 5), 600, 1.1, 7)
-	entries := churnEntries(24, f)
-	hs := make([]*openflow.Header, len(trace))
-	scratch := make([]openflow.Header, len(trace))
-	var res []Result
-
-	check := func(round int) {
-		t.Helper()
-		for i := range trace {
-			hc, hr := trace[i], trace[i]
-			got := cached.Execute(&hc)
-			want := ref.Execute(&hr)
-			if !sameResult(got, want) {
-				t.Fatalf("round %d probe %d: cached %+v, reference %+v", round, i, got, want)
-			}
-		}
-		for i := range trace {
-			scratch[i] = trace[i]
-			hs[i] = &scratch[i]
-		}
-		res = cached.ExecuteBatchInto(hs, res)
-		for i := range trace {
-			hr := trace[i]
-			if want := ref.Execute(&hr); !sameResult(res[i], want) {
-				t.Fatalf("round %d batch probe %d: cached %+v, reference %+v", round, i, res[i], want)
-			}
-		}
-	}
-
-	check(0)
-	for round := 1; round <= 4; round++ {
-		for i, e := range entries {
-			if (i+round)%2 == 0 {
-				continue
-			}
-			if err := cached.Insert(1, e); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Insert(1, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(round)
-		for i, e := range entries {
-			if (i+round)%2 == 0 {
-				continue
-			}
-			if err := cached.Remove(1, e); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Remove(1, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(round)
-	}
-	if st := cached.CacheStats(); st.Hits == 0 {
-		t.Error("skewed differential trace should produce cache hits")
-	}
-}
-
-// TestMicroflowCacheConcurrentChurn runs cached readers (Execute and
-// ExecuteBatchInto) against a writer toggling a flow entry, under the
-// race detector. Headers untouched by the toggled rule must keep their
-// steady outcome whichever snapshot a reader observes.
-func TestMicroflowCacheConcurrentChurn(t *testing.T) {
-	f, err := filterset.GenerateMAC("bbrb", filterset.DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := BuildMAC(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetCacheSize(1 << 12)
-	p.Refresh()
-
-	trace := traffic.ZipfMix(traffic.MACTrace(f, 128, 1.0, 3), 512, 1.1, 9)
-	want := make([]Result, len(trace))
-	for i := range trace {
-		h := trace[i]
-		want[i] = p.Execute(&h)
-	}
-
-	toggled := &openflow.FlowEntry{
-		Priority: 5,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(f.Rules[0].VLAN)),
-			openflow.Exact(openflow.FieldEthDst, 0x00FFEEDDCCBB),
-		},
-		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(99))},
-	}
-
-	stop := make(chan struct{})
-	var writerWg sync.WaitGroup
-	writerWg.Add(1)
-	var churnErr error
-	go func() {
-		defer writerWg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var err error
-			if i%2 == 0 {
-				err = p.Insert(1, toggled)
-			} else {
-				err = p.Remove(1, toggled)
-			}
-			if err != nil {
-				churnErr = err
-				return
-			}
-			// Pace the churn like a hot control plane (~100µs/update)
-			// instead of forcing a snapshot re-clone per probe.
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-
-	const readers = 4
-	errs := make(chan string, readers)
-	var readerWg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		readerWg.Add(1)
-		go func(r int) {
-			defer readerWg.Done()
-			var res []Result
-			hs := make([]*openflow.Header, 64)
-			scratch := make([]openflow.Header, 64)
-			for iter := 0; iter < 20; iter++ {
-				for i := range trace {
-					h := trace[i]
-					if got := p.Execute(&h); !sameResult(got, want[i]) {
-						errs <- "single-packet result drifted under churn"
-						return
-					}
-				}
-				for j := range hs {
-					idx := (iter*64 + j + r) % len(trace)
-					scratch[j] = trace[idx]
-					hs[j] = &scratch[j]
-				}
-				res = p.ExecuteBatchInto(hs, res)
-				for j := range hs {
-					idx := (iter*64 + j + r) % len(trace)
-					if !sameResult(res[j], want[idx]) {
-						errs <- "batch result drifted under churn"
-						return
-					}
-				}
-			}
-		}(r)
-	}
-
-	readerWg.Wait()
-	close(stop)
-	writerWg.Wait()
-	if churnErr != nil {
-		t.Fatal(churnErr)
-	}
-	select {
-	case msg := <-errs:
-		t.Fatal(msg)
-	default:
-	}
-}
-
 // TestMicroflowCacheInvalidation asserts a flow-mod retires cached
 // results: the same header must observe the pre-insert, post-insert and
 // post-remove outcomes in order, even though each was cached.
@@ -282,16 +84,16 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 			openflow.WriteActions(openflow.Output(31)),
 		},
 	}
-	if err := p.Insert(0, e0); err != nil {
+	if _, err := p.Begin().Add(0, e0).Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(1, e1); err != nil {
+	if _, err := p.Begin().Add(1, e1).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if res := exec(); !res.Matched || len(res.Outputs) != 1 || res.Outputs[0] != 31 {
 		t.Fatalf("stale cached miss survived the insert: %+v", res)
 	}
-	if err := p.Remove(1, e1); err != nil {
+	if _, err := p.Begin().DeleteStrict(1, e1.Priority, e1.Matches...).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if res := exec(); !res.SentToController {

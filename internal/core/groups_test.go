@@ -156,7 +156,7 @@ func TestGroupRefCounting(t *testing.T) {
 	}
 
 	// A flow referencing a missing group is refused outright.
-	if err := p.Insert(0, groupFlow(9, 90, 42)); err == nil || !strings.Contains(err.Error(), "unknown group") {
+	if _, err := p.Begin().Add(0, groupFlow(9, 90, 42)).Commit(); err == nil || !strings.Contains(err.Error(), "unknown group") {
 		t.Fatalf("insert with missing group err = %v, want unknown-group", err)
 	}
 

@@ -34,7 +34,7 @@ func lifecyclePipeline(t *testing.T) *Pipeline {
 
 func mustInsert(t *testing.T, p *Pipeline, e *openflow.FlowEntry) {
 	t.Helper()
-	if err := p.Insert(0, e); err != nil {
+	if _, err := p.Begin().Add(0, e).Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -304,7 +304,7 @@ func TestVisitFlowsPagingAndFilters(t *testing.T) {
 	for i := 0; i < flows; i++ {
 		e := lifecycleEntry(uint32(i+1), i+1, 1)
 		e.Cookie = uint64(i % 2)
-		if err := p.Insert(openflow.TableID(i%2), e); err != nil {
+		if _, err := p.Begin().Add(openflow.TableID(i%2), e).Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,9 +9,7 @@ import (
 
 // megaflowTestPipeline builds a two-table routing-style pipeline (ingress
 // port → metadata, then LPM on the destination) with every table pinned
-// to the given lookup backend and both cache tiers explicitly configured,
-// so the tests are deterministic whatever OFMTL_MEGAFLOW the process
-// inherited.
+// to the given lookup backend and the given cache tier sizes.
 func megaflowTestPipeline(t testing.TB, backend string, micro, mega int) *Pipeline {
 	t.Helper()
 	p := NewPipeline()
@@ -57,121 +55,6 @@ func prefixEntry(port uint32, prefix uint64, plen int, out uint32) *openflow.Flo
 			openflow.Prefix(openflow.FieldIPv4Dst, prefix, plen),
 		},
 		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(out))},
-	}
-}
-
-// TestMegaflowDifferentialUnderChurn is the megaflow tier's correctness
-// contract, per backend: under randomized transactional churn, a
-// megaflow-cached pipeline must return byte-identical Results to an
-// uncached reference walk for every probe — including probes repeated
-// across commits, which a cache serving a stale (or wrongly surviving)
-// entry would fail. Run with -race it also exercises the seqlock
-// publication discipline.
-func TestMegaflowDifferentialUnderChurn(t *testing.T) {
-	for _, kind := range BackendKinds() {
-		t.Run(kind, func(t *testing.T) {
-			if !BackendSupportsFields(kind, []openflow.FieldID{openflow.FieldMetadata, openflow.FieldIPv4Dst}) {
-				t.Skipf("backend %s cannot serve the two-field LPM table; see TestDIR24MegaflowDifferential", kind)
-			}
-			mega := megaflowTestPipeline(t, kind, 0, 1<<10)
-			ref := megaflowTestPipeline(t, kind, 0, 0)
-			rng := xrand.New(6001)
-
-			ports := []uint32{1, 2, 3, 4}
-			for _, port := range ports {
-				for _, p := range []*Pipeline{mega, ref} {
-					if _, err := p.Begin().Add(0, portEntry(port)).Commit(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			var live []*openflow.FlowEntry
-			randomRule := func() *openflow.FlowEntry {
-				plen := 8 + rng.Intn(17) // /8 .. /24
-				prefix := uint64(rng.Uint32()) &^ (1<<(32-plen) - 1)
-				return prefixEntry(ports[rng.Intn(len(ports))], prefix, plen, 100+uint32(rng.Intn(16)))
-			}
-			randomHeader := func() openflow.Header {
-				h := openflow.Header{
-					InPort:  ports[rng.Intn(len(ports))],
-					IPv4Dst: rng.Uint32(),
-					IPv4Src: rng.Uint32(),
-					EthType: 0x0800,
-					IPProto: 6,
-				}
-				if len(live) > 0 && rng.Float64() < 0.7 {
-					// Land under a live prefix with fresh host bits, so
-					// probes share megaflow regions without repeating flows.
-					e := live[rng.Intn(len(live))]
-					for _, m := range e.Matches {
-						if m.Field == openflow.FieldIPv4Dst {
-							keep := uint32(0)
-							if m.PrefixLen > 0 {
-								keep = ^uint32(0) << (32 - m.PrefixLen)
-							}
-							h.IPv4Dst = uint32(m.Value.Lo)&keep | rng.Uint32()&^keep
-						}
-						if m.Field == openflow.FieldMetadata {
-							h.InPort = uint32(m.Value.Lo)
-						}
-					}
-				}
-				return h
-			}
-
-			// history re-probes every previously seen header each round: a
-			// megaflow entry surviving a commit it overlaps shows up here.
-			var history []openflow.Header
-			check := func(step int) {
-				t.Helper()
-				for i := range history {
-					hm, hr := history[i], history[i]
-					got, want := mega.Execute(&hm), ref.Execute(&hr)
-					if !sameResult(got, want) {
-						t.Fatalf("step %d probe %d: megaflow %+v, reference %+v (header %+v)",
-							step, i, got, want, history[i])
-					}
-				}
-			}
-
-			for step := 0; step < 40; step++ {
-				// One transaction per round, carrying a small random mix of
-				// adds and deletes; both pipelines commit identical commands.
-				txm, txr := mega.Begin(), ref.Begin()
-				for c := 0; c < 1+rng.Intn(3); c++ {
-					if len(live) == 0 || rng.Float64() < 0.6 {
-						e := randomRule()
-						txm.Add(1, e)
-						txr.Add(1, e)
-						live = append(live, e)
-					} else {
-						i := rng.Intn(len(live))
-						e := live[i]
-						txm.DeleteStrict(1, e.Priority, e.Matches...)
-						txr.DeleteStrict(1, e.Priority, e.Matches...)
-						live[i] = live[len(live)-1]
-						live = live[:len(live)-1]
-					}
-				}
-				if _, err := txm.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := txr.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				for probe := 0; probe < 20; probe++ {
-					history = append(history, randomHeader())
-				}
-				if len(history) > 400 {
-					history = history[len(history)-400:]
-				}
-				check(step)
-			}
-			if st := mega.MegaflowStats(); st.Hits == 0 {
-				t.Error("differential trace produced no megaflow hits")
-			}
-		})
 	}
 }
 

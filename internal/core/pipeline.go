@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +18,7 @@ import (
 //
 // The pipeline is safe for concurrent use in the reader/writer split the
 // paper's hardware performs in silicon: any number of goroutines may call
-// Execute and ExecuteBatch while others call Insert, Remove and AddTable.
+// Execute and ExecuteBatch while others commit transactions and AddTable.
 // Lookups run lock-free against an immutable copy-on-write snapshot
 // published through an atomic pointer (RCU style); mutations serialise on
 // an internal write lock and invalidate the snapshot, which is
@@ -36,8 +34,7 @@ type Pipeline struct {
 	order  []openflow.TableID
 
 	// defaultBackend is the lookup backend tables receive when their
-	// TableConfig does not pick one; seeded from $OFMTL_BACKEND and
-	// overridable with SetDefaultBackend. Empty selects mbt.
+	// TableConfig does not pick one (SetDefaultBackend). Empty selects mbt.
 	defaultBackend string
 
 	// tablesView is the atomically published table list (pipeline order),
@@ -145,31 +142,24 @@ type Pipeline struct {
 	migrationsFailed atomic.Uint64
 }
 
-// NewPipeline returns an empty pipeline. The default lookup backend for
-// its tables is mbt unless $OFMTL_BACKEND names another scheme; a
-// positive $OFMTL_MEGAFLOW enables the megaflow tier with that many
-// entries (SetMegaflowSize overrides either way).
+// NewPipeline returns an empty pipeline: tables default to the mbt
+// backend and both cache tiers are off.
 func NewPipeline() *Pipeline {
 	p := &Pipeline{
-		tables:         make(map[openflow.TableID]*LookupTable),
-		defaultBackend: defaultBackendFromEnv(),
-		dir:            newFlowDir(),
-		groupTab:       newGroupTable(),
-		lat:            newLatSampler(),
-		tunePolicy:     autotune.DefaultPolicy(),
-		tuneModel:      autotune.DefaultModel(),
+		tables:     make(map[openflow.TableID]*LookupTable),
+		dir:        newFlowDir(),
+		groupTab:   newGroupTable(),
+		lat:        newLatSampler(),
+		tunePolicy: autotune.DefaultPolicy(),
+		tuneModel:  autotune.DefaultModel(),
 	}
 	p.groupsView.Store(emptyGroupView)
-	if n, err := strconv.Atoi(os.Getenv(EnvMegaflow)); err == nil && n > 0 {
-		p.SetMegaflowSize(n)
-	}
 	return p
 }
 
 // SetDefaultBackend selects the lookup backend tables receive when their
-// TableConfig does not pick one explicitly, overriding $OFMTL_BACKEND. It
-// must be called before the affected tables are added; already-built
-// tables keep their backend.
+// TableConfig does not pick one explicitly. It must be called before the
+// affected tables are added; already-built tables keep their backend.
 func (p *Pipeline) SetDefaultBackend(kind string) error {
 	if kind != "" && !ValidBackend(kind) {
 		return fmt.Errorf("core: unknown backend %q (want %v)", kind, BackendKinds())
@@ -232,30 +222,6 @@ func (p *Pipeline) Tables() []openflow.TableID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]openflow.TableID(nil), p.order...)
-}
-
-// Insert installs a flow entry into the identified table. It is the
-// single-command convenience form of the transactional API — equivalent
-// to p.Begin().Add(id, e) followed by Commit — and carries OpenFlow add
-// semantics: an installed entry with the same match set and priority is
-// replaced. It is safe to call concurrently with lookups: in-flight
-// Execute calls keep observing the pre-insert snapshot, and later calls
-// observe the entry.
-func (p *Pipeline) Insert(id openflow.TableID, e *openflow.FlowEntry) error {
-	_, err := p.Begin().Add(id, e).Commit()
-	return err
-}
-
-// Remove uninstalls a flow entry from the identified table: the installed
-// entry with the same matches, priority and instructions is removed, and
-// removing a missing entry is an error. This is the legacy strict
-// single-entry form; match-based (non-strict) deletion is Tx.Delete. Like
-// Insert, it is safe to call concurrently with lookups.
-func (p *Pipeline) Remove(id openflow.TableID, e *openflow.FlowEntry) error {
-	tx := p.Begin()
-	tx.FlowMod(FlowCmd{Op: CmdRemoveExact, Table: id, Entry: *e})
-	_, err := tx.Commit()
-	return err
 }
 
 // TxCounters returns the pipeline's accumulated transaction telemetry:

@@ -194,10 +194,10 @@ func TestEmptyPipeline(t *testing.T) {
 	if !res.SentToController {
 		t.Error("empty pipeline should send to controller")
 	}
-	if err := p.Insert(0, &openflow.FlowEntry{}); err == nil {
+	if _, err := p.Begin().Add(0, &openflow.FlowEntry{}).Commit(); err == nil {
 		t.Error("insert into missing table should error")
 	}
-	if err := p.Remove(0, &openflow.FlowEntry{}); err == nil {
+	if _, err := p.Begin().Delete(0).Commit(); err == nil {
 		t.Error("remove from missing table should error")
 	}
 }
@@ -307,9 +307,6 @@ func TestMemoryReportShape(t *testing.T) {
 	if r.TotalBits <= 0 || r.Blocks <= 0 {
 		t.Fatalf("degenerate memory report: %+v", r)
 	}
-	if tbl, ok := p.Table(0); ok && tbl.Backend() != BackendMBT {
-		t.Skipf("trie-level components exist only under the mbt backend, pipeline runs %s", tbl.Backend())
-	}
 	// The report must contain trie levels for the Ethernet field (3
 	// partitions × 3 levels) and the IPv4 field (2 × 3).
 	trieLevels := 0
@@ -320,5 +317,41 @@ func TestMemoryReportShape(t *testing.T) {
 	}
 	if trieLevels != 15 {
 		t.Errorf("trie level components = %d, want 15 (3x3 Ethernet + 2x3 IPv4)", trieLevels)
+	}
+}
+
+// TestDirectTableMutationVisible verifies the generation-counter path:
+// rules inserted directly through a *LookupTable handle (the builders'
+// single-threaded pattern) are picked up by the next Execute without an
+// explicit Refresh.
+func TestDirectTableMutationVisible(t *testing.T) {
+	p := NewPipeline()
+	tbl, err := p.AddTable(TableConfig{
+		ID:     0,
+		Fields: []openflow.FieldID{openflow.FieldVLANID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &openflow.Header{VLANID: 9}
+	if res := p.Execute(h); res.Matched {
+		t.Fatalf("empty pipeline matched: %+v", res)
+	}
+	e := &openflow.FlowEntry{
+		Priority:     1,
+		Matches:      []openflow.Match{openflow.Exact(openflow.FieldVLANID, 9)},
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(3))},
+	}
+	if err := tbl.Insert(e); err != nil {
+		t.Fatal(err)
+	}
+	if res := p.Execute(&openflow.Header{VLANID: 9}); !res.Matched || len(res.Outputs) != 1 || res.Outputs[0] != 3 {
+		t.Errorf("direct insert not visible through snapshot: %+v", res)
+	}
+	if err := tbl.Remove(e); err != nil {
+		t.Fatal(err)
+	}
+	if res := p.Execute(&openflow.Header{VLANID: 9}); res.Matched {
+		t.Errorf("direct remove not visible through snapshot: %+v", res)
 	}
 }

@@ -154,7 +154,7 @@ func (s *PrefixFieldSearcher) Insert(m openflow.Match) (label.Label, error) {
 		}
 		key[p.Index] = partLab
 	}
-	if err := s.combos.Insert(key, crossprod.Binding{Priority: fk.plen, Payload: uint32(fieldLab)}); err != nil {
+	if err := s.combos.Insert(key, crossprod.Binding{Priority: fk.plen, Payload: uint32(fieldLab)}, 0); err != nil {
 		s.rollbackParts(split, s.nparts)
 		_, _ = s.fields.Release(fk)
 		return 0, fmt.Errorf("core: inserting %s combination: %w", s.field, err)

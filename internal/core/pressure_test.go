@@ -96,7 +96,6 @@ func TestPressureRegrow(t *testing.T) {
 // themselves are dropped for re-learning.
 func TestPressureCounterCarry(t *testing.T) {
 	p := budgetTable(t, "", 0)
-	p.SetMegaflowSize(0) // an $OFMTL_MEGAFLOW tier would shed before the microflow cache
 	p.SetCacheSize(2 * microflowFloorEntries)
 	used := fillRules(t, p, 0, 8)
 
@@ -128,7 +127,6 @@ func TestPressureCounterCarry(t *testing.T) {
 // the stale depth instead of growing anything.
 func TestPressureStaleDepthClears(t *testing.T) {
 	p := budgetTable(t, "", 0)
-	p.SetMegaflowSize(0) // an $OFMTL_MEGAFLOW tier would shed before the microflow cache
 	p.SetCacheSize(2 * microflowFloorEntries)
 	used := fillRules(t, p, 0, 8)
 	p.SetMemoryBudget(used) // sheds one microflow halving, level 1

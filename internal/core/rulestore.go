@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 
 	"ofmtl/internal/openflow"
@@ -119,48 +120,44 @@ func (rs *ruleStore) add(e *openflow.FlowEntry) *storedRule {
 	return sr
 }
 
-// findExact locates the first stored rule whose priority, canonical
-// match set and instructions all equal the canonical entry's — the
-// legacy single-entry Remove identity.
-func (rs *ruleStore) findExact(canon *openflow.FlowEntry) (uint64, int, bool) {
-	h := strictHash(canon.Priority, canon.Matches)
-	for i, sr := range rs.buckets[h] {
+// findExact returns the stored rule whose priority, canonical match set
+// and instructions all equal the canonical entry's — the single-entry
+// Remove identity — or nil.
+func (rs *ruleStore) findExact(canon *openflow.FlowEntry) *storedRule {
+	for _, sr := range rs.buckets[strictHash(canon.Priority, canon.Matches)] {
 		if sr.entry.Priority == canon.Priority &&
 			matchesEqual(sr.entry.Matches, canon.Matches) &&
 			reflect.DeepEqual(sr.entry.Instructions, canon.Instructions) {
-			return h, i, true
+			return sr
 		}
 	}
-	return h, 0, false
+	return nil
 }
 
-// remove unlinks a specific stored rule (by identity), reporting whether
-// it was present.
-func (rs *ruleStore) remove(target *storedRule) bool {
-	for i, sr := range rs.buckets[target.hash] {
-		if sr == target {
-			rs.unlink(target.hash, i)
-			return true
-		}
-	}
-	return false
-}
-
-func (rs *ruleStore) unlink(h uint64, i int) {
-	b := rs.buckets[h]
-	b = append(b[:i], b[i+1:]...)
+// remove unlinks a specific stored rule (by identity).
+func (rs *ruleStore) remove(target *storedRule) {
+	b := slices.DeleteFunc(rs.buckets[target.hash], func(sr *storedRule) bool { return sr == target })
 	if len(b) == 0 {
-		delete(rs.buckets, h)
+		delete(rs.buckets, target.hash)
 	} else {
-		rs.buckets[h] = b
+		rs.buckets[target.hash] = b
 	}
 	rs.count--
 }
 
+// relink puts back a rule remove took out, keeping its sequence number
+// and its bucket's ascending sequence order.
+func (rs *ruleStore) relink(sr *storedRule) {
+	b := rs.buckets[sr.hash]
+	i := sort.Search(len(b), func(i int) bool { return b[i].seq > sr.seq })
+	rs.buckets[sr.hash] = slices.Insert(b, i, sr)
+	rs.count++
+}
+
 // strictSelect returns the stored rules whose strict identity (priority +
 // canonical match set) equals the entry's and that pass the cookie
-// filter, in installation order — buckets are append-only and unlinking
-// preserves order, so a bucket scan already yields ascending seq.
+// filter, in installation order — add appends, remove preserves order
+// and relink inserts in place, so a bucket scan yields ascending seq.
 // Instructions play no role — OpenFlow strict matching identifies an
 // entry by match and priority alone.
 func (rs *ruleStore) strictSelect(e *openflow.FlowEntry, cookie, mask uint64) []*storedRule {

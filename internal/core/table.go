@@ -262,11 +262,18 @@ func (t *LookupTable) Memory() TableMemory { return *t.stats.Load() }
 // structures reference the stored copy, so callers (e.g. wire decoders)
 // may reuse the entry's slices immediately.
 func (t *LookupTable) Insert(e *openflow.FlowEntry) error {
+	_, err := t.insert(e)
+	return err
+}
+
+// insert installs e as a new rule — a fresh install sequence and
+// lifecycle record — and returns its stored form.
+func (t *LookupTable) insert(e *openflow.FlowEntry) (*storedRule, error) {
 	if err := e.Validate(); err != nil {
-		return fmt.Errorf("core: table %d insert: %w", t.cfg.ID, err)
+		return nil, fmt.Errorf("core: table %d insert: %w", t.cfg.ID, err)
 	}
 	if err := t.checkCoverage(e); err != nil {
-		return err
+		return nil, err
 	}
 	// A rule constraining more than the designated LPM field cannot be
 	// represented by a dir24 incumbent. Under auto the table migrates
@@ -274,30 +281,38 @@ func (t *LookupTable) Insert(e *openflow.FlowEntry) error {
 	// store before this insert proceeds — instead of erroring.
 	if t.auto && t.entryBlocksDIR24(e) && t.backend.Kind() == BackendDIR24 {
 		if err := t.migrateOffDIR24(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	sr := t.store.add(e)
-	if t.groups != nil {
-		if err := t.groups.acquire(sr.entry.Instructions); err != nil {
-			t.store.remove(sr)
-			return err
-		}
-	}
 	// The lifecycle ref is stamped into the stored entry BEFORE the
 	// backend insert: backends copy the entry by value, so the ref must be
 	// present when the copy is taken for lookups to attribute matches.
 	if t.dir != nil {
 		sr.entry.Ref = t.dir.alloc(&sr.entry, t.cfg.ID, sr.entry.IdleTimeout, sr.entry.HardTimeout)
 	}
-	if err := t.backend.Insert(&sr.entry); err != nil {
+	if err := t.link(sr); err != nil {
 		if t.dir != nil {
 			t.dir.free(sr.entry.Ref)
 		}
+		t.store.remove(sr)
+		return nil, err
+	}
+	return sr, nil
+}
+
+// link puts a stored rule into the data plane: its group references and
+// its backend entry, under the rule's own install sequence.
+func (t *LookupTable) link(sr *storedRule) error {
+	if t.groups != nil {
+		if err := t.groups.acquire(sr.entry.Instructions); err != nil {
+			return err
+		}
+	}
+	if err := t.backend.Insert(&sr.entry, sr.seq); err != nil {
 		if t.groups != nil {
 			t.groups.release(sr.entry.Instructions)
 		}
-		t.store.remove(sr)
 		return err
 	}
 	t.rules++
@@ -310,39 +325,52 @@ func (t *LookupTable) Insert(e *openflow.FlowEntry) error {
 // Remove uninstalls a flow entry previously installed with Insert. The
 // entry must carry the same matches, priority and instructions.
 func (t *LookupTable) Remove(e *openflow.FlowEntry) error {
-	if err := t.checkCoverage(e); err != nil {
+	sr, err := t.installed(e)
+	if err != nil {
 		return err
 	}
-	canon := canonicalEntry(e)
-	// The rule store is consulted first: it keys on the exact canonical
-	// identity, where a backend may resolve structurally (the mbt
-	// searchers treat an exact value and a full-width prefix as the same
-	// stored value). Gating on the store keeps every backend's Remove
-	// identity identical and the store in lockstep with the data plane.
-	// The located (bucket, index) stays valid across backend.Remove —
-	// backends never touch the store — so the identity resolves once.
-	h, i, ok := t.store.findExact(&canon)
-	if !ok {
-		return fmt.Errorf("core: table %d remove: entry not installed", t.cfg.ID)
-	}
-	// The backend removal goes through the STORED entry, not the caller's:
-	// backends that index on the full entry value (mbt bindings) took their
-	// copy with the lifecycle ref stamped in, so only the stored identity
-	// matches what they hold.
-	sr := t.store.buckets[h][i]
-	if err := t.backend.Remove(&sr.entry); err != nil {
+	if err := t.unlink(sr); err != nil {
 		return err
 	}
 	if t.dir != nil {
-		// The ref is retired but left stamped in the unlinked entry:
-		// expiry records map removals back to their sweep candidates by it.
 		t.dir.free(sr.entry.Ref)
+	}
+	return nil
+}
+
+// installed resolves an entry to the stored rule with the same canonical
+// identity: priority, matches and instructions. The rule store is
+// consulted, not the backend: it keys on the exact canonical identity,
+// where a backend may resolve structurally (the mbt searchers treat an
+// exact value and a full-width prefix as the same stored value).
+func (t *LookupTable) installed(e *openflow.FlowEntry) (*storedRule, error) {
+	if err := t.checkCoverage(e); err != nil {
+		return nil, err
+	}
+	canon := canonicalEntry(e)
+	sr := t.store.findExact(&canon)
+	if sr == nil {
+		return nil, fmt.Errorf("core: table %d remove: entry not installed", t.cfg.ID)
+	}
+	return sr, nil
+}
+
+// unlink takes a stored rule out of the store and the data plane. Its
+// lifecycle record stays allocated — the caller frees it, or reinstates
+// the rule — and its ref stays stamped in the entry: expiry records map
+// removals back to their sweep candidates by it.
+func (t *LookupTable) unlink(sr *storedRule) error {
+	// The backend removal goes through the STORED entry: backends that
+	// index on the full entry value (mbt bindings) took their copy with
+	// the lifecycle ref stamped in.
+	if err := t.backend.Remove(&sr.entry); err != nil {
+		return err
 	}
 	if t.groups != nil {
 		t.groups.release(sr.entry.Instructions)
 	}
 	t.trackShape(&sr.entry, -1)
-	t.store.unlink(h, i)
+	t.store.remove(sr)
 	t.rules--
 	t.gen.Add(1)
 	t.publishStats()

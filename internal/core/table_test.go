@@ -9,14 +9,12 @@ import (
 	"ofmtl/internal/xrand"
 )
 
-// mbtOf asserts the table runs the default mbt backend and returns it, so
-// tests of mbt-internal invariants skip cleanly when the suite runs under
-// an $OFMTL_BACKEND matrix entry selecting another scheme.
+// mbtOf returns the table's mbt backend, for tests of mbt internals.
 func mbtOf(t *testing.T, tbl *LookupTable) *mbtBackend {
 	t.Helper()
 	b, ok := tbl.backend.(*mbtBackend)
 	if !ok {
-		t.Skipf("test asserts mbt internals; table runs the %s backend", tbl.Backend())
+		t.Fatalf("table runs the %s backend, not mbt", tbl.Backend())
 	}
 	return b
 }
@@ -383,5 +381,62 @@ func TestActionTableDedup(t *testing.T) {
 	}
 	if at.Peak() != 2 {
 		t.Errorf("Peak = %d, want 2", at.Peak())
+	}
+}
+
+// TestRemoveStructuralTwinRejected pins the Remove identity across
+// backends: an exact-value match is a different identity from a
+// full-width prefix even though the mbt searchers resolve them to the
+// same stored value. Removing the twin must fail uniformly — and must
+// not desync the data plane from the rule store (the non-strict delete
+// afterwards still resolves and applies cleanly).
+func TestRemoveStructuralTwinRejected(t *testing.T) {
+	for _, kind := range BackendKinds() {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			p := NewPipeline()
+			// Per-kind table shape: the shape-restricted dir24 gets its
+			// single-LPM-field table, and the test body matches only on
+			// FieldIPv4Dst so the twin identities exist under either.
+			cfg := backendTableConfig(kind)
+			cfg.Backend = kind
+			tbl, err := p.AddTable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instrs := []openflow.Instruction{openflow.WriteActions(openflow.Output(7))}
+			installed := &openflow.FlowEntry{
+				Priority:     5,
+				Matches:      []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, 0x0A000001, 32)},
+				Instructions: instrs,
+			}
+			if err := tbl.Insert(installed); err != nil {
+				t.Fatal(err)
+			}
+			twin := &openflow.FlowEntry{
+				Priority:     5,
+				Matches:      []openflow.Match{openflow.Exact(openflow.FieldIPv4Dst, 0x0A000001)},
+				Instructions: instrs,
+			}
+			if err := tbl.Remove(twin); err == nil {
+				t.Fatal("Remove accepted a structural twin with a different canonical identity")
+			}
+			if tbl.Rules() != 1 || tbl.store.count != 1 {
+				t.Fatalf("table desynced: rules=%d store=%d", tbl.Rules(), tbl.store.count)
+			}
+			// The installed rule is intact: it still classifies and a
+			// non-strict delete still resolves against the store and
+			// tears it down in the data plane.
+			h := &openflow.Header{IPv4Dst: 0x0A000001}
+			if _, ok := tbl.Classify(h); !ok {
+				t.Fatal("installed rule stopped matching after rejected twin removal")
+			}
+			if _, err := p.Begin().Delete(0).Commit(); err != nil {
+				t.Fatalf("sweep delete after rejected twin removal: %v", err)
+			}
+			if tbl.Rules() != 0 || tbl.store.count != 0 {
+				t.Fatalf("sweep left residue: rules=%d store=%d", tbl.Rules(), tbl.store.count)
+			}
+		})
 	}
 }

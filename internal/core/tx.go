@@ -39,9 +39,9 @@ const (
 	CmdModify
 	CmdDelete
 	CmdDeleteStrict
-	// CmdRemoveExact is the legacy Pipeline.Remove identity: like
-	// DeleteStrict but additionally requiring the instructions to match,
-	// and erroring when no entry does.
+	// CmdRemoveExact removes one exact entry: like DeleteStrict but
+	// additionally requiring the instructions to match, and erroring when
+	// no entry does.
 	CmdRemoveExact
 )
 
@@ -187,11 +187,13 @@ func (tx *Tx) DeleteStrict(id openflow.TableID, priority int, matches ...openflo
 // Commands returns the number of commands queued so far.
 func (tx *Tx) Commands() int { return len(tx.cmds) }
 
-// undoOp records the inverse of one applied primitive operation.
+// undoOp records one applied primitive operation: the transaction
+// installed rule sr (rollback removes it) or removed it (rollback
+// reinstates it, and only a commit frees its lifecycle record).
 type undoOp struct {
-	t      *LookupTable
-	entry  *openflow.FlowEntry
-	insert bool // true: rollback re-inserts entry; false: rollback removes it
+	t       *LookupTable
+	sr      *storedRule
+	removed bool
 }
 
 // Commit validates and applies the transaction atomically: either every
@@ -250,27 +252,25 @@ func (tx *Tx) Commit() (TxResult, error) {
 	// resolves against the rule store as left by its predecessors.
 	res := TxResult{Commands: len(tx.cmds)}
 	var undo []undoOp
+	reject := func(err error) (TxResult, error) {
+		p.rollback(undo)
+		if bc != nil {
+			bc.restoreAccounting()
+		}
+		p.txRejected.Add(1)
+		return TxResult{}, err
+	}
 	for i := range tx.cmds {
 		var err error
 		undo, err = p.applyCmdLocked(&tx.cmds[i], &res, undo)
 		if err != nil {
-			rollback(undo)
-			if bc != nil {
-				bc.restoreAccounting()
-			}
-			p.txRejected.Add(1)
-			return TxResult{}, fmt.Errorf("core: tx command %d (%s): %w", i, tx.cmds[i].Op, err)
+			return reject(fmt.Errorf("core: tx command %d (%s): %w", i, tx.cmds[i].Op, err))
 		}
 	}
 	// Injected commit fault (chaos builds only): exercises the same
 	// rollback path a real post-apply failure would take.
 	if err := failpoint.Inject(failpoint.SiteCommit); err != nil {
-		rollback(undo)
-		if bc != nil {
-			bc.restoreAccounting()
-		}
-		p.txRejected.Add(1)
-		return TxResult{}, fmt.Errorf("core: tx commit: %w", err)
+		return reject(fmt.Errorf("core: tx commit: %w", err))
 	}
 
 	// Admission control: a commit that grew any budgeted accounting past
@@ -280,10 +280,13 @@ func (tx *Tx) Commit() (TxResult, error) {
 	// and lock-free stats readers never observe an over-budget one.
 	if bc != nil {
 		if err := p.checkBudgetsLocked(bc); err != nil {
-			rollback(undo)
-			bc.restoreAccounting()
-			p.txRejected.Add(1)
-			return TxResult{}, err
+			return reject(err)
+		}
+	}
+	// The commit stands: the removed rules' lifecycle records go.
+	for _, op := range undo {
+		if op.removed {
+			p.dir.free(op.sr.entry.Ref)
 		}
 	}
 	p.txCommitted.Add(1)
@@ -309,7 +312,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 		ns := p.rebuildSnapshotLocked()
 		shadows := make([]ruleShadow, len(undo))
 		for i := range undo {
-			shadows[i] = shadowOf(undo[i].entry)
+			shadows[i] = shadowOf(&undo[i].sr.entry)
 		}
 		m.sweep(shadows, prevVer, ns.version)
 	}
@@ -389,41 +392,49 @@ func (p *Pipeline) validateCmdLocked(cmd *FlowCmd) error {
 }
 
 // applyCmdLocked resolves one command against the table's rule store and
-// applies the resulting primitive inserts/removes, extending the undo log
-// with their inverses.
+// applies the resulting primitive inserts/removes, extending the undo log.
 func (p *Pipeline) applyCmdLocked(cmd *FlowCmd, res *TxResult, undo []undoOp) ([]undoOp, error) {
 	t := p.tables[cmd.Table]
+	remove := func(sr *storedRule) error {
+		if err := t.unlink(sr); err != nil {
+			return err
+		}
+		undo = append(undo, undoOp{t: t, sr: sr, removed: true})
+		return nil
+	}
+	insert := func(e *openflow.FlowEntry) error {
+		sr, err := t.insert(e)
+		if err != nil {
+			return err
+		}
+		undo = append(undo, undoOp{t: t, sr: sr})
+		return nil
+	}
 	switch cmd.Op {
 	case CmdAdd:
 		// Displace any entry with the same match set and priority
 		// (cookie-blind, per OFPFC_ADD), then install the new entry.
 		for _, sr := range t.store.strictSelect(&cmd.Entry, 0, 0) {
-			old := &sr.entry
-			if err := t.Remove(old); err != nil {
+			if err := remove(sr); err != nil {
 				return undo, err
 			}
-			undo = append(undo, undoOp{t: t, entry: old, insert: true})
 			res.Replaced++
 		}
-		if err := t.Insert(&cmd.Entry); err != nil {
+		if err := insert(&cmd.Entry); err != nil {
 			return undo, err
 		}
-		undo = append(undo, undoOp{t: t, entry: &cmd.Entry, insert: false})
 		res.Added++
 
 	case CmdModify:
 		for _, sr := range t.store.nonStrictSelect(cmd.Entry.Matches, cmd.Entry.Cookie, cmd.CookieMask) {
-			old := &sr.entry
-			mod := old.Clone()
+			mod := sr.entry.Clone()
 			mod.Instructions = cmd.Entry.Instructions
-			if err := t.Remove(old); err != nil {
+			if err := remove(sr); err != nil {
 				return undo, err
 			}
-			undo = append(undo, undoOp{t: t, entry: old, insert: true})
-			if err := t.Insert(mod); err != nil {
+			if err := insert(mod); err != nil {
 				return undo, err
 			}
-			undo = append(undo, undoOp{t: t, entry: mod, insert: false})
 			res.Modified++
 		}
 
@@ -435,19 +446,20 @@ func (p *Pipeline) applyCmdLocked(cmd *FlowCmd, res *TxResult, undo []undoOp) ([
 			sel = t.store.strictSelect(&cmd.Entry, cmd.Entry.Cookie, cmd.CookieMask)
 		}
 		for _, sr := range sel {
-			old := &sr.entry
-			if err := t.Remove(old); err != nil {
+			if err := remove(sr); err != nil {
 				return undo, err
 			}
-			undo = append(undo, undoOp{t: t, entry: old, insert: true})
 			res.Deleted++
 		}
 
 	case CmdRemoveExact:
-		if err := t.Remove(&cmd.Entry); err != nil {
+		sr, err := t.installed(&cmd.Entry)
+		if err == nil {
+			err = remove(sr)
+		}
+		if err != nil {
 			return undo, err
 		}
-		undo = append(undo, undoOp{t: t, entry: &cmd.Entry, insert: true})
 		res.Deleted++
 
 	case cmdExpire:
@@ -466,32 +478,31 @@ func (p *Pipeline) applyCmdLocked(cmd *FlowCmd, res *TxResult, undo []undoOp) ([
 					break
 				}
 			}
-			old := &sr.entry
-			if err := t.Remove(old); err != nil {
+			if err := remove(sr); err != nil {
 				return undo, err
 			}
-			undo = append(undo, undoOp{t: t, entry: old, insert: true})
 			res.Deleted++
-			res.expired = append(res.expired, expiredRecord{table: cmd.Table, entry: old})
+			res.expired = append(res.expired, expiredRecord{table: cmd.Table, entry: &sr.entry})
 			break
 		}
 	}
 	return undo, nil
 }
 
-// rollback reverts applied primitives in reverse order. The inverses
-// operate on entries the rule store no longer aliases (removed rules keep
-// their canonical copies alive through the undo log), so reverting cannot
+// rollback reverts applied primitives in reverse order: installed rules
+// leave (freeing their lifecycle records), removed ones return as they
+// were — same install sequence, same lifecycle record. Reverting cannot
 // fail for content reasons; an impossible failure is surfaced as a panic
 // because it means the engine lost track of its own state.
-func rollback(undo []undoOp) {
+func (p *Pipeline) rollback(undo []undoOp) {
 	for i := len(undo) - 1; i >= 0; i-- {
 		op := undo[i]
 		var err error
-		if op.insert {
-			err = op.t.Insert(op.entry)
-		} else {
-			err = op.t.Remove(op.entry)
+		if op.removed {
+			op.t.store.relink(op.sr)
+			err = op.t.link(op.sr)
+		} else if err = op.t.unlink(op.sr); err == nil {
+			p.dir.free(op.sr.entry.Ref)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("core: tx rollback failed: %v", err))

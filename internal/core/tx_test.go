@@ -59,15 +59,9 @@ func TestTxCommitPublishesOneSnapshot(t *testing.T) {
 		t.Fatalf("result = %+v, want 256 commands / 256 added", res)
 	}
 	// Without a megaflow tier publication is lazy: commit itself does
-	// not bump the version. With the tier enabled (OFMTL_MEGAFLOW) the
-	// commit rebuilds eagerly for the precise-invalidation sweep — still
-	// exactly one bump, just at commit time instead of first lookup.
-	wantAtCommit := v0
-	if p.tiers[tierMasked].Load() != nil {
-		wantAtCommit = v0 + 1
-	}
-	if got := p.SnapshotVersion(); got != wantAtCommit {
-		t.Fatalf("commit published %d snapshots; want %d", got-v0, wantAtCommit-v0)
+	// not bump the version.
+	if got := p.SnapshotVersion(); got != v0 {
+		t.Fatalf("commit published %d snapshots; want 0", got-v0)
 	}
 	// The first lookup after the commit rebuilds once; the cache
 	// generation is the snapshot version, so this is also the single

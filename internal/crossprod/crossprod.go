@@ -67,11 +67,11 @@ type Binding struct {
 }
 
 // binding is one stored binding. A key's bindings are ordered by
-// descending priority, then insertion: the first is inline in the key's
+// descending priority, then sequence: the first is inline in the key's
 // slot, the rest follow through next in Table.over.
 type binding struct {
 	Binding
-	seq  uint64 // insertion order, for deterministic tie-breaking
+	seq  uint64 // the caller's rank among equal priorities
 	refs int32
 	next int32 // overflow record holding the next binding, or noNext
 }
@@ -142,8 +142,7 @@ type Table struct {
 
 // control is the state only updates touch. A published view has none.
 type control struct {
-	tombs   int // tombstones awaiting the next rehash
-	nextSeq uint64
+	tombs int // tombstones awaiting the next rehash
 	// freeOver stacks recycled overflow records; nover counts the records
 	// ever allocated.
 	freeOver []int32
@@ -362,7 +361,11 @@ func (t *Table) allocOver(b binding) int32 {
 }
 
 // Insert adds (or references) the binding under the combination key.
-func (t *Table) Insert(key []label.Label, b Binding) error {
+// seq ranks bindings of equal priority, here and in the sequence
+// LookupSeq reports: the lower wins, and equal sequences keep insertion
+// order. A caller that ranks rules by its own install order can remove
+// and re-insert a binding without it losing its place.
+func (t *Table) Insert(key []label.Label, b Binding, seq uint64) error {
 	if len(key) != t.dims {
 		return fmt.Errorf("crossprod: key has %d dims, table expects %d", len(key), t.dims)
 	}
@@ -376,11 +379,10 @@ func (t *Table) Insert(key []label.Label, b Binding) error {
 			t.ctl.tombs--
 		}
 		t.setCtrl(si, ctrlOf(t.bucketHash(hk)))
-		*t.slots.Mut(si) = xslot{hk: hk, head: binding{Binding: b, seq: t.ctl.nextSeq, refs: 1, next: noNext}}
+		*t.slots.Mut(si) = xslot{hk: hk, head: binding{Binding: b, seq: seq, refs: 1, next: noNext}}
 		if !t.packed {
 			copy(t.keys.MutSpan(si<<t.kshift, t.dims), key)
 		}
-		t.ctl.nextSeq++
 		t.bindingCount++
 		t.used++
 		if t.used > t.peakKeys {
@@ -397,23 +399,23 @@ func (t *Table) Insert(key []label.Label, b Binding) error {
 		t.slots.Mut(si).head.refs++
 		return nil
 	}
-	after := noNext // last overflow record not outranked by b; noNext is the head
+	outranks := func(o *binding) bool { return o.Priority > b.Priority || o.Priority == b.Priority && o.seq <= seq }
+	after := noNext // last overflow record outranking b; noNext is the head
 	for cur := head.next; cur != noNext; {
 		o := t.over.Get(int(cur))
 		if o.Binding == b {
 			t.over.Mut(int(cur)).refs++
 			return nil
 		}
-		if o.Priority >= b.Priority {
+		if outranks(&o) {
 			after = cur
 		}
 		cur = o.next
 	}
-	nb := binding{Binding: b, seq: t.ctl.nextSeq, refs: 1}
-	t.ctl.nextSeq++
+	nb := binding{Binding: b, seq: seq, refs: 1}
 	t.bindingCount++
 	switch mhead := &t.slots.Mut(si).head; {
-	case head.Priority < b.Priority:
+	case !outranks(&head):
 		nb.next = t.allocOver(head)
 		*mhead = nb
 	case after == noNext:
@@ -521,7 +523,7 @@ func (t *Table) LookupPacked(pk uint64) (Binding, bool) {
 	return b, ok
 }
 
-// Lookup returns the best (highest-priority, earliest-inserted) binding
+// Lookup returns the best (highest-priority, lowest-sequence) binding
 // stored under the combination key. The lookup path never allocates and is
 // safe for concurrent readers.
 func (t *Table) Lookup(key []label.Label) (Binding, bool) {
@@ -529,9 +531,9 @@ func (t *Table) Lookup(key []label.Label) (Binding, bool) {
 	return b, ok
 }
 
-// LookupSeq is Lookup returning the insertion sequence as well, so callers
+// LookupSeq is Lookup returning the binding's sequence as well, so callers
 // comparing bindings from several candidate keys can break priority ties
-// by insertion order.
+// by it.
 func (t *Table) LookupSeq(key []label.Label) (Binding, uint64, bool) {
 	if len(key) != t.dims || t.used == 0 {
 		return Binding{}, 0, false

@@ -14,7 +14,7 @@ import (
 func TestInsertLookup(t *testing.T) {
 	tbl := MustNew(2)
 	key := []label.Label{1, 2}
-	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 100}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 100}, 0); err != nil {
 		t.Fatal(err)
 	}
 	b, ok := tbl.Lookup(key)
@@ -33,10 +33,10 @@ func TestLookupSeqOrdering(t *testing.T) {
 	}
 	k1 := []label.Label{1, 2}
 	k2 := []label.Label{3, 4}
-	if err := tbl.Insert(k1, Binding{Priority: 5, Payload: 10}); err != nil {
+	if err := tbl.Insert(k1, Binding{Priority: 5, Payload: 10}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(k2, Binding{Priority: 5, Payload: 20}); err != nil {
+	if err := tbl.Insert(k2, Binding{Priority: 5, Payload: 20}, 2); err != nil {
 		t.Fatal(err)
 	}
 	_, seq1, ok1 := tbl.LookupSeq(k1)
@@ -44,8 +44,8 @@ func TestLookupSeqOrdering(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("both keys should resolve")
 	}
-	if seq1 >= seq2 {
-		t.Errorf("insertion order not reflected: seq1=%d seq2=%d", seq1, seq2)
+	if seq1 != 1 || seq2 != 2 {
+		t.Errorf("sequences not reflected: seq1=%d seq2=%d", seq1, seq2)
 	}
 	if _, _, ok := tbl.LookupSeq([]label.Label{9, 9}); ok {
 		t.Error("absent key should miss")
@@ -66,7 +66,7 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestDimensionEnforced(t *testing.T) {
 	tbl := MustNew(3)
-	if err := tbl.Insert([]label.Label{1, 2}, Binding{}); err == nil {
+	if err := tbl.Insert([]label.Label{1, 2}, Binding{}, 0); err == nil {
 		t.Error("wrong-dims insert should error")
 	}
 	if _, err := New(0); err == nil {
@@ -77,13 +77,13 @@ func TestDimensionEnforced(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	tbl := MustNew(1)
 	key := []label.Label{7}
-	if err := tbl.Insert(key, Binding{Priority: 1, Payload: 10}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 1, Payload: 10}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(key, Binding{Priority: 9, Payload: 90}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 9, Payload: 90}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 50}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 50}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := tbl.Lookup(key); b.Payload != 90 {
@@ -101,10 +101,10 @@ func TestPriorityOrdering(t *testing.T) {
 func TestPriorityTieBreaksBySeq(t *testing.T) {
 	tbl := MustNew(1)
 	key := []label.Label{1}
-	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 1}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 2}); err != nil {
+	if err := tbl.Insert(key, Binding{Priority: 5, Payload: 2}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := tbl.Lookup(key); b.Payload != 1 {
@@ -116,10 +116,10 @@ func TestRefcounting(t *testing.T) {
 	tbl := MustNew(2)
 	key := []label.Label{1, Wildcard}
 	b := Binding{Priority: 3, Payload: 33}
-	if err := tbl.Insert(key, b); err != nil {
+	if err := tbl.Insert(key, b, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(key, b); err != nil {
+	if err := tbl.Insert(key, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Bindings() != 1 {
@@ -148,7 +148,7 @@ func TestRefcounting(t *testing.T) {
 func TestPeakKeys(t *testing.T) {
 	tbl := MustNew(1)
 	for i := 0; i < 10; i++ {
-		if err := tbl.Insert([]label.Label{label.Label(i)}, Binding{Payload: uint32(i)}); err != nil {
+		if err := tbl.Insert([]label.Label{label.Label(i)}, Binding{Payload: uint32(i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestTableInvariants(t *testing.T) {
 				key: [2]label.Label{label.Label(rng.Intn(20)), label.Label(rng.Intn(20))},
 				b:   Binding{Priority: rng.Intn(10), Payload: uint32(rng.Intn(5))},
 			}
-			if err := tbl.Insert(e.key[:], e.b); err != nil {
+			if err := tbl.Insert(e.key[:], e.b, 0); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, e)
@@ -315,7 +315,7 @@ func TestStagesTrackLivePrefixes(t *testing.T) {
 				// Another reference to a live binding.
 				e := live[rng.Intn(len(live))]
 				stepKey = e.key
-				if err := tbl.Insert(e.key, e.b); err != nil {
+				if err := tbl.Insert(e.key, e.b, 0); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live, e)
@@ -347,7 +347,7 @@ func TestStagesTrackLivePrefixes(t *testing.T) {
 				}
 			case r < 0.65 || len(live) == 0:
 				e := entry{key: stepKey, b: randBinding()}
-				if err := tbl.Insert(e.key, e.b); err != nil {
+				if err := tbl.Insert(e.key, e.b, 0); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live, e)
@@ -414,7 +414,7 @@ func TestPublishedViewsAreUnaffectedByLaterWrites(t *testing.T) {
 		for step := 0; step < 6000; step++ {
 			if rng.Float64() < 0.6 || len(live) == 0 {
 				e := entry{key: randKey(), b: Binding{Priority: rng.Intn(6), Payload: uint32(rng.Intn(4))}}
-				if err := tbl.Insert(e.key, e.b); err != nil {
+				if err := tbl.Insert(e.key, e.b, 0); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live, e)

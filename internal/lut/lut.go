@@ -86,7 +86,7 @@ func (l *LUT) Insert(key uint64) (label.Label, bool, error) {
 	lab, isNew := l.alloc.Acquire(key)
 	if isNew {
 		k := indexKey(key)
-		if err := l.index.Insert(k[:], crossprod.Binding{Payload: uint32(lab)}); err != nil {
+		if err := l.index.Insert(k[:], crossprod.Binding{Payload: uint32(lab)}, 0); err != nil {
 			_, _ = l.alloc.Release(key)
 			return 0, false, fmt.Errorf("lut: %w", err)
 		}
