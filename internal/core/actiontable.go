@@ -127,9 +127,8 @@ func (t *ActionTable) Len() int { return t.live }
 // the memory model).
 func (t *ActionTable) Peak() int { return t.peak }
 
-// RestorePeak lowers the provisioned-depth high-water mark to peak,
-// clamped to the live row count — the rollback hook for rejected
-// transactions (see label.Allocator.RestorePeak).
+// RestorePeak sets the provisioned-depth high-water mark to peak, but
+// never below the live row count (see label.Allocator.RestorePeak).
 func (t *ActionTable) RestorePeak(peak int) {
 	if peak < t.live {
 		peak = t.live

@@ -236,6 +236,33 @@ func (t *LookupTable) swapBackend(nb Backend, reason uint32) {
 	t.publishStats()
 }
 
+// swappedBackend is what swapBackend replaced — the incumbent and the
+// advisor state the swap reset — kept so a rejected commit can revert an
+// inline migration.
+type swappedBackend struct {
+	backend Backend
+	reason  uint32
+	lastMig int64
+	ewmaNs  float64
+}
+
+// swapState records what a swap would replace.
+func (t *LookupTable) swapState() swappedBackend {
+	return swappedBackend{backend: t.backend, reason: t.lastReason.Load(), lastMig: t.lastMig, ewmaNs: t.ewmaNs}
+}
+
+// unswapBackend reverts a swap, on the rejection path of the commit whose
+// insert made it: the rule store and the incumbent hold the entry set
+// they held at the swap again, and the swap is not counted.
+func (t *LookupTable) unswapBackend(s *swappedBackend) {
+	t.backend = s.backend
+	t.migrations.Add(^uint64(0))
+	t.lastReason.Store(s.reason)
+	t.lastMig, t.ewmaNs = s.lastMig, s.ewmaNs
+	t.gen.Add(1)
+	t.publishStats()
+}
+
 // migrateOffDIR24 rebuilds the table on mbt from the rule store and swaps
 // it in, inline with the Insert that made the rule set too wide for the
 // incumbent flat array. Called under the pipeline write lock before the
@@ -361,8 +388,8 @@ func (p *Pipeline) migrateTableLocked(t *LookupTable, kind string, reason uint32
 		// A migration is admitted like a commit: growth past an armed
 		// budget is rejected and the incumbent keeps serving. A shrinking
 		// migration always passes — it is the degradation path budgets want.
-		newBits := nb.Stats().TotalBits()
-		oldBits := t.backend.Stats().TotalBits()
+		newBits := statsOf(nb).TotalBits()
+		oldBits := statsOf(t.backend).TotalBits()
 		if newBits > oldBits {
 			if t.budgetBits > 0 && newBits > t.budgetBits {
 				p.migrationsFailed.Add(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,6 +221,27 @@ func TestAutotuneShapeMigratesOffDIR24(t *testing.T) {
 			openflow.WriteActions(openflow.Output(4242)),
 		},
 	}
+	// Rejected after the inline migration, the commit swaps dir24 back:
+	// same backend, same memory report, the migration not counted.
+	before, reason := p.MemoryReport(), tbl.lastReason.Load()
+	tx = p.Begin()
+	tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: wide})
+	absent := wide
+	absent.Priority = 98
+	tx.FlowMod(FlowCmd{Op: CmdRemoveExact, Table: 0, Entry: absent})
+	if _, err := tx.Commit(); err == nil {
+		t.Fatal("a commit removing an absent entry must be rejected")
+	}
+	if got := tbl.Backend(); got != BackendDIR24 || tbl.migrations.Load() != 1 || tbl.lastReason.Load() != reason {
+		t.Fatalf("rejected commit left the table on %s after %d migrations (reason %d -> %d)", got, tbl.migrations.Load(), reason, tbl.lastReason.Load())
+	}
+	if after := p.MemoryReport(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected commit moved the memory report:\n%v\n%v", before.Components, after.Components)
+	}
+	if err := checkLPMLookup(p, 5); err != nil {
+		t.Fatal(err)
+	}
+
 	tx = p.Begin()
 	tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: wide})
 	if _, err := tx.Commit(); err != nil {

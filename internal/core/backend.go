@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ofmtl/internal/memmodel"
 	"ofmtl/internal/openflow"
 )
 
@@ -21,8 +20,8 @@ import (
 //
 // A Backend owns a table's data-plane state: it installs and uninstalls
 // canonical flow entries, classifies packet headers, publishes immutable
-// views of itself for the pipeline's RCU snapshots, and continuously
-// accounts the modelled memory its structures occupy. The LookupTable keeps everything
+// views of itself for the pipeline's RCU snapshots, and states the
+// modelled memory its structures occupy. The LookupTable keeps everything
 // scheme-independent — configuration, the control-plane rule store the
 // transactional API resolves against, generation counters and the
 // published memory-stats pointer — and delegates the rest.
@@ -110,7 +109,8 @@ type Backend interface {
 	// sequence: among equal priorities the lower seq wins. The table
 	// passes its rule store's sequence, so a rule keeps its place through
 	// migrations and rolled-back removals. A failed insert must leave the
-	// backend unchanged.
+	// backend unchanged, its high-water marks aside (the failed commit puts
+	// those back).
 	Insert(e *openflow.FlowEntry, seq uint64) error
 	// Remove uninstalls the entry previously installed with the same
 	// canonical matches, priority and instructions; removing an absent
@@ -127,95 +127,19 @@ type Backend interface {
 	// wrong results.
 	Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool)
 	// Publish returns an immutable view of the backend as it stands,
-	// serving Lookup, Stats and AddMemory; later updates to the original
-	// never show in it. What it costs is the backend's business — mbt and
-	// dir24 share their storage page by page with the view and copy what
-	// a later write touches, tss and lineartcam copy one pointer per rule
-	// — but calling Insert or Remove on a view is a bug and may panic.
+	// serving Lookup and memory; later updates to the original never show
+	// in it. What it costs is the backend's business — mbt and dir24 share
+	// their storage page by page with the view and copy what a later write
+	// touches, tss and lineartcam copy one pointer per rule — but calling
+	// Insert or Remove on a view is a bug and may panic.
 	Publish() Backend
-	// Stats returns the modelled memory breakdown — the incremental
-	// counters behind the pipeline's lock-free MemoryStats (byte totals
-	// via BackendStats.TotalBytes). It must be cheap (no structure
-	// walks): the table republishes it after every mutation.
-	Stats() BackendStats
-	// AddMemory contributes the backend's memories to a system report
-	// under the given component-name prefix. The component total must
-	// equal Stats().TotalBits() exactly — the stats report carries both
-	// (memory section and M20K blocks).
-	AddMemory(r *memmodel.SystemReport, prefix string)
-	// AccountingCheckpoint captures the backend's internal accounting
-	// high-water state (label peaks, provisioned geometry) before a
-	// budgeted transaction applies. Backends whose accounting is fully
-	// reversible under Insert/Remove return nil.
-	AccountingCheckpoint() BackendCheckpoint
-	// RestoreAccounting restores a checkpoint captured by
-	// AccountingCheckpoint, after the transaction's primitives have been
-	// rolled back (so the live entry set equals the capture-time set) —
-	// this is what makes a rejected commit leave the published accounting
-	// byte-identical to the pre-transaction figures. A nil checkpoint is
-	// a no-op.
-	RestoreAccounting(cp BackendCheckpoint)
+	// memory states the backend's modelled memory (see memory.go): the one
+	// statement behind the published stats, the budgets and MemoryReport.
+	// It runs after every commit, so it walks no per-rule structure.
+	// A backend whose statement reads high-water marks also implements
+	// highWater, so a rejected commit can put them back.
+	memory(a *memAccount)
 }
-
-// BackendCheckpoint is an opaque capture of a backend's accounting
-// high-water state, produced by Backend.AccountingCheckpoint and consumed
-// by Backend.RestoreAccounting on the transaction-rejection path. The
-// provisioned-capacity memory model (Section IV's label widths and memory
-// depths size against peaks, not live counts) only ever ratchets up, so a
-// rejected transaction would otherwise permanently inflate the accounting
-// of state it never committed.
-type BackendCheckpoint any
-
-// BackendStats is a backend's modelled memory breakdown, in bits. The
-// three buckets mirror the architecture of Section IV: the per-field (or
-// per-tuple) search structures, the index-calculation / directory stage,
-// and the action rows.
-type BackendStats struct {
-	// SearchBits covers the field-search structures: tries, LUTs and
-	// range tables for mbt; the per-tuple hash entries and the ternary
-	// spill list for tss; the ternary array for lineartcam.
-	SearchBits uint64
-	// IndexBits covers the combination store (mbt) or the tuple
-	// directory (tss); lineartcam has no index stage.
-	IndexBits uint64
-	// ActionBits covers the action rows the scheme stores.
-	ActionBits uint64
-}
-
-// TotalBits sums the breakdown.
-func (s BackendStats) TotalBits() uint64 {
-	return s.SearchBits + s.IndexBits + s.ActionBits
-}
-
-// TotalBytes returns the total rounded up to whole bytes.
-func (s BackendStats) TotalBytes() uint64 { return (s.TotalBits() + 7) / 8 }
-
-// TableMemory is one table's published memory accounting: the backend
-// kind, the live rule count and the bit breakdown. The pipeline
-// republishes it through an atomic pointer after every mutation, which is
-// what makes MemoryStats readable lock-free under full churn.
-type TableMemory struct {
-	Table   openflow.TableID
-	Backend string
-	Rules   int
-	// BudgetBits is the table's configured memory budget in bits
-	// (0 = unlimited); commits that would grow the table past it are
-	// rejected (see budget.go).
-	BudgetBits uint64
-	BackendStats
-}
-
-// MemoryStats is the pipeline-wide live memory view: one entry per table
-// in pipeline order plus the total and the process-wide budget
-// (0 = unlimited).
-type MemoryStats struct {
-	Tables     []TableMemory
-	TotalBits  uint64
-	BudgetBits uint64
-}
-
-// TotalBytes returns the pipeline total rounded up to whole bytes.
-func (m MemoryStats) TotalBytes() uint64 { return (m.TotalBits + 7) / 8 }
 
 // newBackend constructs the named backend for a table configuration. An
 // empty kind selects mbt.

@@ -65,12 +65,6 @@ type dir24Backend struct {
 
 	rules int
 
-	// Incremental memory accounting so Stats is O(1): the direct array
-	// is a constant bill, spillBits tracks live spill chunks, actionBits
-	// one modelled action row per rule.
-	spillBits  uint64
-	actionBits uint64
-
 	ctl *dir24Control // nil in a published view
 }
 
@@ -388,7 +382,6 @@ func (b *dir24Backend) ensureSpill(idx uint32) (uint32, []uint32) {
 	}
 	b.slotSet(idx, dir24SpillFlag|si)
 	b.liveSpills++
-	b.spillBits += dir24SpillSlots * dir24SlotBits
 	return si, sp
 }
 
@@ -436,7 +429,6 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	}
 
 	b.rules++
-	b.actionBits += memmodel.ActionEntryBits
 	return nil
 }
 
@@ -520,13 +512,11 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 			b.slotSet(idx, dir24Ref(b.bestShort(idx)))
 			b.ctl.spillFree = append(b.ctl.spillFree, si)
 			b.liveSpills--
-			b.spillBits -= dir24SpillSlots * dir24SlotBits
 		}
 	}
 
 	b.freeEntry(ent.ref)
 	b.rules--
-	b.actionBits -= memmodel.ActionEntryBits
 	return nil
 }
 
@@ -577,39 +567,20 @@ func (b *dir24Backend) Publish() Backend {
 		liveSpills: b.liveSpills,
 		arena:      b.arena.Publish(),
 		rules:      b.rules,
-		spillBits:  b.spillBits,
-		actionBits: b.actionBits,
 	}
 }
 
-// Stats implements Backend. The direct array is billed at its full
+// memory implements Backend. The direct array is billed at its full
 // provisioned size — that constant is the scheme's defining cost — and
 // live spill chunks land in the index bucket (the second-level
-// directory), one modelled action row per rule.
-func (b *dir24Backend) Stats() BackendStats {
-	return BackendStats{
-		SearchBits: dir24Slots * dir24SlotBits,
-		IndexBits:  b.spillBits,
-		ActionBits: b.actionBits,
-	}
-}
-
-// AddMemory implements Backend; the component totals equal Stats()
-// exactly (the stats report carries both surfaces).
-func (b *dir24Backend) AddMemory(r *memmodel.SystemReport, prefix string) {
-	r.Add(prefix+"/dir24/tbl24", dir24Slots, dir24SlotBits)
-	r.AddBits(prefix+"/dir24/tbllong", int(b.spillBits))
-	r.AddBits(prefix+"/dir24/actions", int(b.actionBits))
+// directory), one modelled action row per rule. Nothing here is a
+// high-water mark: spill chunks are freed the moment their last long
+// prefix goes.
+func (b *dir24Backend) memory(a *memAccount) {
+	a.add(searchMem, "dir24/tbl24", dir24Slots, dir24SlotBits)
+	a.addBits(indexMem, "dir24/tbllong", b.liveSpills*dir24SpillSlots*dir24SlotBits)
+	a.addBits(actionMem, "dir24/actions", b.rules*memmodel.ActionEntryBits)
 }
 
 // Spills returns the live spill-chunk count (tests and tooling).
 func (b *dir24Backend) Spills() int { return b.liveSpills }
-
-// AccountingCheckpoint implements Backend. The dir24 accounting is
-// fully reversible under Insert/Remove — spill chunks are freed the
-// moment their last long prefix goes, and the array bill is constant —
-// so rejected transactions need nothing restored.
-func (b *dir24Backend) AccountingCheckpoint() BackendCheckpoint { return nil }
-
-// RestoreAccounting implements Backend (no-op; see AccountingCheckpoint).
-func (b *dir24Backend) RestoreAccounting(BackendCheckpoint) {}

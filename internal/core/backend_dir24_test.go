@@ -204,8 +204,8 @@ func TestDIR24SpillLifecycle(t *testing.T) {
 	if err := tbl.Insert(short); err != nil {
 		t.Fatal(err)
 	}
-	if b.Spills() != 0 || b.Stats().IndexBits != 0 {
-		t.Fatalf("short prefix spilled: %d chunks, %d bits", b.Spills(), b.Stats().IndexBits)
+	if b.Spills() != 0 || statsOf(b).IndexBits != 0 {
+		t.Fatalf("short prefix spilled: %d chunks, %d bits", b.Spills(), statsOf(b).IndexBits)
 	}
 	for _, e := range []*openflow.FlowEntry{long1, long2, other} {
 		if err := tbl.Insert(e); err != nil {
@@ -216,7 +216,7 @@ func TestDIR24SpillLifecycle(t *testing.T) {
 	if b.Spills() != 2 {
 		t.Fatalf("spill chunks = %d, want 2", b.Spills())
 	}
-	if got, want := b.Stats().IndexBits, uint64(2*dir24SpillSlots*dir24SlotBits); got != want {
+	if got, want := statsOf(b).IndexBits, uint64(2*dir24SpillSlots*dir24SlotBits); got != want {
 		t.Fatalf("IndexBits = %d, want %d", got, want)
 	}
 	// Removing one of two longs keeps the shared chunk; removing the
@@ -237,12 +237,12 @@ func TestDIR24SpillLifecycle(t *testing.T) {
 	if err := tbl.Remove(other); err != nil {
 		t.Fatal(err)
 	}
-	if b.Spills() != 0 || b.Stats().IndexBits != 0 {
-		t.Fatalf("spills survived their last long prefix: %d chunks, %d bits", b.Spills(), b.Stats().IndexBits)
+	if b.Spills() != 0 || statsOf(b).IndexBits != 0 {
+		t.Fatalf("spills survived their last long prefix: %d chunks, %d bits", b.Spills(), statsOf(b).IndexBits)
 	}
 	// The constant array bill and the remaining rule's action row are
 	// all that is left.
-	if got, want := b.Stats().TotalBits(), uint64(dir24Slots*dir24SlotBits)+32; got != want {
+	if got, want := statsOf(b).TotalBits(), uint64(dir24Slots*dir24SlotBits)+32; got != want {
 		t.Fatalf("TotalBits = %d, want %d", got, want)
 	}
 }
@@ -306,7 +306,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 			t.Fatalf("probe %d drifted after source churn: got %+v ok=%v, want %+v ok=%v", i, res, ok, want[i], wantOK[i])
 		}
 	}
-	if got, want := snap.Stats().ActionBits, uint64(len(live)*memmodel.ActionEntryBits); got != want {
+	if got, want := statsOf(snap).ActionBits, uint64(len(live)*memmodel.ActionEntryBits); got != want {
 		t.Fatalf("view accounting drifted: %d action bits, want %d", got, want)
 	}
 	// Drop the view: the live backend still answers for the fresh set.

@@ -312,76 +312,44 @@ func (b *mbtBackend) indexWidth() int {
 	return width
 }
 
-// Stats implements Backend. The arithmetic is exactly AddMemory's, so the
-// published stats and the component-level MemoryReport always agree; the
-// searchers' MemoryBits fast path keeps the per-commit walk free of
-// component materialisation.
-func (b *mbtBackend) Stats() BackendStats {
-	var st BackendStats
-	for _, s := range b.searchers {
-		st.SearchBits += uint64(s.MemoryBits())
-	}
-	if keys := b.combos.PeakKeys(); keys > 0 {
-		st.IndexBits = uint64(keys * b.indexWidth())
-	}
-	if peak := b.actions.Peak(); peak > 0 {
-		st.ActionBits = uint64(peak * memmodel.ActionEntryBits)
-	}
-	return st
-}
-
-// mbtCheckpoint is the mbt backend's accounting high-water state: one
-// checkpoint per field searcher in searcher order, the combination
-// store's key peak and the action table's provisioned depth.
-type mbtCheckpoint struct {
-	searchers []searcherCheckpoint
-	combos    int
-	actions   int
-}
-
-// AccountingCheckpoint implements Backend. The mbt memory model sizes
-// its label widths, combination memory and action depth by high-water
-// marks (provisioned capacity), which only ratchet up — so a rejected
-// transaction's effect on them must be captured here and undone by
-// RestoreAccounting.
-func (b *mbtBackend) AccountingCheckpoint() BackendCheckpoint {
-	cp := &mbtCheckpoint{
-		searchers: make([]searcherCheckpoint, len(b.searchers)),
-		combos:    b.combos.PeakKeys(),
-		actions:   b.actions.Peak(),
-	}
-	for i, s := range b.searchers {
-		cp.searchers[i] = s.(searcherAccounting).saveAccounting()
-	}
-	return cp
-}
-
-// RestoreAccounting implements Backend.
-func (b *mbtBackend) RestoreAccounting(cp BackendCheckpoint) {
-	c, ok := cp.(*mbtCheckpoint)
-	if !ok || c == nil {
-		return
-	}
-	for i, s := range b.searchers {
-		s.(searcherAccounting).restoreAccounting(c.searchers[i])
-	}
-	b.combos.RestorePeakKeys(c.combos)
-	b.actions.RestorePeak(c.actions)
-}
-
-// AddMemory implements Backend: the per-field searcher memories, the
+// memory implements Backend: the per-field searcher memories, the
 // index-calculation store and the action table, named as the paper's
-// synthesis report does.
-func (b *mbtBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
+// synthesis report does. All three are provisioned for their high-water
+// marks.
+func (b *mbtBackend) memory(a *memAccount) {
+	prefix := a.prefix
 	for _, s := range b.searchers {
-		s.AddMemory(r, fmt.Sprintf("%s/%s", prefix, shortFieldName(s.Field())))
+		if a.report != nil {
+			a.prefix = prefix + "/" + shortFieldName(s.Field())
+		}
+		s.memory(a)
 	}
+	a.prefix = prefix
 	// Index calculation: one row per stored combination key, holding the
 	// per-field labels, a priority and the action index.
 	if keys := b.combos.PeakKeys(); keys > 0 {
-		r.Add(prefix+"/index-calc", keys, b.indexWidth())
+		a.add(indexMem, "index-calc", keys, b.indexWidth())
 	}
-	if b.actions.Peak() > 0 {
-		r.Add(prefix+"/actions", b.actions.Peak(), memmodel.ActionEntryBits)
+	if peak := b.actions.Peak(); peak > 0 {
+		a.add(actionMem, "actions", peak, memmodel.ActionEntryBits)
 	}
+}
+
+// marks implements highWater: each searcher's marks in searcher order,
+// then the combination store's key peak and the action table's depth.
+func (b *mbtBackend) marks(dst []int) []int {
+	for _, s := range b.searchers {
+		dst = s.marks(dst)
+	}
+	return append(dst, b.combos.PeakKeys(), b.actions.Peak())
+}
+
+// restoreMarks implements highWater.
+func (b *mbtBackend) restoreMarks(src []int) []int {
+	for _, s := range b.searchers {
+		src = s.restoreMarks(src)
+	}
+	b.combos.RestorePeakKeys(src[0])
+	b.actions.RestorePeak(src[1])
+	return src[2:]
 }

@@ -160,32 +160,16 @@ func (b *tcamBackend) Publish() Backend {
 	return c
 }
 
-// Stats implements Backend: the ternary array (expanded rows × 2 bits per
-// header bit) plus one modelled action row per installed rule.
-func (b *tcamBackend) Stats() BackendStats {
-	return BackendStats{
-		SearchBits: uint64(b.rows * b.ternaryBits()),
-		ActionBits: uint64(len(b.entries) * memmodel.ActionEntryBits),
-	}
-}
-
-// AddMemory implements Backend.
-func (b *tcamBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
-	st := b.Stats()
+// memory implements Backend: the ternary array (expanded rows × 2 bits
+// per header bit) plus one modelled action row per installed rule. Both
+// are live counts: nothing here is a high-water mark.
+func (b *tcamBackend) memory(a *memAccount) {
 	if b.rows > 0 {
-		r.Add(prefix+"/tcam/array", b.rows, b.ternaryBits())
+		a.add(searchMem, "tcam/array", b.rows, b.ternaryBits())
 	}
-	r.AddBits(prefix+"/tcam/actions", int(st.ActionBits))
+	a.addBits(actionMem, "tcam/actions", len(b.entries)*memmodel.ActionEntryBits)
 }
 
 // Rows returns the expanded ternary row count (the range-expansion
 // blow-up over the rule count).
 func (b *tcamBackend) Rows() int { return b.rows }
-
-// AccountingCheckpoint implements Backend. The lineartcam accounting is fully
-// reversible under Insert/Remove (it counts live structures, no
-// high-water marks), so rejected transactions need nothing restored.
-func (b *tcamBackend) AccountingCheckpoint() BackendCheckpoint { return nil }
-
-// RestoreAccounting implements Backend (no-op; see AccountingCheckpoint).
-func (b *tcamBackend) RestoreAccounting(BackendCheckpoint) {}

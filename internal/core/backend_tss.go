@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ofmtl/internal/bitops"
@@ -30,15 +31,9 @@ type tssBackend struct {
 	spill  []*tssEntry // rules with non-hashable range constraints
 
 	rules int
-
-	// Incremental memory accounting, maintained on every insert/remove so
-	// Stats is O(1). searchBits covers hashed entries and the ternary
-	// spill rows; indexBits the tuple directory (tuples persist once
-	// created, like a provisioned high-water directory); actionBits one
-	// modelled action row per rule.
-	searchBits uint64
-	indexBits  uint64
-	actionBits uint64
+	// dirPeak is the high-water mark of live tuples: the directory is
+	// provisioned for it, though a tuple goes with its last entry.
+	dirPeak int
 
 	// scratch pools the per-lookup probe-key buffer so concurrent readers
 	// on an immutable clone stay allocation-free.
@@ -198,7 +193,6 @@ func (b *tssBackend) Insert(e *openflow.FlowEntry, seq uint64) error {
 	shape, hashable := b.shapeOf(e, shapeBuf[:0])
 	if !hashable {
 		b.spill = append(b.spill, ent)
-		b.searchBits += uint64(b.ternaryBits())
 	} else {
 		tp, ok := b.tuples[string(shape)]
 		if !ok {
@@ -209,15 +203,13 @@ func (b *tssBackend) Insert(e *openflow.FlowEntry, seq uint64) error {
 			}
 			b.tuples[tp.shape] = tp
 			b.order = append(b.order, tp)
-			b.indexBits += uint64(b.dirEntryBits())
+			b.dirPeak = max(b.dirPeak, len(b.order))
 		}
 		key := b.entryKey(e, shape, nil)
 		tp.entries[string(key)] = append(tp.entries[string(key)], ent)
 		tp.n++
-		b.searchBits += uint64(tp.keyBits + tssEntryRefBits)
 	}
 	b.rules++
-	b.actionBits += memmodel.ActionEntryBits
 	return nil
 }
 
@@ -240,7 +232,6 @@ func (b *tssBackend) Remove(e *openflow.FlowEntry) error {
 			return fmt.Errorf("core: table %d remove: entry not installed", b.cfg.ID)
 		}
 		b.spill = append(b.spill[:best], b.spill[best+1:]...)
-		b.searchBits -= uint64(b.ternaryBits())
 	} else {
 		tp, ok := b.tuples[string(shape)]
 		if !ok {
@@ -266,11 +257,12 @@ func (b *tssBackend) Remove(e *openflow.FlowEntry) error {
 		} else {
 			tp.entries[string(key)] = bucket
 		}
-		tp.n--
-		b.searchBits -= uint64(tp.keyBits + tssEntryRefBits)
+		if tp.n--; tp.n == 0 {
+			delete(b.tuples, tp.shape)
+			b.order = slices.DeleteFunc(b.order, func(o *tssTuple) bool { return o == tp })
+		}
 	}
 	b.rules--
-	b.actionBits -= memmodel.ActionEntryBits
 	return nil
 }
 
@@ -296,9 +288,6 @@ func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 	sc := b.scratch.Get().(*tssScratch)
 	var best *tssEntry
 	for _, tp := range b.order {
-		if tp.n == 0 {
-			continue
-		}
 		sc.key = b.probeKey(tp, h, sc.key)
 		if bucket, ok := tp.entries[string(sc.key)]; ok {
 			for _, ent := range bucket {
@@ -328,9 +317,6 @@ func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 // but identical traced bits imply the identical skip decisions).
 func (b *tssBackend) trace(tr *flowMask) {
 	for _, tp := range b.order {
-		if tp.n == 0 {
-			continue
-		}
 		for i, f := range b.fields {
 			if plen := tp.shape[i]; plen != tssShapeWild && plen != 0 {
 				tr.orField(f, int(plen))
@@ -349,15 +335,13 @@ func (b *tssBackend) trace(tr *flowMask) {
 // the O(rules) publish the paged backends no longer pay.
 func (b *tssBackend) Publish() Backend {
 	c := &tssBackend{
-		cfg:        b.cfg,
-		fields:     b.fields,
-		tuples:     make(map[string]*tssTuple, len(b.tuples)),
-		order:      make([]*tssTuple, 0, len(b.order)),
-		rules:      b.rules,
-		searchBits: b.searchBits,
-		indexBits:  b.indexBits,
-		actionBits: b.actionBits,
-		scratch:    &sync.Pool{New: func() any { return &tssScratch{} }},
+		cfg:     b.cfg,
+		fields:  b.fields,
+		tuples:  make(map[string]*tssTuple, len(b.tuples)),
+		order:   make([]*tssTuple, 0, len(b.order)),
+		rules:   b.rules,
+		dirPeak: b.dirPeak,
+		scratch: &sync.Pool{New: func() any { return &tssScratch{} }},
 	}
 	for _, tp := range b.order {
 		ct := &tssTuple{
@@ -378,35 +362,28 @@ func (b *tssBackend) Publish() Backend {
 	return c
 }
 
-// Stats implements Backend: the incrementally maintained counters.
-func (b *tssBackend) Stats() BackendStats {
-	return BackendStats{SearchBits: b.searchBits, IndexBits: b.indexBits, ActionBits: b.actionBits}
-}
-
-// AddMemory implements Backend: the hashed tuple entries (plus the
-// ternary spill rows), the tuple directory, and the action rows.
-func (b *tssBackend) AddMemory(r *memmodel.SystemReport, prefix string) {
-	st := b.Stats()
-	r.AddBits(prefix+"/tss/tuples", int(st.SearchBits))
-	r.AddBits(prefix+"/tss/directory", int(st.IndexBits))
-	r.AddBits(prefix+"/tss/actions", int(st.ActionBits))
+// memory implements Backend: the hashed tuple entries (each its masked
+// key and a result pointer) plus the ternary spill rows, the tuple
+// directory — provisioned for the peak tuple count — and one action row
+// per rule.
+func (b *tssBackend) memory(a *memAccount) {
+	hashed := 0
+	for _, tp := range b.order {
+		hashed += tp.n * (tp.keyBits + tssEntryRefBits)
+	}
+	a.addBits(searchMem, "tss/tuples", hashed+len(b.spill)*b.ternaryBits())
+	a.addBits(indexMem, "tss/directory", b.dirPeak*b.dirEntryBits())
+	a.addBits(actionMem, "tss/actions", b.rules*memmodel.ActionEntryBits)
 }
 
 // Tuples returns the live tuple count — the probe fan-out of one lookup.
 func (b *tssBackend) Tuples() int { return len(b.tuples) }
 
-// AccountingCheckpoint implements Backend: the tuple count. Entries are
-// counted live, but a tuple persists once created (the provisioned
-// directory), so the tuples a rejected transaction created — empty
-// again after its rollback — are dropped on restore.
-func (b *tssBackend) AccountingCheckpoint() BackendCheckpoint { return len(b.order) }
+// marks implements highWater: the directory's tuple peak.
+func (b *tssBackend) marks(dst []int) []int { return append(dst, b.dirPeak) }
 
-// RestoreAccounting implements Backend.
-func (b *tssBackend) RestoreAccounting(cp BackendCheckpoint) {
-	n := cp.(int)
-	for _, tp := range b.order[n:] {
-		delete(b.tuples, tp.shape)
-		b.indexBits -= uint64(b.dirEntryBits())
-	}
-	b.order = b.order[:n]
+// restoreMarks implements highWater.
+func (b *tssBackend) restoreMarks(src []int) []int {
+	b.dirPeak = max(src[0], len(b.order))
+	return src[1:]
 }

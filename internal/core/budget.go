@@ -112,12 +112,12 @@ func (p *Pipeline) budgetsArmed() bool {
 }
 
 // totalBitsLocked sums the live accounting across every table, straight
-// from the backends' incremental counters (cheap by the Backend.Stats
-// contract — no structure walks).
+// from the backends' memory statements (cheap: they walk no per-rule
+// structure).
 func (p *Pipeline) totalBitsLocked() uint64 {
 	var total uint64
 	for _, t := range p.tables {
-		total += t.backend.Stats().TotalBits()
+		total += statsOf(t.backend).TotalBits()
 	}
 	return total
 }
@@ -129,40 +129,22 @@ func (p *Pipeline) totalBitsLocked() uint64 {
 type budgetCheck struct {
 	touched  []*LookupTable
 	preBits  []uint64
-	cps      []BackendCheckpoint
 	preTotal uint64
 }
 
-// beginBudgetCheckLocked snapshots the pre-transaction accounting for
-// the given distinct touched tables: the published bit totals for the
-// admission test, and each backend's accounting checkpoint so a
-// rejection can unwind the provisioned-capacity high-water marks along
-// with the entries. Caller holds the write lock.
+// beginBudgetCheckLocked snapshots the pre-transaction bit totals of the
+// given distinct touched tables for the admission test. (The rejection
+// path restores their high-water marks whether or not budgets are armed;
+// see markTouchedLocked.) Caller holds the write lock.
 func (p *Pipeline) beginBudgetCheckLocked(touched []*LookupTable) *budgetCheck {
-	bc := &budgetCheck{
-		touched: touched,
-		preBits: make([]uint64, len(touched)),
-		cps:     make([]BackendCheckpoint, len(touched)),
-	}
+	bc := &budgetCheck{touched: touched, preBits: make([]uint64, len(touched))}
 	for i, t := range touched {
-		bc.preBits[i] = t.backend.Stats().TotalBits()
-		bc.cps[i] = t.backend.AccountingCheckpoint()
+		bc.preBits[i] = statsOf(t.backend).TotalBits()
 	}
 	if p.memBudget.Load() > 0 {
 		bc.preTotal = p.totalBitsLocked()
 	}
 	return bc
-}
-
-// restoreAccounting unwinds the touched backends' accounting to the
-// captured checkpoints. It runs on the rejection path after the undo
-// log has rolled the primitives back (so the live entry sets match the
-// capture), leaving the republished figures byte-identical to the
-// pre-transaction state.
-func (bc *budgetCheck) restoreAccounting() {
-	for i, t := range bc.touched {
-		t.backend.RestoreAccounting(bc.cps[i])
-	}
 }
 
 // checkBudgetsLocked runs admission control after a transaction's apply
@@ -176,7 +158,7 @@ func (p *Pipeline) checkBudgetsLocked(bc *budgetCheck) error {
 		if b == 0 {
 			continue
 		}
-		post := t.backend.Stats().TotalBits()
+		post := statsOf(t.backend).TotalBits()
 		if post > b && post > bc.preBits[i] {
 			return &BudgetError{Table: t.cfg.ID, BudgetBits: b, UsedBits: post}
 		}

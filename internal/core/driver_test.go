@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -13,7 +14,9 @@ import (
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/core/autotune"
 	"ofmtl/internal/cow"
+	"ofmtl/internal/crossprod"
 	"ofmtl/internal/failpoint"
+	"ofmtl/internal/memmodel"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -105,7 +108,9 @@ type modelDriver struct {
 	op      int               // operations applied, for failure messages
 	opName  string            // the operation being checked
 	faults  bool              // the failpoint leg: fault operations enabled
-	res     []Result
+	// recounted is each table's generation at its last recount.
+	recounted map[openflow.TableID]uint64
+	res       []Result
 }
 
 func newModelDriver(t testing.TB, cfg modelConfig, layout []TableConfig, seed uint64) *modelDriver {
@@ -125,7 +130,7 @@ func newModelDriver(t testing.TB, cfg modelConfig, layout []TableConfig, seed ui
 	p.SetCacheSize(cfg.micro)
 	p.SetMegaflowSize(cfg.mega)
 	p.SetWorkers(cfg.workers)
-	d := &modelDriver{t: t, cfg: cfg, seed: seed, rng: xrand.New(seed), p: p, m: newPipelineModel(layout, p.LifecycleClock())}
+	d := &modelDriver{t: t, cfg: cfg, seed: seed, rng: xrand.New(seed), p: p, m: newPipelineModel(layout, p.LifecycleClock()), recounted: map[openflow.TableID]uint64{}}
 	d.entry = d.mixedEntry
 	for id := uint32(1); id <= 2; id++ {
 		g := Group{ID: id, Type: GroupAll, Buckets: []Bucket{{Actions: []openflow.Action{openflow.Output(10 + id)}}}}
@@ -476,10 +481,14 @@ func (d *modelDriver) cover(h *openflow.Header, e *openflow.FlowEntry) {
 // commit applies a transaction to both sides. The pipeline must commit
 // with the model's counts, or reject it exactly when the model does;
 // expected(err), when set, admits a rejection the model cannot foresee
-// (budget, injected fault), after which the pipeline must still equal
-// the pre-commit model.
+// (budget, injected fault). After any rejection the pipeline must still
+// equal the pre-commit model, and its memory report the pre-commit one.
 func (d *modelDriver) commit(cmds []FlowCmd, expected func(error) bool) {
 	next, want, ok := d.m.apply(cmds)
+	var pre *memmodel.SystemReport
+	if !ok || expected != nil {
+		pre = d.p.MemoryReport() // a rejection must leave it as it is
+	}
 	tx := d.p.Begin()
 	for _, c := range cmds {
 		tx.FlowMod(c)
@@ -488,6 +497,7 @@ func (d *modelDriver) commit(cmds []FlowCmd, expected func(error) bool) {
 	switch {
 	case err != nil && (!ok || expected != nil && expected(err)):
 		d.m.rejected++
+		d.sameMemory(pre, "rejected commit")
 	case err != nil:
 		d.fatalf("commit of %v rejected: %v", cmds, err)
 	case !ok:
@@ -496,6 +506,16 @@ func (d *modelDriver) commit(cmds []FlowCmd, expected func(error) bool) {
 		d.fatalf("commit of %v: counts %v, model %v", cmds, res.Counts(), want)
 	default:
 		d.m = next
+	}
+}
+
+// sameMemory checks that the pipeline's memory report is still pre,
+// component by component, and that every table reports the backend it
+// reported then.
+func (d *modelDriver) sameMemory(pre *memmodel.SystemReport, what string) {
+	d.t.Helper()
+	if post := d.p.MemoryReport(); !reflect.DeepEqual(post, pre) {
+		d.fatalf("%s moved the memory account:\n%s\n%v\n->\n%s\n%v", what, pre, pre.Components, post, post.Components)
 	}
 }
 
@@ -606,13 +626,11 @@ func (d *modelDriver) groupMod() {
 
 // budgetCommit arms a budget at the current usage — the process's or one
 // table's — and commits adds: a rejection must leave the pipeline equal
-// to the pre-commit model with byte-identical accounting.
+// to the pre-commit model with an identical memory report.
 func (d *modelDriver) budgetCommit() {
-	pre := d.p.MemoryStats()
-	pre.Tables = slices.Clone(pre.Tables)
 	id := d.m.order[d.rng.Intn(len(d.m.order))]
 	if d.rng.Intn(2) == 0 {
-		d.p.SetMemoryBudget(pre.TotalBits)
+		d.p.SetMemoryBudget(d.p.MemoryStats().TotalBits)
 	} else if err := d.p.SetTableBudget(id, d.p.tables[id].Memory().TotalBits()); err != nil {
 		d.fatalf("%v", err)
 	}
@@ -620,7 +638,6 @@ func (d *modelDriver) budgetCommit() {
 	for n := 1 + d.rng.Intn(4); n > 0; n-- {
 		cmds = append(cmds, FlowCmd{Op: CmdAdd, Table: id, Entry: *d.entry(id)})
 	}
-	rejected := d.m.rejected
 	d.commit(cmds, func(err error) bool {
 		var be *BudgetError
 		return errors.As(err, &be)
@@ -628,16 +645,6 @@ func (d *modelDriver) budgetCommit() {
 	d.p.SetMemoryBudget(0)
 	if err := d.p.SetTableBudget(id, 0); err != nil {
 		d.fatalf("%v", err)
-	}
-	if d.m.rejected == rejected {
-		return
-	}
-	post := d.p.MemoryStats()
-	for i := range pre.Tables {
-		a, b := pre.Tables[i], post.Tables[i]
-		if a.Backend != b.Backend || a.Rules != b.Rules || a.BackendStats != b.BackendStats {
-			d.fatalf("rejected commit moved table %d accounting: %+v -> %+v", a.Table, a, b)
-		}
 	}
 }
 
@@ -940,6 +947,7 @@ func (d *modelDriver) checkState() {
 	if uint64(rep.TotalBits) != ms.TotalBits || snap.TotalBits != ms.TotalBits {
 		d.fatalf("memory views disagree: report %d, stats %d, snapshot %d bits", rep.TotalBits, ms.TotalBits, snap.TotalBits)
 	}
+	d.recount()
 
 	tc, ls := d.p.TxCounters(), d.p.LifecycleStats()
 	if tc != (TxCounters{Txs: d.m.txs, Commands: d.m.cmds, Rejected: d.m.rejected}) {
@@ -949,6 +957,58 @@ func (d *modelDriver) checkState() {
 		ls.Sweeps != d.m.sweeps || ls.Groups != len(d.m.groups) || ls.Removed != d.m.expiredIdle+d.m.expiredHard {
 		d.fatalf("lifecycle stats %+v, model %d flows, %d/%d expired, %d sweeps, %d groups",
 			ls, total, d.m.expiredIdle, d.m.expiredHard, d.m.sweeps, len(d.m.groups))
+	}
+}
+
+// recount checks each table that changed since its last recount against
+// its structures. The published memory figure is the live backend's
+// statement as it stands, and the statement is a recount: a backend of
+// the same kind rebuilt from the table's rule store and given the live
+// backend's high-water marks states the same memories, component by
+// component. Under mbt, every combination store's prefix stages hold
+// exactly its live keys' prefixes (crossprod.Table.CheckStages) — a
+// stale stage changes no verdict until it prunes a live key.
+func (d *modelDriver) recount() {
+	d.t.Helper()
+	d.p.mu.Lock()
+	defer d.p.mu.Unlock()
+	for _, id := range d.m.order {
+		t := d.p.tables[id]
+		gen := t.Generation()
+		if d.recounted[id] == gen {
+			continue
+		}
+		d.recounted[id] = gen
+		live := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
+		t.backend.memory(&live)
+		if pub := t.Memory(); pub.Backend != t.backend.Kind() || pub.Rules != t.rules || pub.BackendStats != live.BackendStats {
+			d.fatalf("table %d publishes %+v; its %s backend states %+v for %d rules", id, pub, t.backend.Kind(), live.BackendStats, t.rules)
+		}
+		nb, err := t.buildBackendFromStore(t.backend.Kind())
+		if err != nil {
+			d.fatalf("rebuilding table %d: %v", id, err)
+		}
+		if hw, ok := t.backend.(highWater); ok {
+			nb.(highWater).restoreMarks(hw.marks(nil))
+		}
+		re := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
+		nb.memory(&re)
+		if !reflect.DeepEqual(re.report, live.report) {
+			d.fatalf("table %d states\n%v\na rebuild from its rules states\n%v", id, live.report.Components, re.report.Components)
+		}
+		if b, ok := t.backend.(*mbtBackend); ok {
+			combos := []*crossprod.Table{b.combos}
+			for _, s := range b.searchers {
+				if ps, ok := s.(*PrefixFieldSearcher); ok {
+					combos = append(combos, ps.combos)
+				}
+			}
+			for _, c := range combos {
+				if err := c.CheckStages(); err != nil {
+					d.fatalf("table %d: %v", id, err)
+				}
+			}
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestIPv6MemoryReport(t *testing.T) {
 		}
 	}
 	var rep memmodel.SystemReport
-	s.AddMemory(&rep, "ipv6")
+	s.memory(&memAccount{report: &rep, prefix: "ipv6"})
 	// Eight partitions x three levels of trie memories plus the combiner.
 	if got := len(rep.Components); got != 8*3+1 {
 		t.Errorf("components = %d, want 25", got)

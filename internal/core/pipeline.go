@@ -140,6 +140,12 @@ type Pipeline struct {
 	tuneStop         chan struct{}
 	tuneWG           sync.WaitGroup
 	migrationsFailed atomic.Uint64
+
+	// touched and marks are the last commit's touched tables and their
+	// high-water marks (markTouchedLocked), reused from commit to commit;
+	// guarded by mu.
+	touched []*LookupTable
+	marks   []int
 }
 
 // NewPipeline returns an empty pipeline: tables default to the mbt

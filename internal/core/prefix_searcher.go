@@ -35,6 +35,10 @@ type PrefixFieldSearcher struct {
 	// scratch pools per-call buffers so Search stays allocation-free in
 	// steady state while remaining safe for concurrent readers.
 	scratch *sync.Pool
+
+	// levelNames[i][l] names partition i's level-l trie memory in memory
+	// reports ("higher-trie/L1"); immutable, shared with views.
+	levelNames [][]string
 }
 
 // prefixScratch carries one Search call's working buffers.
@@ -82,21 +86,25 @@ func NewPrefixFieldSearcherStrides(f openflow.FieldID, strides []int) (*PrefixFi
 		return nil, fmt.Errorf("core: field %s has zero width", f)
 	}
 	s := &PrefixFieldSearcher{
-		field:   f,
-		width:   width,
-		nparts:  nparts,
-		parts:   make([]partition, nparts),
-		fields:  label.NewAllocator[fieldKey](),
-		combos:  crossprod.MustNew(nparts),
-		scratch: newPrefixScratchPool(nparts),
+		field:      f,
+		width:      width,
+		nparts:     nparts,
+		parts:      make([]partition, nparts),
+		fields:     label.NewAllocator[fieldKey](),
+		combos:     crossprod.MustNew(nparts),
+		levelNames: make([][]string, nparts),
+		scratch:    newPrefixScratchPool(nparts),
 	}
-	for i := range s.parts {
+	for i, name := range partitionNames(nparts) {
 		cfg := mbt.Config{Width: 16, Strides: append([]int(nil), strides...)}
 		tr, err := mbt.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: trie for %s partition %d: %w", f, i, err)
 		}
 		s.parts[i] = partition{alloc: label.NewAllocator[partKey](), trie: tr}
+		for l := 1; l <= tr.Levels(); l++ {
+			s.levelNames[i] = append(s.levelNames[i], fmt.Sprintf("%s-trie/L%d", name, l))
+		}
 	}
 	return s, nil
 }
@@ -332,13 +340,14 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 // the scratch pool shared.
 func (s *PrefixFieldSearcher) Publish() FieldSearcher {
 	v := &PrefixFieldSearcher{
-		field:   s.field,
-		width:   s.width,
-		nparts:  s.nparts,
-		parts:   make([]partition, s.nparts),
-		fields:  s.fields.Counters(),
-		combos:  s.combos.Publish(),
-		scratch: s.scratch,
+		field:      s.field,
+		width:      s.width,
+		nparts:     s.nparts,
+		parts:      make([]partition, s.nparts),
+		fields:     s.fields.Counters(),
+		combos:     s.combos.Publish(),
+		levelNames: s.levelNames,
+		scratch:    s.scratch,
 	}
 	for i, p := range s.parts {
 		v.parts[i] = partition{alloc: p.alloc.Counters(), trie: p.trie.Publish()}
@@ -349,69 +358,45 @@ func (s *PrefixFieldSearcher) Publish() FieldSearcher {
 // LabelBits implements FieldSearcher.
 func (s *PrefixFieldSearcher) LabelBits() int { return bitops.Log2Ceil(s.fields.Peak()) }
 
-// AddMemory implements FieldSearcher. Each partition trie contributes its
-// per-level memories (sized by the memory cost model); the partition
-// combination table contributes one memory of label-tuple rows.
-func (s *PrefixFieldSearcher) AddMemory(r *memmodel.SystemReport, prefix string) {
-	partNames := partitionNames(s.nparts)
-	for i, part := range s.parts {
-		cost := memmodel.DefaultTrieCostModel.Cost(part.trie.Stats(), part.alloc.Peak(), nil)
-		for _, lc := range cost.Levels {
-			r.Add(fmt.Sprintf("%s/%s-trie/L%d", prefix, partNames[i], lc.Level), lc.StoredNodes, lc.BitsPerEntry)
-		}
-	}
-	comboWidth := 0
-	for _, part := range s.parts {
-		comboWidth += bitops.Log2Ceil(part.alloc.Peak())
-	}
-	comboWidth += s.LabelBits() // payload: the field label
-	comboWidth += 6             // priority: a prefix length 0..width
-	if keys := s.combos.PeakKeys(); keys > 0 && comboWidth > 0 {
-		r.Add(prefix+"/combine", keys, comboWidth)
-	}
-}
-
-// MemoryBits implements FieldSearcher with the same arithmetic as
-// AddMemory — per-level trie bits under the default cost model plus the
-// partition combination table — but no component materialisation, so the
-// per-commit accounting path performs no allocation.
-func (s *PrefixFieldSearcher) MemoryBits() int {
-	bits := 0
+// memory implements FieldSearcher. Each partition trie states one memory
+// per level under the default cost model (memmodel.TrieCostModel): its
+// capacity slots, each entry's label sized by the partition's label peak
+// and its child pointer by the next level's capacity. The partition
+// combination table states one memory of label-tuple rows.
+func (s *PrefixFieldSearcher) memory(a *memAccount) {
 	comboWidth := s.LabelBits() + 6 // payload field label + priority (a prefix length)
 	for i := range s.parts {
 		part := &s.parts[i]
-		labelBits := bitops.Log2Ceil(part.alloc.Peak())
-		comboWidth += labelBits
-		levels := part.trie.Levels()
-		for lvl := 0; lvl < levels; lvl++ {
-			ptrBits := 0
-			if lvl < levels-1 {
-				ptrBits = bitops.Log2Ceil(part.trie.CapacitySlots(lvl + 1))
-			}
-			bits += part.trie.CapacitySlots(lvl) * (1 + labelBits + ptrBits)
+		peak := part.alloc.Peak()
+		comboWidth += bitops.Log2Ceil(peak)
+		for lvl := range part.trie.Levels() {
+			entry := memmodel.DefaultTrieCostModel.EntryBits(peak, part.trie.CapacitySlots(lvl+1)) // 0 beyond the leaf
+			a.add(searchMem, s.levelNames[i][lvl], part.trie.CapacitySlots(lvl), entry)
 		}
 	}
-	if keys := s.combos.PeakKeys(); keys > 0 && comboWidth > 0 {
-		bits += keys * comboWidth
+	if keys := s.combos.PeakKeys(); keys > 0 {
+		a.add(searchMem, "combine", keys, comboWidth)
 	}
-	return bits
 }
 
-func (s *PrefixFieldSearcher) saveAccounting() searcherCheckpoint {
-	peaks := make([]int, 0, 2+s.nparts)
-	peaks = append(peaks, s.fields.Peak(), s.combos.PeakKeys())
+// marks implements highWater: the field and partition label peaks and
+// the combination table's key peak.
+func (s *PrefixFieldSearcher) marks(dst []int) []int {
+	dst = append(dst, s.fields.Peak(), s.combos.PeakKeys())
 	for i := range s.parts {
-		peaks = append(peaks, s.parts[i].alloc.Peak())
+		dst = append(dst, s.parts[i].alloc.Peak())
 	}
-	return searcherCheckpoint{peaks: peaks}
+	return dst
 }
 
-func (s *PrefixFieldSearcher) restoreAccounting(cp searcherCheckpoint) {
-	s.fields.RestorePeak(cp.peaks[0])
-	s.combos.RestorePeakKeys(cp.peaks[1])
+// restoreMarks implements highWater.
+func (s *PrefixFieldSearcher) restoreMarks(src []int) []int {
+	s.fields.RestorePeak(src[0])
+	s.combos.RestorePeakKeys(src[1])
 	for i := range s.parts {
-		s.parts[i].alloc.RestorePeak(cp.peaks[2+i])
+		s.parts[i].alloc.RestorePeak(src[2+i])
 	}
+	return src[2+s.nparts:]
 }
 
 // partitionNames labels partitions the way the paper does: higher/lower

@@ -6,7 +6,6 @@ import (
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/label"
-	"ofmtl/internal/memmodel"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/rangelookup"
 )
@@ -156,20 +155,22 @@ func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flo
 // LabelBits implements FieldSearcher.
 func (s *RangeFieldSearcher) LabelBits() int { return bitops.Log2Ceil(s.alloc.Peak()) }
 
-// AddMemory implements FieldSearcher: the range stage is provisioned as a
+// memory implements FieldSearcher: the range stage is provisioned as a
 // boundary memory of elementary intervals, each row holding a boundary
 // value plus the narrowest label.
-func (s *RangeFieldSearcher) AddMemory(r *memmodel.SystemReport, prefix string) {
-	segs := s.table.Segments()
-	if segs == 0 {
-		return
+func (s *RangeFieldSearcher) memory(a *memAccount) {
+	if segs := s.table.Segments(); segs > 0 {
+		a.add(searchMem, "ranges", segs, s.width+s.LabelBits())
 	}
-	r.Add(prefix+"/ranges", segs, s.width+s.LabelBits())
 }
 
-// MemoryBits implements FieldSearcher with AddMemory's arithmetic.
-func (s *RangeFieldSearcher) MemoryBits() int {
-	return s.table.Segments() * (s.width + s.LabelBits())
+// marks implements highWater: the label peak.
+func (s *RangeFieldSearcher) marks(dst []int) []int { return append(dst, s.alloc.Peak()) }
+
+// restoreMarks implements highWater.
+func (s *RangeFieldSearcher) restoreMarks(src []int) []int {
+	s.alloc.RestorePeak(src[0])
+	return src[1:]
 }
 
 // Publish implements FieldSearcher: the elementary intervals and the
@@ -184,14 +185,6 @@ func (s *RangeFieldSearcher) Publish() FieldSearcher {
 		alloc: s.alloc.Counters(),
 		specs: s.specs,
 	}
-}
-
-func (s *RangeFieldSearcher) saveAccounting() searcherCheckpoint {
-	return searcherCheckpoint{peaks: []int{s.alloc.Peak()}}
-}
-
-func (s *RangeFieldSearcher) restoreAccounting(cp searcherCheckpoint) {
-	s.alloc.RestorePeak(cp.peaks[0])
 }
 
 // Entries returns the number of unique ranges stored.

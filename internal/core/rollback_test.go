@@ -84,7 +84,7 @@ func TestRangeSearcherMemoryAccessors(t *testing.T) {
 		t.Errorf("LabelBits = %d, want 4", s.LabelBits())
 	}
 	var rep memmodel.SystemReport
-	s.AddMemory(&rep, "ports")
+	s.memory(&memAccount{report: &rep, prefix: "ports"})
 	if len(rep.Components) != 1 || rep.TotalBits <= 0 {
 		t.Errorf("range memory report: %+v", rep)
 	}

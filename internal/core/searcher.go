@@ -60,12 +60,11 @@ type FieldSearcher interface {
 	// LabelBits returns the width needed to encode this field's label
 	// space (sized by its high-water mark).
 	LabelBits() int
-	// AddMemory contributes the searcher's memories to a system report.
-	AddMemory(r *memmodel.SystemReport, prefix string)
-	// MemoryBits returns the same total the searcher's AddMemory
-	// components sum to, computed without materialising component names
-	// or slices — the per-commit memory-accounting fast path.
-	MemoryBits() int
+	// memory states the searcher's modelled memory (see memory.go), all of
+	// it in the search bucket.
+	memory(a *memAccount)
+	// Every searcher's memory is sized by high-water marks.
+	highWater
 	// Publish returns an immutable view of the searcher as it stands: it
 	// serves any number of concurrent Search calls and the accounting
 	// methods while the original keeps taking updates, and shares the
@@ -79,29 +78,7 @@ var (
 	_ FieldSearcher = (*ExactFieldSearcher)(nil)
 	_ FieldSearcher = (*PrefixFieldSearcher)(nil)
 	_ FieldSearcher = (*RangeFieldSearcher)(nil)
-
-	_ searcherAccounting = (*ExactFieldSearcher)(nil)
-	_ searcherAccounting = (*PrefixFieldSearcher)(nil)
-	_ searcherAccounting = (*RangeFieldSearcher)(nil)
 )
-
-// searcherCheckpoint is one field searcher's accounting high-water state:
-// its label-allocator peaks in searcher-defined order, plus the exact
-// searcher's provisioned LUT bucket count.
-type searcherCheckpoint struct {
-	peaks   []int
-	buckets int
-}
-
-// searcherAccounting is the capture/restore hook behind the mbt backend's
-// AccountingCheckpoint: the memory model sizes label widths and memory
-// depths by high-water marks, which a rejected transaction must not
-// ratchet (see BackendCheckpoint). Every searcher the architecture
-// registers implements it.
-type searcherAccounting interface {
-	saveAccounting() searcherCheckpoint
-	restoreAccounting(cp searcherCheckpoint)
-}
 
 // NewFieldSearcher constructs the method-appropriate searcher for a field,
 // following Table II: EM fields get a hash LUT, LPM fields partitioned
@@ -223,31 +200,28 @@ func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flo
 // LabelBits implements FieldSearcher.
 func (s *ExactFieldSearcher) LabelBits() int { return bitops.Log2Ceil(s.table.Peak()) }
 
-// AddMemory implements FieldSearcher.
-func (s *ExactFieldSearcher) AddMemory(r *memmodel.SystemReport, prefix string) {
+// memory implements FieldSearcher: the LUT's provisioned slots of
+// (valid + key + label) bits.
+func (s *ExactFieldSearcher) memory(a *memAccount) {
 	c := memmodel.LUTCostOf(s.table.Peak(), s.width, s.table.Peak(), s.table.Buckets(), s.table.Ways())
-	r.Add(prefix+"/lut", c.Buckets*c.Ways, c.BitsPerEntry)
+	a.add(searchMem, "lut", c.Buckets*c.Ways, c.BitsPerEntry)
 }
 
-// MemoryBits implements FieldSearcher with the same arithmetic as
-// AddMemory: provisioned slots × (valid + key + label) bits.
-func (s *ExactFieldSearcher) MemoryBits() int {
-	c := memmodel.LUTCostOf(s.table.Peak(), s.width, s.table.Peak(), s.table.Buckets(), s.table.Ways())
-	return c.Buckets * c.Ways * c.BitsPerEntry
+// marks implements highWater: the LUT's label peak and bucket count.
+func (s *ExactFieldSearcher) marks(dst []int) []int {
+	peak, buckets := s.table.AccountingState()
+	return append(dst, peak, buckets)
+}
+
+// restoreMarks implements highWater.
+func (s *ExactFieldSearcher) restoreMarks(src []int) []int {
+	s.table.RestoreAccounting(src[0], src[1])
+	return src[2:]
 }
 
 // Publish implements FieldSearcher.
 func (s *ExactFieldSearcher) Publish() FieldSearcher {
 	return &ExactFieldSearcher{field: s.field, width: s.width, table: s.table.Publish()}
-}
-
-func (s *ExactFieldSearcher) saveAccounting() searcherCheckpoint {
-	peak, buckets := s.table.AccountingState()
-	return searcherCheckpoint{peaks: []int{peak}, buckets: buckets}
-}
-
-func (s *ExactFieldSearcher) restoreAccounting(cp searcherCheckpoint) {
-	s.table.RestoreAccounting(cp.peaks[0], cp.buckets)
 }
 
 // Entries returns the number of unique values stored.

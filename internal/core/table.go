@@ -230,7 +230,7 @@ func (t *LookupTable) checkCoverage(e *openflow.FlowEntry) error {
 }
 
 // publishStats republishes the table's memory accounting from the
-// backend's incremental counters. It runs after every successful mutation
+// backend's memory statement. It runs after every successful mutation
 // (under the pipeline write lock, or during the single-threaded build
 // phase), so lock-free readers always observe the accounting of a fully
 // applied state. Inside a transaction the publication is deferred to the
@@ -247,7 +247,7 @@ func (t *LookupTable) publishStats() {
 		Backend:      t.backend.Kind(),
 		Rules:        t.rules,
 		BudgetBits:   t.budgetBits,
-		BackendStats: t.backend.Stats(),
+		BackendStats: statsOf(t.backend),
 	}
 	t.stats.Store(tm)
 }
@@ -424,11 +424,12 @@ func (t *LookupTable) publish() *LookupTable {
 
 // AddMemory contributes the table's memories to a system report. The
 // component set depends on the backend: the default mbt scheme reports
-// its field searchers, index-calculation store and action table; tss and
-// lineartcam report their own structures. The component total always
-// equals the table's published Memory() bits.
+// its field searchers, index-calculation store and action table; the
+// other schemes report their own structures. The components are the
+// backend's memory statement, the same one the table's published
+// Memory() bits sum.
 func (t *LookupTable) AddMemory(r *memmodel.SystemReport) {
-	t.backend.AddMemory(r, fmt.Sprintf("table%d", t.cfg.ID))
+	t.backend.memory(&memAccount{report: r, prefix: fmt.Sprintf("table%d", t.cfg.ID)})
 }
 
 // Searcher returns the searcher handling field f when the table runs the

@@ -189,11 +189,14 @@ func (tx *Tx) Commands() int { return len(tx.cmds) }
 
 // undoOp records one applied primitive operation: the transaction
 // installed rule sr (rollback removes it) or removed it (rollback
-// reinstates it, and only a commit frees its lifecycle record).
+// reinstates it, and only a commit frees its lifecycle record) — or, with
+// swapped set, an insert migrated the table off dir24 inline (rollback
+// swaps the incumbent back).
 type undoOp struct {
 	t       *LookupTable
 	sr      *storedRule
 	removed bool
+	swapped *swappedBackend
 }
 
 // Commit validates and applies the transaction atomically: either every
@@ -223,30 +226,19 @@ func (tx *Tx) Commit() (TxResult, error) {
 		}
 	}
 
-	// Suspend per-mutation stats publication on every table the
-	// transaction touches: the accounting walk runs once per touched
-	// table at the end of the commit (success or rollback), not once per
-	// primitive mutation. Validation has already confirmed the tables
-	// exist. With budgets armed, the first sighting of each table also
-	// snapshots its pre-transaction accounting for admission control;
-	// unbudgeted pipelines skip all of it (two atomic loads).
+	// Record the touched tables and their high-water marks, suspending
+	// their per-mutation stats publication: the accounting is stated once
+	// per touched table at the end of the commit (success or rollback),
+	// not once per primitive mutation, and a rejection restores the marks.
+	// Validation has already confirmed the tables exist. With budgets
+	// armed, the pre-transaction bits are recorded for admission control
+	// too; unbudgeted pipelines skip that (two atomic loads).
+	touched := p.markTouchedLocked(tx.cmds)
 	var bc *budgetCheck
 	if p.budgetsArmed() {
-		var touched []*LookupTable
-		for i := range tx.cmds {
-			t := p.tables[tx.cmds[i].Table]
-			if !t.suspendPublish {
-				t.suspendPublish = true
-				touched = append(touched, t)
-			}
-		}
 		bc = p.beginBudgetCheckLocked(touched)
-	} else {
-		for i := range tx.cmds {
-			p.tables[tx.cmds[i].Table].suspendPublish = true
-		}
 	}
-	defer p.flushStatsLocked(tx.cmds)
+	defer p.flushStatsLocked()
 
 	// Phase 2: sequential application with an undo log. Each command
 	// resolves against the rule store as left by its predecessors.
@@ -254,9 +246,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 	var undo []undoOp
 	reject := func(err error) (TxResult, error) {
 		p.rollback(undo)
-		if bc != nil {
-			bc.restoreAccounting()
-		}
+		p.restoreMarksLocked()
 		p.txRejected.Add(1)
 		return TxResult{}, err
 	}
@@ -275,9 +265,10 @@ func (tx *Tx) Commit() (TxResult, error) {
 
 	// Admission control: a commit that grew any budgeted accounting past
 	// its limit is rejected whole — rolled back, with the backends'
-	// provisioned-capacity marks restored so the republished figures (via
-	// the deferred flush) are byte-identical to the pre-transaction state
-	// and lock-free stats readers never observe an over-budget one.
+	// high-water marks restored like any rejection's, so the republished
+	// figures (via the deferred flush) are byte-identical to the
+	// pre-transaction state and lock-free stats readers never observe an
+	// over-budget one.
 	if bc != nil {
 		if err := p.checkBudgetsLocked(bc); err != nil {
 			return reject(err)
@@ -308,11 +299,13 @@ func (tx *Tx) Commit() (TxResult, error) {
 		}
 		// Publish suspended stats now so the eager snapshot embeds this
 		// commit's accounting (the deferred flush then finds nothing).
-		p.flushStatsLocked(tx.cmds)
+		p.flushStatsLocked()
 		ns := p.rebuildSnapshotLocked()
-		shadows := make([]ruleShadow, len(undo))
-		for i := range undo {
-			shadows[i] = shadowOf(&undo[i].sr.entry)
+		shadows := make([]ruleShadow, 0, len(undo))
+		for _, op := range undo {
+			if op.sr != nil { // a backend swap changes no verdict
+				shadows = append(shadows, shadowOf(&op.sr.entry))
+			}
 		}
 		m.sweep(shadows, prevVer, ns.version)
 	}
@@ -324,23 +317,6 @@ func (tx *Tx) Commit() (TxResult, error) {
 		p.adjustPressureLocked()
 	}
 	return res, nil
-}
-
-// flushStatsLocked resumes per-mutation stats publication on the tables
-// a transaction suspended, publishing once per dirty table. Idempotent:
-// the commit's deferred call finds nothing to do when the megaflow path
-// already flushed.
-func (p *Pipeline) flushStatsLocked(cmds []FlowCmd) {
-	for i := range cmds {
-		t := p.tables[cmds[i].Table]
-		if t.suspendPublish {
-			t.suspendPublish = false
-			if t.statsDirty {
-				t.statsDirty = false
-				t.publishStats()
-			}
-		}
-	}
 }
 
 // validateCmdLocked statically checks one command against the pipeline.
@@ -403,7 +379,12 @@ func (p *Pipeline) applyCmdLocked(cmd *FlowCmd, res *TxResult, undo []undoOp) ([
 		return nil
 	}
 	insert := func(e *openflow.FlowEntry) error {
+		prev := t.swapState()
 		sr, err := t.insert(e)
+		if t.backend != prev.backend {
+			swapped := prev
+			undo = append(undo, undoOp{t: t, swapped: &swapped})
+		}
 		if err != nil {
 			return err
 		}
@@ -491,14 +472,17 @@ func (p *Pipeline) applyCmdLocked(cmd *FlowCmd, res *TxResult, undo []undoOp) ([
 
 // rollback reverts applied primitives in reverse order: installed rules
 // leave (freeing their lifecycle records), removed ones return as they
-// were — same install sequence, same lifecycle record. Reverting cannot
+// were — same install sequence, same lifecycle record — and a table an
+// insert migrated gets its incumbent backend back. Reverting cannot
 // fail for content reasons; an impossible failure is surfaced as a panic
 // because it means the engine lost track of its own state.
 func (p *Pipeline) rollback(undo []undoOp) {
 	for i := len(undo) - 1; i >= 0; i-- {
 		op := undo[i]
 		var err error
-		if op.removed {
+		if op.swapped != nil {
+			op.t.unswapBackend(op.swapped)
+		} else if op.removed {
 			op.t.store.relink(op.sr)
 			err = op.t.link(op.sr)
 		} else if err = op.t.unlink(op.sr); err == nil {

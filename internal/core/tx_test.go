@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -305,7 +306,7 @@ func TestTxCookieMaskFilter(t *testing.T) {
 // the whole transaction and applies nothing.
 func TestTxAtomicValidationFailure(t *testing.T) {
 	p := aclTxTable(t)
-	before := p.MemoryReport().String()
+	before := p.MemoryReport()
 	tx := p.Begin()
 	tx.Add(0, txEntry(1, 0, 1, openflow.Exact(openflow.FieldIPv4Dst, 7)))
 	// Field the table does not search: static validation must reject.
@@ -316,8 +317,8 @@ func TestTxAtomicValidationFailure(t *testing.T) {
 	if p.Rules() != 0 {
 		t.Fatalf("rejected tx applied %d rules", p.Rules())
 	}
-	if after := p.MemoryReport().String(); after != before {
-		t.Fatalf("rejected tx changed the memory report:\n%s\nvs\n%s", before, after)
+	if after := p.MemoryReport(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected tx changed the memory report:\n%v\nvs\n%v", before.Components, after.Components)
 	}
 	c := p.TxCounters()
 	if c.Rejected != 1 || c.Txs != 0 {
@@ -327,7 +328,10 @@ func TestTxAtomicValidationFailure(t *testing.T) {
 
 // TestTxAtomicApplyRollback: a command that passes validation but fails
 // during application (a range-field prefix is rejected by the searcher,
-// not the validator) rolls back every previously applied command.
+// not the validator) rolls back every previously applied command, and
+// puts back every high-water mark those commands raised — label peaks,
+// combination and action depths, the protocol LUT's grown bucket count —
+// so the memory report is the pre-commit one, component for component.
 func TestTxAtomicApplyRollback(t *testing.T) {
 	cow.SealForTest(t)
 	p := aclTxTable(t)
@@ -335,10 +339,13 @@ func TestTxAtomicApplyRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Refresh()
-	before := p.MemoryReport().String()
+	before := p.MemoryReport()
 
 	tx := p.Begin()
 	tx.Add(0, txEntry(2, 0, 2, openflow.Exact(openflow.FieldIPv4Dst, 4)))
+	for proto := uint64(0); proto < 100; proto++ {
+		tx.Add(0, txEntry(2, 0, uint32(10+proto), openflow.Exact(openflow.FieldIPProto, proto)))
+	}
 	tx.Delete(0, openflow.Exact(openflow.FieldIPv4Dst, 3))
 	// Passes FlowEntry.Validate (a well-formed match) but the range
 	// searcher rejects prefix constraints at apply time.
@@ -350,8 +357,8 @@ func TestTxAtomicApplyRollback(t *testing.T) {
 	if p.Rules() != 1 {
 		t.Fatalf("rules = %d after rollback, want 1", p.Rules())
 	}
-	if after := p.MemoryReport().String(); after != before {
-		t.Fatalf("rollback left residue:\n--- before\n%s\n--- after\n%s", before, after)
+	if after := p.MemoryReport(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rollback left residue:\n--- before\n%v\n--- after\n%v", before.Components, after.Components)
 	}
 	if out := p.Execute(&openflow.Header{IPv4Dst: 3}).Outputs; len(out) != 1 || out[0] != 1 {
 		t.Fatalf("original entry lost in rollback: %v", out)

@@ -617,10 +617,10 @@ func (t *Table) Keys() int { return t.used }
 // PeakKeys returns the high-water mark of distinct keys.
 func (t *Table) PeakKeys() int { return t.peakKeys }
 
-// RestorePeakKeys lowers the distinct-key high-water mark to peak,
-// clamped to the live key count — the rollback hook for rejected
-// transactions, which may have raised the provisioned combination
-// memory before their inserts were undone.
+// RestorePeakKeys sets the distinct-key high-water mark to peak, but
+// never below the live key count — how a rejected commit puts back the
+// mark it found, its inserts having raised the provisioned combination
+// memory before they were undone.
 func (t *Table) RestorePeakKeys(peak int) {
 	if peak < t.used {
 		peak = t.used

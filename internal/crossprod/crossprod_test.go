@@ -1,7 +1,6 @@
 package crossprod
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -213,73 +212,6 @@ func TestTableInvariants(t *testing.T) {
 
 // liveKey is one stored key with the sum of the reference counts of the
 // bindings under it.
-type liveKey struct {
-	key  []label.Label
-	refs int32
-}
-
-// liveKeys returns every live key of tbl, read from the slots and
-// overflow chains, indexed by its printed form.
-func liveKeys(tbl *Table) map[string]liveKey {
-	out := map[string]liveKey{}
-	for i, c := range tbl.ctrl {
-		if c&ctrlFull == 0 {
-			continue
-		}
-		sl := tbl.slots.Get(i)
-		var key []label.Label
-		if tbl.packed {
-			key = []label.Label{label.Label(uint32(sl.hk))}
-			if tbl.dims == 2 {
-				key = append(key, label.Label(sl.hk>>32))
-			}
-		} else {
-			key = tbl.keyAt(i)
-		}
-		refs := sl.head.refs
-		for cur := sl.head.next; cur != noNext; cur = tbl.over.Get(int(cur)).next {
-			refs += tbl.over.Get(int(cur)).refs
-		}
-		out[fmt.Sprint(key)] = liveKey{key, refs}
-	}
-	return out
-}
-
-// stageRefs returns the words stage s stores with their reference counts.
-func stageRefs(s *stage) map[uint64]int32 {
-	out := map[uint64]int32{}
-	for i, c := range s.ctrl {
-		if c&ctrlFull != 0 {
-			out[s.words.Get(i)] = s.ctl.refs[i]
-		}
-	}
-	return out
-}
-
-// checkStages asserts the stage invariant: a table of dims > 2 has one
-// stage per prefix length n in [2, dims), and stage n holds exactly the
-// words of the distinct n-label prefixes of the live keys (the packed
-// pair for n = 2, the XOR-fold hash beyond), each with a reference count
-// equal to the sum of the binding references under that prefix.
-func checkStages(t *testing.T, tbl *Table) {
-	t.Helper()
-	if want := max(tbl.dims-2, 0); len(tbl.stages) != want {
-		t.Fatalf("%d-dimension table has %d stages, want %d", tbl.dims, len(tbl.stages), want)
-	}
-	keys := liveKeys(tbl)
-	for si, s := range tbl.stages {
-		n := si + 2
-		want := map[uint64]int32{}
-		for _, k := range keys {
-			p := k.key[:n]
-			want[stageWord(p, HashKey(p))] += k.refs
-		}
-		if got := stageRefs(s); !maps.Equal(got, want) || s.used != len(want) {
-			t.Fatalf("stage %d holds %v (%d used), want %v", n, got, s.used, want)
-		}
-	}
-}
-
 // Property: after every step of a random Insert/Remove stream — duplicate
 // bindings, prefixes shared by many keys, wildcard labels, removes of
 // absent keys and of absent bindings under present keys — each stage
@@ -359,7 +291,9 @@ func TestStagesTrackLivePrefixes(t *testing.T) {
 				}
 				live = append(live[:k], live[k+1:]...)
 			}
-			checkStages(t, tbl)
+			if err := tbl.CheckStages(); err != nil {
+				t.Fatal(err)
+			}
 			// Probe the key this step touched and a random one, on the
 			// table and on a view published now.
 			view := tbl.Publish()

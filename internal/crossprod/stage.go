@@ -1,6 +1,8 @@
 package crossprod
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 
 	"ofmtl/internal/cow"
@@ -169,4 +171,75 @@ func (s *stage) publish() *stage {
 		c.view = &stage{ctrl: c.ctrlPub, mask: s.mask, used: s.used, mixed: s.mixed, words: s.words.Publish()}
 	}
 	return c.view
+}
+
+// CheckStages verifies the stage invariant on a live table: a table of
+// dims > 2 has one stage per prefix length n in [2, dims), and stage n
+// holds exactly the words of the distinct n-label prefixes of the live
+// keys (the packed pair for n = 2, the XOR-fold hash beyond), each with a
+// reference count equal to the sum of the binding references under that
+// prefix. A stage only prunes lookups, so a stale one changes no verdict
+// until it drops a live prefix; this check sees it at once. It walks
+// every slot: a test hook, not for the data path.
+func (t *Table) CheckStages() error {
+	if want := max(t.dims-2, 0); len(t.stages) != want {
+		return fmt.Errorf("crossprod: %d-dimension table has %d stages, want %d", t.dims, len(t.stages), want)
+	}
+	keys := liveKeys(t)
+	for si, s := range t.stages {
+		n := si + 2
+		want := map[uint64]int32{}
+		for _, k := range keys {
+			p := k.key[:n]
+			want[stageWord(p, HashKey(p))] += k.refs
+		}
+		if got := stageRefs(s); !maps.Equal(got, want) || s.used != len(want) {
+			return fmt.Errorf("crossprod: stage %d holds %v (%d used), want %v", n, got, s.used, want)
+		}
+	}
+	return nil
+}
+
+// liveKey is one live key with the sum of its bindings' references.
+type liveKey struct {
+	key  []label.Label
+	refs int32
+}
+
+// liveKeys returns every live key of tbl, read from the slots and
+// overflow chains.
+func liveKeys(tbl *Table) []liveKey {
+	var out []liveKey
+	for i, c := range tbl.ctrl {
+		if c&ctrlFull == 0 {
+			continue
+		}
+		sl := tbl.slots.Get(i)
+		var key []label.Label
+		if tbl.packed {
+			key = []label.Label{label.Label(uint32(sl.hk))}
+			if tbl.dims == 2 {
+				key = append(key, label.Label(sl.hk>>32))
+			}
+		} else {
+			key = tbl.keyAt(i)
+		}
+		refs := sl.head.refs
+		for cur := sl.head.next; cur != noNext; cur = tbl.over.Get(int(cur)).next {
+			refs += tbl.over.Get(int(cur)).refs
+		}
+		out = append(out, liveKey{key, refs})
+	}
+	return out
+}
+
+// stageRefs returns the words stage s stores with their reference counts.
+func stageRefs(s *stage) map[uint64]int32 {
+	out := map[uint64]int32{}
+	for i, c := range s.ctrl {
+		if c&ctrlFull != 0 {
+			out[s.words.Get(i)] = s.ctl.refs[i]
+		}
+	}
+	return out
 }

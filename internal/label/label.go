@@ -142,11 +142,10 @@ func (a *Allocator[K]) Len() int { return a.live }
 // label field width in the hardware memory model.
 func (a *Allocator[K]) Peak() int { return a.peak }
 
-// RestorePeak lowers the high-water mark to peak, clamped to the live
-// binding count. It is the rollback hook for rejected transactions: the
-// rejected commit's inserts may have raised the peak (and with it the
-// modelled label width) before being undone, and the reject path restores
-// the accounting captured before the transaction applied.
+// RestorePeak sets the high-water mark to peak, but never below the live
+// binding count. It is how a rejected commit puts back the mark it found:
+// the commit's inserts may have raised the peak (and with it the modelled
+// label width) before being undone.
 func (a *Allocator[K]) RestorePeak(peak int) {
 	if peak < a.live {
 		peak = a.live

@@ -132,9 +132,12 @@ func (l *LUT) fits(key uint64) bool {
 	return l.keyBits >= 64 || key <= bitops.LowMask64(l.keyBits)
 }
 
-func (l *LUT) grow() {
-	l.buckets *= 2
-	// Rehash bucket occupancy; the labels themselves are unaffected.
+func (l *LUT) grow() { l.resize(l.buckets * 2) }
+
+// resize sets the bucket count and rehashes the occupancy model; the
+// labels themselves are unaffected.
+func (l *LUT) resize(buckets int) {
+	l.buckets = buckets
 	l.occupancy = make(map[uint32]int, len(l.occupancy))
 	for _, lab := range l.alloc.Labels() {
 		if v, ok := l.alloc.Value(lab); ok {
@@ -193,19 +196,13 @@ func (l *LUT) Allocator() *label.Allocator[uint64] { return l.alloc }
 // high-water mark and the provisioned bucket count.
 func (l *LUT) AccountingState() (peak, buckets int) { return l.alloc.Peak(), l.buckets }
 
-// RestoreAccounting restores a state captured with AccountingState. The
-// live key set must already be back to what it was at capture time (the
-// captured geometry held exactly that set); shrinking the bucket count
-// rehashes the occupancy model against it.
+// RestoreAccounting sets the accounting to a state captured with
+// AccountingState, rehashing the occupancy model when the bucket count
+// changes. The live key set must be one the captured geometry held (the
+// peak never drops below the live count).
 func (l *LUT) RestoreAccounting(peak, buckets int) {
 	l.alloc.RestorePeak(peak)
-	if buckets > 0 && buckets < l.buckets {
-		l.buckets = buckets
-		l.occupancy = make(map[uint32]int, len(l.occupancy))
-		for _, lab := range l.alloc.Labels() {
-			if v, ok := l.alloc.Value(lab); ok {
-				l.occupancy[l.hash(v)]++
-			}
-		}
+	if buckets != l.buckets {
+		l.resize(buckets)
 	}
 }

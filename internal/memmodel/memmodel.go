@@ -73,15 +73,7 @@ type TrieCost struct {
 // design (the paper sizes pointers from the lower — worst-case — trie);
 // pass nil to size pointers from this trie's own population.
 func (m TrieCostModel) Cost(stats []mbt.LevelStats, labelCount int, worstNextCapacity []int) TrieCost {
-	flag := m.FlagBits
-	if flag == 0 {
-		flag = 1
-	}
-	labelBits := bitops.Log2Ceil(labelCount)
-	if labelBits < m.MinLabelBits {
-		labelBits = m.MinLabelBits
-	}
-
+	flag, labelBits := m.flagAndLabelBits(labelCount)
 	out := TrieCost{Levels: make([]LevelCost, len(stats))}
 	for i, ls := range stats {
 		ptrBits := 0
@@ -109,6 +101,25 @@ func (m TrieCostModel) Cost(stats []mbt.LevelStats, labelCount int, worstNextCap
 	}
 	out.Kbits = float64(out.Bits) / Kbit
 	return out
+}
+
+// EntryBits is the width of one trie entry as Cost models it: the flag,
+// a label sized for labelCount labels and a child pointer sized for
+// nextCapacity slots of the next level (0 at the leaf level). It is the
+// allocation-free form the runtime states a live trie's memory with.
+func (m TrieCostModel) EntryBits(labelCount, nextCapacity int) int {
+	flag, labelBits := m.flagAndLabelBits(labelCount)
+	return flag + labelBits + bitops.Log2Ceil(nextCapacity)
+}
+
+// flagAndLabelBits returns the flag width and the label width for
+// labelCount labels.
+func (m TrieCostModel) flagAndLabelBits(labelCount int) (flag, labelBits int) {
+	flag = m.FlagBits
+	if flag == 0 {
+		flag = 1
+	}
+	return flag, max(bitops.Log2Ceil(labelCount), m.MinLabelBits)
 }
 
 // LUTCost is the memory cost of a hash-based exact-match LUT.
