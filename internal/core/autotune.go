@@ -318,7 +318,9 @@ func (p *Pipeline) SetAutotunePolicy(pol autotune.Policy) {
 }
 
 // updateLatencyLocked folds the sampler deltas since the last advisor
-// tick into the table's latency EWMA.
+// pass into the table's latency EWMA. Only the advisor pass folds: a
+// stats poll reads the EWMA as that pass left it, so how often an
+// operator polls cannot change what the advisor decides.
 func (p *Pipeline) updateLatencyLocked(t *LookupTable) {
 	sum, count := p.lat.totals(t.cfg.ID)
 	ds, dc := sum-t.lastLatSum, count-t.lastLatCount
@@ -329,9 +331,8 @@ func (p *Pipeline) updateLatencyLocked(t *LookupTable) {
 }
 
 // signalsLocked assembles the advisor's view of one table from its live
-// counters, folding fresh latency samples in first.
+// counters and its latency EWMA.
 func (p *Pipeline) signalsLocked(t *LookupTable) autotune.Signals {
-	p.updateLatencyLocked(t)
 	var memBits uint64
 	if tm := t.stats.Load(); tm != nil {
 		memBits = tm.TotalBits()
@@ -429,6 +430,7 @@ func (p *Pipeline) AutotuneOnce() []MigrationEvent {
 	now := time.Now().UnixNano()
 	for _, id := range p.order {
 		t := p.tables[id]
+		p.updateLatencyLocked(t)
 		sig := p.signalsLocked(t)
 		if !t.auto {
 			continue
@@ -534,9 +536,10 @@ type AdvisorStats struct {
 }
 
 // AdvisorStats assembles the advisor's current view of every table:
-// signals, candidate scores, and migration history. It takes the pipeline
-// write lock (signals fold in fresh latency samples), so it is a
-// control-plane polling surface, not a hot-path one.
+// signals, candidate scores, and migration history. Latency is the EWMA
+// as of the last advisor pass; polling folds in no samples. It takes the
+// pipeline write lock, so it is a control-plane polling surface, not a
+// hot-path one.
 func (p *Pipeline) AdvisorStats() AdvisorStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -614,10 +617,11 @@ func (p *Pipeline) calibrateLocked() {
 			continue
 		}
 		var h openflow.Header
+		var ls lookupScratch
 		start := time.Now()
 		for i := 0; i < probeLookups; i++ {
 			h.IPv4Dst = uint32(i%probeRules) << 8
-			b.Lookup(&h, nil)
+			b.Lookup(&h, &ls)
 		}
 		elapsed := time.Since(start)
 		p.tuneModel.Calibrate(kind, float64(elapsed.Nanoseconds())/probeLookups, ref)

@@ -452,3 +452,37 @@ func TestAutotuneLatencySamplerFeedsEwma(t *testing.T) {
 		t.Fatalf("latency EWMA still %v after %d uncached lookups", rep.Tables[0].EwmaNs, 64*64)
 	}
 }
+
+// TestAdvisorStatsPollingLeavesEwma pins that reading the advisor report
+// folds no latency samples: only an advisor pass moves the EWMA and the
+// sampler baseline, so how often an operator polls the stats report
+// cannot change what the advisor decides.
+func TestAdvisorStatsPollingLeavesEwma(t *testing.T) {
+	p := autotuneLPMPipeline(t, 64)
+	p.SetCacheSize(0)
+	p.SetMegaflowSize(0)
+	lookups := func() {
+		for i := 0; i < 64*64; i++ {
+			p.Execute(&openflow.Header{IPv4Dst: uint32(i%64)<<8 | 3})
+		}
+	}
+	lookups()
+	p.SetAutotunePolicy(autotune.Policy{Margin: 1e12}) // hold the incumbent
+	p.AutotuneOnce()
+	lookups() // fresh samples the next advisor pass has yet to fold
+	tbl, _ := p.Table(0)
+	p.mu.Lock()
+	ewma, sum, count := tbl.ewmaNs, tbl.lastLatSum, tbl.lastLatCount
+	p.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		if got := p.AdvisorStats().Tables[0].EwmaNs; got != ewma {
+			t.Fatalf("poll %d reported EWMA %v, want %v as of the last advisor pass", i, got, ewma)
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if tbl.ewmaNs != ewma || tbl.lastLatSum != sum || tbl.lastLatCount != count {
+		t.Fatalf("polling moved the advisor state: EWMA %v→%v, sampler baseline (%d, %d)→(%d, %d)",
+			ewma, tbl.ewmaNs, sum, count, tbl.lastLatSum, tbl.lastLatCount)
+	}
+}

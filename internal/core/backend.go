@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"ofmtl/internal/label"
+	"ofmtl/internal/mbt"
 	"ofmtl/internal/openflow"
 )
 
@@ -119,13 +121,15 @@ type Backend interface {
 	// Lookup classifies one packet header, returning the winning entry's
 	// instructions and priority. Ties on priority resolve to the lowest
 	// install sequence. Lookup must be safe for concurrent callers on a
-	// published view. A non-nil tr asks for consulted-bits
-	// accounting for the megaflow tier: the backend must mark in tr every
+	// published view. ls is the caller's per-lookup scratch, used by one
+	// lookup at a time and handed on to every searcher; the backend keeps
+	// no working state of its own. A non-nil ls.tr asks for consulted-bits
+	// accounting for the megaflow tier: the backend must mark in it every
 	// header bit whose value could change the lookup's outcome, so that
 	// any header agreeing with h on the marked bits is guaranteed the
 	// identical MatchResult. Over-marking is safe; under-marking caches
 	// wrong results.
-	Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool)
+	Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool)
 	// Publish returns an immutable view of the backend as it stands,
 	// serving Lookup and memory; later updates to the original never show
 	// in it. What it costs is the backend's business — mbt and dir24 share
@@ -139,6 +143,42 @@ type Backend interface {
 	// A backend whose statement reads high-water marks also implements
 	// highWater, so a rejected commit can put them back.
 	memory(a *memAccount)
+}
+
+// lookupScratch is one packet's working state through a table lookup: the
+// field searches and the index calculation of Fig. 1. The walk's caller
+// owns it (executeWalk's execScratch, a batch worker's context,
+// Classify's pooled scratch) and hands it down to the backend and every
+// searcher, so a lookup touches no pool. Its buffers grow to the widest
+// table and the most partitions they meet and serve every table one walk
+// visits.
+type lookupScratch struct {
+	// tr is the walk's consulted-bits tracer; nil when the walk is
+	// untraced.
+	tr *flowMask
+
+	// mbt: the per-field candidate sets, each candidate's memoised
+	// dimension-hash contribution (crossprod.DimHash) and the combination
+	// key under composition.
+	cands [][]Candidate
+	chash [][]uint64
+	key   []label.Label
+
+	// PrefixFieldSearcher: the per-partition trie matches and the
+	// partition-combination key.
+	matches [][]mbt.MatchedEntry
+	pkey    []label.Label
+
+	// tss: the probe key.
+	probe []byte
+}
+
+// atLeast returns s extended with zero values to at least n elements.
+func atLeast[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // newBackend constructs the named backend for a table configuration. An

@@ -528,7 +528,8 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 // agreeing on them land on the same slot and, when it is direct, the same
 // outcome. A spilled slot additionally consults the low byte, so the full
 // 32 bits are marked.
-func (b *dir24Backend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+func (b *dir24Backend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+	tr := ls.tr
 	if tr != nil {
 		tr.orField(b.field, 24)
 	}

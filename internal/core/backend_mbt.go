@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/crossprod"
@@ -31,32 +30,6 @@ type mbtBackend struct {
 	wild      uint32
 	wildCount []int
 	wildHash  []uint64
-
-	// scratch pools per-call Lookup buffers, keeping the hot path
-	// allocation-free while allowing concurrent readers; views share the
-	// live backend's pool.
-	scratch *sync.Pool
-}
-
-// classifyScratch carries one Lookup call's working buffers: the
-// per-field candidate sets and the combination key under composition.
-type classifyScratch struct {
-	cands [][]Candidate
-	key   []label.Label
-	// chash memoises each candidate's dimension-hash contribution
-	// (crossprod.DimHash), computed once per Lookup call so each step of
-	// the walk extends the running key hash with one XOR.
-	chash [][]uint64
-}
-
-func newClassifyScratchPool(nfields int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &classifyScratch{
-			cands: make([][]Candidate, nfields),
-			key:   make([]label.Label, nfields),
-			chash: make([][]uint64, nfields),
-		}
-	}}
 }
 
 // newMBTBackend builds the default backend for a table configuration.
@@ -68,7 +41,6 @@ func newMBTBackend(cfg TableConfig) (*mbtBackend, error) {
 		actions:   NewActionTable(),
 		wildCount: make([]int, len(cfg.Fields)),
 		wildHash:  make([]uint64, len(cfg.Fields)),
-		scratch:   newClassifyScratchPool(len(cfg.Fields)),
 	}
 	for d, f := range cfg.Fields {
 		b.wildHash[d] = crossprod.DimHash(d, Wildcard)
@@ -185,32 +157,31 @@ func (b *mbtBackend) Remove(e *openflow.FlowEntry) error {
 //
 // The only stage that consults the header is the per-field search loop
 // (the combination walk and action-table stages operate on labels
-// alone), so handing tr to each field searcher captures every consulted
-// bit: identical traced bits yield identical per-field candidate sets and
-// therefore an identical winning combination.
-func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	sc := b.scratch.Get().(*classifyScratch)
-	defer b.scratch.Put(sc)
-	nf := len(sc.key)
+// alone), so handing ls (and its tracer) to each field searcher captures
+// every consulted bit: identical traced bits yield identical per-field
+// candidate sets and therefore an identical winning combination.
+func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+	nf := len(b.searchers)
+	ls.cands, ls.chash, ls.key = atLeast(ls.cands, nf), atLeast(ls.chash, nf), atLeast(ls.key, nf)
 	hashed := nf > 2
 	viable := true
 	for d, s := range b.searchers {
-		c := s.Search(h, sc.cands[d][:0], tr)
+		c := s.Search(h, ls.cands[d][:0], ls)
 		wild := b.wild&(1<<uint(d)) != 0
 		if hashed {
-			ch := sc.chash[d][:0]
+			ch := ls.chash[d][:0]
 			for _, x := range c {
 				ch = append(ch, crossprod.DimHash(d, x.Label))
 			}
 			if wild {
 				ch = append(ch, b.wildHash[d])
 			}
-			sc.chash[d] = ch
+			ls.chash[d] = ch
 		}
 		if wild {
 			c = append(c, Candidate{Label: Wildcard})
 		}
-		sc.cands[d] = c
+		ls.cands[d] = c
 		viable = viable && len(c) > 0
 	}
 	if !viable {
@@ -222,8 +193,8 @@ func (b *mbtBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 	// candidate tried at depth d, hs[d] the hash of key[:d].
 	var pos [32]int
 	var hs [32]uint64
-	cl, ch := sc.cands, sc.chash
-	key := sc.key
+	cl, ch := ls.cands, ls.chash
+	key := ls.key[:nf]
 	combos := b.combos
 	last := nf - 1
 	var best crossprod.Binding
@@ -292,7 +263,6 @@ func (b *mbtBackend) Publish() Backend {
 		actions:   b.actions.Publish(),
 		wild:      b.wild,
 		wildHash:  b.wildHash,
-		scratch:   b.scratch,
 	}
 	for i, s := range b.searchers {
 		v.searchers[i] = s.Publish()

@@ -131,7 +131,8 @@ func (b *tcamBackend) Remove(e *openflow.FlowEntry) error {
 // winning row: a packet agreeing with h on all those bits misses the same
 // higher-priority rows and hits the same winner (or, on a total miss,
 // misses every row).
-func (b *tcamBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+func (b *tcamBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+	tr := ls.tr
 	for _, ent := range b.entries {
 		if tr != nil {
 			for i := range ent.entry.Matches {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/memmodel"
@@ -34,10 +33,6 @@ type tssBackend struct {
 	// dirPeak is the high-water mark of live tuples: the directory is
 	// provisioned for it, though a tuple goes with its last entry.
 	dirPeak int
-
-	// scratch pools the per-lookup probe-key buffer so concurrent readers
-	// on an immutable clone stay allocation-free.
-	scratch *sync.Pool
 }
 
 // tssShapeWild marks an unconstrained field in a tuple's shape string.
@@ -64,17 +59,12 @@ type tssTuple struct {
 	n       int // live entries
 }
 
-type tssScratch struct {
-	key []byte
-}
-
 // newTSSBackend builds a tuple-space backend for a table configuration.
 func newTSSBackend(cfg TableConfig) *tssBackend {
 	return &tssBackend{
-		cfg:     cfg,
-		fields:  sortedFields(cfg),
-		tuples:  make(map[string]*tssTuple),
-		scratch: &sync.Pool{New: func() any { return &tssScratch{} }},
+		cfg:    cfg,
+		fields: sortedFields(cfg),
+		tuples: make(map[string]*tssTuple),
 	}
 }
 
@@ -281,15 +271,14 @@ func tssBetter(best, cand *tssEntry) bool {
 // Lookup implements Backend: probe every tuple's hash table with the
 // header masked to the tuple's shape, then scan the spill list, keeping
 // the best (priority, installation order) entry.
-func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool) {
-	if tr != nil {
-		b.trace(tr)
+func (b *tssBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+	if ls.tr != nil {
+		b.trace(ls.tr)
 	}
-	sc := b.scratch.Get().(*tssScratch)
 	var best *tssEntry
 	for _, tp := range b.order {
-		sc.key = b.probeKey(tp, h, sc.key)
-		if bucket, ok := tp.entries[string(sc.key)]; ok {
+		ls.probe = b.probeKey(tp, h, ls.probe)
+		if bucket, ok := tp.entries[string(ls.probe)]; ok {
 			for _, ent := range bucket {
 				if tssBetter(best, ent) {
 					best = ent
@@ -302,7 +291,6 @@ func (b *tssBackend) Lookup(h *openflow.Header, tr *flowMask) (MatchResult, bool
 			best = ent
 		}
 	}
-	b.scratch.Put(sc)
 	if best == nil {
 		return MatchResult{}, false
 	}
@@ -341,7 +329,6 @@ func (b *tssBackend) Publish() Backend {
 		order:   make([]*tssTuple, 0, len(b.order)),
 		rules:   b.rules,
 		dirPeak: b.dirPeak,
-		scratch: &sync.Pool{New: func() any { return &tssScratch{} }},
 	}
 	for _, tp := range b.order {
 		ct := &tssTuple{

@@ -220,16 +220,20 @@ func resultsEqual(a, b *Result) bool {
 }
 
 // execScratch carries one Execute call's working buffers: the visited
-// walk, the egress ports, the accumulating action set, and — for traced
+// walk, the egress ports, the accumulating action set, the lookup scratch
+// every table on the walk classifies with, and — for traced
 // (megaflow-installing) walks — the consulted-bits mask and the
-// rewritten-fields bitmask. Buffers are pooled so steady-state execution
-// performs no heap allocation.
+// rewritten-fields bitmask. The caller owns it (a batch worker's context,
+// or execScratchPool), so steady-state execution performs no heap
+// allocation.
 type execScratch struct {
 	visited []openflow.TableID
 	outs    []uint32
 	as      actionSet
 
-	traced    bool     // record consulted bits into tr
+	// ls is handed to every table's Backend.Lookup; ls.tr points at tr
+	// while the walk is traced.
+	ls        lookupScratch
 	tr        flowMask // union of consulted bits (valid when traced)
 	rewritten uint64   // FieldIDs mutated mid-walk (always tracked; cheap)
 
@@ -253,7 +257,7 @@ func (sc *execScratch) reset() {
 	sc.visited = sc.visited[:0]
 	sc.outs = sc.outs[:0]
 	sc.as.clear()
-	sc.traced = false
+	sc.ls.tr = nil
 	sc.rewritten = 0
 	sc.nrefs = 0
 	sc.refOverflow = false

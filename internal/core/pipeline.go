@@ -391,19 +391,16 @@ func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 
 // executeWalk performs the table walk and action-set run over a
 // snapshot's dense view index, recording the visited tables and egress
-// ports in the scratch buffers. With sc.traced set it additionally
-// accumulates the consulted-bits mask (sc.tr) and the rewritten-fields
-// bitmask (sc.rewritten) the megaflow tier installs against. Every
-// control-flow decision below — which table classifies next, which miss
-// policy fires — is a function of classification outcomes, which are
-// functions of the traced bits, so the trace needs no extra terms for
-// the walk structure itself.
+// ports in the scratch buffers. Every table classifies with the one
+// lookup scratch sc.ls; with its tracer set (sc.ls.tr) the walk
+// additionally accumulates the consulted-bits mask and the
+// rewritten-fields bitmask (sc.rewritten) the megaflow tier installs
+// against. Every control-flow decision below — which table classifies
+// next, which miss policy fires — is a function of classification
+// outcomes, which are functions of the traced bits, so the trace needs no
+// extra terms for the walk structure itself.
 func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupView, h *openflow.Header, sc *execScratch, res *Result) {
 	as := &sc.as
-	var tr *flowMask
-	if sc.traced {
-		tr = &sc.tr
-	}
 	cur := order[0]
 	for steps := 0; steps <= len(order); steps++ {
 		t := byID[cur]
@@ -419,7 +416,7 @@ func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupVie
 		if sc.lat != nil {
 			start = time.Now()
 		}
-		m, matched := t.backend.Lookup(h, tr)
+		m, matched := t.backend.Lookup(h, &sc.ls)
 		if sc.lat != nil {
 			sc.lat.record(sc.latShard, cur, uint64(time.Since(start)))
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ofmtl/internal/bitops"
 	"ofmtl/internal/crossprod"
@@ -32,28 +31,9 @@ type PrefixFieldSearcher struct {
 	fields *label.Allocator[fieldKey]
 	combos *crossprod.Table
 
-	// scratch pools per-call buffers so Search stays allocation-free in
-	// steady state while remaining safe for concurrent readers.
-	scratch *sync.Pool
-
 	// levelNames[i][l] names partition i's level-l trie memory in memory
 	// reports ("higher-trie/L1"); immutable, shared with views.
 	levelNames [][]string
-}
-
-// prefixScratch carries one Search call's working buffers.
-type prefixScratch struct {
-	matches [][]mbt.MatchedEntry
-	key     []label.Label
-}
-
-func newPrefixScratchPool(nparts int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &prefixScratch{
-			matches: make([][]mbt.MatchedEntry, nparts),
-			key:     make([]label.Label, nparts),
-		}
-	}}
 }
 
 type partition struct {
@@ -93,7 +73,6 @@ func NewPrefixFieldSearcherStrides(f openflow.FieldID, strides []int) (*PrefixFi
 		fields:     label.NewAllocator[fieldKey](),
 		combos:     crossprod.MustNew(nparts),
 		levelNames: make([][]string, nparts),
-		scratch:    newPrefixScratchPool(nparts),
 	}
 	for i, name := range partitionNames(nparts) {
 		cfg := mbt.Config{Width: 16, Strides: append([]int(nil), strides...)}
@@ -258,17 +237,18 @@ func (s *PrefixFieldSearcher) Remove(m openflow.Match) error {
 // combination stage consults labels only). The per-partition consumed
 // counts are folded into one conservative field prefix: the deepest
 // partition reached pins the prefix length.
-func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
+func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
 	v := h.Get(s.field)
-	sc := s.scratch.Get().(*prefixScratch)
+	ls.matches, ls.pkey = atLeast(ls.matches, s.nparts), atLeast(ls.pkey, s.nparts)
+	matches := ls.matches
 
 	// Walk each partition trie, collecting complete match sets.
-	if tr != nil {
+	if tr := ls.tr; tr != nil {
 		maxConsumed := 0
 		for i := 0; i < s.nparts; i++ {
 			key16 := bitops.PartitionOf(v, s.width, i)
 			var consumed int
-			sc.matches[i], consumed = s.parts[i].trie.LookupAllTraced(uint64(key16), sc.matches[i][:0])
+			matches[i], consumed = s.parts[i].trie.LookupAllTraced(uint64(key16), matches[i][:0])
 			// Partition i covers field bits below the top 16*i, so bits
 			// consumed there extend the overall consulted prefix to
 			// 16*i + consumed.
@@ -280,7 +260,7 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 	} else {
 		for i := 0; i < s.nparts; i++ {
 			key16 := bitops.PartitionOf(v, s.width, i)
-			sc.matches[i] = s.parts[i].trie.LookupAll(uint64(key16), sc.matches[i][:0])
+			matches[i] = s.parts[i].trie.LookupAll(uint64(key16), matches[i][:0])
 		}
 	}
 
@@ -291,13 +271,13 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 	// each candidate contributes only its own dimension's hash. (Tables of
 	// ≤2 partitions take the combination store's packed fast path, where
 	// the probe derives from the key itself.)
-	key := sc.key
+	key := ls.pkey[:s.nparts]
 	useHash := s.nparts > 2
 	for j := s.nparts - 1; j >= 0; j-- {
 		// Prerequisite: partitions 0..j-1 must match exactly.
 		ok := true
 		for i := 0; i < j; i++ {
-			m := sc.matches[i]
+			m := matches[i]
 			if len(m) == 0 || m[0].Plen != 16 {
 				ok = false
 				break
@@ -311,7 +291,7 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 			key[i] = Wildcard
 		}
 		for i := 0; i < j; i++ {
-			key[i] = sc.matches[i][0].Label
+			key[i] = matches[i][0].Label
 		}
 		if useHash {
 			for i := 0; i < s.nparts; i++ {
@@ -320,7 +300,7 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 				}
 			}
 		}
-		for _, c := range sc.matches[j] {
+		for _, c := range matches[j] {
 			key[j] = c.Label
 			var h uint64
 			if useHash {
@@ -331,13 +311,11 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *fl
 			}
 		}
 	}
-	s.scratch.Put(sc)
 	return dst
 }
 
 // Publish implements FieldSearcher: the partition tries and the
-// combination table as views, the label allocators as their counters,
-// the scratch pool shared.
+// combination table as views, the label allocators as their counters.
 func (s *PrefixFieldSearcher) Publish() FieldSearcher {
 	v := &PrefixFieldSearcher{
 		field:      s.field,
@@ -347,7 +325,6 @@ func (s *PrefixFieldSearcher) Publish() FieldSearcher {
 		fields:     s.fields.Counters(),
 		combos:     s.combos.Publish(),
 		levelNames: s.levelNames,
-		scratch:    s.scratch,
 	}
 	for i, p := range s.parts {
 		v.parts[i] = partition{alloc: p.alloc.Counters(), trie: p.trie.Publish()}

@@ -141,9 +141,9 @@ func (s *RangeFieldSearcher) Remove(m openflow.Match) error {
 // the value against stored boundaries, so with any interval present every
 // field bit can move the value across a boundary; the whole field is
 // consulted. An empty table consults nothing.
-func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	if tr != nil && s.table.Segments() > 0 {
-		tr.orFieldFull(s.field)
+func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
+	if ls.tr != nil && s.table.Segments() > 0 {
+		ls.tr.orFieldFull(s.field)
 	}
 	v := h.Get(s.field).Lo
 	for _, lab := range s.table.LookupAll(v) {

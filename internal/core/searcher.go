@@ -50,13 +50,15 @@ type FieldSearcher interface {
 	// Remove releases one reference to the constraint's value.
 	Remove(m openflow.Match) error
 	// Search appends the labels of every stored unique value matching the
-	// header to dst, most specific first. A non-nil tr asks for
+	// header to dst, most specific first. ls is the lookup's scratch,
+	// handed down by the backend: a searcher keeps its working buffers
+	// there, not in a pool of its own. A non-nil ls.tr asks for
 	// consulted-bits accounting: the searcher marks in it every header bit
 	// whose value could change the candidate set (the megaflow
 	// mask-correctness invariant). Implementations must be conservative —
 	// over-marking shrinks cached regions, under-marking caches wrong
 	// results.
-	Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate
+	Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate
 	// LabelBits returns the width needed to encode this field's label
 	// space (sized by its high-water mark).
 	LabelBits() int
@@ -186,9 +188,9 @@ func (s *ExactFieldSearcher) Remove(m openflow.Match) error {
 // every bit of the field (any bit flip can move the header onto or off a
 // stored value); an empty LUT returns the same empty candidate set for
 // all headers and consults nothing.
-func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate, tr *flowMask) []Candidate {
-	if tr != nil && s.table.Len() > 0 {
-		tr.orFieldFull(s.field)
+func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
+	if ls.tr != nil && s.table.Len() > 0 {
+		ls.tr.orFieldFull(s.field)
 	}
 	v := h.Get(s.field)
 	if lab := s.table.Lookup(v.Lo); lab != label.NoLabel {

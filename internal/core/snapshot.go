@@ -109,8 +109,8 @@ func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch, traced bo
 	var res Result
 	sc.reset()
 	if traced {
-		sc.traced = true
 		sc.tr.reset()
+		sc.ls.tr = &sc.tr
 	}
 	if len(s.order) == 0 {
 		res.SentToController = true

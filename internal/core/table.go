@@ -390,9 +390,13 @@ type MatchResult struct {
 // Classify runs the table's lookup backend for one packet header,
 // returning the winning flow entry's instructions. Ties on priority
 // resolve to the earliest installed entry, whichever backend serves the
-// table.
+// table. Its lookup scratch comes from the pipeline's execScratch pool.
 func (t *LookupTable) Classify(h *openflow.Header) (MatchResult, bool) {
-	return t.backend.Lookup(h, nil)
+	sc := execScratchPool.Get().(*execScratch)
+	sc.ls.tr = nil
+	m, ok := t.backend.Lookup(h, &sc.ls)
+	execScratchPool.Put(sc)
+	return m, ok
 }
 
 // Generation returns the table's mutation counter. Each successful Insert

@@ -296,12 +296,8 @@ func (m *MemoryImage) Read(kind RecordKind, block uint16, index uint32) (uint64,
 // (CyclesPerRecord per record: the index is calculated in the first cycle
 // and the data stored in the second, Section V.B).
 func (e Engine) Replay(f *File, img *MemoryImage) uint64 {
-	c := e.CyclesPerRecord
-	if c == 0 {
-		c = CyclesPerRecord
-	}
 	for _, r := range f.Records {
 		img.words[blockAddr{r.Kind, r.Block, r.Index}] = r.Data
 	}
-	return uint64(len(f.Records)) * uint64(c)
+	return uint64(len(f.Records)) * CyclesPerRecord
 }

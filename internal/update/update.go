@@ -36,20 +36,12 @@ type Plan struct {
 // Records returns the total record count.
 func (p Plan) Records() int { return p.AlgorithmRecords + p.TableRecords }
 
-// Engine replays update files. The zero value uses the paper's two cycles
-// per record.
-type Engine struct {
-	// CyclesPerRecord overrides the per-record cost when non-zero.
-	CyclesPerRecord int
-}
+// Engine replays update files at the paper's two cycles per record.
+type Engine struct{}
 
 // Cycles returns the clock cycles the engine spends replaying the plan.
 func (e Engine) Cycles(p Plan) uint64 {
-	c := e.CyclesPerRecord
-	if c == 0 {
-		c = CyclesPerRecord
-	}
-	return uint64(p.Records()) * uint64(c)
+	return uint64(p.Records()) * CyclesPerRecord
 }
 
 // Reduction returns the fractional cycle saving of the optimized plan

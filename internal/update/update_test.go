@@ -32,9 +32,6 @@ func TestEngineCycles(t *testing.T) {
 	if got := (Engine{}).Cycles(p); got != 30 {
 		t.Errorf("default engine cycles = %d, want 30 (2 per record)", got)
 	}
-	if got := (Engine{CyclesPerRecord: 3}).Cycles(p); got != 45 {
-		t.Errorf("3-cycle engine = %d, want 45", got)
-	}
 }
 
 func TestLabelMethodAlwaysWins(t *testing.T) {
