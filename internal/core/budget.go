@@ -258,11 +258,15 @@ func (p *Pipeline) regrowStepLocked() {
 
 // resizeTierLocked swaps in a tier of the given capacity, carrying the
 // accumulated hit/miss totals so the reported cache counters stay monotonic
-// across pressure resizes. Counters added to the old tier after the carry
-// are lost — an acceptable stats race, as the totals are diagnostics, not
-// accounting. Entries re-learn on their next miss.
+// across pressure resizes. Tier hits and misses added to the old tier
+// after the carry are lost — an acceptable stats race, as those totals are
+// diagnostics, not accounting. Flow counters are not: retiring the old
+// tier hands its entries' pending hits to their rules, and a reader still
+// holding it counts on the rules directly. Entries re-learn on their next
+// miss.
 func (p *Pipeline) resizeTierLocked(tier int, old *flowCache, entries int) {
 	nc := newFlowCache(tier, entries)
 	nc.adm.carry(&old.adm)
 	p.tiers[tier].Store(nc)
+	old.retire(p.dir)
 }

@@ -34,6 +34,12 @@ import (
 // read can never mix two results' fields. Fills serialise on the tier's
 // mutex.
 //
+// A hit counts its flow on the entry that served it (cacheSlot.count),
+// not on the rules' counter cells; the entry's pending count folds into
+// those cells off the hot path (lifecycle.go) — when the entry is
+// rewritten, when its tier is replaced (retire), and before every read
+// of the counters.
+//
 // Validity is by version: every published pipeline snapshot carries a
 // version drawn from a monotonic counter, and a slot is live only for the
 // snapshot version stamped on it. A flow-mod forces a new snapshot with a
@@ -107,8 +113,20 @@ const cacheProbe = 4
 // eviction overlap test must treat conservatively because the key records
 // those fields' original values while later tables matched the rewritten
 // ones.
+//
+// hits and last are the entry's own flow counter: the packets it has
+// served since its last fold into its rules' cells (drain), and the
+// lifecycle second of the latest. They sit beside seq, on the line the
+// probe has just loaded, so a hit counts without reaching the rules'
+// counter cells. hits packs a write tag (hitsTagShift up), a 16-bit
+// packet count and a 32-bit byte count; every write moves the tag on, so
+// a reader that validated the previous entry can no longer count on this
+// one (count) — unless it stalls across 65 536 rewrites of its slot, when
+// the 16-bit tag comes round again.
 type cacheSlot struct {
 	seq       atomic.Uint64
+	hits      atomic.Uint64
+	last      atomic.Int64
 	ver       atomic.Uint64
 	rewritten atomic.Uint64
 	key       [flowKeyWords]atomic.Uint64
@@ -121,6 +139,26 @@ type cacheSlot struct {
 	// matched rule was removed necessarily overlaps that rule's shadow.
 	nrefs atomic.Uint32
 	refs  [ctrRefMax]atomic.Uint32
+}
+
+// The fields of a slot's hits word.
+const (
+	hitsTagShift  = 48
+	hitsPktShift  = 32
+	hitsPktMax    = 1<<16 - 1
+	hitsByteMax   = 1<<32 - 1
+	hitsCountMask = 1<<hitsTagShift - 1
+)
+
+// slotHit is what a probe hands the hit path besides the Result: the
+// entry that served it, its hits word as read inside the seqlock window
+// (the tag names the write the reader validated), and its counter
+// attribution.
+type slotHit struct {
+	e     *cacheSlot
+	h     uint64
+	nrefs int
+	refs  [ctrRefMax]uint32
 }
 
 // cacheTuple is one mask's slot array.
@@ -153,35 +191,86 @@ func (tp *cacheTuple) project(k *flowKey, fp uint64, buf *flowKey) (*flowKey, ui
 const _ = uint(flowKeyWords-12) + uint(12-flowKeyWords)
 
 // read is the seqlock reader: the slot's interned Result if the slot is
-// live at ver and holds mk, with its counter attribution copied into refs;
-// nil if not, or if a writer was mid-update or came by during the read.
-func (e *cacheSlot) read(mk *flowKey, ver uint64, refs *[ctrRefMax]uint32) (*Result, int) {
+// live at ver and holds mk, with the slot, its hits word and its counter
+// attribution copied into hit; nil if not, or if a writer was mid-update
+// or came by during the read.
+func (e *cacheSlot) read(mk *flowKey, ver uint64, hit *slotHit) *Result {
 	seq := e.seq.Load()
 	if seq&1 != 0 || e.ver.Load() != ver {
-		return nil, 0
+		return nil
 	}
+	h := e.hits.Load()
 	// The key compare is most of a hit's instructions; written out, it is
 	// a third of the loop's.
 	k := &e.key
 	if k[0].Load() != mk[0] || k[1].Load() != mk[1] || k[2].Load() != mk[2] || k[3].Load() != mk[3] ||
 		k[4].Load() != mk[4] || k[5].Load() != mk[5] || k[6].Load() != mk[6] || k[7].Load() != mk[7] ||
 		k[8].Load() != mk[8] || k[9].Load() != mk[9] || k[10].Load() != mk[10] || k[11].Load() != mk[11] {
-		return nil, 0
+		return nil
 	}
 	rp := e.res.Load()
 	nrefs := min(int(e.nrefs.Load()), ctrRefMax)
 	for r := 0; r < nrefs; r++ {
-		refs[r] = e.refs[r].Load()
+		hit.refs[r] = e.refs[r].Load()
 	}
 	if e.seq.Load() != seq {
-		return nil, 0
+		return nil
 	}
-	return rp, nrefs
+	hit.e, hit.h, hit.nrefs = e, h, nrefs
+	return rp
 }
 
-// write is the seqlock writer; the tier's mutex admits one at a time.
-func (e *cacheSlot) write(mk *flowKey, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
+// count charges one served packet of n bytes, at lifecycle second now, to
+// the entry a reader validated when its hits word read h. It reports
+// false, charging nothing, when the entry has been rewritten or retired
+// since: the caller charges the packet's rules instead. A field the
+// packet would overflow is emptied, and its total, this packet included,
+// returned as spill for the caller to charge the same way.
+func (e *cacheSlot) count(h, n uint64, now int64) (ok bool, spillPkts, spillBytes uint64) {
+	if e.last.Load() != now {
+		e.last.Store(now) // before the count: a fold that takes the count sees it
+	}
+	tag := h &^ hitsCountMask
+	for h&^hitsCountMask == tag {
+		pkts, bytes := h>>hitsPktShift&hitsPktMax+1, h&hitsByteMax+n
+		next := tag | pkts<<hitsPktShift | bytes
+		if pkts > hitsPktMax || bytes > hitsByteMax {
+			next, spillPkts, spillBytes = tag, pkts, bytes
+		}
+		if e.hits.CompareAndSwap(h, next) {
+			return true, spillPkts, spillBytes
+		}
+		h = e.hits.Load()
+	}
+	return false, 0, 0
+}
+
+// drain empties the entry's count into its rules' cells (flowDir.credit)
+// and moves its write tag on by step: 1 when the entry is about to be
+// rewritten or is retired, so no reader that validated it can count on it
+// again; 0 for a fold, which leaves the entry as it is. The caller holds
+// the tier's mutex, so the tag and the refs cannot change under it.
+func (e *cacheSlot) drain(d *flowDir, step uint64) {
+	h := e.hits.Load()
+	for !e.hits.CompareAndSwap(h, h&^hitsCountMask+step<<hitsTagShift) {
+		h = e.hits.Load()
+	}
+	if h&hitsCountMask == 0 {
+		return
+	}
+	var refs [ctrRefMax]uint32
+	nrefs := min(int(e.nrefs.Load()), ctrRefMax)
+	for r := 0; r < nrefs; r++ {
+		refs[r] = e.refs[r].Load()
+	}
+	d.credit(&refs, nrefs, h>>hitsPktShift&hitsPktMax, h&hitsByteMax, e.last.Load())
+}
+
+// write is the seqlock writer; the tier's mutex admits one at a time. The
+// entry it replaces hands its pending hits to its own rules first.
+func (e *cacheSlot) write(d *flowDir, mk *flowKey, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
 	e.seq.Add(1) // odd: readers back off
+	e.drain(d, 1)
 	for w := range e.key {
 		e.key[w].Store(mk[w])
 	}
@@ -237,6 +326,9 @@ type flowCache struct {
 	// concentrated under one mask can use the whole budget.
 	tuples  atomic.Pointer[[]cacheTuple]
 	entries int // slots per tuple: the tier's capacity (power of two)
+	// retired is set (under mu) when the pipeline replaces the tier:
+	// installs stop, and retire has drained every entry.
+	retired bool
 	// cellShift brings a key's admission cell (ladder.go) to the bottom of
 	// its fingerprint. Exact tier: the top four bits of the key's home slot
 	// index, so the sampled 1/16 of keys live in the first 1/16 of the
@@ -276,35 +368,36 @@ func newFlowCache(tier, entries int) *flowCache {
 func (c *flowCache) cell(fp uint64) uint64 { return fp >> c.cellShift & (admitCells - 1) }
 
 // lookup probes every tuple with the key masked by the tuple's mask and
-// returns the first live entry's interned Result (nil on a miss), copying
-// the entry's counter attribution into refs. First match wins: when two
+// returns the first live entry's interned Result (nil on a miss), filling
+// hit with what counting the packet needs. First match wins: when two
 // cached regions both cover a packet, mask correctness makes both results
 // equal, so no priority arbitration is needed. The hit/miss counters are
 // left to the caller, so batch workers can accumulate them locally and
 // flush once per batch.
-func (c *flowCache) lookup(k *flowKey, fp, ver uint64, refs *[ctrRefMax]uint32) (*Result, int) {
+func (c *flowCache) lookup(k *flowKey, fp, ver uint64, hit *slotHit) *Result {
 	var buf flowKey
 	tuples := *c.tuples.Load()
 	for t := range tuples {
 		tp := &tuples[t]
 		mk, base := tp.project(k, fp, &buf)
 		for i := uint64(0); i < cacheProbe; i++ {
-			if rp, nrefs := tp.slots[(base+i)&tp.slotMask].read(mk, ver, refs); rp != nil {
-				return rp, nrefs
+			if rp := tp.slots[(base+i)&tp.slotMask].read(mk, ver, hit); rp != nil {
+				return rp
 			}
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // install publishes a walk outcome: (key & mask, mask) → res, valid for
 // snapshot version ver. res must be an interned (immutable, shared) Result
 // pointer. It prefers an empty or stale slot in the probe window, or the
 // key's own entry; with the window full of other live entries it
-// overwrites the home slot (random replacement within the set). Installs
+// overwrites the home slot (random replacement within the set). The
+// overwritten entry's pending hits go to its rules in d. Installs
 // allocate nothing, except that the first appearance of a new mask
 // allocates its tuple.
-func (c *flowCache) install(k *flowKey, fp uint64, mask *flowMask, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
+func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
 	if failpoint.Inject(failpoint.SiteCacheInstall) != nil {
 		// A modelled install failure drops the entry; the walk already
 		// ran, so the flow simply re-learns on a later miss.
@@ -312,6 +405,9 @@ func (c *flowCache) install(k *flowKey, fp uint64, mask *flowMask, rewritten, ve
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.retired {
+		return // a straggler's fill into a replaced tier
+	}
 	tuples := *c.tuples.Load()
 	t := 0
 	for t < len(tuples) && tuples[t].mask != *mask {
@@ -331,13 +427,53 @@ func (c *flowCache) install(k *flowKey, fp uint64, mask *flowMask, rewritten, ve
 	victim := &tp.slots[base&tp.slotMask]
 	for i := uint64(0); i < cacheProbe; i++ {
 		e := &tp.slots[(base+i)&tp.slotMask]
-		var own [ctrRefMax]uint32
-		if rp, _ := e.read(mk, ver, &own); e.ver.Load() != ver || rp != nil {
+		var own slotHit
+		if rp := e.read(mk, ver, &own); e.ver.Load() != ver || rp != nil {
 			victim = e // empty or stale, or our own entry to refresh
 			break
 		}
 	}
-	victim.write(mk, rewritten, ver, res, refs, nrefs)
+	victim.write(d, mk, rewritten, ver, res, refs, nrefs)
+}
+
+// fold moves every entry's pending hits to its rules' cells in d,
+// leaving the entries as they are. It holds the tier's mutex, so no entry
+// is rewritten under it, and costs one load per slot plus a drain per
+// entry that has counted since the last fold.
+func (c *flowCache) fold(d *flowDir) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tuples := *c.tuples.Load()
+	for t := range tuples {
+		slots := tuples[t].slots
+		for i := range slots {
+			if slots[i].hits.Load()&hitsCountMask != 0 {
+				slots[i].drain(d, 0)
+			}
+		}
+	}
+}
+
+// retire closes a tier the pipeline has replaced: installs stop, and
+// every entry ever written is made unreadable (its sequence left odd) and
+// drained into d with its tag moved on, so a reader still holding the
+// tier misses, or fails its count and charges the rules directly, rather
+// than counting where no fold will look. A slot never written has version
+// 0 and no reader can validate it.
+func (c *flowCache) retire(d *flowDir) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retired = true
+	tuples := *c.tuples.Load()
+	for t := range tuples {
+		slots := tuples[t].slots
+		for i := range slots {
+			if e := &slots[i]; e.seq.Load() != 0 {
+				e.seq.Add(1)
+				e.drain(d, 1)
+			}
+		}
+	}
 }
 
 // CacheStats reports the microflow tier's effectiveness and size.
@@ -380,11 +516,13 @@ func (p *Pipeline) setTierSize(tier, entries int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.tierTarget[tier] = entries
-	if entries <= 0 {
-		p.tiers[tier].Store(nil)
-		return
+	var nc *flowCache
+	if entries > 0 {
+		nc = newFlowCache(tier, entries)
 	}
-	p.tiers[tier].Store(newFlowCache(tier, entries))
+	if old := p.tiers[tier].Swap(nc); old != nil {
+		old.retire(p.dir)
+	}
 }
 
 // tierStats reads one tier's counters and shape.

@@ -190,11 +190,13 @@ type ladder struct {
 // line, and a hit copies it once): one rung per tier — probe, count,
 // serve — then the walk. A batch worker passes its context — own scratch,
 // own counter shard, tier counters kept locally until the batch ends.
-// Pipeline.Execute passes nil: scratch comes from the pool, and tier and
-// flow counters land on the shard the key's fingerprint selects. (Flows
-// spread across the padded counter lines, but one elephant flow hammered
-// from many cores concentrates on one; spreading that needs per-worker
-// state — at scale, use ExecuteBatch.)
+// Pipeline.Execute passes nil: scratch comes from the pool, tier counters
+// land on the key's admission cell and flow counters on the shard the
+// key's fingerprint selects. A hit counts its flow on the entry that
+// served it (cacheSlot.count), so only walks and the rare fallback reach
+// the rules' counter cells; the price is that one elephant flow hammered
+// from many cores, through either entry point, contends on its entry's
+// line.
 //
 // Both tiers key on the header as it arrived: the key is packed before
 // the walk, and mid-walk mutations apply to the forwarded copy. A
@@ -222,7 +224,7 @@ func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 		shard = uint32(fp) & (ctrShards - 1)
 	}
 	var use [numTiers]bool
-	var refs [ctrRefMax]uint32
+	var hit slotHit
 	for i, c := range l.tiers {
 		if c == nil {
 			continue
@@ -233,10 +235,10 @@ func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 		}
 		cell := c.cell(fp)
 		if use[i] = c.adm.use(cell); use[i] {
-			if rp, nrefs := c.lookup(&k, fp, l.s.version, &refs); rp != nil {
+			if rp := c.lookup(&k, fp, l.s.version, &hit); rp != nil {
 				c.adm.hit(cell, local)
-				if l.d != nil && nrefs > 0 {
-					l.d.touch(shard, &refs, nrefs, h.PktLen)
+				if l.d != nil && hit.nrefs > 0 {
+					l.d.charge(&hit, shard, h.PktLen)
 				}
 				*res = *rp
 				return
@@ -263,14 +265,14 @@ func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey
 	sc.latShard = shard
 	res := l.s.executeScratch(h, sc, fill[tierMasked])
 	if l.d != nil && sc.nrefs > 0 {
-		l.d.touch(shard, &sc.refs, sc.nrefs, h.PktLen)
+		l.d.touch(shard, &sc.refs, sc.nrefs, 1, frameBytes(h.PktLen))
 	}
 	if !sc.refOverflow && fill != [numTiers]bool{} {
 		rp := l.s.intern.internResult(res)
 		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
 		for i, c := range l.tiers {
 			if fill[i] {
-				c.install(k, fp, masks[i], sc.rewritten, l.s.version, rp, &sc.refs, sc.nrefs)
+				c.install(l.d, k, fp, masks[i], sc.rewritten, l.s.version, rp, &sc.refs, sc.nrefs)
 			}
 		}
 	}

@@ -15,11 +15,17 @@ import (
 // Every installed flow is assigned a lifecycle ref (slot+1) at insert
 // time, stamped into the stored entry so every lookup layer — backend
 // walk, microflow cache, megaflow tier — can attribute a packet back to
-// the rules that matched it. Counters are sharded: each of ctrShards
-// shards owns a lazily-chunked arena of padded atomic cells, and a
-// batch worker only ever touches its own shard, so counting is
-// contention-free and the steady-state touch path allocates nothing.
-// Reads (flow-stats scrapes, idle-deadline checks) merge the shards.
+// the rules that matched it. A packet counts in one of two places. A
+// cache hit counts on the entry that served it: one packed word on the
+// line the probe has just loaded (cacheSlot.count). A walk counts on the
+// matched rules' cells (touch): each of ctrShards shards owns a
+// lazily-chunked arena of 24-byte atomic cells, unpadded, so two or
+// three flows share a 64-byte line; a batch worker touches only its own
+// shard. Neither path allocates in steady state. An entry's pending hits
+// fold into its rules' cells (credit) when the entry is rewritten, when
+// its tier is replaced, and before every read of the counters — a scrape
+// from cursor 0, an expiry sweep, a clock step — and reads merge the
+// shards, so what they report is exact.
 //
 // Timeouts ride a coarse one-second timer wheel owned by the sweeper.
 // The data plane never arms or checks timers; it only stamps a coarse
@@ -38,8 +44,9 @@ const (
 	dirChunkSlots = 1 << dirChunkShift
 
 	// ctrShards is the counter shard fan-out. Batch workers index it by
-	// worker slot, the single-packet path by key fingerprint; eight
-	// padded lines keep concurrent counters off each other's lines.
+	// worker slot, the single-packet path by key fingerprint, folds use
+	// shard 0. Shards keep concurrent walks off each other's cells; within
+	// a shard, neighbouring flows' cells share lines.
 	ctrShards = 8
 
 	// ctrRefMax bounds the matched rules attributed per packet. It
@@ -53,6 +60,10 @@ const (
 	// re-examined early and re-armed; correctness never depends on the
 	// horizon.
 	dirWheelSlots = 256
+
+	// dirFoldBacklog is how many freed slots may wait for a fold before
+	// an allocation that finds none reusable runs one (see alloc).
+	dirFoldBacklog = 1024
 )
 
 // Flow-removed reasons, mirroring OFPRR_*.
@@ -76,7 +87,7 @@ type flowMeta struct {
 
 type metaChunk [dirChunkSlots]atomic.Pointer[flowMeta]
 
-// ctrCell is one (shard, flow) counter line: packets, bytes and the
+// ctrCell is one (shard, flow) counter cell: packets, bytes and the
 // coarse last-seen second.
 type ctrCell struct {
 	pkts  atomic.Uint64
@@ -152,11 +163,19 @@ type flowDir struct {
 
 	shards [ctrShards]ctrShard
 
-	// mu guards slot allocation state. All callers already hold the
-	// pipeline write lock; the directory keeps its own lock so it stays
-	// self-contained.
+	// tiers are the pipeline's cache tiers, whose entries hold hits not
+	// yet folded into the cells; foldMu serialises folds.
+	tiers  *[numTiers]atomic.Pointer[flowCache]
+	foldMu sync.Mutex
+
+	// mu guards slot allocation state. All allocating callers already
+	// hold the pipeline write lock; the directory keeps its own lock so
+	// it stays self-contained, and folds take it without that lock.
+	// freed slots are reusable; limbo ones were freed since the last fold
+	// began.
 	mu       sync.Mutex
 	freed    []uint32
+	limbo    []uint32
 	next     uint32
 	allocSeq uint64
 
@@ -174,11 +193,11 @@ type flowDir struct {
 	wtick int64
 }
 
-// newFlowDir builds a directory with the clock seeded to the wall
-// second, so flows installed before the first sweep age from now rather
-// than from the epoch.
-func newFlowDir() *flowDir {
-	d := &flowDir{}
+// newFlowDir builds a directory over the given cache tiers, with the
+// clock seeded to the wall second, so flows installed before the first
+// sweep age from now rather than from the epoch.
+func newFlowDir(tiers *[numTiers]atomic.Pointer[flowCache]) *flowDir {
+	d := &flowDir{tiers: tiers}
 	now := time.Now().Unix()
 	d.clock.Store(now)
 	d.wtick = now
@@ -204,10 +223,19 @@ func (d *flowDir) metaOf(ref uint32) *flowMeta {
 }
 
 // alloc claims a slot for a freshly stored entry, zeroes its counters,
-// publishes its record and returns the ref (slot+1). Timed flows are
+// publishes its record and returns the ref (slot+1). A freed slot is
+// reused only once a fold has run since it was freed: that fold drops
+// whatever hits cache entries still held for the old flow, where after
+// reuse it would credit them to the new one. With no slot reusable and
+// dirFoldBacklog waiting, alloc runs the fold itself. Timed flows are
 // queued for the sweeper. Called under the pipeline write lock.
 func (d *flowDir) alloc(entry *openflow.FlowEntry, table openflow.TableID, idle, hard uint16) uint32 {
 	d.mu.Lock()
+	if len(d.freed) == 0 && len(d.limbo) >= dirFoldBacklog {
+		d.mu.Unlock()
+		d.fold()
+		d.mu.Lock()
+	}
 	var slot uint32
 	if n := len(d.freed); n > 0 {
 		slot = d.freed[n-1]
@@ -234,9 +262,9 @@ func (d *flowDir) alloc(entry *openflow.FlowEntry, table openflow.TableID, idle,
 	d.mu.Unlock()
 
 	// Zero the reused slot's counters before publishing the record. A
-	// straggling touch through a not-yet-invalidated cache entry can
-	// still land on the fresh cell afterwards — a bounded monitoring
-	// skew, accepted for a lock-free count path.
+	// straggler — a reader still on a snapshot from before the free,
+	// counting after the fold — can still land on the fresh cell: a
+	// bounded monitoring skew, accepted for a lock-free count path.
 	for i := range d.shards {
 		if c := d.shards[i].peek(slot); c != nil {
 			c.pkts.Store(0)
@@ -263,9 +291,9 @@ func (d *flowDir) alloc(entry *openflow.FlowEntry, table openflow.TableID, idle,
 	return slot + 1
 }
 
-// free retracts ref's record and recycles its slot. Called under the
-// pipeline write lock; wheel entries referencing the old sequence are
-// dropped when the sweeper meets them.
+// free retracts ref's record and queues its slot for reuse after the
+// next fold. Called under the pipeline write lock; wheel entries
+// referencing the old sequence are dropped when the sweeper meets them.
 func (d *flowDir) free(ref uint32) {
 	if ref == 0 {
 		return
@@ -282,22 +310,47 @@ func (d *flowDir) free(ref uint32) {
 	(*spine)[ci][slot&(dirChunkSlots-1)].Store(nil)
 	d.live.Add(-1)
 	d.mu.Lock()
-	d.freed = append(d.freed, slot)
+	d.limbo = append(d.limbo, slot)
 	d.mu.Unlock()
 }
 
-// touch counts one packet against every attributed flow: one clock
-// load, then per ref an increment pair and a coarse last-seen store on
-// the caller's shard. The last-seen second is stored only when it
-// differs — an atomic store is a locked instruction, and within one
-// clock second it would rewrite the same value. Zero refs (no
-// attribution) are skipped. The fast path allocates nothing.
-func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pktLen uint32) {
-	now := d.clock.Load()
-	bytes := uint64(pktLen)
-	if bytes == 0 {
-		bytes = 64 // minimum-size Ethernet frame
+// fold moves every cache entry's pending hits into its rules' cells,
+// then releases for reuse the slots freed before it began. Scrapes and
+// the expiry sweep run it first, so the counters they read are exact.
+func (d *flowDir) fold() {
+	d.foldMu.Lock()
+	defer d.foldMu.Unlock()
+	d.mu.Lock()
+	n := len(d.limbo)
+	d.mu.Unlock()
+	for i := range d.tiers {
+		if c := d.tiers[i].Load(); c != nil {
+			c.fold(d)
+		}
 	}
+	d.mu.Lock()
+	d.freed = append(d.freed, d.limbo[:n]...)
+	d.limbo = append(d.limbo[:0], d.limbo[n:]...)
+	d.mu.Unlock()
+}
+
+// frameBytes is the byte count a packet is charged: its length, with 0
+// read as a minimum-size Ethernet frame.
+func frameBytes(pktLen uint32) uint64 {
+	if pktLen == 0 {
+		return 64
+	}
+	return uint64(pktLen)
+}
+
+// touch counts pkts packets of bytes in total against every attributed
+// flow: one clock load, then per ref an increment pair and a coarse
+// last-seen store on the caller's shard. The last-seen second is stored
+// only when it differs — an atomic store is a locked instruction, and
+// within one clock second it would rewrite the same value. Zero refs (no
+// attribution) are skipped. The fast path allocates nothing.
+func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pkts, bytes uint64) {
+	now := d.clock.Load()
 	s := &d.shards[shard&(ctrShards-1)]
 	for i := 0; i < n; i++ {
 		ref := refs[i]
@@ -305,10 +358,45 @@ func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pktLen uin
 			continue
 		}
 		c := s.cell(ref - 1)
-		c.pkts.Add(1)
+		c.pkts.Add(pkts)
 		c.bytes.Add(bytes)
 		if c.last.Load() != now {
 			c.last.Store(now)
+		}
+	}
+}
+
+// charge counts one packet a cache entry served: on the entry itself
+// while it still holds the walk the reader validated, else on the rules'
+// cells through the refs the reader copied — as is a field's total the
+// packet would overflow.
+func (d *flowDir) charge(hit *slotHit, shard uint32, pktLen uint32) {
+	n := frameBytes(pktLen)
+	ok, pkts, bytes := hit.e.count(hit.h, n, d.clock.Load())
+	if !ok {
+		pkts, bytes = 1, n
+	}
+	if pkts > 0 {
+		d.touch(shard, &hit.refs, hit.nrefs, pkts, bytes)
+	}
+}
+
+// credit folds a cache entry's pending count into its rules' cells on
+// shard 0, with the entry's last-seen second: a touch of pkts packets at
+// that second. A ref with no live record — its rule is gone — drops its
+// share, as a deleted rule's counts are lost.
+func (d *flowDir) credit(refs *[ctrRefMax]uint32, n int, pkts, bytes uint64, last int64) {
+	s := &d.shards[0]
+	for i := 0; i < n; i++ {
+		ref := refs[i]
+		if d.metaOf(ref) == nil {
+			continue
+		}
+		c := s.cell(ref - 1)
+		c.pkts.Add(pkts)
+		c.bytes.Add(bytes)
+		if c.last.Load() != last {
+			c.last.Store(last)
 		}
 	}
 }
@@ -529,12 +617,16 @@ type LifecycleStats struct {
 // resumes the scan and more reports whether matching flows remain. The
 // *FlowStats passed to fn is reused between calls — copy it to retain.
 //
-// The scan never takes the pipeline write lock, so scraping a
-// million-flow directory does not pause commits; a flow mutated
-// mid-scan is simply observed in whichever state the slot held when
-// its chunk was read.
+// A scan from cursor 0 first folds the cache entries' pending hits into
+// the counters (O(cache slots), once per scan, not per page). The scan
+// never takes the pipeline write lock, so scraping a million-flow
+// directory does not pause commits; a flow mutated mid-scan is simply
+// observed in whichever state the slot held when its chunk was read.
 func (p *Pipeline) VisitFlows(table int, cookie, cookieMask uint64, start uint32, max int, fn func(*FlowStats) bool) (next uint32, more bool) {
 	d := p.dir
+	if start == 0 {
+		d.fold()
+	}
 	spine := d.metas.Load()
 	if spine == nil {
 		return 0, false
@@ -628,8 +720,12 @@ func (p *Pipeline) LifecycleStats() LifecycleStats {
 
 // SetLifecycleClock pins the lifecycle clock to the given coarse
 // second. Tests drive expiry deterministically with it; production
-// pipelines let StartExpiry advance the clock from the wall.
-func (p *Pipeline) SetLifecycleClock(now int64) { p.dir.clock.Store(now) }
+// pipelines let StartExpiry advance the clock from the wall. Pending
+// cache hits fold first, so they keep the second they arrived in.
+func (p *Pipeline) SetLifecycleClock(now int64) {
+	p.dir.fold()
+	p.dir.clock.Store(now)
+}
 
 // LifecycleClock returns the current coarse lifecycle second.
 func (p *Pipeline) LifecycleClock() int64 { return p.dir.clock.Load() }
@@ -647,6 +743,7 @@ func (p *Pipeline) LifecycleClock() int64 { return p.dir.clock.Load() }
 // half-applying.
 func (p *Pipeline) SweepExpired(now int64) (int, error) {
 	d := p.dir
+	d.fold()
 	d.clock.Store(now)
 	cands := d.collectExpired(now)
 	if len(cands) == 0 {

@@ -290,6 +290,24 @@ func TestFlowCounters(t *testing.T) {
 	if got := counters(); got[1] != [2]uint64{0, 0} {
 		t.Fatalf("modified flow kept counters %v, want reset to zero", got[1])
 	}
+
+	// A cached flow counts on its cache entry: 70 000 hits of 65 535 bytes
+	// overflow the entry's 16-bit packet field, and the total its 32-bit
+	// byte field; a few 3 GB "packets" overflow the byte field directly.
+	p.SetCacheSize(256)
+	mustInsert(t, p, lifecycleEntry(4, 40, 4))
+	h := new(openflow.Header)
+	for i := 0; i < 70000; i++ {
+		*h = *srcHeader(4, 65535)
+		p.Execute(h)
+	}
+	for i := 0; i < 3; i++ {
+		*h = *srcHeader(4, 3_000_000_000)
+		p.Execute(h)
+	}
+	if got, want := counters()[4], [2]uint64{70003, 70000*65535 + 3*3_000_000_000}; got != want {
+		t.Fatalf("cached flow counted %v, want %v", got, want)
+	}
 }
 
 // TestVisitFlowsPagingAndFilters exercises the lock-free scrape:

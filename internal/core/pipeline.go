@@ -153,12 +153,12 @@ type Pipeline struct {
 func NewPipeline() *Pipeline {
 	p := &Pipeline{
 		tables:     make(map[openflow.TableID]*LookupTable),
-		dir:        newFlowDir(),
 		groupTab:   newGroupTable(),
 		lat:        newLatSampler(),
 		tunePolicy: autotune.DefaultPolicy(),
 		tuneModel:  autotune.DefaultModel(),
 	}
+	p.dir = newFlowDir(&p.tiers)
 	p.groupsView.Store(emptyGroupView)
 	return p
 }
