@@ -961,13 +961,16 @@ func (d *modelDriver) checkState() {
 }
 
 // recount checks each table that changed since its last recount against
-// its structures. The published memory figure is the live backend's
-// statement as it stands, and the statement is a recount: a backend of
-// the same kind rebuilt from the table's rule store and given the live
-// backend's high-water marks states the same memories, component by
-// component. Under mbt, every combination store's prefix stages hold
-// exactly its live keys' prefixes (crossprod.Table.CheckStages) — a
-// stale stage changes no verdict until it prunes a live key.
+// its structures, the structures first. Under mbt, every combination
+// store's prefix stages hold exactly its live keys' prefixes
+// (crossprod.Table.CheckStages) — a stale stage changes no verdict until
+// it prunes a live key — and every range searcher's elementary intervals
+// pass their structural check, which includes a from-scratch sweep
+// (rangelookup.Table.Check). Then the account: the published memory
+// figure is the live backend's statement as it stands, and the statement
+// is a recount: a backend of the same kind rebuilt from the table's rule
+// store and given the live backend's high-water marks states the same
+// memories, component by component.
 func (d *modelDriver) recount() {
 	d.t.Helper()
 	d.p.mu.Lock()
@@ -979,6 +982,24 @@ func (d *modelDriver) recount() {
 			continue
 		}
 		d.recounted[id] = gen
+		if b, ok := t.backend.(*mbtBackend); ok {
+			combos := []*crossprod.Table{b.combos}
+			for _, s := range b.searchers {
+				switch s := s.(type) {
+				case *PrefixFieldSearcher:
+					combos = append(combos, s.combos)
+				case *RangeFieldSearcher:
+					if err := s.table.Check(); err != nil {
+						d.fatalf("table %d, %s searcher: %v", id, s.field, err)
+					}
+				}
+			}
+			for _, c := range combos {
+				if err := c.CheckStages(); err != nil {
+					d.fatalf("table %d: %v", id, err)
+				}
+			}
+		}
 		live := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
 		t.backend.memory(&live)
 		if pub := t.Memory(); pub.Backend != t.backend.Kind() || pub.Rules != t.rules || pub.BackendStats != live.BackendStats {
@@ -995,19 +1016,6 @@ func (d *modelDriver) recount() {
 		nb.memory(&re)
 		if !reflect.DeepEqual(re.report, live.report) {
 			d.fatalf("table %d states\n%v\na rebuild from its rules states\n%v", id, live.report.Components, re.report.Components)
-		}
-		if b, ok := t.backend.(*mbtBackend); ok {
-			combos := []*crossprod.Table{b.combos}
-			for _, s := range b.searchers {
-				if ps, ok := s.(*PrefixFieldSearcher); ok {
-					combos = append(combos, ps.combos)
-				}
-			}
-			for _, c := range combos {
-				if err := c.CheckStages(); err != nil {
-					d.fatalf("table %d: %v", id, err)
-				}
-			}
 		}
 	}
 }

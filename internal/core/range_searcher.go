@@ -14,7 +14,8 @@ import (
 // ranges are labelled and projected onto elementary intervals
 // (rangelookup), so a search is a binary search returning every containing
 // range, narrowest first — the paper's RM semantics extended with the
-// complete match set the crossproduct stage needs.
+// complete match set the crossproduct stage needs. A range change updates
+// only the intervals it spans.
 type RangeFieldSearcher struct {
 	field openflow.FieldID
 	width int
@@ -137,10 +138,11 @@ func (s *RangeFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher. Elementary-interval search compares
-// the value against stored boundaries, so with any interval present every
-// field bit can move the value across a boundary; the whole field is
-// consulted. An empty table consults nothing.
+// Search implements FieldSearcher: the containing interval's labels are a
+// slice of the table's label arena, read in place. Elementary-interval
+// search compares the value against stored boundaries, so with any
+// interval present every field bit can move the value across a boundary;
+// the whole field is consulted. An empty table consults nothing.
 func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
 	if ls.tr != nil && s.table.Segments() > 0 {
 		ls.tr.orFieldFull(s.field)
@@ -174,8 +176,9 @@ func (s *RangeFieldSearcher) restoreMarks(src []int) []int {
 }
 
 // Publish implements FieldSearcher: the elementary intervals and the
-// specificity array are shared (both are replaced, never rewritten, once
-// published), the label allocator is reduced to its counters.
+// specificity array are shared (the live searcher copies each before its
+// first write after a publish), the label allocator is reduced to its
+// counters.
 func (s *RangeFieldSearcher) Publish() FieldSearcher {
 	s.specsShared = true
 	return &RangeFieldSearcher{

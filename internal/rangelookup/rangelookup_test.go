@@ -1,8 +1,12 @@
 package rangelookup
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
-	"testing/quick"
 
 	"ofmtl/internal/label"
 	"ofmtl/internal/xrand"
@@ -122,74 +126,172 @@ func TestSegmentsCoalesce(t *testing.T) {
 	}
 }
 
-// referenceLookup is the brute-force narrowest-range matcher.
-func referenceLookup(entries [][3]uint64, key uint64) (label.Label, bool) {
-	bestWidth := ^uint64(0)
-	bestIdx := -1
-	for i, e := range entries {
-		if key < e[0] || key > e[1] {
-			continue
-		}
-		w := e[1] - e[0]
-		if bestIdx < 0 || w < bestWidth {
-			bestIdx, bestWidth = i, w
-		}
-	}
-	if bestIdx < 0 {
-		return 0, false
-	}
-	return label.Label(entries[bestIdx][2]), true
+// refEntry is a range of the reference model, in insertion order.
+type refEntry struct {
+	lo, hi uint64
+	lab    label.Label
 }
 
-// Property: table lookups agree with the brute-force reference on random
-// port-range workloads.
+// referenceAll is the brute-force matcher: the labels of every range
+// containing key, narrowest first, the earlier inserted on equal widths.
+func referenceAll(entries []refEntry, key uint64) []label.Label {
+	var cover []refEntry
+	for _, e := range entries {
+		if e.lo <= key && key <= e.hi {
+			cover = append(cover, e)
+		}
+	}
+	slices.SortStableFunc(cover, func(a, b refEntry) int { return cmp.Compare(a.hi-a.lo, b.hi-b.lo) })
+	var labs []label.Label
+	for _, e := range cover {
+		labs = append(labs, e.lab)
+	}
+	return labs
+}
+
+// referenceSegments counts elementary intervals the way a sweep over the
+// range boundaries does: from the lowest boundary up, a new interval
+// wherever the containing list changes.
+func referenceSegments(entries []refEntry) int {
+	var points []uint64
+	for _, e := range entries {
+		points = append(points, e.lo)
+		if e.hi != math.MaxUint64 {
+			points = append(points, e.hi+1)
+		}
+	}
+	slices.Sort(points)
+	n := 0
+	var prev []label.Label
+	for _, p := range slices.Compact(points) {
+		labs := referenceAll(entries, p)
+		if n == 0 || !slices.Equal(labs, prev) {
+			n++
+		}
+		prev = labs
+	}
+	return n
+}
+
+// probes returns every range boundary of entries, one below and one
+// above, plus both ends of the key space.
+func probes(entries []refEntry) []uint64 {
+	keys := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+	for _, e := range entries {
+		for _, p := range []uint64{e.lo, e.hi, e.hi + 1} {
+			keys = append(keys, p-1, p, p+1)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// Property: under a seeded sequence of inserts, removes and publishes —
+// duplicate ranges, point ranges, the full-width range, and on odd seeds
+// some labels shared between ranges — the table agrees with the brute-force
+// reference on the full containing list at every boundary and one either
+// side, its interval count equals a from-scratch sweep's, and it passes
+// its own structural check. Every view keeps answering as it did when it
+// was published, also read concurrently with the updates that follow.
 func TestMatchesReferenceProperty(t *testing.T) {
-	f := func(seed uint64) bool {
+	for seed := uint64(1); seed <= 24; seed++ {
 		rng := xrand.New(seed)
 		var tbl Table
-		var entries [][3]uint64
-		for i := 0; i < 40; i++ {
-			lo := uint64(rng.Intn(1000))
-			hi := lo + uint64(rng.Intn(200))
-			lab := uint64(i)
-			if err := tbl.Insert(lo, hi, label.Label(lab)); err != nil {
-				return false
+		var live []refEntry
+		next := label.Label(0)
+		var wg sync.WaitGroup
+		for op := 0; op < 300; op++ {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				wg.Wait()
+				t.Fatalf("seed %d op %d: %s", seed, op, fmt.Sprintf(format, args...))
 			}
-			entries = append(entries, [3]uint64{lo, hi, lab})
-		}
-		for k := uint64(0); k < 1300; k++ {
-			gotLab, gotOK := tbl.Lookup(k)
-			wantLab, wantOK := referenceLookup(entries, k)
-			if gotOK != wantOK {
-				return false
+			switch c := rng.Intn(10); {
+			case c < 4 || len(live) < 3:
+				var e refEntry
+				switch rng.Intn(6) {
+				case 0:
+					e.lo = uint64(rng.Intn(400))
+					e.hi = e.lo
+				case 1:
+					e.hi = math.MaxUint64
+					if rng.Intn(2) == 0 {
+						e.lo = math.MaxUint64 - uint64(rng.Intn(8))
+					}
+				case 2:
+					if len(live) > 0 {
+						d := live[rng.Intn(len(live))]
+						e.lo, e.hi = d.lo, d.hi
+						break
+					}
+					fallthrough
+				default:
+					e.lo = uint64(rng.Intn(400))
+					e.hi = e.lo + uint64(rng.Intn(80))
+				}
+				e.lab = next
+				next++
+				if seed%2 == 1 && len(live) > 0 && rng.Intn(6) == 0 {
+					e.lab = live[rng.Intn(len(live))].lab
+				}
+				if err := tbl.Insert(e.lo, e.hi, e.lab); err != nil {
+					fail("insert [%d, %d]: %v", e.lo, e.hi, err)
+				}
+				live = append(live, e)
+			case c < 8:
+				d := live[rng.Intn(len(live))]
+				if err := tbl.Remove(d.lo, d.hi, d.lab); err != nil {
+					fail("remove [%d, %d] %d: %v", d.lo, d.hi, d.lab, err)
+				}
+				i := slices.Index(live, d) // the earliest inserted of equal ranges
+				live = slices.Delete(live, i, i+1)
+			default:
+				view := tbl.Publish()
+				keys := probes(live)
+				want := make([][]label.Label, len(keys))
+				for i, k := range keys {
+					want[i] = referenceAll(live, k)
+				}
+				segs := referenceSegments(live)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for pass := 0; pass < 8; pass++ {
+						if got := view.Segments(); got != segs {
+							t.Errorf("seed %d: a view published at op %d has %d intervals, had %d", seed, op, got, segs)
+							return
+						}
+						for i, k := range keys {
+							if got := view.LookupAll(k); !slices.Equal(got, want[i]) {
+								t.Errorf("seed %d: a view published at op %d answers key %d with %v, had %v", seed, op, k, got, want[i])
+								return
+							}
+						}
+					}
+				}()
 			}
-			if gotOK {
-				// Widths must agree even if a tie picked a different label.
-				gw := width(entries, gotLab)
-				ww := width(entries, wantLab)
-				if gw != ww {
-					return false
+			if err := tbl.Check(); err != nil {
+				fail("%v", err)
+			}
+			if got, want := tbl.Segments(), referenceSegments(live); got != want {
+				fail("%d intervals, a sweep gives %d", got, want)
+			}
+			if tbl.Len() != len(live) {
+				fail("Len %d, want %d", tbl.Len(), len(live))
+			}
+			for _, k := range probes(live) {
+				if got, want := tbl.LookupAll(k), referenceAll(live, k); !slices.Equal(got, want) {
+					fail("key %d: %v, want %v", k, got, want)
 				}
 			}
 		}
-		return true
+		wg.Wait()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func width(entries [][3]uint64, lab label.Label) uint64 {
-	for _, e := range entries {
-		if label.Label(e[2]) == lab {
-			return e[1] - e[0]
-		}
-	}
-	return ^uint64(0)
 }
 
 // A published view shares the elementary intervals it was published with:
-// later inserts and removals rebuild into a fresh slice and never show.
+// later inserts and removals write to the live table's own copy and never
+// show.
 func TestPublishedViewIsUnaffectedByLaterWrites(t *testing.T) {
 	var tbl Table
 	for i := uint64(0); i < 50; i++ {
@@ -211,7 +313,6 @@ func TestPublishedViewIsUnaffectedByLaterWrites(t *testing.T) {
 	if err := tbl.Insert(0, 6000, 99); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Segments() // rebuilds the live table
 	if view.Segments() != segs {
 		t.Fatalf("view has %d segments, was published with %d", view.Segments(), segs)
 	}
