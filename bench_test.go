@@ -282,11 +282,9 @@ func BenchmarkClassifyACL(b *testing.B) {
 }
 
 // BenchmarkCommitACL measures one flow-mod transaction on the 1000-rule
-// ACL, shaped like the benchmark's churn batch: eight strict deletes of
-// installed rules plus the re-adds of the eight the previous transaction
-// deleted, applied and published in one Commit. Every rule carries port
-// ranges, so each commit updates the range searchers' elementary
-// intervals as well as the crossproduct store.
+// ACL, shaped like the benchmark's churn batch (benchChurn). Every rule
+// carries port ranges, so each commit updates the range searchers'
+// elementary intervals as well as the crossproduct store.
 func BenchmarkCommitACL(b *testing.B) {
 	f := filterset.GenerateACL("bench", 1000, filterset.DefaultSeed)
 	p, err := core.BuildACL(f)
@@ -294,7 +292,14 @@ func BenchmarkCommitACL(b *testing.B) {
 		b.Fatal(err)
 	}
 	p.Refresh()
-	pool := f.FlowEntries()
+	benchChurn(b, p, f.FlowEntries(), 1)
+}
+
+// benchChurn commits b.N transactions on table 0 shaped like the
+// benchmark's churn batch: eight strict deletes of installed rules,
+// visiting pool stride entries apart, plus the re-adds of the eight the
+// previous transaction deleted, applied and published in one Commit.
+func benchChurn(b *testing.B, p *core.Pipeline, pool []openflow.FlowEntry, stride int) {
 	const half = 8
 	var deleted, readd []int
 	next := 0
@@ -307,7 +312,7 @@ func BenchmarkCommitACL(b *testing.B) {
 			e := &pool[next]
 			tx.DeleteStrict(0, e.Priority, e.Matches...)
 			deleted = append(deleted, next)
-			next = (next + 1) % len(pool)
+			next = (next + stride) % len(pool)
 		}
 		for _, idx := range readd {
 			tx.Add(0, &pool[idx])
@@ -317,6 +322,47 @@ func BenchmarkCommitACL(b *testing.B) {
 		}
 		deleted, readd = readd, deleted
 	}
+}
+
+// BenchmarkCommitLPMMegaflow measures one churn-shaped flow-mod
+// transaction (benchChurn) on a 256 k-prefix LPM table (one mbt table on
+// the destination) behind a 16 384-entry masked megaflow tier filled by
+// as many distinct destinations: each commit's megaflow sweep judges
+// every live entry against the sixteen touched rules.
+func BenchmarkCommitLPMMegaflow(b *testing.B) {
+	f := filterset.GenerateLPM("lpm", 256000, filterset.DefaultSeed)
+	pool := f.FlowEntries()
+	p := core.NewPipeline()
+	tab, err := p.AddTable(core.TableConfig{
+		ID:     0,
+		Fields: []openflow.FieldID{openflow.FieldIPv4Dst},
+		Miss:   core.MissPolicy{Kind: core.MissController},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range pool {
+		if err := tab.Insert(&pool[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const entries = 16384
+	p.SetMegaflowSize(entries)
+	// Each destination twice: the repeat hits, which keeps the tier's hit
+	// share at one half and its admission rule from bypassing it.
+	for _, h := range traffic.LPMTrace(f, entries, 0.9, 7) {
+		for rep := 0; rep < 2; rep++ {
+			hc := h
+			p.Execute(&hc)
+		}
+	}
+	if st := p.MegaflowStats(); st.Hits < entries/2 || !st.Armed {
+		b.Fatalf("megaflow tier not filled: %+v", st)
+	}
+	// The generator emits prefixes in /16 clusters (sequential runs): a
+	// prime stride spreads the churn over the table, as the benchmark's
+	// random pick does.
+	benchChurn(b, p, pool, 7919)
 }
 
 // BenchmarkLUTLookup measures the exact-match hash LUT.

@@ -40,13 +40,17 @@ import (
 // rewritten, when its tier is replaced (retire), and before every read
 // of the counters.
 //
-// Validity is by version: every published pipeline snapshot carries a
-// version drawn from a monotonic counter, and a slot is live only for the
-// snapshot version stamped on it. A flow-mod forces a new snapshot with a
-// new version, so every exact entry goes stale at once — the conservative
-// rule, with no flush traffic on the hot path — while the masked tier's
-// commit sweep re-stamps the entries the commit cannot affect
-// (megaflow.go). Stale slots are overwritten in place by later fills.
+// Validity is by version window: every published pipeline snapshot
+// carries a version drawn from a monotonic counter, a slot is stamped with
+// the version of the walk that filled it, and a snapshot accepts from
+// each tier the stamps in one window (window.holds). The exact tier's
+// window is the snapshot's own version alone, so a flow-mod — which
+// forces a new snapshot — makes every exact entry stale at once: the
+// conservative rule, with no flush traffic on the hot path. The masked
+// tier's window can reach back over earlier commits whose sweeps spared
+// the entry (megaflow.go). A commit never writes a surviving entry;
+// eviction (stamp 0) is the only write a sweep makes. Stale slots are
+// overwritten in place by later fills.
 //
 // The cache stores classification outcomes, not provisioned lookup
 // memory: like the snapshot views, it models the second port of a
@@ -106,8 +110,9 @@ var fullMask = func() (m flowMask) {
 const cacheProbe = 4
 
 // cacheSlot is one seqlock-published entry. seq is odd while a writer is
-// mid-update; ver is the snapshot version the entry is valid for (0 =
-// empty/evicted); key holds the packed header key pre-masked by the owning
+// mid-update; ver is the version of the snapshot the filling walk ran
+// against (0 = empty/evicted), live for every snapshot whose window holds
+// it; key holds the packed header key pre-masked by the owning
 // tuple's mask; rewritten is the bitmask of FieldIDs the recorded walk
 // mutated mid-walk (SetField / WriteMetadata), which the masked tier's
 // eviction overlap test must treat conservatively because the key records
@@ -134,9 +139,10 @@ type cacheSlot struct {
 	// refs/nrefs attribute a hit to the rules the recorded walk matched
 	// (per-flow counters), written inside the seqlock window like every
 	// other field. They can only go stale through a commit, which either
-	// kills the entry (version mismatch) or, in the masked tier's sweep,
-	// re-stamps it only if no touched rule overlaps it — and an entry whose
-	// matched rule was removed necessarily overlaps that rule's shadow.
+	// kills the entry (it falls out of the window) or, in the masked tier's
+	// sweep, spares it only if no touched rule overlaps it — and an entry
+	// whose matched rule was removed necessarily overlaps that rule's
+	// shadow.
 	nrefs atomic.Uint32
 	refs  [ctrRefMax]atomic.Uint32
 }
@@ -187,16 +193,26 @@ func (tp *cacheTuple) project(k *flowKey, fp uint64, buf *flowKey) (*flowKey, ui
 	return buf, buf.fingerprint()
 }
 
+// window is the range [lo, hi] of fill versions a snapshot accepts from
+// one tier; hi is the snapshot's own version, which is also what its
+// walks stamp.
+type window struct{ lo, hi uint64 }
+
+// holds reports whether a slot stamped v is live in the window: one
+// subtract and compare, and a stamp of 0 (empty or evicted) is never
+// held, since lo is at least 1.
+func (w window) holds(v uint64) bool { return v-w.lo <= w.hi-w.lo }
+
 // read's key compare is written out for exactly this many words.
 const _ = uint(flowKeyWords-12) + uint(12-flowKeyWords)
 
 // read is the seqlock reader: the slot's interned Result if the slot is
-// live at ver and holds mk, with the slot, its hits word and its counter
+// live in w and holds mk, with the slot, its hits word and its counter
 // attribution copied into hit; nil if not, or if a writer was mid-update
 // or came by during the read.
-func (e *cacheSlot) read(mk *flowKey, ver uint64, hit *slotHit) *Result {
+func (e *cacheSlot) read(mk *flowKey, w window, hit *slotHit) *Result {
 	seq := e.seq.Load()
-	if seq&1 != 0 || e.ver.Load() != ver {
+	if seq&1 != 0 || !w.holds(e.ver.Load()) {
 		return nil
 	}
 	h := e.hits.Load()
@@ -285,10 +301,11 @@ func (e *cacheSlot) write(d *flowDir, mk *flowKey, rewritten, ver uint64, res *R
 	e.seq.Add(1) // even: published
 }
 
-// restamp moves a live slot to another version, or evicts it (ver 0).
-func (e *cacheSlot) restamp(ver uint64) {
+// evict stamps the slot 0, which no window holds. Its pending hits stay
+// for the next fold or rewrite.
+func (e *cacheSlot) evict() {
 	e.seq.Add(1)
-	e.ver.Store(ver)
+	e.ver.Store(0)
 	e.seq.Add(1)
 }
 
@@ -329,6 +346,14 @@ type flowCache struct {
 	// retired is set (under mu) when the pipeline replaces the tier:
 	// installs stop, and retire has drained every entry.
 	retired bool
+	// floor is the oldest walk version the tier still takes a fill from
+	// (under mu): the latest snapshot's version when the tier was built,
+	// raised to the snapshot being published by every commit sweep. A walk
+	// against an older snapshot may predate a rule the sweep judged by;
+	// its entry would land inside the new snapshot's window unswept.
+	floor uint64
+	// sw is the commit sweep's per-tuple scratch (under mu).
+	sw tupleSweep
 	// cellShift brings a key's admission cell (ladder.go) to the bottom of
 	// its fingerprint. Exact tier: the top four bits of the key's home slot
 	// index, so the sampled 1/16 of keys live in the first 1/16 of the
@@ -351,10 +376,11 @@ func tierCapacity(tier, entries int) int {
 }
 
 // newFlowCache builds a tier of about the requested number of entries:
-// the exact tier with its one tuple in place, the masked tier empty.
-func newFlowCache(tier, entries int) *flowCache {
+// the exact tier with its one tuple in place, the masked tier empty. It
+// takes fills from walks against snapshot version floor and later.
+func newFlowCache(tier, entries int, floor uint64) *flowCache {
 	n := tierCapacity(tier, entries)
-	c := &flowCache{entries: n, cellShift: 60}
+	c := &flowCache{entries: n, cellShift: 60, floor: floor}
 	tuples := []cacheTuple{}
 	if tier == tierExact {
 		c.cellShift = uint8(bits.Len(uint(n-1)) - 4)
@@ -374,14 +400,14 @@ func (c *flowCache) cell(fp uint64) uint64 { return fp >> c.cellShift & (admitCe
 // equal, so no priority arbitration is needed. The hit/miss counters are
 // left to the caller, so batch workers can accumulate them locally and
 // flush once per batch.
-func (c *flowCache) lookup(k *flowKey, fp, ver uint64, hit *slotHit) *Result {
+func (c *flowCache) lookup(k *flowKey, fp uint64, w window, hit *slotHit) *Result {
 	var buf flowKey
 	tuples := *c.tuples.Load()
 	for t := range tuples {
 		tp := &tuples[t]
 		mk, base := tp.project(k, fp, &buf)
 		for i := uint64(0); i < cacheProbe; i++ {
-			if rp := tp.slots[(base+i)&tp.slotMask].read(mk, ver, hit); rp != nil {
+			if rp := tp.slots[(base+i)&tp.slotMask].read(mk, w, hit); rp != nil {
 				return rp
 			}
 		}
@@ -389,15 +415,16 @@ func (c *flowCache) lookup(k *flowKey, fp, ver uint64, hit *slotHit) *Result {
 	return nil
 }
 
-// install publishes a walk outcome: (key & mask, mask) → res, valid for
-// snapshot version ver. res must be an interned (immutable, shared) Result
-// pointer. It prefers an empty or stale slot in the probe window, or the
-// key's own entry; with the window full of other live entries it
-// overwrites the home slot (random replacement within the set). The
-// overwritten entry's pending hits go to its rules in d. Installs
-// allocate nothing, except that the first appearance of a new mask
-// allocates its tuple.
-func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
+// install publishes the outcome of a walk against the snapshot whose
+// window for this tier is w: (key & mask, mask) → res, stamped w.hi. res
+// must be an interned (immutable, shared) Result pointer. A walk older
+// than the tier's floor fills nothing. It prefers a slot in the probe
+// window that w does not hold (empty or stale), or the key's own entry;
+// with the window full of other live entries it overwrites the home slot
+// (random replacement within the set). The overwritten entry's pending
+// hits go to its rules in d. Installs allocate nothing, except that the
+// first appearance of a new mask allocates its tuple.
+func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, rewritten uint64, w window, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
 	if failpoint.Inject(failpoint.SiteCacheInstall) != nil {
 		// A modelled install failure drops the entry; the walk already
 		// ran, so the flow simply re-learns on a later miss.
@@ -405,8 +432,8 @@ func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, r
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.retired {
-		return // a straggler's fill into a replaced tier
+	if c.retired || w.hi < c.floor {
+		return // a straggler's fill into a replaced tier, or from a swept-past walk
 	}
 	tuples := *c.tuples.Load()
 	t := 0
@@ -428,12 +455,12 @@ func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, r
 	for i := uint64(0); i < cacheProbe; i++ {
 		e := &tp.slots[(base+i)&tp.slotMask]
 		var own slotHit
-		if rp := e.read(mk, ver, &own); e.ver.Load() != ver || rp != nil {
+		if rp := e.read(mk, w, &own); !w.holds(e.ver.Load()) || rp != nil {
 			victim = e // empty or stale, or our own entry to refresh
 			break
 		}
 	}
-	victim.write(d, mk, rewritten, ver, res, refs, nrefs)
+	victim.write(d, mk, rewritten, w.hi, res, refs, nrefs)
 }
 
 // fold moves every entry's pending hits to its rules' cells in d,
@@ -518,7 +545,7 @@ func (p *Pipeline) setTierSize(tier, entries int) {
 	p.tierTarget[tier] = entries
 	var nc *flowCache
 	if entries > 0 {
-		nc = newFlowCache(tier, entries)
+		nc = newFlowCache(tier, entries, p.snapVersion.Load())
 	}
 	if old := p.tiers[tier].Swap(nc); old != nil {
 		old.retire(p.dir)

@@ -108,38 +108,53 @@ func TestGroupExecution(t *testing.T) {
 
 // TestGroupModifyInvalidatesCaches repoints an indirect group under
 // warm microflow and megaflow caches: the very next lookup must observe
-// the new bucket, not a cached result baked against the old one.
+// the new bucket, not a cached result baked against the old one. In the
+// second case a flow-mod that overlaps no cached region commits between
+// the modify and that lookup. The commit finds the published snapshot
+// stale (it predates the group change), so its snapshot must open a fresh
+// megaflow window: carrying the old one forward would revive the entries
+// that baked in the old bucket.
 func TestGroupModifyInvalidatesCaches(t *testing.T) {
-	p := lifecyclePipeline(t)
-	p.SetCacheSize(256)
-	p.SetMegaflowSize(256)
+	for _, tc := range []struct {
+		name   string
+		commit bool
+	}{{"modify", false}, {"modify_then_commit", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := lifecyclePipeline(t)
+			p.SetCacheSize(256)
+			p.SetMegaflowSize(256)
 
-	if err := p.AddGroup(Group{ID: 1, Type: GroupIndirect, Buckets: []Bucket{
-		{Actions: []openflow.Action{openflow.Output(7)}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	mustInsert(t, p, groupFlow(1, 10, 1))
-	mustInsert(t, p, groupFlow(2, 20, 1))
+			if err := p.AddGroup(Group{ID: 1, Type: GroupIndirect, Buckets: []Bucket{
+				{Actions: []openflow.Action{openflow.Output(7)}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			mustInsert(t, p, groupFlow(1, 10, 1))
+			mustInsert(t, p, groupFlow(2, 20, 1))
 
-	for i := 0; i < 4; i++ {
-		p.Execute(srcHeader(1, 60))
-		p.Execute(srcHeader(2, 60))
-	}
-	if res := p.Execute(srcHeader(1, 60)); len(res.Outputs) != 1 || res.Outputs[0] != 7 {
-		t.Fatalf("pre-modify result = %+v, want output 7", res)
-	}
+			for i := 0; i < 4; i++ {
+				p.Execute(srcHeader(1, 60))
+				p.Execute(srcHeader(2, 60))
+			}
+			if res := p.Execute(srcHeader(1, 60)); len(res.Outputs) != 1 || res.Outputs[0] != 7 {
+				t.Fatalf("pre-modify result = %+v, want output 7", res)
+			}
 
-	// Repoint the shared next-hop: every referencing flow retargets.
-	if err := p.ModifyGroup(Group{ID: 1, Type: GroupIndirect, Buckets: []Bucket{
-		{Actions: []openflow.Action{openflow.Output(9)}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []uint32{1, 2} {
-		if res := p.Execute(srcHeader(src, 60)); len(res.Outputs) != 1 || res.Outputs[0] != 9 {
-			t.Fatalf("post-modify result for src=%d = %+v, want output 9", src, res)
-		}
+			// Repoint the shared next-hop: every referencing flow retargets.
+			if err := p.ModifyGroup(Group{ID: 1, Type: GroupIndirect, Buckets: []Bucket{
+				{Actions: []openflow.Action{openflow.Output(9)}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.commit {
+				mustInsert(t, p, groupFlow(99, 10, 1))
+			}
+			for _, src := range []uint32{1, 2} {
+				if res := p.Execute(srcHeader(src, 60)); len(res.Outputs) != 1 || res.Outputs[0] != 9 {
+					t.Fatalf("post-modify result for src=%d = %+v, want output 9", src, res)
+				}
+			}
+		})
 	}
 }
 

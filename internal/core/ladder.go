@@ -235,7 +235,7 @@ func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 		}
 		cell := c.cell(fp)
 		if use[i] = c.adm.use(cell); use[i] {
-			if rp := c.lookup(&k, fp, l.s.version, &hit); rp != nil {
+			if rp := c.lookup(&k, fp, l.s.window(i), &hit); rp != nil {
 				c.adm.hit(cell, local)
 				if l.d != nil && hit.nrefs > 0 {
 					l.d.charge(&hit, shard, h.PktLen)
@@ -272,7 +272,7 @@ func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey
 		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
 		for i, c := range l.tiers {
 			if fill[i] {
-				c.install(l.d, k, fp, masks[i], sc.rewritten, l.s.version, rp, &sc.refs, sc.nrefs)
+				c.install(l.d, k, fp, masks[i], sc.rewritten, l.s.window(i), rp, &sc.refs, sc.nrefs)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"ofmtl/internal/bitops"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -222,7 +223,293 @@ func (c *flowCache) invalidateAll() {
 	defer c.mu.Unlock()
 	for _, tp := range *c.tuples.Load() {
 		for i := range tp.slots {
-			tp.slots[i].restamp(0)
+			tp.slots[i].evict()
+		}
+	}
+}
+
+// lpmMegaflowPipeline is one mbt table of destination prefixes with only
+// the masked tier on. No walk rewrites a field, so a commit's sweep can
+// spare the entries its rules do not overlap.
+func lpmMegaflowPipeline(t *testing.T, rules ...*openflow.FlowEntry) *Pipeline {
+	t.Helper()
+	p := NewPipeline()
+	if _, err := p.AddTable(TableConfig{
+		ID:      0,
+		Fields:  []openflow.FieldID{openflow.FieldIPv4Dst},
+		Backend: BackendMBT,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.SetMegaflowSize(1 << 10)
+	tx := p.Begin()
+	for _, e := range rules {
+		tx.Add(0, e)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// dstEntry is one destination-prefix rule, longer prefixes first.
+func dstEntry(prefix uint64, plen int, out uint32) *openflow.FlowEntry {
+	return &openflow.FlowEntry{
+		Priority:     1 + plen,
+		Matches:      []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, prefix, plen)},
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(out))},
+	}
+}
+
+// outputOf is the single output port of a result, or -1.
+func outputOf(r Result) int {
+	if len(r.Outputs) != 1 {
+		return -1
+	}
+	return int(r.Outputs[0])
+}
+
+// TestMegaflowSweepSparesUnaffectedRegions pins the survivor property:
+// after a commit of a rule that overlaps no cached region, the masked
+// tier serves every cached region again without a single new walk.
+func TestMegaflowSweepSparesUnaffectedRegions(t *testing.T) {
+	var rules []*openflow.FlowEntry
+	for i := 0; i < 16; i++ {
+		rules = append(rules, dstEntry(uint64(i)<<24, 8, 100+uint32(i)))
+	}
+	p := lpmMegaflowPipeline(t, rules...)
+	hs := make([]openflow.Header, 16)
+	for i := range hs {
+		hs[i] = openflow.Header{IPv4Dst: uint32(i)<<24 | 0x010203}
+		if got := outputOf(p.Execute(&hs[i])); got != 100+i {
+			t.Fatalf("region %d: output %d, want %d", i, got, 100+i)
+		}
+	}
+	before := p.MegaflowStats()
+	ver := p.SnapshotVersion()
+	if _, err := p.Begin().Add(0, dstEntry(0xC0A80000, 16, 5)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if p.SnapshotVersion() == ver {
+		t.Fatal("the commit published no new snapshot")
+	}
+	for i := range hs {
+		if got := outputOf(p.Execute(&hs[i])); got != 100+i {
+			t.Fatalf("region %d after the commit: output %d, want %d", i, got, 100+i)
+		}
+	}
+	after := p.MegaflowStats()
+	if after.Misses != before.Misses || after.Hits != before.Hits+uint64(len(hs)) {
+		t.Fatalf("after the commit: %d hits, %d misses; want %d hits, %d misses (every region served from the tier)",
+			after.Hits, after.Misses, before.Hits+uint64(len(hs)), before.Misses)
+	}
+}
+
+// staleLadder is a reader that loaded the pipeline's snapshot and tiers
+// now and goes on using them, like a batch that straddles a commit.
+func staleLadder(p *Pipeline) ladder {
+	return ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
+}
+
+// TestMegaflowRefusesSweptPastFill pins the fill floor: a walk against
+// the pre-commit snapshot whose fill arrives after the commit's sweep
+// must fill nothing, or its outcome — decided without the committed rule
+// — would sit unswept inside the new snapshot's window.
+func TestMegaflowRefusesSweptPastFill(t *testing.T) {
+	p := lpmMegaflowPipeline(t, dstEntry(0x0A000000, 8, 1))
+	old := staleLadder(p)
+	if _, err := p.Begin().Add(0, dstEntry(0x0A010000, 16, 9)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h := openflow.Header{IPv4Dst: 0x0A010203}
+	var res Result
+	old.exec(&h, nil, &res)
+	if got := outputOf(res); got != 1 {
+		t.Fatalf("pre-commit reader: output %d, want 1", got)
+	}
+	h = openflow.Header{IPv4Dst: 0x0A010203}
+	if got := outputOf(p.Execute(&h)); got != 9 {
+		t.Fatalf("post-commit lookup: output %d, want 9 (a swept-past walk's fill served?)", got)
+	}
+}
+
+// TestMegaflowOldSnapshotMissesNewFill pins the window's upper end: a
+// reader still holding the pre-commit snapshot must not be served an
+// entry that a walk against the post-commit snapshot filled.
+func TestMegaflowOldSnapshotMissesNewFill(t *testing.T) {
+	p := lpmMegaflowPipeline(t, dstEntry(0x0A000000, 8, 1))
+	old := staleLadder(p)
+	if _, err := p.Begin().Add(0, dstEntry(0x0A010000, 16, 9)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h := openflow.Header{IPv4Dst: 0x0A010203}
+	if got := outputOf(p.Execute(&h)); got != 9 {
+		t.Fatalf("post-commit lookup: output %d, want 9", got)
+	}
+	h = openflow.Header{IPv4Dst: 0x0A010203}
+	var res Result
+	old.exec(&h, nil, &res)
+	if got := outputOf(res); got != 1 {
+		t.Fatalf("pre-commit reader: output %d, want 1 (served the post-commit fill?)", got)
+	}
+}
+
+// TestSweepMatchesOverlapOracle is the compiled sweep's property test:
+// over seeded tuple masks, entries and commits, it must evict exactly the
+// live entries some shadow's overlapsMegaflow marks and leave every other
+// entry's stamp as it was. Shadows mix exact, prefix (IPv4, and IPv6 on
+// either side of the word boundary), range and all-wildcard matches, and
+// some entries' walks rewrote a field; in half the commits every rule
+// fixes a shared set of fields, so P often spans several words.
+func TestSweepMatchesOverlapOracle(t *testing.T) {
+	rng := xrand.New(20150908)
+	pick := func(vs ...uint64) uint64 { return vs[rng.Intn(len(vs))] }
+	header := func() openflow.Header {
+		return openflow.Header{
+			InPort:   uint32(pick(1, 2, 3)),
+			EthType:  uint16(pick(0x0800, 0x86DD)),
+			IPv4Src:  uint32(pick(0x0A000001, 0x0A000002)),
+			IPv4Dst:  uint32(pick(0x0A000001, 0x0A010001, 0x0B000001, 0xC0A80101)),
+			SrcPort:  uint16(pick(80, 443, 8080)),
+			DstPort:  uint16(pick(53, 80, 443)),
+			IPv6Dst:  bitops.U128{Hi: pick(1<<63, 1<<63|1<<40, 3<<60), Lo: pick(1, 2, 1<<63|1)},
+			Metadata: pick(0, 1),
+			IPProto:  uint8(pick(6, 17)),
+		}
+	}
+	maskParts := []func(m *flowMask){
+		func(m *flowMask) { m.orFieldFull(openflow.FieldInPort) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldEthType) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldIPv4Src) },
+		func(m *flowMask) { m.orField(openflow.FieldIPv4Dst, int(pick(8, 16, 32))) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldSrcPort) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldDstPort) },
+		func(m *flowMask) { m.orField(openflow.FieldIPv6Dst, int(pick(32, 64, 96, 128))) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldMetadata) },
+		func(m *flowMask) { m.orFieldFull(openflow.FieldIPProto) },
+	}
+	matchers := []func(h *openflow.Header) openflow.Match{
+		func(h *openflow.Header) openflow.Match { return openflow.Exact(openflow.FieldInPort, uint64(h.InPort)) },
+		func(h *openflow.Header) openflow.Match {
+			return openflow.Exact(openflow.FieldEthType, uint64(h.EthType))
+		},
+		func(h *openflow.Header) openflow.Match {
+			return openflow.Exact(openflow.FieldIPv4Src, uint64(h.IPv4Src))
+		},
+		func(h *openflow.Header) openflow.Match {
+			return openflow.Prefix(openflow.FieldIPv4Dst, uint64(h.IPv4Dst), int(pick(8, 16, 24, 32)))
+		},
+		func(h *openflow.Header) openflow.Match {
+			return openflow.Prefix128(openflow.FieldIPv6Dst, h.IPv6Dst, int(pick(40, 64, 65, 96, 128)))
+		},
+		func(h *openflow.Header) openflow.Match { return openflow.Exact(openflow.FieldMetadata, h.Metadata) },
+		func(h *openflow.Header) openflow.Match {
+			return openflow.Exact(openflow.FieldIPProto, uint64(h.IPProto))
+		},
+		func(*openflow.Header) openflow.Match {
+			lo := pick(0, 80, 400, 1024)
+			return openflow.Range(openflow.FieldSrcPort, lo, lo+pick(0, 100, 1000))
+		},
+		func(*openflow.Header) openflow.Match {
+			lo := pick(0, 53, 443)
+			return openflow.Range(openflow.FieldDstPort, lo, lo+pick(0, 1, 500))
+		},
+		func(*openflow.Header) openflow.Match { return openflow.Any(openflow.FieldEthSrc) },
+	}
+	rewritable := []openflow.FieldID{openflow.FieldMetadata, openflow.FieldIPv4Dst, openflow.FieldVLANID}
+	live := window{lo: 4, hi: 10}
+	res := &Result{}
+	var refs [ctrRefMax]uint32
+	for c := 0; c < 2000; c++ {
+		fc := newFlowCache(tierMasked, megaflowFloorEntries, 0)
+		tuples := []cacheTuple{}
+		for n := 1 + rng.Intn(4); len(tuples) < n; {
+			var m flowMask
+			for _, part := range maskParts {
+				if rng.Intn(2) == 0 {
+					part(&m)
+				}
+			}
+			tuples = append(tuples, newCacheTuple(&m, fc.entries))
+		}
+		fc.tuples.Store(&tuples)
+		for ti := range tuples {
+			tp := &tuples[ti]
+			for i := range tp.slots {
+				if rng.Intn(4) == 0 {
+					continue // never filled
+				}
+				h := header()
+				var k flowKey
+				packFlowKey(&k, &h)
+				for w := range k {
+					k[w] &= tp.mask[w]
+				}
+				var rw uint64
+				if rng.Intn(8) == 0 {
+					rw = rewrittenBit(rewritable[rng.Intn(len(rewritable))])
+				}
+				tp.slots[i].write(nil, &k, rw, 1+uint64(rng.Intn(12)), res, &refs, 0)
+			}
+		}
+
+		var shared []int // matcher indices every rule of the commit uses
+		if rng.Intn(2) == 0 {
+			for j := 0; j < 2+rng.Intn(2); j++ {
+				shared = append(shared, rng.Intn(7)) // a non-range, non-wildcard matcher
+			}
+		}
+		shadows := make([]ruleShadow, 1+rng.Intn(16))
+		for si := range shadows {
+			h := header()
+			var e openflow.FlowEntry
+			for _, j := range shared {
+				e.Matches = append(e.Matches, matchers[j](&h))
+			}
+			if rng.Intn(20) != 0 { // else all-wildcard, unless shared
+				for j := range matchers {
+					if rng.Intn(3) == 0 {
+						e.Matches = append(e.Matches, matchers[j](&h))
+					}
+				}
+			}
+			shadows[si] = shadowOf(&e)
+		}
+
+		want := make([][]uint64, len(tuples))
+		for ti := range tuples {
+			tp := &tuples[ti]
+			want[ti] = make([]uint64, len(tp.slots))
+			for i := range tp.slots {
+				e := &tp.slots[i]
+				v := e.ver.Load()
+				want[ti][i] = v
+				if !live.holds(v) {
+					continue
+				}
+				var key flowMask
+				for w := range key {
+					key[w] = e.key[w].Load()
+				}
+				for si := range shadows {
+					if shadows[si].overlapsMegaflow(&key, &tp.mask, e.rewritten.Load()) {
+						want[ti][i] = 0
+						break
+					}
+				}
+			}
+		}
+		fc.sweep(shadows, live, live.hi+1)
+		if fc.floor != live.hi+1 {
+			t.Fatalf("case %d: fill floor %d after the sweep, want %d", c, fc.floor, live.hi+1)
+		}
+		for ti := range tuples {
+			for i := range tuples[ti].slots {
+				if got := tuples[ti].slots[i].ver.Load(); got != want[ti][i] {
+					t.Fatalf("case %d tuple %d slot %d: stamp %d after the sweep, want %d (%d shadows, tuple mask %x)",
+						c, ti, i, got, want[ti][i], len(shadows), tuples[ti].mask)
+				}
+			}
 		}
 	}
 }

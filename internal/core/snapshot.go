@@ -29,9 +29,19 @@ import (
 // TestSnapshotLinearizability.
 //
 // Every snapshot additionally carries a version from a monotonic
-// counter. The flow cache (flowcache.go) stamps its entries with that
-// version, so a rule update — which forces a new snapshot — implicitly
-// invalidates every exact-tier entry without any flush traffic.
+// counter, and a window per cache tier: the fill versions it accepts
+// (flowcache.go). A walk stamps its fills with its snapshot's version.
+// The exact tier's window is that version alone, so a rule update — which
+// forces a new snapshot — invalidates every exact-tier entry without any
+// flush traffic. The masked tier's window is [mfBase, version]. A snapshot
+// opens a fresh window (mfBase = version: the same wholesale
+// invalidation) unless a commit's sweep carries the previous snapshot's
+// mfBase forward, which it may only when the two snapshots differ by that
+// commit's rules alone (Tx.Commit, megaflow.go). The sweep runs before
+// the snapshot is published and raises the masked tier's fill floor to
+// its version, so a walk against the old snapshot never fills an entry
+// into the new window. A reader of the old snapshot never meets an entry
+// a walk against the new one filled: that stamp lies above its window.
 
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
@@ -41,8 +51,11 @@ type snapshot struct {
 	// version identifies this snapshot; it increases with every rebuild
 	// and scopes the validity of microflow cache entries.
 	version uint64
-	order   []openflow.TableID
-	tables  map[openflow.TableID]*snapTable
+	// mfBase is the oldest fill version the snapshot accepts from the
+	// masked tier: its window is [mfBase, version].
+	mfBase uint64
+	order  []openflow.TableID
+	tables map[openflow.TableID]*snapTable
 	// byID indexes the views densely by table identifier, so the walk's
 	// goto-table hops cost an array load instead of a map probe.
 	byID [256]*LookupTable
@@ -142,18 +155,35 @@ func (p *Pipeline) loadSnapshot() *snapshot {
 	return p.rebuildSnapshotLocked()
 }
 
+// window returns the fill versions the snapshot accepts from a tier.
+func (s *snapshot) window(tier int) window {
+	if tier == tierMasked {
+		return window{s.mfBase, s.version}
+	}
+	return window{s.version, s.version}
+}
+
 // rebuildSnapshotLocked publishes the stale tables and a new snapshot
-// of them under the already-held write lock, bumping the version
-// counter exactly once. Callers: loadSnapshot's slow path, and
-// Tx.Commit's eager rebuild when the megaflow tier is enabled (the
-// precise-invalidation sweep needs the new version before the commit
-// returns; lookups then find the snapshot fresh, so the version still
-// advances once per commit).
+// of them, with a fresh masked-tier window, under the already-held write
+// lock. Callers: loadSnapshot's slow path and a backend migration
+// (autotune.go). Tx.Commit builds and publishes in two steps of its own when
+// the megaflow tier is enabled (its sweep runs in between).
 func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
+	ns := p.buildSnapshotLocked()
+	p.snap.Store(ns)
+	return ns
+}
+
+// buildSnapshotLocked publishes the stale tables and builds a snapshot of
+// them, with a fresh masked-tier window, without publishing it; it bumps
+// the version counter exactly once.
+func (p *Pipeline) buildSnapshotLocked() *snapshot {
 	s := p.snap.Load()
+	ver := p.snapVersion.Add(1)
 	ns := &snapshot{
 		structGen: p.structGen.Load(),
-		version:   p.snapVersion.Add(1),
+		version:   ver,
+		mfBase:    ver,
 		order:     append([]openflow.TableID(nil), p.order...),
 		tables:    make(map[openflow.TableID]*snapTable, len(p.tables)),
 		intern:    &p.intern,
@@ -182,7 +212,6 @@ func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
 		ns.mem.Tables = append(ns.mem.Tables, *tm)
 		ns.mem.TotalBits += tm.TotalBits()
 	}
-	p.snap.Store(ns)
 	return ns
 }
 

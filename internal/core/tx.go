@@ -240,6 +240,13 @@ func (tx *Tx) Commit() (TxResult, error) {
 	}
 	defer p.flushStatsLocked()
 
+	// Whether the published snapshot reflects every table, the table set
+	// and the groups as they stand: then the snapshot this commit publishes
+	// differs from it by the commit's own rules alone, and the megaflow
+	// sweep below may carry its window forward.
+	prev := p.snap.Load()
+	carry := prev != nil && prev.fresh(p)
+
 	// Phase 2: sequential application with an undo log. Each command
 	// resolves against the rule store as left by its predecessors.
 	res := TxResult{Commands: len(tx.cmds)}
@@ -284,30 +291,32 @@ func (tx *Tx) Commit() (TxResult, error) {
 	p.txCommands.Add(uint64(len(tx.cmds)))
 
 	// Megaflow precise invalidation. With the tier disabled, the snapshot
-	// stays lazily rebuilt (the version-mismatch rule already invalidates
-	// both cache tiers wholesale). With it enabled, the commit rebuilds
-	// the snapshot eagerly — still exactly one version bump — and sweeps
-	// the cached megaflows: every touched rule (the undo log holds each
-	// inserted and removed canonical entry) is projected onto packed-key
-	// space and every cached (mask, key) region it can affect is evicted;
-	// untouched regions are re-stamped to the new version so they keep
-	// serving hits across the commit.
+	// stays lazily rebuilt (a fresh window already invalidates both cache
+	// tiers wholesale). With it enabled, the commit builds the snapshot
+	// eagerly — still exactly one version bump — and, when the previous
+	// snapshot differed from the live state by nothing, carries its
+	// masked-tier window forward: every touched rule (the undo log holds
+	// each inserted and removed canonical entry) is projected onto
+	// packed-key space, and the sweep evicts every cached (mask, key)
+	// region in the old window it can affect before the snapshot is
+	// published. Untouched regions keep their stamps and keep serving
+	// hits across the commit. Otherwise the snapshot opens a fresh window.
 	if m := p.tiers[tierMasked].Load(); m != nil && len(undo) > 0 {
-		var prevVer uint64
-		if s := p.snap.Load(); s != nil {
-			prevVer = s.version
-		}
 		// Publish suspended stats now so the eager snapshot embeds this
 		// commit's accounting (the deferred flush then finds nothing).
 		p.flushStatsLocked()
-		ns := p.rebuildSnapshotLocked()
-		shadows := make([]ruleShadow, 0, len(undo))
-		for _, op := range undo {
-			if op.sr != nil { // a backend swap changes no verdict
-				shadows = append(shadows, shadowOf(&op.sr.entry))
+		ns := p.buildSnapshotLocked()
+		if carry {
+			shadows := make([]ruleShadow, 0, len(undo))
+			for _, op := range undo {
+				if op.sr != nil { // a backend swap changes no verdict
+					shadows = append(shadows, shadowOf(&op.sr.entry))
+				}
 			}
+			m.sweep(shadows, prev.window(tierMasked), ns.version)
+			ns.mfBase = prev.mfBase
 		}
-		m.sweep(shadows, prevVer, ns.version)
+		p.snap.Store(ns)
 	}
 
 	// One pressure-controller step per committed transaction: shed or
