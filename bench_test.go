@@ -678,10 +678,11 @@ func BenchmarkCodecFlowEntry(b *testing.B) {
 		},
 	}
 	var buf []byte
+	var got openflow.FlowEntry
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = openflow.AppendFlowEntry(buf[:0], e)
-		if _, _, err := openflow.DecodeFlowEntry(buf); err != nil {
+		if _, err := openflow.DecodeFlowEntryInto(&got, buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

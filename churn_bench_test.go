@@ -121,7 +121,7 @@ func TestFlowModBatchDecodeZeroAlloc(t *testing.T) {
 	for _, e := range f.FlowEntries() {
 		fms = append(fms, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: e})
 	}
-	payload := ofproto.EncodeFlowModBatch(fms)
+	payload := ofproto.AppendFlowModBatch(nil, fms)
 	var decoded []ofproto.FlowMod
 	var ar openflow.EntryArena
 	assertZeroAllocs(t, "DecodeFlowModBatchArena", func() {

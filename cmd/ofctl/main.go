@@ -1,7 +1,10 @@
 // Command ofctl is the controller-side CLI for switchd: it installs and
-// removes flow entries (individually, as whole filter files, or as
-// batched flow-mod transactions), injects packets and reads switch
-// statistics over the control protocol.
+// removes flow entries (one rule, whole filter files, or flow-mod command
+// files), injects packets and reads switch statistics over the control
+// protocol. Every write is a flow-mod transaction: add-mac and add-route
+// commit their rule's two-table pair as one, so a rejected entry leaves
+// neither installed, and load commits its rules' pairs in batches of
+// defaultBatch commands.
 //
 // Usage:
 //
@@ -210,51 +213,58 @@ func parseIPv4(s string) (uint32, error) {
 	return v, nil
 }
 
-// macFlowEntries renders the two per-rule entries of the MAC application.
-func macFlowEntries(vlan uint16, mac uint64, port uint32) (t0, t1 *openflow.FlowEntry) {
-	t0 = &openflow.FlowEntry{
-		Priority: 1,
-		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(vlan))},
-		Instructions: []openflow.Instruction{
-			openflow.WriteMetadata(uint64(vlan), ^uint64(0)),
-			openflow.GotoTable(1),
-		},
+// defaultBatch is the commands per transaction of flow-mods (its -batch
+// default) and of load. It is even, so load never splits a rule's pair.
+const defaultBatch = 256
+
+// macFlowMods renders one rule of the MAC application as the adds of its
+// two entries (tables 0 and 1 of the prototype).
+func macFlowMods(vlan uint16, mac uint64, port uint32) []ofproto.FlowMod {
+	return []ofproto.FlowMod{
+		{Op: ofproto.FlowAdd, Table: 0, Entry: openflow.FlowEntry{
+			Priority: 1,
+			Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(vlan))},
+			Instructions: []openflow.Instruction{
+				openflow.WriteMetadata(uint64(vlan), ^uint64(0)),
+				openflow.GotoTable(1),
+			},
+		}},
+		{Op: ofproto.FlowAdd, Table: 1, Entry: openflow.FlowEntry{
+			Priority: 1,
+			Matches: []openflow.Match{
+				openflow.Exact(openflow.FieldMetadata, uint64(vlan)),
+				openflow.Exact(openflow.FieldEthDst, mac),
+			},
+			Instructions: []openflow.Instruction{
+				openflow.WriteActions(openflow.Output(port)),
+			},
+		}},
 	}
-	t1 = &openflow.FlowEntry{
-		Priority: 1,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(vlan)),
-			openflow.Exact(openflow.FieldEthDst, mac),
-		},
-		Instructions: []openflow.Instruction{
-			openflow.WriteActions(openflow.Output(port)),
-		},
-	}
-	return t0, t1
 }
 
-// routeFlowEntries renders the two per-rule entries of the routing
-// application (tables 2 and 3 of the prototype).
-func routeFlowEntries(inport uint32, prefix uint32, plen int, nexthop uint32) (t2, t3 *openflow.FlowEntry) {
-	t2 = &openflow.FlowEntry{
-		Priority: 1,
-		Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(inport))},
-		Instructions: []openflow.Instruction{
-			openflow.WriteMetadata(uint64(inport), ^uint64(0)),
-			openflow.GotoTable(3),
-		},
+// routeFlowMods renders one rule of the routing application as the adds
+// of its two entries (tables 2 and 3 of the prototype).
+func routeFlowMods(inport uint32, prefix uint32, plen int, nexthop uint32) []ofproto.FlowMod {
+	return []ofproto.FlowMod{
+		{Op: ofproto.FlowAdd, Table: 2, Entry: openflow.FlowEntry{
+			Priority: 1,
+			Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(inport))},
+			Instructions: []openflow.Instruction{
+				openflow.WriteMetadata(uint64(inport), ^uint64(0)),
+				openflow.GotoTable(3),
+			},
+		}},
+		{Op: ofproto.FlowAdd, Table: 3, Entry: openflow.FlowEntry{
+			Priority: 1 + plen,
+			Matches: []openflow.Match{
+				openflow.Exact(openflow.FieldMetadata, uint64(inport)),
+				openflow.Prefix(openflow.FieldIPv4Dst, uint64(prefix), plen),
+			},
+			Instructions: []openflow.Instruction{
+				openflow.WriteActions(openflow.Output(nexthop)),
+			},
+		}},
 	}
-	t3 = &openflow.FlowEntry{
-		Priority: 1 + plen,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(inport)),
-			openflow.Prefix(openflow.FieldIPv4Dst, uint64(prefix), plen),
-		},
-		Instructions: []openflow.Instruction{
-			openflow.WriteActions(openflow.Output(nexthop)),
-		},
-	}
-	return t2, t3
 }
 
 func doAddMAC(c *ofproto.Client, args []string) error {
@@ -269,11 +279,7 @@ func doAddMAC(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	e0, e1 := macFlowEntries(uint16(*vlan), m, uint32(*port))
-	if err := c.AddFlow(0, e0); err != nil {
-		return err
-	}
-	if err := c.AddFlow(1, e1); err != nil {
+	if _, err := c.SendFlowMods(macFlowMods(uint16(*vlan), m, uint32(*port))); err != nil {
 		return err
 	}
 	fmt.Printf("installed vlan=%d mac=%s -> port %d\n", *vlan, *mac, *port)
@@ -353,7 +359,7 @@ func doDelRoute(c *ofproto.Client, args []string) error {
 func doFlowMods(c *ofproto.Client, args []string) error {
 	fs := flag.NewFlagSet("flow-mods", flag.ContinueOnError)
 	file := fs.String("file", "", "flow-mod command file (flowgen/flowtext format)")
-	batch := fs.Int("batch", 256, "commands per transaction")
+	batch := fs.Int("batch", defaultBatch, "commands per transaction")
 	ignoreOpts := fs.Bool("ignore-table-options", false, "replay even when the switch's table backends differ from the file's table-options pins")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -376,16 +382,23 @@ func doFlowMods(c *ofproto.Client, args []string) error {
 			return err
 		}
 	}
-	var total ofproto.FlowModBatchReply
-	txs := 0
-	for off := 0; off < len(fms); off += *batch {
-		end := off + *batch
-		if end > len(fms) {
-			end = len(fms)
-		}
-		reply, err := c.SendFlowMods(fms[off:end])
+	total, txs, err := sendBatches(c, fms, *batch)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("committed %d transactions, %d commands: %d added (%d replaced), %d modified, %d deleted\n",
+		txs, total.Commands, total.Added, total.Replaced, total.Modified, total.Deleted)
+	return nil
+}
+
+// sendBatches commits fms in transactions of batch commands each, then
+// closes the session with a barrier, so every transaction is fully
+// processed before the command returns. It sums the replies.
+func sendBatches(c *ofproto.Client, fms []ofproto.FlowMod, batch int) (total ofproto.FlowModBatchReply, txs int, err error) {
+	for off := 0; off < len(fms); off += batch {
+		reply, err := c.SendFlowMods(fms[off:min(off+batch, len(fms))])
 		if err != nil {
-			return fmt.Errorf("after %d committed transactions: %w", txs, err)
+			return total, txs, fmt.Errorf("after %d committed transactions: %w", txs, err)
 		}
 		total.Commands += reply.Commands
 		total.Added += reply.Added
@@ -394,14 +407,7 @@ func doFlowMods(c *ofproto.Client, args []string) error {
 		total.Deleted += reply.Deleted
 		txs++
 	}
-	// The barrier guarantees every transaction is fully processed before
-	// the command returns.
-	if err := c.Barrier(); err != nil {
-		return err
-	}
-	fmt.Printf("committed %d transactions, %d commands: %d added (%d replaced), %d modified, %d deleted\n",
-		txs, total.Commands, total.Added, total.Replaced, total.Modified, total.Deleted)
-	return nil
+	return total, txs, c.Barrier()
 }
 
 // checkTableOptions verifies the workload's table-options pins — lookup
@@ -486,11 +492,7 @@ func doAddRoute(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	e2, e3 := routeFlowEntries(uint32(*inport), p, plen, uint32(*nexthop))
-	if err := c.AddFlow(2, e2); err != nil {
-		return err
-	}
-	if err := c.AddFlow(3, e3); err != nil {
+	if _, err := c.SendFlowMods(routeFlowMods(uint32(*inport), p, plen, uint32(*nexthop))); err != nil {
 		return err
 	}
 	fmt.Printf("installed inport=%d %s -> nexthop %d\n", *inport, *prefix, *nexthop)
@@ -510,7 +512,7 @@ func doLoad(c *ofproto.Client, args []string) error {
 	}
 	defer func() { _ = f.Close() }()
 
-	installed := 0
+	var fms []ofproto.FlowMod
 	switch *app {
 	case "mac":
 		mf, err := filterset.ParseMAC(f, *file)
@@ -518,14 +520,7 @@ func doLoad(c *ofproto.Client, args []string) error {
 			return err
 		}
 		for _, r := range mf.Rules {
-			e0, e1 := macFlowEntries(r.VLAN, r.EthDst, r.OutPort)
-			if err := c.AddFlow(0, e0); err != nil {
-				return fmt.Errorf("after %d rules: %w", installed, err)
-			}
-			if err := c.AddFlow(1, e1); err != nil {
-				return fmt.Errorf("after %d rules: %w", installed, err)
-			}
-			installed++
+			fms = append(fms, macFlowMods(r.VLAN, r.EthDst, r.OutPort)...)
 		}
 	case "route":
 		rf, err := filterset.ParseRoute(f, *file)
@@ -533,19 +528,16 @@ func doLoad(c *ofproto.Client, args []string) error {
 			return err
 		}
 		for _, r := range rf.Rules {
-			e2, e3 := routeFlowEntries(r.InPort, r.Prefix, r.PrefixLen, r.NextHop)
-			if err := c.AddFlow(2, e2); err != nil {
-				return fmt.Errorf("after %d rules: %w", installed, err)
-			}
-			if err := c.AddFlow(3, e3); err != nil {
-				return fmt.Errorf("after %d rules: %w", installed, err)
-			}
-			installed++
+			fms = append(fms, routeFlowMods(r.InPort, r.Prefix, r.PrefixLen, r.NextHop)...)
 		}
 	default:
 		return fmt.Errorf("unknown application %q", *app)
 	}
-	fmt.Printf("installed %d rules from %s\n", installed, *file)
+	_, txs, err := sendBatches(c, fms, defaultBatch)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("installed %d rules from %s in %d transactions\n", len(fms)/2, *file, txs)
 	return nil
 }
 

@@ -43,19 +43,124 @@ func TestParseCIDRAndIPv4(t *testing.T) {
 }
 
 func TestFlowEntryBuilders(t *testing.T) {
-	e0, e1 := macFlowEntries(10, 0xABCDEF, 3)
-	if e0.Priority != 1 || len(e0.Matches) != 1 || len(e1.Matches) != 2 {
+	mac := macFlowMods(10, 0xABCDEF, 3)
+	if len(mac) != 2 || mac[0].Table != 0 || mac[1].Table != 1 {
+		t.Fatalf("mac pair = %+v, want adds to tables 0 and 1", mac)
+	}
+	e0, e1 := &mac[0].Entry, &mac[1].Entry
+	if mac[0].Op != ofproto.FlowAdd || e0.Priority != 1 || len(e0.Matches) != 1 || len(e1.Matches) != 2 {
 		t.Errorf("mac entries malformed: %v %v", e0, e1)
 	}
 	if tid, ok := e0.GotoTable(); !ok || tid != 1 {
 		t.Error("mac table-0 entry must goto table 1")
 	}
-	e2, e3 := routeFlowEntries(2, 0x0A000000, 8, 7)
-	if e3.Priority != 9 {
-		t.Errorf("route priority = %d, want 1+plen", e3.Priority)
+	route := routeFlowMods(2, 0x0A000000, 8, 7)
+	if len(route) != 2 || route[0].Table != 2 || route[1].Table != 3 {
+		t.Fatalf("route pair = %+v, want adds to tables 2 and 3", route)
 	}
-	if tid, ok := e2.GotoTable(); !ok || tid != 3 {
+	if route[1].Entry.Priority != 9 {
+		t.Errorf("route priority = %d, want 1+plen", route[1].Entry.Priority)
+	}
+	if tid, ok := route[0].Entry.GotoTable(); !ok || tid != 3 {
 		t.Error("route table-2 entry must goto table 3")
+	}
+}
+
+// serve runs a switch over p on a loopback port until the test ends and
+// returns its address.
+func serve(t *testing.T, p *core.Pipeline) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ofproto.NewServer(p, nil)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	t.Cleanup(func() {
+		_ = srv.Close()
+		<-done
+	})
+	return l.Addr().String()
+}
+
+// TestAddPairIsAtomic pins that add-mac and add-route commit a rule's two
+// entries as one transaction: on a switch whose second table is missing,
+// the rejected second entry leaves the first uninstalled too.
+func TestAddPairIsAtomic(t *testing.T) {
+	p := core.NewPipeline()
+	for _, tc := range []core.TableConfig{
+		{ID: 0, Fields: []openflow.FieldID{openflow.FieldVLANID}},
+		{ID: 2, Fields: []openflow.FieldID{openflow.FieldInPort}},
+	} {
+		if _, err := p.AddTable(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := serve(t, p)
+	for _, args := range [][]string{
+		{"-addr", addr, "add-mac", "-vlan", "10", "-mac", "00:11:22:33:44:55", "-port", "3"},
+		{"-addr", addr, "add-route", "-inport", "2", "-prefix", "10.0.0.0/8", "-nexthop", "7"},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("ofctl %v: committed a pair whose second table is missing", args)
+		}
+		if n := p.Rules(); n != 0 {
+			t.Fatalf("ofctl %v: rejected pair left %d entries installed", args, n)
+		}
+	}
+	if tx := p.TxCounters(); tx.Rejected != 2 || tx.Txs != 0 {
+		t.Errorf("tx counters = %+v, want 2 rejected and none committed", tx)
+	}
+}
+
+// TestLoadCommitsInBatches pins that load sends its rules' entry pairs in
+// transactions of defaultBatch commands: N rules take ceil(2N/batch).
+func TestLoadCommitsInBatches(t *testing.T) {
+	p, err := core.BuildPrototype(
+		&filterset.MACFilter{Name: "empty"},
+		&filterset.RouteFilter{Name: "empty"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serve(t, p)
+	const rules = 300
+	mf := &filterset.MACFilter{Name: "load"}
+	for i := 0; i < rules; i++ {
+		mf.Rules = append(mf.Rules, filterset.MACRule{VLAN: uint16(1 + i%7), EthDst: 0x00AA00000000 + uint64(i), OutPort: uint32(1 + i%5)})
+	}
+	var text strings.Builder
+	if err := filterset.WriteMAC(&text, mf); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "mac.txt")
+	if err := os.WriteFile(file, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-addr", addr, "load", "-app", "mac", "-file", file}); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	c, err := ofproto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTxs := uint64(2*rules+defaultBatch-1) / defaultBatch
+	if st.Tx.Txs != wantTxs || st.Tx.Commands != 2*rules {
+		t.Errorf("load of %d rules: %d txs / %d commands, want %d / %d", rules, st.Tx.Txs, st.Tx.Commands, wantTxs, 2*rules)
+	}
+	// Every rule forwards: the table-1 entries are all installed.
+	reply, err := c.SendPacket(&openflow.Header{VLANID: 1 + (rules-1)%7, EthDst: 0x00AA00000000 + rules - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Outputs) != 1 || reply.Outputs[0] != 1+(rules-1)%5 {
+		t.Errorf("last loaded rule forwards to %v, want [%d]", reply.Outputs, 1+(rules-1)%5)
 	}
 }
 

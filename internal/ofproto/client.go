@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"time"
 
 	"ofmtl/internal/openflow"
@@ -101,7 +102,9 @@ func (c *Client) readReply() (Message, error) {
 			return Message{}, err
 		}
 		if msg.Type == MsgEchoRequest {
-			if err := WriteMessage(c.conn, MsgEchoReply, msg.Payload); err != nil {
+			// The request is already on the wire, so its frame buffer is
+			// free for the answer.
+			if err := writePayload(c.conn, &c.out, MsgEchoReply, msg.Payload); err != nil {
 				return Message{}, err
 			}
 			continue
@@ -126,9 +129,11 @@ func (c *Client) readReply() (Message, error) {
 	}
 }
 
-// roundTrip sends a request and reads the matching reply.
-func (c *Client) roundTrip(t MsgType, payload []byte, want MsgType) (Message, error) {
-	if err := WriteMessage(c.conn, t, payload); err != nil {
+// roundTrip sends the request frame built in c.out (BeginFrame, then
+// the payload's AppendX) as a t message and reads the reply, which must
+// be a want message. The reply aliases the read buffer.
+func (c *Client) roundTrip(t, want MsgType) (Message, error) {
+	if err := WriteFrame(c.conn, t, c.out); err != nil {
 		return Message{}, err
 	}
 	msg, err := c.readReply()
@@ -144,26 +149,25 @@ func (c *Client) roundTrip(t MsgType, payload []byte, want MsgType) (Message, er
 // Echo round-trips a keepalive probe, verifying the switch is alive and
 // processing messages.
 func (c *Client) Echo() error {
-	_, err := c.roundTrip(MsgEchoRequest, nil, MsgEchoReply)
+	c.out = BeginFrame(c.out)
+	_, err := c.roundTrip(MsgEchoRequest, MsgEchoReply)
 	return err
 }
 
 // AddFlow installs a flow entry, replacing any installed entry with the
-// same match set and priority.
+// same match set and priority. It commits a one-command batch.
 func (c *Client) AddFlow(table openflow.TableID, e *openflow.FlowEntry) error {
-	fm := FlowMod{Op: FlowAdd, Table: table, Entry: *e}
-	_, err := c.roundTrip(MsgFlowMod, EncodeFlowMod(&fm), MsgFlowModReply)
+	_, err := c.SendFlowMods([]FlowMod{{Op: FlowAdd, Table: table, Entry: *e}})
 	return err
 }
 
 // DeleteFlow removes the flow entry with the same matches, priority and
 // instructions (the FlowRemoveExact op); deleting a missing entry is an
-// error. For OpenFlow non-strict / strict deletion semantics send
-// FlowDelete / FlowDeleteStrict commands — either as single flow-mods or
-// through SendFlowMods; the op, not the framing, selects the semantics.
+// error. It commits a one-command batch. For OpenFlow non-strict /
+// strict deletion semantics send FlowDelete / FlowDeleteStrict commands
+// through SendFlowMods.
 func (c *Client) DeleteFlow(table openflow.TableID, e *openflow.FlowEntry) error {
-	fm := FlowMod{Op: FlowRemoveExact, Table: table, Entry: *e}
-	_, err := c.roundTrip(MsgFlowMod, EncodeFlowMod(&fm), MsgFlowModReply)
+	_, err := c.SendFlowMods([]FlowMod{{Op: FlowRemoveExact, Table: table, Entry: *e}})
 	return err
 }
 
@@ -174,28 +178,28 @@ func (c *Client) DeleteFlow(table openflow.TableID, e *openflow.FlowEntry) error
 // invalidated once. The encode and read buffers are reused across calls,
 // so steady-state batch submission does not re-allocate the wire frames.
 func (c *Client) SendFlowMods(fms []FlowMod) (*FlowModBatchReply, error) {
-	c.out = BeginFrame(c.out)
-	c.out = AppendFlowModBatch(c.out, fms)
-	if err := WriteFrame(c.conn, MsgFlowModBatch, c.out); err != nil {
-		return nil, err
-	}
-	msg, err := c.readReply()
+	c.out = AppendFlowModBatch(BeginFrame(c.out), fms)
+	msg, err := c.roundTrip(MsgFlowModBatch, MsgFlowModBatchReply)
 	if err != nil {
 		return nil, err
-	}
-	if msg.Type != MsgFlowModBatchReply {
-		return nil, fmt.Errorf("ofproto: expected %s, got %s", MsgFlowModBatchReply, msg.Type)
 	}
 	return DecodeFlowModBatchReply(msg.Payload)
 }
 
-// SendPacket injects a packet header and returns the pipeline result.
+// SendPacket injects one packet header as a batch of one and returns
+// the pipeline result. Unlike SendPackets' replies, the result is the
+// caller's: its Outputs is a copy.
 func (c *Client) SendPacket(h *openflow.Header) (*PacketReply, error) {
-	msg, err := c.roundTrip(MsgPacket, EncodePacket(h), MsgPacketReply)
+	rs, err := c.SendPackets([]*openflow.Header{h})
 	if err != nil {
 		return nil, err
 	}
-	return DecodePacketReply(msg.Payload)
+	// The count comes off the network: a reply for a batch of one must
+	// carry exactly one result.
+	if len(rs) != 1 {
+		return nil, fmt.Errorf("ofproto: %s carries %d results for one packet", MsgPacketBatchReply, len(rs))
+	}
+	return &PacketReply{Flags: rs[0].Flags, Outputs: slices.Clone(rs[0].Outputs)}, nil
 }
 
 // SendPackets injects a batch of packet headers in one round trip; the
@@ -204,17 +208,10 @@ func (c *Client) SendPacket(h *openflow.Header) (*PacketReply, error) {
 // buffers are reused across calls, so steady-state batch injection does
 // not allocate: the replies are valid until the next call on this Client.
 func (c *Client) SendPackets(hs []*openflow.Header) ([]PacketReply, error) {
-	c.out = BeginFrame(c.out)
-	c.out = AppendPacketBatch(c.out, hs)
-	if err := WriteFrame(c.conn, MsgPacketBatch, c.out); err != nil {
-		return nil, err
-	}
-	msg, err := c.readReply()
+	c.out = AppendPacketBatch(BeginFrame(c.out), hs)
+	msg, err := c.roundTrip(MsgPacketBatch, MsgPacketBatchReply)
 	if err != nil {
 		return nil, err
-	}
-	if msg.Type != MsgPacketBatchReply {
-		return nil, fmt.Errorf("ofproto: expected %s, got %s", MsgPacketBatchReply, msg.Type)
 	}
 	rs, ports, err := DecodePacketBatchReplyInto(msg.Payload, c.replies, c.ports)
 	c.ports = ports
@@ -228,7 +225,8 @@ func (c *Client) SendPackets(hs []*openflow.Header) ([]PacketReply, error) {
 // Stats fetches the switch report: every section CollectStats
 // assembles, decoded fresh per call.
 func (c *Client) Stats() (*Stats, error) {
-	msg, err := c.roundTrip(MsgStatsRequest, nil, MsgStatsReply)
+	c.out = BeginFrame(c.out)
+	msg, err := c.roundTrip(MsgStatsRequest, MsgStatsReply)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +238,16 @@ func (c *Client) Stats() (*Stats, error) {
 // switch serves each page lock-free, so even a scrape of a million
 // flows never pauses commits. The reply is decoded fresh per call.
 func (c *Client) FlowStats(req *FlowStatsRequest) (*FlowStatsReply, error) {
-	msg, err := c.roundTrip(MsgFlowStatsRequest, EncodeFlowStatsRequest(req), MsgFlowStatsReply)
+	c.out = AppendFlowStatsRequest(BeginFrame(c.out), req)
+	msg, err := c.roundTrip(MsgFlowStatsRequest, MsgFlowStatsReply)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeFlowStatsReply(msg.Payload)
+	reply := &FlowStatsReply{}
+	if err := DecodeFlowStatsReplyInto(reply, msg.Payload, nil); err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
 // VisitFlowStats walks every page of a scrape, calling fn with each
@@ -270,7 +273,8 @@ func (c *Client) VisitFlowStats(req FlowStatsRequest, fn func(*FlowStatsRow) boo
 // AggregateStats fetches summed packet/byte/flow counters over the
 // flows the request selects.
 func (c *Client) AggregateStats(req *AggregateStatsRequest) (*AggregateStatsReply, error) {
-	msg, err := c.roundTrip(MsgAggregateStatsRequest, EncodeAggregateStatsRequest(req), MsgAggregateStatsReply)
+	c.out = AppendAggregateStatsRequest(BeginFrame(c.out), req)
+	msg, err := c.roundTrip(MsgAggregateStatsRequest, MsgAggregateStatsReply)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +287,8 @@ func (c *Client) AggregateStats(req *AggregateStatsRequest) (*AggregateStatsRepl
 
 // SendGroupMod applies one group-table modification.
 func (c *Client) SendGroupMod(gm *GroupMod) error {
-	_, err := c.roundTrip(MsgGroupMod, EncodeGroupMod(gm), MsgGroupModReply)
+	c.out = AppendGroupMod(BeginFrame(c.out), gm)
+	_, err := c.roundTrip(MsgGroupMod, MsgGroupModReply)
 	return err
 }
 
@@ -292,17 +297,19 @@ func (c *Client) SendGroupMod(gm *GroupMod) error {
 // ahead of its replies; they surface through the OnFlowRemoved
 // callback. Only expiries after the subscription are delivered.
 func (c *Client) SubscribeFlowRemoved(on bool) error {
-	payload := []byte{0}
+	flag := byte(0)
 	if on {
-		payload[0] = 1
+		flag = 1
 	}
-	_, err := c.roundTrip(MsgFlowRemovedSubscribe, payload, MsgFlowRemovedSubscribeReply)
+	c.out = append(BeginFrame(c.out), flag)
+	_, err := c.roundTrip(MsgFlowRemovedSubscribe, MsgFlowRemovedSubscribeReply)
 	return err
 }
 
 // Barrier completes when all previously sent messages are processed.
 func (c *Client) Barrier() error {
-	_, err := c.roundTrip(MsgBarrier, nil, MsgBarrierReply)
+	c.out = BeginFrame(c.out)
+	_, err := c.roundTrip(MsgBarrier, MsgBarrierReply)
 	return err
 }
 

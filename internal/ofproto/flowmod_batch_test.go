@@ -59,9 +59,9 @@ func sampleFlowMods() []FlowMod {
 // across two decodes.
 func TestFlowModBatchRoundTrip(t *testing.T) {
 	fms := sampleFlowMods()
-	payload := EncodeFlowModBatch(fms)
+	payload := AppendFlowModBatch(nil, fms)
 
-	got, err := DecodeFlowModBatch(payload)
+	got, err := DecodeFlowModBatchArena(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +92,16 @@ func TestFlowModBatchRoundTrip(t *testing.T) {
 // TestFlowModBatchDecodeErrors covers malformed batch payloads.
 func TestFlowModBatchDecodeErrors(t *testing.T) {
 	fms := sampleFlowMods()
-	payload := EncodeFlowModBatch(fms)
+	payload := AppendFlowModBatch(nil, fms)
 	cases := map[string][]byte{
 		"empty":       nil,
 		"short count": {0},
 		"truncated":   payload[:len(payload)-3],
 		"trailing":    append(append([]byte(nil), payload...), 0xFF),
-		"bad op":      EncodeFlowModBatch([]FlowMod{{Op: 99}}),
+		"bad op":      AppendFlowModBatch(nil, []FlowMod{{Op: 99}}),
 	}
 	for name, p := range cases {
-		if _, err := DecodeFlowModBatch(p); err == nil {
+		if _, err := DecodeFlowModBatchArena(p, nil, nil); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
@@ -297,52 +297,65 @@ func TestFlowModBatchRejection(t *testing.T) {
 	}
 }
 
-// TestSingleFlowModNewOps covers modify and delete-strict over the legacy
-// single flow-mod message.
+// TestSingleFlowModNewOps covers modify and delete-strict as batches of
+// one command each.
 func TestSingleFlowModNewOps(t *testing.T) {
 	p, c, stop := startTxServer(t)
 	defer stop()
 	if _, err := c.SendFlowMods(macMods(30, 0xAABB00000001, 5)); err != nil {
 		t.Fatal(err)
 	}
-	// Strict delete of the table-1 entry via the single-message path.
-	fm := FlowMod{Op: FlowDeleteStrict, Table: 1, Entry: openflow.FlowEntry{
-		Priority: 1,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, 30),
-			openflow.Exact(openflow.FieldEthDst, 0xAABB00000001),
-		},
-	}}
-	if _, err := c.roundTrip(MsgFlowMod, EncodeFlowMod(&fm), MsgFlowModReply); err != nil {
+	match := []openflow.Match{
+		openflow.Exact(openflow.FieldMetadata, 30),
+		openflow.Exact(openflow.FieldEthDst, 0xAABB00000001),
+	}
+	// Modify the table-1 entry's output, then strict-delete it.
+	reply, err := c.SendFlowMods([]FlowMod{{Op: FlowModify, Table: 1, Entry: openflow.FlowEntry{
+		Matches:      match,
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(6))},
+	}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Rules() != 1 {
-		t.Fatalf("rules = %d after strict delete, want 1", p.Rules())
+	if reply.Commands != 1 || reply.Modified != 1 {
+		t.Fatalf("modify reply = %+v", reply)
+	}
+	if pr, err := c.SendPacket(&openflow.Header{VLANID: 30, EthDst: 0xAABB00000001}); err != nil || len(pr.Outputs) != 1 || pr.Outputs[0] != 6 {
+		t.Fatalf("packet after modify = %+v, %v; want output 6", pr, err)
+	}
+	reply, err = c.SendFlowMods([]FlowMod{{Op: FlowDeleteStrict, Table: 1, Entry: openflow.FlowEntry{
+		Priority: 1,
+		Matches:  match,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Deleted != 1 || p.Rules() != 1 {
+		t.Fatalf("strict delete reply = %+v, rules = %d; want 1 deleted, 1 left", reply, p.Rules())
 	}
 }
 
-// TestFlowDeleteOpUniformSemantics pins that an op means the same thing
-// over both framings: FlowDelete is the non-strict sweep (no error on
-// zero matches) as a single message too, and the legacy
-// erroring-exact-delete identity is FlowRemoveExact — which is what
-// Client.DeleteFlow sends.
+// TestFlowDeleteOpUniformSemantics pins the delete ops as batches of
+// one: FlowDelete is the non-strict sweep (no error on zero matches),
+// and the legacy erroring-exact-delete identity is FlowRemoveExact —
+// which is what Client.DeleteFlow sends.
 func TestFlowDeleteOpUniformSemantics(t *testing.T) {
 	p, c, stop := startTxServer(t)
 	defer stop()
 	if _, err := c.SendFlowMods(macMods(40, 0xAABB00000001, 5)); err != nil {
 		t.Fatal(err)
 	}
-	// Non-strict single-message delete of a missing cover: clean no-op.
+	// Non-strict delete of a missing cover: clean no-op.
 	fm := FlowMod{Op: FlowDelete, Table: 1, Entry: openflow.FlowEntry{
 		Matches: []openflow.Match{openflow.Exact(openflow.FieldEthDst, 0xDEAD00000000)},
 	}}
-	if _, err := c.roundTrip(MsgFlowMod, EncodeFlowMod(&fm), MsgFlowModReply); err != nil {
-		t.Fatalf("single-message non-strict delete of nothing errored: %v", err)
+	if reply, err := c.SendFlowMods([]FlowMod{fm}); err != nil || reply.Deleted != 0 {
+		t.Fatalf("non-strict delete of nothing = %+v, %v; want a clean no-op", reply, err)
 	}
-	// Non-strict single-message delete by match only (priority and
-	// instructions unstated) removes the entry.
+	// Non-strict delete by match only (priority and instructions
+	// unstated) removes the entry.
 	fm.Entry.Matches = []openflow.Match{openflow.Exact(openflow.FieldEthDst, 0xAABB00000001)}
-	if _, err := c.roundTrip(MsgFlowMod, EncodeFlowMod(&fm), MsgFlowModReply); err != nil {
+	if _, err := c.SendFlowMods([]FlowMod{fm}); err != nil {
 		t.Fatal(err)
 	}
 	if p.Rules() != 1 {

@@ -1,10 +1,12 @@
 package ofproto
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ import (
 // pre-v2 bare-text payloads still decode.
 func TestErrorCodecRoundTrip(t *testing.T) {
 	be := &core.BudgetError{Table: 3, BudgetBits: 1000, UsedBits: 1200}
-	se := DecodeError(EncodeError(be))
+	se := DecodeError(AppendError(nil, be))
 	if !se.IsTableFull() || !IsTableFull(se) {
 		t.Errorf("budget error decoded as %+v, want TABLE_FULL", se)
 	}
@@ -27,19 +29,19 @@ func TestErrorCodecRoundTrip(t *testing.T) {
 
 	// Wrapped budget errors classify the same way.
 	wrapped := fmt.Errorf("commit: %w", be)
-	if se := DecodeError(EncodeError(wrapped)); !se.IsTableFull() {
+	if se := DecodeError(AppendError(nil, wrapped)); !se.IsTableFull() {
 		t.Errorf("wrapped budget error decoded as %+v", se)
 	}
 
 	// Generic errors are bad requests, not TABLE_FULL.
-	se = DecodeError(EncodeError(errors.New("no such table")))
+	se = DecodeError(AppendError(nil, errors.New("no such table")))
 	if se.Type != ErrTypeBadRequest || se.IsTableFull() {
 		t.Errorf("generic error decoded as %+v", se)
 	}
 
 	// A SwitchError re-encodes with its own classification.
 	orig := &SwitchError{Type: ErrTypeFlowModFailed, Code: ErrCodeTableFull, Text: "full"}
-	if se := DecodeError(EncodeError(orig)); se.Type != orig.Type || se.Code != orig.Code {
+	if se := DecodeError(AppendError(nil, orig)); se.Type != orig.Type || se.Code != orig.Code {
 		t.Errorf("switch error re-encoded as %+v", se)
 	}
 
@@ -147,7 +149,7 @@ func TestServerRecoversPanics(t *testing.T) {
 
 	conn := rawDial(t, l.Addr().String())
 	defer func() { _ = conn.Close() }()
-	if err := WriteMessage(conn, MsgPacket, EncodePacket(&openflow.Header{})); err != nil {
+	if err := writePayload(conn, new([]byte), MsgPacketBatch, AppendPacketBatch(nil, []*openflow.Header{{}})); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -159,7 +161,7 @@ func TestServerRecoversPanics(t *testing.T) {
 		t.Fatalf("expected error reply, got %s", msg.Type)
 	}
 	// The connection still serves after the recovered panic.
-	if err := WriteMessage(conn, MsgBarrier, nil); err != nil {
+	if err := writePayload(conn, new([]byte), MsgBarrier, nil); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err = ReadMessage(conn); err != nil || msg.Type != MsgBarrierReply {
@@ -167,6 +169,98 @@ func TestServerRecoversPanics(t *testing.T) {
 	}
 	if got := srv.Counters().Panics; got != 1 {
 		t.Errorf("panic counter = %d, want 1", got)
+	}
+}
+
+// frameConn counts the writes that do not carry exactly one whole frame.
+type frameConn struct {
+	net.Conn
+	writes, bad *atomic.Int64
+}
+
+func (c frameConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	if msg, err := ReadMessage(bytes.NewReader(p)); err != nil || frameHeaderLen+len(msg.Payload) != len(p) {
+		c.bad.Add(1)
+	}
+	return c.Conn.Write(p)
+}
+
+type frameListener struct {
+	net.Listener
+	writes, bad *atomic.Int64
+}
+
+func (l frameListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return frameConn{c, l.writes, l.bad}, nil
+}
+
+// TestEveryFrameIsOneWrite pins the one framer: every request the client
+// sends and every reply the switch sends — hello, errors, empty replies
+// and stats included — leaves in a single Write of exactly one frame.
+func TestEveryFrameIsOneWrite(t *testing.T) {
+	p := emptyMACPipeline(t)
+	var writes, bad atomic.Int64
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, t.Logf)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(frameListener{l, &writes, &bad})
+	}()
+	defer func() {
+		_ = srv.Close()
+		<-done
+	}()
+
+	c := &Client{conn: frameConn{rawDial(t, l.Addr().String()), &writes, &bad}}
+	defer func() { _ = c.Close() }()
+	e := &openflow.FlowEntry{
+		Priority:     1,
+		Matches:      []openflow.Match{openflow.Exact(openflow.FieldVLANID, 7)},
+		Instructions: []openflow.Instruction{openflow.GotoTable(1)},
+	}
+	steps := []func() error{
+		c.Echo,
+		func() error { return c.AddFlow(0, e) },
+		func() error { _, err := c.SendPacket(&openflow.Header{VLANID: 7}); return err },
+		func() error { _, err := c.SendPackets([]*openflow.Header{{VLANID: 7}, {VLANID: 8}}); return err },
+		func() error { _, err := c.Stats(); return err },
+		func() error { _, err := c.FlowStats(&FlowStatsRequest{Table: AllTables}); return err },
+		func() error { _, err := c.AggregateStats(&AggregateStatsRequest{Table: AllTables}); return err },
+		func() error {
+			return c.SendGroupMod(&GroupMod{Op: GroupModAdd, ID: 1, Type: core.GroupAll, Buckets: [][]openflow.Action{{openflow.Output(2)}}})
+		},
+		func() error { return c.SubscribeFlowRemoved(true) },
+		func() error { return c.DeleteFlow(0, e) },
+		c.Barrier,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	// An error reply is a frame too.
+	if err := c.AddFlow(9, e); err == nil {
+		t.Fatal("add to a missing table succeeded")
+	}
+	if err := c.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	// hello + one request and one reply per step, the failed add and its
+	// error, and the last barrier.
+	if want := int64(1 + 2*len(steps) + 4); writes.Load() != want {
+		t.Errorf("%d writes, want %d", writes.Load(), want)
+	}
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d of %d writes were not exactly one frame", n, writes.Load())
 	}
 }
 
@@ -290,12 +384,12 @@ func TestKeepAliveSurvival(t *testing.T) {
 		if msg.Type != MsgEchoRequest {
 			t.Fatalf("probe cycle %d: got %s", i, msg.Type)
 		}
-		if err := WriteMessage(conn, MsgEchoReply, msg.Payload); err != nil {
+		if err := writePayload(conn, new([]byte), MsgEchoReply, msg.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The connection still serves requests.
-	if err := WriteMessage(conn, MsgBarrier, nil); err != nil {
+	if err := writePayload(conn, new([]byte), MsgBarrier, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -325,7 +419,7 @@ func TestClientAnswersInterleavedProbe(t *testing.T) {
 				return err
 			}
 			defer func() { _ = conn.Close() }()
-			if err := WriteMessage(conn, MsgHello, EncodeHello()); err != nil {
+			if err := writePayload(conn, new([]byte), MsgHello, []byte{ProtocolVersion}); err != nil {
 				return err
 			}
 			msg, err := ReadMessage(conn)
@@ -333,14 +427,14 @@ func TestClientAnswersInterleavedProbe(t *testing.T) {
 				return fmt.Errorf("expected barrier, got %v %v", msg.Type, err)
 			}
 			// Probe before answering: the client must echo back first.
-			if err := WriteMessage(conn, MsgEchoRequest, []byte("ping")); err != nil {
+			if err := writePayload(conn, new([]byte), MsgEchoRequest, []byte("ping")); err != nil {
 				return err
 			}
 			reply, err := ReadMessage(conn)
 			if err != nil || reply.Type != MsgEchoReply || string(reply.Payload) != "ping" {
 				return fmt.Errorf("expected echoed ping, got %v %q %v", reply.Type, reply.Payload, err)
 			}
-			return WriteMessage(conn, MsgBarrierReply, nil)
+			return writePayload(conn, new([]byte), MsgBarrierReply, nil)
 		}()
 	}()
 
@@ -392,7 +486,7 @@ func TestClientTimeoutOnDeadSwitch(t *testing.T) {
 				return
 			}
 			// Speak the hello, then go silent forever.
-			_ = WriteMessage(conn, MsgHello, EncodeHello())
+			_ = writePayload(conn, new([]byte), MsgHello, []byte{ProtocolVersion})
 		}
 	}()
 

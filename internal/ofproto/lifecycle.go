@@ -45,11 +45,6 @@ func AppendFlowStatsRequest(buf []byte, r *FlowStatsRequest) []byte {
 	return binary.BigEndian.AppendUint64(buf, r.CookieMask)
 }
 
-// EncodeFlowStatsRequest serialises a flow-stats request.
-func EncodeFlowStatsRequest(r *FlowStatsRequest) []byte {
-	return AppendFlowStatsRequest(make([]byte, 0, flowStatsRequestLen), r)
-}
-
 // DecodeFlowStatsRequestInto parses a flow-stats request.
 func DecodeFlowStatsRequestInto(r *FlowStatsRequest, payload []byte) error {
 	if len(payload) != flowStatsRequestLen {
@@ -111,15 +106,10 @@ func AppendFlowStatsReply(buf []byte, r *FlowStatsReply) []byte {
 	return buf
 }
 
-// EncodeFlowStatsReply serialises a flow-stats page.
-func EncodeFlowStatsReply(r *FlowStatsReply) []byte {
-	return AppendFlowStatsReply(nil, r)
-}
-
 // DecodeFlowStatsReplyInto parses a flow-stats page, reusing the Flows
 // slice and drawing entry match/instruction/action slices from the
-// arena. The decoded rows alias the arena, so the caller must consume
-// them before the next decode that resets it.
+// arena (the heap when ar is nil). The decoded rows alias the arena, so
+// the caller must consume them before the next decode that resets it.
 func DecodeFlowStatsReplyInto(r *FlowStatsReply, payload []byte, ar *openflow.EntryArena) error {
 	if len(payload) < flowStatsReplyHeaderLen {
 		return fmt.Errorf("ofproto: flow-stats reply of %d bytes", len(payload))
@@ -128,6 +118,10 @@ func DecodeFlowStatsReplyInto(r *FlowStatsReply, payload []byte, ar *openflow.En
 	r.More = payload[4] != 0
 	count := int(binary.BigEndian.Uint16(payload[5:]))
 	rest := payload[flowStatsReplyHeaderLen:]
+	if count > len(rest)/(flowStatsRowHeaderLen+openflow.MinFlowEntryLen) {
+		r.Flows = r.Flows[:0]
+		return fmt.Errorf("ofproto: flow-stats reply of %d bytes cannot hold %d rows", len(payload), count)
+	}
 	if cap(r.Flows) < count {
 		r.Flows = make([]FlowStatsRow, count)
 	}
@@ -160,15 +154,6 @@ func DecodeFlowStatsReplyInto(r *FlowStatsReply, payload []byte, ar *openflow.En
 	return nil
 }
 
-// DecodeFlowStatsReply parses a flow-stats page into a fresh value.
-func DecodeFlowStatsReply(payload []byte) (*FlowStatsReply, error) {
-	r := &FlowStatsReply{}
-	if err := DecodeFlowStatsReplyInto(r, payload, nil); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // AggregateStatsRequest asks for summed counters over the selected
 // flows — same selection semantics as FlowStatsRequest, minus paging.
 type AggregateStatsRequest struct {
@@ -185,11 +170,6 @@ func AppendAggregateStatsRequest(buf []byte, r *AggregateStatsRequest) []byte {
 	buf = append(buf, r.Table)
 	buf = binary.BigEndian.AppendUint64(buf, r.Cookie)
 	return binary.BigEndian.AppendUint64(buf, r.CookieMask)
-}
-
-// EncodeAggregateStatsRequest serialises an aggregate-stats request.
-func EncodeAggregateStatsRequest(r *AggregateStatsRequest) []byte {
-	return AppendAggregateStatsRequest(make([]byte, 0, aggregateStatsRequestLen), r)
 }
 
 // DecodeAggregateStatsRequestInto parses an aggregate-stats request.
@@ -218,11 +198,6 @@ func AppendAggregateStatsReply(buf []byte, r *AggregateStatsReply) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.Packets)
 	buf = binary.BigEndian.AppendUint64(buf, r.Bytes)
 	return binary.BigEndian.AppendUint32(buf, r.Flows)
-}
-
-// EncodeAggregateStatsReply serialises an aggregate-stats reply.
-func EncodeAggregateStatsReply(r *AggregateStatsReply) []byte {
-	return AppendAggregateStatsReply(make([]byte, 0, aggregateStatsReplyLen), r)
 }
 
 // DecodeAggregateStatsReplyInto parses an aggregate-stats reply.
@@ -292,11 +267,6 @@ func AppendGroupMod(buf []byte, gm *GroupMod) []byte {
 	return buf
 }
 
-// EncodeGroupMod serialises a group-mod.
-func EncodeGroupMod(gm *GroupMod) []byte {
-	return AppendGroupMod(nil, gm)
-}
-
 // DecodeGroupMod parses a group-mod payload.
 func DecodeGroupMod(payload []byte) (*GroupMod, error) {
 	if len(payload) < groupModHeaderLen {
@@ -312,6 +282,10 @@ func DecodeGroupMod(payload []byte) (*GroupMod, error) {
 	}
 	nb := int(binary.BigEndian.Uint16(payload[6:]))
 	rest := payload[groupModHeaderLen:]
+	// Each bucket carries at least its action count.
+	if nb > len(rest)/2 {
+		return nil, fmt.Errorf("ofproto: group-mod of %d bytes cannot hold %d buckets", len(payload), nb)
+	}
 	if nb > 0 {
 		gm.Buckets = make([][]openflow.Action, nb)
 	}
@@ -372,11 +346,6 @@ func AppendFlowRemoved(buf []byte, recs []FlowRemovedMsg) []byte {
 	return buf
 }
 
-// EncodeFlowRemoved serialises a flow-removed batch.
-func EncodeFlowRemoved(recs []FlowRemovedMsg) []byte {
-	return AppendFlowRemoved(nil, recs)
-}
-
 // DecodeFlowRemovedInto parses a flow-removed batch, reusing recs and
 // drawing entry slices from the arena (same aliasing rules as the
 // flow-stats decode).
@@ -386,6 +355,9 @@ func DecodeFlowRemovedInto(recs []FlowRemovedMsg, payload []byte, ar *openflow.E
 	}
 	count := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
+	if count > len(rest)/(flowRemovedRowHeaderLen+openflow.MinFlowEntryLen) {
+		return recs[:0], fmt.Errorf("ofproto: flow-removed of %d bytes cannot hold %d records", len(payload), count)
+	}
 	if cap(recs) < count {
 		recs = make([]FlowRemovedMsg, count)
 	}
@@ -413,9 +385,4 @@ func DecodeFlowRemovedInto(recs []FlowRemovedMsg, payload []byte, ar *openflow.E
 		return recs[:0], fmt.Errorf("ofproto: flow-removed has %d trailing bytes", len(rest))
 	}
 	return recs, nil
-}
-
-// DecodeFlowRemoved parses a flow-removed batch into fresh values.
-func DecodeFlowRemoved(payload []byte) ([]FlowRemovedMsg, error) {
-	return DecodeFlowRemovedInto(nil, payload, nil)
 }

@@ -22,7 +22,7 @@ func lcEntry(src uint32, prio int, port uint32) *openflow.FlowEntry {
 func TestFlowStatsCodecRoundTrip(t *testing.T) {
 	req := FlowStatsRequest{Table: 3, Cursor: 777, Max: 128, Cookie: 0xDEAD, CookieMask: 0xFFFF}
 	var got FlowStatsRequest
-	if err := DecodeFlowStatsRequestInto(&got, EncodeFlowStatsRequest(&req)); err != nil {
+	if err := DecodeFlowStatsRequestInto(&got, AppendFlowStatsRequest(nil, &req)); err != nil {
 		t.Fatal(err)
 	}
 	if got != req {
@@ -43,9 +43,9 @@ func TestFlowStatsCodecRoundTrip(t *testing.T) {
 			Entry:   *e,
 		})
 	}
-	buf := EncodeFlowStatsReply(&reply)
-	dec, err := DecodeFlowStatsReply(buf)
-	if err != nil {
+	buf := AppendFlowStatsReply(nil, &reply)
+	dec := &FlowStatsReply{}
+	if err := DecodeFlowStatsReplyInto(dec, buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dec.Next != reply.Next || dec.More != reply.More || len(dec.Flows) != len(reply.Flows) {
@@ -87,7 +87,7 @@ func TestFlowStatsCodecRoundTrip(t *testing.T) {
 func TestAggregateStatsCodecRoundTrip(t *testing.T) {
 	req := AggregateStatsRequest{Table: AllTables, Cookie: 5, CookieMask: 7}
 	var gotReq AggregateStatsRequest
-	if err := DecodeAggregateStatsRequestInto(&gotReq, EncodeAggregateStatsRequest(&req)); err != nil {
+	if err := DecodeAggregateStatsRequestInto(&gotReq, AppendAggregateStatsRequest(nil, &req)); err != nil {
 		t.Fatal(err)
 	}
 	if gotReq != req {
@@ -95,7 +95,7 @@ func TestAggregateStatsCodecRoundTrip(t *testing.T) {
 	}
 	reply := AggregateStatsReply{Packets: 1 << 40, Bytes: 1 << 50, Flows: 123456}
 	var gotReply AggregateStatsReply
-	if err := DecodeAggregateStatsReplyInto(&gotReply, EncodeAggregateStatsReply(&reply)); err != nil {
+	if err := DecodeAggregateStatsReplyInto(&gotReply, AppendAggregateStatsReply(nil, &reply)); err != nil {
 		t.Fatal(err)
 	}
 	if gotReply != reply {
@@ -117,7 +117,7 @@ func TestGroupModCodecRoundTrip(t *testing.T) {
 			{},
 		},
 	}
-	buf := EncodeGroupMod(&gm)
+	buf := AppendGroupMod(nil, &gm)
 	dec, err := DecodeGroupMod(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +159,8 @@ func TestFlowRemovedCodecRoundTrip(t *testing.T) {
 		{Table: 0, Reason: 1, DurationSec: 5, Packets: 10, Bytes: 640, Entry: *lcEntry(1, 10, 1)},
 		{Table: 2, Reason: 2, DurationSec: 60, Packets: 0, Bytes: 0, Entry: *lcEntry(2, 20, 2)},
 	}
-	buf := EncodeFlowRemoved(recs)
-	dec, err := DecodeFlowRemoved(buf)
+	buf := AppendFlowRemoved(nil, recs)
+	dec, err := DecodeFlowRemovedInto(nil, buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFlowRemovedCodecRoundTrip(t *testing.T) {
 			t.Fatalf("record %d diverged: got %+v want %+v", i, g, w)
 		}
 	}
-	if _, err := DecodeFlowRemoved(buf[:len(buf)-1]); err == nil {
+	if _, err := DecodeFlowRemovedInto(nil, buf[:len(buf)-1], nil); err == nil {
 		t.Error("truncated flow-removed accepted")
 	}
 }

@@ -8,6 +8,14 @@
 // Framing: every message is [length u32 | type u8 | payload], big endian;
 // length covers type and payload. Flow entries and packet headers reuse
 // the binary codec of the openflow package.
+//
+// Each message has one encoder, AppendX, which appends its payload to a
+// caller-owned buffer, and one decoder, which reads into caller-owned
+// buffers where the payload is variable-length (DecodeXInto / ...Arena).
+// There is one framer: a sender starts a frame with BeginFrame, appends
+// the payload in place, and hands it to WriteFrame, which fills in the
+// header and writes the whole frame in a single Write. A single packet
+// or flow-mod travels as a batch of one.
 package ofproto
 
 import (
@@ -23,8 +31,10 @@ import (
 // ProtocolVersion is negotiated in Hello. Version 2 added structured
 // error payloads (type/code/text instead of bare text) and echo
 // request/reply keepalives. Version 3 folded the memory-, cache- and
-// advisor-stats pairs into the one stats report (see Stats).
-const ProtocolVersion = 3
+// advisor-stats pairs into the one stats report (see Stats). Version 4
+// retired the single-packet and single-flow-mod pairs (3-6): both
+// travel as batches of one.
+const ProtocolVersion = 4
 
 // MaxMessageLen bounds a frame to keep a malformed peer from forcing an
 // arbitrary allocation.
@@ -37,10 +47,12 @@ type MsgType uint8
 const (
 	MsgHello MsgType = iota + 1
 	MsgError
-	MsgFlowMod
-	MsgFlowModReply
-	MsgPacket
-	MsgPacketReply
+	// 3-6 were the single flow-mod and packet pairs, retired into
+	// batches of one; their numbers stay reserved.
+	_
+	_
+	_
+	_
 	MsgStatsRequest
 	MsgStatsReply
 	MsgBarrier
@@ -82,14 +94,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgError:
 		return "error"
-	case MsgFlowMod:
-		return "flow-mod"
-	case MsgFlowModReply:
-		return "flow-mod-reply"
-	case MsgPacket:
-		return "packet"
-	case MsgPacketReply:
-		return "packet-reply"
 	case MsgStatsRequest:
 		return "stats-request"
 	case MsgStatsReply:
@@ -143,8 +147,7 @@ type FlowModOp uint8
 // FlowDeleteStrict removes entries with exactly the same match set and
 // priority. FlowRemoveExact is the legacy pre-transactional identity:
 // like FlowDeleteStrict but additionally requiring the instructions to
-// match, and erroring when no entry does. Each op means the same thing
-// whether it travels as a single MsgFlowMod or inside a MsgFlowModBatch.
+// match, and erroring when no entry does.
 const (
 	FlowAdd FlowModOp = iota + 1
 	FlowDelete
@@ -214,29 +217,10 @@ type Message struct {
 // frameHeaderLen is the [length u32 | type u8] frame prefix.
 const frameHeaderLen = 5
 
-// WriteMessage frames and writes a message.
-func WriteMessage(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload)+1 > MaxMessageLen {
-		return fmt.Errorf("ofproto: message of %d bytes exceeds limit", len(payload))
-	}
-	hdr := make([]byte, frameHeaderLen)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("ofproto: writing %s header: %w", t, err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("ofproto: writing %s payload: %w", t, err)
-		}
-	}
-	return nil
-}
-
 // WriteFrame frames and writes a message whose payload was appended in
-// place after a frameHeaderLen-byte prefix (see BeginFrame). The frame
-// goes out in a single Write — one syscall, no per-message allocation —
-// which is what the packet-batch path wants.
+// place after a frameHeaderLen-byte prefix (see BeginFrame). It is the
+// only place a frame header is encoded, and the frame goes out in a
+// single Write — one syscall, no per-message allocation.
 func WriteFrame(w io.Writer, t MsgType, frame []byte) error {
 	if len(frame) < frameHeaderLen || len(frame)-4 > MaxMessageLen {
 		return fmt.Errorf("ofproto: frame of %d bytes out of range", len(frame))
@@ -255,6 +239,13 @@ func WriteFrame(w io.Writer, t MsgType, frame []byte) error {
 func BeginFrame(buf []byte) []byte {
 	buf = buf[:0]
 	return append(buf, 0, 0, 0, 0, 0)
+}
+
+// writePayload frames a ready-made payload (none, an echo's, a hello's)
+// in *out and writes it; *out keeps its capacity for the next message.
+func writePayload(w io.Writer, out *[]byte, t MsgType, payload []byte) error {
+	*out = append(BeginFrame(*out), payload...)
+	return WriteFrame(w, t, *out)
 }
 
 // ReadMessage reads one framed message into a fresh buffer.
@@ -286,9 +277,6 @@ func ReadMessageBuf(r io.Reader, buf []byte) (Message, []byte, error) {
 	return Message{Type: MsgType(body[0]), Payload: body[1:]}, buf, nil
 }
 
-// EncodeHello builds a hello payload.
-func EncodeHello() []byte { return []byte{ProtocolVersion} }
-
 // DecodeHello validates a hello payload.
 func DecodeHello(payload []byte) error {
 	if len(payload) != 1 {
@@ -304,16 +292,11 @@ func DecodeHello(payload []byte) error {
 // one flow-mod record.
 const flowModHeaderLen = 1 + 1 + 8
 
-// AppendFlowMod appends the wire form of one flow-mod record to buf.
-func AppendFlowMod(buf []byte, fm *FlowMod) []byte {
+// appendFlowMod appends the wire form of one flow-mod record to buf.
+func appendFlowMod(buf []byte, fm *FlowMod) []byte {
 	buf = append(buf, byte(fm.Op), byte(fm.Table))
 	buf = binary.BigEndian.AppendUint64(buf, fm.CookieMask)
 	return openflow.AppendFlowEntry(buf, &fm.Entry)
-}
-
-// EncodeFlowMod serialises a flow-mod.
-func EncodeFlowMod(fm *FlowMod) []byte {
-	return AppendFlowMod(nil, fm)
 }
 
 // decodeFlowModInto decodes one flow-mod record into fm, returning the
@@ -335,37 +318,14 @@ func decodeFlowModInto(fm *FlowMod, buf []byte, ar *openflow.EntryArena) (int, e
 	return flowModHeaderLen + n, nil
 }
 
-// DecodeFlowMod parses a flow-mod payload.
-func DecodeFlowMod(payload []byte) (*FlowMod, error) {
-	fm := &FlowMod{}
-	n, err := decodeFlowModInto(fm, payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(payload) {
-		return nil, fmt.Errorf("ofproto: flow-mod has %d trailing bytes", len(payload)-n)
-	}
-	return fm, nil
-}
-
 // AppendFlowModBatch appends the wire form of a flow-mod batch to buf, so
 // per-connection senders can reuse one encode buffer.
 func AppendFlowModBatch(buf []byte, fms []FlowMod) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(fms)))
 	for i := range fms {
-		buf = AppendFlowMod(buf, &fms[i])
+		buf = appendFlowMod(buf, &fms[i])
 	}
 	return buf
-}
-
-// EncodeFlowModBatch serialises a batch of flow-mods.
-func EncodeFlowModBatch(fms []FlowMod) []byte {
-	return AppendFlowModBatch(nil, fms)
-}
-
-// DecodeFlowModBatch parses a batch of flow-mods.
-func DecodeFlowModBatch(payload []byte) ([]FlowMod, error) {
-	return DecodeFlowModBatchArena(payload, nil, nil)
 }
 
 // DecodeFlowModBatchArena parses a batch of flow-mods, reusing the fms
@@ -373,13 +333,19 @@ func DecodeFlowModBatch(payload []byte) ([]FlowMod, error) {
 // arena: once both have grown to a connection's working set, the
 // steady-state decode path allocates nothing. The decoded commands alias
 // the arena (and the payload's lifetime rules of ReadMessageBuf apply),
-// so the caller must consume them before the next message.
+// so the caller must consume them before the next message. A nil arena
+// draws the entries' slices from the heap.
 func DecodeFlowModBatchArena(payload []byte, fms []FlowMod, ar *openflow.EntryArena) ([]FlowMod, error) {
 	if len(payload) < 2 {
 		return fms, fmt.Errorf("ofproto: flow-mod-batch payload of %d bytes", len(payload))
 	}
 	count := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
+	// The count is the peer's word: check it against the payload before
+	// it sizes a buffer the connection keeps.
+	if count > len(rest)/(flowModHeaderLen+openflow.MinFlowEntryLen) {
+		return fms[:0], fmt.Errorf("ofproto: flow-mod-batch of %d bytes cannot hold %d commands", len(payload), count)
+	}
 	if cap(fms) < count {
 		fms = make([]FlowMod, count)
 	}
@@ -423,54 +389,6 @@ func DecodeFlowModBatchReply(payload []byte) (*FlowModBatchReply, error) {
 	}, nil
 }
 
-// EncodePacket serialises an injected packet header.
-func EncodePacket(h *openflow.Header) []byte {
-	return openflow.AppendHeader(nil, h)
-}
-
-// DecodePacket parses an injected packet header.
-func DecodePacket(payload []byte) (*openflow.Header, error) {
-	h, n, err := openflow.DecodeHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(payload) {
-		return nil, fmt.Errorf("ofproto: packet has %d trailing bytes", len(payload)-n)
-	}
-	return h, nil
-}
-
-// AppendPacketReply appends the wire form of a pipeline result to buf.
-func AppendPacketReply(buf []byte, r PacketReply) []byte {
-	buf = append(buf, r.Flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Outputs)))
-	for _, p := range r.Outputs {
-		buf = binary.BigEndian.AppendUint32(buf, p)
-	}
-	return buf
-}
-
-// EncodePacketReply serialises a pipeline result.
-func EncodePacketReply(r *PacketReply) []byte {
-	return AppendPacketReply(make([]byte, 0, 3+4*len(r.Outputs)), *r)
-}
-
-// DecodePacketReply parses a pipeline result.
-func DecodePacketReply(payload []byte) (*PacketReply, error) {
-	if len(payload) < 3 {
-		return nil, fmt.Errorf("ofproto: packet-reply payload of %d bytes", len(payload))
-	}
-	r := &PacketReply{Flags: payload[0]}
-	n := int(binary.BigEndian.Uint16(payload[1:]))
-	if len(payload) != 3+4*n {
-		return nil, fmt.Errorf("ofproto: packet-reply wants %d ports, has %d bytes", n, len(payload)-3)
-	}
-	for i := 0; i < n; i++ {
-		r.Outputs = append(r.Outputs, binary.BigEndian.Uint32(payload[3+4*i:]))
-	}
-	return r, nil
-}
-
 // AppendPacketBatch appends the wire form of a packet-header batch to
 // buf, so per-connection senders can reuse one encode buffer.
 func AppendPacketBatch(buf []byte, hs []*openflow.Header) []byte {
@@ -479,17 +397,6 @@ func AppendPacketBatch(buf []byte, hs []*openflow.Header) []byte {
 		buf = openflow.AppendHeader(buf, h)
 	}
 	return buf
-}
-
-// EncodePacketBatch serialises a batch of injected packet headers.
-func EncodePacketBatch(hs []*openflow.Header) []byte {
-	return AppendPacketBatch(nil, hs)
-}
-
-// DecodePacketBatch parses a batch of injected packet headers.
-func DecodePacketBatch(payload []byte) ([]*openflow.Header, error) {
-	hs, _, err := DecodePacketBatchArena(payload, nil, nil)
-	return hs, err
 }
 
 // DecodePacketBatchArena parses a batch of injected packet headers,
@@ -503,6 +410,12 @@ func DecodePacketBatchArena(payload []byte, hs []*openflow.Header, arena []openf
 	}
 	count := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
+	// Headers are fixed-width, so the payload length must match the
+	// count exactly; checking first keeps a lying count from sizing the
+	// arena the connection keeps.
+	if len(rest) != count*openflow.HeaderLen {
+		return nil, arena, fmt.Errorf("ofproto: packet-batch of %d bytes does not hold %d headers", len(payload), count)
+	}
 	if cap(arena) < count {
 		arena = make([]openflow.Header, count)
 	}
@@ -515,9 +428,6 @@ func DecodePacketBatchArena(payload []byte, hs []*openflow.Header, arena []openf
 		}
 		hs = append(hs, &arena[i])
 		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, arena, fmt.Errorf("ofproto: packet-batch has %d trailing bytes", len(rest))
 	}
 	return hs, arena, nil
 }
@@ -534,11 +444,6 @@ func AppendPacketBatchReply(buf []byte, rs []PacketReply) []byte {
 		}
 	}
 	return buf
-}
-
-// EncodePacketBatchReply serialises the per-packet pipeline results.
-func EncodePacketBatchReply(rs []PacketReply) []byte {
-	return AppendPacketBatchReply(nil, rs)
 }
 
 // DecodePacketBatchReply parses the per-packet pipeline results into
@@ -661,14 +566,17 @@ func errClass(err error) (uint16, uint16) {
 	return ErrTypeBadRequest, ErrCodeUnspecified
 }
 
-// EncodeError serialises an error message: [type u16 | code u16 | text].
-func EncodeError(err error) []byte {
+// AppendError appends the wire form of an error message to buf:
+// [type u16 | code u16 | text]. A *SwitchError keeps its own text, so
+// relaying a decoded error re-encodes it unchanged.
+func AppendError(buf []byte, err error) []byte {
 	t, c := errClass(err)
-	text := err.Error()
-	buf := make([]byte, 0, 4+len(text))
 	buf = binary.BigEndian.AppendUint16(buf, t)
 	buf = binary.BigEndian.AppendUint16(buf, c)
-	return append(buf, text...)
+	if se, ok := err.(*SwitchError); ok {
+		return append(buf, se.Text...)
+	}
+	return append(buf, err.Error()...)
 }
 
 // DecodeError parses a MsgError payload. Payloads too short to carry

@@ -3,6 +3,7 @@ package ofproto
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello world")
-	if err := WriteMessage(&buf, MsgStatsReply, payload); err != nil {
+	if err := WriteFrame(&buf, MsgStatsReply, append(BeginFrame(nil), payload...)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := ReadMessage(&buf)
@@ -26,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, MsgBarrier, nil); err != nil {
+	if err := WriteFrame(&buf, MsgBarrier, BeginFrame(nil)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := ReadMessage(&buf)
@@ -39,11 +40,10 @@ func TestFrameEmptyPayload(t *testing.T) {
 }
 
 func TestReadMessageTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, MsgHello, EncodeHello()); err != nil {
+	raw := append(BeginFrame(nil), ProtocolVersion)
+	if err := WriteFrame(io.Discard, MsgHello, raw); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
 		if _, err := ReadMessage(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncated read at %d should fail", cut)
@@ -64,17 +64,22 @@ func TestReadMessageBoundsLength(t *testing.T) {
 }
 
 func TestHello(t *testing.T) {
-	if err := DecodeHello(EncodeHello()); err != nil {
+	if err := DecodeHello([]byte{ProtocolVersion}); err != nil {
 		t.Errorf("hello round trip: %v", err)
 	}
 	if err := DecodeHello([]byte{99}); err == nil {
 		t.Error("wrong version should fail")
+	}
+	if err := DecodeHello([]byte{3}); err == nil {
+		t.Error("a version-3 peer (single packet and flow-mod pairs) should fail")
 	}
 	if err := DecodeHello(nil); err == nil {
 		t.Error("empty hello should fail")
 	}
 }
 
+// TestFlowModRoundTrip round-trips one flow-mod as a batch of one, the
+// only way a flow-mod travels.
 func TestFlowModRoundTrip(t *testing.T) {
 	fm := &FlowMod{
 		Op:    FlowAdd,
@@ -88,36 +93,40 @@ func TestFlowModRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	got, err := DecodeFlowMod(EncodeFlowMod(fm))
+	payload := AppendFlowModBatch(nil, []FlowMod{*fm})
+	got, err := DecodeFlowModBatchArena(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fm, got) {
+	if len(got) != 1 || !reflect.DeepEqual(*fm, got[0]) {
 		t.Errorf("flow-mod round trip:\n in: %+v\nout: %+v", fm, got)
 	}
-	if _, err := DecodeFlowMod([]byte{9, 0}); err == nil {
+	bad := AppendFlowModBatch(nil, []FlowMod{*fm})
+	bad[2] = 9
+	if _, err := DecodeFlowModBatchArena(bad, nil, nil); err == nil {
 		t.Error("unknown op should fail")
 	}
-	if _, err := DecodeFlowMod(nil); err == nil {
+	if _, err := DecodeFlowModBatchArena([]byte{0, 1}, nil, nil); err == nil {
 		t.Error("empty flow-mod should fail")
 	}
 	// Trailing garbage must be rejected.
-	raw := append(EncodeFlowMod(fm), 0xFF)
-	if _, err := DecodeFlowMod(raw); err == nil {
+	if _, err := DecodeFlowModBatchArena(append(payload, 0xFF), nil, nil); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 }
 
+// TestPacketReplyRoundTrip round-trips one pipeline result as the reply
+// to a batch of one, the only way a result travels.
 func TestPacketReplyRoundTrip(t *testing.T) {
-	r := &PacketReply{Flags: ReplyMatched, Outputs: []uint32{1, 2, 77}}
-	got, err := DecodePacketReply(EncodePacketReply(r))
+	r := PacketReply{Flags: ReplyMatched, Outputs: []uint32{1, 2, 77}}
+	got, err := DecodePacketBatchReply(AppendPacketBatchReply(nil, []PacketReply{r}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if len(got) != 1 || !reflect.DeepEqual(r, got[0]) {
 		t.Errorf("packet-reply round trip: %+v != %+v", r, got)
 	}
-	if _, err := DecodePacketReply([]byte{1}); err == nil {
+	if _, err := DecodePacketBatchReply([]byte{0, 1, 1}); err == nil {
 		t.Error("short reply should fail")
 	}
 }
@@ -132,7 +141,7 @@ func TestPacketBatchReplyInto(t *testing.T) {
 		{Flags: ReplyToController},
 		{Flags: ReplyMatched, Outputs: []uint32{9}},
 	}
-	payload := EncodePacketBatchReply(want)
+	payload := AppendPacketBatchReply(nil, want)
 	if got, err := DecodePacketBatchReply(payload); err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("fresh decode: %+v, %v; want %+v", got, err, want)
 	}
@@ -167,7 +176,7 @@ func TestErrorsAreErrors(t *testing.T) {
 	if !errors.Is(openflow.ErrTruncated, openflow.ErrTruncated) {
 		t.Error("sanity")
 	}
-	if len(EncodeError(errors.New("boom"))) == 0 {
+	if len(AppendError(nil, errors.New("boom"))) == 0 {
 		t.Error("empty error encoding")
 	}
 }

@@ -3,9 +3,11 @@ package ofproto
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
+	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
 
@@ -27,33 +29,36 @@ func TestDialErrorPaths(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Error("dial to closed port should fail")
 	}
-	// A server that speaks the wrong hello.
+	// A server that speaks the wrong hello: an unknown version, and 3,
+	// the last version that spoke the single packet and flow-mod pairs.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := l.Accept()
-		if err != nil {
-			return
+	for _, v := range []byte{99, 3} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			_ = writePayload(conn, new([]byte), MsgHello, []byte{v})
+			_ = conn.Close()
+		}()
+		if _, err := Dial(l.Addr().String()); err == nil {
+			t.Errorf("hello version %d should fail the dial", v)
 		}
-		_ = WriteMessage(conn, MsgHello, []byte{99}) // wrong version
-		_ = conn.Close()
-	}()
-	if _, err := Dial(l.Addr().String()); err == nil {
-		t.Error("wrong hello version should fail the dial")
+		<-done
 	}
-	<-done
 	// A server that sends a non-hello first message.
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		_ = WriteMessage(conn, MsgBarrier, nil)
+		_ = writePayload(conn, new([]byte), MsgBarrier, nil)
 		_ = conn.Close()
 	}()
 	if _, err := Dial(l.Addr().String()); err == nil {
@@ -71,10 +76,6 @@ var surviving = map[MsgType]struct {
 }{
 	MsgHello:                     {1, "hello"},
 	MsgError:                     {2, "error"},
-	MsgFlowMod:                   {3, "flow-mod"},
-	MsgFlowModReply:              {4, "flow-mod-reply"},
-	MsgPacket:                    {5, "packet"},
-	MsgPacketReply:               {6, "packet-reply"},
 	MsgStatsRequest:              {7, "stats-request"},
 	MsgStatsReply:                {8, "stats-reply"},
 	MsgBarrier:                   {9, "barrier"},
@@ -96,9 +97,10 @@ var surviving = map[MsgType]struct {
 	MsgFlowRemoved:               {29, "flow-removed"},
 }
 
-// retired are the numbers of the memory-, cache- and advisor-stats
-// pairs, reserved so no later message reuses them.
-var retired = []uint8{15, 16, 17, 18, 30, 31}
+// retired are the numbers of the single flow-mod and packet pairs and
+// of the memory-, cache- and advisor-stats pairs, reserved so no later
+// message reuses them.
+var retired = []uint8{3, 4, 5, 6, 15, 16, 17, 18, 30, 31}
 
 func TestMsgTypeNumbersPinned(t *testing.T) {
 	for typ, want := range surviving {
@@ -121,9 +123,11 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
-// TestRetiredStatsRequestsRejected sends each retired stats request on
-// a raw connection: the switch must answer a bad-request error, and the
-// same connection must then serve the one stats report.
+// TestRetiredStatsRequestsRejected sends each retired request on a raw
+// connection — the single flow-mod and packet (with the payloads a
+// version-3 peer sent) and the stats pairs — and a version-3 hello: the
+// switch must answer each with a bad-request error, and the same
+// connection must then serve a packet batch and the one stats report.
 func TestRetiredStatsRequestsRejected(t *testing.T) {
 	p := emptyMACPipeline(t)
 	addr, stop := startTestServer(t, p)
@@ -131,22 +135,46 @@ func TestRetiredStatsRequestsRejected(t *testing.T) {
 	conn := rawDial(t, addr)
 	defer func() { _ = conn.Close() }()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	for _, n := range []uint8{15, 17, 30} {
-		if err := WriteMessage(conn, MsgType(n), nil); err != nil {
+	fm := FlowMod{Op: FlowAdd, Table: 0, Entry: openflow.FlowEntry{
+		Priority: 1,
+		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, 9)},
+	}}
+	for _, req := range []struct {
+		typ     MsgType
+		payload []byte
+	}{
+		{3, appendFlowMod(nil, &fm)},
+		{5, openflow.AppendHeader(nil, &openflow.Header{VLANID: 9})},
+		{15, nil},
+		{17, nil},
+		{30, nil},
+		{MsgHello, []byte{3}},
+	} {
+		if err := writePayload(conn, new([]byte), req.typ, req.payload); err != nil {
 			t.Fatal(err)
 		}
 		msg, err := ReadMessage(conn)
 		if err != nil {
-			t.Fatalf("type %d: reading reply: %v", n, err)
+			t.Fatalf("type %d: reading reply: %v", req.typ, err)
 		}
 		if msg.Type != MsgError {
-			t.Fatalf("type %d answered %s, want error", n, msg.Type)
+			t.Fatalf("type %d answered %s, want error", req.typ, msg.Type)
 		}
 		if se := DecodeError(msg.Payload); se.Type != ErrTypeBadRequest {
-			t.Fatalf("type %d answered error type %d, want bad request", n, se.Type)
+			t.Fatalf("type %d answered error type %d, want bad request", req.typ, se.Type)
 		}
 	}
+	if p.Rules() != 0 {
+		t.Fatalf("a retired flow-mod installed %d rules", p.Rules())
+	}
 	c := &Client{conn: conn}
+	rs, err := c.SendPackets([]*openflow.Header{{VLANID: 9}, {VLANID: 10}})
+	if err != nil {
+		t.Fatalf("packet batch after retired requests: %v", err)
+	}
+	if len(rs) != 2 || rs[0].Flags&ReplyToController == 0 {
+		t.Errorf("packet batch after retired requests answered %+v, want two controller misses", rs)
+	}
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatalf("stats after retired requests: %v", err)
@@ -180,7 +208,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	// and keep the connection.
 	conn := rawDial(t, addr)
 	defer func() { _ = conn.Close() }()
-	if err := WriteMessage(conn, MsgFlowMod, []byte{0xFF}); err != nil {
+	if err := writePayload(conn, new([]byte), MsgFlowModBatch, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -220,5 +248,69 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("stats after garbage storm: %v", err)
+	}
+}
+
+// TestDecodersBoundCountsByPayload pins the bytes a decoder allocates for
+// a payload whose u16 count promises far more records than its bytes can
+// hold. Sizing buffers from the count alone turned the 2-byte payload
+// ff ff into megabytes, kept for the connection's life; a decoder must
+// check the count against the payload first, so its allocation stays
+// O(payload).
+func TestDecodersBoundCountsByPayload(t *testing.T) {
+	// One flow-mod whose entry claims 0xFFFF instructions and carries none.
+	hugeInstrs := append([]byte{0, 1, byte(FlowAdd), 0}, make([]byte, 8)...)
+	hugeInstrs = append(hugeInstrs, make([]byte, openflow.MinFlowEntryLen)...)
+	binary.BigEndian.PutUint16(hugeInstrs[2+flowModHeaderLen+14:], 0xFFFF)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"packet-batch", []byte{0xFF, 0xFF}, func(b []byte) error {
+			_, _, err := DecodePacketBatchArena(b, nil, nil)
+			return err
+		}},
+		{"flow-mod-batch", []byte{0xFF, 0xFF}, func(b []byte) error {
+			_, err := DecodeFlowModBatchArena(b, nil, &openflow.EntryArena{})
+			return err
+		}},
+		{"flow-mod instructions", hugeInstrs, func(b []byte) error {
+			_, err := DecodeFlowModBatchArena(b, nil, &openflow.EntryArena{})
+			return err
+		}},
+		{"flow-removed", []byte{0xFF, 0xFF}, func(b []byte) error {
+			_, err := DecodeFlowRemovedInto(nil, b, &openflow.EntryArena{})
+			return err
+		}},
+		{"flow-stats-reply", []byte{0, 0, 0, 0, 0, 0xFF, 0xFF}, func(b []byte) error {
+			return DecodeFlowStatsReplyInto(&FlowStatsReply{}, b, &openflow.EntryArena{})
+		}},
+		{"group-mod", []byte{byte(GroupModAdd), 0, 0, 0, 1, 0, 0xFF, 0xFF}, func(b []byte) error {
+			_, err := DecodeGroupMod(b)
+			return err
+		}},
+		{"packet-batch-reply", []byte{0xFF, 0xFF}, func(b []byte) error {
+			_, _, err := DecodePacketBatchReplyInto(b, nil, nil)
+			return err
+		}},
+	} {
+		limit := uint64(4096 + 64*len(c.payload))
+		// The least of a few runs on fresh buffers, so a stray allocation
+		// elsewhere in the process cannot fail the pin.
+		least := ^uint64(0)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.decode(c.payload)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: decoded a %d-byte payload that cannot hold its count", c.name, len(c.payload))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > limit {
+			t.Errorf("%s: a %d-byte payload allocated %d bytes, want at most %d", c.name, len(c.payload), least, limit)
+		}
 	}
 }

@@ -250,11 +250,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		draining:     &s.draining,
 	}
 
-	if err := WriteMessage(tc, MsgHello, EncodeHello()); err != nil {
+	cs := &connState{}
+	if err := writePayload(tc, &cs.out, MsgHello, []byte{ProtocolVersion}); err != nil {
 		s.logf("ofproto: hello to %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	cs := &connState{}
 	probed := false
 	for {
 		nreadBefore := tc.nread
@@ -268,7 +268,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			case isTimeout(err) && tc.nread == nreadBefore && !probed:
 				// Idle at a frame boundary: probe before giving up on
 				// the peer.
-				if werr := WriteMessage(tc, MsgEchoRequest, nil); werr != nil {
+				if werr := writePayload(tc, &cs.out, MsgEchoRequest, nil); werr != nil {
 					s.logf("ofproto: echo probe to %s: %v", conn.RemoteAddr(), werr)
 					return
 				}
@@ -289,7 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		probed = false
 		switch msg.Type {
 		case MsgEchoRequest:
-			if werr := WriteMessage(tc, MsgEchoReply, msg.Payload); werr != nil {
+			if werr := writePayload(tc, &cs.out, MsgEchoReply, msg.Payload); werr != nil {
 				return
 			}
 			continue
@@ -299,7 +299,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if err := s.dispatchRecover(tc, cs, msg); err != nil {
 			s.logf("ofproto: handling %s from %s: %v", msg.Type, conn.RemoteAddr(), err)
-			if werr := WriteMessage(tc, MsgError, EncodeError(err)); werr != nil {
+			cs.out = AppendError(BeginFrame(cs.out), err)
+			if werr := WriteFrame(tc, MsgError, cs.out); werr != nil {
 				return
 			}
 		}
@@ -369,17 +370,6 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 	switch msg.Type {
 	case MsgHello:
 		return DecodeHello(msg.Payload)
-	case MsgFlowMod:
-		fm, err := DecodeFlowMod(msg.Payload)
-		if err != nil {
-			return err
-		}
-		// The pipeline takes its write lock internally; lookups racing
-		// this mutation keep executing against the previous snapshot.
-		if err := s.applyFlowMod(fm); err != nil {
-			return err
-		}
-		return WriteMessage(conn, MsgFlowModReply, nil)
 	case MsgFlowModBatch:
 		fms, err := DecodeFlowModBatchArena(msg.Payload, cs.fms, &cs.fmArena)
 		cs.fms = fms
@@ -388,7 +378,9 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		}
 		// The whole batch is one transaction: it validates and applies
 		// atomically, publishes one snapshot, and invalidates the
-		// microflow cache once — regardless of the batch size.
+		// microflow cache once — regardless of the batch size. The
+		// pipeline takes its write lock internally; lookups racing the
+		// commit keep executing against the previous snapshot.
 		tx := s.pipeline.Begin()
 		for i := range fms {
 			tx.FlowMod(coreCmd(&fms[i]))
@@ -404,18 +396,8 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 			Modified: uint32(res.Modified),
 			Deleted:  uint32(res.Deleted),
 		}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendFlowModBatchReply(cs.out, &reply)
+		cs.out = AppendFlowModBatchReply(BeginFrame(cs.out), &reply)
 		return WriteFrame(conn, MsgFlowModBatchReply, cs.out)
-	case MsgPacket:
-		h, err := DecodePacket(msg.Payload)
-		if err != nil {
-			return err
-		}
-		res := s.pipeline.Execute(h)
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendPacketReply(cs.out, replyOf(&res))
-		return WriteFrame(conn, MsgPacketReply, cs.out)
 	case MsgPacketBatch:
 		hs, arena, err := DecodePacketBatchArena(msg.Payload, cs.hs, cs.arena)
 		cs.arena = arena
@@ -428,15 +410,15 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		for i := range cs.results {
 			cs.replies = append(cs.replies, replyOf(&cs.results[i]))
 		}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendPacketBatchReply(cs.out, cs.replies)
+		cs.out = AppendPacketBatchReply(BeginFrame(cs.out), cs.replies)
 		return WriteFrame(conn, MsgPacketBatchReply, cs.out)
 	case MsgStatsRequest:
-		payload, err := EncodeStats(CollectStats(s.pipeline))
+		out, err := AppendStats(BeginFrame(cs.out), CollectStats(s.pipeline))
+		cs.out = out
 		if err != nil {
 			return err
 		}
-		return WriteMessage(conn, MsgStatsReply, payload)
+		return WriteFrame(conn, MsgStatsReply, cs.out)
 	case MsgFlowStatsRequest:
 		var req FlowStatsRequest
 		if err := DecodeFlowStatsRequestInto(&req, msg.Payload); err != nil {
@@ -471,8 +453,7 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		})
 		cs.flowReply.Next = next
 		cs.flowReply.More = more
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendFlowStatsReply(cs.out, &cs.flowReply)
+		cs.out = AppendFlowStatsReply(BeginFrame(cs.out), &cs.flowReply)
 		return WriteFrame(conn, MsgFlowStatsReply, cs.out)
 	case MsgAggregateStatsRequest:
 		var req AggregateStatsRequest
@@ -485,8 +466,7 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		}
 		agg := s.pipeline.AggregateFlowStats(table, req.Cookie, req.CookieMask)
 		reply := AggregateStatsReply{Packets: agg.Packets, Bytes: agg.Bytes, Flows: agg.Flows}
-		cs.out = BeginFrame(cs.out)
-		cs.out = AppendAggregateStatsReply(cs.out, &reply)
+		cs.out = AppendAggregateStatsReply(BeginFrame(cs.out), &reply)
 		return WriteFrame(conn, MsgAggregateStatsReply, cs.out)
 	case MsgGroupMod:
 		gm, err := DecodeGroupMod(msg.Payload)
@@ -496,7 +476,7 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 		if err := s.applyGroupMod(gm); err != nil {
 			return err
 		}
-		return WriteMessage(conn, MsgGroupModReply, nil)
+		return writePayload(conn, &cs.out, MsgGroupModReply, nil)
 	case MsgFlowRemovedSubscribe:
 		if len(msg.Payload) != 1 {
 			return fmt.Errorf("ofproto: flow-removed-subscribe payload of %d bytes, want 1", len(msg.Payload))
@@ -508,11 +488,11 @@ func (s *Server) dispatch(conn net.Conn, cs *connState, msg Message) error {
 			_, next, _ := s.pipeline.FlowRemovedSince(^uint64(0))
 			cs.removedCursor = next
 		}
-		return WriteMessage(conn, MsgFlowRemovedSubscribeReply, nil)
+		return writePayload(conn, &cs.out, MsgFlowRemovedSubscribeReply, nil)
 	case MsgBarrier:
-		return WriteMessage(conn, MsgBarrierReply, nil)
+		return writePayload(conn, &cs.out, MsgBarrierReply, nil)
 	default:
-		return fmt.Errorf("ofproto: unexpected message type %s", msg.Type)
+		return fmt.Errorf("ofproto: unexpected message type %s (%d)", msg.Type, uint8(msg.Type))
 	}
 }
 
@@ -538,8 +518,7 @@ func (s *Server) flushRemoved(conn net.Conn, cs *connState) error {
 			Entry:       *recs[i].Entry,
 		})
 	}
-	cs.out = BeginFrame(cs.out)
-	cs.out = AppendFlowRemoved(cs.out, cs.removedMsgs)
+	cs.out = AppendFlowRemoved(BeginFrame(cs.out), cs.removedMsgs)
 	return WriteFrame(conn, MsgFlowRemoved, cs.out)
 }
 
@@ -578,13 +557,6 @@ func coreCmd(fm *FlowMod) core.FlowCmd {
 		op = core.CmdRemoveExact
 	}
 	return core.FlowCmd{Op: op, Table: fm.Table, CookieMask: fm.CookieMask, Entry: fm.Entry}
-}
-
-// applyFlowMod applies one wire flow-mod as a single-command transaction.
-// Every op means the same thing here as inside a flow-mod batch.
-func (s *Server) applyFlowMod(fm *FlowMod) error {
-	_, err := s.pipeline.Begin().FlowMod(coreCmd(fm)).Commit()
-	return err
 }
 
 // replyOf converts a pipeline result to the wire reply. The Outputs

@@ -12,7 +12,7 @@ import (
 
 // Stats is the switch report: one section per pipeline stats accessor,
 // carried as the accessor's own value. It travels as JSON in
-// MsgStatsReply (EncodeStats/DecodeStats), so every count keeps the
+// MsgStatsReply (AppendStats/DecodeStats), so every count keeps the
 // width core gives it and nothing translates between core types and
 // wire types.
 type Stats struct {
@@ -63,13 +63,13 @@ func (s *Stats) TotalRules() int {
 	return n
 }
 
-// EncodeStats serialises a stats report.
-func EncodeStats(s *Stats) ([]byte, error) {
+// AppendStats appends the wire form of a stats report to buf.
+func AppendStats(buf []byte, s *Stats) ([]byte, error) {
 	b, err := json.Marshal(s)
 	if err != nil {
-		return nil, fmt.Errorf("ofproto: encoding stats: %w", err)
+		return buf, fmt.Errorf("ofproto: encoding stats: %w", err)
 	}
-	return b, nil
+	return append(buf, b...), nil
 }
 
 // DecodeStats parses a stats report.

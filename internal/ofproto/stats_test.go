@@ -157,7 +157,7 @@ func TestEndToEndStats(t *testing.T) {
 }
 
 // TestStatsRoundTrip pins the codec: every section survives
-// EncodeStats→DecodeStats, including counts past the widths the old
+// AppendStats→DecodeStats, including counts past the widths the old
 // fixed-width replies saturated or truncated at (u16 mask / range /
 // wide counts, u32 rule counts).
 func TestStatsRoundTrip(t *testing.T) {
@@ -180,7 +180,7 @@ func TestStatsRoundTrip(t *testing.T) {
 			Candidates: []core.AdvisorCandidate{{Backend: "mbt", Eligible: true, Score: 2301.5}, {Backend: "dir24"}},
 		}}},
 	}
-	payload, err := EncodeStats(s)
+	payload, err := AppendStats(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,76 +196,9 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeStats feeds arbitrary bytes to the stats decoder, seeded
-// with a live report.
-func FuzzDecodeStats(f *testing.F) {
-	live, err := EncodeStats(CollectStats(liveStatsPipeline(f)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(live)
-	f.Add([]byte("{}"))
-	f.Add([]byte(`{"tables":null,"advisor":{"Tables":[{"Candidates":[]}]}}`))
-	f.Add([]byte{})
-	fuzzDecodeStats(f)
-}
-
-// FuzzDecodeCacheStatsReply fuzzes the stats decoder from reports that
-// carry only the cache sections, whole, truncated and with trailing
-// garbage.
-func FuzzDecodeCacheStatsReply(f *testing.F) {
-	good := mustEncodeStats(f, &Stats{
-		Microflow: core.CacheStats{Hits: 1, Entries: 512, Armed: true},
-		Megaflow:  core.MegaflowStats{Hits: 2, Masks: 3},
-		Pressure:  core.PressureStats{Shrinks: 1},
-	})
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add(good[:len(good)-1])
-	f.Add(append(append([]byte(nil), good...), '}'))
-	fuzzDecodeStats(f)
-}
-
-// FuzzDecodeAdvisorStatsReply fuzzes the stats decoder from reports
-// that carry only the advisor section, whole, truncated and with a
-// candidate list of the wrong JSON type.
-func FuzzDecodeAdvisorStatsReply(f *testing.F) {
-	good := mustEncodeStats(f, &Stats{Advisor: core.AdvisorStats{Migrations: 3, Tables: []core.TableAdvisorStats{{
-		Table: 1, Auto: true, Incumbent: "dir24", LastReason: "shape", Rules: 9,
-		Candidates: []core.AdvisorCandidate{{Backend: "mbt", Eligible: true, Score: 1}, {Backend: "dir24", Score: 4}},
-	}}}})
-	f.Add(good)
-	f.Add([]byte(`{"advisor":{}}`))
-	f.Add(good[:len(good)/2])
-	f.Add([]byte(`{"advisor":{"Tables":[{"Candidates":{}}]}}`))
-	fuzzDecodeStats(f)
-}
-
-// fuzzDecodeStats is the shared fuzz body: decoding must never panic,
-// and one decode→encode→decode round must reproduce the first decode.
-func fuzzDecodeStats(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeStats(data)
-		if err != nil {
-			return
-		}
-		enc, err := EncodeStats(s)
-		if err != nil {
-			t.Fatalf("re-encode of a decoded report failed: %v", err)
-		}
-		s2, err := DecodeStats(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(s, s2) {
-			t.Fatalf("decode→encode→decode not stable:\n %+v\n %+v", s, s2)
-		}
-	})
-}
-
 func mustEncodeStats(tb testing.TB, s *Stats) []byte {
 	tb.Helper()
-	b, err := EncodeStats(s)
+	b, err := AppendStats(nil, s)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -56,18 +56,6 @@ func AppendFlowEntry(buf []byte, e *FlowEntry) []byte {
 	return buf
 }
 
-// DecodeFlowEntry decodes one flow entry from buf, returning the entry and
-// the number of bytes consumed. It is the heap-allocating form of
-// DecodeFlowEntryInto, so single-message and batch paths share one parser.
-func DecodeFlowEntry(buf []byte) (*FlowEntry, int, error) {
-	e := &FlowEntry{}
-	n, err := DecodeFlowEntryInto(e, buf, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e, n, nil
-}
-
 // EntryArena pools the variable-length slices flow-entry decoding needs
 // (matches, instructions, actions). A decoder that threads one arena
 // through a batch reuses the arena's capacity across messages, so the
@@ -108,11 +96,12 @@ func (ar *EntryArena) grabActions(n int) []Action {
 	return ar.actions[off : off+n : off+n]
 }
 
-// DecodeFlowEntryInto decodes one flow entry into e (fully overwritten),
-// drawing the entry's slices from the arena instead of the heap. It is
-// the allocation-free sibling of DecodeFlowEntry for batch decoders: once
-// the arena has grown to a batch's working set, later batches decode with
-// zero allocations. With a nil arena it falls back to heap allocation.
+// DecodeFlowEntryInto decodes one flow entry from buf into e (fully
+// overwritten), returning the bytes consumed. The entry's slices are
+// drawn from the arena: once it has grown to a batch's working set,
+// later batches decode with zero allocations. With a nil arena they come
+// from the heap. Counts are checked against the bytes left before they
+// size anything.
 func DecodeFlowEntryInto(e *FlowEntry, buf []byte, ar *EntryArena) (int, error) {
 	if len(buf) < entryHeaderLen {
 		return 0, fmt.Errorf("decoding flow entry header: %w", ErrTruncated)
@@ -146,6 +135,9 @@ func DecodeFlowEntryInto(e *FlowEntry, buf []byte, ar *EntryArena) (int, error) 
 		m.Lo = binary.BigEndian.Uint64(buf[off+19:])
 		m.Hi = binary.BigEndian.Uint64(buf[off+27:])
 		off += matchRecordLen
+	}
+	if len(buf[off:]) < nInstr*instrHeaderLen {
+		return 0, fmt.Errorf("decoding instructions: %w", ErrTruncated)
 	}
 	if nInstr > 0 {
 		if ar != nil {
@@ -212,17 +204,6 @@ func AppendHeader(buf []byte, h *Header) []byte {
 	return buf
 }
 
-// DecodeHeader decodes one packet header, returning it and the bytes
-// consumed.
-func DecodeHeader(buf []byte) (*Header, int, error) {
-	h := &Header{}
-	n, err := DecodeHeaderInto(h, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return h, n, nil
-}
-
 // DecodeHeaderInto decodes one packet header into h (fully overwritten),
 // returning the bytes consumed. It allocates nothing, so batch decoders
 // can reuse a header arena across messages.
@@ -265,11 +246,20 @@ func readU128(buf []byte) bitops.U128 {
 	}
 }
 
-// ActionRecordLen is the fixed wire width of one action record
-// [type u8 | port u32 | field u8 | value u128]. Exported so codecs
-// layered above (group buckets in ofproto) can frame action lists
-// without duplicating the layout.
-const ActionRecordLen = actionRecordLen
+// Wire widths exported so codecs layered above (batches, group buckets
+// and stats rows in ofproto) can frame their records, and bound a
+// peer's counts by the bytes that carry them, without duplicating the
+// layout.
+const (
+	// ActionRecordLen is the fixed width of one action record
+	// [type u8 | port u32 | field u8 | value u128].
+	ActionRecordLen = actionRecordLen
+	// HeaderLen is the fixed width of one packet header.
+	HeaderLen = headerLen
+	// MinFlowEntryLen is the width of a flow entry with no matches and
+	// no instructions: every entry record is at least this long.
+	MinFlowEntryLen = entryHeaderLen
+)
 
 // AppendAction appends the wire form of one action record to buf —
 // the same layout AppendFlowEntry uses inside instruction bodies.

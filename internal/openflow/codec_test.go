@@ -26,7 +26,8 @@ func TestFlowEntryRoundTrip(t *testing.T) {
 	}
 	for i, e := range entries {
 		buf := AppendFlowEntry(nil, e)
-		got, n, err := DecodeFlowEntry(buf)
+		got := &FlowEntry{}
+		n, err := DecodeFlowEntryInto(got, buf, nil)
 		if err != nil {
 			t.Fatalf("entry %d: decode error: %v", i, err)
 		}
@@ -42,7 +43,7 @@ func TestFlowEntryRoundTrip(t *testing.T) {
 func TestFlowEntryDecodeTruncated(t *testing.T) {
 	buf := AppendFlowEntry(nil, testEntry())
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeFlowEntry(buf[:cut]); err == nil {
+		if _, err := DecodeFlowEntryInto(&FlowEntry{}, buf[:cut], nil); err == nil {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(buf))
 		}
 	}
@@ -71,7 +72,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 		Metadata: 0xFEEDFACE,
 	}
 	buf := AppendHeader(nil, h)
-	got, n, err := DecodeHeader(buf)
+	got := &Header{}
+	n, err := DecodeHeaderInto(got, buf)
 	if err != nil {
 		t.Fatalf("decode error: %v", err)
 	}
@@ -85,7 +87,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestHeaderDecodeTruncated(t *testing.T) {
 	buf := AppendHeader(nil, &Header{InPort: 1})
-	if _, _, err := DecodeHeader(buf[:len(buf)-1]); err == nil {
+	if _, err := DecodeHeaderInto(&Header{}, buf[:len(buf)-1]); err == nil {
 		t.Error("truncated header should fail to decode")
 	}
 }
@@ -106,7 +108,8 @@ func TestFlowEntryRoundTripProperty(t *testing.T) {
 			},
 		}
 		buf := AppendFlowEntry(nil, e)
-		got, n, err := DecodeFlowEntry(buf)
+		got := &FlowEntry{}
+		n, err := DecodeFlowEntryInto(got, buf, nil)
 		return err == nil && n == len(buf) && reflect.DeepEqual(e, got)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -127,8 +130,9 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			Metadata: meta,
 		}
 		buf := AppendHeader(nil, h)
-		got, _, err := DecodeHeader(buf)
-		return err == nil && *got == *h
+		var got Header
+		_, err := DecodeHeaderInto(&got, buf)
+		return err == nil && got == *h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

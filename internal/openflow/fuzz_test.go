@@ -7,6 +7,7 @@ import (
 
 // FuzzDecodeFlowEntry checks that arbitrary bytes never panic the decoder
 // and that anything that decodes re-encodes losslessly when well formed.
+// A persistent arena carries state across inputs, as a connection's does.
 func FuzzDecodeFlowEntry(f *testing.F) {
 	f.Add(AppendFlowEntry(nil, &FlowEntry{Priority: 1}))
 	f.Add(AppendFlowEntry(nil, &FlowEntry{
@@ -19,17 +20,22 @@ func FuzzDecodeFlowEntry(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	var ar EntryArena
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, n, err := DecodeFlowEntry(data)
+		ar.Reset()
+		var e FlowEntry
+		n, err := DecodeFlowEntryInto(&e, data, &ar)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
 			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
 		}
-		// Re-encode and decode again: must be a fixed point.
-		buf := AppendFlowEntry(nil, e)
-		e2, n2, err := DecodeFlowEntry(buf)
+		// Re-encode and decode again: must be a fixed point, and the
+		// heap path must agree with the arena path.
+		buf := AppendFlowEntry(nil, &e)
+		var e2 FlowEntry
+		n2, err := DecodeFlowEntryInto(&e2, buf, nil)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -44,13 +50,12 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add(AppendHeader(nil, &Header{InPort: 1, VLANID: 10, EthDst: 0xAABBCCDDEEFF}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, _, err := DecodeHeader(data)
-		if err != nil {
+		var h, h2 Header
+		if _, err := DecodeHeaderInto(&h, data); err != nil {
 			return
 		}
-		buf := AppendHeader(nil, h)
-		h2, _, err := DecodeHeader(buf)
-		if err != nil || *h != *h2 {
+		buf := AppendHeader(nil, &h)
+		if n, err := DecodeHeaderInto(&h2, buf); err != nil || n != len(buf) || h != h2 {
 			t.Fatal("header round trip not a fixed point")
 		}
 	})
