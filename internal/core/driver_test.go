@@ -1,22 +1,27 @@
-package core
+package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ofmtl/internal/bitops"
+	. "ofmtl/internal/core"
 	"ofmtl/internal/core/autotune"
 	"ofmtl/internal/cow"
-	"ofmtl/internal/crossprod"
 	"ofmtl/internal/failpoint"
 	"ofmtl/internal/memmodel"
+	"ofmtl/internal/ofproto"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -27,7 +32,9 @@ import (
 // the model after every operation. It runs under every configuration
 // switchd's flags reach — default backend × microflow tier × megaflow
 // tier × batch workers — and replaces the per-subsystem differential
-// suites: one generator, one reference.
+// suites: one generator, one reference. In wire mode the same sequence
+// drives the pipeline the way a controller does, through an ofproto
+// server on loopback, and every reply is checked against the model too.
 //
 // A failure names the configuration, the seed and the operation index;
 // `go test -run 'TestPipelineModel/mbt-micro-mega-w4' ./internal/core`
@@ -47,11 +54,16 @@ type modelConfig struct {
 	backend     string // the pipeline's default backend (SetDefaultBackend)
 	micro, mega int    // cache tier sizes; 0 = tier off
 	workers     int    // ExecuteBatch fan-out
+	wire        bool   // commits, packets and group mods go through an ofproto.Server
 }
 
 func (c modelConfig) String() string {
 	tiers := [2][2]string{{"nocache", "mega"}, {"micro", "micro-mega"}}
-	return fmt.Sprintf("%s-%s-w%d", c.backend, tiers[min(c.micro, 1)][min(c.mega, 1)], c.workers)
+	s := fmt.Sprintf("%s-%s-w%d", c.backend, tiers[min(c.micro, 1)][min(c.mega, 1)], c.workers)
+	if c.wire {
+		s += "-wire"
+	}
+	return s
 }
 
 // singleShard reports whether every packet counts on lifecycle shard 0 —
@@ -79,6 +91,18 @@ func modelConfigs() []modelConfig {
 	return out
 }
 
+// wireConfigs is the wire leg: each default backend once, with the cache
+// tiers and worker counts spread across them.
+func wireConfigs() []modelConfig {
+	return []modelConfig{
+		{backend: BackendMBT, micro: 1024, mega: 256, workers: 4, wire: true},
+		{backend: BackendTSS, workers: 1, wire: true},
+		{backend: BackendLinearTCAM, mega: 256, workers: 4, wire: true},
+		{backend: BackendDIR24, micro: 1024, workers: 1, wire: true},
+		{backend: BackendAuto, mega: 256, workers: 1, wire: true},
+	}
+}
+
 // The mixed layout: an ingress table that writes metadata, rewrites the
 // destination or jumps ahead; a destination-prefix table (the shape
 // dir24 serves, with /25–/32 spill prefixes); a 5-tuple ACL with prefix,
@@ -99,6 +123,13 @@ type modelDriver struct {
 	rng  *xrand.Source
 	p    *Pipeline
 	m    *pipelineModel
+
+	// Wire mode: the server in front of p, its address, the controller's
+	// connection, and the flow-removed records pushed to it, keyed.
+	srv     *ofproto.Server
+	srvAddr string
+	c       *ofproto.Client
+	pushed  []string
 
 	// entry draws a fresh flow entry for a table.
 	entry func(id openflow.TableID) *openflow.FlowEntry
@@ -138,7 +169,47 @@ func newModelDriver(t testing.TB, cfg modelConfig, layout []TableConfig, seed ui
 			t.Fatalf("seeding group %d: %v", id, err)
 		}
 	}
+	if cfg.wire {
+		d.serve()
+	}
 	return d
+}
+
+// serve puts the pipeline behind a new server on loopback and connects
+// the controller to it.
+func (d *modelDriver) serve() {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	srv := ofproto.NewServer(d.p, nil)
+	go srv.Serve(l)
+	d.t.Cleanup(func() { srv.Close() })
+	d.srv, d.srvAddr = srv, l.Addr().String()
+	d.dial()
+}
+
+// dial (re)connects the controller, subscribed to flow-removed records.
+// A subscription starts at the ring's head: records queued while the
+// controller was away are not replayed to it.
+func (d *modelDriver) dial() {
+	if d.c != nil {
+		d.c.Close()
+	}
+	c, err := ofproto.Dial(d.srvAddr)
+	if err != nil {
+		d.fatalf("dial: %v", err)
+	}
+	c.OnFlowRemoved = func(recs []ofproto.FlowRemovedMsg) {
+		for _, r := range recs {
+			d.pushed = append(d.pushed, removedKey(FlowRemoved{Table: openflow.TableID(r.Table), Reason: r.Reason,
+				DurationSec: r.DurationSec, Packets: r.Packets, Bytes: r.Bytes, Entry: &r.Entry}))
+		}
+	}
+	if err := c.SubscribeFlowRemoved(true); err != nil {
+		d.fatalf("subscribe: %v", err)
+	}
+	d.c = c
 }
 
 func (d *modelDriver) fatalf(format string, args ...any) {
@@ -202,7 +273,7 @@ func (d *modelDriver) step(choice int) {
 	case opRacedCommit:
 		d.racedCommit()
 	case opConcurrent:
-		d.concurrentPackets()
+		d.concurrentPackets(nil)
 	case opClockBack:
 		d.clockBack()
 	case opFault:
@@ -479,39 +550,104 @@ func (d *modelDriver) cover(h *openflow.Header, e *openflow.FlowEntry) {
 // --- Operations ----------------------------------------------------------
 
 // commit applies a transaction to both sides. The pipeline must commit
-// with the model's counts, or reject it exactly when the model does;
-// expected(err), when set, admits a rejection the model cannot foresee
-// (budget, injected fault). After any rejection the pipeline must still
-// equal the pre-commit model, and its memory report the pre-commit one.
+// with the model's counts, or reject it exactly when the model does (on
+// the wire, as a bad request); expected(err), when set, admits a
+// rejection the model cannot foresee (budget, injected fault). After any
+// rejection the pipeline must still equal the pre-commit model, and its
+// memory report the pre-commit one.
 func (d *modelDriver) commit(cmds []FlowCmd, expected func(error) bool) {
+	d.commitVia(cmds, expected, d.send)
+}
+
+// commitVia is commit with the transaction sent by send.
+func (d *modelDriver) commitVia(cmds []FlowCmd, expected func(error) bool, send func([]FlowCmd) ([5]int, error)) {
 	next, want, ok := d.m.apply(cmds)
 	var pre *memmodel.SystemReport
 	if !ok || expected != nil {
 		pre = d.p.MemoryReport() // a rejection must leave it as it is
 	}
-	tx := d.p.Begin()
-	for _, c := range cmds {
-		tx.FlowMod(c)
-	}
-	res, err := tx.Commit()
+	counts, err := send(cmds)
 	switch {
-	case err != nil && (!ok || expected != nil && expected(err)):
+	case err != nil && (!ok && (d.c == nil || badRequest(err)) || expected != nil && expected(err)):
 		d.m.rejected++
 		d.sameMemory(pre, "rejected commit")
 	case err != nil:
 		d.fatalf("commit of %v rejected: %v", cmds, err)
 	case !ok:
 		d.fatalf("commit of %v accepted; the model rejects it", cmds)
-	case res.Counts() != want:
-		d.fatalf("commit of %v: counts %v, model %v", cmds, res.Counts(), want)
+	case counts != want:
+		d.fatalf("commit of %v: counts %v, model %v", cmds, counts, want)
 	default:
 		d.m = next
 	}
 }
 
+// send commits a transaction through the pipeline, or as one flow-mod
+// batch through the switch in wire mode.
+func (d *modelDriver) send(cmds []FlowCmd) ([5]int, error) {
+	if d.c != nil {
+		return replyCounts(d.c.SendFlowMods(flowMods(cmds)))
+	}
+	tx := d.p.Begin()
+	for _, c := range cmds {
+		tx.FlowMod(c)
+	}
+	res, err := tx.Commit()
+	if err != nil {
+		return [5]int{}, err
+	}
+	return res.Counts(), nil
+}
+
+// settle applies, in the model, a transaction the switch applied but
+// whose reply was lost.
+func (d *modelDriver) settle(cmds []FlowCmd) {
+	if next, _, ok := d.m.apply(cmds); ok {
+		d.m = next
+	} else {
+		d.m.rejected++
+	}
+}
+
+var wireOps = map[FlowCmdOp]ofproto.FlowModOp{
+	CmdAdd: ofproto.FlowAdd, CmdModify: ofproto.FlowModify, CmdDelete: ofproto.FlowDelete,
+	CmdDeleteStrict: ofproto.FlowDeleteStrict, CmdRemoveExact: ofproto.FlowRemoveExact,
+}
+
+func flowMods(cmds []FlowCmd) []ofproto.FlowMod {
+	fms := make([]ofproto.FlowMod, len(cmds))
+	for i, c := range cmds {
+		fms[i] = ofproto.FlowMod{Op: wireOps[c.Op], Table: c.Table, CookieMask: c.CookieMask, Entry: c.Entry}
+	}
+	return fms
+}
+
+func replyCounts(r *ofproto.FlowModBatchReply, err error) ([5]int, error) {
+	if err != nil {
+		return [5]int{}, err
+	}
+	return [5]int{int(r.Commands), int(r.Added), int(r.Replaced), int(r.Modified), int(r.Deleted)}, nil
+}
+
+// The rejections as the controller sees them: the model's are bad
+// requests on the wire; a budget's is TABLE_FULL; an injected fault's
+// is a bad request carrying the fault.
+func badRequest(err error) bool {
+	var se *ofproto.SwitchError
+	return errors.As(err, &se) && se.Type == ofproto.ErrTypeBadRequest
+}
+
+func budgetRejection(err error) bool {
+	var be *BudgetError
+	return errors.As(err, &be) || ofproto.IsTableFull(err)
+}
+
+func injectedFault(err error) bool {
+	return errors.Is(err, failpoint.ErrInjected) || badRequest(err) && strings.Contains(err.Error(), failpoint.ErrInjected.Error())
+}
+
 // sameMemory checks that the pipeline's memory report is still pre,
-// component by component, and that every table reports the backend it
-// reported then.
+// component by component.
 func (d *modelDriver) sameMemory(pre *memmodel.SystemReport, what string) {
 	d.t.Helper()
 	if post := d.p.MemoryReport(); !reflect.DeepEqual(post, pre) {
@@ -519,40 +655,82 @@ func (d *modelDriver) sameMemory(pre *memmodel.SystemReport, what string) {
 	}
 }
 
-// packets sends headers through Execute one by one, or as one
-// ExecuteBatchInto, and checks every verdict.
+// packets sends headers one by one or as one batch and checks every
+// verdict.
 func (d *modelDriver) packets(hs []openflow.Header, single bool) {
-	in := slices.Clone(hs)
-	if single {
-		d.res = d.res[:0]
-		for i := range in {
-			d.res = append(d.res, d.p.Execute(&in[i]))
-		}
-	} else {
-		ptrs := make([]*openflow.Header, len(in))
-		for i := range in {
-			ptrs[i] = &in[i]
-		}
-		d.res = d.p.ExecuteBatchInto(ptrs, d.res)
-	}
+	d.execute(hs, single)
 	for i, h := range hs {
 		want, hit := d.m.walk(h)
-		if !sameResult(d.res[i], want) {
+		if !SameResult(d.res[i], d.seen(want)) {
 			d.fatalf("packet %d %v: pipeline %+v, model %+v", i, &h, d.res[i], want)
 		}
 		d.m.count(hit, h.PktLen)
 	}
 }
 
+// execute classifies the headers into d.res: through Execute one by one
+// or one ExecuteBatchInto, or in wire mode through SendPacket or one
+// SendPackets.
+func (d *modelDriver) execute(hs []openflow.Header, single bool) {
+	in := slices.Clone(hs)
+	ptrs := make([]*openflow.Header, len(in))
+	for i := range in {
+		ptrs[i] = &in[i]
+	}
+	d.res = d.res[:0]
+	switch {
+	case d.c != nil && single:
+		for _, h := range ptrs {
+			r, err := d.c.SendPacket(h)
+			if err != nil {
+				d.fatalf("packet: %v", err)
+			}
+			d.res = append(d.res, verdict(r))
+		}
+	case d.c != nil && len(ptrs) > 0:
+		rs, err := d.c.SendPackets(ptrs)
+		if err != nil {
+			d.fatalf("packets: %v", err)
+		}
+		for i := range rs {
+			d.res = append(d.res, verdict(&rs[i]))
+		}
+	case single:
+		for _, h := range ptrs {
+			d.res = append(d.res, d.p.Execute(h))
+		}
+	default:
+		d.res = d.p.ExecuteBatchInto(ptrs, d.res)
+	}
+}
+
+// verdict is the result a packet reply carries; seen is the part of the
+// model's result a reply can carry in wire mode.
+func verdict(r *ofproto.PacketReply) Result {
+	return Result{Matched: r.Flags&ofproto.ReplyMatched != 0, SentToController: r.Flags&ofproto.ReplyToController != 0,
+		Dropped: r.Flags&ofproto.ReplyDropped != 0, Outputs: slices.Clone(r.Outputs)}
+}
+
+func (d *modelDriver) seen(r Result) Result {
+	if d.c == nil {
+		return r
+	}
+	return Result{Matched: r.Matched, SentToController: r.SentToController, Dropped: r.Dropped, Outputs: r.Outputs}
+}
+
 // advance moves the clock forward 1–3 seconds, sweeping expired flows
-// (checking every flow-removed record) or, sometimes, only moving time.
+// or, sometimes, only moving time.
 func (d *modelDriver) advance() {
 	now := d.m.clock + int64(1+d.rng.Intn(3))
 	if d.rng.Intn(4) == 0 {
-		d.p.SetLifecycleClock(now)
-		d.m.clock = now
+		d.setClock(now)
 		return
 	}
+	d.sweep(now)
+}
+
+// sweep expires flows at now, checking every flow-removed record.
+func (d *modelDriver) sweep(now int64) {
 	next, want := d.m.sweep(now)
 	n, err := d.p.SweepExpired(now)
 	if err != nil {
@@ -565,24 +743,41 @@ func (d *modelDriver) advance() {
 	d.m = next
 }
 
-// drainRemoved reads the pipeline's new flow-removed records.
+// drainRemoved reads the pipeline's new flow-removed records; in wire
+// mode the subscribed controller must receive the same ones ahead of its
+// next reply.
 func (d *modelDriver) drainRemoved() []string {
 	recs, next, dropped := d.p.FlowRemovedSince(d.removed)
 	if dropped != 0 {
 		d.fatalf("%d flow-removed records dropped", dropped)
 	}
 	d.removed = next
-	return removedKeys(recs)
+	got := removedKeys(recs)
+	if d.c != nil {
+		if err := d.c.Barrier(); err != nil {
+			d.fatalf("barrier: %v", err)
+		}
+		sort.Strings(d.pushed)
+		if !slices.Equal(d.pushed, got) {
+			d.fatalf("the controller received flow-removed records\n%v\nthe pipeline queued\n%v", d.pushed, got)
+		}
+		d.pushed = d.pushed[:0]
+	}
+	return got
 }
 
 func removedKeys(recs []FlowRemoved) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
-		out[i] = fmt.Sprintf("%s cookie=%d reason=%d dur=%d pkts=%d bytes=%d",
-			ruleKey(r.Table, r.Entry), r.Entry.Cookie, r.Reason, r.DurationSec, r.Packets, r.Bytes)
+		out[i] = removedKey(r)
 	}
 	sort.Strings(out)
 	return out
+}
+
+func removedKey(r FlowRemoved) string {
+	return fmt.Sprintf("%s cookie=%d reason=%d dur=%d pkts=%d bytes=%d",
+		ruleKey(r.Table, r.Entry), r.Entry.Cookie, r.Reason, r.DurationSec, r.Packets, r.Bytes)
 }
 
 // groupMod adds, modifies or deletes a group — sometimes an ill-formed
@@ -611,10 +806,18 @@ func (d *modelDriver) groupMod() {
 	}
 	ok := d.m.groupMod(op, g)
 	var err error
-	switch op {
-	case 0:
+	switch {
+	case d.c != nil:
+		gm := &ofproto.GroupMod{Op: ofproto.GroupModAdd + ofproto.GroupModOp(op), ID: g.ID, Type: g.Type}
+		for _, b := range g.Buckets {
+			gm.Buckets = append(gm.Buckets, b.Actions)
+		}
+		if err = d.c.SendGroupMod(gm); err != nil && !badRequest(err) {
+			d.fatalf("group mod: %v", err)
+		}
+	case op == 0:
 		err = d.p.AddGroup(g)
-	case 1:
+	case op == 1:
 		err = d.p.ModifyGroup(g)
 	default:
 		err = d.p.DeleteGroup(g.ID)
@@ -626,26 +829,51 @@ func (d *modelDriver) groupMod() {
 
 // budgetCommit arms a budget at the current usage — the process's or one
 // table's — and commits adds: a rejection must leave the pipeline equal
-// to the pre-commit model with an identical memory report.
+// to the pre-commit model with an identical memory report, and usage
+// must stay within the budget, which every view (the pipeline's and, in
+// wire mode, the switch's report) must show as armed.
 func (d *modelDriver) budgetCommit() {
 	id := d.m.order[d.rng.Intn(len(d.m.order))]
-	if d.rng.Intn(2) == 0 {
-		d.p.SetMemoryBudget(d.p.MemoryStats().TotalBits)
-	} else if err := d.p.SetTableBudget(id, d.p.tables[id].Memory().TotalBits()); err != nil {
+	process := d.rng.Intn(2) == 0
+	usage := func(ms MemoryStats) (used, budget uint64) {
+		if process {
+			return ms.TotalBits, ms.BudgetBits
+		}
+		i := slices.IndexFunc(ms.Tables, func(tm TableMemory) bool { return tm.Table == id })
+		return ms.Tables[i].TotalBits(), ms.Tables[i].BudgetBits
+	}
+	armed, _ := usage(d.p.MemoryStats())
+	if process {
+		d.p.SetMemoryBudget(armed)
+	} else if err := d.p.SetTableBudget(id, armed); err != nil {
 		d.fatalf("%v", err)
 	}
 	var cmds []FlowCmd
 	for n := 1 + d.rng.Intn(4); n > 0; n-- {
 		cmds = append(cmds, FlowCmd{Op: CmdAdd, Table: id, Entry: *d.entry(id)})
 	}
-	d.commit(cmds, func(err error) bool {
-		var be *BudgetError
-		return errors.As(err, &be)
-	})
+	d.commit(cmds, budgetRejection)
+	views := []MemoryStats{d.p.MemoryStats()}
+	if d.c != nil {
+		views = append(views, d.stats().Memory)
+	}
+	for _, ms := range views {
+		if used, budget := usage(ms); budget != armed || armed > 0 && used > armed { // 0 is no budget
+			d.fatalf("budget armed at %d bits; a view reports %d bits used of %d", armed, used, budget)
+		}
+	}
 	d.p.SetMemoryBudget(0)
 	if err := d.p.SetTableBudget(id, 0); err != nil {
 		d.fatalf("%v", err)
 	}
+}
+
+func (d *modelDriver) stats() *ofproto.Stats {
+	st, err := d.c.Stats()
+	if err != nil {
+		d.fatalf("stats: %v", err)
+	}
+	return st
 }
 
 // racedCommit commits a random transaction while readers run Execute
@@ -676,7 +904,7 @@ func (d *modelDriver) racedCommit() {
 		pr.preHits = ruleIDs(hit)
 		pr.postRes, hit = post.walk(h)
 		pr.postHits = ruleIDs(hit)
-		if slices.Equal(pr.preHits, pr.postHits) || !sameResult(pr.preRes, pr.postRes) {
+		if slices.Equal(pr.preHits, pr.postHits) || !SameResult(pr.preRes, pr.postRes) {
 			probes = append(probes, pr)
 		}
 	}
@@ -724,8 +952,8 @@ func (d *modelDriver) racedCommit() {
 			}
 			asPre, asPost := true, true
 			for i, j := range idx {
-				asPre = asPre && sameResult(res[i], probes[j].preRes)
-				asPost = asPost && sameResult(res[i], probes[j].postRes)
+				asPre = asPre && SameResult(res[i], probes[j].preRes)
+				asPost = asPost && SameResult(res[i], probes[j].postRes)
 			}
 			if !asPre && !asPost {
 				mu.Lock()
@@ -781,36 +1009,53 @@ func ruleIDs(hit []*modelRule) []uint32 {
 }
 
 // concurrentPackets runs two single-packet readers and one batch reader
-// at once on a fixed rule set; after they drain, every verdict and every
-// per-rule count must be the model's.
-func (d *modelDriver) concurrentPackets() {
-	sets := [3][]openflow.Header{d.headers(16), d.headers(16), d.headers(64)}
+// on a fixed rule set, repeating their packets until during (if set)
+// returns; the packets touch no flow with an idle timeout, whose expiry
+// a sweep in during could race. After they drain, every verdict and
+// every per-rule count must be the model's.
+func (d *modelDriver) concurrentPackets(during func()) {
+	var sets [3][]openflow.Header
+	for k, n := range []int{16, 16, 64} {
+		for _, h := range d.headers(n) {
+			if _, hit := d.m.walk(h); during == nil || !slices.ContainsFunc(hit, func(r *modelRule) bool { return r.e.IdleTimeout > 0 }) {
+				sets[k] = append(sets[k], h)
+			}
+		}
+	}
 	var got [3][]Result
+	var done atomic.Bool
 	var wg sync.WaitGroup
 	for k := range sets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in := slices.Clone(sets[k])
-			if k < 2 {
-				for i := range in {
-					got[k] = append(got[k], d.p.Execute(&in[i]))
+			for first := true; first || !done.Load(); first = false {
+				in := slices.Clone(sets[k])
+				if k < 2 {
+					for i := range in {
+						got[k] = append(got[k], d.p.Execute(&in[i]))
+					}
+					continue
 				}
-				return
+				ptrs := make([]*openflow.Header, len(in))
+				for i := range in {
+					ptrs[i] = &in[i]
+				}
+				got[k] = append(got[k], d.p.ExecuteBatchInto(ptrs, nil)...)
 			}
-			ptrs := make([]*openflow.Header, len(in))
-			for i := range in {
-				ptrs[i] = &in[i]
-			}
-			got[k] = d.p.ExecuteBatchInto(ptrs, nil)
 		}()
 	}
+	if during != nil {
+		during()
+	}
+	done.Store(true)
 	wg.Wait()
 	for k, hs := range sets {
-		for i, h := range hs {
+		for i, res := range got[k] {
+			h := hs[i%len(hs)]
 			want, hit := d.m.walk(h)
-			if !sameResult(got[k][i], want) {
-				d.fatalf("concurrent reader %d packet %d %v: pipeline %+v, model %+v", k, i, &h, got[k][i], want)
+			if !SameResult(res, want) {
+				d.fatalf("concurrent reader %d packet %d %v: pipeline %+v, model %+v", k, i, &h, res, want)
 			}
 			d.m.count(hit, h.PktLen)
 		}
@@ -843,47 +1088,220 @@ func (d *modelDriver) setClock(now int64) {
 	d.m.clock = now
 }
 
-// fault arms one failpoint for one operation: an aborted commit or sweep
-// must leave the pipeline equal to the pre-commit model, an aborted
-// migration leaves the incumbent serving, and failed cache installs
-// change no verdict.
+// fault arms one failpoint for one operation: an aborted commit, sweep
+// or migration must leave the pipeline equal to the model without it,
+// failed cache installs change no verdict, and in wire mode a failed
+// connection or a server closed mid-commit applies a request as often
+// as the model says.
 func (d *modelDriver) fault() {
 	defer failpoint.DisarmAll()
-	injected := func(err error) bool { return errors.Is(err, failpoint.ErrInjected) }
-	switch d.rng.Intn(4) {
+	kinds := 4
+	if d.c != nil {
+		kinds = 12 // mostly wire faults: they have the most outcomes
+	}
+	k := d.rng.Intn(kinds)
+	switch {
+	case k < 4:
+		d.localFault(k)
+	case k < 11:
+		d.wireFault()
+	default:
+		d.closeDuringCommit()
+	}
+	if k >= 4 {
+		// First on the new connection, a sweep: its subscription must
+		// deliver each record once.
+		d.sweep(d.m.clock + int64(1+d.rng.Intn(3)))
+	}
+	failpoint.DisarmAll()
+	d.packets(d.history, false)
+}
+
+// localFault fails a commit, a sweep, a migration or cache installs.
+func (d *modelDriver) localFault(kind int) {
+	switch kind {
 	case 0:
 		d.arm(failpoint.SiteCommit, "error")
 		rejected := d.m.rejected
 		cmds := d.randomCmds()
 		_, _, ok := d.m.apply(cmds)
-		d.commit(cmds, injected)
+		d.commit(cmds, injectedFault)
 		if ok && d.m.rejected == rejected {
 			d.fatalf("commit of %v survived an injected fault", cmds)
 		}
 	case 1:
-		d.arm(failpoint.SiteCommit, "error")
-		now := d.m.clock + int64(1+d.rng.Intn(3))
-		_, want := d.m.sweep(now)
-		n, err := d.p.SweepExpired(now)
-		if n != 0 || (err != nil) != (len(want) > 0) || err != nil && !injected(err) {
-			d.fatalf("faulted sweep at %d: %d removed, err %v; the model has %d due", now, n, err, len(want))
-		}
-		if err != nil {
-			d.m.rejected++
-		}
-		if got := d.drainRemoved(); len(got) > 0 {
-			d.fatalf("faulted sweep emitted %v", got)
-		}
-		d.m.clock = now
+		d.faultedSweep()
 	case 2:
-		d.arm([]string{failpoint.SiteMigrationBuild, failpoint.SiteMigrationCommit}[d.rng.Intn(2)], "error")
-		d.p.AutotuneOnce()
+		d.faultedMigration()
 	default:
 		d.arm(failpoint.SiteCacheInstall, "error:0.5")
 		d.packets(d.headers(32), d.rng.Intn(2) == 0)
 	}
+}
+
+// faultedSweep fails a sweep's commit while readers run: it removes and
+// emits nothing and changes no verdict, and the flows it selected are
+// re-armed, so the next second's sweep expires them.
+func (d *modelDriver) faultedSweep() {
+	now := d.m.clock + int64(1+d.rng.Intn(3))
+	d.setClock(now)
+	_, want := d.m.sweep(now)
+	var n int
+	var err error
+	d.arm(failpoint.SiteCommit, "error")
+	d.concurrentPackets(func() { n, err = d.p.SweepExpired(now) })
 	failpoint.DisarmAll()
-	d.packets(d.history, false)
+	if n != 0 || (err != nil) != (len(want) > 0) || err != nil && !injectedFault(err) {
+		d.fatalf("faulted sweep at %d: %d removed, err %v; the model has %d due", now, n, err, len(want))
+	}
+	if err != nil {
+		d.m.rejected++
+	}
+	if got := d.drainRemoved(); len(got) > 0 {
+		d.fatalf("faulted sweep emitted %v", got)
+	}
+	d.checkState()
+	d.sweep(now + 1)
+}
+
+// faultedMigration fails every migration an advisor pass attempts, at
+// the build or at the swap, while readers run: the incumbents keep
+// serving, the memory report stays byte-identical, no snapshot is
+// published, and MigrationStats counts each failure once. (A table with
+// no rules to replay passes a build fault: its migration completes.)
+func (d *modelDriver) faultedMigration() {
+	site := []string{failpoint.SiteMigrationBuild, failpoint.SiteMigrationCommit}[d.rng.Intn(2)]
+	pre, ver, ms := d.p.MemoryReport(), d.p.SnapshotVersion(), d.p.MigrationStats()
+	d.arm(site, "error")
+	var events []MigrationEvent
+	d.concurrentPackets(func() { events = d.p.AutotuneOnce() })
+	hits := failpoint.Hits(site)
+	if post := d.p.MigrationStats(); post.Failed != ms.Failed+hits || post.Migrations != ms.Migrations+uint64(len(events)) {
+		d.fatalf("migration stats %+v -> %+v after %d injected failures and migrations %v", ms, post, hits, events)
+	}
+	if len(events) == 0 {
+		d.sameMemory(pre, "a failed migration")
+		if v := d.p.SnapshotVersion(); v != ver {
+			d.fatalf("a failed migration published snapshot %d (was %d)", v, ver)
+		}
+	}
+}
+
+// wireFault fails one request's connection at one site: at accept (the
+// connection closes before its hello), on the read of the request (lost
+// before its commit) or on the write of the reply (lost after it). The
+// request — a batch of adds or a packet — goes through the controller's
+// connection, or through a ReconnClient that disarms the site when it
+// reconnects and then replays the request. The switch applies a request
+// as often as it read it: a lost request never unless replayed, a lost
+// reply once, or twice when replayed. A replayed identical add converges
+// the rule set but restarts the rule's counters and age and moves it
+// behind equal-priority rules installed since; a replayed packet counts
+// again.
+func (d *modelDriver) wireFault() {
+	site := []string{failpoint.SiteAccept, failpoint.SiteConnRead, failpoint.SiteConnWrite}[d.rng.Intn(3)]
+	lost := site == failpoint.SiteConnWrite // applied before the failure
+	var rc *ofproto.ReconnClient
+	if site == failpoint.SiteAccept || d.rng.Intn(2) == 0 {
+		rc = ofproto.NewReconnClient(d.srvAddr, ofproto.DialOptions{})
+		rc.BackoffMin, rc.BackoffMax = time.Millisecond, time.Millisecond
+		rc.Logf = func(string, ...any) { failpoint.DisarmAll() }
+		defer rc.Close()
+		if site != failpoint.SiteAccept {
+			if err := rc.Barrier(context.Background()); err != nil { // connect first: a write fault would fail the hello
+				d.fatalf("barrier: %v", err)
+			}
+		}
+	}
+	d.opName += " at " + site
+	d.arm(site, "error")
+	if d.rng.Intn(3) == 0 {
+		h := d.headers(1)[0]
+		want, hit := d.m.walk(h)
+		var r *ofproto.PacketReply
+		var err error
+		if rc != nil {
+			r, err = rc.SendPacket(context.Background(), &h)
+		} else {
+			r, err = d.c.SendPacket(&h)
+		}
+		switch {
+		case rc == nil && err == nil:
+			d.fatalf("packet survived the fault")
+		case rc != nil && (err != nil || !SameResult(verdict(r), d.seen(want))):
+			d.fatalf("replayed packet %v: %+v, %v; model %+v", &h, r, err, want)
+		}
+		if lost {
+			d.m.count(hit, h.PktLen)
+		}
+		if rc != nil {
+			d.m.count(hit, h.PktLen)
+		}
+	} else {
+		cmds := d.replayCmds()
+		if lost {
+			d.settle(cmds)
+		}
+		if rc != nil {
+			d.commitVia(cmds, nil, func(cmds []FlowCmd) ([5]int, error) {
+				return replyCounts(rc.SendFlowMods(context.Background(), flowMods(cmds)))
+			})
+		} else if _, err := d.c.SendFlowMods(flowMods(cmds)); err == nil {
+			d.fatalf("flow-mods %v survived the fault", cmds)
+		}
+	}
+	failpoint.DisarmAll()
+	d.dial() // the read fault may have taken the idle controller connection too
+}
+
+// replayCmds draws a batch of adds, half of them re-adding a live rule
+// as it stands: a batch the switch accepts or rejects alike twice.
+func (d *modelDriver) replayCmds() []FlowCmd {
+	var cmds []FlowCmd
+	for n := 1 + d.rng.Intn(3); n > 0; n-- {
+		id := d.m.order[d.rng.Intn(len(d.m.order))]
+		e := d.liveRule(id)
+		if e == nil || d.rng.Intn(2) == 0 {
+			e = d.entry(id)
+		}
+		cmds = append(cmds, FlowCmd{Op: CmdAdd, Table: id, Entry: *e})
+	}
+	return cmds
+}
+
+// closeDuringCommit closes the server while a commit it is applying is
+// held at the commit failpoint: the batch lands whole and its reply is
+// lost (a batch the model rejects is refused first, and absent). The
+// pipeline then serves a new server.
+func (d *modelDriver) closeDuringCommit() {
+	cmds := d.randomCmds()
+	_, _, ok := d.m.apply(cmds)
+	d.arm(failpoint.SiteCommit, "delay:10ms")
+	done := make(chan error, 1)
+	go func(c *ofproto.Client) {
+		_, err := c.SendFlowMods(flowMods(cmds))
+		done <- err
+	}(d.c)
+	var err error
+	if !ok {
+		err = <-done
+	}
+	for ok && failpoint.Hits(failpoint.SiteCommit) == 0 {
+		runtime.Gosched()
+	}
+	d.srv.Close()
+	if ok {
+		err = <-done
+	}
+	if ok == (err == nil || badRequest(err)) {
+		d.fatalf("server closed during the commit of %v: err %v, model accepts %v", cmds, err, ok)
+	}
+	d.settle(cmds)
+	if n := d.srv.Counters().Panics; n != 0 {
+		d.fatalf("the server recovered %d panics", n)
+	}
+	failpoint.DisarmAll()
+	d.serve()
 }
 
 func (d *modelDriver) arm(site, spec string) {
@@ -899,42 +1317,20 @@ func (d *modelDriver) arm(site, spec string) {
 // timeouts, packet and byte counts and ages; the per-table rule counts;
 // the transaction and lifecycle telemetry; and the memory accounting's
 // three views, which must agree to the bit — the component report, the
-// published counters and the snapshot's copy of them.
+// published counters and the snapshot's copy of them. In wire mode the
+// switch must report the same: its stats report, a paged flow-stats
+// scrape and an aggregate over a cookie filter.
 func (d *modelDriver) checkState() {
 	d.t.Helper()
 	got := map[string]FlowStats{}
 	d.p.VisitFlows(-1, 0, 0, 0, 0, func(fs *FlowStats) bool {
-		got[ruleKey(fs.Table, fs.Entry)] = *fs
+		k := ruleKey(fs.Table, fs.Entry)
+		got[k] = *fs
 		return true
 	})
-	now := d.m.clock
-	if c := d.p.LifecycleClock(); c != now {
-		d.fatalf("lifecycle clock %d, model %d", c, now)
-	}
-	total := 0
-	for _, id := range d.m.order {
-		for _, r := range d.m.tables[id].rules {
-			total++
-			k := ruleKey(id, &r.e)
-			fs, ok := got[k]
-			if !ok {
-				d.fatalf("rule %s missing from the pipeline", k)
-			}
-			delete(got, k)
-			want := FlowStats{
-				Table: id, Priority: r.e.Priority, Cookie: r.e.Cookie,
-				IdleTimeout: r.e.IdleTimeout, HardTimeout: r.e.HardTimeout,
-				Age: uint32(max(now-r.born, 0)), IdleAge: uint32(max(now-max(r.last, r.born), 0)),
-				Packets: r.pkts, Bytes: r.bytes,
-			}
-			fs.Ref, fs.Entry = 0, nil
-			if fs != want {
-				d.fatalf("rule %s: pipeline %+v, model %+v", k, fs, want)
-			}
-		}
-	}
-	for k := range got {
-		d.fatalf("pipeline holds rule %s the model does not", k)
+	total := d.checkFlows("the pipeline", got)
+	if c := d.p.LifecycleClock(); c != d.m.clock {
+		d.fatalf("lifecycle clock %d, model %d", c, d.m.clock)
 	}
 
 	ms := d.p.MemoryStats()
@@ -958,64 +1354,86 @@ func (d *modelDriver) checkState() {
 		d.fatalf("lifecycle stats %+v, model %d flows, %d/%d expired, %d sweeps, %d groups",
 			ls, total, d.m.expiredIdle, d.m.expiredHard, d.m.sweeps, len(d.m.groups))
 	}
+	if d.c == nil {
+		return
+	}
+
+	if st := d.stats(); st.Tx != tc || st.Lifecycle != ls || !reflect.DeepEqual(st.Memory, ms) {
+		d.fatalf("the switch reports tx %+v, lifecycle %+v, memory %+v;\nthe pipeline %+v, %+v, %+v", st.Tx, st.Lifecycle, st.Memory, tc, ls, ms)
+	}
+	got = map[string]FlowStats{}
+	err := d.c.VisitFlowStats(ofproto.FlowStatsRequest{Table: ofproto.AllTables, Max: 7}, func(r *ofproto.FlowStatsRow) bool {
+		e, id := &r.Entry, openflow.TableID(r.Table)
+		got[ruleKey(id, e)] = FlowStats{Table: id, Priority: e.Priority, Cookie: e.Cookie, IdleTimeout: e.IdleTimeout,
+			HardTimeout: e.HardTimeout, Age: r.Age, IdleAge: r.IdleAge, Packets: r.Packets, Bytes: r.Bytes}
+		return true
+	})
+	if err != nil {
+		d.fatalf("flow stats: %v", err)
+	}
+	d.checkFlows("the switch", got)
+	req := ofproto.AggregateStatsRequest{Table: ofproto.AllTables, Cookie: uint64(d.op % 8), CookieMask: uint64(d.op%2) * 7}
+	var want ofproto.AggregateStatsReply
+	for _, t := range d.m.tables {
+		for _, r := range t.rules {
+			if (r.e.Cookie^req.Cookie)&req.CookieMask == 0 {
+				want.Flows++
+				want.Packets += r.pkts
+				want.Bytes += r.bytes
+			}
+		}
+	}
+	if agg, err := d.c.AggregateStats(&req); err != nil || *agg != want {
+		d.fatalf("aggregate over %+v: %+v, %v; model %+v", req, agg, err, want)
+	}
+	if n := d.srv.Counters().Panics; n != 0 {
+		d.fatalf("the server recovered %d panics", n)
+	}
+}
+
+// checkFlows compares one view of the installed flows, keyed by rule,
+// with the model's rules, and returns their number.
+func (d *modelDriver) checkFlows(view string, got map[string]FlowStats) int {
+	d.t.Helper()
+	now, total := d.m.clock, 0
+	for _, id := range d.m.order {
+		for _, r := range d.m.tables[id].rules {
+			total++
+			k := ruleKey(id, &r.e)
+			fs, ok := got[k]
+			if !ok {
+				d.fatalf("rule %s missing from %s", k, view)
+			}
+			delete(got, k)
+			want := FlowStats{
+				Table: id, Priority: r.e.Priority, Cookie: r.e.Cookie,
+				IdleTimeout: r.e.IdleTimeout, HardTimeout: r.e.HardTimeout,
+				Age: uint32(max(now-r.born, 0)), IdleAge: uint32(max(now-max(r.last, r.born), 0)),
+				Packets: r.pkts, Bytes: r.bytes,
+			}
+			fs.Ref, fs.Entry = 0, nil
+			if fs != want {
+				d.fatalf("rule %s: %s reports %+v, model %+v", k, view, fs, want)
+			}
+		}
+	}
+	for k := range got {
+		d.fatalf("%s holds rule %s the model does not", view, k)
+	}
+	return total
 }
 
 // recount checks each table that changed since its last recount against
-// its structures, the structures first. Under mbt, every combination
-// store's prefix stages hold exactly its live keys' prefixes
-// (crossprod.Table.CheckStages) — a stale stage changes no verdict until
-// it prunes a live key — and every range searcher's elementary intervals
-// pass their structural check, which includes a from-scratch sweep
-// (rangelookup.Table.Check). Then the account: the published memory
-// figure is the live backend's statement as it stands, and the statement
-// is a recount: a backend of the same kind rebuilt from the table's rule
-// store and given the live backend's high-water marks states the same
-// memories, component by component.
+// its structures and recounts its memory (Pipeline.CheckTable).
 func (d *modelDriver) recount() {
 	d.t.Helper()
-	d.p.mu.Lock()
-	defer d.p.mu.Unlock()
 	for _, id := range d.m.order {
-		t := d.p.tables[id]
-		gen := t.Generation()
-		if d.recounted[id] == gen {
-			continue
-		}
-		d.recounted[id] = gen
-		if b, ok := t.backend.(*mbtBackend); ok {
-			combos := []*crossprod.Table{b.combos}
-			for _, s := range b.searchers {
-				switch s := s.(type) {
-				case *PrefixFieldSearcher:
-					combos = append(combos, s.combos)
-				case *RangeFieldSearcher:
-					if err := s.table.Check(); err != nil {
-						d.fatalf("table %d, %s searcher: %v", id, s.field, err)
-					}
-				}
+		t, _ := d.p.Table(id)
+		if gen := t.Generation(); d.recounted[id] != gen {
+			d.recounted[id] = gen
+			if err := d.p.CheckTable(id); err != nil {
+				d.fatalf("table %d: %v", id, err)
 			}
-			for _, c := range combos {
-				if err := c.CheckStages(); err != nil {
-					d.fatalf("table %d: %v", id, err)
-				}
-			}
-		}
-		live := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
-		t.backend.memory(&live)
-		if pub := t.Memory(); pub.Backend != t.backend.Kind() || pub.Rules != t.rules || pub.BackendStats != live.BackendStats {
-			d.fatalf("table %d publishes %+v; its %s backend states %+v for %d rules", id, pub, t.backend.Kind(), live.BackendStats, t.rules)
-		}
-		nb, err := t.buildBackendFromStore(t.backend.Kind())
-		if err != nil {
-			d.fatalf("rebuilding table %d: %v", id, err)
-		}
-		if hw, ok := t.backend.(highWater); ok {
-			nb.(highWater).restoreMarks(hw.marks(nil))
-		}
-		re := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
-		nb.memory(&re)
-		if !reflect.DeepEqual(re.report, live.report) {
-			d.fatalf("table %d states\n%v\na rebuild from its rules states\n%v", id, live.report.Components, re.report.Components)
 		}
 	}
 }
@@ -1118,17 +1536,31 @@ func TestDIR24MegaflowDifferential(t *testing.T) {
 	runLeg(t, 6024, lpmLayout, modelConfig{backend: BackendDIR24, mega: 256, workers: 1})
 }
 
+// TestPipelineModelWire is the driver's wire leg: the sequence drives
+// the pipeline through a server on loopback, as a controller does.
+func TestPipelineModelWire(t *testing.T) {
+	cow.SealForTest(t)
+	for i, cfg := range wireConfigs() {
+		t.Run(cfg.String(), func(t *testing.T) {
+			t.Parallel()
+			newModelDriver(t, cfg, mixedLayout, uint64(4040+i)).run(modelSteps)
+		})
+	}
+}
+
 // TestPipelineModelFailpoints is the driver's fault leg (build with
 // -tags failpoint): the sequence additionally aborts commits, sweeps and
-// migrations and fails cache installs. Failpoints are process-wide, so
-// the configurations run one at a time.
+// migrations and fails cache installs, and in wire mode fails
+// connections at accept, read and write and closes the server
+// mid-commit. Failpoints are process-wide, so the configurations run
+// one at a time.
 func TestPipelineModelFailpoints(t *testing.T) {
 	if !failpoint.Armed {
 		t.Skip("fault injection is compiled in only with -tags failpoint")
 	}
 	cow.SealForTest(t)
-	for i, cfg := range modelConfigs() {
-		if cfg.workers == 1 && cfg.micro != cfg.mega {
+	for i, cfg := range append(modelConfigs(), wireConfigs()...) {
+		if !cfg.wire && cfg.workers == 1 && cfg.micro != cfg.mega {
 			continue // half the tier mixes suffice here
 		}
 		t.Run(cfg.String(), func(t *testing.T) {
@@ -1217,13 +1649,6 @@ func (d *modelDriver) runShapes(fields []openflow.FieldID) {
 		d.packets(d.headers(32), r.Intn(2) == 0)
 		d.checkState()
 	}
-	mbt, _ := d.p.tables[0].backend.(*mbtBackend)
-	wildcards := func(dim int) (int, bool) {
-		if mbt == nil {
-			return 0, false
-		}
-		return mbt.wildCount[dim], mbt.wild&(1<<dim) != 0
-	}
 
 	add(func(int) bool { return false }) // fully constrained
 	for dim := range fields {
@@ -1254,13 +1679,13 @@ func (d *modelDriver) runShapes(fields []openflow.FieldID) {
 			}
 		}
 		d.commit(gone, nil)
-		if n, on := wildcards(dim); n != 0 || on {
+		if n, on, _ := d.p.Wildcards(0, dim); n != 0 || on {
 			d.fatalf("%d wildcards (bit %v) left after the last open rule", n, on)
 		}
 		probe()
 		d.opName = fmt.Sprintf("dimension %d reopened", dim)
 		d.commit(back, nil)
-		if n, on := wildcards(dim); mbt != nil && len(back) > 0 && (n == 0 || !on) {
+		if n, on, mbt := d.p.Wildcards(0, dim); mbt && len(back) > 0 && (n == 0 || !on) {
 			d.fatalf("no wildcard (bit %v) after %d open rules returned", on, len(back))
 		}
 		probe()

@@ -602,7 +602,8 @@ type LifecycleStats struct {
 	// Sweeps counts expiry sweeps that committed at least one removal.
 	Sweeps uint64
 	// Removed counts flow-removed notifications emitted; RemovedDropped
-	// those lost to ring overflow before any consumer drained them.
+	// those a consumer lost to ring overflow, each counted once however
+	// many consumers lost it.
 	Removed        uint64
 	RemovedDropped uint64
 	// Groups is the number of installed group-table entries.
@@ -817,9 +818,14 @@ func (p *Pipeline) FlowRemovedSince(cursor uint64) (recs []FlowRemoved, next uin
 	head := p.removedHead
 	lo := cursor
 	if head > removedRingSize && lo < head-removedRingSize {
-		dropped = head - removedRingSize - lo
 		lo = head - removedRingSize
-		p.removedDropped.Add(dropped)
+		dropped = lo - cursor
+		// A record several lagging consumers lost is one record lost:
+		// count only the part of [cursor, lo) no earlier call counted.
+		if lo > p.removedLost {
+			p.removedDropped.Add(lo - max(cursor, p.removedLost))
+			p.removedLost = lo
+		}
 	}
 	for i := lo; i < head; i++ {
 		recs = append(recs, p.removedRing[i&(removedRingSize-1)])

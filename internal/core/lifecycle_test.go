@@ -376,36 +376,40 @@ func TestVisitFlowsPagingAndFilters(t *testing.T) {
 }
 
 // TestFlowRemovedRingOverflow floods the notification ring past its
-// capacity and checks the overflow is counted, never silent.
+// capacity and checks the overflow is counted, never silent, and counted
+// once when several consumers (a switch's subscribed controllers) lose
+// the same records.
 func TestFlowRemovedRingOverflow(t *testing.T) {
-	p := lifecyclePipeline(t)
-	t0 := p.LifecycleClock()
-	const flows = removedRingSize + 40
-	for i := 0; i < flows; i++ {
-		e := lifecycleEntry(uint32(i+1), i+1, 1)
-		e.HardTimeout = 2
-		mustInsert(t, p, e)
-	}
-	if n, err := p.SweepExpired(t0 + 2); err != nil || n != flows {
-		t.Fatalf("sweep = %d, %v, want %d", n, err, flows)
-	}
+	for _, consumers := range []int{1, 2} {
+		p := lifecyclePipeline(t)
+		t0 := p.LifecycleClock()
+		const flows = removedRingSize + 40
+		for i := 0; i < flows; i++ {
+			e := lifecycleEntry(uint32(i+1), i+1, 1)
+			e.HardTimeout = 2
+			mustInsert(t, p, e)
+		}
+		if n, err := p.SweepExpired(t0 + 2); err != nil || n != flows {
+			t.Fatalf("sweep = %d, %v, want %d", n, err, flows)
+		}
 
-	recs, next, dropped := p.FlowRemovedSince(0)
-	if len(recs) != removedRingSize {
-		t.Fatalf("drained %d records, want the ring's %d", len(recs), removedRingSize)
-	}
-	if dropped != flows-removedRingSize {
-		t.Fatalf("reported %d dropped, want %d", dropped, flows-removedRingSize)
-	}
-	st := p.LifecycleStats()
-	if st.Removed != flows || st.RemovedDropped != flows-removedRingSize {
-		t.Fatalf("stats removed=%d dropped=%d, want %d / %d", st.Removed, st.RemovedDropped, flows, flows-removedRingSize)
-	}
-
-	// A second drain from the returned cursor is empty, no drops.
-	recs, _, dropped = p.FlowRemovedSince(next)
-	if len(recs) != 0 || dropped != 0 {
-		t.Fatalf("second drain = %d records, %d dropped, want empty", len(recs), dropped)
+		for c := 0; c < consumers; c++ {
+			recs, next, dropped := p.FlowRemovedSince(0)
+			if len(recs) != removedRingSize {
+				t.Fatalf("consumer %d drained %d records, want the ring's %d", c, len(recs), removedRingSize)
+			}
+			if dropped != flows-removedRingSize {
+				t.Fatalf("consumer %d was told %d dropped, want %d", c, dropped, flows-removedRingSize)
+			}
+			// A second drain from the returned cursor is empty, no drops.
+			if recs, _, dropped = p.FlowRemovedSince(next); len(recs) != 0 || dropped != 0 {
+				t.Fatalf("second drain = %d records, %d dropped, want empty", len(recs), dropped)
+			}
+		}
+		st := p.LifecycleStats()
+		if st.Removed != flows || st.RemovedDropped != flows-removedRingSize {
+			t.Fatalf("%d consumers: stats removed=%d dropped=%d, want %d / %d", consumers, st.Removed, st.RemovedDropped, flows, flows-removedRingSize)
+		}
 	}
 }
 

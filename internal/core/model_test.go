@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,15 +7,16 @@ import (
 	"sort"
 
 	"ofmtl/internal/bitops"
+	. "ofmtl/internal/core"
 	"ofmtl/internal/openflow"
 )
 
 // pipelineModel is the executable specification every Pipeline
 // configuration is checked against (driver_test.go): per-table rule
 // stores with OpenFlow flow-mod resolution, a priority scan per table
-// (ReferenceClassifier: highest priority, earliest install on ties), the
-// goto / action-set / metadata walk, all and indirect groups, idle and
-// hard timeouts on a logical clock, and per-rule packet and byte counts.
+// (highest priority, earliest install on ties), the goto / action-set /
+// metadata walk, all and indirect groups, idle and hard timeouts on a
+// logical clock, and per-rule packet and byte counts.
 // It has no caches, backends, snapshots, shards or timer wheels: whatever
 // those do, the answers must be the ones computed here.
 //
@@ -35,18 +36,17 @@ type pipelineModel struct {
 	sweeps                   uint64
 }
 
-// modelTable is one table: its configuration, its rules in install
-// order, and the priority scan over them.
+// modelTable is one table: its configuration and its rules in install
+// order.
 type modelTable struct {
 	cfg   TableConfig
 	rules []*modelRule
-	scan  ReferenceClassifier
 }
 
 // modelRule is one installed flow. e is canonical (explicit wildcards
 // dropped, prefix host bits masked, matches sorted by field, empty
 // action lists nil) and e.Ref carries the rule's model id, which is how
-// the scan's winner is mapped back to its counters.
+// the walk names the rules it counts.
 type modelRule struct {
 	e           openflow.FlowEntry
 	born, last  int64
@@ -69,8 +69,7 @@ func (m *pipelineModel) clone() *pipelineModel {
 	c := *m
 	c.tables = make(map[openflow.TableID]*modelTable, len(m.tables))
 	for id, t := range m.tables {
-		nt := &modelTable{cfg: t.cfg, scan: t.scan}
-		nt.scan.entries = slices.Clone(t.scan.entries)
+		nt := &modelTable{cfg: t.cfg}
 		for _, r := range t.rules {
 			cp := *r
 			nt.rules = append(nt.rules, &cp)
@@ -84,28 +83,26 @@ func (m *pipelineModel) clone() *pipelineModel {
 	return &c
 }
 
-// rule returns the rule with the given model id in table t.
-func (t *modelTable) rule(id uint32) *modelRule {
+// classify is the priority scan: the highest-priority rule matching h,
+// the earliest installed on ties (nil on a miss).
+func (t *modelTable) classify(h *openflow.Header) *modelRule {
+	var best *modelRule
 	for _, r := range t.rules {
-		if r.e.Ref == id {
-			return r
+		if r.e.MatchesHeader(h) && (best == nil || r.e.Priority > best.e.Priority) {
+			best = r
 		}
 	}
-	panic(fmt.Sprintf("model: table %d lost rule %d", t.cfg.ID, id))
+	return best
 }
 
 func (m *pipelineModel) insert(t *modelTable, e openflow.FlowEntry) {
 	m.nextID++
 	e.Ref = m.nextID
 	t.rules = append(t.rules, &modelRule{e: e, born: m.clock})
-	t.scan.Insert(&e)
 }
 
-func (m *pipelineModel) remove(t *modelTable, r *modelRule) {
+func (t *modelTable) remove(r *modelRule) {
 	t.rules = slices.DeleteFunc(t.rules, func(x *modelRule) bool { return x == r })
-	if !t.scan.Remove(&r.e) {
-		panic("model: scan lost a rule")
-	}
 }
 
 // modelCanon renders an entry the way a table stores it.
@@ -231,7 +228,7 @@ func (m *pipelineModel) apply(cmds []FlowCmd) (next *pipelineModel, counts [5]in
 		case CmdAdd:
 			for _, r := range slices.Clone(t.rules) {
 				if strict(r) {
-					n.remove(t, r)
+					t.remove(r)
 					counts[2]++
 				}
 			}
@@ -242,7 +239,7 @@ func (m *pipelineModel) apply(cmds []FlowCmd) (next *pipelineModel, counts [5]in
 				if selected(&r.e, c.Entry.Matches, c.Entry.Cookie, c.CookieMask) {
 					mod := r.e
 					mod.Instructions = modelCanon(&c.Entry).Instructions
-					n.remove(t, r)
+					t.remove(r)
 					n.insert(t, mod)
 					counts[3]++
 				}
@@ -254,7 +251,7 @@ func (m *pipelineModel) apply(cmds []FlowCmd) (next *pipelineModel, counts [5]in
 					hit = strict(r) && (r.e.Cookie^c.Entry.Cookie)&c.CookieMask == 0
 				}
 				if hit {
-					n.remove(t, r)
+					t.remove(r)
 					counts[4]++
 				}
 			}
@@ -265,7 +262,7 @@ func (m *pipelineModel) apply(cmds []FlowCmd) (next *pipelineModel, counts [5]in
 			if i < 0 {
 				return nil, counts, false
 			}
-			n.remove(t, t.rules[i])
+			t.remove(t.rules[i])
 			counts[4]++
 		default:
 			return nil, counts, false
@@ -313,8 +310,8 @@ func (m *pipelineModel) walk(h openflow.Header) (res Result, hit []*modelRule) {
 			return res, hit
 		}
 		res.TablesVisited = append(res.TablesVisited, cur)
-		e, ok := t.scan.Classify(&h)
-		if !ok {
+		r := t.classify(&h)
+		if r == nil {
 			switch t.cfg.Miss.Kind {
 			case MissGoto:
 				if t.cfg.Miss.Table > cur {
@@ -331,10 +328,10 @@ func (m *pipelineModel) walk(h openflow.Header) (res Result, hit []*modelRule) {
 		}
 		res.Matched = true
 		res.MatchedTables++
-		hit = append(hit, t.rule(e.Ref))
+		hit = append(hit, r)
 		var next openflow.TableID
 		hasNext := false
-		for _, in := range e.Instructions {
+		for _, in := range r.e.Instructions {
 			switch in.Type {
 			case openflow.InstrGotoTable:
 				next, hasNext = in.Table, true
@@ -458,7 +455,7 @@ func (m *pipelineModel) sweep(now int64) (*pipelineModel, []FlowRemoved) {
 			e := r.e
 			out = append(out, FlowRemoved{Table: id, Reason: reason, DurationSec: uint32(max(now-r.born, 0)),
 				Packets: r.pkts, Bytes: r.bytes, Entry: &e})
-			n.remove(t, r)
+			t.remove(r)
 		}
 	}
 	if len(out) > 0 {
@@ -480,7 +477,7 @@ func (m *pipelineModel) groupMod(op int, g Group) bool {
 		if exists != (op == 1) || !modelGroupValid(&g) {
 			return false
 		}
-		m.groups[g.ID] = *g.clone()
+		m.groups[g.ID] = g // the driver never touches g again
 	default:
 		if !exists {
 			return false

@@ -108,6 +108,7 @@ type Pipeline struct {
 	removedMu      sync.Mutex
 	removedRing    [removedRingSize]FlowRemoved
 	removedHead    uint64
+	removedLost    uint64 // where the last loss counted in removedDropped ended
 	removedTotal   atomic.Uint64
 	removedDropped atomic.Uint64
 

@@ -25,8 +25,8 @@ import (
 // publishing copies page directories, and the live side copies a page the
 // first time it writes it after a publish. The invariant readers rely on
 // — a published view's pages are never written again — is checked by the
-// page seals in the differential, churn and chaos suites and by
-// TestSnapshotLinearizability.
+// page seals in the model driver's legs (in process, over the wire and
+// under faults) and by TestSnapshotLinearizability.
 //
 // Every snapshot additionally carries a version from a monotonic
 // counter, and a window per cache tier: the fill versions it accepts

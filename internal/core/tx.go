@@ -264,7 +264,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 			return reject(fmt.Errorf("core: tx command %d (%s): %w", i, tx.cmds[i].Op, err))
 		}
 	}
-	// Injected commit fault (chaos builds only): exercises the same
+	// Injected commit fault (failpoint builds only): exercises the same
 	// rollback path a real post-apply failure would take.
 	if err := failpoint.Inject(failpoint.SiteCommit); err != nil {
 		return reject(fmt.Errorf("core: tx commit: %w", err))

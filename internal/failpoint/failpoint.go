@@ -1,6 +1,6 @@
-// Package failpoint is a tiny fault-injection harness for chaos
-// testing. Code under test calls Inject at interesting sites (commit,
-// cache install, accept, read, write); a test or an operator arms a
+// Package failpoint is a tiny fault-injection harness for tests. Code
+// under test calls Inject at interesting sites (commit, cache install,
+// accept, read, write); a test or an operator arms a
 // site with a failure spec and the site then errors, delays, or both,
 // with an optional probability.
 //

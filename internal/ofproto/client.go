@@ -321,12 +321,20 @@ func (c *Client) Barrier() error {
 // was no.
 //
 // Replay gives at-least-once semantics: a request whose reply was lost
-// may have been applied before the connection died and will run again
-// after the reconnect. Restrict flow-mod traffic through it to
-// idempotent commands (FlowAdd of identical entries, FlowDelete /
-// FlowDeleteStrict — re-deleting an absent flow is a no-op) so a replay
-// converges to the same switch state; FlowRemoveExact errors on a
-// missing entry and is not replay-safe.
+// may have been applied before the connection died, and runs again
+// after the reconnect. A second application is never free:
+//
+//   - a replayed FlowAdd of an identical entry converges the rule set,
+//     but it replaces the rule again: the rule's counters and age
+//     restart, and it moves behind equal-priority rules installed since
+//     (the earliest install wins ties);
+//   - a replayed FlowDelete or FlowDeleteStrict converges (deleting an
+//     absent flow is a no-op); a replayed FlowRemoveExact is rejected,
+//     its entry being gone;
+//   - a replayed packet is classified and counted again.
+//
+// A request lost before the switch read it runs once, after the
+// reconnect.
 //
 // Like Client it is single-goroutine; open one per worker.
 type ReconnClient struct {
@@ -441,7 +449,7 @@ func (r *ReconnClient) do(ctx context.Context, op func(*Client) error) error {
 }
 
 // SendFlowMods submits a flow-mod batch, replaying it across reconnects
-// (see the type comment for the idempotency requirement).
+// (see the type comment for what a replay applies twice).
 func (r *ReconnClient) SendFlowMods(ctx context.Context, fms []FlowMod) (*FlowModBatchReply, error) {
 	var reply *FlowModBatchReply
 	err := r.do(ctx, func(c *Client) error {
@@ -452,8 +460,8 @@ func (r *ReconnClient) SendFlowMods(ctx context.Context, fms []FlowMod) (*FlowMo
 	return reply, err
 }
 
-// SendPacket injects a packet header, reconnecting as needed (lookups
-// are read-only, so replay is always safe).
+// SendPacket injects a packet header, reconnecting as needed. A replay
+// after a lost reply classifies the packet again, and counts it again.
 func (r *ReconnClient) SendPacket(ctx context.Context, h *openflow.Header) (*PacketReply, error) {
 	var reply *PacketReply
 	err := r.do(ctx, func(c *Client) error {
