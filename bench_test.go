@@ -6,6 +6,7 @@ import (
 
 	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
+	"ofmtl/internal/cow"
 	"ofmtl/internal/crossprod"
 	"ofmtl/internal/experiments"
 	"ofmtl/internal/filterset"
@@ -299,12 +300,16 @@ func BenchmarkCommitACL(b *testing.B) {
 // benchmark's churn batch: eight strict deletes of installed rules,
 // visiting pool stride entries apart, plus the re-adds of the eight the
 // previous transaction deleted, applied and published in one Commit.
+// Beside ns/op it reports copiedB/op, the bytes each commit copied to
+// keep published views immutable (cow.Copied): the work count a commit's
+// time follows.
 func benchChurn(b *testing.B, p *core.Pipeline, pool []openflow.FlowEntry, stride int) {
 	const half = 8
 	var deleted, readd []int
 	next := 0
 	b.ReportAllocs()
 	b.ResetTimer()
+	copied := cow.Copied()
 	for i := 0; i < b.N; i++ {
 		tx := p.Begin()
 		deleted = deleted[:0]
@@ -322,6 +327,7 @@ func benchChurn(b *testing.B, p *core.Pipeline, pool []openflow.FlowEntry, strid
 		}
 		deleted, readd = readd, deleted
 	}
+	b.ReportMetric(float64(cow.Copied()-copied)/float64(b.N), "copiedB/op")
 }
 
 // BenchmarkCommitLPMMegaflow measures one churn-shaped flow-mod

@@ -48,15 +48,16 @@ type dir24Backend struct {
 	// tbl is the 2^24-slot direct table; a nil page is all-empty. Slot
 	// encoding: 0 = no entry, dir24SpillFlag|spillIndex = spilled slot,
 	// else entry ref (arena index + 1). The paged element is a group of
-	// four slots, so a page holds 4096 slots (16 KiB) and the directory
-	// 4096 pointers: 32 KiB, small enough to stay in the first-level
-	// cache under random lookups (one slot per element makes it 128 KiB
-	// and a million-route lookup 14 % slower).
+	// slots sized so that a page holds 4096 slots (16 KiB) and the
+	// directory 4096 pointers: 32 KiB, small enough to stay in the
+	// first-level cache under random lookups (1024 slots per page makes it
+	// 128 KiB and a million-route lookup 14 % slower).
 	tbl cow.Array[dir24Group]
 
 	// spill holds the 256-entry chunks of slots covered by /25../32
 	// prefixes: chunk i is elements [i<<8, (i+1)<<8), so slot-stored spill
-	// pointers stay dense as freed indices are recycled.
+	// pointers stay dense as freed indices are recycled. A chunk spans
+	// several small pages; a write copies only the page it lands in.
 	spill      cow.Array[uint32]
 	liveSpills int
 
@@ -95,7 +96,7 @@ const (
 	// dir24Slots is the direct table's depth: one slot per /24.
 	dir24Slots = 1 << 24
 	// dir24SpillSlots is the second-level fan-out: one entry per low
-	// byte of the address. A chunk never straddles a cow page.
+	// byte of the address.
 	dir24SpillShift = 8
 	dir24SpillSlots = 1 << dir24SpillShift
 	// dir24SpillFlag marks a slot whose value is a spill-chunk index
@@ -103,11 +104,13 @@ const (
 	dir24SpillFlag = uint32(1) << 31
 )
 
-// dir24Group is the direct table's paged element: four adjacent slots.
+// dir24Group is the direct table's paged element: adjacent slots, as
+// many as make a page of 4096.
 type dir24Group [1 << dir24GroupShift]uint32
 
 const (
-	dir24GroupShift = 2
+	dir24PageShift  = 12
+	dir24GroupShift = dir24PageShift - cow.PageShift
 	dir24GroupMask  = 1<<dir24GroupShift - 1
 )
 
@@ -210,9 +213,12 @@ func dir24Better(best, cand *dir24Entry) bool {
 
 // --- paged-array accessors -------------------------------------------
 
-// slotGet reads one direct-table slot.
+// slotGet reads one direct-table slot; a nil page reads empty.
 func (b *dir24Backend) slotGet(idx uint32) uint32 {
-	return b.tbl.Get(int(idx >> dir24GroupShift))[idx&dir24GroupMask]
+	if pg := b.tbl.Dir[idx>>dir24PageShift]; pg != nil {
+		return pg[idx>>dir24GroupShift&cow.PageMask][idx&dir24GroupMask]
+	}
+	return 0
 }
 
 // slotSet writes one direct-table slot.
@@ -220,17 +226,18 @@ func (b *dir24Backend) slotSet(idx, v uint32) {
 	b.tbl.Mut(int(idx >> dir24GroupShift))[idx&dir24GroupMask] = v
 }
 
-// spillRead returns spill chunk si for reading.
-func (b *dir24Backend) spillRead(si uint32) []uint32 {
-	return b.spill.Span(int(si)<<dir24SpillShift, dir24SpillSlots)
+// spillGet reads address a (the low byte) of spill chunk si.
+func (b *dir24Backend) spillGet(si, a uint32) uint32 {
+	return b.spill.Get(int(si<<dir24SpillShift | a))
 }
 
-// spillForWrite returns spill chunk si for writing.
-func (b *dir24Backend) spillForWrite(si uint32) []uint32 {
-	return b.spill.MutSpan(int(si)<<dir24SpillShift, dir24SpillSlots)
+// spillSet writes address a of spill chunk si.
+func (b *dir24Backend) spillSet(si, a, v uint32) {
+	*b.spill.Mut(int(si<<dir24SpillShift | a)) = v
 }
 
-// allocSpill claims a zeroed spill chunk, recycling freed indices.
+// allocSpill claims a spill chunk, recycling freed indices; the caller
+// writes every address of it.
 func (b *dir24Backend) allocSpill() uint32 {
 	c := b.ctl
 	var si uint32
@@ -241,7 +248,6 @@ func (b *dir24Backend) allocSpill() uint32 {
 		si = uint32(len(c.spillLongs))
 		c.spillLongs = append(c.spillLongs, 0)
 	}
-	clear(b.spillForWrite(si))
 	return si
 }
 
@@ -331,19 +337,8 @@ func (b *dir24Backend) paint(o *dir24Entry, lo, hi uint32) {
 			ohi = hi
 		}
 		for idx := olo; idx <= ohi; idx++ {
-			v := b.slotGet(idx)
-			if v&dir24SpillFlag != 0 {
-				// The chunk is made writable only if the entry wins somewhere.
-				sp := b.spillRead(v &^ dir24SpillFlag)
-				var w []uint32
-				for a := range sp {
-					if dir24Better(b.entryOf(sp[a]), o) {
-						if w == nil {
-							w = b.spillForWrite(v &^ dir24SpillFlag)
-						}
-						w[a] = o.ref
-					}
-				}
+			if v := b.slotGet(idx); v&dir24SpillFlag != 0 {
+				b.paintSpill(o, v&^dir24SpillFlag, 0, dir24SpillSlots-1)
 			} else if dir24Better(b.entryOf(v), o) {
 				b.slotSet(idx, o.ref)
 			}
@@ -355,34 +350,35 @@ func (b *dir24Backend) paint(o *dir24Entry, lo, hi uint32) {
 		return
 	}
 	// A live long entry's slot is spilled by invariant.
-	sp := b.spillForWrite(b.slotGet(idx) &^ dir24SpillFlag)
 	aLo := o.val & 0xFF
-	aHi := aLo + (uint32(1)<<(32-uint(o.plen)) - 1)
+	b.paintSpill(o, b.slotGet(idx)&^dir24SpillFlag, aLo, aLo+(uint32(1)<<(32-uint(o.plen))-1))
+}
+
+// paintSpill makes o the winner of the addresses [aLo, aHi] of spill
+// chunk si it beats. Only the pages it wins on are written.
+func (b *dir24Backend) paintSpill(o *dir24Entry, si, aLo, aHi uint32) {
 	for a := aLo; a <= aHi; a++ {
-		if dir24Better(b.entryOf(sp[a]), o) {
-			sp[a] = o.ref
+		if dir24Better(b.entryOf(b.spillGet(si, a)), o) {
+			b.spillSet(si, a, o.ref)
 		}
 	}
 }
 
 // ensureSpill converts a direct slot to a spilled one (seeding every
 // sub-entry with the current direct winner) or finds its existing chunk,
-// and returns the chunk's index and the chunk writable.
-func (b *dir24Backend) ensureSpill(idx uint32) (uint32, []uint32) {
+// and returns the chunk's index.
+func (b *dir24Backend) ensureSpill(idx uint32) uint32 {
 	v := b.slotGet(idx)
 	if v&dir24SpillFlag != 0 {
-		return v &^ dir24SpillFlag, b.spillForWrite(v &^ dir24SpillFlag)
+		return v &^ dir24SpillFlag
 	}
 	si := b.allocSpill()
-	sp := b.spillForWrite(si)
-	if v != 0 {
-		for a := range sp {
-			sp[a] = v
-		}
+	for a := uint32(0); a < dir24SpillSlots; a++ {
+		b.spillSet(si, a, v)
 	}
 	b.slotSet(idx, dir24SpillFlag|si)
 	b.liveSpills++
-	return si, sp
+	return si
 }
 
 // --- Backend mutation ------------------------------------------------
@@ -404,27 +400,16 @@ func (b *dir24Backend) Insert(e *openflow.FlowEntry, seq uint64) error {
 		lo := val >> 8
 		hi := lo + (uint32(1)<<(24-uint(plen)) - 1)
 		for idx := lo; idx <= hi; idx++ {
-			v := b.slotGet(idx)
-			if v&dir24SpillFlag != 0 {
-				sp := b.spillForWrite(v &^ dir24SpillFlag)
-				for a := range sp {
-					if dir24Better(b.entryOf(sp[a]), ent) {
-						sp[a] = ent.ref
-					}
-				}
+			if v := b.slotGet(idx); v&dir24SpillFlag != 0 {
+				b.paintSpill(ent, v&^dir24SpillFlag, 0, dir24SpillSlots-1)
 			} else if dir24Better(b.entryOf(v), ent) {
 				b.slotSet(idx, ent.ref)
 			}
 		}
 	} else {
-		si, sp := b.ensureSpill(val >> 8)
+		si := b.ensureSpill(val >> 8)
 		aLo := val & 0xFF
-		aHi := aLo + (uint32(1)<<(32-uint(plen)) - 1)
-		for a := aLo; a <= aHi; a++ {
-			if dir24Better(b.entryOf(sp[a]), ent) {
-				sp[a] = ent.ref
-			}
-		}
+		b.paintSpill(ent, si, aLo, aLo+(uint32(1)<<(32-uint(plen))-1))
 		b.ctl.spillLongs[si]++
 	}
 
@@ -473,16 +458,10 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 			v := b.slotGet(idx)
 			if v&dir24SpillFlag != 0 {
 				si := v &^ dir24SpillFlag
-				sp := b.spillRead(si)
-				var w []uint32
-				for a := range sp {
-					if sp[a] != ent.ref {
-						continue
+				for a := uint32(0); a < dir24SpillSlots; a++ {
+					if b.spillGet(si, a) == ent.ref {
+						b.spillSet(si, a, 0)
 					}
-					if w == nil {
-						w = b.spillForWrite(si)
-					}
-					w[a] = 0
 				}
 			} else if v == ent.ref {
 				b.slotSet(idx, 0)
@@ -496,12 +475,11 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 	} else {
 		idx := val >> 8
 		si := b.slotGet(idx) &^ dir24SpillFlag
-		sp := b.spillForWrite(si)
 		aLo := val & 0xFF
 		aHi := aLo + (uint32(1)<<(32-uint(plen)) - 1)
 		for a := aLo; a <= aHi; a++ {
-			if sp[a] == ent.ref {
-				sp[a] = dir24Ref(b.bestFor(idx<<8 | a))
+			if b.spillGet(si, a) == ent.ref {
+				b.spillSet(si, a, dir24Ref(b.bestFor(idx<<8|a)))
 			}
 		}
 		b.ctl.spillLongs[si]--
@@ -535,10 +513,7 @@ func (b *dir24Backend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResul
 	}
 	addr := uint32(h.Get(b.field).Lo)
 	idx := addr >> 8
-	var ref uint32
-	if pg := b.tbl.Dir[idx>>(cow.PageShift+dir24GroupShift)]; pg != nil {
-		ref = pg[idx>>dir24GroupShift&cow.PageMask][idx&dir24GroupMask]
-	}
+	ref := b.slotGet(idx)
 	if ref&dir24SpillFlag != 0 {
 		if tr != nil {
 			tr.orFieldFull(b.field)

@@ -16,10 +16,11 @@ import (
 var SameResult = sameResult
 
 // CheckTable checks table id against its structures, the structures
-// first. Under mbt, every combination store's prefix stages hold exactly
-// its live keys' prefixes (crossprod.Table.CheckStages) — a stale stage
-// changes no verdict until it prunes a live key — and every range
-// searcher's elementary intervals pass their structural check, which
+// first. Under mbt, every combination store passes its structural check
+// (crossprod.Table.Check: control bytes, binding chains, the overflow
+// freelist, and prefix stages holding exactly its live keys' prefixes —
+// a stale stage changes no verdict until it prunes a live key), and
+// every range searcher's elementary intervals pass theirs, which
 // includes a from-scratch sweep (rangelookup.Table.Check). Then the
 // account: the published memory figure is the live backend's statement
 // as it stands, and the statement is a recount: a backend of the same
@@ -42,7 +43,7 @@ func (p *Pipeline) CheckTable(id openflow.TableID) error {
 			}
 		}
 		for _, c := range combos {
-			if err := c.CheckStages(); err != nil {
+			if err := c.Check(); err != nil {
 				return err
 			}
 		}

@@ -50,21 +50,27 @@ func lpmPipeline(t testing.TB, n int) *Pipeline {
 // tier-1: the same 16-command batch — strict-delete eight rules, re-add
 // them — committed and published on a 2 k-rule and on a 128 k-rule table
 // allocates the same (< 200 allocations per command, the two sizes within
-// 2× of each other) and copies at most copiesPerCmd pages per command on
-// either. Before views, the publish deep-copied the table: 58 k
-// allocations per command at 256 k rules.
+// 2× of each other) and copies at most maxCopiedPerCmd bytes per command
+// on either (cow.Copied: pages copied on write, directories cloned by the
+// publish, flat clones). Before views, the publish deep-copied the table:
+// 58 k allocations per command at 256 k rules. Before control bytes were
+// paged, the publish cloned each dirtied combination store's control
+// bytes whole and a slot write copied a 40 KiB page: 27.9 KiB per command
+// at 2 k rules, 107 KiB at 128 k (4.6 KiB and 12 KiB since).
 func TestCommitCostIndependentOfTableSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the cost model is measured without -race")
 	}
-	// A delete or an add of one LPM rule writes its slot in the backend's
-	// combination store, its slot in the field's partition-combination
-	// store and, when the rule is the last user of a partition value, one
-	// trie page per level walked: at most five pages for a /24 in a 16+16
-	// split with 5-5-6 strides. The re-add finds the pages the delete made
-	// private, so a delete/re-add pair costs what one of them does.
-	const copiesPerCmd = 5
-	measure := func(rules int) (allocsPerCmd, copiesPerCommit float64) {
+	// A delete or an add of one LPM rule writes its slot and control byte
+	// in the backend's combination store and in the field's
+	// partition-combination store (a small page each) and, when the rule
+	// is the last user of a partition value, one 20 KiB trie page per level
+	// walked. The re-add finds the pages the delete made private, so a
+	// delete/re-add pair costs what one of them does. The publish clones
+	// the dirtied arrays' directories, 8 B per page: the one term that
+	// grows with the table, ≈ 6 KiB per command at 128 k rules.
+	const maxCopiedPerCmd = 16 << 10
+	measure := func(rules int) (allocsPerCmd, copiedPerCmd float64) {
 		p := lpmPipeline(t, rules)
 		// Eight rules spread over the table.
 		var batch []*openflow.FlowEntry
@@ -88,16 +94,16 @@ func TestCommitCostIndependentOfTableSize(t *testing.T) {
 		}
 		commit()
 		const runs = 20
-		before := cow.Copies()
+		before := cow.Copied()
 		allocs := testing.AllocsPerRun(runs, commit)
 		// AllocsPerRun runs the function once more to warm up.
-		copied := float64(cow.Copies()-before) / (runs + 1)
-		return allocs / 16, copied
+		copied := float64(cow.Copied()-before) / (runs + 1)
+		return allocs / 16, copied / 16
 	}
-	smallAllocs, smallCopies := measure(2 << 10)
-	largeAllocs, largeCopies := measure(128 << 10)
-	t.Logf("allocations per command: %.1f at 2 k rules, %.1f at 128 k; pages copied per commit: %.1f and %.1f",
-		smallAllocs, largeAllocs, smallCopies, largeCopies)
+	smallAllocs, smallCopied := measure(2 << 10)
+	largeAllocs, largeCopied := measure(128 << 10)
+	t.Logf("allocations per command: %.1f at 2 k rules, %.1f at 128 k; bytes copied per command: %.0f and %.0f",
+		smallAllocs, largeAllocs, smallCopied, largeCopied)
 	for _, a := range []float64{smallAllocs, largeAllocs} {
 		if a >= 200 {
 			t.Errorf("%.1f allocations per command, want < 200", a)
@@ -106,9 +112,9 @@ func TestCommitCostIndependentOfTableSize(t *testing.T) {
 	if largeAllocs > 2*smallAllocs || smallAllocs > 2*largeAllocs {
 		t.Errorf("allocations per command differ by more than 2× between sizes: %.1f and %.1f", smallAllocs, largeAllocs)
 	}
-	for _, c := range []float64{smallCopies, largeCopies} {
-		if c == 0 || c > copiesPerCmd*16 {
-			t.Errorf("%.1f pages copied per commit, want 1..%d", c, copiesPerCmd*16)
+	for _, c := range []float64{smallCopied, largeCopied} {
+		if c == 0 || c > maxCopiedPerCmd {
+			t.Errorf("%.0f bytes copied per command, want 1..%d", c, maxCopiedPerCmd)
 		}
 	}
 }

@@ -5,7 +5,8 @@
 // directory, not the pages; the live side then copies a page the first
 // time it writes it after a publish and writes its private copy in place
 // until the next one. A commit therefore costs the pages it touches plus
-// the directories it dirtied, whatever the size of the table.
+// the directories it dirtied, whatever the size of the table. Copied
+// counts both, in bytes.
 //
 // The invariant everything above relies on: a published page is never
 // written again. Mut is the only way to obtain a writable element, and it
@@ -19,28 +20,46 @@
 package cow
 
 import (
-	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Page geometry: 1024 elements per page, one constant for every element
-// type: a trie slot page is 20 KiB, a combination-store page 40 KiB, and
-// a 256 k-key store's directory 1024 pointers. A structure that wants
-// more elements behind one directory entry pages groups of them (the
-// DIR-24-8 direct table pages four slots per element to keep its
-// directory at 32 KiB).
+// Page geometry: 64 elements per page, one constant for every element
+// type. A commit pays a whole page for every page it writes, and the
+// combination stores write theirs scattered by hash: a 40 B slot costs a
+// 2.5 KiB page rather than a 40 KiB one. The directory is the other
+// term: 8 B per page, cloned whole on every publish that follows a write
+// (64 KiB for a 512 k-slot store). A structure whose lookups want a
+// short directory pages groups of elements instead — a trie level pages
+// groups of 16 slots (1024 per directory entry, 20 KiB pages), the
+// DIR-24-8 direct table groups of 64 slots (4096 per entry), and the
+// combination stores' control bytes groups of 16 bytes (1 KiB pages, a
+// 4 KiB directory for 512 k slots). The constant is chosen by
+// measurement: see README "Views, pages and epochs".
 const (
-	PageShift = 10
+	PageShift = 6
 	PageSize  = 1 << PageShift
 	PageMask  = PageSize - 1
 )
 
-// copies counts copy-on-write page copies process-wide (fresh pages are
-// not copies). Read through Copies by the commit-cost test only.
-var copies atomic.Uint64
+// copied counts the bytes copied to keep views immutable, process-wide:
+// pages copied on write (fresh pages are not copies), directories cloned
+// by Publish and flat arrays copied by Clone. Read through Copied by the
+// commit-cost test and the commit benchmarks.
+var copied atomic.Uint64
 
-// Copies returns the number of pages copied on write since process start.
-func Copies() uint64 { return copies.Load() }
+// Copied returns the bytes copied since process start to keep published
+// views immutable.
+func Copied() uint64 { return copied.Load() }
+
+// Clone returns a copy of s with room for extra more elements, counted in
+// Copied: how a structure that does not page an array copies it whole
+// before writing what a view shares.
+func Clone[T any](s []T, extra int) []T {
+	var zero T
+	copied.Add(uint64(len(s)) * uint64(unsafe.Sizeof(zero)))
+	return append(make([]T, 0, len(s)+extra), s...)
+}
 
 // Array is a paged array of T. The zero value is an empty live array. The
 // struct is what lookups read — the directory — plus one pointer to the
@@ -138,7 +157,7 @@ func (a *Array[T]) own(p int) *[PageSize]T {
 	pg := new([PageSize]T)
 	if old := a.Dir[p]; old != nil {
 		*pg = *old
-		copies.Add(1)
+		copied.Add(uint64(unsafe.Sizeof(*pg)))
 	}
 	a.Dir[p], a.w.owner[p] = pg, a.w.epoch
 	a.w.pub = nil
@@ -159,7 +178,7 @@ func (a *Array[T]) Publish() Array[T] {
 		if sealing.Load() > 0 {
 			a.seal()
 		}
-		w.pub = slices.Clone(a.Dir)
+		w.pub = Clone(a.Dir, 0)
 		w.epoch++
 	} else if w.seals != nil {
 		w.seals.mustVerify()

@@ -58,29 +58,35 @@ func TestViewsAreUnaffectedByLaterWrites(t *testing.T) {
 
 // TestMutCopiesAPageAtMostOncePerPublish pins the cost model: the first
 // write to a published page copies it, later writes until the next
-// Publish do not, fresh pages are not copies, and an unchanged array
-// republishes the same directory.
+// Publish do not, fresh pages are not copies, a Publish after a write
+// clones the directory, an unchanged array republishes the same
+// directory, and Copied counts every copied byte.
 func TestMutCopiesAPageAtMostOncePerPublish(t *testing.T) {
 	var a Array[uint32]
-	base := Copies()
+	const pageBytes = PageSize * 4
+	base := Copied()
 	for i := 0; i < 4*PageSize; i++ {
 		*a.Mut(i) = uint32(i)
 	}
-	if got := Copies() - base; got != 0 {
-		t.Fatalf("filling fresh pages counted %d copies, want 0", got)
+	if got := Copied() - base; got != 0 {
+		t.Fatalf("filling fresh pages copied %d bytes, want 0", got)
 	}
 	v := a.Publish()
+	if got := Copied() - base; got != 4*8 {
+		t.Fatalf("publishing a 4-page array copied %d bytes, want its 32-byte directory", got)
+	}
 	if again := a.Publish(); &again.Dir[0] != &v.Dir[0] {
 		t.Fatal("an unchanged array published a second directory")
 	}
+	base = Copied()
 	for round := 0; round < 3; round++ {
 		*a.Mut(5) = 1
 		*a.Mut(6) = 2
 		*a.Mut(2*PageSize + 1) = 3
 		copy(a.MutSpan(2*PageSize+8, 4), []uint32{4, 5, 6, 7})
 	}
-	if got := Copies() - base; got != 2 {
-		t.Fatalf("writes to two published pages copied %d pages, want 2", got)
+	if got := Copied() - base; got != 2*pageBytes {
+		t.Fatalf("writes to two published pages copied %d bytes, want %d", got, 2*pageBytes)
 	}
 	if v.Get(5) != 5 || v.Get(2*PageSize+9) != uint32(2*PageSize+9) {
 		t.Fatal("the view saw the live side's writes")
@@ -90,6 +96,21 @@ func TestMutCopiesAPageAtMostOncePerPublish(t *testing.T) {
 	}
 	if again := a.Publish(); &again.Dir[0] == &v.Dir[0] {
 		t.Fatal("a changed array republished its old directory")
+	}
+}
+
+// TestCloneCountsItsCopy: a flat clone outside an Array is counted too,
+// and leaves room for the elements asked for.
+func TestCloneCountsItsCopy(t *testing.T) {
+	s := []uint64{1, 2, 3}
+	base := Copied()
+	c := Clone(s, 5)
+	if got := Copied() - base; got != 24 {
+		t.Fatalf("cloning three words counted %d bytes, want 24", got)
+	}
+	c[0] = 9
+	if s[0] != 1 || len(c) != 3 || cap(c) < 8 {
+		t.Fatalf("clone %v (cap %d) of %v", c, cap(c), s)
 	}
 }
 

@@ -35,21 +35,22 @@
 //
 // Sharing. A slot is pointer-free: the winning binding sits inline in the
 // slot and further bindings chain through a paged overflow arena, so a
-// successful probe reads its answer from the slot it matched. Slots, the
-// key arena and the overflow arena are paged (internal/cow) and shared
-// between the live table and the views Publish returns; the control bytes
-// stay one flat array — a probe that misses reads nothing else — and are
-// the one part a publish copies whole (1 byte per slot, when they
-// changed). Stages are published with their table the same way, so a
-// publish of a dims > 2 table copies up to dims−2 more (small)
-// control-byte arrays. Tombstone counts, sequence numbers, the overflow
-// freelist and the stages' reference counts are control state: behind
-// one pointer, never copied, absent from views.
+// successful probe reads its answer from the slot it matched. The control
+// bytes, slots, the key arena and the overflow arena are all paged
+// (internal/cow) and shared between the live table and the views Publish
+// returns: a publish copies directories, never a whole array, and a
+// commit copies the pages it wrote. The control bytes sit in 1 KiB pages
+// behind a directory small enough to stay cached (ctrlArray), so a probe
+// that misses — most of a candidate walk — reads one directory entry and
+// its bytes. Slots are written scattered by hash and so sit in small
+// pages (cow.PageSize slots, 2.5 KiB). Stages are published with their
+// table the same way. Sequence numbers, the overflow freelist and the
+// stages' reference counts are control state: behind one pointer, never
+// copied, absent from views.
 package crossprod
 
 import (
 	"fmt"
-	"slices"
 
 	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
@@ -79,19 +80,6 @@ type binding struct {
 // noNext ends a binding chain.
 const noNext = int32(-1)
 
-// Control bytes of the open-addressed table. A full slot stores
-// ctrlFull | the top 7 bits of its bucket hash, so a probe walking the
-// dense control array rejects almost every non-matching slot from one
-// byte and a miss usually terminates within a single cache line — the
-// Swiss-table idea, scalar variant.
-const (
-	ctrlEmpty uint8 = 0x00
-	ctrlTomb  uint8 = 0x01
-	ctrlFull  uint8 = 0x80
-)
-
-func ctrlOf(bucketHash uint64) uint8 { return ctrlFull | uint8(bucketHash>>57) }
-
 // xslot is one open-addressed bucket. hk caches the packed uint64 key for
 // tables of ≤2 dimensions and the full key hash otherwise, so most probe
 // comparisons are a single word compare; wider keys confirm against the
@@ -107,10 +95,8 @@ type xslot struct {
 // must not run concurrently with lookups on the same Table — concurrent
 // readers use a view from Publish, which mutations never touch.
 type Table struct {
-	// What every probe reads comes first, within one cache line.
-	ctrl  []uint8 // per-slot control byte: empty, tombstone, or full+hash7
-	mask  uint64  // len(ctrl) - 1; len(ctrl) is a power of two
-	used  int     // live keys
+	// What every probe reads comes first.
+	ctrl  ctrlArray // one control byte per slot; ctrl.used counts live keys
 	slots cow.Array[xslot]
 
 	dims   int
@@ -142,15 +128,12 @@ type Table struct {
 
 // control is the state only updates touch. A published view has none.
 type control struct {
-	tombs int // tombstones awaiting the next rehash
 	// freeOver stacks recycled overflow records; nover counts the records
 	// ever allocated.
 	freeOver []int32
 	nover    int
-	// ctrlPub is the flat copy of ctrl the last view took, nil once a
-	// control byte changed; view is that view, nil once anything did.
-	ctrlPub []uint8
-	view    *Table
+	// view is the last published view, nil once anything changed.
+	view *Table
 }
 
 func newTable(dims int) *Table {
@@ -273,76 +256,37 @@ func (t *Table) keysEqual(i int, key []label.Label) bool {
 
 // findSlot returns the index of the slot holding key, or -1.
 func (t *Table) findSlot(hk uint64, key []label.Label) int {
-	if t.used == 0 {
+	if t.ctrl.used == 0 {
 		return -1
 	}
 	bh := t.bucketHash(hk)
 	want := ctrlOf(bh)
-	i := bh & t.mask
-	for {
-		c := t.ctrl[i]
-		if c == ctrlEmpty {
-			return -1
+	for i := t.ctrl.match(bh, want); i >= 0; i = t.ctrl.match(uint64(i)+1, want) {
+		if t.slots.Get(i).hk == hk && (t.packed || t.keysEqual(i, key)) {
+			return i
 		}
-		if c == want && t.slots.Get(int(i)).hk == hk && (t.packed || t.keysEqual(int(i), key)) {
-			return int(i)
-		}
-		i = (i + 1) & t.mask
 	}
-}
-
-// setCtrl writes one control byte.
-func (t *Table) setCtrl(i int, c uint8) {
-	t.ctrl[i] = c
-	t.ctl.ctrlPub = nil
+	return -1
 }
 
 // grow rehashes into a table of at least minSlots buckets, dropping
 // tombstones. The new arrays are fresh; views keep the old ones.
 func (t *Table) grow(minSlots int) {
-	n := 8
-	for n < minSlots {
-		n <<= 1
-	}
-	oldCtrl, oldSlots, oldKeys := t.ctrl, t.slots, t.keys
-	t.ctrl = make([]uint8, n)
+	old := t.ctrl.reset(minSlots)
+	oldSlots, oldKeys := t.slots, t.keys
 	t.slots, t.keys = cow.Array[xslot]{}, cow.Array[label.Label]{}
-	t.slots.Grow(n)
-	t.mask = uint64(n - 1)
-	t.ctl.tombs = 0
-	t.ctl.ctrlPub = nil
-	for oi, c := range oldCtrl {
-		if c&ctrlFull == 0 {
+	t.slots.Grow(t.ctrl.slots())
+	for oi := 0; oi < old.slots(); oi++ {
+		if old.at(uint64(oi))&ctrlFull == 0 {
 			continue
 		}
 		sl := oldSlots.Get(oi)
-		bh := t.bucketHash(sl.hk)
-		i := bh & t.mask
-		for t.ctrl[i] != ctrlEmpty {
-			i = (i + 1) & t.mask
-		}
-		t.ctrl[i] = ctrlOf(bh)
-		*t.slots.Mut(int(i)) = sl
+		i := t.ctrl.claim(t.bucketHash(sl.hk))
+		*t.slots.Mut(i) = sl
 		if !t.packed {
-			copy(t.keys.MutSpan(int(i)<<t.kshift, t.dims), oldKeys.Span(oi<<t.kshift, t.dims))
+			copy(t.keys.MutSpan(i<<t.kshift, t.dims), oldKeys.Span(oi<<t.kshift, t.dims))
 		}
 	}
-}
-
-// claimSlot returns the index of the slot key should be inserted into,
-// growing the table as needed. The returned slot is empty or a tombstone.
-func (t *Table) claimSlot(hk uint64) int {
-	// Keep the load factor (live + tombstones) at or below 1/2, trading a
-	// little memory for short miss probes — the index-calculation stage
-	// probes mostly-absent candidate combinations.
-	if (t.used+t.ctl.tombs+1)*2 > len(t.ctrl) {
-		t.grow((t.used + 1) * 4)
-	}
-	i := t.bucketHash(hk) & t.mask
-	for t.ctrl[i]&ctrlFull != 0 {
-		i = (i + 1) & t.mask
-	}
-	return int(i)
 }
 
 // allocOver stores b in a fresh (or recycled) overflow record.
@@ -374,20 +318,16 @@ func (t *Table) Insert(key []label.Label, b Binding, seq uint64) error {
 	hk := t.hkOf(key)
 	si := t.findSlot(hk, key)
 	if si < 0 {
-		si = t.claimSlot(hk)
-		if t.ctrl[si] == ctrlTomb {
-			t.ctl.tombs--
+		if t.ctrl.needsGrow() {
+			t.grow((t.ctrl.used + 1) * 4)
 		}
-		t.setCtrl(si, ctrlOf(t.bucketHash(hk)))
+		si = t.ctrl.claim(t.bucketHash(hk))
 		*t.slots.Mut(si) = xslot{hk: hk, head: binding{Binding: b, seq: seq, refs: 1, next: noNext}}
 		if !t.packed {
 			copy(t.keys.MutSpan(si<<t.kshift, t.dims), key)
 		}
 		t.bindingCount++
-		t.used++
-		if t.used > t.peakKeys {
-			t.peakKeys = t.used
-		}
+		t.peakKeys = max(t.peakKeys, t.ctrl.used)
 		return nil
 	}
 	// The key exists: reference an equal binding, or splice a new one in,
@@ -464,9 +404,7 @@ func (t *Table) Remove(key []label.Label, b Binding) error {
 		}
 		t.bindingCount--
 		if mhead.next == noNext {
-			t.setCtrl(si, ctrlTomb)
-			t.used--
-			t.ctl.tombs++
+			t.ctrl.tomb(si)
 			return nil
 		}
 		// The next binding in line moves up into the slot.
@@ -498,7 +436,7 @@ func (t *Table) HasPrefix(prefix []label.Label, h uint64) bool {
 	if n < 0 || n >= len(t.stages) {
 		return true
 	}
-	return t.stages[n].has(stageWord(prefix, h))
+	return t.stages[n].find(stageWord(prefix, h)) >= 0
 }
 
 // refStages adds delta references to key's prefix in every stage.
@@ -516,7 +454,7 @@ func (t *Table) refStages(key []label.Label, delta int32) {
 // LookupPacked is Lookup on a table of ≤2 dimensions with the key already
 // packed into one word: dimension 0 in the low half, dimension 1 above.
 func (t *Table) LookupPacked(pk uint64) (Binding, bool) {
-	if !t.packed || t.used == 0 {
+	if !t.packed || t.ctrl.used == 0 {
 		return Binding{}, false
 	}
 	b, _, ok := t.lookupHK(pk, nil)
@@ -535,7 +473,7 @@ func (t *Table) Lookup(key []label.Label) (Binding, bool) {
 // comparing bindings from several candidate keys can break priority ties
 // by it.
 func (t *Table) LookupSeq(key []label.Label) (Binding, uint64, bool) {
-	if len(key) != t.dims || t.used == 0 {
+	if len(key) != t.dims || t.ctrl.used == 0 {
 		return Binding{}, 0, false
 	}
 	return t.lookupHK(t.hkOf(key), key)
@@ -546,7 +484,7 @@ func (t *Table) LookupSeq(key []label.Label) (Binding, uint64, bool) {
 // incrementally while enumerating candidate keys. Packed tables (≤2
 // dimensions) derive the probe from the key itself and ignore h.
 func (t *Table) LookupSeqHash(key []label.Label, h uint64) (Binding, uint64, bool) {
-	if len(key) != t.dims || t.used == 0 {
+	if len(key) != t.dims || t.ctrl.used == 0 {
 		return Binding{}, 0, false
 	}
 	if t.packed {
@@ -555,50 +493,35 @@ func (t *Table) LookupSeqHash(key []label.Label, h uint64) (Binding, uint64, boo
 	return t.lookupHK(h, key)
 }
 
-// lookupHK probes for the key. The miss path reads the flat control bytes
-// only; a page directory is consulted after a control byte matched.
+// lookupHK probes for the key. The miss path reads control bytes only;
+// the slot directory is consulted after a control byte matched.
 func (t *Table) lookupHK(hk uint64, key []label.Label) (Binding, uint64, bool) {
 	bh := t.bucketHash(hk)
 	want := ctrlOf(bh)
-	ctrl, mask := t.ctrl, t.mask
-	i := bh & mask
-	for {
-		c := ctrl[i&mask]
-		if c == ctrlEmpty {
-			return Binding{}, 0, false
+	for i := t.ctrl.match(bh, want); i >= 0; i = t.ctrl.match(uint64(i)+1, want) {
+		sl := &t.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
+		if sl.hk == hk && (t.packed || t.keysEqual(i, key)) {
+			return sl.head.Binding, sl.head.seq, true
 		}
-		if c == want {
-			j := i & mask
-			sl := &t.slots.Dir[j>>cow.PageShift][j&cow.PageMask]
-			if sl.hk == hk && (t.packed || t.keysEqual(int(j), key)) {
-				return sl.head.Binding, sl.head.seq, true
-			}
-		}
-		i++
 	}
+	return Binding{}, 0, false
 }
 
 // Publish returns an immutable view of the table as it stands, sharing
-// every slot, key and overflow page with t; the control bytes are copied
-// flat when they changed since the previous view. Later updates to t
+// every control, slot, key and overflow page with t. Later updates to t
 // never show in the view, and the same view is returned until the next
 // update. Safe for concurrent lookups; mutating a view panics.
 func (t *Table) Publish() *Table {
 	c := t.ctl
 	if c.view == nil {
-		if c.ctrlPub == nil {
-			c.ctrlPub = slices.Clone(t.ctrl)
-		}
 		v := &Table{
 			dims:         t.dims,
 			packed:       t.packed,
 			kshift:       t.kshift,
-			ctrl:         c.ctrlPub,
+			ctrl:         t.ctrl.publish(),
 			slots:        t.slots.Publish(),
 			keys:         t.keys.Publish(),
 			over:         t.over.Publish(),
-			mask:         t.mask,
-			used:         t.used,
 			bindingCount: t.bindingCount,
 			peakKeys:     t.peakKeys,
 		}
@@ -612,7 +535,7 @@ func (t *Table) Publish() *Table {
 }
 
 // Keys returns the number of distinct combination keys stored.
-func (t *Table) Keys() int { return t.used }
+func (t *Table) Keys() int { return t.ctrl.used }
 
 // PeakKeys returns the high-water mark of distinct keys.
 func (t *Table) PeakKeys() int { return t.peakKeys }
@@ -622,10 +545,7 @@ func (t *Table) PeakKeys() int { return t.peakKeys }
 // mark it found, its inserts having raised the provisioned combination
 // memory before they were undone.
 func (t *Table) RestorePeakKeys(peak int) {
-	if peak < t.used {
-		peak = t.used
-	}
-	t.peakKeys = peak
+	t.peakKeys = max(peak, t.ctrl.used)
 	t.ctl.view = nil
 }
 

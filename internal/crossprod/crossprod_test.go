@@ -162,7 +162,8 @@ func TestPeakKeys(t *testing.T) {
 }
 
 // Property: a table over random workloads behaves as a multimap with
-// priority-ordered values.
+// priority-ordered values, and passes its structural check (control
+// bytes, chain order, overflow freelist) after every step.
 func TestTableInvariants(t *testing.T) {
 	rng := xrand.New(77)
 	tbl := MustNew(2)
@@ -177,7 +178,7 @@ func TestTableInvariants(t *testing.T) {
 				key: [2]label.Label{label.Label(rng.Intn(20)), label.Label(rng.Intn(20))},
 				b:   Binding{Priority: rng.Intn(10), Payload: uint32(rng.Intn(5))},
 			}
-			if err := tbl.Insert(e.key[:], e.b, 0); err != nil {
+			if err := tbl.Insert(e.key[:], e.b, uint64(rng.Intn(4))); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, e)
@@ -188,6 +189,9 @@ func TestTableInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live[:k], live[k+1:]...)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 	// The head of every key must be its max-priority live binding.
@@ -210,8 +214,6 @@ func TestTableInvariants(t *testing.T) {
 	}
 }
 
-// liveKey is one stored key with the sum of the reference counts of the
-// bindings under it.
 // Property: after every step of a random Insert/Remove stream — duplicate
 // bindings, prefixes shared by many keys, wildcard labels, removes of
 // absent keys and of absent bindings under present keys — each stage
@@ -291,7 +293,7 @@ func TestStagesTrackLivePrefixes(t *testing.T) {
 				}
 				live = append(live[:k], live[k+1:]...)
 			}
-			if err := tbl.CheckStages(); err != nil {
+			if err := tbl.Check(); err != nil {
 				t.Fatal(err)
 			}
 			// Probe the key this step touched and a random one, on the

@@ -25,7 +25,7 @@ func recount(t *Trie) []LevelStats {
 		lv := &t.levels[lvl]
 		base := int(id) << uint(lv.stride)
 		for i := 0; i < 1<<uint(lv.stride); i++ {
-			sl := lv.slots.Get(base + i)
+			sl := *lv.at(base + i)
 			if !sl.empty() {
 				out[lvl].OccupiedSlots++
 			}

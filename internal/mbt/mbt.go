@@ -131,12 +131,39 @@ type level struct {
 	// [i<<stride, (i+1)<<stride) of the nslots allocated so far. Freed
 	// node blocks are recycled through the control state's freelist
 	// rather than compacted, so node indexes stay stable.
-	slots  cow.Array[slot]
+	slots  cow.Array[slotGroup]
 	nslots int
 
 	nodes         int
 	occupiedSlots int
 	entries       int
+}
+
+// Slot geometry: a level's arena pages groups of slots so that one
+// directory entry covers 1024 slots (a 20 KiB page) whatever
+// cow.PageSize is. A trie step reads one directory entry before its
+// slot, and a level's directory stays short enough to stay cached under
+// random lookups. The price is paid by updates that write a trie, which
+// copy 20 KiB per page: the pipeline's tries are written only when a
+// partition value gains its first user or loses its last.
+const (
+	slotPageShift  = 10
+	slotGroupShift = slotPageShift - cow.PageShift
+	slotGroupMask  = 1<<slotGroupShift - 1
+)
+
+type slotGroup [1 << slotGroupShift]slot
+
+// at returns arena slot i for reading. Every slot of an allocated node
+// has its page.
+func (lv *level) at(i int) *slot {
+	return &lv.slots.Dir[i>>slotPageShift][i>>slotGroupShift&cow.PageMask][i&slotGroupMask]
+}
+
+// mut returns arena slot i for writing, in a page private to the live
+// side (cow.Array.Mut).
+func (lv *level) mut(i int) *slot {
+	return &lv.slots.Mut(i >> slotGroupShift)[i&slotGroupMask]
 }
 
 // levelControl is the update-only state of one level.
@@ -276,7 +303,7 @@ func (t *Trie) allocNode(lvl int) int32 {
 	}
 	base := int(id) << uint(lv.stride)
 	for i := base; i < base+(1<<uint(lv.stride)); i++ {
-		*lv.slots.Mut(i) = slot{child: noIndex, over: noIndex}
+		*lv.mut(i) = slot{child: noIndex, over: noIndex}
 	}
 	return id
 }
@@ -295,12 +322,12 @@ func (t *Trie) slotIndex(lvl int, id int32, idx uint32) int {
 
 // slotAt reads slot idx of node id at level lvl.
 func (t *Trie) slotAt(lvl int, id int32, idx uint32) slot {
-	return t.levels[lvl].slots.Get(t.slotIndex(lvl, id, idx))
+	return *t.levels[lvl].at(t.slotIndex(lvl, id, idx))
 }
 
 // slotMut returns slot idx of node id at level lvl for writing.
 func (t *Trie) slotMut(lvl int, id int32, idx uint32) *slot {
-	return t.levels[lvl].slots.Mut(t.slotIndex(lvl, id, idx))
+	return t.levels[lvl].mut(t.slotIndex(lvl, id, idx))
 }
 
 // allocOver allocates (or recycles) an overflow record holding e with the
@@ -568,7 +595,7 @@ func (t *Trie) Lookup(key uint64) (lab label.Label, plen int, ok bool) {
 	for l := range t.levels {
 		lv := &t.levels[l]
 		i := int(node)<<uint(lv.stride) + int(uint32(key>>lv.shift)&lv.mask)
-		sl := &lv.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
+		sl := lv.at(i)
 		if sl.cnt > 0 {
 			// The head is the longest entry and deeper levels always hold
 			// strictly longer prefixes, so overwrite the best match.
@@ -611,7 +638,7 @@ func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEnt
 		lv := &t.levels[l]
 		consumed = lv.before + lv.stride
 		i := int(node)<<uint(lv.stride) + int(uint32(key>>lv.shift)&lv.mask)
-		sl := &lv.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
+		sl := lv.at(i)
 		if sl.cnt > 0 {
 			dst = append(dst, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
 			for cur := sl.over; cur != noIndex; {

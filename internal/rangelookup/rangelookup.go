@@ -12,6 +12,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/label"
 )
 
@@ -218,16 +219,11 @@ func (t *Table) own() {
 	case t.starts == nil:
 		t.starts, t.offs = []uint64{0}, []uint32{0, 0}
 	case t.shared:
-		t.starts = clone(t.starts, 2)
-		t.offs = clone(t.offs, 2)
-		t.labs = clone(t.labs, 2*len(t.starts))
+		t.starts = cow.Clone(t.starts, 2)
+		t.offs = cow.Clone(t.offs, 2)
+		t.labs = cow.Clone(t.labs, 2*len(t.starts))
 	}
 	t.shared = false
-}
-
-// clone copies s with room for extra more elements.
-func clone[T any](s []T, extra int) []T {
-	return append(make([]T, 0, len(s)+extra), s...)
 }
 
 // span returns the intervals [a, b) that [lo, hi] covers, splitting the
