@@ -1,8 +1,10 @@
 package ofmtl_test
 
 import (
+	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
@@ -296,38 +298,53 @@ func BenchmarkCommitACL(b *testing.B) {
 	benchChurn(b, p, f.FlowEntries(), 1)
 }
 
-// benchChurn commits b.N transactions on table 0 shaped like the
-// benchmark's churn batch: eight strict deletes of installed rules,
-// visiting pool stride entries apart, plus the re-adds of the eight the
-// previous transaction deleted, applied and published in one Commit.
+// benchChurn commits b.N churn transactions on table 0 (churn.commit).
 // Beside ns/op it reports copiedB/op, the bytes each commit copied to
 // keep published views immutable (cow.Copied): the work count a commit's
 // time follows.
 func benchChurn(b *testing.B, p *core.Pipeline, pool []openflow.FlowEntry, stride int) {
-	const half = 8
-	var deleted, readd []int
-	next := 0
+	c := &churn{p: p, pool: pool, stride: stride}
 	b.ReportAllocs()
 	b.ResetTimer()
 	copied := cow.Copied()
 	for i := 0; i < b.N; i++ {
-		tx := p.Begin()
-		deleted = deleted[:0]
-		for k := 0; k < half; k++ {
-			e := &pool[next]
-			tx.DeleteStrict(0, e.Priority, e.Matches...)
-			deleted = append(deleted, next)
-			next = (next + stride) % len(pool)
-		}
-		for _, idx := range readd {
-			tx.Add(0, &pool[idx])
-		}
-		if _, err := tx.Commit(); err != nil {
+		if err := c.commit(); err != nil {
 			b.Fatal(err)
 		}
-		deleted, readd = readd, deleted
 	}
 	b.ReportMetric(float64(cow.Copied()-copied)/float64(b.N), "copiedB/op")
+}
+
+// churn commits transactions on one table shaped like the benchmark's
+// churn batch: eight strict deletes of installed rules, visiting pool
+// stride entries apart, plus the re-adds of the eight the previous
+// transaction deleted, applied and published in one Commit.
+type churn struct {
+	p              *core.Pipeline
+	table          openflow.TableID
+	pool           []openflow.FlowEntry
+	stride, next   int
+	deleted, readd []int
+}
+
+func (c *churn) commit() error {
+	const half = 8
+	tx := c.p.Begin()
+	c.deleted = c.deleted[:0]
+	for k := 0; k < half; k++ {
+		e := &c.pool[c.next]
+		tx.DeleteStrict(c.table, e.Priority, e.Matches...)
+		c.deleted = append(c.deleted, c.next)
+		c.next = (c.next + c.stride) % len(c.pool)
+	}
+	for _, idx := range c.readd {
+		tx.Add(c.table, &c.pool[idx])
+	}
+	if _, err := tx.Commit(); err != nil {
+		return err
+	}
+	c.deleted, c.readd = c.readd, c.deleted
+	return nil
 }
 
 // BenchmarkCommitLPMMegaflow measures one churn-shaped flow-mod
@@ -369,6 +386,95 @@ func BenchmarkCommitLPMMegaflow(b *testing.B) {
 	// prime stride spreads the churn over the table, as the benchmark's
 	// random pick does.
 	benchChurn(b, p, pool, 7919)
+}
+
+// BenchmarkExecuteTailUnderCommits measures the latency tail of Execute
+// while commits arrive: the paper's 4-table prototype (the gozb MAC and
+// coza routing filters) behind both cache tiers, sized as the benchmark's
+// proto_zipf workload sizes them, classifying Zipf(1.1) traffic while
+// another goroutine commits a churn transaction (churn.commit) on the
+// largest table every 2 ms. It reports the p99 and p99.99 of one
+// Execute's latency, at 10 ns resolution.
+func BenchmarkExecuteTailUnderCommits(b *testing.B) {
+	mac, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := filterset.GenerateRoute("coza", filterset.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.BuildPrototype(mac, rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SetCacheSize(1 << 16)
+	p.SetMegaflowSize(1 << 14)
+	macTrace := traffic.MACTraceZipf(mac, 4096, 1<<17, 0.95, 1.1, 1)
+	rtTrace := traffic.RouteTraceZipf(rt, 4096, 1<<17, 0.95, 1.1, 1)
+	var trace []openflow.Header
+	for i := range macTrace {
+		trace = append(trace, macTrace[i], rtTrace[i])
+	}
+	c := &churn{p: p, stride: 7919}
+	most := 0
+	for _, info := range p.TableInfos() {
+		if info.Rules > most {
+			c.table, most = info.ID, info.Rules
+		}
+	}
+	p.VisitFlows(int(c.table), 0, 0, 0, 0, func(fs *core.FlowStats) bool {
+		e := fs.Entry.Clone()
+		e.Ref = 0
+		c.pool = append(c.pool, *e)
+		return true
+	})
+	for i := range trace {
+		h := trace[i]
+		p.Execute(&h)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if err := c.commit(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	const bucketNs, buckets = 10, 1_000_000 // up to 10 ms; longer calls land in the last bucket
+	hist := make([]uint32, buckets)
+	n := 0
+	for b.Loop() {
+		h := trace[n%len(trace)]
+		start := time.Now()
+		p.Execute(&h)
+		hist[min(int(time.Since(start)/bucketNs), buckets-1)]++
+		n++
+	}
+	close(stop)
+	<-done
+	quantileUs := func(q float64) float64 {
+		rank := uint64(math.Ceil(q * float64(n)))
+		var seen uint64
+		for i, k := range hist {
+			if seen += uint64(k); seen >= rank {
+				return float64(i*bucketNs) / 1e3
+			}
+		}
+		return float64(buckets*bucketNs) / 1e3
+	}
+	b.ReportMetric(quantileUs(0.99), "p99-us")
+	b.ReportMetric(quantileUs(0.9999), "p99.99-us")
 }
 
 // BenchmarkLUTLookup measures the exact-match hash LUT.

@@ -221,10 +221,11 @@ func (t *LookupTable) buildBackendFromStore(kind string) (Backend, error) {
 	return nb, nil
 }
 
-// swapBackend publishes nb as the table's live backend: the migration
-// commit boundary. The generation bump marks every published snapshot
-// stale, so the next lookup's rebuild serves the new scheme and — through
-// the snapshot version — invalidates both cache tiers in one step.
+// swapBackend makes nb the table's live backend: the migration commit
+// boundary. The generation bump retires the table's view, so the next
+// snapshot — published by the migration, or after the commit whose
+// insert forced the swap — serves the new scheme and, through its
+// version, invalidates both cache tiers in one step.
 func (t *LookupTable) swapBackend(nb Backend, reason uint32) {
 	t.backend = nb
 	t.migrations.Add(1)
@@ -232,7 +233,7 @@ func (t *LookupTable) swapBackend(nb Backend, reason uint32) {
 	t.lastMig = time.Now().UnixNano()
 	// Measured latency so far belongs to the old scheme; restart the EWMA.
 	t.ewmaNs = 0
-	t.gen.Add(1)
+	t.gen++
 	t.publishStats()
 }
 
@@ -259,7 +260,7 @@ func (t *LookupTable) unswapBackend(s *swappedBackend) {
 	t.migrations.Add(^uint64(0))
 	t.lastReason.Store(s.reason)
 	t.lastMig, t.ewmaNs = s.lastMig, s.ewmaNs
-	t.gen.Add(1)
+	t.gen++
 	t.publishStats()
 }
 
@@ -412,7 +413,7 @@ func (p *Pipeline) migrateTableLocked(t *LookupTable, kind string, reason uint32
 	// Restart the latency baseline: accumulated samples measured the old
 	// scheme.
 	t.lastLatSum, t.lastLatCount = p.lat.totals(t.cfg.ID)
-	p.rebuildSnapshotLocked()
+	p.snap.Store(p.buildSnapshotLocked())
 	return MigrationEvent{Table: t.cfg.ID, From: from, To: kind, Reason: MigrateReasonName(reason)}, nil
 }
 

@@ -175,9 +175,12 @@ func TestAutotunePinnedTablesUntouched(t *testing.T) {
 // there (through the auto constructor — plain dir24 would reject the
 // multi-field shape). When a rule later constrains the second field,
 // the insert migrates the table back to mbt inline instead of erroring,
-// and the new rule matches.
+// and the new rule matches. The advisor scores with the seed model:
+// calibrating it times lookups, which a loaded machine skews enough to
+// rank tss first.
 func TestAutotuneShapeMigratesOffDIR24(t *testing.T) {
 	p := NewPipeline()
+	p.tuneCalibrated = true
 	cfg := TableConfig{
 		ID:      0,
 		Fields:  []openflow.FieldID{openflow.FieldIPv4Dst, openflow.FieldIPv4Src},

@@ -25,7 +25,7 @@ import (
 // views of itself for the pipeline's RCU snapshots, and states the
 // modelled memory its structures occupy. The LookupTable keeps everything
 // scheme-independent — configuration, the control-plane rule store the
-// transactional API resolves against, generation counters and the
+// transactional API resolves against, its mutation counter and view, and the
 // published memory-stats pointer — and delegates the rest.
 
 // Backend kind names, the values TableConfig.Backend, the switchd

@@ -66,11 +66,10 @@ func (e *BudgetError) Error() string {
 func (p *Pipeline) SetMemoryBudget(bits uint64) {
 	p.memBudget.Store(bits)
 	p.mu.Lock()
-	// Dirty the snapshot so SnapshotMemoryStats picks the figure up on
-	// its next load; an eagerly-rebuilt (megaflow-tier) snapshot would
-	// otherwise stay fresh and keep serving the old budget. The rebuild
-	// reuses every table view — only the embedded stats are reread.
-	p.structGen.Add(1)
+	// Retract the snapshot so SnapshotMemoryStats picks the figure up on
+	// its next load. The next publish reuses every table view — only the
+	// embedded stats are reread.
+	p.retract()
 	p.adjustPressureLocked()
 	p.mu.Unlock()
 }
@@ -99,9 +98,9 @@ func (p *Pipeline) SetTableBudget(id openflow.TableID, bits uint64) error {
 	}
 	t.budgetBits = bits
 	t.publishStats()
-	// Dirty the snapshot too (see SetMemoryBudget): the table views are
+	// Retract the snapshot too (see SetMemoryBudget): the table views are
 	// all reusable, but the embedded per-table stats must be reread.
-	p.structGen.Add(1)
+	p.retract()
 	return nil
 }
 

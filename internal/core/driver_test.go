@@ -1428,8 +1428,7 @@ func (d *modelDriver) checkFlows(view string, got map[string]FlowStats) int {
 func (d *modelDriver) recount() {
 	d.t.Helper()
 	for _, id := range d.m.order {
-		t, _ := d.p.Table(id)
-		if gen := t.Generation(); d.recounted[id] != gen {
+		if gen := d.p.Generation(id); d.recounted[id] != gen {
 			d.recounted[id] = gen
 			if err := d.p.CheckTable(id); err != nil {
 				d.fatalf("table %d: %v", id, err)

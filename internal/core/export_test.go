@@ -68,6 +68,14 @@ func (p *Pipeline) CheckTable(id openflow.TableID) error {
 	return nil
 }
 
+// Generation returns table id's mutation counter: each insert, remove
+// and backend swap advances it.
+func (p *Pipeline) Generation(id openflow.TableID) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tables[id].gen
+}
+
 // Wildcards reports, for an mbt table, how many live rules leave
 // dimension dim open and whether its wildcard bit is set.
 func (p *Pipeline) Wildcards(id openflow.TableID, dim int) (n int, on, isMBT bool) {

@@ -19,10 +19,10 @@ import (
 //     next-hop shape) — repointing the bucket retargets them all.
 //
 // Groups are pipeline-level state, mutated outside flow transactions.
-// Each mutation bumps a generation counter; snapshots capture the
-// generation, so the first lookup after a group-mod observes a stale
-// snapshot, republishes, and thereby invalidates both cache tiers —
-// cached results that baked in the old buckets cannot be served again.
+// Each mutation retracts the published snapshot, so the first lookup
+// after a group-mod publishes a new one, and thereby invalidates both
+// cache tiers — cached results that baked in the old buckets cannot be
+// served again.
 //
 // Flows referencing a group hold a reference on it from insert to
 // removal; deleting a referenced group is refused, so a lookup can
@@ -184,8 +184,9 @@ func (gv *groupView) get(id uint32) *Group {
 	return gv.byID[id]
 }
 
-// rebuildGroupViewLocked publishes a fresh immutable view and bumps the
-// group generation so live snapshots go stale. Caller holds p.mu.
+// rebuildGroupViewLocked publishes a fresh immutable view and retracts
+// the snapshot, which still executes against the old one. Caller holds
+// p.mu.
 func (p *Pipeline) rebuildGroupViewLocked() {
 	gt := p.groupTab
 	gt.mu.Lock()
@@ -195,7 +196,7 @@ func (p *Pipeline) rebuildGroupViewLocked() {
 	}
 	gt.mu.Unlock()
 	p.groupsView.Store(v)
-	p.groupGen.Add(1)
+	p.retract()
 }
 
 // AddGroup installs a new group. It fails if the ID is already in use
@@ -220,8 +221,9 @@ func (p *Pipeline) AddGroup(g Group) error {
 
 // ModifyGroup replaces an existing group's type and buckets, keeping
 // its references. Flows pointing at the group observe the new buckets
-// on their next lookup — the generation bump has invalidated every
-// cached result baked against the old ones.
+// on their next lookup — the retracted snapshot's successor has a new
+// version, which invalidates every cached result baked against the old
+// ones.
 func (p *Pipeline) ModifyGroup(g Group) error {
 	if err := g.validate(); err != nil {
 		return err

@@ -21,15 +21,14 @@ import (
 // Execute and ExecuteBatch while others commit transactions and AddTable.
 // Lookups run lock-free against an immutable copy-on-write snapshot
 // published through an atomic pointer (RCU style); mutations serialise on
-// an internal write lock and invalidate the snapshot, which is
-// republished lazily on the next lookup, so bursts of updates pay for one
-// publish.
+// an internal write lock and end by publishing a snapshot of what they
+// wrote or by retracting the published one, which the next lookup then
+// publishes, so bursts of updates pay for one publish.
 // Direct mutation of a *LookupTable obtained from AddTable or Table is
 // permitted only while no concurrent lookups run (e.g. during the
-// single-threaded build phase); the snapshot engine detects those
-// mutations through the table generation counters.
+// single-threaded build phase); it retracts the pipeline's snapshot too.
 type Pipeline struct {
-	mu     sync.Mutex // serialises mutations and snapshot refresh
+	mu     sync.Mutex // serialises mutations and snapshot publishes
 	tables map[openflow.TableID]*LookupTable
 	order  []openflow.TableID
 
@@ -43,15 +42,12 @@ type Pipeline struct {
 	// accounting pointer without ever touching mu.
 	tablesView atomic.Pointer[[]*LookupTable]
 
-	// structGen counts table-set changes (AddTable); snapshots record it
-	// to detect structural staleness.
-	structGen atomic.Uint64
 	// snapVersion numbers published snapshots; a flow-cache entry is valid
 	// only for the version stamped on it, so a rebuild invalidates the whole
 	// exact tier without flush traffic.
 	snapVersion atomic.Uint64
-	// snap is the published immutable lookup state; nil until the first
-	// lookup.
+	// snap is the published immutable lookup state: current, or nil
+	// until the next lookup publishes it.
 	snap atomic.Pointer[snapshot]
 	// tiers are the optional flow-cache tiers in front of the multi-table
 	// walk, in probe order: tierExact, the microflow tier, and tierMasked,
@@ -89,12 +85,10 @@ type Pipeline struct {
 	// timeout state, and the ref allocator (see lifecycle.go).
 	dir *flowDir
 
-	// Group-table state: the mutable table, the immutable execution view,
-	// and the generation counter whose bump marks every snapshot stale
-	// after a group mutation (see groups.go).
+	// Group-table state: the mutable table and the immutable execution
+	// view snapshots capture (see groups.go).
 	groupTab   *groupTable
 	groupsView atomic.Pointer[groupView]
-	groupGen   atomic.Uint64
 
 	// Expiry sweeper state and lifecycle telemetry.
 	expiryMu    sync.Mutex
@@ -117,12 +111,9 @@ type Pipeline struct {
 	txCommands  atomic.Uint64
 	txRejected  atomic.Uint64
 
-	// infoCache serves TableInfos without re-allocating: the cached slice
-	// is rebuilt only when a table-set or rule mutation invalidates it
-	// (infoStructGen / infoGens record the generations it was built at).
-	infoCache     []TableInfo
-	infoGens      []uint64
-	infoStructGen uint64
+	// infoCache serves TableInfos without re-allocating: a writer clears
+	// it where it retracts or publishes the snapshot.
+	infoCache []TableInfo
 
 	// lat is the per-table lookup-latency sampler feeding the autotune
 	// advisor: sampled walks (one in latSampleEvery) time each Classify
@@ -204,6 +195,7 @@ func (p *Pipeline) AddTable(cfg TableConfig) (*LookupTable, error) {
 	}
 	t.dir = p.dir
 	t.groups = p.groupTab
+	t.pipe = p
 	p.tables[cfg.ID] = t
 	p.order = append(p.order, cfg.ID)
 	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
@@ -212,7 +204,7 @@ func (p *Pipeline) AddTable(cfg TableConfig) (*LookupTable, error) {
 		view = append(view, p.tables[id])
 	}
 	p.tablesView.Store(&view)
-	p.structGen.Add(1)
+	p.retract()
 	return t, nil
 }
 
@@ -275,28 +267,15 @@ type TableInfo struct {
 func (p *Pipeline) TableInfos() []TableInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.infoCache != nil && p.infoStructGen == p.structGen.Load() {
-		stale := false
-		for i, id := range p.order {
-			if p.tables[id].gen.Load() != p.infoGens[i] {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			return p.infoCache
-		}
+	if p.infoCache != nil {
+		return p.infoCache
 	}
 	infos := make([]TableInfo, 0, len(p.order))
-	gens := make([]uint64, 0, len(p.order))
 	for _, id := range p.order {
 		t := p.tables[id]
 		infos = append(infos, TableInfo{ID: id, Fields: t.Fields(), Rules: t.Rules()})
-		gens = append(gens, t.gen.Load())
 	}
 	p.infoCache = infos
-	p.infoGens = gens
-	p.infoStructGen = p.structGen.Load()
 	return infos
 }
 
@@ -543,7 +522,7 @@ func applyInstructions(h *openflow.Header, sc *execScratch, instrs []openflow.In
 //
 // The walk runs over the RCU snapshot's immutable views, not the live
 // tables, so assembling the (potentially large) component list holds no
-// lock. A stale snapshot is refreshed first — briefly under the write
+// lock. A retracted snapshot is published first — briefly under the write
 // lock, the same publish the next lookup would otherwise pay for — but
 // the component assembly itself never serialises against commits. Views
 // carry every population statistic and high-water mark the cost model

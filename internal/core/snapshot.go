@@ -15,10 +15,13 @@ import (
 // pointer and classify lock-free against whatever snapshot they loaded —
 // a reader that raced a concurrent update simply observes the state from
 // just before or just after it, never a half-applied one. Writers mutate
-// the live tables under the pipeline write lock and bump per-table
-// generation counters; the snapshot is republished lazily on the first
-// lookup that observes a stale generation, so a burst of updates costs
-// one publish, not one per update.
+// the live tables under the pipeline write lock, which readers never
+// take while a snapshot is published. A writer's last step publishes a
+// snapshot of what it wrote (a commit with the megaflow tier on, a
+// backend migration) or retracts the published one (every other writer);
+// so a published snapshot is always current, and a reader that finds
+// none publishes one under the write lock. A burst of commits with no
+// lookup in between costs one publish, not one per commit.
 //
 // A view is not a copy. The mbt and dir24 backends keep their lookup
 // state in pages (internal/cow) that the live table and its views share:
@@ -45,9 +48,6 @@ import (
 
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
-	// structGen is the pipeline's table-set generation this snapshot was
-	// built at.
-	structGen uint64
 	// version identifies this snapshot; it increases with every rebuild
 	// and scopes the validity of microflow cache entries.
 	version uint64
@@ -55,25 +55,16 @@ type snapshot struct {
 	// masked tier: its window is [mfBase, version].
 	mfBase uint64
 	order  []openflow.TableID
-	tables map[openflow.TableID]*snapTable
 	// byID indexes the views densely by table identifier, so the walk's
 	// goto-table hops cost an array load instead of a map probe.
 	byID [256]*LookupTable
-	// srcs/gens mirror tables in pipeline order for the freshness check:
-	// iterating two flat slices per lookup is markedly cheaper than
-	// ranging over the map.
-	srcs []*LookupTable
-	gens []uint64
 	// intern points at the owning pipeline's canonical-slice store, which
 	// keeps Result construction allocation-free (see intern.go).
 	intern *resultIntern
 	// groups is the immutable group-table view this snapshot executes
-	// against; groupGen is the generation it was captured at. A group
-	// mutation bumps the pipeline's generation, so the next lookup finds
-	// the snapshot stale and republishes — which is what invalidates every
-	// cached result that baked in the old buckets.
-	groups   *groupView
-	groupGen uint64
+	// against. A group mutation retracts the snapshot, which is what
+	// invalidates every cached result that baked in the old buckets.
+	groups *groupView
 	// dir is the owning pipeline's lifecycle directory (counter
 	// attribution for walks executed against this snapshot).
 	dir *flowDir
@@ -85,29 +76,6 @@ type snapshot struct {
 	// A reader holding the snapshot therefore sees lookup results and
 	// memory figures from the same committed state.
 	mem MemoryStats
-}
-
-// snapTable binds a live table to the view published from it.
-type snapTable struct {
-	src  *LookupTable // the mutable table the view was published from
-	gen  uint64       // src's generation at publish time
-	view *LookupTable // immutable; serves concurrent Classify calls
-}
-
-// fresh reports whether the snapshot still reflects the live tables.
-func (s *snapshot) fresh(p *Pipeline) bool {
-	if s.structGen != p.structGen.Load() {
-		return false
-	}
-	if s.groupGen != p.groupGen.Load() {
-		return false
-	}
-	for i, src := range s.srcs {
-		if src.gen.Load() != s.gens[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // executeScratch classifies one header using caller-owned scratch. Batch
@@ -136,23 +104,22 @@ func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch, traced bo
 	return res
 }
 
-// loadSnapshot returns a snapshot reflecting every completed mutation.
-// The fast path is a single atomic load plus one generation comparison
-// per table; the slow path (first lookup after an update) republishes
-// the stale tables under the write lock, reusing the views of unchanged
-// ones.
+// loadSnapshot returns the published snapshot: one atomic load, since a
+// published snapshot is current. Only a reader that finds none — the
+// first lookup after a writer retracted it — takes the write lock, to
+// publish one.
 func (p *Pipeline) loadSnapshot() *snapshot {
-	if s := p.snap.Load(); s != nil && s.fresh(p) {
+	if s := p.snap.Load(); s != nil {
 		return s
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.snap.Load()
-	if s != nil && s.fresh(p) {
-		// Another reader refreshed while we waited for the lock.
-		return s
+	if s == nil { // no other reader published while we waited for the lock
+		s = p.buildSnapshotLocked()
+		p.snap.Store(s)
 	}
-	return p.rebuildSnapshotLocked()
+	return s
 }
 
 // window returns the fill versions the snapshot accepts from a tier.
@@ -163,52 +130,34 @@ func (s *snapshot) window(tier int) window {
 	return window{s.version, s.version}
 }
 
-// rebuildSnapshotLocked publishes the stale tables and a new snapshot
-// of them, with a fresh masked-tier window, under the already-held write
-// lock. Callers: loadSnapshot's slow path and a backend migration
-// (autotune.go). Tx.Commit builds and publishes in two steps of its own when
-// the megaflow tier is enabled (its sweep runs in between).
-func (p *Pipeline) rebuildSnapshotLocked() *snapshot {
-	ns := p.buildSnapshotLocked()
-	p.snap.Store(ns)
-	return ns
+// retract withdraws the published snapshot, and the TableInfos cache
+// with it: the last step of a writer that does not publish a snapshot of
+// what it wrote. Callers hold the write lock, or are a table's direct
+// Insert or Remove in the single-threaded build phase.
+func (p *Pipeline) retract() {
+	p.snap.Store(nil)
+	p.infoCache = nil
 }
 
-// buildSnapshotLocked publishes the stale tables and builds a snapshot of
-// them, with a fresh masked-tier window, without publishing it; it bumps
-// the version counter exactly once.
+// buildSnapshotLocked builds a snapshot of the live state, with a fresh
+// masked-tier window, without publishing it; it bumps the version counter
+// exactly once. Tables unchanged since their last view reuse it.
 func (p *Pipeline) buildSnapshotLocked() *snapshot {
-	s := p.snap.Load()
 	ver := p.snapVersion.Add(1)
 	ns := &snapshot{
-		structGen: p.structGen.Load(),
-		version:   ver,
-		mfBase:    ver,
-		order:     append([]openflow.TableID(nil), p.order...),
-		tables:    make(map[openflow.TableID]*snapTable, len(p.tables)),
-		intern:    &p.intern,
-		groups:    p.groupsView.Load(),
-		groupGen:  p.groupGen.Load(),
-		dir:       p.dir,
-		lat:       p.lat,
+		version: ver,
+		mfBase:  ver,
+		order:   append([]openflow.TableID(nil), p.order...),
+		intern:  &p.intern,
+		groups:  p.groupsView.Load(),
+		dir:     p.dir,
+		lat:     p.lat,
 	}
 	ns.mem.BudgetBits = p.memBudget.Load()
-	for id, t := range p.tables {
-		gen := t.gen.Load()
-		if s != nil {
-			if st, ok := s.tables[id]; ok && st.src == t && st.gen == gen {
-				ns.tables[id] = st
-				continue
-			}
-		}
-		ns.tables[id] = &snapTable{src: t, gen: gen, view: t.publish()}
-	}
 	for _, id := range ns.order {
-		st := ns.tables[id]
-		ns.byID[id] = st.view
-		ns.srcs = append(ns.srcs, st.src)
-		ns.gens = append(ns.gens, st.gen)
-		tm := st.src.stats.Load()
+		t := p.tables[id]
+		ns.byID[id] = t.viewLocked()
+		tm := t.stats.Load()
 		ns.mem.Tables = append(ns.mem.Tables, *tm)
 		ns.mem.TotalBits += tm.TotalBits()
 	}
@@ -218,8 +167,8 @@ func (p *Pipeline) buildSnapshotLocked() *snapshot {
 // SnapshotMemoryStats returns the memory accounting embedded in the
 // current lookup snapshot — the figures consistent with the state
 // concurrent lookups are classifying against. Like MemoryStats it is
-// lock-free on the fast path (the snapshot refreshes lazily only after a
-// mutation).
+// lock-free on the fast path (a reader publishes a snapshot only after a
+// writer retracted it).
 func (p *Pipeline) SnapshotMemoryStats() MemoryStats {
 	return p.loadSnapshot().mem
 }
@@ -453,10 +402,9 @@ func (p *Pipeline) ExecuteBatchInto(hs []*openflow.Header, res []Result) []Resul
 	return res
 }
 
-// Refresh forces the snapshot to be rebuilt on the next lookup. It is
-// never required for correctness — staleness is detected through the
-// generation counters — but lets callers that mutated tables directly
-// move the publish off the lookup path.
+// Refresh publishes a snapshot of the live state unless one is
+// published. It is never required for correctness, but lets callers that
+// mutated tables directly move the publish off the lookup path.
 func (p *Pipeline) Refresh() {
 	p.loadSnapshot()
 }

@@ -44,9 +44,8 @@ type TableConfig struct {
 // LookupTable is one OpenFlow lookup table of the architecture. The
 // scheme-independent shell owns the configuration, the control-plane rule
 // store the transactional API resolves non-strict commands against, the
-// generation counter the snapshot engine watches, and the published
-// memory accounting; the data-plane search itself is delegated to the
-// configured Backend.
+// view snapshots serve, and the published memory accounting; the
+// data-plane search itself is delegated to the configured Backend.
 type LookupTable struct {
 	cfg     TableConfig
 	backend Backend
@@ -62,10 +61,16 @@ type LookupTable struct {
 	// not carry it: they serve Classify only.
 	store ruleStore
 
-	// gen counts successful mutations. The pipeline's snapshot engine
-	// compares it against the generation a view was published at to decide
-	// whether the view is still current.
-	gen atomic.Uint64
+	// gen counts successful mutations; view is the table as published at
+	// gen == viewGen, reused by every snapshot until the table changes.
+	// Only writers read them, under the pipeline write lock.
+	gen     uint64
+	view    *LookupTable
+	viewGen uint64
+
+	// pipe is the pipeline the table was added to; nil for standalone
+	// tables. A direct Insert or Remove retracts its snapshot.
+	pipe *Pipeline
 
 	// stats is the table's published memory accounting, republished after
 	// every successful mutation. Readers (Pipeline.MemoryStats, snapshot
@@ -263,6 +268,9 @@ func (t *LookupTable) Memory() TableMemory { return *t.stats.Load() }
 // may reuse the entry's slices immediately.
 func (t *LookupTable) Insert(e *openflow.FlowEntry) error {
 	_, err := t.insert(e)
+	if t.pipe != nil {
+		t.pipe.retract()
+	}
 	return err
 }
 
@@ -317,7 +325,7 @@ func (t *LookupTable) link(sr *storedRule) error {
 	}
 	t.rules++
 	t.trackShape(&sr.entry, +1)
-	t.gen.Add(1)
+	t.gen++
 	t.publishStats()
 	return nil
 }
@@ -334,6 +342,9 @@ func (t *LookupTable) Remove(e *openflow.FlowEntry) error {
 	}
 	if t.dir != nil {
 		t.dir.free(sr.entry.Ref)
+	}
+	if t.pipe != nil {
+		t.pipe.retract()
 	}
 	return nil
 }
@@ -372,7 +383,7 @@ func (t *LookupTable) unlink(sr *storedRule) error {
 	t.trackShape(&sr.entry, -1)
 	t.store.remove(sr)
 	t.rules--
-	t.gen.Add(1)
+	t.gen++
 	t.publishStats()
 	return nil
 }
@@ -399,16 +410,19 @@ func (t *LookupTable) Classify(h *openflow.Header) (MatchResult, bool) {
 	return m, ok
 }
 
-// Generation returns the table's mutation counter. Each successful Insert
-// or Remove advances it; the pipeline snapshot engine uses it to detect
-// stale views.
-func (t *LookupTable) Generation() uint64 { return t.gen.Load() }
+// viewLocked returns the table as snapshots serve it, publishing a new
+// view only when the table changed since the last one.
+func (t *LookupTable) viewLocked() *LookupTable {
+	if t.view == nil || t.viewGen != t.gen {
+		t.view, t.viewGen = t.publish(), t.gen
+	}
+	return t.view
+}
 
 // publish returns the table as a snapshot serves it: the configuration
 // and an immutable view of the backend (see Backend.Publish), so it can
 // serve concurrent Classify calls while the original keeps taking
-// updates. Its generation counter restarts at zero; the snapshot engine
-// records the source generation separately.
+// updates.
 func (t *LookupTable) publish() *LookupTable {
 	c := &LookupTable{
 		cfg:        t.cfg,

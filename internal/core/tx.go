@@ -14,9 +14,10 @@ import (
 // DeleteStrict commands and Commit validates and applies them all under
 // one hold of the write lock. Readers observe either the pre-commit or
 // the post-commit state — never an intermediate one — because lookups
-// run against the RCU snapshot, which is republished at most once after the
-// commit completes. A 256-command commit therefore publishes exactly one
-// snapshot and invalidates the microflow cache exactly once, where 256
+// run against the RCU snapshot: until the commit ends they keep the one
+// published before it, without waiting for the write lock the commit
+// holds. A 256-command commit therefore costs one snapshot publish
+// and invalidates the microflow cache exactly once, where 256
 // single-entry mutations interleaved with lookups could publish 256.
 //
 // Commands resolve against the tables' rule stores in order, so later
@@ -202,9 +203,10 @@ type undoOp struct {
 // Commit validates and applies the transaction atomically: either every
 // command applies and Commit returns what changed, or none do and Commit
 // returns the first error. Lookups racing the commit observe the
-// pre-commit snapshot until the commit completes, then republish once —
-// one snapshot publish and one microflow-cache generation bump per
-// commit, regardless of how many commands it carried.
+// pre-commit snapshot until the commit completes; then the commit
+// publishes the post-commit snapshot or retracts the old one, for the
+// next lookup to publish — one snapshot and one microflow-cache version
+// per commit, regardless of how many commands it carried.
 //
 // A transaction commits at most once; further Commit calls error.
 func (tx *Tx) Commit() (TxResult, error) {
@@ -240,12 +242,10 @@ func (tx *Tx) Commit() (TxResult, error) {
 	}
 	defer p.flushStatsLocked()
 
-	// Whether the published snapshot reflects every table, the table set
-	// and the groups as they stand: then the snapshot this commit publishes
-	// differs from it by the commit's own rules alone, and the megaflow
-	// sweep below may carry its window forward.
+	// A published snapshot is current: then the snapshot this commit
+	// publishes differs from it by the commit's own rules alone, and the
+	// megaflow sweep below may carry its window forward.
 	prev := p.snap.Load()
-	carry := prev != nil && prev.fresh(p)
 
 	// Phase 2: sequential application with an undo log. Each command
 	// resolves against the rule store as left by its predecessors.
@@ -254,6 +254,9 @@ func (tx *Tx) Commit() (TxResult, error) {
 	reject := func(err error) (TxResult, error) {
 		p.rollback(undo)
 		p.restoreMarksLocked()
+		if len(undo) > 0 {
+			p.retract()
+		}
 		p.txRejected.Add(1)
 		return TxResult{}, err
 	}
@@ -290,23 +293,28 @@ func (tx *Tx) Commit() (TxResult, error) {
 	p.txCommitted.Add(1)
 	p.txCommands.Add(uint64(len(tx.cmds)))
 
-	// Megaflow precise invalidation. With the tier disabled, the snapshot
-	// stays lazily rebuilt (a fresh window already invalidates both cache
-	// tiers wholesale). With it enabled, the commit builds the snapshot
-	// eagerly — still exactly one version bump — and, when the previous
-	// snapshot differed from the live state by nothing, carries its
-	// masked-tier window forward: every touched rule (the undo log holds
-	// each inserted and removed canonical entry) is projected onto
-	// packed-key space, and the sweep evicts every cached (mask, key)
+	// Megaflow precise invalidation. With the tier disabled, the commit
+	// retracts the snapshot and the next lookup publishes one (a fresh
+	// window already invalidates both cache tiers wholesale). With it
+	// enabled, the commit builds the snapshot eagerly — still exactly one
+	// version bump — and, when a snapshot was published as it began,
+	// carries its masked-tier window forward: every touched rule (the undo
+	// log holds each inserted and removed canonical entry) is projected
+	// onto packed-key space, and the sweep evicts every cached (mask, key)
 	// region in the old window it can affect before the snapshot is
 	// published. Untouched regions keep their stamps and keep serving
 	// hits across the commit. Otherwise the snapshot opens a fresh window.
-	if m := p.tiers[tierMasked].Load(); m != nil && len(undo) > 0 {
+	switch m := p.tiers[tierMasked].Load(); {
+	case len(undo) == 0:
+		// Nothing applied: the published snapshot stays current.
+	case m == nil:
+		p.retract()
+	default:
 		// Publish suspended stats now so the eager snapshot embeds this
 		// commit's accounting (the deferred flush then finds nothing).
 		p.flushStatsLocked()
 		ns := p.buildSnapshotLocked()
-		if carry {
+		if prev != nil {
 			shadows := make([]ruleShadow, 0, len(undo))
 			for _, op := range undo {
 				if op.sr != nil { // a backend swap changes no verdict
@@ -317,6 +325,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 			ns.mfBase = prev.mfBase
 		}
 		p.snap.Store(ns)
+		p.infoCache = nil
 	}
 
 	// One pressure-controller step per committed transaction: shed or

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ofmtl/internal/cow"
+	"ofmtl/internal/failpoint"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -340,5 +343,86 @@ func TestSnapshotLinearizability(t *testing.T) {
 		if r := p.Execute(&h); got(&r) != expected[commits][j] {
 			t.Errorf("after the stream, probe %d: output %d, want %d", j, got(&r), expected[commits][j])
 		}
+	}
+}
+
+// TestReadersNeverWaitForCommit holds a commit at the commit failpoint
+// (build with -tags failpoint) after it has applied its commands, and
+// reads on another goroutine: Execute and ExecuteBatchInto must answer
+// from the snapshot published before the commit — the pre-commit verdict
+// — well inside the hold, and give the post-commit verdict once Commit
+// returns. Readers take no lock, so none waits behind a writer.
+func TestReadersNeverWaitForCommit(t *testing.T) {
+	if !failpoint.Armed {
+		t.Skip("fault injection is compiled in only with -tags failpoint")
+	}
+	const hold = time.Second
+	for _, tiers := range []bool{false, true} {
+		name := "tiers-off"
+		if tiers {
+			name = "tiers-on"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer failpoint.DisarmAll()
+			p := lpmPipeline(t, 256)
+			if tiers {
+				p.SetCacheSize(1024)
+				p.SetMegaflowSize(1024)
+			}
+			probe := openflow.Header{IPv4Dst: 0x0A000105} // 10.0.1.5: the /24 says port 2
+			batch := make([]openflow.Header, 64)
+			hs := make([]*openflow.Header, len(batch))
+			var res []Result
+			port := func(r *Result) uint32 {
+				if len(r.Outputs) == 0 {
+					return 0
+				}
+				return r.Outputs[0]
+			}
+			check := func(when string, want uint32) {
+				h := probe
+				if r := p.Execute(&h); port(&r) != want {
+					t.Errorf("%s: Execute forwards to port %d, want %d", when, port(&r), want)
+				}
+				for i := range batch {
+					batch[i], hs[i] = probe, &batch[i]
+				}
+				res = p.ExecuteBatchInto(hs, res)
+				for i := range res {
+					if got := port(&res[i]); got != want {
+						t.Errorf("%s: ExecuteBatchInto packet %d forwards to port %d, want %d", when, i, got, want)
+						break
+					}
+				}
+			}
+			check("before the commit", 2) // and publishes the snapshot
+
+			if err := failpoint.Arm(failpoint.SiteCommit, "delay:"+hold.String()); err != nil {
+				t.Fatal(err)
+			}
+			committed := make(chan error, 1)
+			go func() {
+				tx := p.Begin().Add(0, lpmRule(0x0A000100, 28, 4242))
+				_, err := tx.Commit()
+				committed <- err
+			}()
+			for failpoint.Hits(failpoint.SiteCommit) == 0 {
+				runtime.Gosched()
+			}
+			start := time.Now()
+			check("while the commit is held", 2)
+			if waited := time.Since(start); waited > hold/4 {
+				t.Errorf("reads took %v while a commit was held for %v", waited, hold)
+			}
+			select {
+			case <-committed:
+				t.Fatal("the reads returned only after the commit did")
+			default:
+			}
+			if err := <-committed; err != nil {
+				t.Fatal(err)
+			}
+			check("after the commit", 4242)
+		})
 	}
 }
