@@ -144,22 +144,6 @@ func BenchmarkExtBaselineSweep(b *testing.B) {
 	benchExperiment(b, "ext-baseline-sweep", nil)
 }
 
-// BenchmarkUpdateFileReplay measures the concrete update-file replay path
-// (Section V.B) for a mid-sized MAC filter.
-func BenchmarkUpdateFileReplay(b *testing.B) {
-	f, err := filterset.GenerateMAC("bbra", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt, _ := update.MACUpdateFiles(f)
-	e := update.Engine{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img := update.NewMemoryImage()
-		e.Replay(opt, img)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Micro benchmarks: the hot paths of the architecture.
 // ---------------------------------------------------------------------
@@ -762,7 +746,7 @@ func BenchmarkPipelineExecuteBatch(b *testing.B) {
 	benchBatch(b, p, traffic.MACTrace(f, 4096, 0.9, 1))
 }
 
-// BenchmarkUpdatePlans measures update-file construction for the largest
+// BenchmarkUpdatePlans measures update-plan construction for the largest
 // routing filter (what the controller does per Section V.B).
 func BenchmarkUpdatePlans(b *testing.B) {
 	f, err := filterset.GenerateRoute("coza", filterset.DefaultSeed)

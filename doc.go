@@ -8,9 +8,10 @@
 // simulation behind the paper's evaluation.
 //
 // The implementation lives under internal/; the binaries under cmd/
-// (ofmem, flowgen, switchd, ofctl) and the runnable examples under
-// examples/ are the public surface. bench_test.go in this directory
-// regenerates every table and figure of the paper as Go benchmarks; see
-// README.md for build and run instructions, the package map, and the
-// design of the concurrent snapshot lookup engine.
+// (ofmem, flowgen, switchd, ofctl) are the public surface, and the
+// Example functions of internal/core and internal/ofproto show the
+// in-process and over-the-wire control plane. bench_test.go in this
+// directory regenerates every table and figure of the paper as Go
+// benchmarks; see README.md for build and run instructions, the package
+// map, and the design of the concurrent snapshot lookup engine.
 package ofmtl

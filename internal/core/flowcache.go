@@ -503,26 +503,16 @@ func (c *flowCache) retire(d *flowDir) {
 	}
 }
 
-// CacheStats reports the microflow tier's effectiveness and size.
+// TierStats reports one cache tier's effectiveness and shape.
 // Hits+Misses is every packet that reached the tier's rung of the
 // ladder; Bypassed is how many of the Misses never probed because the
 // admission rule had the tier bypassed (see ladder.go).
-type CacheStats struct {
-	Hits     uint64
-	Misses   uint64
-	Bypassed uint64
-	Entries  int  // configured capacity (0 = cache disabled)
-	Armed    bool // false while bypassed (or disabled)
-}
-
-// MegaflowStats reports the megaflow tier's effectiveness and shape;
-// the fields it shares with CacheStats read the same.
-type MegaflowStats struct {
+type TierStats struct {
 	Hits     uint64
 	Misses   uint64
 	Bypassed uint64
 	Entries  int  // configured capacity (0 = tier disabled)
-	Masks    int  // distinct masks (tuples) cached
+	Masks    int  // distinct masks (tuples) cached; 1 for the microflow tier
 	Armed    bool // false while bypassed (or disabled)
 }
 
@@ -552,23 +542,20 @@ func (p *Pipeline) setTierSize(tier, entries int) {
 	}
 }
 
-// tierStats reads one tier's counters and shape.
-func (p *Pipeline) tierStats(tier int) MegaflowStats {
+// tierStats reads one tier's counters and shape. A disabled tier
+// reports zero entries.
+func (p *Pipeline) tierStats(tier int) TierStats {
 	c := p.tiers[tier].Load()
 	if c == nil {
-		return MegaflowStats{}
+		return TierStats{}
 	}
-	st := MegaflowStats{Entries: c.entries, Masks: len(*c.tuples.Load()), Armed: !c.adm.bypassed.Load()}
+	st := TierStats{Entries: c.entries, Masks: len(*c.tuples.Load()), Armed: !c.adm.bypassed.Load()}
 	st.Hits, st.Misses, st.Bypassed = c.adm.totals()
 	return st
 }
 
-// CacheStats returns the microflow tier's counters. A disabled tier
-// reports zero entries.
-func (p *Pipeline) CacheStats() CacheStats {
-	st := p.tierStats(tierExact)
-	return CacheStats{Hits: st.Hits, Misses: st.Misses, Bypassed: st.Bypassed, Entries: st.Entries, Armed: st.Armed}
-}
+// CacheStats returns the microflow tier's counters.
+func (p *Pipeline) CacheStats() TierStats { return p.tierStats(tierExact) }
 
-// MegaflowStats returns the megaflow tier's counters, likewise.
-func (p *Pipeline) MegaflowStats() MegaflowStats { return p.tierStats(tierMasked) }
+// MegaflowStats returns the megaflow tier's counters.
+func (p *Pipeline) MegaflowStats() TierStats { return p.tierStats(tierMasked) }

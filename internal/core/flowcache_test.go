@@ -110,8 +110,8 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 func TestMicroflowCacheEvictionAndSizing(t *testing.T) {
 	f, p, ref := mirroredMACPipelines(t, 1) // clamps to the minimum table
 	st := p.CacheStats()
-	if st.Entries <= 0 {
-		t.Fatalf("configured cache reports %d entries", st.Entries)
+	if st.Entries <= 0 || st.Masks != 1 {
+		t.Fatalf("configured cache reports %d entries, %d masks (want one exact-match tuple)", st.Entries, st.Masks)
 	}
 	// Far more distinct flows than slots: every flow still classifies
 	// exactly like the reference walk, evictions notwithstanding.

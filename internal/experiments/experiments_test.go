@@ -2,18 +2,35 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ofmtl/internal/filterset"
 )
 
-func testConfig() Config {
-	return Config{Seed: filterset.DefaultSeed, ACLRules: 250, TraceLen: 800}
+// checkGolden compares rep, rendered as ofmem prints it, byte for byte
+// with testdata/<id>.txt. The golden files are ofmem's own output:
+// `go run ./cmd/ofmem -out DIR` writes DIR/<id>.txt for every experiment,
+// and a change that moves a report must regenerate them that way.
+func checkGolden(t *testing.T, rep *Report) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := rep.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", rep.ID+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s report differs from testdata/%s.txt:\n--- got\n%s--- want\n%s", rep.ID, rep.ID, got.Bytes(), want)
+	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", testConfig()); err == nil {
+	if _, err := Run("nope", DefaultConfig()); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
@@ -29,14 +46,29 @@ func TestIDsMatchRegistry(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", id)
 		}
 		seen[id] = true
+		if _, err := os.Stat(filepath.Join("testdata", id+".txt")); err != nil {
+			t.Errorf("experiment %s has no golden report: %v", id, err)
+		}
 	}
 }
 
-func TestTable2ReproducesRegistry(t *testing.T) {
-	rep, err := Run("table2", testConfig())
+func TestTable1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table1 builds and probes six baseline classifiers")
+	}
+	rep, err := Run("table1", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
+}
+
+func TestTable2ReproducesRegistry(t *testing.T) {
+	rep, err := Run("table2", DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 15 {
 		t.Fatalf("table2 rows = %d, want 15", len(rep.Rows))
 	}
@@ -50,10 +82,11 @@ func TestTable2ReproducesRegistry(t *testing.T) {
 
 func TestTable3And4MatchPaperExactly(t *testing.T) {
 	for _, id := range []string{"table3", "table4"} {
-		rep, err := Run(id, testConfig())
+		rep, err := Run(id, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, rep)
 		if len(rep.Rows) != 16 {
 			t.Fatalf("%s rows = %d, want 16", id, len(rep.Rows))
 		}
@@ -66,10 +99,11 @@ func TestTable3And4MatchPaperExactly(t *testing.T) {
 }
 
 func TestFig2aShape(t *testing.T) {
-	rep, err := Run("fig2a", testConfig())
+	rep, err := Run("fig2a", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 16 {
 		t.Fatalf("fig2a rows = %d", len(rep.Rows))
 	}
@@ -94,10 +128,11 @@ func TestFig2aShape(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	rep, err := Run("fig2b", testConfig())
+	rep, err := Run("fig2b", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 16 {
 		t.Fatalf("fig2b rows = %d", len(rep.Rows))
 	}
@@ -120,10 +155,11 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	rep, err := Run("fig3", testConfig())
+	rep, err := Run("fig3", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	for i, row := range rep.Rows {
 		l1, l2, l3 := rep.CellFloat(i, 1), rep.CellFloat(i, 2), rep.CellFloat(i, 3)
 		// L1 is fixed at 32 entries and tiny (paper: < 1 Kbit).
@@ -144,10 +180,11 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	repA, err := Run("fig4a", testConfig())
+	repA, err := Run("fig4a", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, repA)
 	if len(repA.Rows) != 12 {
 		t.Errorf("fig4a rows = %d, want 12 regular filters", len(repA.Rows))
 	}
@@ -156,10 +193,11 @@ func TestFig4Shapes(t *testing.T) {
 			t.Errorf("outlier %s should not appear in fig4a", row[0])
 		}
 	}
-	repB, err := Run("fig4b", testConfig())
+	repB, err := Run("fig4b", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, repB)
 	if len(repB.Rows) != 8 {
 		t.Errorf("fig4b rows = %d, want 4 outliers x 2 tries", len(repB.Rows))
 	}
@@ -180,10 +218,11 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	rep, err := Run("fig5", testConfig())
+	rep, err := Run("fig5", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 32 {
 		t.Fatalf("fig5 rows = %d, want 32 (16 filters x 2 apps)", len(rep.Rows))
 	}
@@ -210,7 +249,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	rep, err := Run("table2", testConfig())
+	rep, err := Run("table2", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +274,11 @@ func TestHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline builds the 192k-rule prototype")
 	}
-	rep, err := Run("headline", testConfig())
+	rep, err := Run("headline", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	mbtRow := rep.FindRow("multi-bit tries (Ethernet + IPv4)")
 	if mbtRow < 0 {
 		t.Fatal("MBT row missing")
@@ -258,10 +298,11 @@ func TestHeadlineShape(t *testing.T) {
 }
 
 func TestAblationStrides(t *testing.T) {
-	rep, err := Run("ablation-strides", testConfig())
+	rep, err := Run("ablation-strides", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	// The single-level {16} configuration must be the memory worst case
 	// (full 2^16 expansion), and the paper's {5,5,6} must beat it hugely.
 	flat := rep.FindRow("{16}")
@@ -286,10 +327,11 @@ func TestExtScalingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep builds large pipelines")
 	}
-	rep, err := Run("ext-scaling", testConfig())
+	rep, err := Run("ext-scaling", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 5 {
 		t.Fatalf("scaling rows = %d", len(rep.Rows))
 	}
@@ -307,10 +349,11 @@ func TestExtScalingShape(t *testing.T) {
 }
 
 func TestAblationLUTWays(t *testing.T) {
-	rep, err := Run("ablation-lutways", testConfig())
+	rep, err := Run("ablation-lutways", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("lutways rows = %d", len(rep.Rows))
 	}
@@ -331,10 +374,11 @@ func TestExtBaselineSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("baseline sweep builds several classifiers")
 	}
-	rep, err := Run("ext-baseline-sweep", testConfig())
+	rep, err := Run("ext-baseline-sweep", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	// Every algorithm's memory grows with the rule count.
 	mem := map[string][]float64{}
 	for i, row := range rep.Rows {
@@ -350,10 +394,11 @@ func TestExtBaselineSweep(t *testing.T) {
 }
 
 func TestAblationLabel(t *testing.T) {
-	rep, err := Run("ablation-label", testConfig())
+	rep, err := Run("ablation-label", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, rep)
 	for i, row := range rep.Rows {
 		naive, labelled := rep.CellInt(i, 2), rep.CellInt(i, 3)
 		if labelled >= naive {

@@ -203,43 +203,6 @@ func FuzzClientDecode(f *testing.F) {
 	})
 }
 
-// The per-decoder targets below predate the two above, whose corpora
-// carry all of their seeds. They stay as thin wrappers so their seed
-// cases keep their test names; each runs the same check on one message
-// type's payloads.
-
-func fuzzPayloads(f *testing.F, codecs map[MsgType]wireCodec, typ MsgType, payloads [][]byte) {
-	for _, p := range payloads {
-		f.Add(p)
-	}
-	f.Fuzz(func(t *testing.T, payload []byte) { checkDecode(t, typ, codecs[typ], payload) })
-}
-
-// FuzzDecodeFlowMod fuzzes batches of one flow-mod.
-func FuzzDecodeFlowMod(f *testing.F) {
-	fuzzPayloads(f, serverCodecs, MsgFlowModBatch, flowModSeeds())
-}
-
-func FuzzDecodeFlowModBatch(f *testing.F) {
-	fuzzPayloads(f, serverCodecs, MsgFlowModBatch, flowModBatchSeeds())
-}
-
-func FuzzDecodePacketBatch(f *testing.F) {
-	fuzzPayloads(f, serverCodecs, MsgPacketBatch, packetBatchSeeds())
-}
-
-func FuzzDecodeStats(f *testing.F) {
-	fuzzPayloads(f, clientCodecs, MsgStatsReply, statsSeeds(f))
-}
-
-func FuzzDecodeCacheStatsReply(f *testing.F) {
-	fuzzPayloads(f, clientCodecs, MsgStatsReply, cacheStatsSeeds(f))
-}
-
-func FuzzDecodeAdvisorStatsReply(f *testing.F) {
-	fuzzPayloads(f, clientCodecs, MsgStatsReply, advisorStatsSeeds(f))
-}
-
 // flowModSeeds are batches of one: each sample command, then a record
 // that is empty, one with a valid op and nothing else, and one of all
 // ones.
@@ -285,8 +248,8 @@ func statsSeeds(tb testing.TB) [][]byte {
 // truncated and with trailing garbage.
 func cacheStatsSeeds(tb testing.TB) [][]byte {
 	good := mustEncodeStats(tb, &Stats{
-		Microflow: core.CacheStats{Hits: 1, Entries: 512, Armed: true},
-		Megaflow:  core.MegaflowStats{Hits: 2, Masks: 3},
+		Microflow: core.TierStats{Hits: 1, Entries: 512, Masks: 1, Armed: true},
+		Megaflow:  core.TierStats{Hits: 2, Masks: 3},
 		Pressure:  core.PressureStats{Shrinks: 1},
 	})
 	return [][]byte{good, {}, good[:len(good)-1], append(append([]byte(nil), good...), '}')}

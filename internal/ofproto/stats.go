@@ -23,9 +23,9 @@ type Stats struct {
 	Memory core.MemoryStats `json:"memory"`
 	// M20KBlocks is the memory model's FPGA block count for Memory's
 	// total (the paper's Tables III/IV).
-	M20KBlocks int                `json:"m20k_blocks"`
-	Microflow  core.CacheStats    `json:"microflow"`
-	Megaflow   core.MegaflowStats `json:"megaflow"`
+	M20KBlocks int            `json:"m20k_blocks"`
+	Microflow  core.TierStats `json:"microflow"`
+	Megaflow   core.TierStats `json:"megaflow"`
 	// Pressure is the cache-tier degradation controller's activity
 	// against the memory budget.
 	Pressure  core.PressureStats  `json:"pressure"`
@@ -118,9 +118,8 @@ func (s *Stats) WriteText(w io.Writer) error {
 		}
 		fmt.Fprintln(bw)
 	}
-	mf := &s.Megaflow
-	writeTier(bw, "microflow cache", s.Microflow.Entries, -1, s.Microflow.Hits, s.Microflow.Misses, s.Microflow.Bypassed, s.Microflow.Armed)
-	writeTier(bw, "megaflow tier", mf.Entries, mf.Masks, mf.Hits, mf.Misses, mf.Bypassed, mf.Armed)
+	writeTier(bw, "microflow cache", &s.Microflow, false)
+	writeTier(bw, "megaflow tier", &s.Megaflow, true)
 	fmt.Fprintf(bw, "memory pressure: level %d, %d shrinks / %d regrows (megaflow degrades first, then microflow)\n",
 		s.Pressure.Level, s.Pressure.Shrinks, s.Pressure.Regrows)
 	fmt.Fprintf(bw, "control plane: %d transactions, %d flow-mod commands, %d rejected\n",
@@ -160,24 +159,24 @@ func (s *Stats) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeTier renders one cache tier's line; masks < 0 omits the mask
-// count (the microflow tier is a single exact-match tuple).
-func writeTier(w io.Writer, name string, entries, masks int, hits, misses, bypassed uint64, armed bool) {
-	if entries <= 0 {
+// writeTier renders one cache tier's line; the mask count is shown for
+// the megaflow tier only (the microflow tier is one exact-match tuple).
+func writeTier(w io.Writer, name string, st *core.TierStats, masks bool) {
+	if st.Entries <= 0 {
 		fmt.Fprintf(w, "%s: disabled\n", name)
 		return
 	}
-	fmt.Fprintf(w, "%s: %d entries, ", name, entries)
-	if masks >= 0 {
-		fmt.Fprintf(w, "%d masks, ", masks)
+	fmt.Fprintf(w, "%s: %d entries, ", name, st.Entries)
+	if masks {
+		fmt.Fprintf(w, "%d masks, ", st.Masks)
 	}
 	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = float64(hits) / float64(hits+misses) * 100
+	if st.Hits+st.Misses > 0 {
+		hitPct = float64(st.Hits) / float64(st.Hits+st.Misses) * 100
 	}
 	state := "armed"
-	if !armed {
+	if !st.Armed {
 		state = "bypassed"
 	}
-	fmt.Fprintf(w, "%d hits / %d misses (%.1f%% hit), %d bypassed, %s\n", hits, misses, hitPct, bypassed, state)
+	fmt.Fprintf(w, "%d hits / %d misses (%.1f%% hit), %d bypassed, %s\n", st.Hits, st.Misses, hitPct, st.Bypassed, state)
 }

@@ -169,8 +169,8 @@ func TestStatsRoundTrip(t *testing.T) {
 			TotalBits: 1<<40 + 101, BudgetBits: 1 << 42,
 		},
 		M20KBlocks: 3,
-		Microflow:  core.CacheStats{Hits: 1 << 63, Misses: 12345, Bypassed: 9, Entries: 1024, Armed: true},
-		Megaflow:   core.MegaflowStats{Hits: 99, Misses: 7, Entries: 1 << 14, Masks: 5},
+		Microflow:  core.TierStats{Hits: 1 << 63, Misses: 12345, Bypassed: 9, Entries: 1024, Masks: 1, Armed: true},
+		Megaflow:   core.TierStats{Hits: 99, Misses: 7, Entries: 1 << 14, Masks: 5},
 		Pressure:   core.PressureStats{Shrinks: 2, Regrows: 1, Level: 1},
 		Tx:         core.TxCounters{Txs: 10, Commands: 100, Rejected: 1},
 		Lifecycle:  core.LifecycleStats{Flows: 4, ExpiredIdle: 1, ExpiredHard: 2, Sweeps: 3, Removed: 3, RemovedDropped: 1, Groups: 2},
@@ -268,8 +268,8 @@ func TestMemoryStatsCodecRejectsMalformed(t *testing.T) {
 // extremes of every counter.
 func TestCacheStatsCodecRoundTrip(t *testing.T) {
 	in := &Stats{
-		Microflow: core.CacheStats{Hits: 1 << 63, Misses: 12345, Bypassed: ^uint64(0), Entries: 1024, Armed: true},
-		Megaflow:  core.MegaflowStats{Hits: 99999999, Misses: 7, Bypassed: 1, Entries: 1 << 14, Masks: 5},
+		Microflow: core.TierStats{Hits: 1 << 63, Misses: 12345, Bypassed: ^uint64(0), Entries: 1024, Masks: 1, Armed: true},
+		Megaflow:  core.TierStats{Hits: 99999999, Misses: 7, Bypassed: 1, Entries: 1 << 14, Masks: 5},
 		Pressure:  core.PressureStats{Shrinks: 2, Regrows: 1, Level: 3},
 	}
 	if out := roundTripStats(t, in); out.Microflow.Bypassed != ^uint64(0) {
@@ -280,7 +280,7 @@ func TestCacheStatsCodecRoundTrip(t *testing.T) {
 // TestCacheStatsCodecRejectsMalformed covers truncation, trailing
 // garbage and wrong JSON types in the cache sections.
 func TestCacheStatsCodecRejectsMalformed(t *testing.T) {
-	good := mustEncodeStats(t, &Stats{Microflow: core.CacheStats{Hits: 1}})
+	good := mustEncodeStats(t, &Stats{Microflow: core.TierStats{Hits: 1}})
 	rejectMalformedStats(t, good,
 		`{"microflow":{"Hits":-1}}`,
 		`{"megaflow":{"Masks":"5"}}`,

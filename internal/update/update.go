@@ -1,10 +1,10 @@
-// Package update simulates the controller-side update process of Section
+// Package update models the controller-side update process of Section
 // V.B of the paper. Two "update files" characterise each algorithm and
 // table block: the OPTIMIZED file applies the label method (one record per
 // unique field value), while the ORIGINAL file carries one record per
 // rule-field occurrence (the rule-replication behaviour of algorithms
-// without labelling). Both are replayed through the same engine, which
-// spends two clock cycles per record — the index is calculated in the
+// without labelling). A Plan counts a file's records, and Cycles prices
+// them at two clock cycles per record — the index is calculated in the
 // first cycle and the data stored in the second — exactly the cost model
 // the paper states.
 //
@@ -36,23 +36,9 @@ type Plan struct {
 // Records returns the total record count.
 func (p Plan) Records() int { return p.AlgorithmRecords + p.TableRecords }
 
-// Engine replays update files at the paper's two cycles per record.
-type Engine struct{}
-
-// Cycles returns the clock cycles the engine spends replaying the plan.
-func (e Engine) Cycles(p Plan) uint64 {
+// Cycles returns the clock cycles spent applying the plan's records.
+func Cycles(p Plan) uint64 {
 	return uint64(p.Records()) * CyclesPerRecord
-}
-
-// Reduction returns the fractional cycle saving of the optimized plan
-// relative to the original plan.
-func Reduction(original, optimized Plan) float64 {
-	e := Engine{}
-	o := e.Cycles(original)
-	if o == 0 {
-		return 0
-	}
-	return 1 - float64(e.Cycles(optimized))/float64(o)
 }
 
 // trieInsertRecords returns the number of update records writing one
@@ -214,23 +200,21 @@ func (c FilterComparison) ReductionPct() float64 {
 
 // CompareMAC measures one MAC filter.
 func CompareMAC(f *filterset.MACFilter) FilterComparison {
-	e := Engine{}
 	return FilterComparison{
 		Filter:    f.Name,
 		App:       filterset.MACLearning,
-		Original:  e.Cycles(PlanMACOriginal(f)),
-		Optimized: e.Cycles(PlanMACOptimized(f)),
+		Original:  Cycles(PlanMACOriginal(f)),
+		Optimized: Cycles(PlanMACOptimized(f)),
 	}
 }
 
 // CompareRoute measures one routing filter.
 func CompareRoute(f *filterset.RouteFilter) FilterComparison {
-	e := Engine{}
 	return FilterComparison{
 		Filter:    f.Name,
 		App:       filterset.Routing,
-		Original:  e.Cycles(PlanRouteOriginal(f)),
-		Optimized: e.Cycles(PlanRouteOptimized(f)),
+		Original:  Cycles(PlanRouteOriginal(f)),
+		Optimized: Cycles(PlanRouteOptimized(f)),
 	}
 }
 

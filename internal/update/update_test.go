@@ -3,8 +3,11 @@ package update
 import (
 	"testing"
 
+	"ofmtl/internal/bitops"
 	"ofmtl/internal/filterset"
+	"ofmtl/internal/label"
 	"ofmtl/internal/mbt"
+	"ofmtl/internal/xrand"
 )
 
 func TestTrieInsertRecords(t *testing.T) {
@@ -27,10 +30,33 @@ func TestTrieInsertRecords(t *testing.T) {
 	}
 }
 
+// TestPathRecordsMatchTrie ties the record count to the real structure:
+// one prefix's trieInsertRecords equals the slots a fresh mbt.Trie
+// occupies after inserting it, over every level.
+func TestPathRecordsMatchTrie(t *testing.T) {
+	rng := xrand.New(15)
+	strides := mbt.DefaultStrides16
+	for trial := 0; trial < 200; trial++ {
+		plen := rng.Intn(17)
+		value := rng.Uint64() & bitops.Mask64(plen, 16)
+		tr := mbt.MustNew(mbt.Config16())
+		if err := tr.Insert(value, plen, label.Label(1)); err != nil {
+			t.Fatal(err)
+		}
+		occupied := 0
+		for _, ls := range tr.Stats() {
+			occupied += ls.OccupiedSlots
+		}
+		if got := trieInsertRecords(plen, strides); got != occupied {
+			t.Fatalf("plen %d value %#x: %d records, trie has %d occupied slots", plen, value, got, occupied)
+		}
+	}
+}
+
 func TestEngineCycles(t *testing.T) {
 	p := Plan{AlgorithmRecords: 10, TableRecords: 5}
-	if got := (Engine{}).Cycles(p); got != 30 {
-		t.Errorf("default engine cycles = %d, want 30 (2 per record)", got)
+	if got := Cycles(p); got != 30 {
+		t.Errorf("cycles = %d, want 30 (2 per record)", got)
 	}
 }
 
@@ -103,17 +129,6 @@ func TestBigFiltersSaveMore(t *testing.T) {
 	rc, rb := CompareRoute(coza), CompareRoute(bbra)
 	if rc.ReductionPct() <= rb.ReductionPct() {
 		t.Errorf("coza reduction %.1f%% should exceed bbra %.1f%%", rc.ReductionPct(), rb.ReductionPct())
-	}
-}
-
-func TestReductionHelper(t *testing.T) {
-	orig := Plan{AlgorithmRecords: 100}
-	opt := Plan{AlgorithmRecords: 25}
-	if r := Reduction(orig, opt); r != 0.75 {
-		t.Errorf("Reduction = %v, want 0.75", r)
-	}
-	if r := Reduction(Plan{}, Plan{}); r != 0 {
-		t.Error("zero plans should report zero reduction")
 	}
 }
 
