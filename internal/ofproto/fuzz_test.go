@@ -203,6 +203,41 @@ func FuzzClientDecode(f *testing.F) {
 	})
 }
 
+// The per-decoder targets below each fuzz one message type's payloads
+// with the same check; a failure they find names the decoder at fault.
+
+func fuzzPayloads(f *testing.F, codecs map[MsgType]wireCodec, typ MsgType, payloads [][]byte) {
+	for _, p := range payloads {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) { checkDecode(t, typ, codecs[typ], payload) })
+}
+
+// FuzzDecodeFlowMod fuzzes batches of one flow-mod.
+func FuzzDecodeFlowMod(f *testing.F) {
+	fuzzPayloads(f, serverCodecs, MsgFlowModBatch, flowModSeeds())
+}
+
+func FuzzDecodeFlowModBatch(f *testing.F) {
+	fuzzPayloads(f, serverCodecs, MsgFlowModBatch, flowModBatchSeeds())
+}
+
+func FuzzDecodePacketBatch(f *testing.F) {
+	fuzzPayloads(f, serverCodecs, MsgPacketBatch, packetBatchSeeds())
+}
+
+func FuzzDecodeStats(f *testing.F) {
+	fuzzPayloads(f, clientCodecs, MsgStatsReply, statsSeeds(f))
+}
+
+func FuzzDecodeCacheStatsReply(f *testing.F) {
+	fuzzPayloads(f, clientCodecs, MsgStatsReply, cacheStatsSeeds(f))
+}
+
+func FuzzDecodeAdvisorStatsReply(f *testing.F) {
+	fuzzPayloads(f, clientCodecs, MsgStatsReply, advisorStatsSeeds(f))
+}
+
 // flowModSeeds are batches of one: each sample command, then a record
 // that is empty, one with a valid op and nothing else, and one of all
 // ones.
