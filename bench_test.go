@@ -331,12 +331,13 @@ func (c *churn) commit() error {
 	return nil
 }
 
-// BenchmarkCommitLPMMegaflow measures one churn-shaped flow-mod
-// transaction (benchChurn) on a 256 k-prefix LPM table (one mbt table on
-// the destination) behind a 16 384-entry masked megaflow tier filled by
-// as many distinct destinations: each commit's megaflow sweep judges
-// every live entry against the sixteen touched rules.
-func BenchmarkCommitLPMMegaflow(b *testing.B) {
+// megaflowBenchEntries sizes the masked tier of lpmMegaflowBench.
+const megaflowBenchEntries = 16384
+
+// lpmMegaflowBench builds the LPM commit benchmarks' pipeline: 256 k
+// prefixes in one mbt table on the destination, behind a masked megaflow
+// tier of megaflowBenchEntries entries.
+func lpmMegaflowBench(b *testing.B) (*core.Pipeline, *filterset.LPMFilter) {
 	f := filterset.GenerateLPM("lpm", 256000, filterset.DefaultSeed)
 	pool := f.FlowEntries()
 	p := core.NewPipeline()
@@ -353,23 +354,49 @@ func BenchmarkCommitLPMMegaflow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	const entries = 16384
-	p.SetMegaflowSize(entries)
+	p.SetMegaflowSize(megaflowBenchEntries)
+	return p, f
+}
+
+// BenchmarkCommitLPMMegaflow measures one churn-shaped flow-mod
+// transaction (benchChurn) on the armed path: a 256 k-prefix LPM table
+// (lpmMegaflowBench) behind a 16 384-entry masked megaflow tier filled by
+// as many distinct destinations, each seen twice, so the tier serves and
+// each commit's megaflow sweep judges every live entry against the
+// sixteen touched rules before the commit publishes its snapshot.
+func BenchmarkCommitLPMMegaflow(b *testing.B) {
+	p, f := lpmMegaflowBench(b)
 	// Each destination twice: the repeat hits, which keeps the tier's hit
 	// share at one half and its admission rule from bypassing it.
-	for _, h := range traffic.LPMTrace(f, entries, 0.9, 7) {
+	for _, h := range traffic.LPMTrace(f, megaflowBenchEntries, 0.9, 7) {
 		for rep := 0; rep < 2; rep++ {
 			hc := h
 			p.Execute(&hc)
 		}
 	}
-	if st := p.MegaflowStats(); st.Hits < entries/2 || !st.Armed {
+	if st := p.MegaflowStats(); st.Hits < megaflowBenchEntries/2 || !st.Armed {
 		b.Fatalf("megaflow tier not filled: %+v", st)
 	}
 	// The generator emits prefixes in /16 clusters (sequential runs): a
 	// prime stride spreads the churn over the table, as the benchmark's
 	// random pick does.
-	benchChurn(b, p, pool, 7919)
+	benchChurn(b, p, f.FlowEntries(), 7919)
+}
+
+// BenchmarkCommitLPMBypassed measures the same transaction on the same
+// table and tier after destinations that never repeat have made the
+// tier's admission rule bypass it: each commit retracts the snapshot,
+// with no sweep and no publish, as lpm256k_uniform's flow-mod windows
+// commit after its packet windows.
+func BenchmarkCommitLPMBypassed(b *testing.B) {
+	p, f := lpmMegaflowBench(b)
+	for _, h := range traffic.LPMTrace(f, 4*megaflowBenchEntries, 0.9, 7) {
+		p.Execute(&h)
+	}
+	if st := p.MegaflowStats(); st.Armed || st.Entries == 0 {
+		b.Fatalf("megaflow tier not bypassed: %+v", st)
+	}
+	benchChurn(b, p, f.FlowEntries(), 7919)
 }
 
 // BenchmarkExecuteTailUnderCommits measures the latency tail of Execute

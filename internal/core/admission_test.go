@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ofmtl/internal/cow"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/traffic"
@@ -61,6 +62,10 @@ func admissionTrace(f *filterset.LPMFilter) []openflow.Header {
 // batches: every result must equal the cache-less walk's, each tier must
 // go bypassed and come back within admissionReact packets of the phase
 // change that calls for it, and the counters must keep their meaning.
+// The churn legs also commit every 16 batches — a strict delete and a
+// re-add of one rule, which changes no verdict — so the tiers must re-arm
+// on samples every commit wipes: the exact tier's always, the masked
+// tier's while it is bypassed.
 func TestAdmissionPhaseChange(t *testing.T) {
 	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
 	trace := admissionTrace(f)
@@ -70,19 +75,29 @@ func TestAdmissionPhaseChange(t *testing.T) {
 		h := trace[i]
 		want[i] = ref.Execute(&h)
 	}
-	const batch = 256
+	const (
+		batch      = 256
+		churnEvery = 16 * batch
+	)
+	churned := f.FlowEntries()[0]
 	p := admissionPipeline(t, f, 0, 0)
 	p.SetWorkers(4)
+	type leg struct {
+		name           string
+		batched, churn bool
+	}
+	execute, batch4, churn := leg{"execute", false, false}, leg{"batch4", true, false}, leg{"churn", false, true}
 	for _, tc := range []struct {
 		name        string
 		micro, mega int
-	}{{"microflow", 4096, 0}, {"megaflow", 0, 2048}, {"both", 4096, 2048}} {
-		for _, batched := range []bool{false, true} {
-			name := tc.name + "/execute"
-			if batched {
-				name = tc.name + "/batch4"
-			}
-			t.Run(name, func(t *testing.T) {
+		legs        []leg
+	}{
+		{"microflow", 4096, 0, []leg{execute, batch4}},
+		{"megaflow", 0, 2048, []leg{execute, batch4, churn}},
+		{"both", 4096, 2048, []leg{execute, batch4, churn}},
+	} {
+		for _, lg := range tc.legs {
+			t.Run(tc.name+"/"+lg.name, func(t *testing.T) {
 				p.SetCacheSize(tc.micro) // fresh tiers, armed
 				p.SetMegaflowSize(tc.mega)
 				// flips[i] is the packet count at which the watched tier's
@@ -93,8 +108,14 @@ func TestAdmissionPhaseChange(t *testing.T) {
 				ptrs := make([]*openflow.Header, batch)
 				var res []Result
 				for at := 0; at < len(trace); at += batch {
+					if lg.churn && at > 0 && at%churnEvery == 0 {
+						tr, err := p.Begin().DeleteStrict(0, churned.Priority, churned.Matches...).Add(0, &churned).Commit()
+						if err != nil || tr.Deleted != 1 || tr.Added != 1 {
+							t.Fatalf("packet %d: churn commit: %+v, %v", at, tr, err)
+						}
+					}
 					copy(hs, trace[at:at+batch])
-					if batched {
+					if lg.batched {
 						for i := range hs {
 							ptrs[i] = &hs[i]
 						}
@@ -119,6 +140,7 @@ func TestAdmissionPhaseChange(t *testing.T) {
 						flips = append(flips, at+batch)
 					}
 				}
+				t.Logf("watched tier changed state at packets %v", flips)
 				if len(flips) != 3 {
 					t.Fatalf("watched tier changed state at packets %v, want bypass, re-arm, bypass", flips)
 				}
@@ -279,6 +301,80 @@ func TestBypassedMegaflowTakesNoLock(t *testing.T) {
 				t.Error("unsampled packets through a bypassed tier blocked on its lock")
 			}
 		})
+	}
+}
+
+// TestBypassedMegaflowCommitRetracts pins the commit path of a masked
+// tier its admission rule has bypassed: the commit runs no sweep and
+// publishes nothing — it retracts the snapshot, as with the tier off —
+// and the next lookup publishes a snapshot with a fresh masked window
+// that answers with the committed verdict. Back-to-back commits with no
+// lookup between them then publish no views, so they copy less per
+// command than a published commit may.
+func TestBypassedMegaflowCommitRetracts(t *testing.T) {
+	f := filterset.GenerateLPM("lpm", 30000, filterset.DefaultSeed)
+	p := admissionPipeline(t, f, 0, 2048)
+	trace := traffic.LPMTrace(f, admissionReact, 0.9, 1)
+	for i := range trace {
+		h := trace[i]
+		p.Execute(&h)
+	}
+	if st := p.MegaflowStats(); st.Armed {
+		t.Fatalf("megaflow tier still armed after %d all-new destinations: %+v", len(trace), st)
+	}
+	m := p.tiers[tierMasked].Load()
+	fillFloor := func() uint64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.floor
+	}
+	floor := fillFloor()
+
+	// A host route under the first destination's cached region.
+	h := trace[0]
+	host := lpmRule(h.IPv4Dst, 32, 4242)
+	if _, err := p.Begin().Add(0, host).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.snap.Load(); s != nil {
+		t.Fatalf("the commit published snapshot version %d: a bypassed tier's commit must retract", s.version)
+	}
+	if got := fillFloor(); got != floor {
+		t.Fatalf("fill floor %d after the commit, want %d (a sweep ran)", got, floor)
+	}
+	if got := outputOf(p.Execute(&h)); got != 4242 {
+		t.Fatalf("first lookup after the commit: output %d, want 4242", got)
+	}
+	if s := p.snap.Load(); s == nil || s.mfBase != s.version {
+		t.Fatal("the lookup published no snapshot with a fresh masked window")
+	}
+
+	// Twenty churn commits, eight strict deletes and their re-adds each,
+	// with no lookup between them.
+	entries := f.FlowEntries()
+	const commits = 20
+	before := cow.Copied()
+	for c := 0; c < commits; c++ {
+		tx := p.Begin()
+		for i := 0; i < 8; i++ {
+			e := &entries[(c*8+i)*(len(entries)/(8*commits))]
+			tx.DeleteStrict(0, e.Priority, e.Matches...)
+			tx.Add(0, e)
+		}
+		if res, err := tx.Commit(); err != nil || res.Deleted != 8 || res.Added != 8 {
+			t.Fatalf("commit %d: %+v, %v", c, res, err)
+		}
+		if p.snap.Load() != nil {
+			t.Fatalf("commit %d published a snapshot", c)
+		}
+	}
+	copied := float64(cow.Copied()-before) / (commits * 16)
+	t.Logf("bytes copied per command over %d unpublished commits: %.0f", commits, copied)
+	if copied >= maxCopiedPerCmd {
+		t.Errorf("%.0f bytes copied per command, want < %d (the published path's bound)", copied, maxCopiedPerCmd)
+	}
+	if got := fillFloor(); got != floor {
+		t.Errorf("fill floor %d after the churn, want %d", got, floor)
 	}
 }
 

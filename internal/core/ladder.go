@@ -34,8 +34,12 @@ import (
 // space rather than every 16th packet keeps a flow wholly inside or
 // wholly outside the sample, so the sample sees the locality the whole
 // tier would; and because the sample never stops using the tier, its
-// entries are warm across state changes — a re-armed tier is not judged
-// on the compulsory misses of the other 15/16.
+// entries are warm across state changes between commits — a re-armed
+// tier is not judged on the compulsory misses of the other 15/16. A
+// commit wipes the exact tier's sample, as it wipes that whole tier, and
+// a bypassed masked tier's too: such a commit retracts the snapshot
+// instead of sweeping the tier (tx.go), so the next snapshot opens a
+// fresh window.
 //
 // Mechanics: each tier's counters are spread over 16 cells and a key
 // counts on the cell its hash selects, so the sample is simply cell 0.

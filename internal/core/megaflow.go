@@ -19,17 +19,21 @@ package core
 // Invalidation is precise where the exact tier's is wholesale, and it
 // writes only what it evicts. An entry keeps the version of the walk that
 // filled it; a snapshot accepts the masked entries stamped inside its
-// window [mfBase, version] (snapshot.go). A committed transaction builds
-// the next snapshot eagerly and, when the previous snapshot differs from
-// it by the commit's rules alone, carries the window's base forward:
-// every touched rule is projected onto the packed key space (ruleShadow),
-// the entries in the old window that a rule can affect are evicted
-// (stamped 0), and the survivors stay exactly as they are — all before
-// the snapshot is published, with one version bump per commit. Under the
-// tier's mutex the sweep also raises the tier's fill floor to the new
-// version, so a walk that ran against the old snapshot and fills after
-// the sweep fills nothing. The sweep never visits the exact tier, whose
-// window is one version wide.
+// window [mfBase, version] (snapshot.go). While the tier is armed, a
+// committed transaction builds the next snapshot eagerly and, when the
+// previous snapshot differs from it by the commit's rules alone, carries
+// the window's base forward: every touched rule is projected onto the
+// packed key space (ruleShadow), the entries in the old window that a
+// rule can affect are evicted (stamped 0), and the survivors stay exactly
+// as they are — all before the snapshot is published, with one version
+// bump per commit. Under the tier's mutex the sweep also raises the
+// tier's fill floor to the new version, so a walk that ran against the
+// old snapshot and fills after the sweep fills nothing. The sweep never
+// visits the exact tier, whose window is one version wide. While the
+// tier's admission rule has it bypassed, a commit sweeps nothing and
+// retracts the snapshot, as with the tier off: the next lookup's snapshot
+// opens a fresh window, which is wholesale invalidation of a tier that
+// was serving almost nothing.
 //
 // The sweep's cost is one cheap test per live entry plus work in
 // proportion to the committed rules. For each tuple the shadows are

@@ -293,10 +293,12 @@ func (tx *Tx) Commit() (TxResult, error) {
 	p.txCommitted.Add(1)
 	p.txCommands.Add(uint64(len(tx.cmds)))
 
-	// Megaflow precise invalidation. With the tier disabled, the commit
-	// retracts the snapshot and the next lookup publishes one (a fresh
-	// window already invalidates both cache tiers wholesale). With it
-	// enabled, the commit builds the snapshot eagerly — still exactly one
+	// Megaflow precise invalidation, for a tier that serves. With the tier
+	// disabled or bypassed by its admission rule, the commit retracts the
+	// snapshot and the next lookup publishes one (a fresh window already
+	// invalidates both cache tiers wholesale): a tier that serves almost
+	// nothing is not worth a sweep and an eager publish per commit. With
+	// it armed, the commit builds the snapshot eagerly — still exactly one
 	// version bump — and, when a snapshot was published as it began,
 	// carries its masked-tier window forward: every touched rule (the undo
 	// log holds each inserted and removed canonical entry) is projected
@@ -307,7 +309,7 @@ func (tx *Tx) Commit() (TxResult, error) {
 	switch m := p.tiers[tierMasked].Load(); {
 	case len(undo) == 0:
 		// Nothing applied: the published snapshot stays current.
-	case m == nil:
+	case m == nil || m.adm.bypassed.Load():
 		p.retract()
 	default:
 		// Publish suspended stats now so the eager snapshot embeds this

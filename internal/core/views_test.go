@@ -49,6 +49,18 @@ func lpmPipeline(t testing.TB, n int) *Pipeline {
 	return p
 }
 
+// maxCopiedPerCmd bounds the bytes a published commit copies per command
+// (TestCommitCostIndependentOfTableSize). A delete or an add of one LPM
+// rule writes its slot and control byte in the backend's combination
+// store and in the field's partition-combination store (a small page
+// each) and, when the rule is the last user of a partition value, one
+// 20 KiB trie page per level walked. The re-add finds the pages the
+// delete made private, so a delete/re-add pair costs what one of them
+// does. The publish clones the dirtied arrays' directories, 8 B per
+// page: the one term that grows with the table, ≈ 6 KiB per command at
+// 128 k rules.
+const maxCopiedPerCmd = 16 << 10
+
 // TestCommitCostIndependentOfTableSize pins the commit cost model in
 // tier-1: the same 16-command batch — strict-delete eight rules, re-add
 // them — committed and published on a 2 k-rule and on a 128 k-rule table
@@ -64,15 +76,6 @@ func TestCommitCostIndependentOfTableSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the cost model is measured without -race")
 	}
-	// A delete or an add of one LPM rule writes its slot and control byte
-	// in the backend's combination store and in the field's
-	// partition-combination store (a small page each) and, when the rule
-	// is the last user of a partition value, one 20 KiB trie page per level
-	// walked. The re-add finds the pages the delete made private, so a
-	// delete/re-add pair costs what one of them does. The publish clones
-	// the dirtied arrays' directories, 8 B per page: the one term that
-	// grows with the table, ≈ 6 KiB per command at 128 k rules.
-	const maxCopiedPerCmd = 16 << 10
 	measure := func(rules int) (allocsPerCmd, copiedPerCmd float64) {
 		p := lpmPipeline(t, rules)
 		// Eight rules spread over the table.
