@@ -123,31 +123,64 @@ func TestExecuteZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchZeroAlloc locks in the PR 3 batch-engine fix (the
-// 32KB/op reply-slice allocation): with the reply slice reused through
-// ExecuteBatchInto, the batch path must be allocation-free at every
-// worker count, cache on or off. Cache fills allocate, so the cached
-// variant uses a small flow population warmed outside the measurement.
+// TestExecuteBatchZeroAlloc pins the batch path allocation-free: with the
+// reply slice reused through ExecuteBatchInto, at 1 and 4 workers, cache
+// on or off. The walk legs run the grouped miss walk on the MAC pair, a
+// 30 k-prefix LPM table, the 5-field ACL and the 4-table prototype; cache
+// fills allocate, so the cached leg uses a small flow population warmed
+// outside the measurement.
 func TestExecuteBatchZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("filter generation is not short")
 	}
-	f, err := filterset.GenerateMAC("bbrb", filterset.DefaultSeed)
+	mac, err := filterset.GenerateMAC("bbrb", filterset.DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cached := range []bool{false, true} {
-		name := "walk"
-		if cached {
-			name = "cached"
-		}
-		t.Run(name, func(t *testing.T) {
-			p, err := core.BuildMAC(f, 0)
+	route, err := filterset.GenerateRoute("bbra", filterset.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	macWalk := func() (*core.Pipeline, []openflow.Header, error) {
+		p, err := core.BuildMAC(mac, 0)
+		return p, traffic.MACTrace(mac, 64, 0.9, 1), err
+	}
+	for _, leg := range []struct {
+		name   string
+		cached bool
+		build  func() (*core.Pipeline, []openflow.Header, error)
+	}{
+		{"walk", false, macWalk},
+		{"cached", true, macWalk},
+		{"lpm-walk", false, func() (*core.Pipeline, []openflow.Header, error) {
+			f := filterset.GenerateLPM("alloc", 30000, filterset.DefaultSeed)
+			p := buildBackendPipeline(t, "", []openflow.FieldID{openflow.FieldIPv4Dst}, f.FlowEntries())
+			return p, traffic.LPMTrace(f, 1024, 0.9, 1), nil
+		}},
+		{"acl-walk", false, func() (*core.Pipeline, []openflow.Header, error) {
+			f := filterset.GenerateACL("alloc", 400, filterset.DefaultSeed)
+			p, err := core.BuildACL(f)
+			return p, traffic.ACLTrace(f, 1024, 0.8, 1), err
+		}},
+		{"prototype-walk", false, func() (*core.Pipeline, []openflow.Header, error) {
+			p, err := core.BuildPrototype(mac, route)
+			// MAC packets (tables 0 and 1) and routed ones on a VLAN the
+			// MAC tables miss (tables 0, 2 and 3), so groups split by table.
+			macs, routes := traffic.MACTrace(mac, 512, 0.9, 1), traffic.RouteTrace(route, 512, 0.9, 1)
+			var trace []openflow.Header
+			for i := range routes {
+				routes[i].VLANID = 4010
+				trace = append(trace, macs[i], routes[i])
+			}
+			return p, trace, err
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			p, trace, err := leg.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			trace := traffic.MACTrace(f, 64, 0.9, 1)
-			if cached {
+			if leg.cached {
 				p.SetCacheSize(1 << 14)
 			}
 			p.Refresh()
@@ -158,7 +191,7 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				p.SetWorkers(workers)
 				i := 0
-				assertZeroAllocs(t, "Pipeline.ExecuteBatchInto/"+name, func() {
+				assertZeroAllocs(t, "Pipeline.ExecuteBatchInto/"+leg.name, func() {
 					for j := range hs {
 						scratch[j] = trace[(i*batch+j)%len(trace)]
 						hs[j] = &scratch[j]

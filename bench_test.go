@@ -757,20 +757,57 @@ func benchBatch(b *testing.B, p *core.Pipeline, trace []openflow.Header) {
 	}
 }
 
-// BenchmarkPipelineExecuteBatch measures the amortised batch path at
-// several worker counts against the uniform MAC workload (workers=1 is
-// the sequential baseline; the microflow cache is off, so every packet
-// pays the full multi-table walk).
+// BenchmarkPipelineExecuteBatch measures the amortised batch path. The
+// mac legs run several worker counts against the uniform MAC workload
+// (workers=1 is the sequential baseline; the microflow cache is off, so
+// every packet pays the full multi-table walk). The lpm256k leg is one
+// worker on a 256 k-prefix ipv4-dst table with both cache tiers off,
+// where the mbt walk is bound by memory latency: the measurement behind
+// walkGroup, the number of misses a batch worker walks together. It is
+// report-only.
 func BenchmarkPipelineExecuteBatch(b *testing.B) {
-	f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.BuildMAC(f, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatch(b, p, traffic.MACTrace(f, 4096, 0.9, 1))
+	b.Run("mac", func(b *testing.B) {
+		f, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := core.BuildMAC(f, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBatch(b, p, traffic.MACTrace(f, 4096, 0.9, 1))
+	})
+	b.Run("lpm256k", func(b *testing.B) {
+		f := filterset.GenerateLPM("lpm", 256000, filterset.DefaultSeed)
+		p := core.NewPipeline()
+		tab, err := p.AddTable(core.TableConfig{ID: 0, Fields: []openflow.FieldID{openflow.FieldIPv4Dst}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries := f.FlowEntries()
+		for i := range entries {
+			if err := tab.Insert(&entries[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		trace := traffic.LPMTrace(f, 1<<18, 0.9, 1)
+		p.SetWorkers(1)
+		p.Refresh()
+		const batch = 256
+		hs := make([]*openflow.Header, batch)
+		scratch := make([]openflow.Header, batch)
+		var res []core.Result
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range hs {
+				scratch[j] = trace[(i*batch+j)%len(trace)]
+				hs[j] = &scratch[j]
+			}
+			res = p.ExecuteBatchInto(hs, res)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+	})
 }
 
 // BenchmarkUpdatePlans measures update-plan construction for the largest

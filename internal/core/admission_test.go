@@ -145,8 +145,18 @@ func TestAdmissionPhaseChange(t *testing.T) {
 					t.Fatalf("watched tier changed state at packets %v, want bypass, re-arm, bypass", flips)
 				}
 				for i, at := range flips {
-					if late := at - i*admissionPhase; late > admissionReact {
-						t.Errorf("state change %d came %d packets into its phase, want within %d", i, late, admissionReact)
+					phase := i
+					if i == 2 && tc.micro > 0 && tc.mega > 0 && lg.churn {
+						// With both tiers on and commits, the exact tier
+						// bypasses itself again inside the hot phase: the
+						// armed masked tier absorbs the hot flows, and a
+						// masked hit does not back-fill the exact tier each
+						// commit empties, so the exact tier's sample sees
+						// compulsory misses only.
+						phase = 1
+					}
+					if late := at - phase*admissionPhase; late < 0 || late > admissionReact {
+						t.Errorf("state change %d came %d packets into phase %d, want within 0…%d", i, late, phase, admissionReact)
 					}
 				}
 				cs, ms := p.CacheStats(), p.MegaflowStats()

@@ -618,11 +618,11 @@ func (p *Pipeline) calibrateLocked() {
 			continue
 		}
 		var h openflow.Header
-		var ls lookupScratch
+		var g lookupGroup
 		start := time.Now()
 		for i := 0; i < probeLookups; i++ {
 			h.IPv4Dst = uint32(i%probeRules) << 8
-			b.Lookup(&h, &ls)
+			g.lookupOne(b, &h, nil)
 		}
 		elapsed := time.Since(start)
 		p.tuneModel.Calibrate(kind, float64(elapsed.Nanoseconds())/probeLookups, ref)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ofmtl/internal/crossprod"
 	"ofmtl/internal/label"
 	"ofmtl/internal/mbt"
 	"ofmtl/internal/openflow"
@@ -118,18 +119,19 @@ type Backend interface {
 	// canonical matches, priority and instructions; removing an absent
 	// entry is an error and must leave the backend unchanged.
 	Remove(e *openflow.FlowEntry) error
-	// Lookup classifies one packet header, returning the winning entry's
-	// instructions and priority. Ties on priority resolve to the lowest
-	// install sequence. Lookup must be safe for concurrent callers on a
-	// published view. ls is the caller's per-lookup scratch, used by one
-	// lookup at a time and handed on to every searcher; the backend keeps
-	// no working state of its own. A non-nil ls.tr asks for consulted-bits
-	// accounting for the megaflow tier: the backend must mark in it every
-	// header bit whose value could change the lookup's outcome, so that
-	// any header agreeing with h on the marked bits is guaranteed the
-	// identical MatchResult. Over-marking is safe; under-marking caches
-	// wrong results.
-	Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool)
+	// Lookup classifies the headers of g's members (g.m), each into its
+	// own result slot (g.out) with its own scratch (g.ls), returning for
+	// each the winning entry's instructions and priority. Ties on priority
+	// resolve to the lowest install sequence. A single lookup is a group of
+	// one (lookupGroup.lookupOne). Lookup must be safe for concurrent
+	// callers on a published view; g is used by one caller at a time, and
+	// the backend keeps no working state of its own. A member's non-nil
+	// ls.tr asks for consulted-bits accounting for the megaflow tier: the
+	// backend must mark in it every header bit whose value could change
+	// that member's outcome, so that any header agreeing with it on the
+	// marked bits is guaranteed the identical MatchResult. Over-marking is
+	// safe; under-marking caches wrong results.
+	Lookup(g *lookupGroup)
 	// Publish returns an immutable view of the backend as it stands,
 	// serving Lookup and memory; later updates to the original never show
 	// in it. What it costs is the backend's business — mbt and dir24 share
@@ -146,12 +148,11 @@ type Backend interface {
 }
 
 // lookupScratch is one packet's working state through a table lookup: the
-// field searches and the index calculation of Fig. 1. The walk's caller
-// owns it (executeWalk's execScratch, a batch worker's context,
-// Classify's pooled scratch) and hands it down to the backend and every
-// searcher, so a lookup touches no pool. Its buffers grow to the widest
-// table and the most partitions they meet and serve every table one walk
-// visits.
+// field searches and the index calculation of Fig. 1. It lives in the
+// packet's slot of a lookupGroup, which the walk's caller owns (a batch
+// worker's context, or a pooled walker), so a lookup touches no pool. Its
+// buffers grow to the widest table and the most partitions they meet and
+// serve every table one walk visits.
 type lookupScratch struct {
 	// tr is the walk's consulted-bits tracer; nil when the walk is
 	// untraced.
@@ -171,6 +172,93 @@ type lookupScratch struct {
 
 	// tss: the probe key.
 	probe []byte
+}
+
+// lookupGroup is a group of packets that one table classifies together:
+// the walk's unit of lookup. Its slots are indexed by packet, and m lists
+// the packets the current lookup classifies (the walks that stand at the
+// table), ascending. Besides each packet's scratch it holds the buffers in
+// which the mbt backend gathers one stage's work across the members — the
+// trie walks and the combination probes — so that a stage's memory loads
+// do not depend on each other and overlap (mbt.Trie.LookupGroup,
+// crossprod.Table.LookupGroup).
+type lookupGroup struct {
+	hs  []*openflow.Header
+	ls  []lookupScratch
+	out []lookupOut
+	m   []int32
+
+	walks  []mbt.Walk
+	probes []crossprod.Probe
+	owner  []int32       // probes[i] is packet owner[i]'s
+	keys   []label.Label // the probed keys of a table of more than two dimensions
+}
+
+// lookupOut is one packet's lookup outcome.
+type lookupOut struct {
+	MatchResult
+	ok bool
+}
+
+// size makes room for n packets. The probe queue starts with room for
+// probesPerPacket each: a queue sized by the group's busiest lookup so
+// far would keep growing, rarely, long after the group is warm.
+func (g *lookupGroup) size(n int) {
+	g.hs, g.ls, g.out = atLeast(g.hs, n), atLeast(g.ls, n), atLeast(g.out, n)
+	if cap(g.probes) < n*probesPerPacket {
+		g.probes = make([]crossprod.Probe, 0, n*probesPerPacket)
+		g.owner = make([]int32, 0, n*probesPerPacket)
+	}
+}
+
+// probesPerPacket is the probe-queue room a lookup group reserves per
+// packet: an IPv4 prefix field queues at most 34 partition probes
+// (17 match lengths per partition), and its table at most 34 full keys.
+const probesPerPacket = 64
+
+// lookupOne classifies h on b as a group of one, in slot 0, traced into tr
+// when it is non-nil.
+func (g *lookupGroup) lookupOne(b Backend, h *openflow.Header, tr *flowMask) (MatchResult, bool) {
+	g.size(1)
+	g.hs[0], g.ls[0].tr = h, tr
+	g.m = append(g.m[:0], 0)
+	b.Lookup(g)
+	return g.out[0].MatchResult, g.out[0].ok
+}
+
+// each classifies the members one at a time: the Lookup of a backend
+// whose lookup has no stage worth overlapping across packets.
+func (g *lookupGroup) each(lookup func(*openflow.Header, *lookupScratch) (MatchResult, bool)) {
+	for _, p := range g.m {
+		g.out[p].MatchResult, g.out[p].ok = lookup(g.hs[p], &g.ls[p])
+	}
+}
+
+// queue adds a probe of key, whose XOR-fold hash is h, on t for packet p.
+// A key of more than two labels is copied into the key arena, where the
+// probe finds it.
+func (g *lookupGroup) queue(t *crossprod.Table, key []label.Label, h uint64, p int32) {
+	n := len(g.probes)
+	if n == cap(g.probes) {
+		g.probes = append(g.probes, crossprod.Probe{})
+	}
+	g.probes = g.probes[:n+1]
+	g.probes[n].Word = t.Word(key, h)
+	g.owner = append(g.owner, p)
+	if len(key) > 2 {
+		g.keys = append(g.keys, key...)
+	}
+}
+
+// probe runs every queued probe on t and leaves the results in g.probes
+// until clearProbes.
+func (g *lookupGroup) probe(t *crossprod.Table) {
+	t.LookupGroup(g.probes, g.keys)
+}
+
+// clearProbes empties the probe queue.
+func (g *lookupGroup) clearProbes() {
+	g.probes, g.owner, g.keys = g.probes[:0], g.owner[:0], g.keys[:0]
 }
 
 // atLeast returns s extended with zero values to at least n elements.

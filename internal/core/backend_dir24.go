@@ -500,13 +500,16 @@ func (b *dir24Backend) Remove(e *openflow.FlowEntry) error {
 
 // --- Backend lookup --------------------------------------------------
 
-// Lookup implements Backend: one direct-array read, plus one spill read
+// Lookup implements Backend, one member at a time.
+func (b *dir24Backend) Lookup(g *lookupGroup) { g.each(b.lookup) }
+
+// lookup classifies one header: one direct-array read, plus one spill read
 // for slots covered by >/24 prefixes. O(1) and allocation-free. The
 // direct read consults exactly the top 24 bits of the field — two headers
 // agreeing on them land on the same slot and, when it is direct, the same
 // outcome. A spilled slot additionally consults the low byte, so the full
 // 32 bits are marked.
-func (b *dir24Backend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+func (b *dir24Backend) lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
 	tr := ls.tr
 	if tr != nil {
 		tr.orField(b.field, 24)

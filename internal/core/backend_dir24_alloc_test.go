@@ -53,7 +53,7 @@ func TestDIR24LookupZeroAlloc(t *testing.T) {
 	b := dir24AllocBackend(t)
 	h := new(openflow.Header)
 	var tr flowMask
-	plain, traced := lookupScratch{}, lookupScratch{tr: &tr}
+	var g lookupGroup
 	dsts := []uint32{0x0A010277, 0x0B020304, 0xC0FFEE00}
 	i := 0
 	measure := func(name string, f func()) {
@@ -67,13 +67,13 @@ func TestDIR24LookupZeroAlloc(t *testing.T) {
 	}
 	measure("Lookup", func() {
 		h.IPv4Dst = dsts[i%len(dsts)]
-		b.Lookup(h, &plain)
+		g.lookupOne(b, h, nil)
 		i++
 	})
 	measure("Lookup traced", func() {
 		h.IPv4Dst = dsts[i%len(dsts)]
 		tr.reset()
-		b.Lookup(h, &traced)
+		g.lookupOne(b, h, &tr)
 		i++
 	})
 }
@@ -131,7 +131,7 @@ func TestDIR24TracedBits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var tr flowMask
-		_, ok := b.Lookup(&openflow.Header{IPv4Dst: tc.dst}, &lookupScratch{tr: &tr})
+		_, ok := new(lookupGroup).lookupOne(b, &openflow.Header{IPv4Dst: tc.dst}, &tr)
 		if ok != tc.hit {
 			t.Errorf("%s: matched=%v, want %v", tc.name, ok, tc.hit)
 		}
@@ -139,7 +139,7 @@ func TestDIR24TracedBits(t *testing.T) {
 			t.Errorf("%s: consulted mask %x, want %x", tc.name, tr, tc.want)
 		}
 		// The traced and untraced paths agree on the outcome.
-		if _, plain := b.Lookup(&openflow.Header{IPv4Dst: tc.dst}, &lookupScratch{}); plain != ok {
+		if _, plain := new(lookupGroup).lookupOne(b, &openflow.Header{IPv4Dst: tc.dst}, nil); plain != ok {
 			t.Errorf("%s: Lookup untraced=%v, traced=%v", tc.name, plain, ok)
 		}
 	}

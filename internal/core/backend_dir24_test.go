@@ -277,7 +277,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 	wantOK := make([]bool, 0, 256)
 	for i := 0; i < 256; i++ {
 		h := randomHeader(rng, live)
-		res, ok := snap.Lookup(h, &lookupScratch{})
+		res, ok := new(lookupGroup).lookupOne(snap, h, nil)
 		probes = append(probes, h)
 		want = append(want, res)
 		wantOK = append(wantOK, ok)
@@ -301,7 +301,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 		fresh = append(fresh, e)
 	}
 	for i, h := range probes {
-		res, ok := snap.Lookup(h, &lookupScratch{})
+		res, ok := new(lookupGroup).lookupOne(snap, h, nil)
 		if ok != wantOK[i] || !reflect.DeepEqual(res, want[i]) {
 			t.Fatalf("probe %d drifted after source churn: got %+v ok=%v, want %+v ok=%v", i, res, ok, want[i], wantOK[i])
 		}
@@ -318,7 +318,7 @@ func TestDIR24CloneIsolation(t *testing.T) {
 	}
 	for i := 0; i < 256; i++ {
 		h := randomHeader(rng, fresh)
-		got, ok := b.Lookup(h, &lookupScratch{})
+		got, ok := new(lookupGroup).lookupOne(b, h, nil)
 		wantEntry, wantOK := ref.Classify(h)
 		if ok != wantOK || (ok && (got.Priority != wantEntry.Priority || !reflect.DeepEqual(got.Instructions, wantEntry.Instructions))) {
 			t.Fatalf("live lookup after dropping the view: got %+v ok=%v, want %+v ok=%v", got, ok, wantEntry, wantOK)

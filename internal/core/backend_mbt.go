@@ -140,33 +140,91 @@ func (b *mbtBackend) Remove(e *openflow.FlowEntry) error {
 }
 
 // Lookup implements Backend: run the parallel field searches and the
-// index calculation for one packet header, returning the winning flow
-// entry's instructions.
+// index calculation for a group of packet headers, returning each
+// member's winning flow entry's instructions. Each stage runs for every
+// member before the next stage starts: the field searches (the prefix
+// searcher walks its tries and probes its partition combinations for the
+// whole group at once), then each member's candidate walk, which queues
+// its full keys, then one group probe of every queued key, then the
+// action-table reads. (A table of more than two fields, and a group of
+// one, probe full keys during the walk.) A single lookup is a group of
+// one.
 //
 // The index calculation is one depth-first walk over dimensions 0…nf−1
 // (an explicit position stack: no recursion, no closures). At each
 // dimension it tries that field's candidates, plus Wildcard when some
 // live rule leaves the field unconstrained; it extends a prefix only
 // while the combination store's stage of that length holds it
-// (HasPrefix, lengths 2…nf−1), and probes full keys at the last
+// (HasPrefix, lengths 2…nf−1), and queues full keys at the last
 // dimension — the progressive combining of the paper's Fig. 1, which
 // discards every key below an absent prefix. The key hash is carried
 // down the walk: each step folds in one memoised candidate contribution.
 // Tables of ≤2 dimensions have no stage to consult; their walk is the
 // plain candidate product, probed with packed keys.
 //
-// The only stage that consults the header is the per-field search loop
-// (the combination walk and action-table stages operate on labels
-// alone), so handing ls (and its tracer) to each field searcher captures
-// every consulted bit: identical traced bits yield identical per-field
+// The only stage that consults the header is the per-field search (the
+// combination walk and action-table stages operate on labels alone), so
+// handing each member's tracer to the field searchers captures every
+// consulted bit: identical traced bits yield identical per-field
 // candidate sets and therefore an identical winning combination.
-func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+func (b *mbtBackend) Lookup(g *lookupGroup) {
 	nf := len(b.searchers)
-	ls.cands, ls.chash, ls.key = atLeast(ls.cands, nf), atLeast(ls.chash, nf), atLeast(ls.key, nf)
-	hashed := nf > 2
-	viable := true
+	for _, p := range g.m {
+		ls := &g.ls[p]
+		ls.cands, ls.chash, ls.key = atLeast(ls.cands, nf), atLeast(ls.chash, nf), atLeast(ls.key, nf)
+		for d := range nf {
+			ls.cands[d] = ls.cands[d][:0]
+		}
+	}
 	for d, s := range b.searchers {
-		c := s.Search(h, ls.cands[d][:0], ls)
+		s.search(g, d)
+	}
+	g.clearProbes()
+	for _, p := range g.m {
+		g.out[p] = lookupOut{}
+		b.walk(g, p)
+	}
+	g.probe(b.combos)
+
+	// A member's probes are consecutive: settle each member's best when
+	// its run ends.
+	owner := int32(-1)
+	var best crossprod.Binding
+	var bestSeq uint64
+	for i := range g.probes {
+		pr := &g.probes[i]
+		if !pr.OK {
+			continue
+		}
+		if o := g.owner[i]; o != owner {
+			if owner >= 0 {
+				b.settle(g, owner, best)
+			}
+			owner, best, bestSeq = o, pr.Binding, pr.Seq
+			continue
+		}
+		if pr.Binding.Priority > best.Priority || (pr.Binding.Priority == best.Priority && pr.Seq < bestSeq) {
+			best, bestSeq = pr.Binding, pr.Seq
+		}
+	}
+	if owner >= 0 {
+		b.settle(g, owner, best)
+	}
+}
+
+// walk is member p's candidate walk: it hashes and completes the
+// member's candidate sets and queues every full key the walk reaches for
+// the group probe. A group of one, and a table of more than two
+// dimensions, probe full keys as the walk reaches them and settle the
+// member here: a lone walk has no loads to overlap, and a wide table's
+// walk already waits on a stage probe (HasPrefix) at every step.
+func (b *mbtBackend) walk(g *lookupGroup, p int32) {
+	ls := &g.ls[p]
+	nf := len(b.searchers)
+	hashed := nf > 2
+	alone := hashed || len(g.m) == 1
+	for d := range nf {
+		c := ls.cands[d]
 		wild := b.wild&(1<<uint(d)) != 0
 		if hashed {
 			ch := ls.chash[d][:0]
@@ -182,11 +240,10 @@ func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult,
 			c = append(c, Candidate{Label: Wildcard})
 		}
 		ls.cands[d] = c
-		viable = viable && len(c) > 0
-	}
-	if !viable {
-		// Some dimension offers no label at all: no key can match.
-		return MatchResult{}, false
+		if len(c) == 0 {
+			// Some dimension offers no label at all: no key can match.
+			return
+		}
 	}
 
 	// The position stack (tables cap fields at 32): pos[d] is the
@@ -203,13 +260,17 @@ func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult,
 	d := 0
 	for {
 		if d == last {
-			// Probe every full key under the current prefix.
-			h0, lch := hs[d], ch[d]
+			// Every full key under the current prefix.
+			h0 := hs[d]
 			for i, c := range cl[d] {
 				key[d] = c.Label
 				var hk uint64
 				if hashed {
-					hk = h0 ^ lch[i]
+					hk = h0 ^ ch[d][i]
+				}
+				if !alone {
+					g.queue(combos, key, hk, p)
+					continue
 				}
 				if b2, seq, ok := combos.LookupSeqHash(key, hk); ok {
 					if !found || b2.Priority > best.Priority || (b2.Priority == best.Priority && seq < bestSeq) {
@@ -217,11 +278,11 @@ func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult,
 					}
 				}
 			}
-		} else if p := pos[d]; p < len(cl[d]) {
-			key[d] = cl[d][p].Label
+		} else if at := pos[d]; at < len(cl[d]) {
+			key[d] = cl[d][at].Label
 			var hk uint64
 			if hashed {
-				hk = hs[d] ^ ch[d][p]
+				hk = hs[d] ^ ch[d][at]
 			}
 			if d == 0 || combos.HasPrefix(key[:d+1], hk) {
 				hs[d+1] = hk
@@ -239,16 +300,20 @@ func (b *mbtBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult,
 		d--
 		pos[d]++
 	}
-	if !found {
-		return MatchResult{}, false
+	if found {
+		b.settle(g, p, best)
 	}
+}
+
+// settle writes member p's outcome: the instructions of its best binding.
+func (b *mbtBackend) settle(g *lookupGroup, p int32, best crossprod.Binding) {
 	instrs, err := b.actions.Get(best.Payload)
 	if err != nil {
 		// The combination store and action table are maintained together;
 		// a dangling index would be an internal invariant violation.
-		return MatchResult{}, false
+		return
 	}
-	return MatchResult{Instructions: instrs, Priority: best.Priority, Ref: best.Ref}, true
+	g.out[p] = lookupOut{MatchResult{Instructions: instrs, Priority: best.Priority, Ref: best.Ref}, true}
 }
 
 // Publish implements Backend: every searcher, the combination store and

@@ -125,13 +125,16 @@ func (b *tcamBackend) Remove(e *openflow.FlowEntry) error {
 	return nil
 }
 
-// Lookup implements Backend: the rows are priority-ordered, so the first
+// Lookup implements Backend, one member at a time.
+func (b *tcamBackend) Lookup(g *lookupGroup) { g.each(b.lookup) }
+
+// lookup classifies one header: the rows are priority-ordered, so the first
 // matching row is the winner (the TCAM priority encoder). A linear TCAM
 // scan consults the care bits of every row up to and including the
 // winning row: a packet agreeing with h on all those bits misses the same
 // higher-priority rows and hits the same winner (or, on a total miss,
 // misses every row).
-func (b *tcamBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+func (b *tcamBackend) lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
 	tr := ls.tr
 	for _, ent := range b.entries {
 		if tr != nil {

@@ -268,10 +268,13 @@ func tssBetter(best, cand *tssEntry) bool {
 	return cand.seq < best.seq
 }
 
-// Lookup implements Backend: probe every tuple's hash table with the
+// Lookup implements Backend, one member at a time.
+func (b *tssBackend) Lookup(g *lookupGroup) { g.each(b.lookup) }
+
+// lookup classifies one header: probe every tuple's hash table with the
 // header masked to the tuple's shape, then scan the spill list, keeping
 // the best (priority, installation order) entry.
-func (b *tssBackend) Lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
+func (b *tssBackend) lookup(h *openflow.Header, ls *lookupScratch) (MatchResult, bool) {
 	if ls.tr != nil {
 		b.trace(ls.tr)
 	}

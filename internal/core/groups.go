@@ -276,14 +276,15 @@ func (p *Pipeline) Groups() []Group {
 	return out
 }
 
-// runGroup executes group id against the scratch state: bucket outputs
+// runGroup executes group id against the walk's state: bucket outputs
 // are appended to sc.outs (or counted as sent-to-controller). A missing
 // group — possible only for results computed before a racing delete was
 // refused, i.e. never — and an empty group both drop. Bucket set-field
 // actions model rewrites applied to that bucket's forwarded copy; the
 // walked header is shared across buckets, so they are accounted but not
 // applied. A drop action suppresses its own bucket's outputs only.
-func runGroup(gv *groupView, id uint32, sc *execScratch, res *Result) {
+func runGroup(gv *groupView, id uint32, sc *execScratch) {
+	res := &sc.res
 	g := gv.get(id)
 	if g == nil || len(g.Buckets) == 0 {
 		res.Dropped = true

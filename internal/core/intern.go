@@ -219,21 +219,23 @@ func resultsEqual(a, b *Result) bool {
 	return true
 }
 
-// execScratch carries one Execute call's working buffers: the visited
-// walk, the egress ports, the accumulating action set, the lookup scratch
-// every table on the walk classifies with, and — for traced
-// (megaflow-installing) walks — the consulted-bits mask and the
-// rewritten-fields bitmask. The caller owns it (a batch worker's context,
-// or execScratchPool), so steady-state execution performs no heap
-// allocation.
+// execScratch carries one packet's walk: the visited tables, the egress
+// ports, the accumulating action set, the table it stands at and the
+// result it builds, and — for traced (megaflow-installing) walks — the
+// consulted-bits mask and the rewritten-fields bitmask. It lives in a
+// walker the caller owns (a batch worker's context, or walkerPool), so
+// steady-state execution performs no heap allocation.
 type execScratch struct {
 	visited []openflow.TableID
 	outs    []uint32
 	as      actionSet
 
-	// ls is handed to every table's Backend.Lookup; ls.tr points at tr
-	// while the walk is traced.
-	ls        lookupScratch
+	// cur is the table the walk stands at while state is walking; res
+	// is the result the walk builds.
+	cur   openflow.TableID
+	state walkState
+	res   Result
+
 	tr        flowMask // union of consulted bits (valid when traced)
 	rewritten uint64   // FieldIDs mutated mid-walk (always tracked; cheap)
 
@@ -246,22 +248,82 @@ type execScratch struct {
 	refOverflow bool
 
 	// lat, when non-nil, makes this walk a latency-sampled one: the walk
-	// times each Classify and records it on latShard (autotune signal).
-	// The 1-in-latSampleEvery gate's tick lives in the sampler's shard,
-	// not here — pooled scratches have no stable lifetime.
+	// runs alone, times each Classify and records it on latShard
+	// (autotune signal). The 1-in-latSampleEvery gate's tick lives in the
+	// sampler's shard, not here — pooled scratches have no stable
+	// lifetime.
 	lat      *latSampler
 	latShard uint32
 }
+
+// walkState is where a walk stands.
+type walkState uint8
+
+const (
+	walking     walkState = iota // at table cur
+	walkActions                  // left the tables: the action set runs
+	walkEnded                    // ended early: res is the outcome
+	walkDone                     // res is the walk's result
+)
 
 func (sc *execScratch) reset() {
 	sc.visited = sc.visited[:0]
 	sc.outs = sc.outs[:0]
 	sc.as.clear()
-	sc.ls.tr = nil
 	sc.rewritten = 0
 	sc.nrefs = 0
 	sc.refOverflow = false
 	sc.lat = nil
 }
 
-var execScratchPool = sync.Pool{New: func() any { return &execScratch{} }}
+// walker is the working state of a group of walks: each packet's walk
+// scratch, and the lookup group every table on the walks classifies
+// with, slot p of which is packet p's. A batch worker's context holds one
+// for its groups of walkGroup packets; a single Execute or Classify takes
+// one from walkerPool and uses slot 0.
+type walker struct {
+	sc []execScratch
+	g  lookupGroup
+}
+
+// size makes room for n walks.
+func (w *walker) size(n int) {
+	w.sc = atLeast(w.sc, n)
+	w.g.size(n)
+}
+
+// begin prepares slot p for a walk of h against s, traced when the masked
+// tier wants its outcome, its flow and latency counters on shard. It
+// also ticks the latency sampler, which may make this walk a sampled one
+// (sc.lat set): such a walk must run alone.
+func (w *walker) begin(p int, h *openflow.Header, s *snapshot, shard uint32, traced bool) {
+	sc, ls := &w.sc[p], &w.g.ls[p]
+	sc.reset()
+	sc.latShard = shard
+	w.g.hs[p], ls.tr = h, nil
+	if traced {
+		sc.tr.reset()
+		ls.tr = &sc.tr
+	}
+	sc.res = Result{}
+	if len(s.order) == 0 {
+		sc.res.SentToController, sc.state = true, walkDone
+		return
+	}
+	sc.cur, sc.state = s.order[0], walking
+	sc.armLatSample(s)
+}
+
+// release drops what slots 0…n−1 point at — the headers, the matched
+// rules' instructions, the results' interned slices — so that a walker
+// resting in a pool or a batch context keeps no pipeline or trace alive.
+func (w *walker) release(n int) {
+	n = min(n, len(w.sc))
+	clear(w.g.hs[:n])
+	clear(w.g.out[:n])
+	for i := range w.sc[:n] {
+		w.sc[i].res = Result{}
+	}
+}
+
+var walkerPool = sync.Pool{New: func() any { return new(walker) }}

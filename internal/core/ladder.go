@@ -190,44 +190,109 @@ type ladder struct {
 	d     *flowDir
 }
 
-// exec classifies one header into *res (in place: a Result is a cache
-// line, and a hit copies it once): one rung per tier — probe, count,
-// serve — then the walk. A batch worker passes its context — own scratch,
+// pending is what the ladder keeps of a packet that missed every tier it
+// used, for the walk's fills: its key, fingerprint and counter shard, and
+// which tiers it used.
+type pending struct {
+	k     flowKey
+	fp    uint64
+	shard uint32
+	use   [numTiers]bool
+}
+
+// exec classifies one header alone into *res (in place: a Result is a
+// cache line, and a hit copies it once): Pipeline.Execute's ladder. Scratch
+// comes from walkerPool, tier counters land on the key's admission cell
+// and flow counters on the shard the key's fingerprint selects.
+func (l *ladder) exec(h *openflow.Header, res *Result) {
+	var m pending
+	if l.probe(h, nil, &m, res) {
+		return
+	}
+	w := walkerPool.Get().(*walker)
+	w.size(1)
+	w.begin(0, h, l.s, m.shard, m.use[tierMasked])
+	slot := [1]int32{0}
+	l.s.walk(w, slot[:])
+	l.finish(&m, h, &w.sc[0], res)
+	w.release(1)
+	walkerPool.Put(w)
+}
+
+// execGroup classifies up to walkGroup consecutive headers of a batch into
+// res: a batch worker's ladder, with the worker's context — own walker,
 // own counter shard, tier counters kept locally until the batch ends.
-// Pipeline.Execute passes nil: scratch comes from the pool, tier counters
-// land on the key's admission cell and flow counters on the shard the
-// key's fingerprint selects. A hit counts its flow on the entry that
-// served it (cacheSlot.count), so only walks and the rare fallback reach
-// the rules' counter cells; the price is that one elephant flow hammered
-// from many cores, through either entry point, contends on its entry's
-// line.
+// Each header climbs its tier rungs as exec's does; the misses then walk
+// together (snapshot.walk), each in the walker slot of its index, and
+// their flow counters and fills follow in packet order. A
+// latency-sampled walk runs alone, so that its timings are one packet's
+// lookups.
+func (l *ladder) execGroup(hs []*openflow.Header, ctx *execCtx, res []Result) {
+	w := &ctx.w
+	w.size(len(hs))
+	walks, group := ctx.walks[:0], ctx.group[:0]
+	for i, h := range hs {
+		m := &ctx.miss[i]
+		if l.probe(h, ctx, m, &res[i]) {
+			continue
+		}
+		w.begin(i, h, l.s, m.shard, m.use[tierMasked])
+		walks = append(walks, int32(i))
+		if w.sc[i].lat != nil {
+			l.s.walk(w, walks[len(walks)-1:])
+		} else {
+			group = append(group, int32(i))
+		}
+	}
+	if len(walks) == 0 {
+		return
+	}
+	l.s.walk(w, group)
+	// The flow counters' cells, loaded together before the touches that
+	// write them one at a time (flowDir.warm).
+	if l.d != nil {
+		for _, i := range walks {
+			if sc := &w.sc[i]; sc.nrefs > 0 {
+				l.d.warm(ctx.miss[i].shard, &sc.refs, sc.nrefs)
+			}
+		}
+	}
+	for _, i := range walks {
+		l.finish(&ctx.miss[i], hs[i], &w.sc[i], &res[i])
+	}
+}
+
+// probe runs h's tier rungs — probe, count, serve — and reports whether
+// a tier served it, into *res; otherwise m holds what the walk's fills
+// need. A hit counts its flow on the entry that served it
+// (cacheSlot.count), so only walks and the rare fallback reach the rules'
+// counter cells; the price is that one elephant flow hammered from many
+// cores, through either entry point, contends on its entry's line.
 //
 // Both tiers key on the header as it arrived: the key is packed before
 // the walk, and mid-walk mutations apply to the forwarded copy. A
 // masked-tier hit does not back-fill the exact tier: all-new-flow
 // traffic, the regime the masked tier exists for, would churn the
 // exact-match slots without ever re-hitting them.
-func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
+func (l *ladder) probe(h *openflow.Header, ctx *execCtx, m *pending, res *Result) bool {
 	if h == nil {
 		// Nothing to classify: the miss path, as on an empty pipeline.
 		*res = Result{SentToController: true}
-		return
+		return true
 	}
-	var shard uint32
+	m.use = [numTiers]bool{}
+	m.shard = 0
 	if ctx != nil {
-		shard = ctx.shard
+		m.shard = ctx.shard
 	}
 	if l.tiers[tierExact] == nil && l.tiers[tierMasked] == nil {
-		*res = l.walk(h, ctx, shard, nil, 0, [numTiers]bool{})
-		return
+		return false
 	}
-	var k flowKey
-	packFlowKey(&k, h)
-	fp := k.fingerprint()
+	packFlowKey(&m.k, h)
+	m.fp = m.k.fingerprint()
 	if ctx == nil {
-		shard = uint32(fp) & (ctrShards - 1)
+		m.shard = uint32(m.fp) & (ctrShards - 1)
 	}
-	var use [numTiers]bool
 	var hit slotHit
 	for i, c := range l.tiers {
 		if c == nil {
@@ -237,51 +302,40 @@ func (l *ladder) exec(h *openflow.Header, ctx *execCtx, res *Result) {
 		if ctx != nil {
 			local = &ctx.tiers[i]
 		}
-		cell := c.cell(fp)
-		if use[i] = c.adm.use(cell); use[i] {
-			if rp := c.lookup(&k, fp, l.s.window(i), &hit); rp != nil {
+		cell := c.cell(m.fp)
+		if m.use[i] = c.adm.use(cell); m.use[i] {
+			if rp := c.lookup(&m.k, m.fp, l.s.window(i), &hit); rp != nil {
 				c.adm.hit(cell, local)
 				if l.d != nil && hit.nrefs > 0 {
-					l.d.charge(&hit, shard, h.PktLen)
+					l.d.charge(&hit, m.shard, h.PktLen)
 				}
 				*res = *rp
-				return
+				return true
 			}
 		}
-		c.adm.miss(cell, local, use[i])
+		c.adm.miss(cell, local, m.use[i])
 	}
-	*res = l.walk(h, ctx, shard, &k, fp, use)
+	return false
 }
 
-// walk is the ladder's last rung: the multi-table walk, traced only when
-// the masked tier wants the outcome, then flow counters and the fills into
-// whichever tiers this packet used — the exact tier under the full mask,
-// the masked tier under the walk's consulted bits. A walk that matched
-// more rules than a cached attribution can carry fills nowhere: serving it
-// from a cache would silently stop counting the overflow.
-func (l *ladder) walk(h *openflow.Header, ctx *execCtx, shard uint32, k *flowKey, fp uint64, fill [numTiers]bool) Result {
-	var sc *execScratch
-	if ctx != nil {
-		sc = &ctx.sc
-	} else {
-		sc = execScratchPool.Get().(*execScratch)
-	}
-	sc.latShard = shard
-	res := l.s.executeScratch(h, sc, fill[tierMasked])
+// finish is the ladder's last rung for a walked packet: the flow counters
+// of the rules its walk matched, then the fills into whichever tiers it
+// used — the exact tier under the full mask, the masked tier under the
+// walk's consulted bits — and the result into *res. A walk that matched
+// more rules than a cached attribution can carry fills nowhere: serving
+// it from a cache would silently stop counting the overflow.
+func (l *ladder) finish(m *pending, h *openflow.Header, sc *execScratch, res *Result) {
 	if l.d != nil && sc.nrefs > 0 {
-		l.d.touch(shard, &sc.refs, sc.nrefs, 1, frameBytes(h.PktLen))
+		l.d.touch(m.shard, &sc.refs, sc.nrefs, 1, frameBytes(h.PktLen))
 	}
-	if !sc.refOverflow && fill != [numTiers]bool{} {
-		rp := l.s.intern.internResult(res)
+	if !sc.refOverflow && m.use != [numTiers]bool{} {
+		rp := l.s.intern.internResult(sc.res)
 		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
 		for i, c := range l.tiers {
-			if fill[i] {
-				c.install(l.d, k, fp, masks[i], sc.rewritten, l.s.window(i), rp, &sc.refs, sc.nrefs)
+			if m.use[i] {
+				c.install(l.d, &m.k, m.fp, masks[i], sc.rewritten, l.s.window(i), rp, &sc.refs, sc.nrefs)
 			}
 		}
 	}
-	if ctx == nil {
-		execScratchPool.Put(sc)
-	}
-	return res
+	*res = sc.res
 }

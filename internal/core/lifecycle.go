@@ -366,6 +366,18 @@ func (d *flowDir) touch(shard uint32, refs *[ctrRefMax]uint32, n int, pkts, byte
 	}
 }
 
+// warm loads the cells a touch of refs on shard writes. A touch's atomic
+// adds each wait for their cell's line; plain loads of a group's cells,
+// issued together before its touches, overlap (ladder.execGroup).
+func (d *flowDir) warm(shard uint32, refs *[ctrRefMax]uint32, n int) {
+	s := &d.shards[shard&(ctrShards-1)]
+	for i := 0; i < n; i++ {
+		if ref := refs[i]; ref != 0 {
+			s.cell(ref - 1).last.Load()
+		}
+	}
+}
+
 // charge counts one packet a cache entry served: on the entry itself
 // while it still holds the walk the reader validated, else on the rules'
 // cells through the refs the reader copied — as is a field's total the

@@ -323,7 +323,7 @@ func TestMegaflowRefusesSweptPastFill(t *testing.T) {
 	}
 	h := openflow.Header{IPv4Dst: 0x0A010203}
 	var res Result
-	old.exec(&h, nil, &res)
+	old.exec(&h, &res)
 	if got := outputOf(res); got != 1 {
 		t.Fatalf("pre-commit reader: output %d, want 1", got)
 	}
@@ -348,7 +348,7 @@ func TestMegaflowOldSnapshotMissesNewFill(t *testing.T) {
 	}
 	h = openflow.Header{IPv4Dst: 0x0A010203}
 	var res Result
-	old.exec(&h, nil, &res)
+	old.exec(&h, &res)
 	if got := outputOf(res); got != 1 {
 		t.Fatalf("pre-commit reader: output %d, want 1 (served the post-commit fill?)", got)
 	}

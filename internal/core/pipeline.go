@@ -365,87 +365,138 @@ func (as *actionSet) clear() {
 // table views. Distinct goroutines must pass distinct headers.
 func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 	l := ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
-	l.exec(h, nil, &res)
+	l.exec(h, &res)
 	return res
 }
 
-// executeWalk performs the table walk and action-set run over a
-// snapshot's dense view index, recording the visited tables and egress
-// ports in the scratch buffers. Every table classifies with the one
-// lookup scratch sc.ls; with its tracer set (sc.ls.tr) the walk
-// additionally accumulates the consulted-bits mask and the
+// walk performs the table walks that w's slots stand ready for
+// (walker.begin) over the snapshot's dense view index, and leaves each
+// outcome in its scratch's res. The walks go together, table by table:
+// each round classifies, as one lookup group, the walks that stand at the
+// lowest table any of them stands at. A walk only moves to a higher
+// table, so each table classifies once per call, and walks that goto
+// different tables continue in per-table groups. A traced walk (its
+// ls.tr set) additionally accumulates the consulted-bits mask and the
 // rewritten-fields bitmask (sc.rewritten) the megaflow tier installs
 // against. Every control-flow decision below — which table classifies
 // next, which miss policy fires — is a function of classification
 // outcomes, which are functions of the traced bits, so the trace needs no
 // extra terms for the walk structure itself.
-func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupView, h *openflow.Header, sc *execScratch, res *Result) {
-	as := &sc.as
-	cur := order[0]
-	for steps := 0; steps <= len(order); steps++ {
-		t := byID[cur]
-		if t == nil {
-			res.SentToController = true
-			return
-		}
-		sc.visited = append(sc.visited, cur)
-		// A sampled walk (autotune latency signal) times each
-		// classification. The common path never reaches the clock — sc.lat
-		// is non-nil for one walk in latSampleEvery.
-		var start time.Time
-		if sc.lat != nil {
-			start = time.Now()
-		}
-		m, matched := t.backend.Lookup(h, &sc.ls)
-		if sc.lat != nil {
-			sc.lat.record(sc.latShard, cur, uint64(time.Since(start)))
-		}
-		if !matched {
-			switch t.cfg.Miss.Kind {
-			case MissGoto:
-				if t.cfg.Miss.Table <= cur {
-					res.SentToController = true
-					return
-				}
-				cur = t.cfg.Miss.Table
-				continue
-			case MissDrop:
-				res.Dropped = true
-				return
-			default:
-				res.SentToController = true
-				return
+func (s *snapshot) walk(w *walker, slots []int32) {
+	// A sampled walk (autotune latency signal) runs alone and times each
+	// classification. The common path never reaches the clock — lat is
+	// non-nil for one walk in latSampleEvery.
+	var lat *latSampler
+	if len(slots) == 1 {
+		lat = w.sc[slots[0]].lat
+	}
+	g := &w.g
+	for {
+		var cur openflow.TableID
+		live := false
+		for _, p := range slots {
+			if sc := &w.sc[p]; sc.state == walking && (!live || sc.cur < cur) {
+				cur, live = sc.cur, true
 			}
 		}
-		res.Matched = true
-		res.MatchedTables++
-		if m.Ref != 0 {
-			// Record the winning rule for counter attribution. The bound
-			// covers every interned path; the rare deeper walk counts the
-			// first ctrRefMax rules and marks the overflow so the outcome
-			// is never cached with a truncated attribution.
-			if sc.nrefs < ctrRefMax {
-				sc.refs[sc.nrefs] = m.Ref
-				sc.nrefs++
-			} else {
-				sc.refOverflow = true
-			}
-		}
-
-		next, hasNext := applyInstructions(h, sc, m.Instructions)
-		if !hasNext {
+		if !live {
 			break
 		}
-		if next <= cur {
-			// Goto must move forward; treat violations as a miss to the
-			// controller rather than looping.
-			res.SentToController = true
-			return
+		t := s.byID[cur]
+		g.m = g.m[:0]
+		for _, p := range slots {
+			sc := &w.sc[p]
+			if sc.state != walking || sc.cur != cur {
+				continue
+			}
+			if t == nil {
+				sc.res.SentToController, sc.state = true, walkEnded
+				continue
+			}
+			sc.visited = append(sc.visited, cur)
+			g.m = append(g.m, p)
 		}
-		cur = next
+		if t == nil {
+			continue
+		}
+		var start time.Time
+		if lat != nil {
+			start = time.Now()
+		}
+		t.backend.Lookup(g)
+		if lat != nil {
+			lat.record(w.sc[slots[0]].latShard, cur, uint64(time.Since(start)))
+		}
+		for _, p := range g.m {
+			w.sc[p].step(t, cur, g.hs[p], &g.out[p])
+		}
 	}
+	for _, p := range slots {
+		sc := &w.sc[p]
+		switch sc.state {
+		case walkActions:
+			sc.runActions(g.hs[p], s.groups)
+		case walkEnded:
+		default:
+			continue
+		}
+		sc.res.TablesVisited = s.intern.internPath(sc.visited)
+		sc.res.Outputs = s.intern.internOutputs(sc.outs)
+		sc.state = walkDone
+	}
+}
 
-	// Run the accumulated action set.
+// step applies table cur's lookup outcome o to the walk: the table's miss
+// policy, or the match's counter ref and instructions. The walk then
+// stands at its next table, leaves the tables for its action set, or has
+// ended.
+func (sc *execScratch) step(t *LookupTable, cur openflow.TableID, h *openflow.Header, o *lookupOut) {
+	res := &sc.res
+	if !o.ok {
+		switch t.cfg.Miss.Kind {
+		case MissGoto:
+			if t.cfg.Miss.Table <= cur {
+				res.SentToController, sc.state = true, walkEnded
+				return
+			}
+			sc.cur = t.cfg.Miss.Table
+		case MissDrop:
+			res.Dropped, sc.state = true, walkEnded
+		default:
+			res.SentToController, sc.state = true, walkEnded
+		}
+		return
+	}
+	res.Matched = true
+	res.MatchedTables++
+	if o.Ref != 0 {
+		// Record the winning rule for counter attribution. The bound
+		// covers every interned path; the rare deeper walk counts the
+		// first ctrRefMax rules and marks the overflow so the outcome
+		// is never cached with a truncated attribution.
+		if sc.nrefs < ctrRefMax {
+			sc.refs[sc.nrefs] = o.Ref
+			sc.nrefs++
+		} else {
+			sc.refOverflow = true
+		}
+	}
+	next, hasNext := applyInstructions(h, sc, o.Instructions)
+	switch {
+	case !hasNext:
+		sc.state = walkActions
+	case next <= cur:
+		// Goto must move forward; treat violations as a miss to the
+		// controller rather than looping.
+		res.SentToController, sc.state = true, walkEnded
+	default:
+		sc.cur = next
+	}
+}
+
+// runActions runs the action set a walk accumulated.
+func (sc *execScratch) runActions(h *openflow.Header, gv *groupView) {
+	as, res := &sc.as, &sc.res
 	for _, a := range as.setField {
 		if a.Field.Valid() {
 			h.Set(a.Field, a.Value)
@@ -457,7 +508,7 @@ func executeWalk(order []openflow.TableID, byID *[256]*LookupTable, gv *groupVie
 	case as.hasGroup:
 		// The group takes precedence over a plain output, as in the
 		// OpenFlow action-set ordering.
-		runGroup(gv, as.group, sc, res)
+		runGroup(gv, as.group, sc)
 	case len(as.output) > 0:
 		for _, port := range as.output {
 			if port == openflow.ControllerPort {

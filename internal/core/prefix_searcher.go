@@ -228,40 +228,41 @@ func (s *PrefixFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher. It walks every partition trie once,
-// then enumerates partition-label combinations in descending total prefix
-// length, appending the field label of each stored combination. When
-// traced, each partition trie reports the key bits its descent indexed on;
-// two headers agreeing on those bits per partition produce identical
-// per-partition match sets and therefore an identical candidate set (the
-// combination stage consults labels only). The per-partition consumed
-// counts are folded into one conservative field prefix: the deepest
-// partition reached pins the prefix length.
-func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
-	v := h.Get(s.field)
-	ls.matches, ls.pkey = atLeast(ls.matches, s.nparts), atLeast(ls.pkey, s.nparts)
-	matches := ls.matches
-
-	// Walk each partition trie, collecting complete match sets.
-	if tr := ls.tr; tr != nil {
-		maxConsumed := 0
+// search implements FieldSearcher. It walks every partition trie once
+// per member — all members together, level by level
+// (mbt.Trie.LookupGroup) — then enumerates each member's partition-label
+// combinations in descending total prefix length and probes them all in
+// one group probe (crossprod.Table.LookupGroup), appending the field label
+// of each stored combination. When traced, each partition trie reports
+// the key bits its descent indexed on; two headers agreeing on those bits
+// per partition produce identical per-partition match sets and therefore
+// an identical candidate set (the combination stage consults labels
+// only). The per-partition consumed counts are folded into one
+// conservative field prefix: the deepest partition reached pins the
+// prefix length.
+func (s *PrefixFieldSearcher) search(g *lookupGroup, d int) {
+	n := len(g.m)
+	g.walks = atLeast(g.walks, n*s.nparts)
+	for j, p := range g.m {
+		ls := &g.ls[p]
+		ls.matches, ls.pkey = atLeast(ls.matches, s.nparts), atLeast(ls.pkey, s.nparts)
+		// A slot's buffers take the most a lookup can need at once (one
+		// match per prefix length), so that no rare long match set grows
+		// them once the slot is warm.
+		if cap(ls.cands[d]) < s.width+2 { // every prefix length, and Wildcard
+			ls.cands[d] = make([]Candidate, 0, s.width+2)
+		}
+		v := g.hs[p].Get(s.field)
 		for i := 0; i < s.nparts; i++ {
-			key16 := bitops.PartitionOf(v, s.width, i)
-			var consumed int
-			matches[i], consumed = s.parts[i].trie.LookupAllTraced(uint64(key16), matches[i][:0])
-			// Partition i covers field bits below the top 16*i, so bits
-			// consumed there extend the overall consulted prefix to
-			// 16*i + consumed.
-			if c := 16*i + consumed; c > maxConsumed {
-				maxConsumed = c
+			if cap(ls.matches[i]) < 17 { // a 16-bit partition's lengths 0…16
+				ls.matches[i] = make([]mbt.MatchedEntry, 0, 17)
 			}
+			w := &g.walks[i*n+j]
+			w.Key, w.Matches = uint64(bitops.PartitionOf(v, s.width, i)), ls.matches[i][:0]
 		}
-		tr.orField(s.field, maxConsumed)
-	} else {
-		for i := 0; i < s.nparts; i++ {
-			key16 := bitops.PartitionOf(v, s.width, i)
-			matches[i] = s.parts[i].trie.LookupAll(uint64(key16), matches[i][:0])
-		}
+	}
+	for i := range s.parts {
+		s.parts[i].trie.LookupGroup(g.walks[i*n : (i+1)*n])
 	}
 
 	// full16[i] is the label of the exact (plen 16) match in partition i,
@@ -271,47 +272,77 @@ func (s *PrefixFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lo
 	// each candidate contributes only its own dimension's hash. (Tables of
 	// ≤2 partitions take the combination store's packed fast path, where
 	// the probe derives from the key itself.)
-	key := ls.pkey[:s.nparts]
+	g.clearProbes()
 	useHash := s.nparts > 2
-	for j := s.nparts - 1; j >= 0; j-- {
-		// Prerequisite: partitions 0..j-1 must match exactly.
-		ok := true
-		for i := 0; i < j; i++ {
-			m := matches[i]
-			if len(m) == 0 || m[0].Plen != 16 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		var fixed uint64
+	for j, p := range g.m {
+		ls := &g.ls[p]
+		matches := ls.matches
+		consulted := 0
 		for i := 0; i < s.nparts; i++ {
-			key[i] = Wildcard
+			w := &g.walks[i*n+j]
+			matches[i] = w.Matches
+			// Partition i covers field bits below the top 16*i, so bits
+			// consumed there extend the overall consulted prefix to
+			// 16*i + consumed.
+			consulted = max(consulted, 16*i+w.Consumed)
 		}
-		for i := 0; i < j; i++ {
-			key[i] = matches[i][0].Label
+		if ls.tr != nil {
+			ls.tr.orField(s.field, consulted)
 		}
-		if useHash {
+		key := ls.pkey[:s.nparts]
+		for jj := s.nparts - 1; jj >= 0; jj-- {
+			// Prerequisite: partitions 0..jj-1 must match exactly.
+			ok := true
+			for i := 0; i < jj; i++ {
+				m := matches[i]
+				if len(m) == 0 || m[0].Plen != 16 {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			var fixed uint64
 			for i := 0; i < s.nparts; i++ {
-				if i != j {
-					fixed ^= crossprod.DimHash(i, key[i])
+				key[i] = Wildcard
+			}
+			for i := 0; i < jj; i++ {
+				key[i] = matches[i][0].Label
+			}
+			if useHash {
+				for i := 0; i < s.nparts; i++ {
+					if i != jj {
+						fixed ^= crossprod.DimHash(i, key[i])
+					}
+				}
+			}
+			for _, c := range matches[jj] {
+				key[jj] = c.Label
+				var h uint64
+				if useHash {
+					h = fixed ^ crossprod.DimHash(jj, c.Label)
+				}
+				if n > 1 {
+					g.queue(s.combos, key, h, p)
+				} else if b, _, ok := s.combos.LookupSeqHash(key, h); ok {
+					// A group of one has no loads to overlap: it probes
+					// as it goes, without the queue's bookkeeping.
+					ls.cands[d] = append(ls.cands[d], Candidate{Label: label.Label(b.Payload), Specificity: b.Priority})
 				}
 			}
 		}
-		for _, c := range matches[j] {
-			key[j] = c.Label
-			var h uint64
-			if useHash {
-				h = fixed ^ crossprod.DimHash(j, c.Label)
-			}
-			if b, _, ok := s.combos.LookupSeqHash(key, h); ok {
-				dst = append(dst, Candidate{Label: label.Label(b.Payload), Specificity: b.Priority})
-			}
+	}
+	if n == 1 {
+		return
+	}
+	g.probe(s.combos)
+	for i := range g.probes {
+		if pr := &g.probes[i]; pr.OK {
+			ls := &g.ls[g.owner[i]]
+			ls.cands[d] = append(ls.cands[d], Candidate{Label: label.Label(pr.Binding.Payload), Specificity: pr.Binding.Priority})
 		}
 	}
-	return dst
 }
 
 // Publish implements FieldSearcher: the partition tries and the

@@ -138,20 +138,22 @@ func (s *RangeFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher: the containing interval's labels are a
-// slice of the table's label arena, read in place. Elementary-interval
-// search compares the value against stored boundaries, so with any
-// interval present every field bit can move the value across a boundary;
-// the whole field is consulted. An empty table consults nothing.
-func (s *RangeFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
-	if ls.tr != nil && s.table.Segments() > 0 {
-		ls.tr.orFieldFull(s.field)
+// search implements FieldSearcher, one member at a time: the containing
+// interval's labels are a slice of the table's label arena, read in place.
+// Elementary-interval search compares the value against stored
+// boundaries, so with any interval present every field bit can move the
+// value across a boundary; the whole field is consulted. An empty table
+// consults nothing.
+func (s *RangeFieldSearcher) search(g *lookupGroup, d int) {
+	for _, p := range g.m {
+		ls := &g.ls[p]
+		if ls.tr != nil && s.table.Segments() > 0 {
+			ls.tr.orFieldFull(s.field)
+		}
+		for _, lab := range s.table.LookupAll(g.hs[p].Get(s.field).Lo) {
+			ls.cands[d] = append(ls.cands[d], Candidate{Label: lab, Specificity: s.specs[lab]})
+		}
 	}
-	v := h.Get(s.field).Lo
-	for _, lab := range s.table.LookupAll(v) {
-		dst = append(dst, Candidate{Label: lab, Specificity: s.specs[lab]})
-	}
-	return dst
 }
 
 // LabelBits implements FieldSearcher.

@@ -49,16 +49,16 @@ type FieldSearcher interface {
 	LabelOf(m openflow.Match) (label.Label, error)
 	// Remove releases one reference to the constraint's value.
 	Remove(m openflow.Match) error
-	// Search appends the labels of every stored unique value matching the
-	// header to dst, most specific first. ls is the lookup's scratch,
-	// handed down by the backend: a searcher keeps its working buffers
-	// there, not in a pool of its own. A non-nil ls.tr asks for
+	// search appends to each member p of g (g.m) the labels of every
+	// stored unique value matching its header, most specific first, to
+	// g.ls[p].cands[d]. The group's buffers are the searcher's scratch: it
+	// keeps none of its own. A member's non-nil ls.tr asks for
 	// consulted-bits accounting: the searcher marks in it every header bit
-	// whose value could change the candidate set (the megaflow
+	// whose value could change that member's candidate set (the megaflow
 	// mask-correctness invariant). Implementations must be conservative —
 	// over-marking shrinks cached regions, under-marking caches wrong
 	// results.
-	Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate
+	search(g *lookupGroup, d int)
 	// LabelBits returns the width needed to encode this field's label
 	// space (sized by its high-water mark).
 	LabelBits() int
@@ -68,7 +68,7 @@ type FieldSearcher interface {
 	// Every searcher's memory is sized by high-water marks.
 	highWater
 	// Publish returns an immutable view of the searcher as it stands: it
-	// serves any number of concurrent Search calls and the accounting
+	// serves any number of concurrent searches and the accounting
 	// methods while the original keeps taking updates, and shares the
 	// original's lookup storage page by page (the pipeline's snapshot
 	// mechanism). Updating a view is a bug and panics.
@@ -184,19 +184,20 @@ func (s *ExactFieldSearcher) Remove(m openflow.Match) error {
 	return nil
 }
 
-// Search implements FieldSearcher. A populated LUT discriminates on
-// every bit of the field (any bit flip can move the header onto or off a
-// stored value); an empty LUT returns the same empty candidate set for
-// all headers and consults nothing.
-func (s *ExactFieldSearcher) Search(h *openflow.Header, dst []Candidate, ls *lookupScratch) []Candidate {
-	if ls.tr != nil && s.table.Len() > 0 {
-		ls.tr.orFieldFull(s.field)
+// search implements FieldSearcher, one member at a time. A populated
+// LUT discriminates on every bit of the field (any bit flip can move the
+// header onto or off a stored value); an empty LUT returns the same empty
+// candidate set for all headers and consults nothing.
+func (s *ExactFieldSearcher) search(g *lookupGroup, d int) {
+	for _, p := range g.m {
+		ls := &g.ls[p]
+		if ls.tr != nil && s.table.Len() > 0 {
+			ls.tr.orFieldFull(s.field)
+		}
+		if lab := s.table.Lookup(g.hs[p].Get(s.field).Lo); lab != label.NoLabel {
+			ls.cands[d] = append(ls.cands[d], Candidate{Label: lab, Specificity: s.width})
+		}
 	}
-	v := h.Get(s.field)
-	if lab := s.table.Lookup(v.Lo); lab != label.NoLabel {
-		dst = append(dst, Candidate{Label: lab, Specificity: s.width})
-	}
-	return dst
 }
 
 // LabelBits implements FieldSearcher.

@@ -78,32 +78,6 @@ type snapshot struct {
 	mem MemoryStats
 }
 
-// executeScratch classifies one header using caller-owned scratch. Batch
-// workers pass their per-worker context's scratch, so the batch hot path
-// touches no shared pool at all. With traced set, consulted-bits tracing
-// is on: after it returns, sc.tr holds the union of header bits any
-// lookup layer consulted and sc.rewritten the fields mutated mid-walk —
-// together the megaflow entry the outcome may be installed under. An
-// empty pipeline legitimately leaves the mask all-zero: the outcome
-// (controller miss) is the same for every packet.
-func (s *snapshot) executeScratch(h *openflow.Header, sc *execScratch, traced bool) Result {
-	var res Result
-	sc.reset()
-	if traced {
-		sc.tr.reset()
-		sc.ls.tr = &sc.tr
-	}
-	if len(s.order) == 0 {
-		res.SentToController = true
-		return res
-	}
-	sc.armLatSample(s)
-	executeWalk(s.order, &s.byID, s.groups, h, sc, &res)
-	res.TablesVisited = s.intern.internPath(sc.visited)
-	res.Outputs = s.intern.internOutputs(sc.outs)
-	return res
-}
-
 // loadSnapshot returns the published snapshot: one atomic load, since a
 // published snapshot is current. Only a reader that finds none — the
 // first lookup after a writer retracted it — takes the write lock, to
@@ -186,17 +160,30 @@ func (p *Pipeline) SetWorkers(n int) {
 // GOMAXPROCS).
 func (p *Pipeline) Workers() int { return int(p.workers.Load()) }
 
+// walkGroup is the number of consecutive headers whose cache misses a
+// batch worker walks together (ladder.execGroup): enough independent
+// memory loads in each stage of an mbt lookup to keep the core's
+// outstanding misses busy. Measured on the 256 k-prefix LPM table
+// (BenchmarkPipelineExecuteBatch/lpm256k), where the walk is bound by
+// memory latency; tables that fit in cache gain nothing from the overlap.
+const walkGroup = 16
+
 // batchChunk is the number of headers a batch worker claims per cursor
 // advance: large enough to amortise the atomic increment, small enough
-// to balance skewed per-packet costs across workers.
+// to balance skewed per-packet costs across workers, and a multiple of
+// walkGroup, so a chunk splits into whole groups.
 const batchChunk = 32
 
-// execCtx is one batch worker's private execution context: its own walk
-// scratch and its own cache counters, flushed once per batch. Workers
+// execCtx is one batch worker's private execution context: its own
+// walker, the tier state of its current group's misses and the slots
+// that walk, and its own cache counters, flushed once per batch. Workers
 // never share a context, so the batch hot path performs no pool traffic
 // and no per-packet atomic writes beyond the claimed-cursor advances.
 type execCtx struct {
-	sc    execScratch
+	w     walker
+	miss  [walkGroup]pending
+	walks [walkGroup]int32    // the group's misses, in packet order
+	group [walkGroup]int32    // those of them that walk together
 	tiers [numTiers]tierDelta // per-tier cache counters
 	// shard is the lifecycle counter shard this worker charges; workers
 	// map to distinct shards, so per-flow counting in a batch is
@@ -304,6 +291,7 @@ func (bs *batchState) work(w int) {
 			c.adm.flush(w, &ctx.tiers[i])
 		}
 	}
+	ctx.w.release(walkGroup)
 }
 
 // drain claims chunks from region v until it is exhausted. Both the
@@ -329,8 +317,9 @@ func (bs *batchState) drain(v int, ctx *execCtx) {
 		if end > hi {
 			end = hi
 		}
-		for i := start; i < end; i++ {
-			bs.exec(bs.hs[i], ctx, &bs.res[i])
+		for i := start; i < end; i += walkGroup {
+			j := min(i+walkGroup, end)
+			bs.execGroup(bs.hs[i:j], ctx, bs.res[i:j])
 		}
 	}
 }

@@ -401,12 +401,12 @@ type MatchResult struct {
 // Classify runs the table's lookup backend for one packet header,
 // returning the winning flow entry's instructions. Ties on priority
 // resolve to the earliest installed entry, whichever backend serves the
-// table. Its lookup scratch comes from the pipeline's execScratch pool.
+// table. It is a lookup group of one; its scratch comes from walkerPool.
 func (t *LookupTable) Classify(h *openflow.Header) (MatchResult, bool) {
-	sc := execScratchPool.Get().(*execScratch)
-	sc.ls.tr = nil
-	m, ok := t.backend.Lookup(h, &sc.ls)
-	execScratchPool.Put(sc)
+	w := walkerPool.Get().(*walker)
+	m, ok := w.g.lookupOne(t.backend, h, nil)
+	w.release(1)
+	walkerPool.Put(w)
 	return m, ok
 }
 

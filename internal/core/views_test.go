@@ -256,12 +256,14 @@ func TestSnapshotLinearizability(t *testing.T) {
 	// The long-held snapshot and its answers.
 	held := p.loadSnapshot()
 	heldAnswers := func() []uint32 {
-		var sc execScratch
+		var w walker
+		w.size(1)
 		out := make([]uint32, len(probes))
 		for j := range probes {
 			h := probes[j]
-			res := held.executeScratch(&h, &sc, false)
-			out[j] = got(&res)
+			w.begin(0, &h, held, 0, false)
+			held.walk(&w, []int32{0})
+			out[j] = got(&w.sc[0].res)
 		}
 		return out
 	}

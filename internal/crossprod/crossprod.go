@@ -254,16 +254,23 @@ func (t *Table) keysEqual(i int, key []label.Label) bool {
 	return true
 }
 
-// findSlot returns the index of the slot holding key, or -1.
+// findSlot returns the index of the slot holding key, whose slot word is
+// hk, or -1.
 func (t *Table) findSlot(hk uint64, key []label.Label) int {
 	if t.ctrl.used == 0 {
 		return -1
 	}
 	bh := t.bucketHash(hk)
-	want := ctrlOf(bh)
-	for i := t.ctrl.match(bh, want); i >= 0; i = t.ctrl.match(uint64(i)+1, want) {
-		if t.slots.Get(i).hk == hk && (t.packed || t.keysEqual(i, key)) {
-			return i
+	return t.findFrom(bh, ctrlOf(bh), hk, key)
+}
+
+// findFrom runs the probe for the key with slot word hk and control byte
+// want from probe position i: the one probe loop, behind updates, single
+// lookups and the group probe's last pass (LookupGroup).
+func (t *Table) findFrom(i uint64, want uint8, hk uint64, key []label.Label) int {
+	for at := t.ctrl.match(i, want); at >= 0; at = t.ctrl.match(uint64(at)+1, want) {
+		if t.slots.Dir[at>>cow.PageShift][at&cow.PageMask].hk == hk && (t.packed || t.keysEqual(at, key)) {
+			return at
 		}
 	}
 	return -1
@@ -454,10 +461,10 @@ func (t *Table) refStages(key []label.Label, delta int32) {
 // LookupPacked is Lookup on a table of ≤2 dimensions with the key already
 // packed into one word: dimension 0 in the low half, dimension 1 above.
 func (t *Table) LookupPacked(pk uint64) (Binding, bool) {
-	if !t.packed || t.ctrl.used == 0 {
+	if !t.packed {
 		return Binding{}, false
 	}
-	b, _, ok := t.lookupHK(pk, nil)
+	b, _, ok := t.at(t.findSlot(pk, nil))
 	return b, ok
 }
 
@@ -473,10 +480,10 @@ func (t *Table) Lookup(key []label.Label) (Binding, bool) {
 // comparing bindings from several candidate keys can break priority ties
 // by it.
 func (t *Table) LookupSeq(key []label.Label) (Binding, uint64, bool) {
-	if len(key) != t.dims || t.ctrl.used == 0 {
+	if len(key) != t.dims {
 		return Binding{}, 0, false
 	}
-	return t.lookupHK(t.hkOf(key), key)
+	return t.at(t.findSlot(t.hkOf(key), key))
 }
 
 // LookupSeqHash is LookupSeq with the key's hash supplied by the caller —
@@ -484,27 +491,95 @@ func (t *Table) LookupSeq(key []label.Label) (Binding, uint64, bool) {
 // incrementally while enumerating candidate keys. Packed tables (≤2
 // dimensions) derive the probe from the key itself and ignore h.
 func (t *Table) LookupSeqHash(key []label.Label, h uint64) (Binding, uint64, bool) {
-	if len(key) != t.dims || t.ctrl.used == 0 {
+	if len(key) != t.dims {
 		return Binding{}, 0, false
 	}
-	if t.packed {
-		return t.lookupHK(pack(key), key)
-	}
-	return t.lookupHK(h, key)
+	return t.at(t.findSlot(t.Word(key, h), key))
 }
 
-// lookupHK probes for the key. The miss path reads control bytes only;
-// the slot directory is consulted after a control byte matched.
-func (t *Table) lookupHK(hk uint64, key []label.Label) (Binding, uint64, bool) {
-	bh := t.bucketHash(hk)
-	want := ctrlOf(bh)
-	for i := t.ctrl.match(bh, want); i >= 0; i = t.ctrl.match(uint64(i)+1, want) {
-		sl := &t.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
-		if sl.hk == hk && (t.packed || t.keysEqual(i, key)) {
-			return sl.head.Binding, sl.head.seq, true
+// at returns the winning binding of slot i and its sequence; ok is false
+// for i < 0.
+func (t *Table) at(i int) (b Binding, seq uint64, ok bool) {
+	if i < 0 {
+		return Binding{}, 0, false
+	}
+	sl := &t.slots.Dir[i>>cow.PageShift][i&cow.PageMask]
+	return sl.head.Binding, sl.head.seq, true
+}
+
+// Word returns the word a Probe of key carries: the packed key on a table
+// of ≤2 dimensions, h — the key's XOR-fold hash (HashKey) — otherwise.
+func (t *Table) Word(key []label.Label, h uint64) uint64 {
+	if t.packed {
+		return pack(key)
+	}
+	return h
+}
+
+// Probe is one key of a group probe (LookupGroup). The caller sets Word
+// (Table.Word); LookupGroup sets OK and, when it is set, Binding and Seq.
+// A probe may be reused as it is: LookupGroup reads no other field before
+// writing it.
+type Probe struct {
+	Word    uint64
+	Binding Binding
+	Seq     uint64
+	OK      bool
+	want    uint8 // the control byte the key's slot holds
+	ctrl    uint8 // the control byte at at
+	at      int32 // the probe position: home bucket, then first candidate slot; -1 when none
+}
+
+// LookupGroup probes every key of ps for its best binding. On a table of
+// more than two dimensions, probe i's key is keys[i*Dims():(i+1)*Dims()];
+// a packed table's probes carry their keys whole in Word, and keys is
+// unused. The probes go stage by stage: every key's home control byte,
+// then every key's first candidate slot, then the rare key whose first
+// candidate held another key, which probes on (findFrom). No branch of
+// the first two stages waits on that stage's loads, so the core keeps one
+// load per key in flight, where probes of one key at a time wait for
+// each: on a table larger than cache that wait is most of a probe. A miss
+// — most of a candidate walk — reads control bytes only.
+func (t *Table) LookupGroup(ps []Probe, keys []label.Label) {
+	if t.ctrl.used == 0 {
+		for i := range ps {
+			ps[i].OK = false
+		}
+		return
+	}
+	for i := range ps {
+		p := &ps[i]
+		bh := t.bucketHash(p.Word)
+		p.want, p.at = ctrlOf(bh), int32(bh&t.ctrl.mask)
+		p.ctrl = t.ctrl.at(uint64(p.at))
+	}
+	for i := range ps {
+		p := &ps[i]
+		at := -1
+		switch p.ctrl {
+		case p.want:
+			at = int(p.at)
+		case ctrlEmpty:
+		default:
+			at = t.ctrl.match(uint64(p.at)+1, p.want)
+		}
+		p.at, p.OK = int32(at), false
+		if at >= 0 {
+			sl := &t.slots.Dir[at>>cow.PageShift][at&cow.PageMask]
+			p.OK, p.Binding, p.Seq = sl.hk == p.Word, sl.head.Binding, sl.head.seq
 		}
 	}
-	return Binding{}, 0, false
+	for i := range ps {
+		p := &ps[i]
+		var key []label.Label
+		if !t.packed {
+			key = keys[i*t.dims : (i+1)*t.dims]
+		}
+		if p.at < 0 || p.OK && (t.packed || t.keysEqual(int(p.at), key)) {
+			continue
+		}
+		p.Binding, p.Seq, p.OK = t.at(t.findFrom(uint64(p.at)+1, p.want, p.Word, key))
+	}
 }
 
 // Publish returns an immutable view of the table as it stands, sharing

@@ -619,49 +619,79 @@ type MatchedEntry struct {
 // descending prefix length, and returns the extended slice. Every entry
 // expanded into a slot on the key's walk path covers the key, so the walk
 // collects complete match sets without backtracking — the property the
-// crossproduct index-calculation stage relies on.
+// crossproduct index-calculation stage relies on. It is a group walk
+// (LookupGroup) of one key.
 func (t *Trie) LookupAll(key uint64, dst []MatchedEntry) []MatchedEntry {
-	dst, _ = t.LookupAllTraced(key, dst)
-	return dst
+	w := [1]Walk{{Key: key, Matches: dst}}
+	t.LookupGroup(w[:])
+	return w[0].Matches
 }
 
-// LookupAllTraced is LookupAll plus a consulted-bits report: consumed is
-// the number of leading key bits the walk actually indexed on (the
-// cumulative stride of the deepest level visited). Two keys agreeing on
-// their top consumed bits take the identical walk path and collect the
-// identical match set, which is the property wildcard-caching layers
-// above rely on.
-func (t *Trie) LookupAllTraced(key uint64, dst []MatchedEntry) (out []MatchedEntry, consumed int) {
-	start := len(dst)
-	node := int32(0)
+// Walk is one key's descent in a group walk (LookupGroup). The caller
+// sets Key and Matches, the slice the key's matches are appended to; the
+// walk leaves there LookupAll's result and in Consumed the number of
+// leading key bits it indexed on (the cumulative stride of the deepest
+// level visited). Two keys agreeing on their top Consumed bits take the
+// identical path and collect the identical match set, which is the
+// property wildcard-caching layers above rely on.
+type Walk struct {
+	Key      uint64
+	Matches  []MatchedEntry
+	Consumed int
+	node     int32 // the node the descent stands at; noIndex once it ended
+	from     int32 // len(Matches) before the walk
+	sl       slot  // the slot read at the current level
+}
+
+// LookupGroup walks every key of ws down the trie together, level by
+// level, in two passes per level: first every key's slot is read and
+// only stored, so no branch waits on the read and the core keeps one load
+// per key in flight; then every key's matches are collected from its
+// copy. A walk of one key at a time waits for each level's load before
+// the next: on a trie larger than cache that wait is most of the walk.
+func (t *Trie) LookupGroup(ws []Walk) {
+	for k := range ws {
+		ws[k].node, ws[k].from = 0, int32(len(ws[k].Matches))
+	}
 	for l := range t.levels {
 		lv := &t.levels[l]
-		consumed = lv.before + lv.stride
-		i := int(node)<<uint(lv.stride) + int(uint32(key>>lv.shift)&lv.mask)
-		sl := lv.at(i)
-		if sl.cnt > 0 {
-			dst = append(dst, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
-			for cur := sl.over; cur != noIndex; {
-				o := &t.over.Dir[cur>>cow.PageShift][cur&cow.PageMask]
-				dst = append(dst, MatchedEntry{Label: o.e.label, Plen: int(o.e.plen)})
-				cur = o.next
+		for k := range ws {
+			if w := &ws[k]; w.node != noIndex {
+				w.sl = *lv.at(int(w.node)<<uint(lv.stride) + int(uint32(w.Key>>lv.shift)&lv.mask))
 			}
 		}
-		if sl.child == noIndex {
+		live := false
+		for k := range ws {
+			w := &ws[k]
+			if w.node == noIndex {
+				continue
+			}
+			w.Consumed = lv.before + lv.stride
+			if sl := &w.sl; sl.cnt > 0 {
+				n := len(w.Matches)
+				w.Matches = append(w.Matches, MatchedEntry{Label: sl.head.label, Plen: int(sl.head.plen)})
+				for cur := sl.over; cur != noIndex; {
+					o := &t.over.Dir[cur>>cow.PageShift][cur&cow.PageMask]
+					w.Matches = append(w.Matches, MatchedEntry{Label: o.e.label, Plen: int(o.e.plen)})
+					cur = o.next
+				}
+				// A slot's entries are in descending order, and a deeper
+				// level's entries are longer than every shallower one's:
+				// the new block goes in front of the key's earlier ones.
+				if r := w.Matches[w.from:]; int(w.from) < n {
+					n -= int(w.from)
+					slices.Reverse(r[:n])
+					slices.Reverse(r[n:])
+					slices.Reverse(r)
+				}
+			}
+			w.node = w.sl.child
+			live = live || w.node != noIndex
+		}
+		if !live {
 			break
 		}
-		node = sl.child
 	}
-	// Slots were visited shallow-to-deep, so the region is roughly
-	// ascending in plen; an insertion sort into descending order is cheap
-	// (the region holds at most one entry per prefix length).
-	region := dst[start:]
-	for i := 1; i < len(region); i++ {
-		for j := i; j > 0 && region[j-1].Plen < region[j].Plen; j-- {
-			region[j-1], region[j] = region[j], region[j-1]
-		}
-	}
-	return dst, consumed
 }
 
 // Stats returns per-level population counts.
