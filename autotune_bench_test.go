@@ -28,9 +28,9 @@ import (
 // BenchmarkLookupAutoVsPinned runs the 10k-rule LPM workload through a
 // settled auto table and through each explicit backend pin. The auto
 // row should match the dir24 row — the advisor's pick for this shape —
-// in both ns/op and the membits metric; any gap is advisor overhead on
-// the lookup path, which must be zero (sampling is 1-in-64 and
-// allocation-free).
+// in both ns/op and the membits metric; any gap would be advisor
+// overhead on the lookup path, which has none: the advisor scores the
+// rule set and never touches a lookup.
 func BenchmarkLookupAutoVsPinned(b *testing.B) {
 	lpm := filterset.GenerateLPM("bench", 10_000, filterset.DefaultSeed)
 	entries := lpm.FlowEntries()

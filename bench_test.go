@@ -2,12 +2,14 @@ package ofmtl_test
 
 import (
 	"math"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
 	"ofmtl/internal/baseline"
 	"ofmtl/internal/core"
+	"ofmtl/internal/core/autotune"
 	"ofmtl/internal/cow"
 	"ofmtl/internal/crossprod"
 	"ofmtl/internal/experiments"
@@ -586,54 +588,140 @@ func buildBackendPipeline(b testing.TB, kind string, fields []openflow.FieldID, 
 
 // BenchmarkLookupPerBackend classifies fixed workloads through each
 // pluggable lookup backend — the live form of the paper's per-scheme
-// comparison. Two table shapes are measured: the 5-field ACL classifier
-// (every generic scheme; dir24 cannot serve it and is skipped) and a
-// destination-only LPM table (all four schemes, dir24's home shape).
+// comparison, and the measurement autotune.DefaultModel is fitted to. It
+// times the table's lookup (LookupTable.Classify), not the pipeline walk
+// around it, whose cost is the same whichever scheme serves. Every
+// table shape whose advisor pick TestAdvisorPicks pins is timed here:
+// the 5-field ACL classifier, a destination-only LPM table, the /24
+// tables of the autotune tests (512 rules on one field, 128 on two) and
+// each of the four tables of the paper's prototype (gozb MAC and coza
+// routing filters), alone in a pipeline with the metadata the
+// prototype's first tables would write preset in the trace. dir24
+// serves only single-LPM-field shapes, and a two-field one only under
+// auto, so its two-field row is the table an advisor pass moved there.
 // ns/op is the lookup cost axis; the membits metric is the scheme's
 // accounted memory for the identical rule set, so one benchmark run
 // reproduces the memory/lookup tradeoff table.
 func BenchmarkLookupPerBackend(b *testing.B) {
 	acl := filterset.GenerateACL("bench", 1000, filterset.DefaultSeed)
 	lpm := filterset.GenerateLPM("bench", 10_000, filterset.DefaultSeed)
-	groups := []struct {
-		name    string
-		fields  []openflow.FieldID
-		entries []openflow.FlowEntry
-		trace   []openflow.Header
-	}{
-		{
-			"acl",
-			[]openflow.FieldID{
-				openflow.FieldIPv4Src,
-				openflow.FieldIPv4Dst,
-				openflow.FieldSrcPort,
-				openflow.FieldDstPort,
-				openflow.FieldIPProto,
-			},
-			acl.FlowEntries(),
-			traffic.ACLTrace(acl, 4096, 0.8, 1),
-		},
-		{
-			"lpm",
-			[]openflow.FieldID{openflow.FieldIPv4Dst},
-			lpm.FlowEntries(),
-			traffic.LPMTrace(lpm, 4096, 0.9, 1),
-		},
+	aclFields := []openflow.FieldID{
+		openflow.FieldIPv4Src,
+		openflow.FieldIPv4Dst,
+		openflow.FieldSrcPort,
+		openflow.FieldDstPort,
+		openflow.FieldIPProto,
 	}
-	for _, g := range groups {
+	dst := []openflow.FieldID{openflow.FieldIPv4Dst}
+	shapes := []lookupShape{
+		{name: "acl", fields: aclFields, entries: acl.FlowEntries(), trace: traffic.ACLTrace(acl, 4096, 0.8, 1)},
+		{name: "lpm", fields: dst, entries: lpm.FlowEntries(), trace: traffic.LPMTrace(lpm, 4096, 0.9, 1)},
+		slash24Shape(512, dst),
+		slash24Shape(128, []openflow.FieldID{openflow.FieldIPv4Dst, openflow.FieldIPv4Src}),
+	}
+	shapes = append(shapes, prototypeShapes(b)...)
+	for _, s := range shapes {
 		for _, kind := range core.BackendKinds() {
-			if !core.BackendSupportsFields(kind, g.fields) {
-				continue // dir24 serves only the lpm group's shape
+			var p *core.Pipeline
+			switch {
+			case core.BackendSupportsFields(kind, s.fields):
+				p = buildBackendPipeline(b, kind, s.fields, s.entries)
+			case kind == core.BackendDIR24 && s.autoDIR24:
+				p = buildBackendPipeline(b, core.BackendAuto, s.fields, s.entries)
+				p.SetAutotunePolicy(autotune.Policy{})
+				if ev := p.AutotuneOnce(); len(ev) != 1 || ev[0].To != core.BackendDIR24 {
+					b.Fatalf("%s: advisor pass %v, want one migration to dir24", s.name, ev)
+				}
+			default:
+				continue // dir24 cannot serve the shape
 			}
-			p := buildBackendPipeline(b, kind, g.fields, g.entries)
-			b.Run(g.name+"/"+kind, func(b *testing.B) {
-				benchPipeline(b, p, g.trace)
-				// After the timed region: ResetTimer inside benchPipeline
-				// would discard metrics reported earlier.
+			tbl, _ := p.Table(0)
+			b.Run(s.name+"/"+kind, func(b *testing.B) {
+				h := new(openflow.Header) // hoisted: see benchPipeline
+				for i := 0; b.Loop(); i++ {
+					*h = s.trace[i%len(s.trace)]
+					tbl.Classify(h)
+				}
 				b.ReportMetric(float64(p.MemoryStats().TotalBits), "membits")
 			})
 		}
 	}
+}
+
+// lookupShape is one table shape BenchmarkLookupPerBackend times: its
+// fields, its rules and the trace that classifies through it. autoDIR24
+// marks a multi-field shape whose rules constrain only the LPM field,
+// which dir24 serves under auto.
+type lookupShape struct {
+	name      string
+	fields    []openflow.FieldID
+	entries   []openflow.FlowEntry
+	trace     []openflow.Header
+	autoDIR24 bool
+}
+
+// slash24Shape is the autotune tests' table: n /24 prefixes on the first
+// field, rule i covering 10.i.j.* (with the top bits of i) and
+// outputting port i+1, and a trace of addresses under them.
+func slash24Shape(n int, fields []openflow.FieldID) lookupShape {
+	s := lookupShape{name: "slash24x" + strconv.Itoa(n), fields: fields, autoDIR24: len(fields) > 1}
+	for i := 0; i < n; i++ {
+		s.entries = append(s.entries, openflow.FlowEntry{
+			Priority:     24,
+			Matches:      []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, uint64(i)<<8, 24)},
+			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(uint32(i) + 1))},
+		})
+	}
+	rng := xrand.New(5)
+	for i := 0; i < 4096; i++ {
+		s.trace = append(s.trace, openflow.Header{IPv4Dst: uint32(rng.Intn(n))<<8 | rng.Uint32()&0xFF, IPv4Src: rng.Uint32()})
+	}
+	return s
+}
+
+// prototypeShapes returns the four tables of the paper's prototype (gozb
+// MAC pair, coza routing pair), each with its rules as the prototype
+// installs them and a trace whose metadata is what the pair's first
+// table writes for the packet.
+func prototypeShapes(b *testing.B) []lookupShape {
+	b.Helper()
+	mac, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := filterset.GenerateRoute("coza", filterset.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.BuildPrototype(mac, rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	macTrace := traffic.MACTrace(mac, 4096, 0.9, 1)
+	rtTrace := traffic.RouteTrace(rt, 4096, 0.9, 1)
+	for i := range macTrace {
+		macTrace[i].Metadata = uint64(macTrace[i].VLANID)
+		rtTrace[i].Metadata = uint64(rtTrace[i].InPort)
+	}
+	var out []lookupShape
+	for _, info := range p.TableInfos() {
+		tbl, _ := p.Table(info.ID)
+		s := lookupShape{name: "proto-t" + strconv.Itoa(int(info.ID)), fields: tbl.Fields(), trace: rtTrace}
+		if info.ID < 2 {
+			s.trace = macTrace
+		}
+		p.VisitFlows(int(info.ID), 0, 0, 0, 0, func(fs *core.FlowStats) bool {
+			e := fs.Entry.Clone()
+			e.Ref = 0
+			s.entries = append(s.entries, *e)
+			return true
+		})
+		// Highest priority first: the linear scheme keeps its rows in
+		// priority order, and appending is its cheap insert.
+		sort.SliceStable(s.entries, func(i, j int) bool { return s.entries[i].Priority > s.entries[j].Priority })
+		out = append(out, s)
+	}
+	return out
 }
 
 // BenchmarkLookupMillionRoutes is the flat-array backend's headline

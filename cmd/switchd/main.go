@@ -27,11 +27,11 @@
 // process-wide default is advisory; an explicit per-table pin on an
 // unservable shape is an error. The pseudo-backend "auto" starts each
 // table on mbt and hands scheme choice to the advisor: -autotune arms a
-// background loop that scores every candidate scheme from live signals
-// (published memory accounting, sampled lookup latency, rule-set shape)
-// against a cost model seeded from the paper's Table I and calibrated by
-// on-process microprobes, then migrates the table live when a challenger
-// beats the incumbent past a hysteresis margin — the new backend is
+// background loop that scores every candidate scheme, the incumbent
+// included, from the table's rule-set shape with a cost model fitted
+// offline to measured lookup costs (the advisor times nothing), then
+// migrates the table live when a challenger beats the incumbent past a
+// hysteresis margin — the new backend is
 // built off-path from the canonical rule store and swapped at a commit
 // boundary with a single snapshot publish, rolling back on failure. The
 // advisor's view (signals, per-scheme scores, migration history) is a
@@ -111,7 +111,7 @@ func run() error {
 		cacheSz  = flag.Int("cache", 1<<16, "microflow cache entries (0 = disable the fast path)")
 		megaSz   = flag.Int("megaflow", 1<<14, "megaflow (wildcard) cache entries (0 = disable the tier)")
 		backend  = flag.String("backend", "", "default per-table lookup backend: mbt | tss | lineartcam | dir24 | auto (dir24 applies only to single-field IPv4 prefix tables; others fall back to mbt; auto lets the advisor pick and migrate live)")
-		autotune = flag.Duration("autotune", 0, "advisor interval for auto-backend tables: score candidate schemes from live signals and migrate live when one wins (0 = disabled)")
+		autotune = flag.Duration("autotune", 0, "advisor interval for auto-backend tables: score candidate schemes from each table's rule-set shape and migrate live when one wins (0 = disabled)")
 		memlog   = flag.Duration("memlog", 0, "interval for periodic memory-accounting logs (0 = disabled)")
 		budget   = flag.Uint64("membudget", 0, "process-wide memory budget in modelled bits (0 = unlimited); over-budget flow-mods are rejected TABLE_FULL")
 		expiry   = flag.Duration("flow-expiry", time.Second, "flow idle/hard timeout sweep interval (0 = timeouts never fire)")
@@ -193,8 +193,7 @@ func run() error {
 	}
 	if *autotune > 0 {
 		// Background advisor: each tick scores every auto table's
-		// candidate backends from live signals (published memory bits,
-		// sampled lookup latency, rule-set shape) and migrates the table
+		// candidate backends from its rule-set shape and migrates the table
 		// live — rebuild off-path, one snapshot publish at the swap —
 		// when a challenger beats the incumbent past the hysteresis
 		// margin.

@@ -387,26 +387,3 @@ func TestBypassedMegaflowCommitRetracts(t *testing.T) {
 		t.Errorf("fill floor %d after the churn, want %d", got, floor)
 	}
 }
-
-// TestUncachedExecuteChargesShardZero is the regression for a stale
-// pooled scratch: with both tiers off, Execute charges latency samples
-// (like flow counters) to shard 0, whatever shard the scratch's previous,
-// cached, user left in it.
-func TestUncachedExecuteChargesShardZero(t *testing.T) {
-	f := filterset.GenerateLPM("lpm", 200, filterset.DefaultSeed)
-	p := admissionPipeline(t, f, 512, 0)
-	trace := traffic.LPMTrace(f, 256, 0.9, 1)
-	for i := range trace { // leaves every fingerprint's shard in pooled scratches
-		h := trace[i]
-		p.Execute(&h)
-	}
-	p.SetCacheSize(0)
-	before := p.lat.shards[0].tick.Load()
-	for i := range trace {
-		h := trace[i]
-		p.Execute(&h)
-	}
-	if got := p.lat.shards[0].tick.Load() - before; got != uint32(len(trace)) {
-		t.Errorf("%d of %d uncached walks ticked latency shard 0", got, len(trace))
-	}
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ofmtl/internal/core/autotune"
@@ -12,70 +11,16 @@ import (
 )
 
 // This file is the runtime half of the self-tuning backend subsystem: the
-// latency sampler feeding measured per-table lookup cost into the advisor,
-// the rule-set shape tracking, the advisor loop scoring every candidate
-// scheme against the incumbent, and the live migration machinery that
-// rebuilds a table on a new backend off the data path and swaps it at a
-// single commit boundary. The pure decision core (cost model, hysteresis
-// policy) lives in internal/core/autotune.
+// rule-set shape tracking, the advisor loop scoring every candidate
+// scheme, the incumbent included, with the fitted cost model, and the live
+// migration machinery that rebuilds a table on a new backend off the data
+// path and swaps it at a single commit boundary. The pure decision core
+// (cost model, hysteresis policy) lives in internal/core/autotune.
 
-// latSampleEvery is the walk-sampling period: one in this many snapshot
-// walks is timed per scratch. Sampling (rather than timing every walk)
-// keeps the two time.Now calls off the common path; the period is a power
-// of two so the gate is one mask.
-const latSampleEvery = 64
-
-// latShardState is one shard of the latency sampler: the walk tick
-// driving the sampling gate plus per-table accumulated nanoseconds and
-// sample counts. Shards mirror the lifecycle counter shards (ctrShards)
-// so batch workers write disjoint cache lines.
-type latShardState struct {
-	tick   atomic.Uint32
-	sums   [256]atomic.Uint64
-	counts [256]atomic.Uint64
-}
-
-// latSampler accumulates sampled per-table Classify latencies. Writers
-// (sampled walks) add on their worker's shard; the advisor sums shards
-// per tick and feeds the deltas into each table's EWMA.
-type latSampler struct {
-	shards [ctrShards]latShardState
-}
-
-func newLatSampler() *latSampler { return &latSampler{} }
-
-// record charges one sampled classification to (shard, table).
-func (l *latSampler) record(shard uint32, table openflow.TableID, ns uint64) {
-	s := &l.shards[shard&(ctrShards-1)]
-	s.sums[table].Add(ns)
-	s.counts[table].Add(1)
-}
-
-// totals sums a table's accumulated nanoseconds and sample count across
-// every shard.
-func (l *latSampler) totals(table openflow.TableID) (sum, count uint64) {
-	for i := range l.shards {
-		sum += l.shards[i].sums[table].Load()
-		count += l.shards[i].counts[table].Load()
-	}
-	return sum, count
-}
-
-// armLatSample arms the scratch's latency sampling for one walk in
-// latSampleEvery, pointing it at the snapshot's sampler. Runs after
-// reset() (which disarms), so the common walk pays one shard-local
-// atomic increment and a mask. The tick lives in the sampler's shard —
-// not the scratch — so the period stays exact however scratches cycle
-// through their pool (the race detector deliberately drops pooled
-// items, and a scratch-resident tick would then never reach the gate).
-func (sc *execScratch) armLatSample(s *snapshot) {
-	if s.lat == nil {
-		return
-	}
-	if s.lat.shards[sc.latShard&(ctrShards-1)].tick.Add(1)&(latSampleEvery-1) == 0 {
-		sc.lat = s.lat
-	}
-}
+// tuneModel is the advisor's cost model. It is read-only: the advisor
+// times nothing, so a decision depends on the table's shape, the policy
+// and the dwell, never on the machine's load.
+var tuneModel = autotune.DefaultModel()
 
 // maskSignature hashes an entry's match-mask shape — which fields it
 // constrains, how (kind), and at what prefix length — ignoring the
@@ -231,8 +176,6 @@ func (t *LookupTable) swapBackend(nb Backend, reason uint32) {
 	t.migrations.Add(1)
 	t.lastReason.Store(reason)
 	t.lastMig = time.Now().UnixNano()
-	// Measured latency so far belongs to the old scheme; restart the EWMA.
-	t.ewmaNs = 0
 	t.gen++
 	t.publishStats()
 }
@@ -244,12 +187,11 @@ type swappedBackend struct {
 	backend Backend
 	reason  uint32
 	lastMig int64
-	ewmaNs  float64
 }
 
 // swapState records what a swap would replace.
 func (t *LookupTable) swapState() swappedBackend {
-	return swappedBackend{backend: t.backend, reason: t.lastReason.Load(), lastMig: t.lastMig, ewmaNs: t.ewmaNs}
+	return swappedBackend{backend: t.backend, reason: t.lastReason.Load(), lastMig: t.lastMig}
 }
 
 // unswapBackend reverts a swap, on the rejection path of the commit whose
@@ -259,7 +201,7 @@ func (t *LookupTable) unswapBackend(s *swappedBackend) {
 	t.backend = s.backend
 	t.migrations.Add(^uint64(0))
 	t.lastReason.Store(s.reason)
-	t.lastMig, t.ewmaNs = s.lastMig, s.ewmaNs
+	t.lastMig = s.lastMig
 	t.gen++
 	t.publishStats()
 }
@@ -318,58 +260,33 @@ func (p *Pipeline) SetAutotunePolicy(pol autotune.Policy) {
 	p.tunePolicy = pol
 }
 
-// updateLatencyLocked folds the sampler deltas since the last advisor
-// pass into the table's latency EWMA. Only the advisor pass folds: a
-// stats poll reads the EWMA as that pass left it, so how often an
-// operator polls cannot change what the advisor decides.
-func (p *Pipeline) updateLatencyLocked(t *LookupTable) {
-	sum, count := p.lat.totals(t.cfg.ID)
-	ds, dc := sum-t.lastLatSum, count-t.lastLatCount
-	t.lastLatSum, t.lastLatCount = sum, count
-	if dc > 0 {
-		t.ewmaNs = autotune.EWMA(t.ewmaNs, float64(ds)/float64(dc), 0.3)
-	}
-}
-
-// signalsLocked assembles the advisor's view of one table from its live
-// counters and its latency EWMA.
-func (p *Pipeline) signalsLocked(t *LookupTable) autotune.Signals {
-	var memBits uint64
-	if tm := t.stats.Load(); tm != nil {
-		memBits = tm.TotalBits()
-	}
-	return autotune.Signals{
-		Rules:      t.rules,
-		Masks:      len(t.maskSigs),
-		Ranges:     t.rangeRules,
-		MemBits:    memBits,
-		MeasuredNs: t.ewmaNs,
-	}
-}
-
-// scoreCandidatesLocked scores every scheme for the table: the incumbent
-// from its measured latency (falling back to the model before any samples
-// arrive) and its published memory, the challengers from the calibrated
-// model. Returns the candidates in autotune.Schemes order plus the
-// incumbent's score.
-func (p *Pipeline) scoreCandidatesLocked(t *LookupTable, sig autotune.Signals) ([]autotune.Candidate, float64) {
+// scoreCandidatesLocked scores every scheme for the table from its shape
+// with the fitted model, the incumbent like its challengers. Returns the
+// candidates in autotune.Schemes order plus the incumbent's score.
+func (p *Pipeline) scoreCandidatesLocked(t *LookupTable) ([]autotune.Candidate, float64) {
+	sig := autotune.Signals{Rules: t.rules, Masks: len(t.maskSigs), Fields: len(t.cfg.Fields)}
 	inc := t.backend.Kind()
-	incLat := sig.MeasuredNs
-	if incLat <= 0 {
-		incLat = p.tuneModel.LatencyNs(inc, sig)
-	}
-	incScore := p.tunePolicy.Score(incLat, float64(sig.MemBits))
+	var incScore float64
 	cands := make([]autotune.Candidate, 0, len(autotune.Schemes))
 	for _, kind := range autotune.Schemes {
 		c := autotune.Candidate{Scheme: kind, Eligible: t.eligibleFor(kind)}
+		if c.Eligible || kind == inc {
+			c.Score = p.tunePolicy.Score(tuneModel.LatencyNs(kind, sig), tuneModel.MemBits(kind, sig))
+		}
 		if kind == inc {
-			c.Score = incScore
-		} else if c.Eligible {
-			c.Score = p.tunePolicy.Score(p.tuneModel.LatencyNs(kind, sig), p.tuneModel.MemBits(kind, sig))
+			incScore = c.Score
 		}
 		cands = append(cands, c)
 	}
 	return cands, incScore
+}
+
+// adviseLocked is the advisor's verdict on one table at unix-nano time
+// now: the scores and the hysteresis policy, with the dwell measured from
+// the table's last migration.
+func (p *Pipeline) adviseLocked(t *LookupTable, now int64) autotune.Decision {
+	cands, incScore := p.scoreCandidatesLocked(t)
+	return p.tunePolicy.Decide(t.backend.Kind(), incScore, cands, time.Duration(now-t.lastMig))
 }
 
 // migrateTableLocked performs one live migration under the pipeline write
@@ -410,34 +327,27 @@ func (p *Pipeline) migrateTableLocked(t *LookupTable, kind string, reason uint32
 		return MigrationEvent{}, fmt.Errorf("core: table %d: committing migration to %s: %w", t.cfg.ID, kind, err)
 	}
 	t.swapBackend(nb, reason)
-	// Restart the latency baseline: accumulated samples measured the old
-	// scheme.
-	t.lastLatSum, t.lastLatCount = p.lat.totals(t.cfg.ID)
 	p.snap.Store(p.buildSnapshotLocked())
 	return MigrationEvent{Table: t.cfg.ID, From: from, To: kind, Reason: MigrateReasonName(reason)}, nil
 }
 
-// AutotuneOnce runs one advisor pass: refresh every table's signals,
-// score the candidate schemes, and migrate the auto tables whose best
-// challenger clears the hysteresis policy. It returns the migrations
-// performed. Safe to call concurrently with lookups (migrations publish
-// through the normal snapshot boundary); it serialises with mutations on
-// the pipeline write lock.
+// AutotuneOnce runs one advisor pass: score every auto table's candidate
+// schemes and migrate the tables whose best challenger clears the
+// hysteresis policy. It returns the migrations performed. Safe to call
+// concurrently with lookups (migrations publish through the normal
+// snapshot boundary); it serialises with mutations on the pipeline write
+// lock.
 func (p *Pipeline) AutotuneOnce() []MigrationEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calibrateLocked()
 	var events []MigrationEvent
 	now := time.Now().UnixNano()
 	for _, id := range p.order {
 		t := p.tables[id]
-		p.updateLatencyLocked(t)
-		sig := p.signalsLocked(t)
 		if !t.auto {
 			continue
 		}
-		cands, incScore := p.scoreCandidatesLocked(t, sig)
-		d := p.tunePolicy.Decide(t.backend.Kind(), incScore, cands, time.Duration(now-t.lastMig))
+		d := p.adviseLocked(t, now)
 		if !d.Migrate || d.Best == t.backend.Kind() {
 			continue
 		}
@@ -509,8 +419,8 @@ type AdvisorCandidate struct {
 }
 
 // TableAdvisorStats is the advisor's published view of one table: the
-// incumbent and its live signals, the scored candidates, and the
-// migration history.
+// incumbent, its shape signals and published memory bits, the scored
+// candidates, and the migration history.
 type TableAdvisorStats struct {
 	Table      openflow.TableID
 	Auto       bool
@@ -520,7 +430,6 @@ type TableAdvisorStats struct {
 	Ranges     int
 	Wide       int
 	MemBits    uint64
-	EwmaNs     float64
 	Migrations uint64
 	LastReason string
 	// Candidates lists every scheme's score in autotune.Schemes order
@@ -537,8 +446,7 @@ type AdvisorStats struct {
 }
 
 // AdvisorStats assembles the advisor's current view of every table:
-// signals, candidate scores, and migration history. Latency is the EWMA
-// as of the last advisor pass; polling folds in no samples. It takes the
+// signals, candidate scores, and migration history. It takes the
 // pipeline write lock, so it is a control-plane polling surface, not a
 // hot-path one.
 func (p *Pipeline) AdvisorStats() AdvisorStats {
@@ -547,18 +455,16 @@ func (p *Pipeline) AdvisorStats() AdvisorStats {
 	out := AdvisorStats{Failed: p.migrationsFailed.Load()}
 	for _, id := range p.order {
 		t := p.tables[id]
-		sig := p.signalsLocked(t)
-		cands, _ := p.scoreCandidatesLocked(t, sig)
+		cands, _ := p.scoreCandidatesLocked(t)
 		row := TableAdvisorStats{
 			Table:      id,
 			Auto:       t.auto,
 			Incumbent:  t.backend.Kind(),
-			Rules:      sig.Rules,
-			Masks:      sig.Masks,
-			Ranges:     sig.Ranges,
+			Rules:      t.rules,
+			Masks:      len(t.maskSigs),
+			Ranges:     t.rangeRules,
 			Wide:       t.wideRules,
-			MemBits:    sig.MemBits,
-			EwmaNs:     sig.MeasuredNs,
+			MemBits:    t.stats.Load().TotalBits(),
 			Migrations: t.migrations.Load(),
 			LastReason: MigrateReasonName(t.lastReason.Load()),
 			Candidates: cands2advisor(cands),
@@ -575,56 +481,4 @@ func cands2advisor(cands []autotune.Candidate) []AdvisorCandidate {
 		out[i] = AdvisorCandidate{Backend: c.Scheme, Eligible: c.Eligible, Score: c.Score}
 	}
 	return out
-}
-
-// probe sizes for the calibration microprobes: small enough that the
-// whole calibration pass costs well under a millisecond per scheme, large
-// enough that per-lookup cost dominates loop overhead.
-const (
-	probeRules   = 256
-	probeLookups = 1024
-)
-
-// calibrateLocked refines the Table I seed model with on-process
-// microprobes, once per pipeline: a tiny single-field LPM reference table
-// per scheme, timed lookups, and a clamped correction ratio folded into
-// the model (autotune.Calibrate). The probes run under the write lock on
-// first advisor use; at ~256 rules x ~1024 lookups per scheme the pass is
-// sub-millisecond in practice.
-func (p *Pipeline) calibrateLocked() {
-	if p.tuneCalibrated {
-		return
-	}
-	p.tuneCalibrated = true
-	cfg := TableConfig{ID: 0, Fields: []openflow.FieldID{openflow.FieldIPv4Dst}}
-	ref := autotune.Signals{Rules: probeRules, Masks: 1}
-	for _, kind := range autotune.Schemes {
-		b, err := newBackend(kind, cfg)
-		if err != nil {
-			continue
-		}
-		ok := true
-		for i := 0; i < probeRules; i++ {
-			e := openflow.FlowEntry{
-				Priority: 24,
-				Matches:  []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, uint64(i)<<8, 24)},
-			}
-			if err := b.Insert(&e, uint64(i)); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		var h openflow.Header
-		var g lookupGroup
-		start := time.Now()
-		for i := 0; i < probeLookups; i++ {
-			h.IPv4Dst = uint32(i%probeRules) << 8
-			g.lookupOne(b, &h, nil)
-		}
-		elapsed := time.Since(start)
-		p.tuneModel.Calibrate(kind, float64(elapsed.Nanoseconds())/probeLookups, ref)
-	}
 }

@@ -1,13 +1,15 @@
 // Package autotune is the pure decision core of the self-tuning backend
 // subsystem: a per-table cost model over the repository's lookup schemes
-// (mbt, tss, lineartcam, dir24), seeded from the paper's Table I
-// figures and refined by on-process microprobes, plus the hysteresis
-// policy that turns scores into migrate/stay decisions.
+// (mbt, tss, lineartcam, dir24), fitted once offline to measured lookup
+// costs, plus the hysteresis policy that turns scores into migrate/stay
+// decisions.
 //
 // The package deliberately knows nothing about pipelines, snapshots or
-// locks — it maps observed signals (rule count, mask diversity, range
-// rules, live memory bits, measured lookup latency) to scores, and
-// scores to a decision. The core package owns signal collection and the
+// locks — it maps a table's shape (rule count, mask diversity, field
+// count) to scores, and scores to a decision. Nothing here reads a clock
+// except the policy's dwell, so a decision is a function of the table's
+// shape, the policy and the time since the last migration, whatever the
+// machine's load. The core package owns signal collection and the
 // actual live migration.
 package autotune
 
@@ -25,32 +27,27 @@ const (
 // Schemes lists the candidate schemes in canonical (wire-code) order.
 var Schemes = []string{SchemeMBT, SchemeTSS, SchemeLinearTCAM, SchemeDIR24}
 
-// Signals is one table's observed state, gathered by the advisor from
-// live counters: the canonical rule store's shape and the published
-// memory/latency figures.
+// Signals is one table's shape, gathered by the advisor from the counters
+// the table maintains on every insert and remove and from its
+// configuration.
 type Signals struct {
 	// Rules is the installed rule count.
 	Rules int
 	// Masks is the number of distinct match-mask shapes (the tuple
 	// count a TSS backend would hold).
 	Masks int
-	// Ranges is the number of rules carrying a range match.
-	Ranges int
-	// MemBits is the incumbent backend's published TableMemory bits.
-	// Only used to score the incumbent; candidates are modelled.
-	MemBits uint64
-	// MeasuredNs is the EWMA of the incumbent's measured per-lookup
-	// latency in nanoseconds, 0 when no samples have been taken yet.
-	MeasuredNs float64
+	// Fields is the number of fields the table matches on.
+	Fields int
 }
 
 // SchemeCost is one scheme's analytic cost surface. Latency is
-// BaseNs + PerRuleNs·rules + PerMaskNs·masks; memory is
-// FixedBits + PerRuleBits·rules.
+// BaseNs + PerRuleNs·rules + PerMaskNs·masks + PerFieldNs·fields; memory
+// is FixedBits + PerRuleBits·rules.
 type SchemeCost struct {
 	BaseNs      float64
 	PerRuleNs   float64
 	PerMaskNs   float64
+	PerFieldNs  float64
 	FixedBits   float64
 	PerRuleBits float64
 }
@@ -58,67 +55,51 @@ type SchemeCost struct {
 // Model maps scheme name to its cost surface.
 type Model map[string]SchemeCost
 
-// DefaultModel seeds the model from the paper's Table I comparison of
-// the four architectures, normalised to per-lookup nanoseconds and
-// per-rule bits:
+// DefaultModel is the cost model fitted to the root package's
+// BenchmarkLookupPerBackend: the median of three runs of each scheme's
+// LookupTable.Classify on every shape that benchmark times (the 1000-rule
+// ACL, the 10k-prefix LPM table, 512 and 128 /24 prefixes, and the four
+// tables of the gozb/coza prototype) on a shared 2-core Xeon. The latency
+// constants are the least-squares fit in log error subject to one
+// condition: under DefaultPolicy, every shape's measured-fastest scheme
+// scores best, clear of the runner-up and (unless it is mbt) of mbt's
+// margin by about 5 %. The memory constants are the median accounted
+// bits per rule (dir24's slab is exact: 2^24 slots of 32 bits). The
+// Table I ordering survives the fit:
 //
-//   - mbt: the paper's multi-bit-trie pipeline — lookup cost is a
-//     near-constant trie walk (≈2.3µs reference point), memory ≈500
-//     bits/rule across search+index+action stores.
-//   - tss: tuple space search — cost grows with mask diversity (one
-//     hash probe per tuple; ≈13.7µs at the reference tuple count),
-//     memory the cheapest at ≈200 bits/rule.
-//   - lineartcam: the TCAM cost model — linear scan (≈8.3ns/rule),
-//     priciest memory at ≈1600 bits/rule (TCAM cell cost).
-//   - dir24: the DIR-24-8 flat array — two dependent loads (≈60ns)
-//     regardless of rule count, but a fixed 2^24-slot slab
-//     (≈537 Mbit) plus per-rule action bits.
+//   - mbt: one search per field plus the index stage; no base cost, about
+//     20 ns per prefix length and 194 ns per field.
+//   - tss: one hash probe per tuple (≈100 ns each), slowly growing with
+//     the rule count; the cheapest memory.
+//   - lineartcam: a linear scan, ≈7 ns per rule; the priciest memory.
+//   - dir24: two dependent loads (≈90 ns with the lookup around them)
+//     regardless of rule count, but a fixed 2^24-slot slab (≈537 Mbit)
+//     plus per-rule bits.
+//
+// The field term exists because the prototype's two MAC tables share
+// rule count and mask count, yet mbt is the faster scheme on the
+// one-field table and tss, by 3x, on the two-field one. Range rules are
+// not priced: tss scans them linearly, but the ACL ranks right without
+// a term for it.
 func DefaultModel() Model {
 	return Model{
-		SchemeMBT:        {BaseNs: 2300, PerRuleBits: 500},
-		SchemeTSS:        {BaseNs: 500, PerMaskNs: 440, PerRuleBits: 200},
-		SchemeLinearTCAM: {BaseNs: 50, PerRuleNs: 8.3, PerRuleBits: 1600},
-		SchemeDIR24:      {BaseNs: 60, FixedBits: 537e6, PerRuleBits: 64},
+		SchemeMBT:        {PerMaskNs: 20.6, PerFieldNs: 194, PerRuleBits: 122},
+		SchemeTSS:        {BaseNs: 39, PerRuleNs: 0.0112, PerMaskNs: 103.5, PerRuleBits: 97},
+		SchemeLinearTCAM: {BaseNs: 1.3, PerRuleNs: 6.9, PerRuleBits: 160},
+		SchemeDIR24:      {BaseNs: 89, FixedBits: 1 << 29, PerRuleBits: 32},
 	}
 }
 
 // LatencyNs is the modelled per-lookup latency for scheme under s.
 func (m Model) LatencyNs(scheme string, s Signals) float64 {
 	c := m[scheme]
-	return c.BaseNs + c.PerRuleNs*float64(s.Rules) + c.PerMaskNs*float64(s.Masks)
+	return c.BaseNs + c.PerRuleNs*float64(s.Rules) + c.PerMaskNs*float64(s.Masks) + c.PerFieldNs*float64(s.Fields)
 }
 
 // MemBits is the modelled memory footprint for scheme under s.
 func (m Model) MemBits(scheme string, s Signals) float64 {
 	c := m[scheme]
 	return c.FixedBits + c.PerRuleBits*float64(s.Rules)
-}
-
-// Calibrate scales one scheme's latency terms so the model's
-// prediction under ref matches a measured microprobe figure. The
-// correction ratio is clamped to [1/16, 16]: a probe can sharpen the
-// Table I seed by an order of magnitude, but a wild outlier (a preempted
-// probe goroutine, say) cannot invert the model.
-func (m Model) Calibrate(scheme string, measuredNs float64, ref Signals) {
-	if measuredNs <= 0 {
-		return
-	}
-	predicted := m.LatencyNs(scheme, ref)
-	if predicted <= 0 {
-		return
-	}
-	ratio := measuredNs / predicted
-	if ratio < 1.0/16 {
-		ratio = 1.0 / 16
-	}
-	if ratio > 16 {
-		ratio = 16
-	}
-	c := m[scheme]
-	c.BaseNs *= ratio
-	c.PerRuleNs *= ratio
-	c.PerMaskNs *= ratio
-	m[scheme] = c
 }
 
 // Policy is the hysteresis configuration that keeps the advisor from
@@ -211,13 +192,4 @@ func (p Policy) Decide(incumbent string, incumbentScore float64, cands []Candida
 		return Decision{Best: best}
 	}
 	return Decision{Best: best, Migrate: true}
-}
-
-// EWMA folds one sample into an exponentially-weighted moving average.
-// A zero prev adopts the sample outright (first observation).
-func EWMA(prev, sample, alpha float64) float64 {
-	if prev == 0 {
-		return sample
-	}
-	return prev + alpha*(sample-prev)
 }

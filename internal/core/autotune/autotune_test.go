@@ -49,25 +49,6 @@ func TestModelReproducesTableIShape(t *testing.T) {
 	}
 }
 
-func TestCalibrateScalesAndClamps(t *testing.T) {
-	m := DefaultModel()
-	ref := Signals{Rules: 256, Masks: 4}
-	before := m.LatencyNs(SchemeMBT, ref)
-	m.Calibrate(SchemeMBT, before*2, ref)
-	if after := m.LatencyNs(SchemeMBT, ref); after < before*1.9 || after > before*2.1 {
-		t.Fatalf("calibrate x2: want ~%v, got %v", before*2, after)
-	}
-	// A wild outlier is clamped, not adopted.
-	m2 := DefaultModel()
-	pred := m2.LatencyNs(SchemeTSS, ref)
-	m2.Calibrate(SchemeTSS, pred*1000, ref)
-	if after := m2.LatencyNs(SchemeTSS, ref); after > pred*16+1 {
-		t.Fatalf("calibrate should clamp at 16x: predicted %v, got %v", pred, after)
-	}
-	m2.Calibrate(SchemeTSS, 0, ref) // no-op
-	m2.Calibrate("nosuch", 5, ref)  // unknown scheme: no-op, no panic
-}
-
 func TestDecideHysteresis(t *testing.T) {
 	p := Policy{Margin: 0.30, MinDwell: 10 * time.Second, MemScale: 1e9}
 	cands := func(mbt, tss float64) []Candidate {
@@ -118,7 +99,7 @@ func TestDecideForcedEviction(t *testing.T) {
 	}
 }
 
-func TestScoreAndEWMA(t *testing.T) {
+func TestScore(t *testing.T) {
 	p := Policy{MemWeight: 1, MemScale: 1e9}
 	if s := p.Score(100, 0); s != 100 {
 		t.Fatalf("zero memory: want pure latency, got %v", s)
@@ -132,12 +113,5 @@ func TestScoreAndEWMA(t *testing.T) {
 	// Zero scale falls back to the 1e9 default rather than dividing by zero.
 	if s := (Policy{MemWeight: 1}).Score(100, 1e9); s != 200 {
 		t.Fatalf("zero MemScale should default: got %v", s)
-	}
-
-	if v := EWMA(0, 42, 0.2); v != 42 {
-		t.Fatalf("first sample adopts: got %v", v)
-	}
-	if v := EWMA(100, 200, 0.5); v != 150 {
-		t.Fatalf("ewma(100,200,0.5): want 150, got %v", v)
 	}
 }

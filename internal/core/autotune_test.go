@@ -6,37 +6,62 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ofmtl/internal/core/autotune"
+	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
 
-// autotuneLPMPipeline builds a pipeline with one auto-backend table
-// shaped for LPM (single 32-bit prefix field) and installs n /24
-// prefixes, rule i covering 10.i.j.* and outputting port i+1.
-func autotuneLPMPipeline(t *testing.T, n int) *Pipeline {
-	t.Helper()
-	p := NewPipeline()
-	cfg := lpmTableConfig()
-	cfg.Backend = BackendAuto
-	if _, err := p.AddTable(cfg); err != nil {
-		t.Fatal(err)
-	}
-	tx := p.Begin()
-	for i := 0; i < n; i++ {
-		tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: openflow.FlowEntry{
+// slash24Entries returns n /24 prefixes of the destination address, rule
+// i covering i<<8 through i<<8|255 and outputting port i+1.
+func slash24Entries(n int) []openflow.FlowEntry {
+	out := make([]openflow.FlowEntry, n)
+	for i := range out {
+		out[i] = openflow.FlowEntry{
 			Priority: 24,
 			Matches:  []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, uint64(i)<<8, 24)},
 			Instructions: []openflow.Instruction{
 				openflow.WriteActions(openflow.Output(uint32(i) + 1)),
 			},
-		}})
+		}
+	}
+	return out
+}
+
+// newAutotunePipeline builds a pipeline with one auto-backend table over
+// fields and commits entries to it in one transaction.
+func newAutotunePipeline(fields []openflow.FieldID, entries []openflow.FlowEntry) (*Pipeline, error) {
+	p := NewPipeline()
+	if _, err := p.AddTable(TableConfig{ID: 0, Fields: fields, Backend: BackendAuto}); err != nil {
+		return nil, err
+	}
+	tx := p.Begin()
+	for _, e := range entries {
+		tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: e})
 	}
 	if _, err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// autotunePipeline is newAutotunePipeline, failing t on an error.
+func autotunePipeline(t *testing.T, fields []openflow.FieldID, entries []openflow.FlowEntry) *Pipeline {
+	t.Helper()
+	p, err := newAutotunePipeline(fields, entries)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// autotuneLPMPipeline builds a pipeline with one auto-backend table
+// shaped for LPM (single 32-bit prefix field) holding slash24Entries(n).
+func autotuneLPMPipeline(t *testing.T, n int) *Pipeline {
+	t.Helper()
+	return autotunePipeline(t, lpmTableConfig().Fields, slash24Entries(n))
 }
 
 // checkLPMLookup verifies that rule i still answers its covered address.
@@ -175,34 +200,10 @@ func TestAutotunePinnedTablesUntouched(t *testing.T) {
 // there (through the auto constructor — plain dir24 would reject the
 // multi-field shape). When a rule later constrains the second field,
 // the insert migrates the table back to mbt inline instead of erroring,
-// and the new rule matches. The advisor scores with the seed model:
-// calibrating it times lookups, which a loaded machine skews enough to
-// rank tss first.
+// and the new rule matches.
 func TestAutotuneShapeMigratesOffDIR24(t *testing.T) {
-	p := NewPipeline()
-	p.tuneCalibrated = true
-	cfg := TableConfig{
-		ID:      0,
-		Fields:  []openflow.FieldID{openflow.FieldIPv4Dst, openflow.FieldIPv4Src},
-		Backend: BackendAuto,
-	}
-	if _, err := p.AddTable(cfg); err != nil {
-		t.Fatal(err)
-	}
+	p := autotunePipeline(t, []openflow.FieldID{openflow.FieldIPv4Dst, openflow.FieldIPv4Src}, slash24Entries(128))
 	tbl := p.tables[0]
-	tx := p.Begin()
-	for i := 0; i < 128; i++ {
-		tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: openflow.FlowEntry{
-			Priority: 24,
-			Matches:  []openflow.Match{openflow.Prefix(openflow.FieldIPv4Dst, uint64(i)<<8, 24)},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(uint32(i) + 1)),
-			},
-		}})
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
 	p.SetAutotunePolicy(autotune.Policy{})
 	events := p.AutotuneOnce()
 	if len(events) != 1 || events[0].To != BackendDIR24 {
@@ -227,7 +228,7 @@ func TestAutotuneShapeMigratesOffDIR24(t *testing.T) {
 	// Rejected after the inline migration, the commit swaps dir24 back:
 	// same backend, same memory report, the migration not counted.
 	before, reason := p.MemoryReport(), tbl.lastReason.Load()
-	tx = p.Begin()
+	tx := p.Begin()
 	tx.FlowMod(FlowCmd{Op: CmdAdd, Table: 0, Entry: wide})
 	absent := wide
 	absent.Priority = 98
@@ -437,55 +438,82 @@ func TestAdvisorStatsReport(t *testing.T) {
 	}
 }
 
-// TestAutotuneLatencySamplerFeedsEwma drives enough lookups through the
-// pipeline for the 1-in-64 sampler to land samples, then checks one
-// advisor pass folds them into the table's latency EWMA.
-func TestAutotuneLatencySamplerFeedsEwma(t *testing.T) {
-	p := autotuneLPMPipeline(t, 64)
-	p.SetCacheSize(0)
-	p.SetMegaflowSize(0)
-	for i := 0; i < 64*64; i++ {
-		h := &openflow.Header{IPv4Dst: uint32(i%64)<<8 | 3}
-		p.Execute(h)
-	}
-	p.SetAutotunePolicy(autotune.Policy{Margin: 1e12}) // hold the incumbent
-	p.AutotuneOnce()
-	rep := p.AdvisorStats()
-	if rep.Tables[0].EwmaNs <= 0 {
-		t.Fatalf("latency EWMA still %v after %d uncached lookups", rep.Tables[0].EwmaNs, 64*64)
-	}
+// advisorShape is one table whose advisor pick TestAdvisorPicks pins.
+type advisorShape struct {
+	name string
+	p    *Pipeline
+	id   openflow.TableID
+	want string
 }
 
-// TestAdvisorStatsPollingLeavesEwma pins that reading the advisor report
-// folds no latency samples: only an advisor pass moves the EWMA and the
-// sampler baseline, so how often an operator polls the stats report
-// cannot change what the advisor decides.
-func TestAdvisorStatsPollingLeavesEwma(t *testing.T) {
-	p := autotuneLPMPipeline(t, 64)
-	p.SetCacheSize(0)
-	p.SetMegaflowSize(0)
-	lookups := func() {
-		for i := 0; i < 64*64; i++ {
-			p.Execute(&openflow.Header{IPv4Dst: uint32(i%64)<<8 | 3})
+// advisorShapes builds, once per test binary, every table shape the root
+// package's BenchmarkLookupPerBackend times, each on auto (so on mbt):
+// the 1000-rule ACL, the 10k-prefix LPM table, the /24 tables of the
+// tests above and the four tables of the gozb/coza prototype. want is
+// the scheme that benchmark measures fastest on the shape. The shapes are
+// built once because the prototype alone takes over a second, and
+// TestAdvisorPicks runs repeatedly in CI.
+var advisorShapes = sync.OnceValues(func() ([]advisorShape, error) {
+	var out []advisorShape
+	for _, s := range []struct {
+		name    string
+		fields  []openflow.FieldID
+		entries []openflow.FlowEntry
+		want    string
+	}{
+		{"acl", aclTableConfig().Fields, filterset.GenerateACL("bench", 1000, filterset.DefaultSeed).FlowEntries(), BackendMBT},
+		{"lpm", lpmTableConfig().Fields, filterset.GenerateLPM("bench", 10_000, filterset.DefaultSeed).FlowEntries(), BackendDIR24},
+		{"slash24x512", lpmTableConfig().Fields, slash24Entries(512), BackendDIR24},
+		{"slash24x128", []openflow.FieldID{openflow.FieldIPv4Dst, openflow.FieldIPv4Src}, slash24Entries(128), BackendDIR24},
+	} {
+		p, err := newAutotunePipeline(s.fields, s.entries)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
+		out = append(out, advisorShape{s.name, p, 0, s.want})
 	}
-	lookups()
-	p.SetAutotunePolicy(autotune.Policy{Margin: 1e12}) // hold the incumbent
-	p.AutotuneOnce()
-	lookups() // fresh samples the next advisor pass has yet to fold
-	tbl, _ := p.Table(0)
-	p.mu.Lock()
-	ewma, sum, count := tbl.ewmaNs, tbl.lastLatSum, tbl.lastLatCount
-	p.mu.Unlock()
-	for i := 0; i < 3; i++ {
-		if got := p.AdvisorStats().Tables[0].EwmaNs; got != ewma {
-			t.Fatalf("poll %d reported EWMA %v, want %v as of the last advisor pass", i, got, ewma)
+	mac, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
+	if err != nil {
+		return nil, err
+	}
+	rt, err := filterset.GenerateRoute("coza", filterset.DefaultSeed)
+	if err != nil {
+		return nil, err
+	}
+	proto, err := BuildPrototypeWith(mac, rt, BackendAuto)
+	if err != nil {
+		return nil, err
+	}
+	for id, want := range []string{BackendMBT, BackendTSS, BackendTSS, BackendMBT} {
+		out = append(out, advisorShape{fmt.Sprintf("proto-t%d", id), proto, openflow.TableID(id), want})
+	}
+	return out, nil
+})
+
+// TestAdvisorPicks pins the advisor's choice under the default model and
+// policy for every shape in advisorShapes: the pick scores best among
+// the eligible schemes, and a table still on mbt migrates to it in one
+// pass unless the pick is mbt itself. The choice reads no clock but the
+// dwell's, so it is the same on a loaded machine.
+func TestAdvisorPicks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-threaded and deterministic; building the prototype under the race detector buys nothing")
+	}
+	shapes, err := advisorShapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shapes {
+		s.p.mu.Lock()
+		tbl := s.p.tables[s.id]
+		d := s.p.adviseLocked(tbl, time.Now().UnixNano())
+		inc := tbl.backend.Kind()
+		s.p.mu.Unlock()
+		if inc != BackendMBT {
+			t.Fatalf("%s: auto table on %s before any advisor pass", s.name, inc)
 		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if tbl.ewmaNs != ewma || tbl.lastLatSum != sum || tbl.lastLatCount != count {
-		t.Fatalf("polling moved the advisor state: EWMA %v→%v, sampler baseline (%d, %d)→(%d, %d)",
-			ewma, tbl.ewmaNs, sum, count, tbl.lastLatSum, tbl.lastLatCount)
+		if d.Best != s.want || d.Migrate != (s.want != BackendMBT) {
+			t.Errorf("%s: advisor decided %+v, want %s", s.name, d, s.want)
+		}
 	}
 }

@@ -55,8 +55,8 @@ const (
 	BackendDIR24 = "dir24"
 	// BackendAuto is the self-tuning pseudo-kind: the table starts on
 	// mbt and the autotune advisor (see autotune.go) migrates it live
-	// between the concrete schemes as rule shape, measured latency and
-	// memory evolve. It is accepted by every selection surface but is
+	// between the concrete schemes as the rule set's shape, and with it
+	// the modelled lookup cost and memory, evolves. It is accepted by every selection surface but is
 	// never a concrete Backend — TableMemory always reports the
 	// incumbent scheme actually serving lookups.
 	BackendAuto = "auto"

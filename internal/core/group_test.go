@@ -218,12 +218,12 @@ func checkWalkGroups(t *testing.T, p *Pipeline, trace []openflow.Header) {
 			solo := slices.Clone(hs)
 			slots := make([]int32, n)
 			for i := range hs {
-				w.begin(i, &hs[i], s, 0, true)
+				w.begin(i, &hs[i], s, true)
 				slots[i] = int32(i)
 			}
 			s.walk(&w, slots)
 			for i := range hs {
-				one.begin(0, &solo[i], s, 0, true)
+				one.begin(0, &solo[i], s, true)
 				s.walk(&one, []int32{0})
 				got, want := &w.sc[i], &one.sc[0]
 				if !resultsEqual(&got.res, &want.res) || got.tr != want.tr || got.rewritten != want.rewritten || hs[i] != solo[i] {

@@ -246,14 +246,6 @@ type execScratch struct {
 	refs        [ctrRefMax]uint32
 	nrefs       int
 	refOverflow bool
-
-	// lat, when non-nil, makes this walk a latency-sampled one: the walk
-	// runs alone, times each Classify and records it on latShard
-	// (autotune signal). The 1-in-latSampleEvery gate's tick lives in the
-	// sampler's shard, not here — pooled scratches have no stable
-	// lifetime.
-	lat      *latSampler
-	latShard uint32
 }
 
 // walkState is where a walk stands.
@@ -273,7 +265,6 @@ func (sc *execScratch) reset() {
 	sc.rewritten = 0
 	sc.nrefs = 0
 	sc.refOverflow = false
-	sc.lat = nil
 }
 
 // walker is the working state of a group of walks: each packet's walk
@@ -293,13 +284,10 @@ func (w *walker) size(n int) {
 }
 
 // begin prepares slot p for a walk of h against s, traced when the masked
-// tier wants its outcome, its flow and latency counters on shard. It
-// also ticks the latency sampler, which may make this walk a sampled one
-// (sc.lat set): such a walk must run alone.
-func (w *walker) begin(p int, h *openflow.Header, s *snapshot, shard uint32, traced bool) {
+// tier wants its outcome.
+func (w *walker) begin(p int, h *openflow.Header, s *snapshot, traced bool) {
 	sc, ls := &w.sc[p], &w.g.ls[p]
 	sc.reset()
-	sc.latShard = shard
 	w.g.hs[p], ls.tr = h, nil
 	if traced {
 		sc.tr.reset()
@@ -311,7 +299,6 @@ func (w *walker) begin(p int, h *openflow.Header, s *snapshot, shard uint32, tra
 		return
 	}
 	sc.cur, sc.state = s.order[0], walking
-	sc.armLatSample(s)
 }
 
 // release drops what slots 0…n−1 point at — the headers, the matched

@@ -211,7 +211,7 @@ func (l *ladder) exec(h *openflow.Header, res *Result) {
 	}
 	w := walkerPool.Get().(*walker)
 	w.size(1)
-	w.begin(0, h, l.s, m.shard, m.use[tierMasked])
+	w.begin(0, h, l.s, m.use[tierMasked])
 	slot := [1]int32{0}
 	l.s.walk(w, slot[:])
 	l.finish(&m, h, &w.sc[0], res)
@@ -224,30 +224,23 @@ func (l *ladder) exec(h *openflow.Header, res *Result) {
 // own counter shard, tier counters kept locally until the batch ends.
 // Each header climbs its tier rungs as exec's does; the misses then walk
 // together (snapshot.walk), each in the walker slot of its index, and
-// their flow counters and fills follow in packet order. A
-// latency-sampled walk runs alone, so that its timings are one packet's
-// lookups.
+// their flow counters and fills follow in packet order.
 func (l *ladder) execGroup(hs []*openflow.Header, ctx *execCtx, res []Result) {
 	w := &ctx.w
 	w.size(len(hs))
-	walks, group := ctx.walks[:0], ctx.group[:0]
+	walks := ctx.walks[:0]
 	for i, h := range hs {
 		m := &ctx.miss[i]
 		if l.probe(h, ctx, m, &res[i]) {
 			continue
 		}
-		w.begin(i, h, l.s, m.shard, m.use[tierMasked])
+		w.begin(i, h, l.s, m.use[tierMasked])
 		walks = append(walks, int32(i))
-		if w.sc[i].lat != nil {
-			l.s.walk(w, walks[len(walks)-1:])
-		} else {
-			group = append(group, int32(i))
-		}
 	}
 	if len(walks) == 0 {
 		return
 	}
-	l.s.walk(w, group)
+	l.s.walk(w, walks)
 	// The flow counters' cells, loaded together before the touches that
 	// write them one at a time (flowDir.warm).
 	if l.d != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ofmtl/internal/core/autotune"
 	"ofmtl/internal/memmodel"
@@ -115,19 +114,11 @@ type Pipeline struct {
 	// it where it retracts or publishes the snapshot.
 	infoCache []TableInfo
 
-	// lat is the per-table lookup-latency sampler feeding the autotune
-	// advisor: sampled walks (one in latSampleEvery) time each Classify
-	// and charge the table on the worker's shard (see autotune.go).
-	lat *latSampler
-
-	// Autotune advisor state: the hysteresis policy and calibrated cost
-	// model (guarded by mu), the periodic-advisor goroutine lifecycle
-	// (tuneMu, mirroring the expiry sweeper), and the failed-migration
-	// counter (atomic for lock-free Stats readers; completed migrations
-	// are counted per table).
+	// Autotune advisor state: the hysteresis policy (guarded by mu), the
+	// periodic-advisor goroutine lifecycle (tuneMu, mirroring the expiry
+	// sweeper), and the failed-migration counter (atomic for lock-free
+	// Stats readers; completed migrations are counted per table).
 	tunePolicy       autotune.Policy
-	tuneModel        autotune.Model
-	tuneCalibrated   bool
 	tuneMu           sync.Mutex
 	tuneStop         chan struct{}
 	tuneWG           sync.WaitGroup
@@ -146,9 +137,7 @@ func NewPipeline() *Pipeline {
 	p := &Pipeline{
 		tables:     make(map[openflow.TableID]*LookupTable),
 		groupTab:   newGroupTable(),
-		lat:        newLatSampler(),
 		tunePolicy: autotune.DefaultPolicy(),
-		tuneModel:  autotune.DefaultModel(),
 	}
 	p.dir = newFlowDir(&p.tiers)
 	p.groupsView.Store(emptyGroupView)
@@ -383,13 +372,6 @@ func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 // outcomes, which are functions of the traced bits, so the trace needs no
 // extra terms for the walk structure itself.
 func (s *snapshot) walk(w *walker, slots []int32) {
-	// A sampled walk (autotune latency signal) runs alone and times each
-	// classification. The common path never reaches the clock — lat is
-	// non-nil for one walk in latSampleEvery.
-	var lat *latSampler
-	if len(slots) == 1 {
-		lat = w.sc[slots[0]].lat
-	}
 	g := &w.g
 	for {
 		var cur openflow.TableID
@@ -419,14 +401,7 @@ func (s *snapshot) walk(w *walker, slots []int32) {
 		if t == nil {
 			continue
 		}
-		var start time.Time
-		if lat != nil {
-			start = time.Now()
-		}
 		t.backend.Lookup(g)
-		if lat != nil {
-			lat.record(w.sc[slots[0]].latShard, cur, uint64(time.Since(start)))
-		}
 		for _, p := range g.m {
 			w.sc[p].step(t, cur, g.hs[p], &g.out[p])
 		}

@@ -68,9 +68,6 @@ type snapshot struct {
 	// dir is the owning pipeline's lifecycle directory (counter
 	// attribution for walks executed against this snapshot).
 	dir *flowDir
-	// lat is the owning pipeline's lookup-latency sampler; sampled walks
-	// against this snapshot feed it (autotune signal).
-	lat *latSampler
 	// mem is the per-table memory accounting of the state this snapshot
 	// serves, captured from the tables' published counters at build time.
 	// A reader holding the snapshot therefore sees lookup results and
@@ -125,7 +122,6 @@ func (p *Pipeline) buildSnapshotLocked() *snapshot {
 		intern:  &p.intern,
 		groups:  p.groupsView.Load(),
 		dir:     p.dir,
-		lat:     p.lat,
 	}
 	ns.mem.BudgetBits = p.memBudget.Load()
 	for _, id := range ns.order {
@@ -183,7 +179,6 @@ type execCtx struct {
 	w     walker
 	miss  [walkGroup]pending
 	walks [walkGroup]int32    // the group's misses, in packet order
-	group [walkGroup]int32    // those of them that walk together
 	tiers [numTiers]tierDelta // per-tier cache counters
 	// shard is the lifecycle counter shard this worker charges; workers
 	// map to distinct shards, so per-flow counting in a batch is

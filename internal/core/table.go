@@ -103,7 +103,7 @@ type LookupTable struct {
 
 	// auto marks a table configured with the "auto" pseudo-backend: the
 	// autotune advisor (autotune.go) may migrate its concrete backend
-	// live as rule shape, measured latency and memory evolve.
+	// live as the rule set's shape evolves.
 	auto bool
 
 	// designated is the table's dir24 candidate field — the first
@@ -123,18 +123,13 @@ type LookupTable struct {
 	rangeRules int
 	wideRules  int
 
-	// Advisor state (autotune.go). ewmaNs is the measured per-lookup
-	// latency EWMA; lastLatSum/lastLatCount are the sampler totals the
-	// last advisor tick consumed; lastMigration is the unix-nano stamp
-	// of the last backend migration (dwell clock). All guarded by the
-	// pipeline write lock. migrations and lastReason are atomics so
-	// lock-free Stats readers can report them under churn.
-	ewmaNs       float64
-	lastLatSum   uint64
-	lastLatCount uint64
-	lastMig      int64
-	migrations   atomic.Uint64
-	lastReason   atomic.Uint32
+	// Advisor state (autotune.go). lastMig is the unix-nano stamp of the
+	// last backend migration (the dwell clock), guarded by the pipeline
+	// write lock. migrations and lastReason are atomics so lock-free
+	// Stats readers can report them under churn.
+	lastMig    int64
+	migrations atomic.Uint64
+	lastReason atomic.Uint32
 }
 
 // NewLookupTable builds a table from its configuration.

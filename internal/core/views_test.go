@@ -261,7 +261,7 @@ func TestSnapshotLinearizability(t *testing.T) {
 		out := make([]uint32, len(probes))
 		for j := range probes {
 			h := probes[j]
-			w.begin(0, &h, held, 0, false)
+			w.begin(0, &h, held, false)
 			held.walk(&w, []int32{0})
 			out[j] = got(&w.sc[0].res)
 		}

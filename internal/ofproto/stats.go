@@ -135,12 +135,8 @@ func (s *Stats) WriteText(w io.Writer) error {
 		if t.Auto {
 			mode = "auto"
 		}
-		fmt.Fprintf(bw, "  table %d [%s, %s] %d rules, %d masks, %d ranges, %d wide",
-			t.Table, t.Incumbent, mode, t.Rules, t.Masks, t.Ranges, t.Wide)
-		if t.EwmaNs > 0 {
-			fmt.Fprintf(bw, ", %.0fns/lookup", t.EwmaNs)
-		}
-		fmt.Fprintf(bw, ", %d bits\n", t.MemBits)
+		fmt.Fprintf(bw, "  table %d [%s, %s] %d rules, %d masks, %d ranges, %d wide, %d bits\n",
+			t.Table, t.Incumbent, mode, t.Rules, t.Masks, t.Ranges, t.Wide, t.MemBits)
 		if t.Migrations > 0 {
 			fmt.Fprintf(bw, "    migrations: %d (last reason: %s)\n", t.Migrations, t.LastReason)
 		}

@@ -176,7 +176,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		Lifecycle:  core.LifecycleStats{Flows: 4, ExpiredIdle: 1, ExpiredHard: 2, Sweeps: 3, Removed: 3, RemovedDropped: 1, Groups: 2},
 		Advisor: core.AdvisorStats{Migrations: 4, Failed: 1, Tables: []core.TableAdvisorStats{{
 			Table: 3, Auto: true, Incumbent: "tss", Rules: 5_000_000_000, Masks: 70_000, Ranges: 70_000, Wide: 70_000,
-			MemBits: 1 << 40, EwmaNs: 83.25, Migrations: 2, LastReason: "shape",
+			MemBits: 1 << 40, Migrations: 2, LastReason: "shape",
 			Candidates: []core.AdvisorCandidate{{Backend: "mbt", Eligible: true, Score: 2301.5}, {Backend: "dir24"}},
 		}}},
 	}
@@ -295,7 +295,7 @@ func TestAdvisorStatsCodecRoundTrip(t *testing.T) {
 		{
 			Table: 0, Auto: true, Incumbent: "dir24", LastReason: "score",
 			Rules: 5_000_000_000, Masks: 70_000, Ranges: 70_000, Wide: 70_000,
-			EwmaNs: 83.25, MemBits: 537 << 20, Migrations: 2,
+			MemBits: 537 << 20, Migrations: 2,
 			Candidates: []core.AdvisorCandidate{{Backend: "mbt", Eligible: true, Score: 2301.5}, {Backend: "dir24", Eligible: true, Score: 92.125}},
 		},
 		{Table: 5, Incumbent: "tss", LastReason: "none", Rules: 507, Masks: 65535,
@@ -316,7 +316,7 @@ func TestAdvisorStatsCodecRejectsMalformed(t *testing.T) {
 		`{"advisor":{"Migrations":-1}}`,
 		`{"advisor":{"Tables":[{"Table":256}]}}`,
 		`{"advisor":{"Tables":[{"Candidates":{}}]}}`,
-		`{"advisor":{"Tables":[{"EwmaNs":"fast"}]}}`)
+		`{"advisor":{"Tables":[{"MemBits":"fast"}]}}`)
 }
 
 // dialStats serves p and returns a client connected to it.
