@@ -2,6 +2,7 @@ package ofmtl_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"ofmtl/internal/core"
@@ -21,7 +22,7 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc regression measured without -race")
 	}
-	// Warm the pools and intern tables outside the measured region.
+	// Warm the pools and the outcome table outside the measured region.
 	for i := 0; i < 64; i++ {
 		f()
 	}
@@ -199,6 +200,118 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 					res = p.ExecuteBatchInto(hs, res)
 					i++
 				})
+			}
+		})
+	}
+}
+
+// TestExecuteWideOutcomeZeroAlloc pins the interning of outcomes of any
+// shape: an 8-table goto chain ending in an all-group of three output
+// buckets, one of them a port at or above 2^31. Execute and
+// ExecuteBatchInto, at 1 and 4 workers, with the cache tiers off and on,
+// allocate nothing per packet once warm, and every call returns the same
+// Outputs and TablesVisited slices.
+func TestExecuteWideOutcomeZeroAlloc(t *testing.T) {
+	const tables = 8
+	wantOuts := []uint32{1, 2, 0x80000001}
+	p := core.NewPipeline()
+	if err := p.AddGroup(core.Group{ID: 1, Type: core.GroupAll, Buckets: []core.Bucket{
+		{Actions: []openflow.Action{openflow.Output(wantOuts[0])}},
+		{Actions: []openflow.Action{openflow.Output(wantOuts[1])}},
+		{Actions: []openflow.Action{openflow.Output(wantOuts[2])}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for id := openflow.TableID(0); id < tables; id++ {
+		tbl, err := p.AddTable(core.TableConfig{ID: id, Fields: []openflow.FieldID{openflow.FieldIPProto}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := openflow.GotoTable(id + 1)
+		if id == tables-1 {
+			next = openflow.WriteActions(openflow.Group(1))
+		}
+		if err := tbl.Insert(&openflow.FlowEntry{
+			Priority:     1,
+			Matches:      []openflow.Match{openflow.Exact(openflow.FieldIPProto, 6)},
+			Instructions: []openflow.Instruction{next},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Distinct flows, one outcome.
+	trace := make([]openflow.Header, 64)
+	for i := range trace {
+		trace[i] = openflow.Header{IPProto: 6, IPv4Dst: uint32(i), SrcPort: uint16(i)}
+	}
+	// check records, outside the measured closures' reach of t, any
+	// result that is not the outcome or does not share its slices.
+	var (
+		outs     *uint32
+		visited  *openflow.TableID
+		wrong    *core.Result
+		unshared int
+	)
+	check := func(r *core.Result) {
+		if len(r.TablesVisited) != tables || !slices.Equal(r.Outputs, wantOuts) {
+			wrong = r
+			return
+		}
+		if outs == nil {
+			outs, visited = &r.Outputs[0], &r.TablesVisited[0]
+		}
+		if &r.Outputs[0] != outs || &r.TablesVisited[0] != visited {
+			unshared++
+		}
+	}
+	report := func(t *testing.T, name string) {
+		t.Helper()
+		if wrong != nil {
+			t.Fatalf("%s: outcome visited %v, outputs %v; want %d tables and %v", name, wrong.TablesVisited, wrong.Outputs, tables, wantOuts)
+		}
+		if unshared > 0 {
+			t.Errorf("%s: %d results carried their own copy of the outcome's slices", name, unshared)
+			unshared = 0
+		}
+	}
+	for _, tiers := range []bool{false, true} {
+		name := "tiers-off"
+		if tiers {
+			name = "tiers-on"
+			p.SetCacheSize(1 << 10)
+			p.SetMegaflowSize(1 << 10)
+		}
+		t.Run(name, func(t *testing.T) {
+			p.Refresh()
+			h := new(openflow.Header)
+			var res core.Result
+			i := 0
+			assertZeroAllocs(t, "Pipeline.Execute/"+name, func() {
+				*h = trace[i%len(trace)]
+				res = p.Execute(h)
+				check(&res)
+				i++
+			})
+			report(t, "Pipeline.Execute/"+name)
+			if tiers && p.CacheStats().Hits == 0 {
+				t.Error("the microflow tier served no packet")
+			}
+			hs := make([]*openflow.Header, len(trace))
+			scratch := make([]openflow.Header, len(trace))
+			var batch []core.Result
+			for _, workers := range []int{1, 4} {
+				p.SetWorkers(workers)
+				assertZeroAllocs(t, "Pipeline.ExecuteBatchInto/"+name, func() {
+					for j := range hs {
+						scratch[j] = trace[j]
+						hs[j] = &scratch[j]
+					}
+					batch = p.ExecuteBatchInto(hs, batch)
+					for j := range batch {
+						check(&batch[j])
+					}
+				})
+				report(t, "Pipeline.ExecuteBatchInto/"+name)
 			}
 		})
 	}

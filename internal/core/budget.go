@@ -61,15 +61,13 @@ func (e *BudgetError) Error() string {
 // SetMemoryBudget sets the process-wide memory budget in modelled bits
 // (0 = unlimited). Commits that would grow the total accounting past
 // it are rejected with a *BudgetError; the pressure controller starts
-// shedding cache capacity as the total approaches it. Safe to call
-// concurrently with lookups and commits.
+// shedding cache capacity as the total approaches it. MemoryStats
+// readers see the figure on their next call. Lookups are unaffected: the
+// snapshot they classify against and both cache tiers stay as they are.
+// Safe to call concurrently with lookups and commits.
 func (p *Pipeline) SetMemoryBudget(bits uint64) {
 	p.memBudget.Store(bits)
 	p.mu.Lock()
-	// Retract the snapshot so SnapshotMemoryStats picks the figure up on
-	// its next load. The next publish reuses every table view — only the
-	// embedded stats are reread.
-	p.retract()
 	p.adjustPressureLocked()
 	p.mu.Unlock()
 }
@@ -81,7 +79,8 @@ func (p *Pipeline) MemoryBudget() uint64 { return p.memBudget.Load() }
 // SetTableBudget sets one table's memory budget in modelled bits (0 =
 // unlimited), replacing any budget its TableConfig carried. The new
 // figure is republished immediately, so MemoryStats readers see it on
-// their next load.
+// their next call; like SetMemoryBudget it leaves the published snapshot
+// and the cache tiers as they are.
 func (p *Pipeline) SetTableBudget(id openflow.TableID, bits uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -98,9 +97,6 @@ func (p *Pipeline) SetTableBudget(id openflow.TableID, bits uint64) error {
 	}
 	t.budgetBits = bits
 	t.publishStats()
-	// Retract the snapshot too (see SetMemoryBudget): the table views are
-	// all reusable, but the embedded per-table stats must be reread.
-	p.retract()
 	return nil
 }
 

@@ -1339,9 +1339,8 @@ func (d *modelDriver) checkState() {
 			d.fatalf("table %d reports %d rules, model %d", tm.Table, tm.Rules, want)
 		}
 	}
-	rep, snap := d.p.MemoryReport(), d.p.SnapshotMemoryStats()
-	if uint64(rep.TotalBits) != ms.TotalBits || snap.TotalBits != ms.TotalBits {
-		d.fatalf("memory views disagree: report %d, stats %d, snapshot %d bits", rep.TotalBits, ms.TotalBits, snap.TotalBits)
+	if rep := d.p.MemoryReport(); uint64(rep.TotalBits) != ms.TotalBits {
+		d.fatalf("memory views disagree: report %d, stats %d bits", rep.TotalBits, ms.TotalBits)
 	}
 	d.recount()
 

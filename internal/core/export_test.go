@@ -50,7 +50,7 @@ func (p *Pipeline) CheckTable(id openflow.TableID) error {
 	}
 	live := memAccount{report: &memmodel.SystemReport{}, prefix: "live"}
 	t.backend.memory(&live)
-	if pub := t.Memory(); pub.Backend != t.backend.Kind() || pub.Rules != t.rules || pub.BackendStats != live.BackendStats {
+	if pub := *t.stats.Load(); pub.Backend != t.backend.Kind() || pub.Rules != t.rules || pub.BackendStats != live.BackendStats {
 		return fmt.Errorf("publishes %+v; its %s backend states %+v for %d rules", pub, t.backend.Kind(), live.BackendStats, t.rules)
 	}
 	nb, err := t.buildBackendFromStore(t.backend.Kind())

@@ -30,7 +30,7 @@ import (
 // the write, and a reader treats as a miss any slot whose sequence was odd
 // or changed across the read. In-place publication keeps fills
 // allocation-free, and the hit path takes no lock. The cached Result
-// travels through one interned pointer (see resultPtrTable), so a torn
+// travels through one interned pointer (see outcomeTable), so a torn
 // read can never mix two results' fields. Fills serialise on the tier's
 // mutex.
 //

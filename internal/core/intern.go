@@ -8,58 +8,65 @@ import (
 )
 
 // This file keeps Pipeline.Execute allocation-free in steady state. A
-// Result carries two slices — the table walk and the egress ports — whose
-// contents are drawn from a small, repeating population (pipelines have a
-// handful of tables and ports). Instead of allocating fresh slices per
-// packet, Execute interns them: each distinct walk or port set is
-// materialised once in a lock-free content-addressed table and every later
-// Result shares the canonical immutable copy. The first packet taking a
-// new path pays one allocation; every subsequent packet pays none.
+// walk's outcome is a Result with two slices, the table walk and the
+// egress ports, and outcomes repeat: pipelines have a handful of tables,
+// ports and groups. So a finished walk is interned whole, once: the
+// pipeline's one outcome table, lock-free and content-addressed, holds
+// each distinct outcome, slices included, and every walk with that
+// outcome gets the same canonical pointer. The caller's Result is a copy
+// of it, and the cache tiers store the pointer itself (flowcache.go), so
+// a torn slot read can never mix two outcomes' fields. The first walk
+// with a new outcome copies its slices once; every later one allocates
+// nothing.
 
-// internSize is the capacity of one intern table; a power of two. Distinct
-// walks are bounded by the pipeline's table fan-out and distinct output
-// sets by the port population, both far below this.
-const internSize = 1024
+// outcomeSize is the outcome table's capacity; a power of two. Distinct
+// outcomes are bounded by the pipeline's paths × port sets, far below it.
+const outcomeSize = 1024
 
-// internProbes bounds the linear probe; on a full neighbourhood the
-// caller falls back to an uninterned allocation (correct, just not free).
-const internProbes = 16
+// outcomeProbes bounds the linear probe; on a full neighbourhood the
+// walk gets an uninterned copy (correct, just not free).
+const outcomeProbes = 16
 
-// internEntry is one published canonical slice.
-type internEntry[T any] struct {
-	key uint64
-	val []T
+// outcomeTable is the pipeline's store of walk outcomes. Entries are
+// published with CompareAndSwap and never replaced or removed, so readers
+// need no synchronisation beyond the atomic load; keyed by content, they
+// stay valid across rule updates and snapshot rebuilds.
+type outcomeTable struct {
+	slots [outcomeSize]atomic.Pointer[Result]
 }
 
-// internTable is a fixed-size lock-free hash table of canonical slices.
-// Entries are published with CompareAndSwap and never replaced or removed,
-// so readers need no synchronisation beyond the atomic load.
-type internTable[T any] struct {
-	slots [internSize]atomic.Pointer[internEntry[T]]
-}
-
-// intern returns the canonical slice for key, publishing build()'s result
-// on first use. The returned slice is shared and must not be mutated.
-func (t *internTable[T]) intern(key uint64, build func() []T) []T {
-	i := internMix(key) & (internSize - 1)
-	for p := 0; p < internProbes; p++ {
-		slot := &t.slots[(i+uint64(p))&(internSize-1)]
+// intern returns the canonical Result equal to r. r's slices may be a
+// walk's scratch: the table keeps its own copies, made when r's outcome
+// first appears. The returned Result is shared and must not be mutated.
+func (t *outcomeTable) intern(r *Result) *Result {
+	i := internMix(resultHashKey(r))
+	for p := uint64(0); p < outcomeProbes; p++ {
+		slot := &t.slots[(i+p)&(outcomeSize-1)]
 		e := slot.Load()
 		if e == nil {
-			ne := &internEntry[T]{key: key, val: build()}
+			ne := cloneResult(r)
 			if slot.CompareAndSwap(nil, ne) {
-				return ne.val
+				return ne
 			}
 			e = slot.Load() // lost the race; see what won
 		}
-		if e.key == key {
-			return e.val
+		if resultsEqual(e, r) {
+			return e
 		}
 	}
-	return build()
+	return cloneResult(r)
 }
 
-// internMix spreads packed keys across slots (MurmurHash3 finaliser).
+// cloneResult returns a heap copy of r that shares no slice with it (an
+// empty slice becomes nil).
+func cloneResult(r *Result) *Result {
+	c := *r
+	c.Outputs = append([]uint32(nil), r.Outputs...)
+	c.TablesVisited = append([]openflow.TableID(nil), r.TablesVisited...)
+	return &c
+}
+
+// internMix spreads hash keys across slots (MurmurHash3 finaliser).
 func internMix(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xFF51AFD7ED558CCD
@@ -67,102 +74,6 @@ func internMix(k uint64) uint64 {
 	k *= 0xC4CEB9FE1A85EC53
 	k ^= k >> 33
 	return k
-}
-
-// resultIntern is the pipeline's canonical-slice store. Keys are
-// content-addressed, so entries stay valid across rule updates and
-// snapshot rebuilds.
-type resultIntern struct {
-	paths   internTable[openflow.TableID]
-	outs    internTable[uint32]
-	results resultPtrTable
-}
-
-// internedPathMax is the longest walk that can be packed into an intern
-// key: seven 8-bit table IDs plus a length byte.
-const internedPathMax = 7
-
-// internPath returns a canonical copy of the visited-table walk.
-func (in *resultIntern) internPath(visited []openflow.TableID) []openflow.TableID {
-	if len(visited) == 0 {
-		return nil
-	}
-	if in == nil || len(visited) > internedPathMax {
-		return append([]openflow.TableID(nil), visited...)
-	}
-	key := uint64(len(visited))
-	for i, id := range visited {
-		key |= uint64(id) << uint(8*(i+1))
-	}
-	return in.paths.intern(key, func() []openflow.TableID {
-		return append([]openflow.TableID(nil), visited...)
-	})
-}
-
-// internedOutsMax is the longest output list that can be packed into an
-// intern key: two 31-bit ports plus a length marker. The action-set model
-// holds at most one output today; the bound leaves headroom.
-const internedOutsMax = 2
-
-// internOutputs returns a canonical copy of the egress port list.
-func (in *resultIntern) internOutputs(outs []uint32) []uint32 {
-	if len(outs) == 0 {
-		return nil
-	}
-	longPort := false
-	for _, p := range outs {
-		if p > 0x7FFFFFFF {
-			longPort = true
-			break
-		}
-	}
-	if in == nil || len(outs) > internedOutsMax || longPort {
-		return append([]uint32(nil), outs...)
-	}
-	key := uint64(len(outs))
-	for i, p := range outs {
-		key |= uint64(p) << uint(31*i+2)
-	}
-	return in.outs.intern(key, func() []uint32 {
-		return append([]uint32(nil), outs...)
-	})
-}
-
-// resultPtrTable is a fixed-size lock-free intern table of whole
-// Results, keyed by content. The megaflow tier publishes one
-// atomic.Pointer[Result] per cached entry (so a torn seqlock read can
-// never mix two results' fields); interning the pointer keeps the
-// steady-state install path allocation-free — a walk outcome seen
-// before reuses its canonical heap copy. Distinct outcomes are bounded
-// by the pipeline's path × port population, far below internSize.
-type resultPtrTable struct {
-	slots [internSize]atomic.Pointer[Result]
-}
-
-// internResult returns a canonical heap pointer for r. r is taken by
-// value so callers' stack results never escape; only the first
-// appearance of a distinct outcome allocates.
-func (in *resultIntern) internResult(r Result) *Result {
-	t := &in.results
-	i := internMix(resultHashKey(&r)) & (internSize - 1)
-	for p := 0; p < internProbes; p++ {
-		slot := &t.slots[(i+uint64(p))&(internSize-1)]
-		e := slot.Load()
-		if e == nil {
-			ne := new(Result)
-			*ne = r
-			if slot.CompareAndSwap(nil, ne) {
-				return ne
-			}
-			e = slot.Load() // lost the race; see what won
-		}
-		if resultsEqual(e, &r) {
-			return e
-		}
-	}
-	ne := new(Result)
-	*ne = r
-	return ne
 }
 
 // resultHashKey condenses a Result's content (FNV-1a over scalars and
@@ -197,9 +108,8 @@ func resultHashKey(r *Result) uint64 {
 	return h
 }
 
-// resultsEqual compares a published Result against a candidate by
-// content (slice elements, not slice headers — interned slices make the
-// header compare usually succeed, but content is the contract).
+// resultsEqual compares two Results by content: slice elements, not
+// slice headers.
 func resultsEqual(a, b *Result) bool {
 	if a.Matched != b.Matched || a.SentToController != b.SentToController ||
 		a.Dropped != b.Dropped || a.MatchedTables != b.MatchedTables ||
@@ -220,21 +130,24 @@ func resultsEqual(a, b *Result) bool {
 }
 
 // execScratch carries one packet's walk: the visited tables, the egress
-// ports, the accumulating action set, the table it stands at and the
-// result it builds, and — for traced (megaflow-installing) walks — the
-// consulted-bits mask and the rewritten-fields bitmask. It lives in a
-// walker the caller owns (a batch worker's context, or walkerPool), so
-// steady-state execution performs no heap allocation.
+// ports, the accumulating action set, the table it stands at, the result
+// it builds and the interned outcome it ends in, and — for traced
+// (megaflow-installing) walks — the consulted-bits mask and the
+// rewritten-fields bitmask. It lives in a walker the caller owns (a batch
+// worker's context, or walkerPool), so steady-state execution performs no
+// heap allocation.
 type execScratch struct {
 	visited []openflow.TableID
 	outs    []uint32
 	as      actionSet
 
 	// cur is the table the walk stands at while state is walking; res
-	// is the result the walk builds.
+	// is the result the walk builds, and rp its interned outcome once
+	// the walk is done.
 	cur   openflow.TableID
 	state walkState
 	res   Result
+	rp    *Result
 
 	tr        flowMask // union of consulted bits (valid when traced)
 	rewritten uint64   // FieldIDs mutated mid-walk (always tracked; cheap)
@@ -255,7 +168,7 @@ const (
 	walking     walkState = iota // at table cur
 	walkActions                  // left the tables: the action set runs
 	walkEnded                    // ended early: res is the outcome
-	walkDone                     // res is the walk's result
+	walkDone                     // rp is the walk's result
 )
 
 func (sc *execScratch) reset() {
@@ -295,21 +208,21 @@ func (w *walker) begin(p int, h *openflow.Header, s *snapshot, traced bool) {
 	}
 	sc.res = Result{}
 	if len(s.order) == 0 {
-		sc.res.SentToController, sc.state = true, walkDone
+		sc.res.SentToController, sc.state = true, walkEnded
 		return
 	}
 	sc.cur, sc.state = s.order[0], walking
 }
 
 // release drops what slots 0…n−1 point at — the headers, the matched
-// rules' instructions, the results' interned slices — so that a walker
+// rules' instructions, the walks' results — so that a walker
 // resting in a pool or a batch context keeps no pipeline or trace alive.
 func (w *walker) release(n int) {
 	n = min(n, len(w.sc))
 	clear(w.g.hs[:n])
 	clear(w.g.out[:n])
 	for i := range w.sc[:n] {
-		w.sc[i].res = Result{}
+		w.sc[i].res, w.sc[i].rp = Result{}, nil
 	}
 }
 

@@ -322,13 +322,12 @@ func (l *ladder) finish(m *pending, h *openflow.Header, sc *execScratch, res *Re
 		l.d.touch(m.shard, &sc.refs, sc.nrefs, 1, frameBytes(h.PktLen))
 	}
 	if !sc.refOverflow && m.use != [numTiers]bool{} {
-		rp := l.s.intern.internResult(sc.res)
 		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
 		for i, c := range l.tiers {
 			if m.use[i] {
-				c.install(l.d, &m.k, m.fp, masks[i], sc.rewritten, l.s.window(i), rp, &sc.refs, sc.nrefs)
+				c.install(l.d, &m.k, m.fp, masks[i], sc.rewritten, l.s.window(i), sc.rp, &sc.refs, sc.nrefs)
 			}
 		}
 	}
-	*res = sc.res
+	*res = *sc.rp
 }

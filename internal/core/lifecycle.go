@@ -49,10 +49,10 @@ const (
 	// a shard, neighbouring flows' cells share lines.
 	ctrShards = 8
 
-	// ctrRefMax bounds the matched rules attributed per packet. It
-	// covers every interned walk (internedPathMax tables deep); the rare
-	// longer walk touches the first ctrRefMax rules and skips the cache
-	// installs so cached entries never carry a truncated attribution.
+	// ctrRefMax bounds the matched rules attributed per packet: one per
+	// table, for a walk up to eight tables deep. The rare longer walk
+	// touches the first ctrRefMax rules and skips the cache installs so
+	// cached entries never carry a truncated attribution.
 	ctrRefMax = 8
 
 	// dirWheelSlots is the timer wheel's bucket count (one-second

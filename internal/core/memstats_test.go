@@ -132,27 +132,23 @@ func TestMemoryStatsMatchesReport(t *testing.T) {
 					t.Errorf("published backend = %q, want %q", tm.Backend, kind)
 				}
 			}
-			// The snapshot-embedded copy serves the same figures.
-			if snap := p.SnapshotMemoryStats(); !reflect.DeepEqual(snap, stats) {
-				t.Errorf("snapshot stats %+v != live stats %+v", snap, stats)
-			}
 		})
 	}
 }
 
 // TestMemoryStatsLockFree proves the read path never touches the pipeline
-// write lock: with p.mu held, MemoryStats (and the snapshot-embedded
-// read, after a refresh) must still complete.
+// write lock: with p.mu held, repeated MemoryStats reads must still
+// complete, and agree.
 func TestMemoryStatsLockFree(t *testing.T) {
 	p := buildBackendPipeline(t, BackendMBT)
 	applyCmds(t, p, randomCmds(BackendMBT, 7, 64))
-	p.Refresh() // publish the snapshot so the embedded read has no rebuild to do
+	p.Refresh() // publish the snapshot so MemoryReport below has no rebuild to do
 
 	p.mu.Lock()
 	done := make(chan MemoryStats, 2)
 	go func() {
 		done <- p.MemoryStats()
-		done <- p.SnapshotMemoryStats()
+		done <- p.MemoryStats()
 	}()
 	var got []MemoryStats
 	for i := 0; i < 2; i++ {
@@ -222,7 +218,6 @@ func TestMemoryStatsUnderChurn(t *testing.T) {
 							t.Errorf("stats lost the table: %+v", st)
 							return
 						}
-						_ = p.SnapshotMemoryStats()
 					}
 				}()
 			}

@@ -75,10 +75,9 @@ type Pipeline struct {
 	pressRegrows atomic.Uint64
 	pressSteps   atomic.Uint64
 
-	// intern canonicalises the slices Results carry, keeping Execute
-	// allocation-free in steady state. Content-addressed, so it survives
-	// rule updates and snapshot rebuilds.
-	intern resultIntern
+	// outcomes holds every distinct walk outcome once, keeping Execute
+	// allocation-free in steady state (see intern.go).
+	outcomes outcomeTable
 
 	// dir is the flow lifecycle directory: per-flow counters, idle/hard
 	// timeout state, and the ref allocator (see lifecycle.go).
@@ -270,10 +269,10 @@ func (p *Pipeline) TableInfos() []TableInfo {
 
 // Result is the outcome of executing one packet through the pipeline.
 //
-// The Outputs and TablesVisited slices are canonical interned copies
-// shared between every Result that took the same path — this is what
-// keeps Execute allocation-free in steady state. Callers must treat them
-// as immutable.
+// The Outputs and TablesVisited slices belong to the pipeline's interned
+// copy of the outcome, shared by every Result with the same outcome; this
+// is what keeps Execute allocation-free in steady state. Callers must
+// treat them as immutable.
 type Result struct {
 	// Matched reports whether any table matched the packet.
 	Matched bool
@@ -415,8 +414,8 @@ func (s *snapshot) walk(w *walker, slots []int32) {
 		default:
 			continue
 		}
-		sc.res.TablesVisited = s.intern.internPath(sc.visited)
-		sc.res.Outputs = s.intern.internOutputs(sc.outs)
+		sc.res.TablesVisited, sc.res.Outputs = sc.visited, sc.outs
+		sc.rp = s.outcomes.intern(&sc.res)
 		sc.state = walkDone
 	}
 }
@@ -446,8 +445,8 @@ func (sc *execScratch) step(t *LookupTable, cur openflow.TableID, h *openflow.He
 	res.MatchedTables++
 	if o.Ref != 0 {
 		// Record the winning rule for counter attribution. The bound
-		// covers every interned path; the rare deeper walk counts the
-		// first ctrRefMax rules and marks the overflow so the outcome
+		// covers a walk of ctrRefMax tables; the rare deeper walk counts
+		// the first ctrRefMax rules and marks the overflow so the outcome
 		// is never cached with a truncated attribution.
 		if sc.nrefs < ctrRefMax {
 			sc.refs[sc.nrefs] = o.Ref
@@ -569,17 +568,10 @@ func (p *Pipeline) MemoryReport() *memmodel.SystemReport {
 // table list plus one atomic load per table of the accounting the most
 // recent mutation republished — it never acquires the pipeline write
 // lock, so it stays readable under full control-plane churn. The same
-// counters are embedded in every published lookup snapshot and exported
-// over the wire as the memory section of the stats report.
+// counters are exported over the wire as the memory section of the stats
+// report.
 func (p *Pipeline) MemoryStats() MemoryStats {
-	return p.MemoryStatsInto(nil)
-}
-
-// MemoryStatsInto is MemoryStats reusing the given table slice when it
-// has capacity, so polling paths (the wire server, periodic logs) do not
-// re-allocate the view every read.
-func (p *Pipeline) MemoryStatsInto(tables []TableMemory) MemoryStats {
-	out := MemoryStats{Tables: tables[:0], BudgetBits: p.memBudget.Load()}
+	out := MemoryStats{BudgetBits: p.memBudget.Load()}
 	view := p.tablesView.Load()
 	if view == nil {
 		return out

@@ -45,6 +45,12 @@ import (
 // its version, so a walk against the old snapshot never fills an entry
 // into the new window. A reader of the old snapshot never meets an entry
 // a walk against the new one filled: that stamp lies above its window.
+//
+// Memory figures are not part of a snapshot. MemoryStats reads each live
+// table's published accounting, which every writer publishes before the
+// snapshot that serves its rules, so a reader never classifies against
+// rules whose accounting it cannot see yet; and a budget change, which
+// alters no rule, leaves the snapshot and both cache tiers as they are.
 
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
@@ -58,9 +64,9 @@ type snapshot struct {
 	// byID indexes the views densely by table identifier, so the walk's
 	// goto-table hops cost an array load instead of a map probe.
 	byID [256]*LookupTable
-	// intern points at the owning pipeline's canonical-slice store, which
-	// keeps Result construction allocation-free (see intern.go).
-	intern *resultIntern
+	// outcomes is the owning pipeline's outcome table, which walks
+	// intern their results in (see intern.go).
+	outcomes *outcomeTable
 	// groups is the immutable group-table view this snapshot executes
 	// against. A group mutation retracts the snapshot, which is what
 	// invalidates every cached result that baked in the old buckets.
@@ -68,11 +74,6 @@ type snapshot struct {
 	// dir is the owning pipeline's lifecycle directory (counter
 	// attribution for walks executed against this snapshot).
 	dir *flowDir
-	// mem is the per-table memory accounting of the state this snapshot
-	// serves, captured from the tables' published counters at build time.
-	// A reader holding the snapshot therefore sees lookup results and
-	// memory figures from the same committed state.
-	mem MemoryStats
 }
 
 // loadSnapshot returns the published snapshot: one atomic load, since a
@@ -116,31 +117,17 @@ func (p *Pipeline) retract() {
 func (p *Pipeline) buildSnapshotLocked() *snapshot {
 	ver := p.snapVersion.Add(1)
 	ns := &snapshot{
-		version: ver,
-		mfBase:  ver,
-		order:   append([]openflow.TableID(nil), p.order...),
-		intern:  &p.intern,
-		groups:  p.groupsView.Load(),
-		dir:     p.dir,
+		version:  ver,
+		mfBase:   ver,
+		order:    append([]openflow.TableID(nil), p.order...),
+		outcomes: &p.outcomes,
+		groups:   p.groupsView.Load(),
+		dir:      p.dir,
 	}
-	ns.mem.BudgetBits = p.memBudget.Load()
 	for _, id := range ns.order {
-		t := p.tables[id]
-		ns.byID[id] = t.viewLocked()
-		tm := t.stats.Load()
-		ns.mem.Tables = append(ns.mem.Tables, *tm)
-		ns.mem.TotalBits += tm.TotalBits()
+		ns.byID[id] = p.tables[id].viewLocked()
 	}
 	return ns
-}
-
-// SnapshotMemoryStats returns the memory accounting embedded in the
-// current lookup snapshot — the figures consistent with the state
-// concurrent lookups are classifying against. Like MemoryStats it is
-// lock-free on the fast path (a reader publishes a snapshot only after a
-// writer retracted it).
-func (p *Pipeline) SnapshotMemoryStats() MemoryStats {
-	return p.loadSnapshot().mem
 }
 
 // SetWorkers bounds the goroutines one ExecuteBatch call fans out to.

@@ -252,11 +252,6 @@ func (t *LookupTable) publishStats() {
 	t.stats.Store(tm)
 }
 
-// Memory returns the table's published memory accounting. It is safe to
-// call concurrently with mutations: the returned value is the accounting
-// of the most recently completed mutation.
-func (t *LookupTable) Memory() TableMemory { return *t.stats.Load() }
-
 // Insert installs a flow entry. The table retains no caller memory: the
 // entry is copied into the table's rule store, and the data-plane
 // structures reference the stored copy, so callers (e.g. wire decoders)
@@ -424,14 +419,10 @@ func (t *LookupTable) publish() *LookupTable {
 		backend:    t.backend.Publish(),
 		rules:      t.rules,
 		fieldsView: t.fieldsView,
-		budgetBits: t.budgetBits,
 	}
-	// The rule store is deliberately left behind: a published table
-	// serves Classify inside a snapshot and takes no mutations. The
-	// published stats pointer is shared: stats readers always go through
-	// the live table, so recomputing the accounting here would be dead
-	// work on the rebuild path.
-	c.stats.Store(t.stats.Load())
+	// The rule store and the published accounting are deliberately left
+	// behind: a published table serves Classify inside a snapshot and
+	// takes no mutations, and MemoryStats reads the live table.
 	return c
 }
 

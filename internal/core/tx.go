@@ -312,8 +312,9 @@ func (tx *Tx) Commit() (TxResult, error) {
 	case m == nil || m.adm.bypassed.Load():
 		p.retract()
 	default:
-		// Publish suspended stats now so the eager snapshot embeds this
-		// commit's accounting (the deferred flush then finds nothing).
+		// Publish suspended stats now, before the snapshot, so a reader
+		// that classifies against this commit's rules reads its
+		// accounting too (the deferred flush then finds nothing).
 		p.flushStatsLocked()
 		ns := p.buildSnapshotLocked()
 		if prev != nil {
