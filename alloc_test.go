@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
@@ -317,6 +318,18 @@ func TestExecuteWideOutcomeZeroAlloc(t *testing.T) {
 	}
 }
 
+// settleRuntime runs, outside a measured window, the runtime's own work
+// that AllocsPerRun would otherwise charge to the code it measures: its
+// count is process-wide, and it measures at GOMAXPROCS 1. Every GC
+// cycle, as it starts, wakes the unique-map cleanup goroutine (net/netip
+// interns its zones), which allocates twice, and the background
+// scavenger, whose timer grows the one P's timer heap the first time a
+// fresh process runs it there. A GOMAXPROCS-1 window that only sleeps
+// lets both run first.
+func settleRuntime() {
+	testing.AllocsPerRun(1, func() { time.Sleep(10 * time.Millisecond) })
+}
+
 // TestExecuteColdTraceAllocs is the cold counterpart of the warm pins
 // above: on a trace whose destinations never repeat, every packet misses
 // both tiers, walks, and fills both in place. That path allocates nothing
@@ -366,14 +379,11 @@ func TestExecuteColdTraceAllocs(t *testing.T) {
 			}
 			// The first chunk takes the one-off allocations: the learned
 			// masks' tuples, the interned Results, pooled scratch. Then a
-			// full GC cycle, waited out. Every cycle, as it starts, wakes
-			// the runtime's unique-map cleanup goroutine (net/netip
-			// interns its zones), which allocates twice; a cycle the
-			// setup started lets that goroutine run inside the measured
-			// window, where AllocsPerRun, a process-wide count, would
-			// charge its allocations to the pipeline.
+			// full GC cycle, waited out, and the runtime's own work after
+			// it (settleRuntime).
 			run(chunk)
 			runtime.GC()
+			settleRuntime()
 			if perChunk := testing.AllocsPerRun(1, func() { run(chunk) }); perChunk != 0 {
 				t.Errorf("%.0f allocs per %d all-miss packets filling both armed tiers, want 0", perChunk, chunk)
 			}

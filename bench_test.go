@@ -407,7 +407,8 @@ func BenchmarkCommitLPMBypassed(b *testing.B) {
 // proto_zipf workload sizes them, classifying Zipf(1.1) traffic while
 // another goroutine commits a churn transaction (churn.commit) on the
 // largest table every 2 ms. It reports the p99 and p99.99 of one
-// Execute's latency, at 10 ns resolution.
+// Execute's latency, at 10 ns resolution, the microflow tier's hit share
+// over the timed loop, and whether the megaflow tier is armed at its end.
 func BenchmarkExecuteTailUnderCommits(b *testing.B) {
 	mac, err := filterset.GenerateMAC("gozb", filterset.DefaultSeed)
 	if err != nil {
@@ -467,6 +468,7 @@ func BenchmarkExecuteTailUnderCommits(b *testing.B) {
 	const bucketNs, buckets = 10, 1_000_000 // up to 10 ms; longer calls land in the last bucket
 	hist := make([]uint32, buckets)
 	n := 0
+	micro0 := p.CacheStats()
 	for b.Loop() {
 		h := trace[n%len(trace)]
 		start := time.Now()
@@ -488,6 +490,15 @@ func BenchmarkExecuteTailUnderCommits(b *testing.B) {
 	}
 	b.ReportMetric(quantileUs(0.99), "p99-us")
 	b.ReportMetric(quantileUs(0.9999), "p99.99-us")
+	micro, mega := p.CacheStats(), p.MegaflowStats()
+	if lookups := micro.Hits + micro.Misses - micro0.Hits - micro0.Misses; lookups > 0 {
+		b.ReportMetric(100*float64(micro.Hits-micro0.Hits)/float64(lookups), "micro-hit-%")
+	}
+	armed := 0.0
+	if mega.Armed {
+		armed = 1
+	}
+	b.ReportMetric(armed, "mega-armed")
 }
 
 // BenchmarkLUTLookup measures the exact-match hash LUT.

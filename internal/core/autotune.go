@@ -327,6 +327,7 @@ func (p *Pipeline) migrateTableLocked(t *LookupTable, kind string, reason uint32
 		return MigrationEvent{}, fmt.Errorf("core: table %d: committing migration to %s: %w", t.cfg.ID, kind, err)
 	}
 	t.swapBackend(nb, reason)
+	p.win = cacheWindow{} // not a rule commit: the snapshot opens a fresh window
 	p.snap.Store(p.buildSnapshotLocked())
 	return MigrationEvent{Table: t.cfg.ID, From: from, To: kind, Reason: MigrateReasonName(reason)}, nil
 }

@@ -260,7 +260,7 @@ func (p *Pipeline) regrowStepLocked() {
 // holding it counts on the rules directly. Entries re-learn on their next
 // miss.
 func (p *Pipeline) resizeTierLocked(tier int, old *flowCache, entries int) {
-	nc := newFlowCache(tier, entries, p.snapVersion.Load())
+	nc := newFlowCache(tier, entries)
 	nc.adm.carry(&old.adm)
 	p.tiers[tier].Store(nc)
 	old.retire(p.dir)

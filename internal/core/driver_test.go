@@ -106,12 +106,14 @@ func wireConfigs() []modelConfig {
 // The mixed layout: an ingress table that writes metadata, rewrites the
 // destination or jumps ahead; a destination-prefix table (the shape
 // dir24 serves, with /25–/32 spill prefixes); a 5-tuple ACL with prefix,
-// range and exact fields; and a metadata + prefix routing table. Misses
-// fall through, go to the controller or drop.
+// range and exact fields that also matches and rewrites metadata, so a
+// walk can write it twice and match it between the writes; and a
+// metadata + prefix routing table. Misses fall through, go to the
+// controller or drop.
 var mixedLayout = []TableConfig{
 	{ID: 0, Fields: []openflow.FieldID{openflow.FieldInPort, openflow.FieldVLANID}, Miss: MissPolicy{Kind: MissGoto, Table: 1}},
 	{ID: 1, Fields: []openflow.FieldID{openflow.FieldIPv4Dst}, Miss: MissPolicy{Kind: MissGoto, Table: 2}},
-	{ID: 2, Fields: []openflow.FieldID{openflow.FieldIPv4Src, openflow.FieldIPv4Dst, openflow.FieldSrcPort, openflow.FieldDstPort, openflow.FieldIPProto}},
+	{ID: 2, Fields: []openflow.FieldID{openflow.FieldIPv4Src, openflow.FieldIPv4Dst, openflow.FieldSrcPort, openflow.FieldDstPort, openflow.FieldIPProto, openflow.FieldMetadata}},
 	{ID: 3, Fields: []openflow.FieldID{openflow.FieldMetadata, openflow.FieldIPv4Dst}, Miss: MissPolicy{Kind: MissDrop}},
 }
 
@@ -359,6 +361,22 @@ func (d *modelDriver) mixedEntry(id openflow.TableID) *openflow.FlowEntry {
 			{fwd},
 		}[r.Intn(4)]
 	case 2:
+		// A second metadata write, over the low bits of table 0's.
+		meta := openflow.WriteMetadata(uint64(r.Intn(16)), 0x0F)
+		if r.Intn(3) == 0 {
+			// A metadata stage: it matches the metadata table 0 wrote (or
+			// the packet's own) and little else, and rewrites it.
+			e.Matches = append(e.Matches, openflow.Exact(openflow.FieldMetadata, uint64(1+r.Intn(6))))
+			if r.Intn(2) == 0 {
+				e.Matches = append(e.Matches, openflow.Exact(openflow.FieldIPProto, []uint64{1, 6, 17}[r.Intn(3)]))
+			}
+			e.Instructions = [][]openflow.Instruction{
+				{meta, openflow.GotoTable(3)},
+				{openflow.WriteActions(d.action()), meta, openflow.GotoTable(3)},
+				{openflow.WriteActions(d.action()), openflow.GotoTable(3)},
+			}[r.Intn(3)]
+			break
+		}
 		if r.Intn(5) < 3 {
 			e.Matches = append(e.Matches, d.prefix(openflow.FieldIPv4Src, 0, 8, 16, 24, 32))
 		}
@@ -382,7 +400,8 @@ func (d *modelDriver) mixedEntry(id openflow.TableID) *openflow.FlowEntry {
 			{openflow.WriteActions(d.action()), fwd},
 			{openflow.ApplyActions(openflow.SetField(openflow.FieldIPv4Dst, d.addr())), fwd},
 			{clearActions()},
-		}[r.Intn(5)]
+			{openflow.WriteActions(d.action()), meta, fwd},
+		}[r.Intn(6)]
 	default:
 		if r.Intn(5) > 0 {
 			e.Matches = append(e.Matches, openflow.Exact(openflow.FieldMetadata, uint64(1+r.Intn(6))))

@@ -43,14 +43,12 @@ import (
 // Validity is by version window: every published pipeline snapshot
 // carries a version drawn from a monotonic counter, a slot is stamped with
 // the version of the walk that filled it, and a snapshot accepts from
-// each tier the stamps in one window (window.holds). The exact tier's
-// window is the snapshot's own version alone, so a flow-mod — which
-// forces a new snapshot — makes every exact entry stale at once: the
-// conservative rule, with no flush traffic on the hot path. The masked
-// tier's window can reach back over earlier commits whose sweeps spared
-// the entry (megaflow.go). A commit never writes a surviving entry;
-// eviction (stamp 0) is the only write a sweep makes. Stale slots are
-// overwritten in place by later fills.
+// either tier the stamps in its window [base, version] (window.holds). A
+// stamp below the snapshot's own version is a hit only if no rule commit
+// the snapshot logs since then overlaps the entry (megaflow.go); the
+// reader that finds so re-stamps the entry. A commit writes no slot:
+// eviction is by falling out of the window or failing the test, and
+// stale slots are overwritten in place by later fills.
 //
 // The cache stores classification outcomes, not provisioned lookup
 // memory: like the snapshot views, it models the second port of a
@@ -111,13 +109,11 @@ const cacheProbe = 4
 
 // cacheSlot is one seqlock-published entry. seq is odd while a writer is
 // mid-update; ver is the version of the snapshot the filling walk ran
-// against (0 = empty/evicted), live for every snapshot whose window holds
-// it; key holds the packed header key pre-masked by the owning
-// tuple's mask; rewritten is the bitmask of FieldIDs the recorded walk
-// mutated mid-walk (SetField / WriteMetadata), which the masked tier's
-// eviction overlap test must treat conservatively because the key records
-// those fields' original values while later tables matched the rewritten
-// ones.
+// against (0 = empty), or a later one a reader revalidated it for
+// (restamp); key holds the packed header key pre-masked by the owning
+// tuple's mask; rewritten, meta and metaMask are the walk's rewrite,
+// which only a revalidation reads: the key records the rewritten fields'
+// original values while later tables matched the rewritten ones.
 //
 // hits and last are the entry's own flow counter: the packets it has
 // served since its last fold into its rules' cells (drain), and the
@@ -134,15 +130,16 @@ type cacheSlot struct {
 	last      atomic.Int64
 	ver       atomic.Uint64
 	rewritten atomic.Uint64
+	meta      atomic.Uint64
+	metaMask  atomic.Uint64
 	key       [flowKeyWords]atomic.Uint64
 	res       atomic.Pointer[Result]
 	// refs/nrefs attribute a hit to the rules the recorded walk matched
 	// (per-flow counters), written inside the seqlock window like every
-	// other field. They can only go stale through a commit, which either
-	// kills the entry (it falls out of the window) or, in the masked tier's
-	// sweep, spares it only if no touched rule overlaps it — and an entry
-	// whose matched rule was removed necessarily overlaps that rule's
-	// shadow.
+	// other field. They can only go stale through a commit, and a reader
+	// serves an entry across a commit only if no touched rule overlaps it
+	// — and an entry whose matched rule was removed necessarily overlaps
+	// that rule's shadow.
 	nrefs atomic.Uint32
 	refs  [ctrRefMax]atomic.Uint32
 }
@@ -159,12 +156,15 @@ const (
 // slotHit is what a probe hands the hit path besides the Result: the
 // entry that served it, its hits word as read inside the seqlock window
 // (the tag names the write the reader validated), and its counter
-// attribution.
+// attribution; and, for revalidation, the sequence and stamp it read and,
+// when the stamp is older than the reader's snapshot, the walk's rewrite.
 type slotHit struct {
-	e     *cacheSlot
-	h     uint64
-	nrefs int
-	refs  [ctrRefMax]uint32
+	e      *cacheSlot
+	h      uint64
+	seq, v uint64
+	rw     rewrite
+	nrefs  int
+	refs   [ctrRefMax]uint32
 }
 
 // cacheTuple is one mask's slot array.
@@ -194,7 +194,7 @@ func (tp *cacheTuple) project(k *flowKey, fp uint64, buf *flowKey) (*flowKey, ui
 }
 
 // window is the range [lo, hi] of fill versions a snapshot accepts from
-// one tier; hi is the snapshot's own version, which is also what its
+// the tiers; hi is the snapshot's own version, which is also what its
 // walks stamp.
 type window struct{ lo, hi uint64 }
 
@@ -207,12 +207,14 @@ func (w window) holds(v uint64) bool { return v-w.lo <= w.hi-w.lo }
 const _ = uint(flowKeyWords-12) + uint(12-flowKeyWords)
 
 // read is the seqlock reader: the slot's interned Result if the slot is
-// live in w and holds mk, with the slot, its hits word and its counter
-// attribution copied into hit; nil if not, or if a writer was mid-update
-// or came by during the read.
+// stamped inside w and holds mk, with the slot, its hits word, sequence,
+// stamp and counter attribution — and, for a stamp below w.hi, its
+// rewrite — copied into hit; nil if not, or if a writer was mid-update or
+// came by during the read.
 func (e *cacheSlot) read(mk *flowKey, w window, hit *slotHit) *Result {
 	seq := e.seq.Load()
-	if seq&1 != 0 || !w.holds(e.ver.Load()) {
+	v := e.ver.Load()
+	if seq&1 != 0 || !w.holds(v) {
 		return nil
 	}
 	h := e.hits.Load()
@@ -229,11 +231,30 @@ func (e *cacheSlot) read(mk *flowKey, w window, hit *slotHit) *Result {
 	for r := 0; r < nrefs; r++ {
 		hit.refs[r] = e.refs[r].Load()
 	}
+	if v != w.hi {
+		hit.rw = rewrite{fields: e.rewritten.Load(), meta: e.meta.Load(), mask: e.metaMask.Load()}
+	}
 	if e.seq.Load() != seq {
 		return nil
 	}
-	hit.e, hit.h, hit.nrefs = e, h, nrefs
+	hit.e, hit.h, hit.seq, hit.v, hit.nrefs = e, h, seq, v, nrefs
 	return rp
+}
+
+// restamp moves the stamp of the entry hit read on to ver, once a reader
+// has revalidated it for the snapshot of that version: under the tier's
+// mutex, and only if the entry is still the write the reader read (seq)
+// with the stamp it read (v) — a rewrite since, or a reader that moved
+// the stamp first, keeps what it wrote. With the mutex busy it skips; the
+// next reader tests the entry again.
+func (c *flowCache) restamp(hit *slotHit, ver uint64) {
+	if !c.mu.TryLock() {
+		return
+	}
+	if e := hit.e; e.seq.Load() == hit.seq && e.ver.Load() == hit.v {
+		e.ver.Store(ver)
+	}
+	c.mu.Unlock()
 }
 
 // count charges one served packet of n bytes, at lifecycle second now, to
@@ -284,13 +305,15 @@ func (e *cacheSlot) drain(d *flowDir, step uint64) {
 
 // write is the seqlock writer; the tier's mutex admits one at a time. The
 // entry it replaces hands its pending hits to its own rules first.
-func (e *cacheSlot) write(d *flowDir, mk *flowKey, rewritten, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
+func (e *cacheSlot) write(d *flowDir, mk *flowKey, rw *rewrite, ver uint64, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
 	e.seq.Add(1) // odd: readers back off
 	e.drain(d, 1)
 	for w := range e.key {
 		e.key[w].Store(mk[w])
 	}
-	e.rewritten.Store(rewritten)
+	e.rewritten.Store(rw.fields)
+	e.meta.Store(rw.meta)
+	e.metaMask.Store(rw.mask)
 	e.res.Store(res)
 	nrefs = min(nrefs, ctrRefMax)
 	for r := 0; r < nrefs; r++ {
@@ -299,14 +322,6 @@ func (e *cacheSlot) write(d *flowDir, mk *flowKey, rewritten, ver uint64, res *R
 	e.nrefs.Store(uint32(nrefs))
 	e.ver.Store(ver)
 	e.seq.Add(1) // even: published
-}
-
-// evict stamps the slot 0, which no window holds. Its pending hits stay
-// for the next fold or rewrite.
-func (e *cacheSlot) evict() {
-	e.seq.Add(1)
-	e.ver.Store(0)
-	e.seq.Add(1)
 }
 
 // The two tiers, in probe order.
@@ -333,7 +348,7 @@ var tierFloor = [numTiers]int{tierExact: microflowFloorEntries, tierMasked: mega
 
 // flowCache is one cache tier.
 type flowCache struct {
-	// mu serialises fills, tuple creation and commit sweeps; lookups are
+	// mu serialises fills, tuple creation and re-stamps; lookups are
 	// lock-free (seqlock readers).
 	mu sync.Mutex
 	// tuples only ever grows, by republication. Every mask's tuple is sized
@@ -346,14 +361,6 @@ type flowCache struct {
 	// retired is set (under mu) when the pipeline replaces the tier:
 	// installs stop, and retire has drained every entry.
 	retired bool
-	// floor is the oldest walk version the tier still takes a fill from
-	// (under mu): the latest snapshot's version when the tier was built,
-	// raised to the snapshot being published by every commit sweep. A walk
-	// against an older snapshot may predate a rule the sweep judged by;
-	// its entry would land inside the new snapshot's window unswept.
-	floor uint64
-	// sw is the commit sweep's per-tuple scratch (under mu).
-	sw tupleSweep
 	// cellShift brings a key's admission cell (ladder.go) to the bottom of
 	// its fingerprint. Exact tier: the top four bits of the key's home slot
 	// index, so the sampled 1/16 of keys live in the first 1/16 of the
@@ -376,11 +383,10 @@ func tierCapacity(tier, entries int) int {
 }
 
 // newFlowCache builds a tier of about the requested number of entries:
-// the exact tier with its one tuple in place, the masked tier empty. It
-// takes fills from walks against snapshot version floor and later.
-func newFlowCache(tier, entries int, floor uint64) *flowCache {
+// the exact tier with its one tuple in place, the masked tier empty.
+func newFlowCache(tier, entries int) *flowCache {
 	n := tierCapacity(tier, entries)
-	c := &flowCache{entries: n, cellShift: 60, floor: floor}
+	c := &flowCache{entries: n, cellShift: 60}
 	tuples := []cacheTuple{}
 	if tier == tierExact {
 		c.cellShift = uint8(bits.Len(uint(n-1)) - 4)
@@ -394,37 +400,49 @@ func newFlowCache(tier, entries int, floor uint64) *flowCache {
 func (c *flowCache) cell(fp uint64) uint64 { return fp >> c.cellShift & (admitCells - 1) }
 
 // lookup probes every tuple with the key masked by the tuple's mask and
-// returns the first live entry's interned Result (nil on a miss), filling
-// hit with what counting the packet needs. First match wins: when two
-// cached regions both cover a packet, mask correctness makes both results
-// equal, so no priority arbitration is needed. The hit/miss counters are
-// left to the caller, so batch workers can accumulate them locally and
-// flush once per batch.
-func (c *flowCache) lookup(k *flowKey, fp uint64, w window, hit *slotHit) *Result {
+// returns the first entry that is live for snapshot s — this cache being
+// s's tier tier — as its interned Result (nil on a miss), filling hit
+// with what counting the packet needs. An entry stamped before s is live
+// if the commits s logs since spare it, and is then re-stamped. First
+// match wins: when two cached regions both cover a packet, mask
+// correctness makes both results equal, so no priority arbitration is
+// needed. The hit/miss counters are left to the caller, so batch workers
+// can accumulate them locally and flush once per batch.
+func (c *flowCache) lookup(k *flowKey, fp uint64, s *snapshot, tier int, hit *slotHit) *Result {
 	var buf flowKey
+	w := s.window()
 	tuples := *c.tuples.Load()
 	for t := range tuples {
 		tp := &tuples[t]
 		mk, base := tp.project(k, fp, &buf)
 		for i := uint64(0); i < cacheProbe; i++ {
-			if rp := tp.slots[(base+i)&tp.slotMask].read(mk, w, hit); rp != nil {
-				return rp
+			rp := tp.slots[(base+i)&tp.slotMask].read(mk, w, hit)
+			if rp == nil {
+				continue
 			}
+			if hit.v != w.hi {
+				if !s.spares(tier, c, t, mk, &tp.mask, hit) {
+					continue
+				}
+				c.restamp(hit, w.hi)
+			}
+			return rp
 		}
 	}
 	return nil
 }
 
 // install publishes the outcome of a walk against the snapshot whose
-// window for this tier is w: (key & mask, mask) → res, stamped w.hi. res
-// must be an interned (immutable, shared) Result pointer. A walk older
-// than the tier's floor fills nothing. It prefers a slot in the probe
-// window that w does not hold (empty or stale), or the key's own entry;
-// with the window full of other live entries it overwrites the home slot
-// (random replacement within the set). The overwritten entry's pending
-// hits go to its rules in d. Installs allocate nothing, except that the
-// first appearance of a new mask allocates its tuple.
-func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, rewritten uint64, w window, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
+// window is w: (key & mask, mask) → res, stamped w.hi, with the walk's
+// rewrite rw. res must be an interned (immutable, shared) Result pointer.
+// A walk older than the latest commit fills like any other: its stamp
+// says which commits a reader must test it against. It prefers a slot in
+// the probe window that w does not hold (empty or stale), or the key's
+// own entry; with the window full of other entries it overwrites the
+// home slot (random replacement within the set). The overwritten entry's
+// pending hits go to its rules in d. Installs allocate nothing, except
+// that the first appearance of a new mask allocates its tuple.
+func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, rw *rewrite, w window, res *Result, refs *[ctrRefMax]uint32, nrefs int) {
 	if failpoint.Inject(failpoint.SiteCacheInstall) != nil {
 		// A modelled install failure drops the entry; the walk already
 		// ran, so the flow simply re-learns on a later miss.
@@ -432,8 +450,8 @@ func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, r
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.retired || w.hi < c.floor {
-		return // a straggler's fill into a replaced tier, or from a swept-past walk
+	if c.retired {
+		return // a straggler's fill into a replaced tier
 	}
 	tuples := *c.tuples.Load()
 	t := 0
@@ -460,7 +478,7 @@ func (c *flowCache) install(d *flowDir, k *flowKey, fp uint64, mask *flowMask, r
 			break
 		}
 	}
-	victim.write(d, mk, rewritten, w.hi, res, refs, nrefs)
+	victim.write(d, mk, rw, w.hi, res, refs, nrefs)
 }
 
 // fold moves every entry's pending hits to its rules' cells in d,
@@ -535,11 +553,22 @@ func (p *Pipeline) setTierSize(tier, entries int) {
 	p.tierTarget[tier] = entries
 	var nc *flowCache
 	if entries > 0 {
-		nc = newFlowCache(tier, entries, p.snapVersion.Load())
+		nc = newFlowCache(tier, entries)
 	}
 	if old := p.tiers[tier].Swap(nc); old != nil {
 		old.retire(p.dir)
 	}
+}
+
+// tiersServe reports whether either cache tier is on and armed by its
+// admission rule.
+func (p *Pipeline) tiersServe() bool {
+	for i := range p.tiers {
+		if c := p.tiers[i].Load(); c != nil && !c.adm.bypassed.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // tierStats reads one tier's counters and shape. A disabled tier

@@ -226,8 +226,8 @@ func checkWalkGroups(t *testing.T, p *Pipeline, trace []openflow.Header) {
 				one.begin(0, &solo[i], s, true)
 				s.walk(&one, []int32{0})
 				got, want := &w.sc[i], &one.sc[0]
-				if !resultsEqual(&got.res, &want.res) || got.tr != want.tr || got.rewritten != want.rewritten || hs[i] != solo[i] {
-					t.Fatalf("walk group of %d, member %d: %+v mask %x rewrote %x, alone %+v mask %x rewrote %x", n, i, got.res, got.tr, got.rewritten, want.res, want.tr, want.rewritten)
+				if !resultsEqual(&got.res, &want.res) || got.tr != want.tr || got.rw != want.rw || hs[i] != solo[i] {
+					t.Fatalf("walk group of %d, member %d: %+v mask %x rewrote %+v, alone %+v mask %x rewrote %+v", n, i, got.res, got.tr, got.rw, want.res, want.tr, want.rw)
 				}
 			}
 		}

@@ -132,8 +132,8 @@ func resultsEqual(a, b *Result) bool {
 // execScratch carries one packet's walk: the visited tables, the egress
 // ports, the accumulating action set, the table it stands at, the result
 // it builds and the interned outcome it ends in, and — for traced
-// (megaflow-installing) walks — the consulted-bits mask and the
-// rewritten-fields bitmask. It lives in a walker the caller owns (a batch
+// (megaflow-installing) walks — the consulted-bits mask — and the walk's
+// mid-walk rewrites. It lives in a walker the caller owns (a batch
 // worker's context, or walkerPool), so steady-state execution performs no
 // heap allocation.
 type execScratch struct {
@@ -149,8 +149,8 @@ type execScratch struct {
 	res   Result
 	rp    *Result
 
-	tr        flowMask // union of consulted bits (valid when traced)
-	rewritten uint64   // FieldIDs mutated mid-walk (always tracked; cheap)
+	tr flowMask // union of consulted bits (valid when traced)
+	rw rewrite  // mid-walk header writes (always tracked; cheap)
 
 	// refs collects the lifecycle refs of the rules the walk matched, for
 	// per-flow counter attribution. refOverflow marks a walk that matched
@@ -175,7 +175,7 @@ func (sc *execScratch) reset() {
 	sc.visited = sc.visited[:0]
 	sc.outs = sc.outs[:0]
 	sc.as.clear()
-	sc.rewritten = 0
+	sc.rw = rewrite{}
 	sc.nrefs = 0
 	sc.refOverflow = false
 }

@@ -24,8 +24,8 @@ import (
 // is bypassed when its hit share falls under 1/4 (below that it loses
 // ≥ 500 ns/pkt when thrashing and wins ≤ 100 when resident) and re-armed
 // when the share clears 1/2 (above every measured break-even); the 2×
-// band between is the hysteresis that keeps a wholesale invalidation —
-// one commit empties the microflow tier — from flapping it.
+// band between is the hysteresis that keeps a commit whose rules overlap
+// a tier's whole population from flapping it.
 //
 // A bypassed tier is skipped: no probe, no install, and with the megaflow
 // tier skipped the walk runs untraced. The exception is the sample: keys
@@ -34,12 +34,12 @@ import (
 // space rather than every 16th packet keeps a flow wholly inside or
 // wholly outside the sample, so the sample sees the locality the whole
 // tier would; and because the sample never stops using the tier, its
-// entries are warm across state changes between commits — a re-armed
-// tier is not judged on the compulsory misses of the other 15/16. A
-// commit wipes the exact tier's sample, as it wipes that whole tier, and
-// a bypassed masked tier's too: such a commit retracts the snapshot
-// instead of sweeping the tier (tx.go), so the next snapshot opens a
-// fresh window.
+// entries are warm across state changes — a re-armed tier is not judged
+// on the compulsory misses of the other 15/16. A commit keeps them warm
+// too, as it keeps every entry its rules do not overlap (megaflow.go),
+// while either tier serves. A commit while both tiers are bypassed or
+// off wipes the samples with the rest: it retracts the snapshot instead
+// of logging itself (tx.go), so the next snapshot opens a fresh window.
 //
 // Mechanics: each tier's counters are spread over 16 cells and a key
 // counts on the cell its hash selects, so the sample is simply cell 0.
@@ -297,7 +297,7 @@ func (l *ladder) probe(h *openflow.Header, ctx *execCtx, m *pending, res *Result
 		}
 		cell := c.cell(m.fp)
 		if m.use[i] = c.adm.use(cell); m.use[i] {
-			if rp := c.lookup(&m.k, m.fp, l.s.window(i), &hit); rp != nil {
+			if rp := c.lookup(&m.k, m.fp, l.s, i, &hit); rp != nil {
 				c.adm.hit(cell, local)
 				if l.d != nil && hit.nrefs > 0 {
 					l.d.charge(&hit, m.shard, h.PktLen)
@@ -325,7 +325,7 @@ func (l *ladder) finish(m *pending, h *openflow.Header, sc *execScratch, res *Re
 		masks := [numTiers]*flowMask{tierExact: &fullMask, tierMasked: &sc.tr}
 		for i, c := range l.tiers {
 			if m.use[i] {
-				c.install(l.d, &m.k, m.fp, masks[i], sc.rewritten, l.s.window(i), sc.rp, &sc.refs, sc.nrefs)
+				c.install(l.d, &m.k, m.fp, masks[i], &sc.rw, l.s.window(), sc.rp, &sc.refs, sc.nrefs)
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"ofmtl/internal/bitops"
+	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 	"ofmtl/internal/xrand"
 )
@@ -215,22 +217,25 @@ func TestExecuteMegaflowZeroAlloc(t *testing.T) {
 	}
 }
 
-// invalidateAll evicts every cached entry (tuples and counters are kept).
-// The data plane never needs it — version mismatches already dead-end
-// stale entries.
+// invalidateAll evicts every cached entry: it stamps each slot 0, which
+// no window holds (tuples and counters are kept). The data plane never
+// needs it — version windows already dead-end stale entries.
 func (c *flowCache) invalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, tp := range *c.tuples.Load() {
 		for i := range tp.slots {
-			tp.slots[i].evict()
+			e := &tp.slots[i]
+			e.seq.Add(1)
+			e.ver.Store(0)
+			e.seq.Add(1)
 		}
 	}
 }
 
 // lpmMegaflowPipeline is one mbt table of destination prefixes with only
-// the masked tier on. No walk rewrites a field, so a commit's sweep can
-// spare the entries its rules do not overlap.
+// the masked tier on. No walk rewrites a field, so a commit spares the
+// entries its rules do not overlap.
 func lpmMegaflowPipeline(t *testing.T, rules ...*openflow.FlowEntry) *Pipeline {
 	t.Helper()
 	p := NewPipeline()
@@ -311,10 +316,11 @@ func staleLadder(p *Pipeline) ladder {
 	return ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
 }
 
-// TestMegaflowRefusesSweptPastFill pins the fill floor: a walk against
-// the pre-commit snapshot whose fill arrives after the commit's sweep
-// must fill nothing, or its outcome — decided without the committed rule
-// — would sit unswept inside the new snapshot's window.
+// TestMegaflowRefusesSweptPastFill pins a straggler's fill: a walk
+// against the pre-commit snapshot whose fill arrives after the commit
+// keeps its pre-commit stamp, so a post-commit reader tests it against
+// the commit, whose rule overlaps it, and walks — its outcome was decided
+// without the committed rule.
 func TestMegaflowRefusesSweptPastFill(t *testing.T) {
 	p := lpmMegaflowPipeline(t, dstEntry(0x0A000000, 8, 1))
 	old := staleLadder(p)
@@ -354,13 +360,19 @@ func TestMegaflowOldSnapshotMissesNewFill(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesOverlapOracle is the compiled sweep's property test:
-// over seeded tuple masks, entries and commits, it must evict exactly the
-// live entries some shadow's overlapsMegaflow marks and leave every other
-// entry's stamp as it was. Shadows mix exact, prefix (IPv4, and IPv6 on
-// either side of the word boundary), range and all-wildcard matches, and
-// some entries' walks rewrote a field; in half the commits every rule
-// fixes a shared set of fields, so P often spans several words.
+// TestSweepMatchesOverlapOracle is the read-time test's property test:
+// over seeded tuple masks, entries and logs of one to three commits, a
+// reader must be served exactly the entries stamped with its snapshot's
+// version and those stamped inside its window that every commit logged
+// since spares — no shadow's overlapsMegaflow marks the entry's key as it
+// arrived or, for a walk that wrote metadata once, its key with the
+// written bits in place; a walk that rewrote otherwise meets any rule on
+// a rewritten field — and must re-stamp exactly the revalidated ones.
+// Some commits compiled before the last tuple was learned: its older
+// entries are misses. Shadows mix exact, prefix (IPv4, and IPv6 on either
+// side of the word boundary), range and all-wildcard matches; in half the
+// commits every rule fixes a shared set of fields, so P often spans
+// several words.
 func TestSweepMatchesOverlapOracle(t *testing.T) {
 	rng := xrand.New(20150908)
 	pick := func(vs ...uint64) uint64 { return vs[rng.Intn(len(vs))] }
@@ -417,11 +429,13 @@ func TestSweepMatchesOverlapOracle(t *testing.T) {
 		func(*openflow.Header) openflow.Match { return openflow.Any(openflow.FieldEthSrc) },
 	}
 	rewritable := []openflow.FieldID{openflow.FieldMetadata, openflow.FieldIPv4Dst, openflow.FieldVLANID}
-	live := window{lo: 4, hi: 10}
+	const base, version = 4, 11 // the reader's window; stamps run 1…12
 	res := &Result{}
 	var refs [ctrRefMax]uint32
 	for c := 0; c < 2000; c++ {
-		fc := newFlowCache(tierMasked, megaflowFloorEntries, 0)
+		fc := newFlowCache(tierMasked, megaflowFloorEntries)
+		var tiers [numTiers]atomic.Pointer[flowCache]
+		tiers[tierMasked].Store(fc)
 		tuples := []cacheTuple{}
 		for n := 1 + rng.Intn(4); len(tuples) < n; {
 			var m flowMask
@@ -445,71 +459,214 @@ func TestSweepMatchesOverlapOracle(t *testing.T) {
 				for w := range k {
 					k[w] &= tp.mask[w]
 				}
-				var rw uint64
-				if rng.Intn(8) == 0 {
-					rw = rewrittenBit(rewritable[rng.Intn(len(rewritable))])
+				var rw rewrite
+				switch rng.Intn(8) {
+				case 0: // a set-field, or a second metadata write
+					rw.setField(rewritable[rng.Intn(len(rewritable))])
+				case 1, 2: // one metadata write
+					rw.writeMetadata(pick(0, 1, 2, 0x100), pick(1, 0xFF, ^uint64(0)))
 				}
-				tp.slots[i].write(nil, &k, rw, 1+uint64(rng.Intn(12)), res, &refs, 0)
+				tp.slots[i].write(nil, &k, &rw, 1+uint64(rng.Intn(12)), res, &refs, 0)
 			}
 		}
 
-		var shared []int // matcher indices every rule of the commit uses
-		if rng.Intn(2) == 0 {
-			for j := 0; j < 2+rng.Intn(2); j++ {
-				shared = append(shared, rng.Intn(7)) // a non-range, non-wildcard matcher
+		// The log, newest first: the commit that published the reader's
+		// snapshot, and up to two earlier ones.
+		snap := &snapshot{version: version, cacheWindow: cacheWindow{base: base}}
+		vers := []uint64{version}
+		for _, v := range []uint64{9, 7} {
+			if rng.Intn(2) == 0 {
+				vers = append(vers, v-uint64(rng.Intn(2)))
 			}
 		}
-		shadows := make([]ruleShadow, 1+rng.Intn(16))
-		for si := range shadows {
-			h := header()
-			var e openflow.FlowEntry
-			for _, j := range shared {
-				e.Matches = append(e.Matches, matchers[j](&h))
+		logged := make([][]ruleShadow, len(vers))
+		known := make([]int, len(vers)) // tuples the commit compiled for
+		for ri, ver := range vers {
+			var shared []int // matcher indices every rule of the commit uses
+			if rng.Intn(2) == 0 {
+				for j := 0; j < 2+rng.Intn(2); j++ {
+					shared = append(shared, rng.Intn(7)) // a non-range, non-wildcard matcher
+				}
 			}
-			if rng.Intn(20) != 0 { // else all-wildcard, unless shared
-				for j := range matchers {
-					if rng.Intn(3) == 0 {
-						e.Matches = append(e.Matches, matchers[j](&h))
+			shadows := make([]ruleShadow, 1+rng.Intn(16))
+			for si := range shadows {
+				h := header()
+				var e openflow.FlowEntry
+				for _, j := range shared {
+					e.Matches = append(e.Matches, matchers[j](&h))
+				}
+				if rng.Intn(20) != 0 { // else all-wildcard, unless shared
+					for j := range matchers {
+						if rng.Intn(3) == 0 {
+							e.Matches = append(e.Matches, matchers[j](&h))
+						}
 					}
 				}
+				shadows[si] = shadowOf(&e)
 			}
-			shadows[si] = shadowOf(&e)
+			known[ri] = len(tuples)
+			if ri > 0 && rng.Intn(4) == 0 {
+				known[ri]-- // the last tuple was learned after this commit
+			}
+			early := tuples[:known[ri]]
+			fc.tuples.Store(&early)
+			snap.log[ri] = newCommitRecord(ver, shadows, &tiers)
+			fc.tuples.Store(&tuples)
+			logged[ri] = shadows
 		}
+		snap.nlog = len(vers)
 
-		want := make([][]uint64, len(tuples))
 		for ti := range tuples {
 			tp := &tuples[ti]
-			want[ti] = make([]uint64, len(tp.slots))
 			for i := range tp.slots {
 				e := &tp.slots[i]
-				v := e.ver.Load()
-				want[ti][i] = v
-				if !live.holds(v) {
-					continue
-				}
-				var key flowMask
+				stamp := e.ver.Load()
+				var key flowKey
 				for w := range key {
 					key[w] = e.key[w].Load()
 				}
-				for si := range shadows {
-					if shadows[si].overlapsMegaflow(&key, &tp.mask, e.rewritten.Load()) {
-						want[ti][i] = 0
+				rw := rewrite{fields: e.rewritten.Load(), meta: e.meta.Load(), mask: e.metaMask.Load()}
+				// A single metadata write is tested on both views; any other
+				// rewrite by the conservative rule.
+				views, conservative := []flowMask{flowMask(key)}, rw.fields
+				if rw.mask != 0 {
+					conservative = 0
+					v := flowMask(key)
+					v[metaWord] = v[metaWord]&^rw.mask | rw.meta
+					views = append(views, v)
+				}
+				want := stamp >= base && stamp <= version
+				for ri, ver := range vers {
+					if !want || ver <= stamp {
 						break
 					}
+					if ti >= known[ri] {
+						want = false
+					}
+					for si := range logged[ri] {
+						for _, v := range views {
+							if logged[ri][si].overlapsMegaflow(&v, &tp.mask, conservative) {
+								want = false
+							}
+						}
+					}
+				}
+
+				var hit slotHit
+				got := e.read(&key, snap.window(), &hit) != nil
+				if got && hit.v != version {
+					if got = snap.spares(tierMasked, fc, ti, &key, &tp.mask, &hit); got {
+						fc.restamp(&hit, version)
+					}
+				}
+				if got != want {
+					t.Fatalf("case %d tuple %d slot %d: stamp %d, rewrite %+v: served %v, want %v (log %v, %d tuples, compiled for %v, tuple mask %x)",
+						c, ti, i, stamp, rw, got, want, vers, len(tuples), known, tp.mask)
+				}
+				wantStamp := stamp
+				if want {
+					wantStamp = version
+				}
+				if after := e.ver.Load(); after != wantStamp {
+					t.Fatalf("case %d tuple %d slot %d: stamp %d after the read, want %d", c, ti, i, after, wantStamp)
 				}
 			}
 		}
-		fc.sweep(shadows, live, live.hi+1)
-		if fc.floor != live.hi+1 {
-			t.Fatalf("case %d: fill floor %d after the sweep, want %d", c, fc.floor, live.hi+1)
+	}
+}
+
+// TestMegaflowSurvivesMetadataCommit pins the rewritten-metadata view on
+// the routing pair: table 0 writes metadata := in_port and table 1
+// matches (metadata, destination), so every cached walk wrote metadata
+// once and its key holds the metadata the packet arrived with. With
+// regions warm for in_ports A and B, a route committed for A's metadata
+// must leave B's regions, and A's that it does not cover, served without
+// a walk, while the one A region it covers walks and answers with it.
+func TestMegaflowSurvivesMetadataCommit(t *testing.T) {
+	const a, b = 1, 2
+	f := &filterset.RouteFilter{Name: "pair"}
+	var hs []openflow.Header
+	for _, port := range []uint32{a, b} {
+		for i := uint32(0); i < 8; i++ {
+			f.Rules = append(f.Rules, filterset.RouteRule{InPort: port, Prefix: 10<<24 | i<<16, PrefixLen: 16, NextHop: 10*port + i})
+			hs = append(hs, openflow.Header{InPort: port, IPv4Dst: 10<<24 | i<<16 | 7<<8 | 5, EthType: 0x0800})
 		}
-		for ti := range tuples {
-			for i := range tuples[ti].slots {
-				if got := tuples[ti].slots[i].ver.Load(); got != want[ti][i] {
-					t.Fatalf("case %d tuple %d slot %d: stamp %d after the sweep, want %d (%d shadows, tuple mask %x)",
-						c, ti, i, got, want[ti][i], len(shadows), tuples[ti].mask)
-				}
+	}
+	p, err := BuildRoute(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetMegaflowSize(1 << 10)
+	exec := func(h openflow.Header) int { return outputOf(p.Execute(&h)) }
+	for pass := 0; pass < 2; pass++ {
+		for i, h := range hs {
+			if got, want := exec(h), int(10*h.InPort)+i%8; got != want {
+				t.Fatalf("pass %d, packet %d: output %d, want %d", pass, i, got, want)
 			}
 		}
+	}
+	before := p.MegaflowStats()
+	if before.Hits != uint64(len(hs)) {
+		t.Fatalf("warm-up: %+v, want %d hits (the second pass served from the tier)", before, len(hs))
+	}
+
+	// A /24 for A's metadata inside A's region 10.3.0.0/16.
+	route := &openflow.FlowEntry{
+		Priority: 1 + 24,
+		Matches: []openflow.Match{
+			openflow.Exact(openflow.FieldMetadata, a),
+			openflow.Prefix(openflow.FieldIPv4Dst, 10<<24|3<<16|7<<8, 24),
+		},
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(99))},
+	}
+	if _, err := p.Begin().Add(1, route).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hs {
+		want := int(10*h.InPort) + i%8
+		if h.InPort == a && i == 3 {
+			want = 99
+		}
+		if got := exec(h); got != want {
+			t.Fatalf("after the commit, packet %d (in_port %d): output %d, want %d", i, h.InPort, got, want)
+		}
+	}
+	after := p.MegaflowStats()
+	if walks := after.Misses - before.Misses; walks != 1 || after.Hits-before.Hits != uint64(len(hs)-1) {
+		t.Fatalf("after the commit: %d walks and %d hits over %d packets, want 1 walk (A's covered region) and the rest served",
+			walks, after.Hits-before.Hits, len(hs))
+	}
+}
+
+// TestRestampRechecksTheSlot pins restamp's re-check under the tier's
+// mutex: a reader that revalidated an entry must not move the stamp of a
+// write that replaced it meanwhile — a straggler's fill, stamped before a
+// commit its walk did not see — nor move back a stamp another reader
+// moved on first.
+func TestRestampRechecksTheSlot(t *testing.T) {
+	fc := newFlowCache(tierExact, microflowFloorEntries)
+	e := &(*fc.tuples.Load())[0].slots[0]
+	var k flowKey
+	var refs [ctrRefMax]uint32
+	res := &Result{}
+	w := window{lo: 1, hi: 3}
+	e.write(nil, &k, &rewrite{}, 2, res, &refs, 0)
+	var hit slotHit
+	if e.read(&k, w, &hit) == nil {
+		t.Fatal("the entry stamped 2 did not read inside [1, 3]")
+	}
+	e.write(nil, &k, &rewrite{}, 1, res, &refs, 0)
+	fc.restamp(&hit, 3)
+	if v := e.ver.Load(); v != 1 {
+		t.Fatalf("a re-stamp moved a rewritten entry's stamp to %d, want its own 1", v)
+	}
+	var first, second slotHit
+	if e.read(&k, w, &first) == nil || e.read(&k, w, &second) == nil {
+		t.Fatal("the entry stamped 1 did not read inside [1, 3]")
+	}
+	fc.restamp(&first, 5)
+	fc.restamp(&second, 3)
+	if v := e.ver.Load(); v != 5 {
+		t.Fatalf("stamp %d after a later reader's re-stamp, want 5", v)
 	}
 }

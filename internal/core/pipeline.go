@@ -41,13 +41,17 @@ type Pipeline struct {
 	// accounting pointer without ever touching mu.
 	tablesView atomic.Pointer[[]*LookupTable]
 
-	// snapVersion numbers published snapshots; a flow-cache entry is valid
-	// only for the version stamped on it, so a rebuild invalidates the whole
-	// exact tier without flush traffic.
+	// snapVersion numbers published snapshots; a flow-cache entry is
+	// stamped with the version its walk ran against, and a snapshot serves
+	// it only inside its window (snapshot.go).
 	snapVersion atomic.Uint64
 	// snap is the published immutable lookup state: current, or nil
 	// until the next lookup publishes it.
 	snap atomic.Pointer[snapshot]
+	// win is the cache window the next snapshot built opens with (guarded
+	// by mu): reset by every writer but a pure rule commit, which logs
+	// itself in it (snapshot.go).
+	win cacheWindow
 	// tiers are the optional flow-cache tiers in front of the multi-table
 	// walk, in probe order: tierExact, the microflow tier, and tierMasked,
 	// the megaflow tier — two instances of one structure (flowcache.go);
@@ -364,9 +368,9 @@ func (p *Pipeline) Execute(h *openflow.Header) (res Result) {
 // lowest table any of them stands at. A walk only moves to a higher
 // table, so each table classifies once per call, and walks that goto
 // different tables continue in per-table groups. A traced walk (its
-// ls.tr set) additionally accumulates the consulted-bits mask and the
-// rewritten-fields bitmask (sc.rewritten) the megaflow tier installs
-// against. Every control-flow decision below — which table classifies
+// ls.tr set) additionally accumulates the consulted-bits mask the
+// megaflow tier installs under; every walk records its mid-walk rewrites
+// (sc.rw), which the tiers revalidate by. Every control-flow decision below — which table classifies
 // next, which miss policy fires — is a function of classification
 // outcomes, which are functions of the traced bits, so the trace needs no
 // extra terms for the walk structure itself.
@@ -500,10 +504,10 @@ func (sc *execScratch) runActions(h *openflow.Header, gv *groupView) {
 
 // applyInstructions executes an entry's instruction list, returning the
 // goto target if one is present. Mid-walk header mutations (apply-
-// actions set-field, write-metadata) are recorded in sc.rewritten: a
-// later table then matches the rewritten value while the megaflow key
-// records the original one, so commit-time eviction must treat rules
-// constraining those fields conservatively (see ruleShadow).
+// actions set-field, write-metadata) are recorded in sc.rw: a later table
+// then matches the rewritten value while the cache key records the
+// original one, so revalidation must test the written value, or treat
+// rules constraining those fields conservatively (megaflow.go).
 func applyInstructions(h *openflow.Header, sc *execScratch, instrs []openflow.Instruction) (openflow.TableID, bool) {
 	as := &sc.as
 	var next openflow.TableID
@@ -520,7 +524,7 @@ func applyInstructions(h *openflow.Header, sc *execScratch, instrs []openflow.In
 				case openflow.ActionSetField:
 					if a.Field.Valid() {
 						h.Set(a.Field, a.Value)
-						sc.rewritten |= rewrittenBit(a.Field)
+						sc.rw.setField(a.Field)
 					}
 				case openflow.ActionOutput, openflow.ActionGroup:
 					// Immediate output / group hand-off: model as joining
@@ -533,7 +537,7 @@ func applyInstructions(h *openflow.Header, sc *execScratch, instrs []openflow.In
 			as.clear()
 		case openflow.InstrWriteMetadata:
 			h.Metadata = (h.Metadata &^ in.MetadataMask) | (in.Metadata & in.MetadataMask)
-			sc.rewritten |= rewrittenBit(openflow.FieldMetadata)
+			sc.rw.writeMetadata(in.Metadata, in.MetadataMask)
 		}
 	}
 	return next, hasNext

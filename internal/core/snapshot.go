@@ -32,19 +32,20 @@ import (
 // under faults) and by TestSnapshotLinearizability.
 //
 // Every snapshot additionally carries a version from a monotonic
-// counter, and a window per cache tier: the fill versions it accepts
-// (flowcache.go). A walk stamps its fills with its snapshot's version.
-// The exact tier's window is that version alone, so a rule update — which
-// forces a new snapshot — invalidates every exact-tier entry without any
-// flush traffic. The masked tier's window is [mfBase, version]. A snapshot
-// opens a fresh window (mfBase = version: the same wholesale
-// invalidation) unless a commit's sweep carries the previous snapshot's
-// mfBase forward, which it may only when the two snapshots differ by that
-// commit's rules alone (Tx.Commit, megaflow.go). The sweep runs before
-// the snapshot is published and raises the masked tier's fill floor to
-// its version, so a walk against the old snapshot never fills an entry
-// into the new window. A reader of the old snapshot never meets an entry
-// a walk against the new one filled: that stamp lies above its window.
+// counter, and the window of fill versions it accepts from the cache
+// tiers (flowcache.go): [base, version]. A walk stamps its fills with its
+// snapshot's version. The pipeline keeps the window the next snapshot
+// built opens with (Pipeline.win). Every writer but a pure rule commit
+// resets it, and the next snapshot opens a fresh window (base = its own
+// version: every older entry is dead). A pure rule commit keeps it and
+// logs a record of its rules (megaflow.go), up to commitHorizon records,
+// so the snapshots built after it carry the window forward: an entry
+// stamped below a snapshot's version is live only if the commits logged
+// since its stamp spare it. A straggler's fill — a walk against an older
+// snapshot that fills after a commit — is judged by the commits it did
+// not see. A reader of an older snapshot never meets an entry a walk
+// against a newer one filled, or a reader revalidated for one: that stamp
+// lies above its window.
 //
 // Memory figures are not part of a snapshot. MemoryStats reads each live
 // table's published accounting, which every writer publishes before the
@@ -55,12 +56,10 @@ import (
 // snapshot is one published immutable view of the pipeline.
 type snapshot struct {
 	// version identifies this snapshot; it increases with every rebuild
-	// and scopes the validity of microflow cache entries.
+	// and scopes the validity of cache entries.
 	version uint64
-	// mfBase is the oldest fill version the snapshot accepts from the
-	// masked tier: its window is [mfBase, version].
-	mfBase uint64
-	order  []openflow.TableID
+	cacheWindow
+	order []openflow.TableID
 	// byID indexes the views densely by table identifier, so the walk's
 	// goto-table hops cost an array load instead of a map probe.
 	byID [256]*LookupTable
@@ -94,35 +93,64 @@ func (p *Pipeline) loadSnapshot() *snapshot {
 	return s
 }
 
-// window returns the fill versions the snapshot accepts from a tier.
-func (s *snapshot) window(tier int) window {
-	if tier == tierMasked {
-		return window{s.mfBase, s.version}
-	}
-	return window{s.version, s.version}
+// cacheWindow is what a snapshot accepts from the cache tiers: fill
+// versions from base to its own, those below its own only if the nlog
+// pure rule commits logged since base, newest first, spare the entry.
+// base 0 marks a window the next snapshot opens afresh.
+type cacheWindow struct {
+	base uint64
+	log  [commitHorizon]*commitRecord
+	nlog int
 }
 
+// add logs a commit; past commitHorizon records the oldest leaves the
+// log, taking the base up to its version.
+func (w *cacheWindow) add(r *commitRecord) {
+	if w.nlog == commitHorizon {
+		w.base = w.log[commitHorizon-1].version
+		w.nlog--
+	}
+	copy(w.log[1:], w.log[:w.nlog])
+	w.log[0] = r
+	w.nlog++
+}
+
+// window returns the fill versions the snapshot accepts from the tiers.
+func (s *snapshot) window() window { return window{s.base, s.version} }
+
 // retract withdraws the published snapshot, and the TableInfos cache
-// with it: the last step of a writer that does not publish a snapshot of
-// what it wrote. Callers hold the write lock, or are a table's direct
-// Insert or Remove in the single-threaded build phase.
+// with it, and resets the cache window: the last step of a writer that
+// does not publish a snapshot of what it wrote. Callers hold the write
+// lock, or are a table's direct Insert or Remove in the single-threaded
+// build phase.
 func (p *Pipeline) retract() {
+	p.win = cacheWindow{}
+	p.unpublish()
+}
+
+// unpublish withdraws the published snapshot and the TableInfos cache,
+// keeping the cache window: the last step of a pure rule commit that
+// logged itself but leaves the publish to the next lookup.
+func (p *Pipeline) unpublish() {
 	p.snap.Store(nil)
 	p.infoCache = nil
 }
 
-// buildSnapshotLocked builds a snapshot of the live state, with a fresh
-// masked-tier window, without publishing it; it bumps the version counter
-// exactly once. Tables unchanged since their last view reuse it.
+// buildSnapshotLocked builds a snapshot of the live state, with the
+// pipeline's cache window, without publishing it; it bumps the version
+// counter exactly once. Tables unchanged since their last view reuse it.
 func (p *Pipeline) buildSnapshotLocked() *snapshot {
 	ver := p.snapVersion.Add(1)
+	if p.win.base == 0 {
+		p.win.base = ver
+	}
 	ns := &snapshot{
-		version:  ver,
-		mfBase:   ver,
-		order:    append([]openflow.TableID(nil), p.order...),
-		outcomes: &p.outcomes,
-		groups:   p.groupsView.Load(),
-		dir:      p.dir,
+		version:     ver,
+		cacheWindow: p.win,
+		order:       append([]openflow.TableID(nil), p.order...),
+		outcomes:    &p.outcomes,
+		groups:      p.groupsView.Load(),
+		dir:         p.dir,
 	}
 	for _, id := range ns.order {
 		ns.byID[id] = p.tables[id].viewLocked()

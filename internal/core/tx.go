@@ -242,11 +242,6 @@ func (tx *Tx) Commit() (TxResult, error) {
 	}
 	defer p.flushStatsLocked()
 
-	// A published snapshot is current: then the snapshot this commit
-	// publishes differs from it by the commit's own rules alone, and the
-	// megaflow sweep below may carry its window forward.
-	prev := p.snap.Load()
-
 	// Phase 2: sequential application with an undo log. Each command
 	// resolves against the rule store as left by its predecessors.
 	res := TxResult{Commands: len(tx.cmds)}
@@ -293,41 +288,42 @@ func (tx *Tx) Commit() (TxResult, error) {
 	p.txCommitted.Add(1)
 	p.txCommands.Add(uint64(len(tx.cmds)))
 
-	// Megaflow precise invalidation, for a tier that serves. With the tier
-	// disabled or bypassed by its admission rule, the commit retracts the
-	// snapshot and the next lookup publishes one (a fresh window already
-	// invalidates both cache tiers wholesale): a tier that serves almost
-	// nothing is not worth a sweep and an eager publish per commit. With
-	// it armed, the commit builds the snapshot eagerly — still exactly one
-	// version bump — and, when a snapshot was published as it began,
-	// carries its masked-tier window forward: every touched rule (the undo
-	// log holds each inserted and removed canonical entry) is projected
-	// onto packed-key space, and the sweep evicts every cached (mask, key)
-	// region in the old window it can affect before the snapshot is
-	// published. Untouched regions keep their stamps and keep serving
-	// hits across the commit. Otherwise the snapshot opens a fresh window.
+	// Cache revalidation, for a tier that serves. With both tiers off or
+	// bypassed by their admission rules, the commit retracts the snapshot
+	// and the next lookup publishes one, whose fresh window invalidates
+	// both tiers wholesale: tiers that serve almost nothing are not worth
+	// a record per commit. Otherwise, while the cache window is open, the
+	// commit logs itself in it: every touched rule (the undo log holds
+	// each inserted and removed canonical entry) projected onto
+	// packed-key space and compiled per tuple (megaflow.go). No slot is
+	// visited: a reader tests an older entry against the record when it
+	// meets it. With the megaflow tier armed, the commit then builds the
+	// snapshot eagerly — still exactly one version bump — so no reader
+	// waits for the publish; otherwise the next lookup publishes it.
 	switch m := p.tiers[tierMasked].Load(); {
 	case len(undo) == 0:
 		// Nothing applied: the published snapshot stays current.
-	case m == nil || m.adm.bypassed.Load():
+	case !p.tiersServe():
 		p.retract()
 	default:
-		// Publish suspended stats now, before the snapshot, so a reader
-		// that classifies against this commit's rules reads its
-		// accounting too (the deferred flush then finds nothing).
-		p.flushStatsLocked()
-		ns := p.buildSnapshotLocked()
-		if prev != nil {
+		if p.win.base != 0 {
 			shadows := make([]ruleShadow, 0, len(undo))
 			for _, op := range undo {
 				if op.sr != nil { // a backend swap changes no verdict
 					shadows = append(shadows, shadowOf(&op.sr.entry))
 				}
 			}
-			m.sweep(shadows, prev.window(tierMasked), ns.version)
-			ns.mfBase = prev.mfBase
+			p.win.add(newCommitRecord(p.snapVersion.Load()+1, shadows, &p.tiers))
 		}
-		p.snap.Store(ns)
+		if m == nil || m.adm.bypassed.Load() {
+			p.unpublish()
+			break
+		}
+		// Publish suspended stats now, before the snapshot, so a reader
+		// that classifies against this commit's rules reads its
+		// accounting too (the deferred flush then finds nothing).
+		p.flushStatsLocked()
+		p.snap.Store(p.buildSnapshotLocked())
 		p.infoCache = nil
 	}
 
