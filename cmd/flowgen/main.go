@@ -1,11 +1,16 @@
 // Command flowgen synthesises filter sets calibrated to the paper's
 // Tables III and IV (MAC learning, routing), ClassBench-style 5-tuple
-// sets (ACL), or BGP-shaped destination-prefix sets (LPM), writing them
-// in the repository's text formats. It can also emit packet traces
-// against a generated filter — uniform or Zipf-skewed — and flow-mod
-// churn workloads (add / modify / delete command streams in the
-// flowtext format) that ofctl flow-mods replays against a live switch
-// in batched transactions.
+// sets (ACL), ARP responder sets, or BGP-shaped destination-prefix sets
+// (LPM). A rule set is written as a flowtext file of add commands, the
+// entries the in-process builders insert: for the two-table applications,
+// the first-table entries (one per VLAN or ingress port) and then one
+// second-table entry per rule, cookied with its VLAN or port, at the
+// prototype's tables (MAC 0/1, routing 2/3); for the others, one table-0
+// entry per rule. `ofctl flow-mods -file` loads it. flowgen can also emit
+// packet traces against a generated filter — uniform or Zipf-skewed — and
+// flow-mod churn workloads (the same first-table entries, then a random
+// add / modify / delete stream over the per-rule entries) that ofctl
+// flow-mods replays against a live switch in batched transactions.
 //
 // Usage:
 //
@@ -13,6 +18,7 @@
 //	flowgen -app route -name coza -o coza_route.txt
 //	flowgen -app acl -name acl1 -n 1000 -o acl1.txt
 //	flowgen -app lpm -name feed -n 1000000 -o feed_lpm.txt
+//	flowgen -app arp -name arp1 -n 500 -o arp1.txt
 //	flowgen -app mac -all -o filters/        # all 16 filters
 //	flowgen -app mac -name gozb -trace 100000 -zipf 1.1 -o gozb_trace.txt
 //	flowgen -app route -name coza -trace 100000 -zipf-subnets 1.1 -o coza_subnets.txt
@@ -178,29 +184,14 @@ func writeTo(path, app, name string, n int, seed uint64) error {
 	return generate(f, app, name, n, seed)
 }
 
+// generate writes the named filter as a flowtext file of add commands:
+// ruleCommands' first-table entries, then its per-rule entries.
 func generate(w io.Writer, app, name string, n int, seed uint64) error {
-	switch app {
-	case "mac":
-		f, err := filterset.GenerateMAC(name, seed)
-		if err != nil {
-			return err
-		}
-		return filterset.WriteMAC(w, f)
-	case "route":
-		f, err := filterset.GenerateRoute(name, seed)
-		if err != nil {
-			return err
-		}
-		return filterset.WriteRoute(w, f)
-	case "acl":
-		return filterset.WriteACL(w, filterset.GenerateACL(name, n, seed))
-	case "arp":
-		return filterset.WriteARP(w, filterset.GenerateARP(name, n, seed))
-	case "lpm":
-		return filterset.WriteLPM(w, filterset.GenerateLPM(name, n, seed))
-	default:
-		return fmt.Errorf("unknown application %q (want mac | route | acl | arp | lpm)", app)
+	pre, leaf, err := ruleCommands(app, name, n, seed)
+	if err != nil {
+		return err
 	}
+	return flowtext.Write(w, append(pre, leaf...))
 }
 
 // generateTrace emits an n-packet trace against the named filter. With
@@ -260,7 +251,7 @@ func generateSubnetZipfTrace(w io.Writer, name string, n int, skew float64, seed
 // generateChurn emits an n-command flow-mod workload against the named
 // filter in the flowtext format: a preamble installing the application's
 // first-table entries, then a randomized add / modify / delete mix over
-// the leaf-table entries — the control-plane regime the transactional API
+// the per-rule entries — the control-plane regime the transactional API
 // (one snapshot publish per batch) is built for. The same seed always
 // yields the same workload, so churn benchmarks are reproducible. A
 // non-empty backend pins every table the workload touches through a
@@ -273,13 +264,13 @@ func generateChurn(w io.Writer, app, name string, rules, n int, seed uint64, bac
 		// A pin the backend can never serve fails here, not on every
 		// replay: dir24 only accepts a single-prefix-field table shape,
 		// which of the churn apps only lpm has.
-		for _, fields := range churnTableFields(app) {
+		for _, fields := range core.AppTables(apps[app]) {
 			if !core.BackendSupportsFields(backend, fields) {
 				return fmt.Errorf("backend %q cannot serve the %s workload's table shape %v (dir24 requires a single ipv4 longest-prefix-match field; use -app lpm)", backend, app, fields)
 			}
 		}
 	}
-	pre, leaf, err := churnCommands(app, name, rules, seed)
+	pre, leaf, err := ruleCommands(app, name, rules, seed)
 	if err != nil {
 		return err
 	}
@@ -346,10 +337,20 @@ func generateChurn(w io.Writer, app, name string, rules, n int, seed uint64, bac
 	return flowtext.WriteFile(w, out)
 }
 
-// churnCommands renders the named filter as flow-mod add commands:
-// first-table preamble entries and per-rule leaf-table entries, following
-// the same pipeline decomposition the builders and ofctl use.
-func churnCommands(app, name string, rules int, seed uint64) (pre, leaf []ofproto.FlowMod, err error) {
+// apps maps the -app names to the applications.
+var apps = map[string]filterset.App{
+	"mac": filterset.MACLearning, "route": filterset.Routing,
+	"acl": filterset.ACL, "arp": filterset.ARP, "lpm": filterset.LPM,
+}
+
+// ruleCommands renders the named filter as flow-mod add commands. For
+// the two-table applications, pre holds the first-table entries (one per
+// VLAN or ingress port) and leaf one second-table entry per rule, whose
+// cookie is its VLAN or port; the entries are core's renderings at the
+// prototype's tables. For the single-table applications pre is empty and
+// leaf holds one table-0 entry per rule.
+func ruleCommands(app, name string, rules int, seed uint64) (pre, leaf []ofproto.FlowMod, err error) {
+	var single []openflow.FlowEntry
 	switch app {
 	case "mac":
 		f, err := filterset.GenerateMAC(name, seed)
@@ -358,26 +359,8 @@ func churnCommands(app, name string, rules int, seed uint64) (pre, leaf []ofprot
 		}
 		seen := map[uint16]bool{}
 		for _, r := range f.Rules {
-			if !seen[r.VLAN] {
-				seen[r.VLAN] = true
-				pre = append(pre, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: openflow.FlowEntry{
-					Priority: 1,
-					Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN))},
-					Instructions: []openflow.Instruction{
-						openflow.WriteMetadata(uint64(r.VLAN), ^uint64(0)),
-						openflow.GotoTable(1),
-					},
-				}})
-			}
-			leaf = append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 1, Entry: openflow.FlowEntry{
-				Priority: 1,
-				Cookie:   uint64(r.VLAN),
-				Matches: []openflow.Match{
-					openflow.Exact(openflow.FieldMetadata, uint64(r.VLAN)),
-					openflow.Exact(openflow.FieldEthDst, r.EthDst),
-				},
-				Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.OutPort))},
-			}})
+			pre, leaf = appendPair(pre, leaf, core.MACEntries(r, core.MACBase), core.MACBase, !seen[r.VLAN], uint64(r.VLAN))
+			seen[r.VLAN] = true
 		}
 		return pre, leaf, nil
 	case "route":
@@ -387,67 +370,31 @@ func churnCommands(app, name string, rules int, seed uint64) (pre, leaf []ofprot
 		}
 		seen := map[uint32]bool{}
 		for _, r := range f.Rules {
-			if !seen[r.InPort] {
-				seen[r.InPort] = true
-				pre = append(pre, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 2, Entry: openflow.FlowEntry{
-					Priority: 1,
-					Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(r.InPort))},
-					Instructions: []openflow.Instruction{
-						openflow.WriteMetadata(uint64(r.InPort), ^uint64(0)),
-						openflow.GotoTable(3),
-					},
-				}})
-			}
-			leaf = append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 3, Entry: openflow.FlowEntry{
-				Priority: 1 + r.PrefixLen,
-				Cookie:   uint64(r.InPort),
-				Matches: []openflow.Match{
-					openflow.Exact(openflow.FieldMetadata, uint64(r.InPort)),
-					openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen),
-				},
-				Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.NextHop))},
-			}})
+			pre, leaf = appendPair(pre, leaf, core.RouteEntries(r, core.RouteBase), core.RouteBase, !seen[r.InPort], uint64(r.InPort))
+			seen[r.InPort] = true
 		}
 		return pre, leaf, nil
 	case "acl":
-		for _, e := range filterset.GenerateACL(name, rules, seed).FlowEntries() {
-			leaf = append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: e})
-		}
-		return nil, leaf, nil
+		single = filterset.GenerateACL(name, rules, seed).FlowEntries()
+	case "arp":
+		single = filterset.GenerateARP(name, rules, seed).FlowEntries()
 	case "lpm":
-		for _, e := range filterset.GenerateLPM(name, rules, seed).FlowEntries() {
-			leaf = append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: e})
-		}
-		return nil, leaf, nil
+		single = filterset.GenerateLPM(name, rules, seed).FlowEntries()
 	default:
-		return nil, nil, fmt.Errorf("unknown churn application %q (want mac | route | acl | lpm)", app)
+		return nil, nil, fmt.Errorf("unknown application %q (want mac | route | acl | arp | lpm)", app)
 	}
+	for _, e := range single {
+		leaf = append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: 0, Entry: e})
+	}
+	return nil, leaf, nil
 }
 
-// churnTableFields lists the match-field shape of every table a churn
-// workload for the given application touches, mirroring churnCommands'
-// pipeline decomposition. Backend pins are checked against these shapes
-// at generation time.
-func churnTableFields(app string) [][]openflow.FieldID {
-	switch app {
-	case "mac":
-		return [][]openflow.FieldID{
-			{openflow.FieldVLANID},
-			{openflow.FieldMetadata, openflow.FieldEthDst},
-		}
-	case "route":
-		return [][]openflow.FieldID{
-			{openflow.FieldInPort},
-			{openflow.FieldMetadata, openflow.FieldIPv4Dst},
-		}
-	case "acl":
-		return [][]openflow.FieldID{{
-			openflow.FieldIPv4Src, openflow.FieldIPv4Dst,
-			openflow.FieldSrcPort, openflow.FieldDstPort, openflow.FieldIPProto,
-		}}
-	case "lpm":
-		return [][]openflow.FieldID{{openflow.FieldIPv4Dst}}
-	default:
-		return nil
+// appendPair appends a two-table rule's entries as adds: the first to pre
+// when first is set, the second, with the cookie, to leaf.
+func appendPair(pre, leaf []ofproto.FlowMod, es [2]openflow.FlowEntry, base openflow.TableID, first bool, cookie uint64) ([]ofproto.FlowMod, []ofproto.FlowMod) {
+	if first {
+		pre = append(pre, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: base, Entry: es[0]})
 	}
+	es[1].Cookie = cookie
+	return pre, append(leaf, ofproto.FlowMod{Op: ofproto.FlowAdd, Table: base + 1, Entry: es[1]})
 }

@@ -19,8 +19,12 @@ func TestGenerateAllApps(t *testing.T) {
 		if err := generate(&buf, app, "bbrb", 50, filterset.DefaultSeed); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		if buf.Len() == 0 {
-			t.Errorf("%s: empty output", app)
+		fms, err := flowtext.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: the rule set does not read back: %v", app, err)
+		}
+		if len(fms) == 0 {
+			t.Errorf("%s: empty rule set", app)
 		}
 	}
 	var buf bytes.Buffer
@@ -32,18 +36,31 @@ func TestGenerateAllApps(t *testing.T) {
 	}
 }
 
+// TestGeneratedMACOutputParses: a MAC rule set reads back through
+// flowtext as adds, one VLAN entry per unique VLAN on table 0 and then
+// one entry per rule on table 1, as Table III counts them.
 func TestGeneratedMACOutputParses(t *testing.T) {
 	var buf bytes.Buffer
 	if err := generate(&buf, "mac", "bbrb", 0, filterset.DefaultSeed); err != nil {
 		t.Fatal(err)
 	}
-	f, err := filterset.ParseMAC(strings.NewReader(buf.String()), "bbrb")
+	fms, err := flowtext.Read(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	perTable := map[openflow.TableID]int{}
+	for i, fm := range fms {
+		if fm.Op != ofproto.FlowAdd {
+			t.Fatalf("command %d is %v, want an add", i, fm.Op)
+		}
+		if i > 0 && fm.Table < fms[i-1].Table {
+			t.Fatalf("command %d: table %d after table %d, want the VLAN entries first", i, fm.Table, fms[i-1].Table)
+		}
+		perTable[fm.Table]++
+	}
 	target, _ := filterset.MACTargetFor("bbrb")
-	if len(f.Rules) != target.Rules {
-		t.Errorf("parsed %d rules, want %d", len(f.Rules), target.Rules)
+	if perTable[0] != target.VLAN || perTable[1] != target.Rules || len(perTable) != 2 {
+		t.Errorf("per-table adds %v, want %d on table 0 and %d on table 1", perTable, target.VLAN, target.Rules)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Command ofctl is the controller-side CLI for switchd: it installs and
-// removes flow entries (one rule, whole filter files, or flow-mod command
-// files), injects packets and reads switch statistics over the control
+// removes flow entries (one rule, or a flow-mod command file such as a
+// flowgen rule set or churn workload), scrapes flow counters, modifies
+// groups, injects packets and reads switch statistics over the control
 // protocol. Every write is a flow-mod transaction: add-mac and add-route
-// commit their rule's two-table pair as one, so a rejected entry leaves
-// neither installed, and load commits its rules' pairs in batches of
-// defaultBatch commands.
+// commit their rule's two-table pair (the entries core.MACEntries and
+// core.RouteEntries render, at the prototype's tables) as one, so a
+// rejected entry leaves neither installed.
 //
 // Usage:
 //
@@ -14,13 +15,16 @@
 //	ofctl del-mac -vlan 10 -mac 00:11:22:33:44:55
 //	ofctl add-route -inport 2 -prefix 10.0.0.0/8 -nexthop 7
 //	ofctl del-route -inport 2 -prefix 10.0.0.0/8
-//	ofctl load -app mac -file gozb_mac.txt
+//	ofctl flow-mods -file gozb_mac.txt
 //	ofctl flow-mods -file churn.txt -batch 256
+//	ofctl flows -table 1 -cookie 10
+//	ofctl group-mod -op add -id 1 -type all -bucket out=1 -bucket out=2
 //	ofctl packet -vlan 10 -mac 00:11:22:33:44:55
 //	ofctl packet -inport 2 -dst 10.1.2.3
 //
 // flow-mods replays a flow-mod command file (the flowgen/flowtext format:
-// add / modify / delete / delete-strict lines) in batched transactions:
+// add / modify / delete / delete-strict lines; a flowgen rule set is a
+// file of adds) in batched transactions:
 // each batch of -batch commands is applied by the switch atomically with
 // one snapshot publish, and a barrier closes the session. A table-options
 // preamble in the file (flowgen -backend emits one) pins the lookup
@@ -80,7 +84,15 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: ofctl [-addr host:port] [-timeout 10s] <stats|add-mac|del-mac|add-route|del-route|load|flow-mods|packet> [flags]")
+		names := make([]string, len(subcommands))
+		for i, sc := range subcommands {
+			names[i] = sc.name
+		}
+		return fmt.Errorf("usage: ofctl [-addr host:port] [-timeout 10s] <%s> [flags]", strings.Join(names, "|"))
+	}
+	sc := find(subcommands, func(sc *subcommand) bool { return sc.name == rest[0] })
+	if sc == nil {
+		return fmt.Errorf("unknown subcommand %q", rest[0])
 	}
 
 	client, err := dialSwitch(*addr, *timeout)
@@ -88,31 +100,26 @@ func run(args []string) error {
 		return err
 	}
 	defer func() { _ = client.Close() }()
+	return sc.run(client, rest[1:])
+}
 
-	switch rest[0] {
-	case "stats":
-		return doStats(client, rest[1:])
-	case "add-mac":
-		return doAddMAC(client, rest[1:])
-	case "del-mac":
-		return doDelMAC(client, rest[1:])
-	case "add-route":
-		return doAddRoute(client, rest[1:])
-	case "del-route":
-		return doDelRoute(client, rest[1:])
-	case "load":
-		return doLoad(client, rest[1:])
-	case "flow-mods":
-		return doFlowMods(client, rest[1:])
-	case "flows":
-		return doFlows(client, rest[1:])
-	case "group-mod":
-		return doGroupMod(client, rest[1:])
-	case "packet":
-		return doPacket(client, rest[1:])
-	default:
-		return fmt.Errorf("unknown subcommand %q", rest[0])
-	}
+// subcommand is one verb of the CLI and its handler.
+type subcommand struct {
+	name string
+	run  func(*ofproto.Client, []string) error
+}
+
+// subcommands lists every verb, in the order the usage line gives them.
+var subcommands = []subcommand{
+	{"stats", doStats},
+	{"add-mac", doAddMAC},
+	{"del-mac", doDelMAC},
+	{"add-route", doAddRoute},
+	{"del-route", doDelRoute},
+	{"flow-mods", doFlowMods},
+	{"flows", doFlows},
+	{"group-mod", doGroupMod},
+	{"packet", doPacket},
 }
 
 // dialSwitch is the one dial helper every subcommand goes through: the
@@ -214,57 +221,25 @@ func parseIPv4(s string) (uint32, error) {
 }
 
 // defaultBatch is the commands per transaction of flow-mods (its -batch
-// default) and of load. It is even, so load never splits a rule's pair.
+// default).
 const defaultBatch = 256
 
-// macFlowMods renders one rule of the MAC application as the adds of its
-// two entries (tables 0 and 1 of the prototype).
-func macFlowMods(vlan uint16, mac uint64, port uint32) []ofproto.FlowMod {
+// adds renders a rule's two entries as adds to tables base and base+1,
+// committed together.
+func adds(es [2]openflow.FlowEntry, base openflow.TableID) []ofproto.FlowMod {
 	return []ofproto.FlowMod{
-		{Op: ofproto.FlowAdd, Table: 0, Entry: openflow.FlowEntry{
-			Priority: 1,
-			Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(vlan))},
-			Instructions: []openflow.Instruction{
-				openflow.WriteMetadata(uint64(vlan), ^uint64(0)),
-				openflow.GotoTable(1),
-			},
-		}},
-		{Op: ofproto.FlowAdd, Table: 1, Entry: openflow.FlowEntry{
-			Priority: 1,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(vlan)),
-				openflow.Exact(openflow.FieldEthDst, mac),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(port)),
-			},
-		}},
+		{Op: ofproto.FlowAdd, Table: base, Entry: es[0]},
+		{Op: ofproto.FlowAdd, Table: base + 1, Entry: es[1]},
 	}
 }
 
-// routeFlowMods renders one rule of the routing application as the adds
-// of its two entries (tables 2 and 3 of the prototype).
-func routeFlowMods(inport uint32, prefix uint32, plen int, nexthop uint32) []ofproto.FlowMod {
-	return []ofproto.FlowMod{
-		{Op: ofproto.FlowAdd, Table: 2, Entry: openflow.FlowEntry{
-			Priority: 1,
-			Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(inport))},
-			Instructions: []openflow.Instruction{
-				openflow.WriteMetadata(uint64(inport), ^uint64(0)),
-				openflow.GotoTable(3),
-			},
-		}},
-		{Op: ofproto.FlowAdd, Table: 3, Entry: openflow.FlowEntry{
-			Priority: 1 + plen,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(inport)),
-				openflow.Prefix(openflow.FieldIPv4Dst, uint64(prefix), plen),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(nexthop)),
-			},
-		}},
-	}
+// deleteStrict renders the strict delete of a rule's second entry at
+// table base+1. The first entry is shared by every rule with the same
+// VLAN or ingress port, so it stays installed.
+func deleteStrict(es [2]openflow.FlowEntry, base openflow.TableID) []ofproto.FlowMod {
+	e := es[1]
+	e.Instructions = nil
+	return []ofproto.FlowMod{{Op: ofproto.FlowDeleteStrict, Table: base + 1, Entry: e}}
 }
 
 func doAddMAC(c *ofproto.Client, args []string) error {
@@ -279,7 +254,8 @@ func doAddMAC(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.SendFlowMods(macFlowMods(uint16(*vlan), m, uint32(*port))); err != nil {
+	r := filterset.MACRule{VLAN: uint16(*vlan), EthDst: m, OutPort: uint32(*port)}
+	if _, err := c.SendFlowMods(adds(core.MACEntries(r, core.MACBase), core.MACBase)); err != nil {
 		return err
 	}
 	fmt.Printf("installed vlan=%d mac=%s -> port %d\n", *vlan, *mac, *port)
@@ -287,8 +263,7 @@ func doAddMAC(c *ofproto.Client, args []string) error {
 }
 
 // doDelMAC removes the MAC application's second-table entry for one
-// (VLAN, MAC) pair via a strict-delete transaction. The first-table VLAN
-// entry is shared by every MAC on the VLAN, so it stays installed.
+// (VLAN, MAC) pair via a strict-delete transaction.
 func doDelMAC(c *ofproto.Client, args []string) error {
 	fs := flag.NewFlagSet("del-mac", flag.ContinueOnError)
 	vlan := fs.Uint("vlan", 1, "VLAN ID")
@@ -300,17 +275,8 @@ func doDelMAC(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	reply, err := c.SendFlowMods([]ofproto.FlowMod{{
-		Op:    ofproto.FlowDeleteStrict,
-		Table: 1,
-		Entry: openflow.FlowEntry{
-			Priority: 1,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(*vlan)),
-				openflow.Exact(openflow.FieldEthDst, m),
-			},
-		},
-	}})
+	r := filterset.MACRule{VLAN: uint16(*vlan), EthDst: m}
+	reply, err := c.SendFlowMods(deleteStrict(core.MACEntries(r, core.MACBase), core.MACBase))
 	if err != nil {
 		return err
 	}
@@ -334,17 +300,8 @@ func doDelRoute(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	reply, err := c.SendFlowMods([]ofproto.FlowMod{{
-		Op:    ofproto.FlowDeleteStrict,
-		Table: 3,
-		Entry: openflow.FlowEntry{
-			Priority: 1 + plen,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(*inport)),
-				openflow.Prefix(openflow.FieldIPv4Dst, uint64(p), plen),
-			},
-		},
-	}})
+	r := filterset.RouteRule{InPort: uint32(*inport), Prefix: p, PrefixLen: plen}
+	reply, err := c.SendFlowMods(deleteStrict(core.RouteEntries(r, core.RouteBase), core.RouteBase))
 	if err != nil {
 		return err
 	}
@@ -492,52 +449,11 @@ func doAddRoute(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.SendFlowMods(routeFlowMods(uint32(*inport), p, plen, uint32(*nexthop))); err != nil {
+	r := filterset.RouteRule{InPort: uint32(*inport), Prefix: p, PrefixLen: plen, NextHop: uint32(*nexthop)}
+	if _, err := c.SendFlowMods(adds(core.RouteEntries(r, core.RouteBase), core.RouteBase)); err != nil {
 		return err
 	}
 	fmt.Printf("installed inport=%d %s -> nexthop %d\n", *inport, *prefix, *nexthop)
-	return nil
-}
-
-func doLoad(c *ofproto.Client, args []string) error {
-	fs := flag.NewFlagSet("load", flag.ContinueOnError)
-	app := fs.String("app", "mac", "application: mac | route")
-	file := fs.String("file", "", "filter file (flowgen format)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	f, err := os.Open(*file)
-	if err != nil {
-		return fmt.Errorf("opening filter file: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-
-	var fms []ofproto.FlowMod
-	switch *app {
-	case "mac":
-		mf, err := filterset.ParseMAC(f, *file)
-		if err != nil {
-			return err
-		}
-		for _, r := range mf.Rules {
-			fms = append(fms, macFlowMods(r.VLAN, r.EthDst, r.OutPort)...)
-		}
-	case "route":
-		rf, err := filterset.ParseRoute(f, *file)
-		if err != nil {
-			return err
-		}
-		for _, r := range rf.Rules {
-			fms = append(fms, routeFlowMods(r.InPort, r.Prefix, r.PrefixLen, r.NextHop)...)
-		}
-	default:
-		return fmt.Errorf("unknown application %q", *app)
-	}
-	_, txs, err := sendBatches(c, fms, defaultBatch)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("installed %d rules from %s in %d transactions\n", len(fms)/2, *file, txs)
 	return nil
 }
 

@@ -3,7 +3,9 @@ package main
 import (
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/ofproto"
 	"ofmtl/internal/openflow"
+	"ofmtl/internal/traffic"
 )
 
 func TestParseMAC(t *testing.T) {
@@ -39,30 +42,6 @@ func TestParseCIDRAndIPv4(t *testing.T) {
 	}
 	if _, err := parseIPv4("192.168.0"); err == nil {
 		t.Error("short IPv4 should fail")
-	}
-}
-
-func TestFlowEntryBuilders(t *testing.T) {
-	mac := macFlowMods(10, 0xABCDEF, 3)
-	if len(mac) != 2 || mac[0].Table != 0 || mac[1].Table != 1 {
-		t.Fatalf("mac pair = %+v, want adds to tables 0 and 1", mac)
-	}
-	e0, e1 := &mac[0].Entry, &mac[1].Entry
-	if mac[0].Op != ofproto.FlowAdd || e0.Priority != 1 || len(e0.Matches) != 1 || len(e1.Matches) != 2 {
-		t.Errorf("mac entries malformed: %v %v", e0, e1)
-	}
-	if tid, ok := e0.GotoTable(); !ok || tid != 1 {
-		t.Error("mac table-0 entry must goto table 1")
-	}
-	route := routeFlowMods(2, 0x0A000000, 8, 7)
-	if len(route) != 2 || route[0].Table != 2 || route[1].Table != 3 {
-		t.Fatalf("route pair = %+v, want adds to tables 2 and 3", route)
-	}
-	if route[1].Entry.Priority != 9 {
-		t.Errorf("route priority = %d, want 1+plen", route[1].Entry.Priority)
-	}
-	if tid, ok := route[0].Entry.GotoTable(); !ok || tid != 3 {
-		t.Error("route table-2 entry must goto table 3")
 	}
 }
 
@@ -114,53 +93,85 @@ func TestAddPairIsAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadCommitsInBatches pins that load sends its rules' entry pairs in
-// transactions of defaultBatch commands: N rules take ceil(2N/batch).
-func TestLoadCommitsInBatches(t *testing.T) {
-	p, err := core.BuildPrototype(
-		&filterset.MACFilter{Name: "empty"},
-		&filterset.RouteFilter{Name: "empty"},
-	)
+// TestUnknownSubcommandBeforeDial pins that an unknown verb is rejected
+// before dialing: with nothing listening, the error names the verb, not
+// the unreachable switch.
+func TestUnknownSubcommandBeforeDial(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := serve(t, p)
-	const rules = 300
-	mf := &filterset.MACFilter{Name: "load"}
-	for i := 0; i < rules; i++ {
-		mf.Rules = append(mf.Rules, filterset.MACRule{VLAN: uint16(1 + i%7), EthDst: 0x00AA00000000 + uint64(i), OutPort: uint32(1 + i%5)})
+	addr := l.Addr().String()
+	_ = l.Close()
+	err = run([]string{"-addr", addr, "-timeout", "1s", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), `unknown subcommand "bogus"`) {
+		t.Fatalf("ofctl bogus with no switch: %v, want an unknown subcommand error", err)
 	}
-	var text strings.Builder
-	if err := filterset.WriteMAC(&text, mf); err != nil {
-		t.Fatal(err)
+	err = run([]string{"-addr", addr})
+	if err == nil || !strings.Contains(err.Error(), "<stats|add-mac|del-mac|add-route|del-route|flow-mods|flows|group-mod|packet>") {
+		t.Errorf("usage = %v, want every verb listed", err)
 	}
-	file := filepath.Join(t.TempDir(), "mac.txt")
-	if err := os.WriteFile(file, []byte(text.String()), 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestFlowgenRuleSetsLoad replays flowgen's rule-set files for the MAC
+// and routing applications of two filters through flow-mods into an
+// empty prototype. The tables must hold the rule counts the removed
+// `ofctl load` left from the old filter files (recorded below), and every
+// header of a 4096-packet trace must get the verdict the in-process
+// builder's pipeline gives.
+func TestFlowgenRuleSetsLoad(t *testing.T) {
+	flowgen := filepath.Join(t.TempDir(), "flowgen")
+	if out, err := exec.Command("go", "build", "-o", flowgen, "../flowgen").CombinedOutput(); err != nil {
+		t.Fatalf("building flowgen: %v\n%s", err, out)
 	}
-	if err := run([]string{"-addr", addr, "load", "-app", "mac", "-file", file}); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	c, err := ofproto.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTxs := uint64(2*rules+defaultBatch-1) / defaultBatch
-	if st.Tx.Txs != wantTxs || st.Tx.Commands != 2*rules {
-		t.Errorf("load of %d rules: %d txs / %d commands, want %d / %d", rules, st.Tx.Txs, st.Tx.Commands, wantTxs, 2*rules)
-	}
-	// Every rule forwards: the table-1 entries are all installed.
-	reply, err := c.SendPacket(&openflow.Header{VLANID: 1 + (rules-1)%7, EthDst: 0x00AA00000000 + rules - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Outputs) != 1 || reply.Outputs[0] != 1+(rules-1)%5 {
-		t.Errorf("last loaded rule forwards to %v, want [%d]", reply.Outputs, 1+(rules-1)%5)
+	for _, tc := range []struct {
+		name   string
+		counts []int
+	}{
+		{"bbra", []int{48, 507, 40, 1835}},
+		{"coza", []int{32, 3295, 43, 184909}},
+	} {
+		p, err := core.BuildPrototype(&filterset.MACFilter{Name: "empty"}, &filterset.RouteFilter{Name: "empty"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := serve(t, p)
+		for _, app := range []string{"mac", "route"} {
+			file := filepath.Join(t.TempDir(), app+".txt")
+			if out, err := exec.Command(flowgen, "-app", app, "-name", tc.name, "-o", file).CombinedOutput(); err != nil {
+				t.Fatalf("flowgen -app %s -name %s: %v\n%s", app, tc.name, err, out)
+			}
+			if err := run([]string{"-addr", addr, "flow-mods", "-file", file}); err != nil {
+				t.Fatalf("%s %s: flow-mods: %v", tc.name, app, err)
+			}
+		}
+		var counts []int
+		for _, ti := range p.TableInfos() {
+			counts = append(counts, ti.Rules)
+		}
+		if !slices.Equal(counts, tc.counts) {
+			t.Errorf("%s: per-table rules %v, want %v", tc.name, counts, tc.counts)
+		}
+
+		mac, err := filterset.GenerateMAC(tc.name, filterset.DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route, err := filterset.GenerateRoute(tc.name, filterset.DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.BuildPrototype(mac, route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := append(traffic.MACTrace(mac, 2048, 0.9, 1), traffic.RouteTrace(route, 2048, 0.9, 1)...)
+		for i := range hs {
+			got, want := p.Execute(&hs[i]), ref.Execute(&hs[i])
+			if got.SentToController != want.SentToController || got.Dropped != want.Dropped || !slices.Equal(got.Outputs, want.Outputs) {
+				t.Fatalf("%s header %d (%v): loaded %+v, builder %+v", tc.name, i, &hs[i], got, want)
+			}
+		}
 	}
 }
 

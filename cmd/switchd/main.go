@@ -52,9 +52,11 @@
 // stats).
 //
 // Flow-table mutations arrive as flow-mod transactions: a flow-mod batch
-// message validates and applies atomically, publishing one lookup
-// snapshot and invalidating the microflow cache once per batch however
-// many commands it carries. Transaction counters (committed transactions,
+// message validates and applies atomically with one snapshot version
+// however many commands it carries. While a cache tier serves, the
+// batch logs a record of its rules and both tiers keep their entries:
+// a reader revalidates an older entry against the records when it meets
+// it, so the entries the batch does not touch keep hitting. Transaction counters (committed transactions,
 // commands, rejected transactions) are reported through the stats report
 // and logged on shutdown.
 //

@@ -13,6 +13,109 @@ import (
 // table writes the matched field value into the metadata register and
 // issues Goto-Table, and the second table matches (metadata, second field)
 // and writes the final actions.
+//
+// This file is the one place that decision is written down. AppTables
+// gives each application's table shapes; MACEntries and RouteEntries give
+// the entries one rule becomes. The builders below insert them directly,
+// and the controller side sends the same entries as flow-mods: ofctl's
+// add-mac/del-mac/add-route/del-route, and flowgen's rule files and
+// churn workloads.
+
+// The prototype's table layout (Section V.A): the MAC-learning pair at
+// tables MACBase and MACBase+1, the routing pair at RouteBase and
+// RouteBase+1. ofctl and flowgen address the same tables.
+const (
+	MACBase   openflow.TableID = 0
+	RouteBase openflow.TableID = 2
+)
+
+// AppTables gives the match fields of each table an application
+// occupies, in order from its first table; nil for an unknown
+// application. The builders create these tables, and flowgen checks a
+// churn workload's backend pin against them.
+func AppTables(app filterset.App) [][]openflow.FieldID {
+	switch app {
+	case filterset.MACLearning:
+		return [][]openflow.FieldID{{openflow.FieldVLANID}, {openflow.FieldMetadata, openflow.FieldEthDst}}
+	case filterset.Routing:
+		return [][]openflow.FieldID{{openflow.FieldInPort}, {openflow.FieldMetadata, openflow.FieldIPv4Dst}}
+	case filterset.ACL:
+		return [][]openflow.FieldID{{
+			openflow.FieldIPv4Src, openflow.FieldIPv4Dst,
+			openflow.FieldSrcPort, openflow.FieldDstPort, openflow.FieldIPProto,
+		}}
+	case filterset.ARP:
+		return [][]openflow.FieldID{{openflow.FieldARPTPA}}
+	case filterset.LPM:
+		return [][]openflow.FieldID{{openflow.FieldIPv4Dst}}
+	default:
+		return nil
+	}
+}
+
+// addAppTables adds the application's tables to p from table base on.
+// missFirst is the first table's miss policy, letting a prototype chain
+// applications; the others send misses to the controller.
+func addAppTables(p *Pipeline, app filterset.App, base openflow.TableID, missFirst MissPolicy) ([]*LookupTable, error) {
+	var ts []*LookupTable
+	for i, fields := range AppTables(app) {
+		miss := MissPolicy{Kind: MissController}
+		if i == 0 {
+			miss = missFirst
+		}
+		t, err := p.AddTable(TableConfig{ID: base + openflow.TableID(i), Fields: fields, Miss: miss})
+		if err != nil {
+			return nil, err
+		}
+		ts = append(ts, t)
+	}
+	return ts, nil
+}
+
+// MACEntries returns the two entries one MAC rule becomes at tables base
+// and base+1: a VLAN entry that writes the VLAN into metadata and goes to
+// base+1, and a (metadata, destination Ethernet) entry that outputs to the
+// rule's port.
+func MACEntries(r filterset.MACRule, base openflow.TableID) [2]openflow.FlowEntry {
+	return [2]openflow.FlowEntry{{
+		Priority: 1,
+		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN))},
+		Instructions: []openflow.Instruction{
+			openflow.WriteMetadata(uint64(r.VLAN), ^uint64(0)),
+			openflow.GotoTable(base + 1),
+		},
+	}, {
+		Priority: 1,
+		Matches: []openflow.Match{
+			openflow.Exact(openflow.FieldMetadata, uint64(r.VLAN)),
+			openflow.Exact(openflow.FieldEthDst, r.EthDst),
+		},
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.OutPort))},
+	}}
+}
+
+// RouteEntries returns the two entries one route rule becomes at tables
+// base and base+1: an ingress-port entry that writes the port into
+// metadata and goes to base+1, and a (metadata, IPv4 destination prefix)
+// entry that outputs to the next hop. The second entry's priority is
+// 1+prefix length, so the longest matching prefix wins.
+func RouteEntries(r filterset.RouteRule, base openflow.TableID) [2]openflow.FlowEntry {
+	return [2]openflow.FlowEntry{{
+		Priority: 1,
+		Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(r.InPort))},
+		Instructions: []openflow.Instruction{
+			openflow.WriteMetadata(uint64(r.InPort), ^uint64(0)),
+			openflow.GotoTable(base + 1),
+		},
+	}, {
+		Priority: 1 + r.PrefixLen,
+		Matches: []openflow.Match{
+			openflow.Exact(openflow.FieldMetadata, uint64(r.InPort)),
+			openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen),
+		},
+		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.NextHop))},
+	}}
+}
 
 // BuildMAC constructs the two-table MAC-learning pipeline from a filter,
 // with tables numbered base and base+1.
@@ -26,51 +129,21 @@ func BuildMAC(f *filterset.MACFilter, base openflow.TableID) (*Pipeline, error) 
 
 // AddMACTables installs the MAC-learning application into an existing
 // pipeline at tables base and base+1. missFirst is the miss policy of the
-// first (VLAN) table, letting a prototype chain applications.
+// first (VLAN) table, letting a prototype chain applications. Each rule
+// inserts both of its entries, so the VLAN table holds one entry per rule.
 func AddMACTables(p *Pipeline, f *filterset.MACFilter, base openflow.TableID, missFirst MissPolicy) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("core: building MAC pipeline: %w", err)
 	}
-	t0, err := p.AddTable(TableConfig{
-		ID:     base,
-		Fields: []openflow.FieldID{openflow.FieldVLANID},
-		Miss:   missFirst,
-	})
-	if err != nil {
-		return err
-	}
-	t1, err := p.AddTable(TableConfig{
-		ID:     base + 1,
-		Fields: []openflow.FieldID{openflow.FieldMetadata, openflow.FieldEthDst},
-		Miss:   MissPolicy{Kind: MissController},
-	})
+	ts, err := addAppTables(p, filterset.MACLearning, base, missFirst)
 	if err != nil {
 		return err
 	}
 	for i, r := range f.Rules {
-		e0 := &openflow.FlowEntry{
-			Priority: 1,
-			Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN))},
-			Instructions: []openflow.Instruction{
-				openflow.WriteMetadata(uint64(r.VLAN), ^uint64(0)),
-				openflow.GotoTable(base + 1),
-			},
-		}
-		if err := t0.Insert(e0); err != nil {
-			return fmt.Errorf("core: MAC rule %d (table %d): %w", i, base, err)
-		}
-		e1 := &openflow.FlowEntry{
-			Priority: 1,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(r.VLAN)),
-				openflow.Exact(openflow.FieldEthDst, r.EthDst),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(r.OutPort)),
-			},
-		}
-		if err := t1.Insert(e1); err != nil {
-			return fmt.Errorf("core: MAC rule %d (table %d): %w", i, base+1, err)
+		for j, e := range MACEntries(r, base) {
+			if err := ts[j].Insert(&e); err != nil {
+				return fmt.Errorf("core: MAC rule %d (table %d): %w", i, ts[j].ID(), err)
+			}
 		}
 	}
 	return nil
@@ -92,24 +165,13 @@ func AddRouteTables(p *Pipeline, f *filterset.RouteFilter, base openflow.TableID
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("core: building routing pipeline: %w", err)
 	}
-	t0, err := p.AddTable(TableConfig{
-		ID:     base,
-		Fields: []openflow.FieldID{openflow.FieldInPort},
-		Miss:   missFirst,
-	})
-	if err != nil {
-		return err
-	}
-	t1, err := p.AddTable(TableConfig{
-		ID:     base + 1,
-		Fields: []openflow.FieldID{openflow.FieldMetadata, openflow.FieldIPv4Dst},
-		Miss:   MissPolicy{Kind: MissController},
-	})
+	ts, err := addAppTables(p, filterset.Routing, base, missFirst)
 	if err != nil {
 		return err
 	}
 	seenPorts := make(map[uint32]bool)
 	for i, r := range f.Rules {
+		es := RouteEntries(r, base)
 		if !seenPorts[r.InPort] {
 			// One first-table entry per ingress port suffices: the entry
 			// only transfers the port into metadata. (Inserting per rule
@@ -117,30 +179,11 @@ func AddRouteTables(p *Pipeline, f *filterset.RouteFilter, base openflow.TableID
 			// first table at one entry per unique value, as the paper's
 			// LUT sizing assumes.)
 			seenPorts[r.InPort] = true
-			e0 := &openflow.FlowEntry{
-				Priority: 1,
-				Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(r.InPort))},
-				Instructions: []openflow.Instruction{
-					openflow.WriteMetadata(uint64(r.InPort), ^uint64(0)),
-					openflow.GotoTable(base + 1),
-				},
-			}
-			if err := t0.Insert(e0); err != nil {
+			if err := ts[0].Insert(&es[0]); err != nil {
 				return fmt.Errorf("core: route rule %d (table %d): %w", i, base, err)
 			}
 		}
-		e1 := &openflow.FlowEntry{
-			// Longer prefixes must win: encode LPM in the priority.
-			Priority: 1 + r.PrefixLen,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldMetadata, uint64(r.InPort)),
-				openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(r.NextHop)),
-			},
-		}
-		if err := t1.Insert(e1); err != nil {
+		if err := ts[1].Insert(&es[1]); err != nil {
 			return fmt.Errorf("core: route rule %d (table %d): %w", i, base+1, err)
 		}
 	}
@@ -166,10 +209,10 @@ func BuildPrototypeWith(mac *filterset.MACFilter, route *filterset.RouteFilter, 
 			return nil, err
 		}
 	}
-	if err := AddMACTables(p, mac, 0, MissPolicy{Kind: MissGoto, Table: 2}); err != nil {
+	if err := AddMACTables(p, mac, MACBase, MissPolicy{Kind: MissGoto, Table: RouteBase}); err != nil {
 		return nil, err
 	}
-	if err := AddRouteTables(p, route, 2, MissPolicy{Kind: MissController}); err != nil {
+	if err := AddRouteTables(p, route, RouteBase, MissPolicy{Kind: MissController}); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -179,28 +222,7 @@ func BuildPrototypeWith(mac *filterset.MACFilter, route *filterset.RouteFilter, 
 // _rtr_arp flow sets of the Stanford collection): exact target-IPv4
 // matching to an output port.
 func BuildARP(f *filterset.ARPFilter, base openflow.TableID) (*Pipeline, error) {
-	p := NewPipeline()
-	t, err := p.AddTable(TableConfig{
-		ID:     base,
-		Fields: []openflow.FieldID{openflow.FieldARPTPA},
-		Miss:   MissPolicy{Kind: MissController},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range f.Rules {
-		e := &openflow.FlowEntry{
-			Priority: 1,
-			Matches:  []openflow.Match{openflow.Exact(openflow.FieldARPTPA, uint64(r.TargetIP))},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(r.OutPort)),
-			},
-		}
-		if err := t.Insert(e); err != nil {
-			return nil, fmt.Errorf("core: ARP rule %d: %w", i, err)
-		}
-	}
-	return p, nil
+	return buildSingle(filterset.ARP, base, f.FlowEntries())
 }
 
 // BuildACL constructs a single-table 5-tuple classifier from an ACL
@@ -210,25 +232,20 @@ func BuildACL(f *filterset.ACLFilter) (*Pipeline, error) {
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("core: building ACL pipeline: %w", err)
 	}
+	return buildSingle(filterset.ACL, 0, f.FlowEntries())
+}
+
+// buildSingle builds a pipeline of a single-table application's one table
+// at base, holding entries.
+func buildSingle(app filterset.App, base openflow.TableID, entries []openflow.FlowEntry) (*Pipeline, error) {
 	p := NewPipeline()
-	t, err := p.AddTable(TableConfig{
-		ID: 0,
-		Fields: []openflow.FieldID{
-			openflow.FieldIPv4Src,
-			openflow.FieldIPv4Dst,
-			openflow.FieldSrcPort,
-			openflow.FieldDstPort,
-			openflow.FieldIPProto,
-		},
-		Miss: MissPolicy{Kind: MissController},
-	})
+	ts, err := addAppTables(p, app, base, MissPolicy{Kind: MissController})
 	if err != nil {
 		return nil, err
 	}
-	for i, e := range f.FlowEntries() {
-		entry := e
-		if err := t.Insert(&entry); err != nil {
-			return nil, fmt.Errorf("core: ACL rule %d: %w", i, err)
+	for i := range entries {
+		if err := ts[0].Insert(&entries[i]); err != nil {
+			return nil, fmt.Errorf("core: %s rule %d: %w", app, i, err)
 		}
 	}
 	return p, nil

@@ -274,10 +274,10 @@ func outputOf(r Result) int {
 	return int(r.Outputs[0])
 }
 
-// TestMegaflowSweepSparesUnaffectedRegions pins the survivor property:
+// TestMegaflowCommitSparesUnaffectedRegions pins the survivor property:
 // after a commit of a rule that overlaps no cached region, the masked
 // tier serves every cached region again without a single new walk.
-func TestMegaflowSweepSparesUnaffectedRegions(t *testing.T) {
+func TestMegaflowCommitSparesUnaffectedRegions(t *testing.T) {
 	var rules []*openflow.FlowEntry
 	for i := 0; i < 16; i++ {
 		rules = append(rules, dstEntry(uint64(i)<<24, 8, 100+uint32(i)))
@@ -316,12 +316,12 @@ func staleLadder(p *Pipeline) ladder {
 	return ladder{s: p.loadSnapshot(), tiers: [numTiers]*flowCache{p.tiers[tierExact].Load(), p.tiers[tierMasked].Load()}, d: p.dir}
 }
 
-// TestMegaflowRefusesSweptPastFill pins a straggler's fill: a walk
+// TestMegaflowStragglerFillMeetsCommit pins a straggler's fill: a walk
 // against the pre-commit snapshot whose fill arrives after the commit
 // keeps its pre-commit stamp, so a post-commit reader tests it against
 // the commit, whose rule overlaps it, and walks — its outcome was decided
 // without the committed rule.
-func TestMegaflowRefusesSweptPastFill(t *testing.T) {
+func TestMegaflowStragglerFillMeetsCommit(t *testing.T) {
 	p := lpmMegaflowPipeline(t, dstEntry(0x0A000000, 8, 1))
 	old := staleLadder(p)
 	if _, err := p.Begin().Add(0, dstEntry(0x0A010000, 16, 9)).Commit(); err != nil {
@@ -360,7 +360,7 @@ func TestMegaflowOldSnapshotMissesNewFill(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesOverlapOracle is the read-time test's property test:
+// TestRevalidationMatchesOverlapOracle is the read-time test's property test:
 // over seeded tuple masks, entries and logs of one to three commits, a
 // reader must be served exactly the entries stamped with its snapshot's
 // version and those stamped inside its window that every commit logged
@@ -373,7 +373,7 @@ func TestMegaflowOldSnapshotMissesNewFill(t *testing.T) {
 // side of the word boundary), range and all-wildcard matches; in half the
 // commits every rule fixes a shared set of fields, so P often spans
 // several words.
-func TestSweepMatchesOverlapOracle(t *testing.T) {
+func TestRevalidationMatchesOverlapOracle(t *testing.T) {
 	rng := xrand.New(20150908)
 	pick := func(vs ...uint64) uint64 { return vs[rng.Intn(len(vs))] }
 	header := func() openflow.Header {

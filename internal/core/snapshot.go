@@ -18,9 +18,11 @@ import (
 // the live tables under the pipeline write lock, which readers never
 // take while a snapshot is published. A writer's last step publishes a
 // snapshot of what it wrote (a commit with the megaflow tier on, a
-// backend migration) or retracts the published one (every other writer);
-// so a published snapshot is always current, and a reader that finds
-// none publishes one under the write lock. A burst of commits with no
+// backend migration), unpublishes it keeping the cache window (a commit
+// whose only serving tier is the exact one: it logged its record, and
+// the next snapshot carries the window on), or retracts it, window and
+// all (every other writer); so a published snapshot is always current,
+// and a reader that finds none publishes one under the write lock. A burst of commits with no
 // lookup in between costs one publish, not one per commit.
 //
 // A view is not a copy. The mbt and dir24 backends keep their lookup

@@ -204,9 +204,12 @@ type undoOp struct {
 // command applies and Commit returns what changed, or none do and Commit
 // returns the first error. Lookups racing the commit observe the
 // pre-commit snapshot until the commit completes; then the commit
-// publishes the post-commit snapshot or retracts the old one, for the
-// next lookup to publish — one snapshot and one microflow-cache version
-// per commit, regardless of how many commands it carried.
+// publishes the post-commit snapshot, unpublishes the old one keeping
+// the cache window, or retracts it, for the next lookup to publish —
+// one snapshot version per commit, regardless of how many commands it
+// carried. While a cache tier serves, the tiers keep their entries
+// across it: the commit logs a record of its rules, and readers
+// revalidate older entries against it.
 //
 // A transaction commits at most once; further Commit calls error.
 func (tx *Tx) Commit() (TxResult, error) {

@@ -181,10 +181,6 @@ func TestGenerateACL(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := AnalyzeACL(f)
-	if st.SrcIPUniq == 0 || st.DstIPUniq == 0 || st.Protos < 2 {
-		t.Errorf("implausible ACL stats: %+v", st)
-	}
 	// Port ranges must include wildcards and exact ports.
 	sawAny, sawExact := false, false
 	for _, r := range f.Rules {

@@ -98,50 +98,3 @@ func AnalyzeRoute(f *RouteFilter) RouteStats {
 		IPLo:  len(lo),
 	}
 }
-
-// ACLStats summarises an ACL filter for the baseline experiments.
-type ACLStats struct {
-	Name      string
-	Rules     int
-	SrcIPUniq int
-	DstIPUniq int
-	SrcPorts  int // unique source port ranges
-	DstPorts  int
-	Protos    int
-}
-
-// AnalyzeACL surveys an ACL filter.
-func AnalyzeACL(f *ACLFilter) ACLStats {
-	type pfx struct {
-		v uint32
-		l int
-	}
-	type rng struct {
-		lo, hi uint16
-	}
-	src := make(map[pfx]struct{})
-	dst := make(map[pfx]struct{})
-	sp := make(map[rng]struct{})
-	dp := make(map[rng]struct{})
-	protos := make(map[int]struct{})
-	for _, r := range f.Rules {
-		src[pfx{r.SrcIP & uint32(bitops.Mask64(r.SrcLen, 32)), r.SrcLen}] = struct{}{}
-		dst[pfx{r.DstIP & uint32(bitops.Mask64(r.DstLen, 32)), r.DstLen}] = struct{}{}
-		sp[rng{r.SrcPortLo, r.SrcPortHi}] = struct{}{}
-		dp[rng{r.DstPortLo, r.DstPortHi}] = struct{}{}
-		if r.ProtoAny {
-			protos[-1] = struct{}{}
-		} else {
-			protos[int(r.Proto)] = struct{}{}
-		}
-	}
-	return ACLStats{
-		Name:      f.Name,
-		Rules:     len(f.Rules),
-		SrcIPUniq: len(src),
-		DstIPUniq: len(dst),
-		SrcPorts:  len(sp),
-		DstPorts:  len(dp),
-		Protos:    len(protos),
-	}
-}

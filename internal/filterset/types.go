@@ -140,47 +140,6 @@ type ARPFilter struct {
 	Rules []ARPRule
 }
 
-// FlowEntries renders the MAC filter as OpenFlow entries for a two-table
-// pipeline: the caller supplies the action port encoding. Each rule yields
-// a single logical flow entry matching both fields; the pipeline builder
-// decomposes fields across tables.
-func (f *MACFilter) FlowEntries() []openflow.FlowEntry {
-	out := make([]openflow.FlowEntry, 0, len(f.Rules))
-	for _, r := range f.Rules {
-		out = append(out, openflow.FlowEntry{
-			Priority: 1,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN)),
-				openflow.Exact(openflow.FieldEthDst, r.EthDst),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(r.OutPort)),
-			},
-		})
-	}
-	return out
-}
-
-// FlowEntries renders the routing filter as OpenFlow entries. Longer
-// prefixes receive higher priority so that a priority-based classifier
-// reproduces LPM semantics.
-func (f *RouteFilter) FlowEntries() []openflow.FlowEntry {
-	out := make([]openflow.FlowEntry, 0, len(f.Rules))
-	for _, r := range f.Rules {
-		out = append(out, openflow.FlowEntry{
-			Priority: r.PrefixLen,
-			Matches: []openflow.Match{
-				openflow.Exact(openflow.FieldInPort, uint64(r.InPort)),
-				openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen),
-			},
-			Instructions: []openflow.Instruction{
-				openflow.WriteActions(openflow.Output(r.NextHop)),
-			},
-		})
-	}
-	return out
-}
-
 // FlowEntries renders the LPM filter as OpenFlow entries: one
 // destination-prefix match per rule, with the prefix length as the
 // priority so a priority-based classifier reproduces LPM semantics.
@@ -194,6 +153,22 @@ func (f *LPMFilter) FlowEntries() []openflow.FlowEntry {
 			},
 			Instructions: []openflow.Instruction{
 				openflow.WriteActions(openflow.Output(r.NextHop)),
+			},
+		})
+	}
+	return out
+}
+
+// FlowEntries renders the ARP filter as OpenFlow entries: one exact
+// target-IPv4 match per rule, forwarding to the rule's port.
+func (f *ARPFilter) FlowEntries() []openflow.FlowEntry {
+	out := make([]openflow.FlowEntry, 0, len(f.Rules))
+	for _, r := range f.Rules {
+		out = append(out, openflow.FlowEntry{
+			Priority: 1,
+			Matches:  []openflow.Match{openflow.Exact(openflow.FieldARPTPA, uint64(r.TargetIP))},
+			Instructions: []openflow.Instruction{
+				openflow.WriteActions(openflow.Output(r.OutPort)),
 			},
 		})
 	}

@@ -1,9 +1,9 @@
-// Package flowtext reads and writes flow-mod command files: a line-based
-// text format for transactional control-plane workloads, the flow-mod
-// analogue of the filter-set and packet-trace formats in
-// internal/filterset and internal/traffic. cmd/flowgen emits churn
-// workloads in this format and cmd/ofctl replays them against a live
-// switch in batched transactions.
+// Package flowtext reads and writes flow-mod command files: the one
+// line-based text format for rule sets and control-plane workloads, the
+// flow-mod analogue of the packet-trace format in internal/traffic.
+// cmd/flowgen writes rule sets (a file of add commands) and churn
+// workloads in this format, and cmd/ofctl flow-mods replays either
+// against a live switch in batched transactions.
 //
 // One command per line, `#` comments and blank lines ignored:
 //
@@ -29,6 +29,7 @@
 //	inport=N  vlan=N  meta=N  proto=N
 //	ethsrc=aa:bb:cc:dd:ee:ff  ethdst=aa:bb:cc:dd:ee:ff
 //	ipv4src=a.b.c.d[/len]     ipv4dst=a.b.c.d[/len]
+//	arptpa=a.b.c.d            (ARP target IPv4, exact)
 //	sport=N | sport=lo-hi     dport=N | dport=lo-hi
 //
 // Actions / instructions:
@@ -228,6 +229,11 @@ func formatMatch(m openflow.Match) (string, error) {
 		default:
 			return "", fmt.Errorf("field %s: unsupported match kind %s", m.Field, m.Kind)
 		}
+	case openflow.FieldARPTPA:
+		if m.Kind != openflow.MatchExact {
+			return "", fmt.Errorf("field %s supports only exact matches, got %s", m.Field, m.Kind)
+		}
+		return "arptpa=" + formatIPv4(uint32(m.Value.Lo)), nil
 	case openflow.FieldSrcPort, openflow.FieldDstPort:
 		key := "dport"
 		if m.Field == openflow.FieldSrcPort {
@@ -433,6 +439,15 @@ func ParseCommand(text string) (*ofproto.FlowMod, error) {
 			m, err := parseIPv4Match(f, val)
 			if err != nil {
 				return nil, err
+			}
+			fm.Entry.Matches = append(fm.Entry.Matches, m)
+		case "arptpa":
+			m, err := parseIPv4Match(openflow.FieldARPTPA, val)
+			if err != nil {
+				return nil, err
+			}
+			if m.Kind != openflow.MatchExact {
+				return nil, fmt.Errorf("arptpa takes an address, not a prefix: %q", val)
 			}
 			fm.Entry.Matches = append(fm.Entry.Matches, m)
 		case "sport", "dport":

@@ -36,6 +36,11 @@ func sampleCommands() []ofproto.FlowMod {
 			},
 			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Drop())},
 		}},
+		{Op: ofproto.FlowAdd, Table: 0, Entry: openflow.FlowEntry{
+			Priority:     1,
+			Matches:      []openflow.Match{openflow.Exact(openflow.FieldARPTPA, 0xC0A80001)},
+			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(4))},
+		}},
 		{Op: ofproto.FlowModify, Table: 1, Entry: openflow.FlowEntry{
 			Matches:      []openflow.Match{openflow.Exact(openflow.FieldEthDst, 0x00AABB010001)},
 			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(9))},
@@ -108,6 +113,8 @@ func TestParseErrors(t *testing.T) {
 		"add 0 ethdst=zz:zz:zz:zz:zz:zz",
 		"add 0 ipv4dst=10.0.0/8",
 		"add 0 ipv4dst=10.0.0.0/99",
+		"add 0 arptpa=10.0.0.0/8",
+		"add 0 arptpa=10.0.0",
 		"add 0 sport=1-2-3",
 		"add 0 drop=1",
 		"add 0 nonsense=5",

@@ -162,18 +162,6 @@ type TableCost struct {
 	Kbits        float64
 }
 
-// FlatTableCost computes the cost of a table of `entries` rows of
-// entryBits each.
-func FlatTableCost(entries, entryBits int) TableCost {
-	bits := entries * entryBits
-	return TableCost{
-		Entries:      entries,
-		BitsPerEntry: entryBits,
-		Bits:         bits,
-		Kbits:        float64(bits) / Kbit,
-	}
-}
-
 // ActionEntryBits is the modelled width of one action-table row: a 4-bit
 // instruction opcode, an 8-bit goto-table id, a 16-bit output port and a
 // 4-bit action opcode (Section IV.C lists Goto-Table and Write-action as

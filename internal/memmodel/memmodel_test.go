@@ -131,16 +131,6 @@ func TestLUTCost(t *testing.T) {
 	}
 }
 
-func TestFlatTableCost(t *testing.T) {
-	c := FlatTableCost(1000, ActionEntryBits)
-	if c.Bits != 1000*32 {
-		t.Errorf("action table bits = %d, want %d", c.Bits, 1000*32)
-	}
-	if c.Kbits != float64(c.Bits)/Kbit {
-		t.Error("Kbits inconsistent")
-	}
-}
-
 func TestM20KBlocks(t *testing.T) {
 	cases := []struct {
 		depth, width, want int

@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ofmtl/internal/bitops"
@@ -258,12 +257,6 @@ func (e *FlowEntry) Validate() error {
 		}
 	}
 	return nil
-}
-
-// NormalizeMatches sorts the entry's matches by field ID, giving rules a
-// canonical form for serialisation and comparison.
-func (e *FlowEntry) NormalizeMatches() {
-	sort.Slice(e.Matches, func(i, j int) bool { return e.Matches[i].Field < e.Matches[j].Field })
 }
 
 // String renders the entry in rule-file syntax.

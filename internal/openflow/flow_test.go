@@ -72,16 +72,6 @@ func TestFlowEntryValidate(t *testing.T) {
 	}
 }
 
-func TestNormalizeMatches(t *testing.T) {
-	e := &FlowEntry{Matches: []Match{Exact(FieldDstPort, 1), Exact(FieldInPort, 2), Exact(FieldVLANID, 3)}}
-	e.NormalizeMatches()
-	for i := 1; i < len(e.Matches); i++ {
-		if e.Matches[i-1].Field > e.Matches[i].Field {
-			t.Fatal("matches not sorted by field")
-		}
-	}
-}
-
 func TestSpecificitySum(t *testing.T) {
 	e := testEntry()
 	want := e.Matches[0].Specificity() + e.Matches[1].Specificity()

@@ -159,9 +159,3 @@ func (h *Header) String() string {
 func FormatIPv4(v uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
-
-// FormatMAC renders a 48-bit Ethernet address in colon-hex form.
-func FormatMAC(v uint64) string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
-		byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}

@@ -88,9 +88,6 @@ func TestFormatHelpers(t *testing.T) {
 	if got := FormatIPv4(0xC0A80101); got != "192.168.1.1" {
 		t.Errorf("FormatIPv4 = %q", got)
 	}
-	if got := FormatMAC(0x001122334455); got != "00:11:22:33:44:55" {
-		t.Errorf("FormatMAC = %q", got)
-	}
 }
 
 func TestExact128AndMethod(t *testing.T) {

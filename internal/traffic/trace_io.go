@@ -11,9 +11,9 @@ import (
 // Text trace format: one packet header per line, whitespace-separated
 // fields in a fixed order, `#` comment lines ignored. The format carries
 // the fields the repository's pipelines classify on; it is the trace
-// analogue of the filter-set text formats in internal/filterset, so
-// generated workloads (including the Zipf-skewed ones) can be saved,
-// diffed and replayed.
+// analogue of the rule-file format in internal/flowtext, so generated
+// workloads (including the Zipf-skewed ones) can be saved, diffed and
+// replayed.
 //
 //	inport vlan ethsrc ethdst ethtype ipv4src ipv4dst sport dport proto
 //

@@ -111,12 +111,6 @@ func RouteTraceZipf(f *filterset.RouteFilter, flows, n int, hitRatio, skew float
 	return ZipfMix(RouteTrace(f, flows, hitRatio, seed), n, skew, seed)
 }
 
-// ACLTraceZipf draws an n-packet Zipf-skewed trace over a population of
-// flows distinct 5-tuple flows.
-func ACLTraceZipf(f *filterset.ACLFilter, flows, n int, hitRatio, skew float64, seed uint64) []openflow.Header {
-	return ZipfMix(ACLTrace(f, flows, hitRatio, seed), n, skew, seed)
-}
-
 // SubnetZipf draws an n-packet trace where the *subnets* (installed
 // routing prefixes) follow a Zipf law of exponent skew but every packet
 // is a brand-new flow: the host bits and the source address are fresh

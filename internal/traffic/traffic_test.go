@@ -152,10 +152,6 @@ func TestTraceZipfWrappers(t *testing.T) {
 	if got := len(RouteTraceZipf(route, 64, 500, 0.9, 1.1, 2)); got != 500 {
 		t.Errorf("RouteTraceZipf length %d", got)
 	}
-	acl := filterset.GenerateACL("t", 100, filterset.DefaultSeed)
-	if got := len(ACLTraceZipf(acl, 64, 500, 0.8, 1.1, 2)); got != 500 {
-		t.Errorf("ACLTraceZipf length %d", got)
-	}
 }
 
 // openflowHeaderKey identifies a flow for the Zipf tests.
