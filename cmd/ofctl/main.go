@@ -53,6 +53,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -224,6 +225,15 @@ func parseIPv4(s string) (uint32, error) {
 // default).
 const defaultBatch = 256
 
+// fits rejects a flag value wider than the rule field it fills, which a
+// conversion would silently truncate to another rule's key.
+func fits(name string, v uint, max uint64) error {
+	if uint64(v) > max {
+		return fmt.Errorf("-%s must be at most %d, got %d", name, max, v)
+	}
+	return nil
+}
+
 // adds renders a rule's two entries as adds to tables base and base+1,
 // committed together.
 func adds(es [2]openflow.FlowEntry, base openflow.TableID) []ofproto.FlowMod {
@@ -254,6 +264,9 @@ func doAddMAC(c *ofproto.Client, args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := fits("vlan", *vlan, 4095); err != nil {
+		return err
+	}
 	r := filterset.MACRule{VLAN: uint16(*vlan), EthDst: m, OutPort: uint32(*port)}
 	if _, err := c.SendFlowMods(adds(core.MACEntries(r, core.MACBase), core.MACBase)); err != nil {
 		return err
@@ -273,6 +286,9 @@ func doDelMAC(c *ofproto.Client, args []string) error {
 	}
 	m, err := parseMAC(*mac)
 	if err != nil {
+		return err
+	}
+	if err := fits("vlan", *vlan, 4095); err != nil {
 		return err
 	}
 	r := filterset.MACRule{VLAN: uint16(*vlan), EthDst: m}
@@ -298,6 +314,9 @@ func doDelRoute(c *ofproto.Client, args []string) error {
 	}
 	p, plen, err := parseCIDR(*prefix)
 	if err != nil {
+		return err
+	}
+	if err := fits("inport", *inport, math.MaxUint32); err != nil {
 		return err
 	}
 	r := filterset.RouteRule{InPort: uint32(*inport), Prefix: p, PrefixLen: plen}
@@ -447,6 +466,9 @@ func doAddRoute(c *ofproto.Client, args []string) error {
 	}
 	p, plen, err := parseCIDR(*prefix)
 	if err != nil {
+		return err
+	}
+	if err := fits("inport", *inport, math.MaxUint32); err != nil {
 		return err
 	}
 	r := filterset.RouteRule{InPort: uint32(*inport), Prefix: p, PrefixLen: plen, NextHop: uint32(*nexthop)}

@@ -220,6 +220,21 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 	if err := run([]string{"-addr", addr, "add-mac", "-mac", "garbage"}); err == nil {
 		t.Error("bad MAC should error")
 	}
+	// A VLAN or port wider than its field is refused, not truncated to
+	// another rule's key (65546 would wrap to VLAN 10, installed above).
+	for _, args := range [][]string{
+		{"-addr", addr, "add-mac", "-vlan", "65546", "-mac", "00:11:22:33:44:55"},
+		{"-addr", addr, "del-mac", "-vlan", "65546", "-mac", "00:11:22:33:44:55"},
+		{"-addr", addr, "add-route", "-inport", "4294967298", "-prefix", "10.0.0.0/8"},
+		{"-addr", addr, "del-route", "-inport", "4294967298", "-prefix", "10.0.0.0/8"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "must be at most") {
+			t.Errorf("ofctl %v: %v, want an out-of-range error", args[2:], err)
+		}
+	}
+	if n := p.Rules(); n != 4 {
+		t.Errorf("after the refused commands the switch holds %d rules, want the 4 installed above", n)
+	}
 }
 
 // TestDeleteSubcommandsEndToEnd drives del-mac / del-route against a live

@@ -77,21 +77,9 @@ func addAppTables(p *Pipeline, app filterset.App, base openflow.TableID, missFir
 // base+1, and a (metadata, destination Ethernet) entry that outputs to the
 // rule's port.
 func MACEntries(r filterset.MACRule, base openflow.TableID) [2]openflow.FlowEntry {
-	return [2]openflow.FlowEntry{{
-		Priority: 1,
-		Matches:  []openflow.Match{openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN))},
-		Instructions: []openflow.Instruction{
-			openflow.WriteMetadata(uint64(r.VLAN), ^uint64(0)),
-			openflow.GotoTable(base + 1),
-		},
-	}, {
-		Priority: 1,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(r.VLAN)),
-			openflow.Exact(openflow.FieldEthDst, r.EthDst),
-		},
-		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.OutPort))},
-	}}
+	return pair(uint64(r.VLAN), base, 1,
+		openflow.Exact(openflow.FieldVLANID, uint64(r.VLAN)),
+		openflow.Exact(openflow.FieldEthDst, r.EthDst), r.OutPort)
 }
 
 // RouteEntries returns the two entries one route rule becomes at tables
@@ -100,21 +88,29 @@ func MACEntries(r filterset.MACRule, base openflow.TableID) [2]openflow.FlowEntr
 // entry that outputs to the next hop. The second entry's priority is
 // 1+prefix length, so the longest matching prefix wins.
 func RouteEntries(r filterset.RouteRule, base openflow.TableID) [2]openflow.FlowEntry {
-	return [2]openflow.FlowEntry{{
-		Priority: 1,
-		Matches:  []openflow.Match{openflow.Exact(openflow.FieldInPort, uint64(r.InPort))},
-		Instructions: []openflow.Instruction{
-			openflow.WriteMetadata(uint64(r.InPort), ^uint64(0)),
-			openflow.GotoTable(base + 1),
-		},
-	}, {
-		Priority: 1 + r.PrefixLen,
-		Matches: []openflow.Match{
-			openflow.Exact(openflow.FieldMetadata, uint64(r.InPort)),
-			openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen),
-		},
-		Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(r.NextHop))},
-	}}
+	return pair(uint64(r.InPort), base, 1+r.PrefixLen,
+		openflow.Exact(openflow.FieldInPort, uint64(r.InPort)),
+		openflow.Prefix(openflow.FieldIPv4Dst, uint64(r.Prefix), r.PrefixLen), r.NextHop)
+}
+
+// pair builds the Section IV.C decomposition of one rule: at base, a
+// priority-1 entry matching first that writes meta into the metadata
+// register and goes to base+1; at base+1, an entry of priority prio
+// matching (meta, second) that outputs to port. The two entries share
+// one backing array for their matches and one for their instructions: a
+// builder renders hundreds of thousands of rules, and Insert copies what
+// it keeps.
+func pair(meta uint64, base openflow.TableID, prio int, first, second openflow.Match, port uint32) [2]openflow.FlowEntry {
+	ms := []openflow.Match{first, openflow.Exact(openflow.FieldMetadata, meta), second}
+	ins := []openflow.Instruction{
+		openflow.WriteMetadata(meta, ^uint64(0)),
+		openflow.GotoTable(base + 1),
+		openflow.WriteActions(openflow.Output(port)),
+	}
+	return [2]openflow.FlowEntry{
+		{Priority: 1, Matches: ms[:1:1], Instructions: ins[:2:2]},
+		{Priority: prio, Matches: ms[1:], Instructions: ins[2:]},
+	}
 }
 
 // BuildMAC constructs the two-table MAC-learning pipeline from a filter,

@@ -223,9 +223,9 @@ func formatMatch(m openflow.Match) (string, error) {
 		}
 		switch m.Kind {
 		case openflow.MatchExact:
-			return fmt.Sprintf("%s=%s", key, formatIPv4(uint32(m.Value.Lo))), nil
+			return fmt.Sprintf("%s=%s", key, openflow.FormatIPv4(uint32(m.Value.Lo))), nil
 		case openflow.MatchPrefix:
-			return fmt.Sprintf("%s=%s/%d", key, formatIPv4(uint32(m.Value.Lo)), m.PrefixLen), nil
+			return fmt.Sprintf("%s=%s/%d", key, openflow.FormatIPv4(uint32(m.Value.Lo)), m.PrefixLen), nil
 		default:
 			return "", fmt.Errorf("field %s: unsupported match kind %s", m.Field, m.Kind)
 		}
@@ -233,7 +233,7 @@ func formatMatch(m openflow.Match) (string, error) {
 		if m.Kind != openflow.MatchExact {
 			return "", fmt.Errorf("field %s supports only exact matches, got %s", m.Field, m.Kind)
 		}
-		return "arptpa=" + formatIPv4(uint32(m.Value.Lo)), nil
+		return "arptpa=" + openflow.FormatIPv4(uint32(m.Value.Lo)), nil
 	case openflow.FieldSrcPort, openflow.FieldDstPort:
 		key := "dport"
 		if m.Field == openflow.FieldSrcPort {
@@ -287,10 +287,6 @@ func formatInstruction(in openflow.Instruction) ([]string, error) {
 func formatMAC(v uint64) string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
 		byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func formatIPv4(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // Read parses a flow-mod command file, returning the commands only (any
