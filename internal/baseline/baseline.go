@@ -1,14 +1,20 @@
-// Package baseline implements the multi-dimensional lookup algorithm
+// Package baseline grades the multi-dimensional lookup algorithm
 // categories the paper surveys in Table I — Trie-Geometric (HyperCuts,
 // HyperSplit), Decomposition (RFC), Hashing (tuple space search) and
-// Hardware (TCAM) — plus a naive linear search, each instrumented for the
-// three axes the table grades: memory consumption, lookup cost and update
-// cost. The Table I experiment classifies the same 5-tuple rule set with
-// every algorithm and reports measured numbers behind the paper's
-// qualitative entries.
+// Hardware (TCAM) — plus a naive linear search, on the three axes the
+// table grades: memory consumption, lookup cost and update cost. The
+// Table I experiment classifies the same 5-tuple rule set with every
+// algorithm and reports measured numbers behind the paper's qualitative
+// entries.
+//
+// The package implements only what the switch lacks: the reference
+// linear scan, RFC and the two cutting trees. Tuple space search and
+// TCAM are the switch's own tss and lineartcam backends (Runtime), so
+// their rows price the structures the switch runs.
 package baseline
 
 import (
+	"ofmtl/internal/core"
 	"ofmtl/internal/filterset"
 	"ofmtl/internal/openflow"
 )
@@ -48,8 +54,7 @@ type Classifier interface {
 // Interface compliance.
 var (
 	_ Classifier = (*Linear)(nil)
-	_ Classifier = (*TCAM)(nil)
-	_ Classifier = (*TupleSpace)(nil)
+	_ Classifier = (*Runtime)(nil)
 	_ Classifier = (*RFC)(nil)
 	_ Classifier = (*HyperCuts)(nil)
 	_ Classifier = (*HyperSplit)(nil)
@@ -59,8 +64,8 @@ var (
 func All() []Classifier {
 	return []Classifier{
 		NewLinear(),
-		NewTCAM(),
-		NewTupleSpace(),
+		NewRuntime(core.BackendLinearTCAM),
+		NewRuntime(core.BackendTSS),
 		NewRFC(),
 		NewHyperCuts(),
 		NewHyperSplit(),
@@ -95,31 +100,4 @@ func ruleMatches(r *filterset.ACLRule, h *openflow.Header) bool {
 		return false
 	}
 	return true
-}
-
-// rangeToPrefixes decomposes an inclusive 16-bit range into the minimal
-// set of prefixes covering it — the classic range-to-ternary expansion
-// TCAMs require (up to 2w-2 prefixes for a w-bit field).
-func rangeToPrefixes(lo, hi uint16) [][2]uint16 {
-	var out [][2]uint16 // (value, plen)
-	l, h := uint32(lo), uint32(hi)
-	for l <= h {
-		// The largest aligned block starting at l that fits within h.
-		size := uint32(1)
-		plen := uint16(16)
-		for plen > 0 {
-			next := size << 1
-			if l&(next-1) != 0 || l+next-1 > h {
-				break
-			}
-			size = next
-			plen--
-		}
-		out = append(out, [2]uint16{uint16(l), plen})
-		l += size
-		if l == 0 { // wrapped past 0xFFFF
-			break
-		}
-	}
-	return out
 }

@@ -142,7 +142,7 @@ func TestTableIShape(t *testing.T) {
 		t.Error("TCAM update should cost more than hashing update")
 	}
 	// TCAM range expansion inflates entries beyond the rule count.
-	if tc := byName["tcam"].(*TCAM); tc.Entries() <= 600 {
+	if tc := byName["tcam"].(*Runtime); tc.Entries() <= 600 {
 		t.Errorf("TCAM entries = %d, expansion should exceed rule count", tc.Entries())
 	}
 	// Decomposition: fast fixed-pipeline lookup, huge memory and rebuild
@@ -167,73 +167,6 @@ func TestTableIShape(t *testing.T) {
 	// Hashing: cheap update.
 	if byName["tss"].UpdateCost() != 1 {
 		t.Errorf("TSS update cost = %d, want 1", byName["tss"].UpdateCost())
-	}
-}
-
-func TestRangeToPrefixes(t *testing.T) {
-	cases := []struct {
-		lo, hi uint16
-		want   int // expected prefix count
-	}{
-		{0, 65535, 1},
-		{80, 80, 1},
-		{0, 1023, 1},
-		{1024, 65535, 6},
-		{1, 65534, 30}, // classic worst case: 2w-2
-	}
-	for _, c := range cases {
-		got := rangeToPrefixes(c.lo, c.hi)
-		if len(got) != c.want {
-			t.Errorf("rangeToPrefixes(%d, %d) = %d prefixes, want %d", c.lo, c.hi, len(got), c.want)
-		}
-		// Verify exact coverage.
-		covered := map[uint32]bool{}
-		for _, p := range got {
-			span := uint32(1) << (16 - p[1])
-			for v := uint32(p[0]); v < uint32(p[0])+span; v++ {
-				if covered[v] {
-					t.Fatalf("range [%d,%d]: value %d covered twice", c.lo, c.hi, v)
-				}
-				covered[v] = true
-			}
-		}
-		if len(covered) != int(c.hi)-int(c.lo)+1 {
-			t.Errorf("range [%d,%d]: covered %d values, want %d", c.lo, c.hi, len(covered), int(c.hi)-int(c.lo)+1)
-		}
-		for v := range covered {
-			if v < uint32(c.lo) || v > uint32(c.hi) {
-				t.Errorf("range [%d,%d]: spurious coverage of %d", c.lo, c.hi, v)
-			}
-		}
-	}
-}
-
-// Property: rangeToPrefixes covers exactly [lo, hi] for arbitrary ranges.
-func TestRangeToPrefixesProperty(t *testing.T) {
-	rng := xrand.New(2718)
-	for trial := 0; trial < 500; trial++ {
-		lo := uint16(rng.Intn(65536))
-		hi := lo + uint16(rng.Intn(int(65535-uint32(lo))+1))
-		prefixes := rangeToPrefixes(lo, hi)
-		total := 0
-		for _, p := range prefixes {
-			span := 1 << (16 - p[1])
-			total += span
-			// Every prefix is aligned and within bounds.
-			if int(p[0])%span != 0 {
-				t.Fatalf("[%d,%d]: prefix %d/%d misaligned", lo, hi, p[0], p[1])
-			}
-			if p[0] < lo || int(p[0])+span-1 > int(hi) {
-				t.Fatalf("[%d,%d]: prefix %d/%d out of bounds", lo, hi, p[0], p[1])
-			}
-		}
-		if total != int(hi)-int(lo)+1 {
-			t.Fatalf("[%d,%d]: prefixes cover %d values, want %d", lo, hi, total, int(hi)-int(lo)+1)
-		}
-		// The classic bound: at most 2w-2 prefixes for a 16-bit field.
-		if len(prefixes) > 30 {
-			t.Fatalf("[%d,%d]: %d prefixes exceeds 2w-2", lo, hi, len(prefixes))
-		}
 	}
 }
 

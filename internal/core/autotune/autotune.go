@@ -113,31 +113,28 @@ type Policy struct {
 	// may migrate again.
 	MinDwell time.Duration
 	// MemWeight scales how strongly memory inflates a scheme's score:
-	// score = latency · (1 + MemWeight·memBits/MemScale). 0 scores on
+	// score = latency · (1 + MemWeight·memBits/memScale). 0 scores on
 	// latency alone.
 	MemWeight float64
-	// MemScale is the memory normalisation constant in bits (default
-	// 1e9: one Gbit of modelled memory doubles the score at weight 1).
-	MemScale float64
 }
+
+// memScale is the memory normalisation constant of Score, in bits: one
+// Gbit of modelled memory doubles the score at weight 1.
+const memScale = 1e9
 
 // DefaultPolicy returns the default hysteresis knobs: 30% margin, 10s
 // dwell, memory weighted at one Gbit-doubles-the-score.
 func DefaultPolicy() Policy {
-	return Policy{Margin: 0.30, MinDwell: 10 * time.Second, MemWeight: 1, MemScale: 1e9}
+	return Policy{Margin: 0.30, MinDwell: 10 * time.Second, MemWeight: 1}
 }
 
 // Score folds a latency figure and a memory footprint into one
 // comparable scalar (lower is better).
 func (p Policy) Score(latNs, memBits float64) float64 {
-	scale := p.MemScale
-	if scale <= 0 {
-		scale = 1e9
-	}
 	if latNs < 1 {
 		latNs = 1
 	}
-	return latNs * (1 + p.MemWeight*memBits/scale)
+	return latNs * (1 + p.MemWeight*memBits/memScale)
 }
 
 // Candidate is one scored scheme.

@@ -50,7 +50,7 @@ func TestModelReproducesTableIShape(t *testing.T) {
 }
 
 func TestDecideHysteresis(t *testing.T) {
-	p := Policy{Margin: 0.30, MinDwell: 10 * time.Second, MemScale: 1e9}
+	p := Policy{Margin: 0.30, MinDwell: 10 * time.Second}
 	cands := func(mbt, tss float64) []Candidate {
 		return []Candidate{
 			{Scheme: SchemeMBT, Score: mbt, Eligible: true},
@@ -100,7 +100,7 @@ func TestDecideForcedEviction(t *testing.T) {
 }
 
 func TestScore(t *testing.T) {
-	p := Policy{MemWeight: 1, MemScale: 1e9}
+	p := Policy{MemWeight: 1}
 	if s := p.Score(100, 0); s != 100 {
 		t.Fatalf("zero memory: want pure latency, got %v", s)
 	}
@@ -109,9 +109,5 @@ func TestScore(t *testing.T) {
 	}
 	if s := p.Score(100, 5e8); s != 150 {
 		t.Fatalf("half a Gbit: want 150, got %v", s)
-	}
-	// Zero scale falls back to the 1e9 default rather than dividing by zero.
-	if s := (Policy{MemWeight: 1}).Score(100, 1e9); s != 200 {
-		t.Fatalf("zero MemScale should default: got %v", s)
 	}
 }

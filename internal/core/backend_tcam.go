@@ -8,14 +8,15 @@ import (
 	"ofmtl/internal/openflow"
 )
 
-// tcamBackend is the TCAM cost model promoted from the offline estimator
-// in internal/baseline to a real, mutation-capable, clone-safe backend: a
-// priority-ordered array of ternary rows searched linearly in software
-// (hardware compares every row in parallel — one access, the paper's
-// "parallel search" category). Memory is accounted the way a TCAM pays
-// for it: every row stores a value bit and a mask bit per header bit
-// (2× the tuple width), and range constraints expand into prefix sets —
-// the rule ternary-conversion blow-up the paper cites.
+// tcamBackend is the repository's one model of a TCAM: the switch runs
+// it, the advisor migrates tables onto and off it, and Table I's hardware
+// row (internal/baseline) is read off it. It is a mutation-capable,
+// clone-safe, priority-ordered array of ternary rows searched linearly in
+// software (hardware compares every row in parallel — one access, the
+// paper's "parallel search" category). Memory is accounted the way a
+// TCAM pays for it: every row stores a value bit and a mask bit per
+// header bit (2× the tuple width), and range constraints expand into
+// prefix sets — the rule ternary-conversion blow-up the paper cites.
 type tcamBackend struct {
 	cfg     TableConfig
 	fields  []openflow.FieldID
@@ -53,6 +54,9 @@ func (b *tcamBackend) ternaryBits() int {
 // rangePrefixCount returns the number of prefixes in the minimal prefix
 // cover of [lo, hi] — the ternary rows one range constraint expands into.
 func rangePrefixCount(lo, hi uint64) int {
+	if lo == 0 && hi == ^uint64(0) {
+		return 1 // the whole span, a block no uint64 size holds
+	}
 	count := 0
 	for {
 		// Largest aligned power-of-two block starting at lo that stays
@@ -173,7 +177,3 @@ func (b *tcamBackend) memory(a *memAccount) {
 	}
 	a.addBits(actionMem, "tcam/actions", len(b.entries)*memmodel.ActionEntryBits)
 }
-
-// Rows returns the expanded ternary row count (the range-expansion
-// blow-up over the rule count).
-func (b *tcamBackend) Rows() int { return b.rows }

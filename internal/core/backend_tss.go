@@ -11,16 +11,17 @@ import (
 )
 
 // tssBackend is tuple space search (Srinivasan et al., the paper's
-// reference [12]) promoted from the offline estimator in
-// internal/baseline to a real, mutation-capable, clone-safe backend over
-// arbitrary table field sets: rules are grouped by their tuple of
-// per-field mask shapes (wildcard / prefix length / exact), each tuple
-// holds an exact-match hash table over the masked key bytes, and a
-// lookup probes every tuple. Hashing gives O(1) per-tuple lookup and O(1)
-// updates — the strength of the hashing category in Table I — but the
-// probe count grows with tuple diversity, and arbitrary ranges do not
-// hash: rules with non-trivial range constraints fall into a spill list
-// scanned linearly (the scheme's "collision issue" axis).
+// reference [12]), the repository's one model of the scheme: the switch
+// runs it, the advisor migrates tables onto and off it, and Table I's
+// hashing row (internal/baseline) is read off it. It is mutation-capable
+// and clone-safe over arbitrary table field sets: rules are grouped by
+// their tuple of per-field mask shapes (wildcard / prefix length /
+// exact), each tuple holds an exact-match hash table over the masked key
+// bytes, and a lookup probes every tuple. Hashing gives O(1) per-tuple
+// lookup and O(1) updates — the strength of the hashing category in
+// Table I — but the probe count grows with tuple diversity, and arbitrary
+// ranges do not hash: rules with non-trivial range constraints fall into
+// a spill list scanned linearly (the scheme's "collision issue" axis).
 type tssBackend struct {
 	cfg    TableConfig
 	fields []openflow.FieldID // sorted; the mask tuple's field order
@@ -366,8 +367,18 @@ func (b *tssBackend) memory(a *memAccount) {
 	a.addBits(actionMem, "tss/actions", b.rules*memmodel.ActionEntryBits)
 }
 
-// Tuples returns the live tuple count — the probe fan-out of one lookup.
-func (b *tssBackend) Tuples() int { return len(b.tuples) }
+// LookupProbes reports the probes every lookup in a tss table makes: one
+// hash probe per tuple and one step per spill row, the same count for
+// every header (Table I's accesses per lookup for the hashing scheme).
+// Tables on other backends report 0: their lookups make no fixed number
+// of probes.
+func (t *LookupTable) LookupProbes() int {
+	b, ok := t.backend.(*tssBackend)
+	if !ok {
+		return 0
+	}
+	return len(b.order) + len(b.spill)
+}
 
 // marks implements highWater: the directory's tuple peak.
 func (b *tssBackend) marks(dst []int) []int { return append(dst, b.dirPeak) }

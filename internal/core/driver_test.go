@@ -516,7 +516,7 @@ func (d *modelDriver) randomCmds() []FlowCmd {
 // headers draws n packets: a third re-sent from the recent history (a
 // cache entry that outlived a commit it should not have answers them
 // wrongly), the rest fresh, most placed inside one or two live rules'
-// covers.
+// covers, and a quarter of those with set bits above the VLAN ID's width.
 func (d *modelDriver) headers(n int) []openflow.Header {
 	r := d.rng
 	hs := make([]openflow.Header, n)
@@ -536,6 +536,11 @@ func (d *modelDriver) headers(n int) []openflow.Header {
 			if e := d.anyLiveRule(); e != nil {
 				d.cover(&h, e)
 			}
+		}
+		if r.Intn(4) == 0 {
+			// Bits above the 13-bit VLAN ID, written into the slot as
+			// the wire decoder would store them: no lookup may read them.
+			h.VLANID |= uint16(1+r.Intn(7)) << openflow.FieldVLANID.Bits()
 		}
 		hs[i] = h
 		if len(d.history) < 256 {

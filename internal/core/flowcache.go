@@ -64,10 +64,12 @@ const flowKeyWords = 12
 type flowKey [flowKeyWords]uint64
 
 // packFlowKey fills k from h. Every field is packed at its Go-type
-// width into bits no other field shares — the wire codec does not mask
-// EthSrc/EthDst to 48 bits or MPLS to 20, so the packing must not
-// either: two headers the classifier could distinguish must never fold
-// to one cache key.
+// width into bits no other field shares, so two headers the classifier
+// could distinguish never fold to one cache key. The classifier reads a
+// field at its registered width (Header.Get), and the megaflow tier's
+// masks cover only those bits (keySpans), so slot bits above a field's
+// width — the wire decoder stores them as they arrive — change no
+// verdict: in the exact tier they only make a key of their own.
 func packFlowKey(k *flowKey, h *openflow.Header) {
 	k[0] = uint64(h.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48
 	k[1] = h.EthSrc

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ofmtl/internal/filterset"
@@ -353,5 +354,60 @@ func TestDirectTableMutationVisible(t *testing.T) {
 	}
 	if res := p.Execute(&openflow.Header{VLANID: 9}); res.Matched {
 		t.Errorf("direct remove not visible through snapshot: %+v", res)
+	}
+}
+
+// TestOutOfRangeHeaderBits: a header slot may hold bits above its field's
+// registered width (the wire decoder stores slots as they arrive). Every
+// backend that serves the field, with the megaflow tier off and on, and
+// the reference scan read the field at its width, so those bits change
+// no verdict: a VLAN 10 rule takes VLANID 0x200A, an exact EthDst rule
+// takes the same address with bit 50 set. (dir24 serves only a 32-bit
+// prefix field.)
+func TestOutOfRangeHeaderBits(t *testing.T) {
+	cases := []struct {
+		name       string
+		field      openflow.FieldID
+		value      uint64
+		outOfRange uint64
+		set        func(h *openflow.Header, v uint64)
+	}{
+		{"vlan", openflow.FieldVLANID, 10, 1 << 13, func(h *openflow.Header, v uint64) { h.VLANID = uint16(v) }},
+		{"ethdst", openflow.FieldEthDst, 0x112233445566, 1 << 50, func(h *openflow.Header, v uint64) { h.EthDst = v }},
+	}
+	for _, c := range cases {
+		e := &openflow.FlowEntry{
+			Priority:     1,
+			Matches:      []openflow.Match{openflow.Exact(c.field, c.value)},
+			Instructions: []openflow.Instruction{openflow.WriteActions(openflow.Output(7))},
+		}
+		var in, wide openflow.Header
+		c.set(&in, c.value)
+		c.set(&wide, c.value|c.outOfRange)
+		var ref ReferenceClassifier
+		ref.Insert(e)
+		if _, ok := ref.Classify(&wide); !ok {
+			t.Errorf("%s: the reference scan misses the out-of-range header", c.name)
+		}
+		for _, kind := range []string{BackendMBT, BackendTSS, BackendLinearTCAM} {
+			for _, mega := range []int{0, 256} {
+				p := NewPipeline()
+				if _, err := p.AddTable(TableConfig{ID: 0, Fields: []openflow.FieldID{c.field}, Backend: kind}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Begin().Add(0, e).Commit(); err != nil {
+					t.Fatal(err)
+				}
+				p.SetMegaflowSize(mega)
+				p.Execute(&in) // fills the megaflow tier when it is on
+				got := p.Execute(&wide)
+				if !slices.Equal(got.Outputs, []uint32{7}) {
+					t.Errorf("%s on %s, megaflow %d: out-of-range header outputs %v, want [7]", c.name, kind, mega, got.Outputs)
+				}
+				if hits := p.MegaflowStats().Hits; mega > 0 && hits != 1 {
+					t.Errorf("%s on %s: %d megaflow hits, want the out-of-range header served by the tier", c.name, kind, hits)
+				}
+			}
+		}
 	}
 }

@@ -153,3 +153,32 @@ func TestHeaderGetSetRoundTrip(t *testing.T) {
 		t.Error("unknown field Get should be zero")
 	}
 }
+
+// Get reads every field at its registered width, whatever the slot holds
+// above it (the decoder stores slots unmasked), and Set writes the same
+// width.
+func TestHeaderGetReadsRegisteredWidth(t *testing.T) {
+	ones := bitops.U128{Hi: ^uint64(0), Lo: ^uint64(0)}
+	full := Header{
+		InPort: ^uint32(0), EthSrc: ^uint64(0), EthDst: ^uint64(0), EthType: ^uint16(0),
+		VLANID: ^uint16(0), VLANPrio: ^uint8(0), MPLS: ^uint32(0),
+		IPv4Src: ^uint32(0), IPv4Dst: ^uint32(0), IPv6Src: ones, IPv6Dst: ones,
+		IPProto: ^uint8(0), IPToS: ^uint8(0), SrcPort: ^uint16(0), DstPort: ^uint16(0),
+		ARPOp: ^uint16(0), ARPSPA: ^uint32(0), ARPTPA: ^uint32(0), Metadata: ^uint64(0),
+	}
+	fields := []FieldID{FieldARPOp, FieldARPSPA, FieldARPTPA, FieldMetadata}
+	for _, spec := range CommonFields() {
+		fields = append(fields, spec.ID)
+	}
+	for _, f := range fields {
+		want := bitops.Mask128(f.Bits(), f.Bits())
+		if got := full.Get(f); got != want {
+			t.Errorf("Get(%s) of an all-ones slot = %v, want the low %d bits %v", f, got, f.Bits(), want)
+		}
+		var h Header
+		h.Set(f, ones)
+		if got := h.Get(f); got != want {
+			t.Errorf("Get(%s) after Set(all ones) = %v, want %v", f, got, want)
+		}
+	}
+}

@@ -42,96 +42,115 @@ type Header struct {
 	PktLen uint32
 }
 
-// Get returns the value of field f in the header. Unknown or extended
-// fields (which Header does not carry) return zero.
+// valueMasks holds each field's registered width as a low-bit mask (all
+// ones from 64 bits up). Get and Set read and write a field through it:
+// a header slot wider than its field (EthSrc/EthDst, VLANID, VLANPrio,
+// MPLS, IPToS) may hold bits above the width — the wire decoder stores
+// slots as they arrive — and those bits must never reach a lookup.
+var valueMasks = func() (m [fieldSentinel]uint64) {
+	for f := range m {
+		m[f] = bitops.LowMask64(fieldSpecs[f].Bits)
+	}
+	return m
+}()
+
+// Get returns the value of field f in the header at the field's
+// registered width: bits of the slot above it read as zero. Unknown or
+// extended fields (which Header does not carry) return zero.
 func (h *Header) Get(f FieldID) bitops.U128 {
+	var v uint64
 	switch f {
 	case FieldInPort:
-		return bitops.U128From64(uint64(h.InPort))
+		v = uint64(h.InPort)
 	case FieldEthSrc:
-		return bitops.U128From64(h.EthSrc)
+		v = h.EthSrc
 	case FieldEthDst:
-		return bitops.U128From64(h.EthDst)
+		v = h.EthDst
 	case FieldEthType:
-		return bitops.U128From64(uint64(h.EthType))
+		v = uint64(h.EthType)
 	case FieldVLANID:
-		return bitops.U128From64(uint64(h.VLANID))
+		v = uint64(h.VLANID)
 	case FieldVLANPriority:
-		return bitops.U128From64(uint64(h.VLANPrio))
+		v = uint64(h.VLANPrio)
 	case FieldMPLSLabel:
-		return bitops.U128From64(uint64(h.MPLS))
+		v = uint64(h.MPLS)
 	case FieldIPv4Src:
-		return bitops.U128From64(uint64(h.IPv4Src))
+		v = uint64(h.IPv4Src)
 	case FieldIPv4Dst:
-		return bitops.U128From64(uint64(h.IPv4Dst))
+		v = uint64(h.IPv4Dst)
 	case FieldIPv6Src:
 		return h.IPv6Src
 	case FieldIPv6Dst:
 		return h.IPv6Dst
 	case FieldIPProto:
-		return bitops.U128From64(uint64(h.IPProto))
+		v = uint64(h.IPProto)
 	case FieldIPToS:
-		return bitops.U128From64(uint64(h.IPToS))
+		v = uint64(h.IPToS)
 	case FieldSrcPort:
-		return bitops.U128From64(uint64(h.SrcPort))
+		v = uint64(h.SrcPort)
 	case FieldDstPort:
-		return bitops.U128From64(uint64(h.DstPort))
+		v = uint64(h.DstPort)
 	case FieldARPOp:
-		return bitops.U128From64(uint64(h.ARPOp))
+		v = uint64(h.ARPOp)
 	case FieldARPSPA:
-		return bitops.U128From64(uint64(h.ARPSPA))
+		v = uint64(h.ARPSPA)
 	case FieldARPTPA:
-		return bitops.U128From64(uint64(h.ARPTPA))
+		v = uint64(h.ARPTPA)
 	case FieldMetadata:
-		return bitops.U128From64(h.Metadata)
+		v = h.Metadata
 	default:
 		return bitops.U128{}
 	}
+	return bitops.U128From64(v & valueMasks[f])
 }
 
 // Set assigns field f to value v (truncated to the field's width). Setting
 // unknown fields is a no-op; the pipeline validates set-field actions
 // before executing them.
 func (h *Header) Set(f FieldID, v bitops.U128) {
+	if !f.Valid() {
+		return
+	}
+	lo := v.Lo & valueMasks[f]
 	switch f {
 	case FieldInPort:
-		h.InPort = uint32(v.Lo)
+		h.InPort = uint32(lo)
 	case FieldEthSrc:
-		h.EthSrc = v.Lo & bitops.LowMask64(48)
+		h.EthSrc = lo
 	case FieldEthDst:
-		h.EthDst = v.Lo & bitops.LowMask64(48)
+		h.EthDst = lo
 	case FieldEthType:
-		h.EthType = uint16(v.Lo)
+		h.EthType = uint16(lo)
 	case FieldVLANID:
-		h.VLANID = uint16(v.Lo) & 0x1FFF
+		h.VLANID = uint16(lo)
 	case FieldVLANPriority:
-		h.VLANPrio = uint8(v.Lo) & 0x7
+		h.VLANPrio = uint8(lo)
 	case FieldMPLSLabel:
-		h.MPLS = uint32(v.Lo) & 0xFFFFF
+		h.MPLS = uint32(lo)
 	case FieldIPv4Src:
-		h.IPv4Src = uint32(v.Lo)
+		h.IPv4Src = uint32(lo)
 	case FieldIPv4Dst:
-		h.IPv4Dst = uint32(v.Lo)
+		h.IPv4Dst = uint32(lo)
 	case FieldIPv6Src:
 		h.IPv6Src = v
 	case FieldIPv6Dst:
 		h.IPv6Dst = v
 	case FieldIPProto:
-		h.IPProto = uint8(v.Lo)
+		h.IPProto = uint8(lo)
 	case FieldIPToS:
-		h.IPToS = uint8(v.Lo) & 0x3F
+		h.IPToS = uint8(lo)
 	case FieldSrcPort:
-		h.SrcPort = uint16(v.Lo)
+		h.SrcPort = uint16(lo)
 	case FieldDstPort:
-		h.DstPort = uint16(v.Lo)
+		h.DstPort = uint16(lo)
 	case FieldARPOp:
-		h.ARPOp = uint16(v.Lo)
+		h.ARPOp = uint16(lo)
 	case FieldARPSPA:
-		h.ARPSPA = uint32(v.Lo)
+		h.ARPSPA = uint32(lo)
 	case FieldARPTPA:
-		h.ARPTPA = uint32(v.Lo)
+		h.ARPTPA = uint32(lo)
 	case FieldMetadata:
-		h.Metadata = v.Lo
+		h.Metadata = lo
 	}
 }
 
